@@ -3,7 +3,7 @@ GO ?= go
 # Per-target budget of the fuzz smoke (make fuzz-smoke / CI).
 FUZZTIME ?= 20s
 
-.PHONY: build test test-race vet chaos-smoke chaos-long fuzz-smoke bench bench-smoke bench-hotpath bench-compare ops-demo audit-demo audit-smoke
+.PHONY: build test test-race vet chaos-smoke chaos-long fuzz-smoke bench bench-smoke bench-hotpath bench-compare benchmark benchmark-test ops-demo audit-demo audit-smoke
 
 build:
 	$(GO) build ./...
@@ -47,8 +47,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead' -benchtime 100x ./internal/trinx/
 
 # Hot-path benchmark suite: alloc/latency profile of cached digests,
-# marshal-once multicast, mailboxes, and the full prepare→commit→exec
-# path, plus a quick hybster-bench figure run. Writes BENCH_hotpath.txt
+# marshal-once multicast, mailboxes, the memnet send→handler path, the
+# client's Invoke wait path and the full prepare→commit→exec path,
+# plus a quick hybster-bench figure run. Writes BENCH_hotpath.txt
 # (standard go-test bench output) and BENCH_fig5c.json; CI uploads both
 # as artifacts. Tune iteration time with HOTPATH_BENCHTIME.
 HOTPATH_BENCHTIME ?= 0.3s
@@ -56,7 +57,7 @@ HOTPATH_BENCHTIME ?= 0.3s
 bench-hotpath:
 	$(GO) test -run '^$$' -bench 'BenchmarkHotPath' -benchmem \
 		-benchtime $(HOTPATH_BENCHTIME) \
-		./internal/message/ ./internal/cop/ ./internal/transport/ ./internal/reply/ ./internal/cluster/ \
+		./internal/message/ ./internal/cop/ ./internal/transport/ ./internal/client/ ./internal/reply/ ./internal/cluster/ \
 		| tee BENCH_hotpath.txt
 	$(GO) run ./cmd/hybster-bench -figure 5c -quick -duration 1s -clients 96 \
 		-json -results .bench-scratch
@@ -67,6 +68,17 @@ bench-hotpath:
 # baseline in results/fig5c.json (>25% drop on any point fails).
 bench-compare:
 	sh scripts/bench-compare.sh
+
+# The repository benchmark (BENCHMARK.json): five workloads end to end
+# and traced, ≈ 3.5 min. For one workload or a seed, call run.sh itself.
+benchmark:
+	bash benchmark/run.sh
+
+# benchmark/ is a module of its own, so `go test ./...` at the root
+# never compiles it: vet and test it here (CI does) or it rots silently
+# when a package it calls changes.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Live observability demo: boots a 3-replica TCP group with -ops,
 # commits client load, and scrapes /metrics + health probes.

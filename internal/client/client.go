@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hybster/internal/config"
@@ -47,6 +46,9 @@ type pending struct {
 	seq     uint64
 	done    chan []byte
 	replies map[uint32][]byte // replica -> result
+	// decided is set once the result went to done; what arrives later
+	// is the surplus of the quorum and is dropped unread.
+	decided bool
 }
 
 // Client issues requests to a replica group. It is safe for
@@ -64,10 +66,15 @@ type Client struct {
 	seq    uint64
 	pend   map[uint64]*pending
 	closed bool
-	// direct reports whether the last request succeeded without
-	// retransmission; when false, new requests start with a multicast
-	// (the preferred replica is likely faulty or demoted).
-	direct atomic.Bool
+	// direct reports whether a fresh request goes to the preferred
+	// replica alone. A retransmission clears it (that replica is
+	// likely faulty or cut off) and new requests start with a
+	// multicast until the preferred replica is seen answering again:
+	// a verified reply from it to a request no older than lostSeq,
+	// the one whose retransmission cleared the flag. A first-attempt
+	// success proves nothing — a multicast succeeds without it.
+	direct  bool
+	lostSeq uint64
 }
 
 // New creates a client and installs its reply handler.
@@ -89,8 +96,8 @@ func New(opts Options) (*Client, error) {
 		timeout: opts.Timeout,
 		retries: opts.Retries,
 		pend:    make(map[uint64]*pending),
+		direct:  true,
 	}
-	c.direct.Store(true)
 	c.ep.Handle(c.onMessage)
 	return c, nil
 }
@@ -134,6 +141,7 @@ func (c *Client) Invoke(payload []byte, readOnly bool) ([]byte, error) {
 	req.Auth = crypto.NewAuthenticator(c.ks, req.Digest(), c.cfg.N)
 	p := &pending{seq: req.Seq, done: make(chan []byte, 1), replies: make(map[uint32][]byte)}
 	c.pend[req.Seq] = p
+	direct := c.direct
 	c.mu.Unlock()
 
 	defer func() {
@@ -147,21 +155,31 @@ func (c *Client) Invoke(payload []byte, readOnly bool) ([]byte, error) {
 	// replica is likely faulty and we multicast right away. Every
 	// retry multicasts, because the client cannot know whether a
 	// faulty leader suppressed the request (§5.2.3).
-	if c.direct.Load() {
+	if direct {
 		_ = c.ep.Send(c.preferredReplica(), req)
 	} else {
 		transport.Multicast(c.ep, c.cfg.N, req)
 	}
+	// One timer serves every attempt and is stopped on return: an
+	// abandoned timer stays in the runtime's heap until it fires, a
+	// full timeout after the request it guarded completed.
+	timer := time.NewTimer(c.timeout)
+	defer timer.Stop()
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		select {
 		case res, ok := <-p.done:
 			if !ok {
 				return nil, ErrClosed
 			}
-			c.direct.Store(attempt == 0)
 			return res, nil
-		case <-time.After(c.timeout):
+		case <-timer.C:
+			c.mu.Lock()
+			if c.direct {
+				c.direct, c.lostSeq = false, p.seq
+			}
+			c.mu.Unlock()
 			transport.Multicast(c.ep, c.cfg.N, req)
+			timer.Reset(c.timeout)
 		}
 	}
 	return nil, fmt.Errorf("%w: seq %d after %d attempts", ErrTimeout, p.seq, c.retries+1)
@@ -173,14 +191,30 @@ func (c *Client) onMessage(from uint32, m message.Message) {
 	if !ok || rep.Client != c.id || rep.Replica != from {
 		return
 	}
+	// Look before hashing: every request draws n replies and is decided
+	// by the first f+1, so the rest are dropped for a map lookup
+	// instead of a digest over the result plus an HMAC. The one reply
+	// worth checking without a waiting request is the preferred
+	// replica's while direct mode is off — it is the evidence that
+	// turns it back on.
+	c.mu.Lock()
+	p := c.pend[rep.Seq]
+	wanted := p != nil && !p.decided
+	probe := !c.direct && from == c.preferredReplica() && rep.Seq >= c.lostSeq
+	c.mu.Unlock()
+	if !wanted && !probe {
+		return
+	}
 	d := rep.Digest()
 	if !c.ks.KeyFor(from).Verify(d[:], rep.MAC) {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.pend[rep.Seq]
-	if !ok {
+	if probe {
+		c.direct = true
+	}
+	if p = c.pend[rep.Seq]; p == nil || p.decided {
 		return
 	}
 	p.replies[from] = rep.Result
@@ -193,10 +227,8 @@ func (c *Client) onMessage(from uint32, m message.Message) {
 		}
 	}
 	if matching >= c.cfg.F()+1 {
-		select {
-		case p.done <- rep.Result:
-		default:
-		}
+		p.decided = true
+		p.done <- rep.Result // buffered; decided admits one send
 	}
 }
 

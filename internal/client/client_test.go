@@ -18,14 +18,22 @@ type fakeReplica struct {
 	ks     *crypto.KeyStore
 	mu     sync.Mutex
 	result func(req *message.Request) []byte
-	seen   int
+	seen   int // requests received from clients, relayed ones not counted
 	mute   bool
+	// relay makes the group behave like an ordering one: a request a
+	// client addressed to this replica alone is passed on to every
+	// other replica, so all n answer it, as after agreement.
+	relay int
 }
 
 func newFakeReplica(net *transport.Network, id uint32, cfg config.Config) *fakeReplica {
+	return newFakeReplicaOn(net.Endpoint(id), cfg)
+}
+
+func newFakeReplicaOn(ep transport.Endpoint, cfg config.Config) *fakeReplica {
 	f := &fakeReplica{
-		ep:     net.Endpoint(id),
-		ks:     crypto.NewKeyStore(id, crypto.NewKeyFromSeed(cfg.KeySeed)),
+		ep:     ep,
+		ks:     crypto.NewKeyStore(ep.ID(), crypto.NewKeyFromSeed(cfg.KeySeed)),
 		result: func(req *message.Request) []byte { return []byte("ok") },
 	}
 	f.ep.Handle(func(from uint32, m message.Message) {
@@ -34,10 +42,17 @@ func newFakeReplica(net *transport.Network, id uint32, cfg config.Config) *fakeR
 			return
 		}
 		f.mu.Lock()
-		f.seen++
+		fromClient := from >= crypto.ClientIDBase
+		if fromClient {
+			f.seen++
+		}
 		mute := f.mute
+		relay := f.relay
 		res := f.result(req)
 		f.mu.Unlock()
+		if fromClient && relay > 0 {
+			transport.Multicast(f.ep, relay, req)
+		}
 		if mute {
 			return
 		}
@@ -49,7 +64,7 @@ func newFakeReplica(net *transport.Network, id uint32, cfg config.Config) *fakeR
 	return f
 }
 
-func setup(t *testing.T) (config.Config, *transport.Network, []*fakeReplica) {
+func setup(t testing.TB) (config.Config, *transport.Network, []*fakeReplica) {
 	t.Helper()
 	cfg := config.Default(config.HybsterX) // n=3, f=1
 	net := transport.NewNetwork(transport.LinkProfile{}, 1)
@@ -61,7 +76,23 @@ func setup(t *testing.T) (config.Config, *transport.Network, []*fakeReplica) {
 	return cfg, net, replicas
 }
 
-func newClient(t *testing.T, cfg config.Config, net *transport.Network, timeout time.Duration) *Client {
+// setupRelaying is setup with replicas that relay: a request sent to
+// one replica is answered by all, like by a real group.
+func setupRelaying(t testing.TB) (config.Config, *transport.Network, []*fakeReplica) {
+	cfg, net, replicas := setup(t)
+	for _, r := range replicas {
+		r.relay = cfg.N
+	}
+	return cfg, net, replicas
+}
+
+func (f *fakeReplica) seenFromClients() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.seen
+}
+
+func newClient(t testing.TB, cfg config.Config, net *transport.Network, timeout time.Duration) *Client {
 	t.Helper()
 	cl, err := New(Options{
 		Config:   cfg,

@@ -10,7 +10,8 @@
 // form cycles (e.g. pillar → executor → coordinator → pillar for
 // checkpoints), and bounded channels could deadlock under bursts.
 // Memory remains bounded because every producer is itself throttled by
-// the ordering window.
+// the ordering window. Producers outside any such cycle — the senders
+// on a memnet link — use PutBounded instead and block at a limit.
 package cop
 
 import "sync"
@@ -19,16 +20,18 @@ import "sync"
 // to this size when it drains after a burst.
 const minMailboxCap = 16
 
-// Mailbox is an unbounded MPSC queue backed by a ring buffer: Put and
+// Mailbox is an MPSC queue backed by a growable ring buffer: Put and
 // Get are O(1) at any depth (the previous slice-shift implementation
 // made every Get O(n) while a burst was queued). The zero value is not
 // usable; create with NewMailbox.
 type Mailbox[T any] struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []T // ring storage; len(buf) is the capacity
-	head   int // index of the oldest element
-	count  int // number of queued elements
+	cond   *sync.Cond // consumers wait here for a value
+	space  *sync.Cond // PutBounded producers wait here for room
+	buf    []T        // ring storage; len(buf) is the capacity
+	head   int        // index of the oldest element
+	count  int        // number of queued elements
+	nfull  int        // producers blocked in PutBounded
 	closed bool
 }
 
@@ -36,6 +39,7 @@ type Mailbox[T any] struct {
 func NewMailbox[T any]() *Mailbox[T] {
 	m := &Mailbox[T]{}
 	m.cond = sync.NewCond(&m.mu)
+	m.space = sync.NewCond(&m.mu)
 	return m
 }
 
@@ -73,6 +77,9 @@ func (m *Mailbox[T]) pop() T {
 	}
 	m.count--
 	m.maybeShrink()
+	if m.nfull > 0 {
+		m.space.Signal()
+	}
 	return v
 }
 
@@ -92,18 +99,44 @@ func (m *Mailbox[T]) maybeShrink() {
 func (m *Mailbox[T]) Put(v T) {
 	m.mu.Lock()
 	if !m.closed {
-		if m.count == len(m.buf) {
-			m.grow()
-		}
-		i := m.head + m.count
-		if i >= len(m.buf) {
-			i -= len(m.buf)
-		}
-		m.buf[i] = v
-		m.count++
-		m.cond.Signal()
+		m.push(v)
 	}
 	m.mu.Unlock()
+}
+
+// PutBounded enqueues v once fewer than limit values are queued,
+// blocking the producer while the mailbox is at the bound. It reports
+// false, without enqueueing, if the mailbox is closed or closes while
+// the producer waits. Bounded and unbounded producers may share a
+// mailbox; only PutBounded callers observe the bound.
+func (m *Mailbox[T]) PutBounded(v T, limit int) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for m.count >= limit && !m.closed {
+		m.nfull++
+		m.space.Wait()
+		m.nfull--
+	}
+	if m.closed {
+		return false
+	}
+	m.push(v)
+	return true
+}
+
+// push appends v and wakes a consumer. Caller holds m.mu and has
+// checked that the mailbox is open.
+func (m *Mailbox[T]) push(v T) {
+	if m.count == len(m.buf) {
+		m.grow()
+	}
+	i := m.head + m.count
+	if i >= len(m.buf) {
+		i -= len(m.buf)
+	}
+	m.buf[i] = v
+	m.count++
+	m.cond.Signal()
 }
 
 // Get dequeues the next value, blocking until one is available or the
@@ -167,11 +200,12 @@ func (m *Mailbox[T]) Len() int {
 	return m.count
 }
 
-// Close wakes all blocked consumers; queued values may still be
-// drained with Get/TryGet.
+// Close wakes all blocked consumers and bounded producers; queued
+// values may still be drained with Get/TryGet.
 func (m *Mailbox[T]) Close() {
 	m.mu.Lock()
 	m.closed = true
 	m.cond.Broadcast()
+	m.space.Broadcast()
 	m.mu.Unlock()
 }

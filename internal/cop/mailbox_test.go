@@ -3,6 +3,7 @@ package cop
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestMailboxFIFO(t *testing.T) {
@@ -189,4 +190,108 @@ func TestMailboxConcurrentProducers(t *testing.T) {
 	if len(seen) != workers*per {
 		t.Fatalf("received %d of %d", len(seen), workers*per)
 	}
+}
+
+// TestMailboxPutBounded pins the bounded put: a producer at the bound
+// blocks until a consumer makes room, values stay FIFO across the
+// blocking, and Close releases a blocked producer with ok=false
+// without enqueueing its value.
+func TestMailboxPutBounded(t *testing.T) {
+	const limit = 4
+	m := NewMailbox[int]()
+	for i := 0; i < limit; i++ {
+		if !m.PutBounded(i, limit) {
+			t.Fatalf("PutBounded(%d) below the bound failed", i)
+		}
+	}
+	put := make(chan bool)
+	go func() { put <- m.PutBounded(limit, limit) }()
+	waitBlockedPut(t, m)
+	if m.Len() != limit {
+		t.Fatalf("Len = %d with a producer blocked at bound %d", m.Len(), limit)
+	}
+	if v, ok := m.Get(); !ok || v != 0 {
+		t.Fatalf("Get = %d,%v", v, ok)
+	}
+	if !<-put {
+		t.Fatal("PutBounded failed after room was made")
+	}
+	for want := 1; want <= limit; want++ {
+		if v, ok := m.Get(); !ok || v != want {
+			t.Fatalf("Get = %d,%v want %d", v, ok, want)
+		}
+	}
+
+	// An unbounded Put ignores the bound; a bounded one then waits.
+	for i := 0; i < limit+2; i++ {
+		m.Put(i)
+	}
+	go func() { put <- m.PutBounded(99, limit) }()
+	waitBlockedPut(t, m)
+	m.Close()
+	if <-put {
+		t.Fatal("PutBounded reported success on a mailbox closed while it waited")
+	}
+	if m.PutBounded(100, limit+100) {
+		t.Fatal("PutBounded on a closed mailbox reported success")
+	}
+	if batch, _ := m.GetBatch(make([]int, 0, 16)); len(batch) != limit+2 {
+		t.Fatalf("drained %v after close, want the %d values put before it", batch, limit+2)
+	}
+}
+
+// waitBlockedPut returns once a producer is parked in PutBounded.
+func waitBlockedPut[T any](t *testing.T, m *Mailbox[T]) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		m.mu.Lock()
+		full := m.nfull
+		m.mu.Unlock()
+		if full > 0 {
+			return
+		}
+	}
+	t.Fatal("producer never blocked at the bound")
+}
+
+// TestMailboxPutBoundedConcurrent runs many bounded producers against a
+// batch-draining consumer: nothing is lost or duplicated, each
+// producer's values arrive in its order, and the queue never exceeds
+// the bound.
+func TestMailboxPutBoundedConcurrent(t *testing.T) {
+	const workers, per, limit = 8, 2000, 8
+	m := NewMailbox[[2]int]()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if !m.PutBounded([2]int{w, i}, limit) {
+					t.Errorf("producer %d: PutBounded failed at %d", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	next := make([]int, workers)
+	buf := make([][2]int, 0, 2*limit)
+	for got := 0; got < workers*per; {
+		if n := m.Len(); n > limit {
+			t.Fatalf("queue holds %d values, bound is %d", n, limit)
+		}
+		var ok bool
+		buf, ok = m.GetBatch(buf[:0])
+		if !ok {
+			t.Fatal("closed early")
+		}
+		for _, v := range buf {
+			if v[1] != next[v[0]] {
+				t.Fatalf("producer %d: got %d want %d", v[0], v[1], next[v[0]])
+			}
+			next[v[0]]++
+		}
+		got += len(buf)
+	}
+	wg.Wait()
 }

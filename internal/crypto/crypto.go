@@ -88,84 +88,70 @@ func NewKeyFromSeed(seed string) Key {
 	return Key(d[:])
 }
 
-// hmacPools caches reusable HMAC states per key: hmac.New allocates
-// two SHA-256 states plus the HMAC shell on every call, which was the
-// single largest allocator on the agreement hot path (every request
-// authenticator, reply authenticator, and trusted-counter certificate
-// pays one HMAC). Reset restores a pooled state to its keyed initial
-// state, so reuse is exact. The key count is capped — a process talks
-// to a bounded replica group but an unbounded client population, and
-// past the cap Sum falls back to the allocating path rather than
-// letting the pool map grow without bound.
-var (
-	hmacPools    sync.Map // string(key) → *sync.Pool of hash.Hash
-	hmacPoolKeys atomic.Int64
-)
-
-const maxHMACPoolKeys = 4096
-
-// hmacPool returns the state pool for key k, or nil when the cache is
-// full and k is not already cached.
-func hmacPool(k Key) *sync.Pool {
-	if p, ok := hmacPools.Load(string(k)); ok {
-		return p.(*sync.Pool)
-	}
-	if hmacPoolKeys.Load() >= maxHMACPoolKeys {
-		return nil
-	}
-	kc := append(Key(nil), k...) // private copy: the pool outlives the caller's slice
-	p, loaded := hmacPools.LoadOrStore(string(kc), &sync.Pool{
-		New: func() any { return hmac.New(sha256.New, kc) },
-	})
-	if !loaded {
-		hmacPoolKeys.Add(1)
-	}
-	return p.(*sync.Pool)
-}
-
-// Sum computes the HMAC-SHA256 of data under key k.
+// Sum computes the HMAC-SHA256 of data under key k with a fresh HMAC
+// state. Code that MACs under one key repeatedly binds a MACKey.
 func (k Key) Sum(data []byte) MAC {
-	var m MAC
-	p := hmacPool(k)
-	if p == nil {
-		h := hmac.New(sha256.New, k)
-		h.Write(data)
-		h.Sum(m[:0])
-		return m
-	}
-	h := p.Get().(hash.Hash)
-	h.Reset()
-	h.Write(data)
-	h.Sum(m[:0])
-	p.Put(h)
-	return m
+	return k.SumParts(data)
 }
 
 // SumParts computes the HMAC-SHA256 over the concatenation of parts.
 func (k Key) SumParts(parts ...[]byte) MAC {
-	var m MAC
-	p := hmacPool(k)
-	if p == nil {
-		h := hmac.New(sha256.New, k)
-		for _, part := range parts {
-			h.Write(part)
-		}
-		h.Sum(m[:0])
-		return m
-	}
-	h := p.Get().(hash.Hash)
-	h.Reset()
-	for _, part := range parts {
-		h.Write(part)
-	}
-	h.Sum(m[:0])
-	p.Put(h)
-	return m
+	return sumParts(hmac.New(sha256.New, k), parts)
 }
 
 // Verify reports whether mac is a valid HMAC for data under key k,
 // using a constant-time comparison.
 func (k Key) Verify(data []byte, mac MAC) bool {
+	expect := k.Sum(data)
+	return hmac.Equal(expect[:], mac[:])
+}
+
+func sumParts(h hash.Hash, parts [][]byte) MAC {
+	var m MAC
+	for _, part := range parts {
+		h.Write(part)
+	}
+	h.Sum(m[:0])
+	return m
+}
+
+// MACKey is a key bound to its own pool of keyed HMAC states. hmac.New
+// allocates two SHA-256 states plus the HMAC shell on every call, which
+// was the single largest allocator on the agreement hot path (every
+// request authenticator, reply authenticator, and trusted-counter
+// certificate pays one HMAC); Reset restores a pooled state to its
+// keyed initial state, so reuse is exact. Whoever MACs under one key
+// repeatedly — a KeyStore per peer, a TrInX or USIG instance — holds
+// the handle, so a MAC finds its state without any lookup by key.
+type MACKey struct {
+	states sync.Pool // of hash.Hash keyed with the handle's key
+}
+
+// NewMACKey binds k. The handle keeps a private copy of the key.
+func NewMACKey(k Key) *MACKey {
+	kc := append(Key(nil), k...)
+	h := &MACKey{}
+	h.states.New = func() any { return hmac.New(sha256.New, kc) }
+	return h
+}
+
+// Sum computes the HMAC-SHA256 of data; byte-identical to Key.Sum.
+func (k *MACKey) Sum(data []byte) MAC {
+	return k.SumParts(data)
+}
+
+// SumParts computes the HMAC-SHA256 over the concatenation of parts.
+func (k *MACKey) SumParts(parts ...[]byte) MAC {
+	h := k.states.Get().(hash.Hash)
+	h.Reset()
+	m := sumParts(h, parts)
+	k.states.Put(h)
+	return m
+}
+
+// Verify reports whether mac is a valid HMAC for data, using a
+// constant-time comparison.
+func (k *MACKey) Verify(data []byte, mac MAC) bool {
 	expect := k.Sum(data)
 	return hmac.Equal(expect[:], mac[:])
 }
@@ -195,15 +181,21 @@ type KeyStore struct {
 	self   uint32
 	master Key
 
-	// pairs memoizes derived pair keys: every authenticator creation
+	// Per-peer MAC key handles, memoized: every authenticator creation
 	// and verification needs one, and re-deriving costs an HMAC plus
-	// an allocation. Bounded like the HMAC pool — replica pairs are
-	// few, client pairs unbounded.
-	pairs     sync.Map // uint64(lo)<<32|hi → Key
-	pairCount atomic.Int64
+	// the handle. Peers with small IDs — the replica group — sit in a
+	// dense table read with one atomic load; the rest are clients, an
+	// unbounded population, whose handles go into a map that stops
+	// growing at maxCachedKeys (past it KeyFor derives per call).
+	replicas    [denseKeys]atomic.Pointer[MACKey]
+	clients     sync.Map // uint32 → *MACKey
+	clientCount atomic.Int64
 }
 
-const maxCachedPairKeys = 4096
+const (
+	denseKeys     = 64
+	maxCachedKeys = 4096
+)
 
 // ClientIDBase is the first node ID assigned to clients. IDs below it
 // identify replicas.
@@ -218,32 +210,39 @@ func NewKeyStore(self uint32, master Key) *KeyStore {
 // Self returns the node ID this key store belongs to.
 func (ks *KeyStore) Self() uint32 { return ks.self }
 
-// PairKey returns the symmetric key shared between nodes a and b.
+// PairKey derives the symmetric key shared between nodes a and b.
 // The derivation is symmetric: PairKey(a,b) == PairKey(b,a).
 func (ks *KeyStore) PairKey(a, b uint32) Key {
 	lo, hi := a, b
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	ck := uint64(lo)<<32 | uint64(hi)
-	if k, ok := ks.pairs.Load(ck); ok {
-		return k.(Key)
-	}
 	d := ks.master.SumParts([]byte("pair"), U32(lo), U32(hi))
-	k := Key(append([]byte(nil), d[:]...))
-	if ks.pairCount.Load() >= maxCachedPairKeys {
-		return k
-	}
-	if actual, loaded := ks.pairs.LoadOrStore(ck, k); loaded {
-		return actual.(Key)
-	}
-	ks.pairCount.Add(1)
-	return k
+	return Key(d[:])
 }
 
-// KeyFor returns the key shared between this node and peer.
-func (ks *KeyStore) KeyFor(peer uint32) Key {
-	return ks.PairKey(ks.self, peer)
+// KeyFor returns the MAC key handle this node shares with peer.
+func (ks *KeyStore) KeyFor(peer uint32) *MACKey {
+	if peer < denseKeys {
+		slot := &ks.replicas[peer]
+		if k := slot.Load(); k != nil {
+			return k
+		}
+		slot.CompareAndSwap(nil, NewMACKey(ks.PairKey(ks.self, peer)))
+		return slot.Load()
+	}
+	if k, ok := ks.clients.Load(peer); ok {
+		return k.(*MACKey)
+	}
+	k := NewMACKey(ks.PairKey(ks.self, peer))
+	if ks.clientCount.Load() >= maxCachedKeys {
+		return k
+	}
+	if actual, loaded := ks.clients.LoadOrStore(peer, k); loaded {
+		return actual.(*MACKey)
+	}
+	ks.clientCount.Add(1)
+	return k
 }
 
 // Authenticator is a PBFT-style vector of MACs: one MAC per receiver,
@@ -273,7 +272,7 @@ func VerifyAuthenticator(ks *KeyStore, a Authenticator, d Digest) bool {
 	if int(ks.Self()) >= len(a.MACs) {
 		return false
 	}
-	return ks.PairKey(a.Sender, ks.Self()).Verify(d[:], a.MACs[ks.Self()])
+	return ks.KeyFor(a.Sender).Verify(d[:], a.MACs[ks.Self()])
 }
 
 // Marshal serializes the authenticator.

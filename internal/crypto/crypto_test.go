@@ -96,7 +96,7 @@ func TestPairKeySymmetry(t *testing.T) {
 	if bytes.Equal(ks1.PairKey(1, 2), ks1.PairKey(1, 3)) {
 		t.Fatal("distinct pairs share a key")
 	}
-	if !bytes.Equal(ks1.KeyFor(2), ks2.KeyFor(1)) {
+	if ks1.KeyFor(2).Sum([]byte("m")) != ks2.KeyFor(1).Sum([]byte("m")) {
 		t.Fatal("KeyFor is not symmetric across stores")
 	}
 }
@@ -182,9 +182,10 @@ func TestU64U32(t *testing.T) {
 // construction: a pooled, Reset state must produce byte-identical MACs
 // to a fresh hmac.New, including across reuse and concurrent callers.
 func TestPooledHMACMatchesFresh(t *testing.T) {
-	k := NewKeyFromSeed("pool")
+	key := NewKeyFromSeed("pool")
+	k := NewMACKey(key)
 	ref := func(data []byte) MAC {
-		h := hmac.New(sha256.New, k)
+		h := hmac.New(sha256.New, key)
 		h.Write(data)
 		var m MAC
 		h.Sum(m[:0])
@@ -195,6 +196,9 @@ func TestPooledHMACMatchesFresh(t *testing.T) {
 		data := []byte{byte(i), 0xfe, byte(i * 3)}
 		if got, want := k.Sum(data), ref(data); got != want {
 			t.Fatalf("iteration %d: pooled Sum = %s want %s", i, got, want)
+		}
+		if got, want := k.SumParts(data[:1], data[1:]), ref(data); got != want {
+			t.Fatalf("iteration %d: pooled SumParts = %s want %s", i, got, want)
 		}
 	}
 	// Concurrent use must never cross-contaminate states.
@@ -223,16 +227,37 @@ func TestPooledHMACMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestPairKeyCached checks the pair-key cache returns the same derived
-// key as an uncached derivation and is stable across calls.
-func TestPairKeyCached(t *testing.T) {
-	ks := NewKeyStore(0, NewKeyFromSeed("cache"))
-	first := ks.PairKey(0, 2)
-	d := ks.master.SumParts([]byte("pair"), U32(0), U32(2))
-	if !bytes.Equal(first, d[:]) {
-		t.Fatal("cached pair key differs from direct derivation")
+// TestKeyForMatchesPairKey pins the per-peer handles to the plain
+// derivation: for replica peers (dense table), client peers (bounded
+// map) and client peers past the map's cap (derived per call), the
+// handle's MAC is byte-identical to PairKey(self, peer).Sum, stable
+// across calls, and verifies under the peer's own store.
+func TestKeyForMatchesPairKey(t *testing.T) {
+	master := NewKeyFromSeed("handles")
+	ks := NewKeyStore(1, master)
+	data := []byte("wire bytes must not move")
+	check := func(peer uint32) {
+		t.Helper()
+		want := ks.PairKey(1, peer).Sum(data)
+		for call := 0; call < 2; call++ {
+			if got := ks.KeyFor(peer).Sum(data); got != want {
+				t.Fatalf("peer %d call %d: handle MAC %s, PairKey MAC %s", peer, call, got, want)
+			}
+		}
+		if !NewKeyStore(peer, master).KeyFor(1).Verify(data, want) {
+			t.Fatalf("peer %d does not verify the MAC", peer)
+		}
 	}
-	if again := ks.PairKey(2, 0); !bytes.Equal(first, again) {
-		t.Fatal("pair key not symmetric/stable across cache hits")
+	for _, peer := range []uint32{0, 1, 2, denseKeys - 1, denseKeys, ClientIDBase - 1} {
+		check(peer)
+	}
+	for i := uint32(0); i < maxCachedKeys+8; i++ {
+		check(ClientIDBase + i)
+	}
+	if n := ks.clientCount.Load(); n != maxCachedKeys {
+		t.Fatalf("client handle map holds %d entries, want the cap %d", n, maxCachedKeys)
+	}
+	if ks.KeyFor(0) != ks.KeyFor(0) || ks.KeyFor(ClientIDBase) != ks.KeyFor(ClientIDBase) {
+		t.Fatal("cached peers must get the same handle on every call")
 	}
 }

@@ -55,3 +55,30 @@ func BenchmarkHotPathMulticastTCP(b *testing.B) {
 		Multicast(ep, 4, p)
 	}
 }
+
+// Memnet hot path: one Send to the destination handler over one link,
+// sender and link goroutine running concurrently as in a loaded
+// cluster. Every figure runs on this path ~9 times per request, so its
+// cost is harness, not Hybster; it must stay allocation-free.
+func BenchmarkHotPathMemnet(b *testing.B) {
+	net := NewNetwork(LinkProfile{}, 1)
+	defer net.Close()
+	src := net.Endpoint(0)
+	done := make(chan struct{})
+	delivered := 0 // touched by the one link goroutine only
+	net.Endpoint(1).Handle(func(uint32, message.Message) {
+		if delivered++; delivered == b.N {
+			close(done)
+		}
+	})
+	m := &message.Request{Client: crypto.ClientIDBase, Seq: 1}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := src.Send(1, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	<-done
+}

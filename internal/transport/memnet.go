@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"hybster/internal/cop"
 	"hybster/internal/message"
 )
 
@@ -24,50 +26,67 @@ type LinkProfile struct {
 }
 
 // Network is the in-process message fabric. Nodes register endpoints by
-// ID; every (source, destination) pair gets a dedicated FIFO link
-// driven by its own goroutine.
+// ID; every (source, destination) pair gets a dedicated FIFO link — a
+// cop.Mailbox drained in batches by the link's own goroutine.
+//
+// Nothing on the send or delivery path is shared between links: a Send
+// reads the current routing snapshot with one atomic load and puts the
+// message into the link's mailbox; the link goroutine resolves its
+// destination handler through two more atomic loads. Only the rare
+// mutators (Endpoint, Partition/Heal*/Isolate, link creation, Close)
+// take mu, and they publish a fresh snapshot instead of editing one
+// that senders may be reading.
 type Network struct {
 	profile LinkProfile
 	seed    int64
-	done    chan struct{} // closed by Close; unblocks senders and link goroutines
 
-	mu         sync.RWMutex
-	nodes      map[uint32]*memEndpoint
-	links      map[[2]uint32]*link
-	partitions map[[2]uint32]bool
-	closed     bool
+	routes atomic.Pointer[routes]
+
+	mu    sync.Mutex // serializes mutators; sends over an existing link and deliveries never take it
+	nodes map[uint32]*memEndpoint
+}
+
+// routes is one immutable routing snapshot. A mutator copies the map it
+// changes and shares the other.
+type routes struct {
+	links  map[[2]uint32]*link // (src, dst) → link; a link exists only to a registered dst
+	cut    map[[2]uint32]bool  // (src, dst) pairs whose new sends are dropped
+	closed bool
 }
 
 // NewNetwork creates an in-process network in which every link has the
 // given profile. seed makes loss decisions reproducible.
 func NewNetwork(profile LinkProfile, seed int64) *Network {
-	return &Network{
-		profile:    profile,
-		seed:       seed,
-		done:       make(chan struct{}),
-		nodes:      make(map[uint32]*memEndpoint),
-		links:      make(map[[2]uint32]*link),
-		partitions: make(map[[2]uint32]bool),
-	}
+	n := &Network{profile: profile, seed: seed, nodes: make(map[uint32]*memEndpoint)}
+	n.routes.Store(&routes{})
+	return n
 }
 
 // linkQueueDepth bounds in-flight messages per link; senders block when
-// a link is saturated, providing natural backpressure.
+// a link is saturated, providing natural backpressure. The mailbox
+// behind a link grows on demand and shrinks back when it drains, so an
+// idle link holds a 16-slot ring, not the bound.
 const linkQueueDepth = 8192
 
+// linkBatch is the most messages a link goroutine takes out of its
+// mailbox under one lock acquisition.
+const linkBatch = 64
+
 type link struct {
-	ch  chan message.Message
-	src uint32
-	dst uint32
+	src, dst uint32
+	q        *cop.Mailbox[message.Message]
+	// to is the endpoint currently registered as dst; Endpoint swaps
+	// it when the node is replaced.
+	to atomic.Pointer[memEndpoint]
 }
 
 type memEndpoint struct {
 	net *Network
 	id  uint32
 
-	mu      sync.RWMutex
-	handler Handler
-	closed  bool
+	mu      sync.Mutex // orders Handle against Close
+	handler atomic.Pointer[Handler]
+	closed  atomic.Bool
 }
 
 // Endpoint registers node id on the network and returns its endpoint.
@@ -79,6 +98,11 @@ func (n *Network) Endpoint(id uint32) Endpoint {
 	n.mu.Lock()
 	old := n.nodes[id]
 	n.nodes[id] = ep
+	for _, l := range n.routes.Load().links {
+		if l.dst == id {
+			l.to.Store(ep)
+		}
+	}
 	n.mu.Unlock()
 	if old != nil {
 		_ = old.Close()
@@ -86,137 +110,144 @@ func (n *Network) Endpoint(id uint32) Endpoint {
 	return ep
 }
 
+// editCut publishes a snapshot whose cut set is edit applied to a copy
+// of the current one.
+func (n *Network) editCut(edit func(cut map[[2]uint32]bool)) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	cur := n.routes.Load()
+	cut := make(map[[2]uint32]bool, len(cur.cut)+2)
+	for k := range cur.cut {
+		cut[k] = true
+	}
+	edit(cut)
+	n.routes.Store(&routes{links: cur.links, cut: cut, closed: cur.closed})
+}
+
 // Partition cuts both directions between nodes a and b. Messages in
 // flight are still delivered; new sends are dropped silently, like on a
 // real partitioned network.
 func (n *Network) Partition(a, b uint32) {
-	n.mu.Lock()
-	n.partitions[[2]uint32{a, b}] = true
-	n.partitions[[2]uint32{b, a}] = true
-	n.mu.Unlock()
+	n.editCut(func(cut map[[2]uint32]bool) {
+		cut[[2]uint32{a, b}] = true
+		cut[[2]uint32{b, a}] = true
+	})
 }
 
 // Isolate cuts node a off from every currently registered node.
 func (n *Network) Isolate(a uint32) {
-	n.mu.Lock()
-	for id := range n.nodes {
-		if id != a {
-			n.partitions[[2]uint32{a, id}] = true
-			n.partitions[[2]uint32{id, a}] = true
+	n.editCut(func(cut map[[2]uint32]bool) {
+		for id := range n.nodes {
+			if id != a {
+				cut[[2]uint32{a, id}] = true
+				cut[[2]uint32{id, a}] = true
+			}
 		}
-	}
-	n.mu.Unlock()
+	})
 }
 
 // HealNode removes every partition involving node a, undoing a prior
 // Isolate without touching partitions between other node pairs.
 func (n *Network) HealNode(a uint32) {
-	n.mu.Lock()
-	for key := range n.partitions {
-		if key[0] == a || key[1] == a {
-			delete(n.partitions, key)
+	n.editCut(func(cut map[[2]uint32]bool) {
+		for key := range cut {
+			if key[0] == a || key[1] == a {
+				delete(cut, key)
+			}
 		}
-	}
-	n.mu.Unlock()
+	})
 }
 
 // Heal removes the partition between a and b.
 func (n *Network) Heal(a, b uint32) {
-	n.mu.Lock()
-	delete(n.partitions, [2]uint32{a, b})
-	delete(n.partitions, [2]uint32{b, a})
-	n.mu.Unlock()
+	n.editCut(func(cut map[[2]uint32]bool) {
+		delete(cut, [2]uint32{a, b})
+		delete(cut, [2]uint32{b, a})
+	})
 }
 
 // HealAll removes every partition.
 func (n *Network) HealAll() {
-	n.mu.Lock()
-	n.partitions = make(map[[2]uint32]bool)
-	n.mu.Unlock()
+	n.editCut(func(cut map[[2]uint32]bool) { clear(cut) })
 }
 
-// Close shuts the network down; all link goroutines and blocked
-// senders observe the done channel and exit. Link channels are never
-// closed — a send racing Close must fail cleanly, not panic.
+// Close shuts the network down: later sends fail with ErrClosed,
+// senders blocked at a link's bound are released with the same error,
+// and every link goroutine exits.
 func (n *Network) Close() {
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	defer n.mu.Unlock()
+	cur := n.routes.Load()
+	if cur.closed {
 		return
 	}
-	n.closed = true
-	n.links = make(map[[2]uint32]*link)
-	n.mu.Unlock()
-	close(n.done)
+	n.routes.Store(&routes{closed: true})
+	for _, l := range cur.links {
+		l.q.Close()
+	}
 }
 
-// getLink returns (creating if necessary) the FIFO link src→dst.
-func (n *Network) getLink(src, dst uint32) (*link, error) {
+// addLink creates the FIFO link src→dst for the first send between the
+// pair. A nil link with a nil error means the send is to be dropped.
+func (n *Network) addLink(src, dst uint32) (*link, error) {
 	key := [2]uint32{src, dst}
-	n.mu.RLock()
-	l, ok := n.links[key]
-	closed := n.closed
-	n.mu.RUnlock()
-	if ok {
-		return l, nil
-	}
-	if closed {
-		return nil, ErrClosed
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if l, ok := n.links[key]; ok {
-		return l, nil
-	}
-	if n.closed {
+	cur := n.routes.Load()
+	if cur.closed {
 		return nil, ErrClosed
 	}
-	l = &link{ch: make(chan message.Message, linkQueueDepth), src: src, dst: dst}
-	n.links[key] = l
+	if l := cur.links[key]; l != nil {
+		return l, nil
+	}
+	to := n.nodes[dst]
+	if to == nil {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, dst)
+	}
+	if cur.cut[key] {
+		return nil, nil
+	}
+	l := &link{src: src, dst: dst, q: cop.NewMailbox[message.Message]()}
+	l.to.Store(to)
+	links := make(map[[2]uint32]*link, len(cur.links)+1)
+	for k, v := range cur.links {
+		links[k] = v
+	}
+	links[key] = l
+	n.routes.Store(&routes{links: links, cut: cur.cut})
 	go n.runLink(l)
 	return l, nil
 }
 
 // runLink drives one link: applies loss, bandwidth, and latency, then
-// delivers to the destination handler in FIFO order.
+// delivers to the destination handler in FIFO order. Everything queued
+// is taken out under one lock round-trip and one wake-up.
 func (n *Network) runLink(l *link) {
 	rng := rand.New(rand.NewSource(n.seed ^ int64(l.src)<<32 ^ int64(l.dst)))
+	batch := make([]message.Message, 0, linkBatch)
 	for {
-		var m message.Message
-		select {
-		case m = <-l.ch:
-		case <-n.done:
+		var ok bool
+		batch, ok = l.q.GetBatch(batch[:0])
+		if !ok || n.routes.Load().closed {
 			return
 		}
-		if n.profile.LossRate > 0 && rng.Float64() < n.profile.LossRate {
-			continue
+		for i, m := range batch {
+			batch[i] = nil // the handler owns m now; do not pin it for the GC
+			if n.profile.LossRate > 0 && rng.Float64() < n.profile.LossRate {
+				continue
+			}
+			if n.profile.Bandwidth > 0 {
+				size := EstimateSize(m)
+				tx := time.Duration(float64(size) / float64(n.profile.Bandwidth) * float64(time.Second))
+				time.Sleep(tx)
+			}
+			if n.profile.Latency > 0 {
+				time.Sleep(n.profile.Latency)
+			}
+			if h := l.to.Load().handler.Load(); h != nil {
+				(*h)(l.src, m)
+			}
 		}
-		if n.profile.Bandwidth > 0 {
-			size := EstimateSize(m)
-			tx := time.Duration(float64(size) / float64(n.profile.Bandwidth) * float64(time.Second))
-			time.Sleep(tx)
-		}
-		if n.profile.Latency > 0 {
-			time.Sleep(n.profile.Latency)
-		}
-		n.mu.RLock()
-		dst := n.nodes[l.dst]
-		blocked := n.partitions[[2]uint32{l.src, l.dst}]
-		n.mu.RUnlock()
-		if dst == nil || blocked {
-			continue
-		}
-		dst.deliver(l.src, m)
-	}
-}
-
-func (ep *memEndpoint) deliver(from uint32, m message.Message) {
-	ep.mu.RLock()
-	h := ep.handler
-	closed := ep.closed
-	ep.mu.RUnlock()
-	if h != nil && !closed {
-		h(from, m)
 	}
 }
 
@@ -226,39 +257,32 @@ func (ep *memEndpoint) ID() uint32 { return ep.id }
 // Handle implements Endpoint.
 func (ep *memEndpoint) Handle(h Handler) {
 	ep.mu.Lock()
-	ep.handler = h
+	if !ep.closed.Load() {
+		ep.handler.Store(&h)
+	}
 	ep.mu.Unlock()
 }
 
 // Send implements Endpoint.
 func (ep *memEndpoint) Send(to uint32, m message.Message) error {
-	ep.mu.RLock()
-	closed := ep.closed
-	ep.mu.RUnlock()
-	if closed {
+	if ep.closed.Load() {
 		return ErrClosed
 	}
-	n := ep.net
-	n.mu.RLock()
-	_, known := n.nodes[to]
-	blocked := n.partitions[[2]uint32{ep.id, to}]
-	n.mu.RUnlock()
-	if !known {
-		return fmt.Errorf("%w: %d", ErrUnknownNode, to)
-	}
-	if blocked {
+	key := [2]uint32{ep.id, to}
+	r := ep.net.routes.Load()
+	l := r.links[key]
+	if l == nil {
+		var err error
+		if l, err = ep.net.addLink(ep.id, to); l == nil {
+			return err
+		}
+	} else if len(r.cut) > 0 && r.cut[key] {
 		return nil // silently dropped, like a real partition
 	}
-	l, err := n.getLink(ep.id, to)
-	if err != nil {
-		return err
-	}
-	select {
-	case l.ch <- m:
-		return nil
-	case <-n.done:
+	if !l.q.PutBounded(m, linkQueueDepth) {
 		return ErrClosed
 	}
+	return nil
 }
 
 // Multicast implements Multicaster. The in-process fabric passes
@@ -275,8 +299,8 @@ func (ep *memEndpoint) Multicast(dests []uint32, m message.Message) {
 // Close implements Endpoint.
 func (ep *memEndpoint) Close() error {
 	ep.mu.Lock()
-	ep.closed = true
-	ep.handler = nil
+	ep.closed.Store(true)
+	ep.handler.Store(nil)
 	ep.mu.Unlock()
 	return nil
 }

@@ -1,0 +1,283 @@
+package transport
+
+import (
+	"errors"
+	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"hybster/internal/message"
+)
+
+// The memnet contract, pinned independently of how links are built.
+// Every figure the repository reproduces runs on this fabric, so each
+// test is written to fail on a plausible wrong rewrite: a handler or
+// destination cached too long, a bound that strands its sender, a loss
+// draw that moved. None of them sleeps to let something "settle":
+// handlers park the link goroutine on a gate, which makes "in flight"
+// a state the test holds rather than a window it has to hit.
+
+// gatedHandler records every delivery and parks the delivering link
+// goroutine on the first one until the gate is opened.
+type gatedHandler struct {
+	col     *collector
+	entered chan struct{} // closed when the first delivery is parked
+	gate    chan struct{} // close to let deliveries proceed
+	once    sync.Once
+}
+
+func newGatedHandler() *gatedHandler {
+	return &gatedHandler{col: newCollector(), entered: make(chan struct{}), gate: make(chan struct{})}
+}
+
+func (g *gatedHandler) handler(from uint32, m message.Message) {
+	g.col.handler(from, m)
+	g.once.Do(func() { close(g.entered) })
+	<-g.gate
+}
+
+func (g *gatedHandler) seqs() []uint64 {
+	g.col.mu.Lock()
+	defer g.col.mu.Unlock()
+	out := make([]uint64, len(g.col.msgs))
+	for i, m := range g.col.msgs {
+		out[i] = m.(*message.Request).Seq
+	}
+	return out
+}
+
+// Per-link FIFO must hold per sending goroutine when many goroutines
+// and several source nodes share links into one destination.
+func TestMemnetContractFIFOConcurrentSenders(t *testing.T) {
+	const sources, perSource, per = 3, 4, 3000
+	net := NewNetwork(LinkProfile{}, 1)
+	defer net.Close()
+	dst := net.Endpoint(100)
+
+	// Handlers of different links run concurrently; next is indexed by
+	// (source node, goroutine) and each cell is touched by one link.
+	var next [sources][perSource]uint64
+	var delivered atomic.Int64
+	var misordered atomic.Int64
+	done := make(chan struct{})
+	dst.Handle(func(from uint32, m message.Message) {
+		r := m.(*message.Request)
+		g := r.Client // sending goroutine's index on that source
+		if r.Seq != next[from][g] {
+			misordered.Add(1)
+		}
+		next[from][g] = r.Seq + 1
+		if delivered.Add(1) == sources*perSource*per {
+			close(done)
+		}
+	})
+
+	var wg sync.WaitGroup
+	for s := uint32(0); s < sources; s++ {
+		ep := net.Endpoint(s)
+		for g := uint32(0); g < perSource; g++ {
+			wg.Add(1)
+			go func(ep Endpoint, g uint32) {
+				defer wg.Done()
+				for i := uint64(0); i < per; i++ {
+					if err := ep.Send(100, &message.Request{Client: g, Seq: i}); err != nil {
+						t.Errorf("send: %v", err)
+						return
+					}
+				}
+			}(ep, g)
+		}
+	}
+	wg.Wait()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("delivered %d of %d", delivered.Load(), sources*perSource*per)
+	}
+	if n := misordered.Load(); n != 0 {
+		t.Fatalf("%d messages overtook an earlier one of their sender", n)
+	}
+}
+
+// A partition stops new sends; what the link already accepted is in
+// flight and is still delivered.
+func TestMemnetContractInFlightSurvivesPartition(t *testing.T) {
+	net := NewNetwork(LinkProfile{}, 1)
+	defer net.Close()
+	a := net.Endpoint(0)
+	b := net.Endpoint(1)
+	h := newGatedHandler()
+	b.Handle(h.handler)
+
+	_ = a.Send(1, testMsg(1))
+	<-h.entered // the link goroutine is parked delivering 1
+	_ = a.Send(1, testMsg(2))
+	_ = a.Send(1, testMsg(3))
+	net.Partition(0, 1)
+	if err := a.Send(1, testMsg(4)); err != nil {
+		t.Fatalf("send into a partition: err = %v, want a silent drop", err)
+	}
+	close(h.gate)
+	h.col.waitFor(t, 3, 5*time.Second) // 2 and 3 arrive while the cut stands
+	net.Heal(0, 1)
+	_ = a.Send(1, testMsg(5))
+	h.col.waitFor(t, 4, 5*time.Second)
+	if got, want := h.seqs(), []uint64{1, 2, 3, 5}; !slices.Equal(got, want) {
+		t.Fatalf("delivered %v, want %v (2 and 3 were in flight, 4 was sent into the cut)", got, want)
+	}
+}
+
+// Replacing an endpoint models a crash-restart: once Endpoint returns,
+// the old handler is never entered again — not even for messages that
+// were queued behind the delivery in progress — and later sends reach
+// the new handler.
+func TestMemnetContractReplacementNeverReachesStaleHandler(t *testing.T) {
+	net := NewNetwork(LinkProfile{}, 1)
+	defer net.Close()
+	a := net.Endpoint(0)
+	stale := newGatedHandler()
+	net.Endpoint(1).Handle(stale.handler)
+
+	_ = a.Send(1, testMsg(1))
+	<-stale.entered
+	_ = a.Send(1, testMsg(2)) // queued behind the parked delivery
+	_ = a.Send(1, testMsg(3))
+
+	reached := make(chan struct{})
+	net.Endpoint(1).Handle(func(_ uint32, m message.Message) {
+		if m.(*message.Request).Seq == 4 {
+			close(reached)
+		}
+	})
+	_ = a.Send(1, testMsg(4))
+	close(stale.gate)
+
+	// FIFO: once 4 arrived, 2 and 3 have been dealt with, wherever
+	// they went.
+	select {
+	case <-reached:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a send after the replacement never reached the new handler")
+	}
+	if got := stale.seqs(); !slices.Equal(got, []uint64{1}) {
+		t.Fatalf("stale handler saw %v, want only the delivery already in progress", got)
+	}
+}
+
+// Close may race any number of Sends: none panics, all return, and
+// from some point on they report ErrClosed.
+func TestMemnetContractCloseRacingSend(t *testing.T) {
+	net := NewNetwork(LinkProfile{}, 1)
+	var delivered atomic.Int64
+	busy := make(chan struct{})
+	net.Endpoint(9).Handle(func(uint32, message.Message) {
+		if delivered.Add(1) == 1000 {
+			close(busy)
+		}
+	})
+	var wg sync.WaitGroup
+	for s := uint32(0); s < 8; s++ {
+		ep := net.Endpoint(s)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); ; i++ {
+				if err := ep.Send(9, testMsg(i)); err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("send racing Close: %v", err)
+					}
+					return
+				}
+			}
+		}()
+	}
+	<-busy
+	net.Close()
+	wg.Wait()
+}
+
+// A sender blocked at the link bound is backpressure, not a leak: Close
+// releases it with ErrClosed.
+func TestMemnetContractCloseReleasesBlockedSender(t *testing.T) {
+	net := NewNetwork(LinkProfile{}, 1)
+	a := net.Endpoint(0)
+	h := newGatedHandler()
+	net.Endpoint(1).Handle(h.handler)
+	defer close(h.gate)
+
+	var sent atomic.Int64
+	result := make(chan error, 1)
+	go func() {
+		for i := uint64(0); ; i++ {
+			if err := a.Send(1, testMsg(i)); err != nil {
+				result <- err
+				return
+			}
+			sent.Add(1)
+		}
+	}()
+	<-h.entered
+	// With the handler parked, the link accepts its bound (plus what
+	// its goroutine already took out) and then the sender must block.
+	for deadline := time.Now().Add(10 * time.Second); sent.Load() < linkQueueDepth; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("link accepted only %d messages, bound is %d", sent.Load(), linkQueueDepth)
+		}
+	}
+	select {
+	case err := <-result:
+		t.Fatalf("sender returned %v after %d sends instead of blocking", err, sent.Load())
+	case <-time.After(50 * time.Millisecond):
+	}
+	if n := sent.Load(); n > 2*linkQueueDepth {
+		t.Fatalf("link accepted %d messages with its handler parked; bound is %d", n, linkQueueDepth)
+	}
+
+	net.Close()
+	select {
+	case err := <-result:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("blocked sender released with %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close stranded a sender blocked at the link bound")
+	}
+}
+
+// Loss decisions are one draw per message, in FIFO order, from the
+// link's own generator seeded seed ^ src<<32 ^ dst: a seeded run drops
+// exactly the indices that generator dictates.
+func TestMemnetContractSeededLossIndices(t *testing.T) {
+	const (
+		seed     = 42
+		src, dst = 3, 5
+		n        = 4000
+		lossRate = 0.3
+	)
+	rng := rand.New(rand.NewSource(seed ^ int64(src)<<32 ^ int64(dst)))
+	var want []uint64
+	for i := uint64(0); i < n; i++ {
+		if rng.Float64() >= lossRate {
+			want = append(want, i)
+		}
+	}
+
+	net := NewNetwork(LinkProfile{LossRate: lossRate}, seed)
+	defer net.Close()
+	a := net.Endpoint(src)
+	col := newGatedHandler()
+	close(col.gate)
+	net.Endpoint(dst).Handle(col.handler)
+	for i := uint64(0); i < n; i++ {
+		if err := a.Send(dst, testMsg(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	col.col.waitFor(t, len(want), 10*time.Second)
+	if got := col.seqs(); !slices.Equal(got, want) {
+		t.Fatalf("delivered %d messages, want %d; the surviving indices moved", len(got), len(want))
+	}
+}

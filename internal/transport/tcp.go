@@ -258,12 +258,21 @@ func (l *peerLink) connect(backoff *time.Duration) (*tcpConn, bool) {
 
 // drain writes queued frames to conn, heartbeating when idle. It
 // returns when a write fails or the endpoint shuts down.
+//
+// The first frame on a freshly dialed connection is the ID-announcing
+// heartbeat frame: the peer can answer a node without a listen address
+// (a client) only over a connection that node opened and identified
+// itself on, and a client's first request is addressed to one replica
+// while all of them reply.
 func (l *peerLink) drain(conn *tcpConn) {
 	defer func() {
 		l.mu.Lock()
 		l.state.Connected = false
 		l.mu.Unlock()
 	}()
+	if err := conn.writeFrame(l.ep.heartbeat); err != nil {
+		return
+	}
 	idle := time.NewTimer(l.ep.opts.HeartbeatInterval)
 	defer idle.Stop()
 	for {

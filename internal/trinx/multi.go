@@ -21,14 +21,14 @@ type MultiHost struct {
 // multiHostState is the enclave-private state of the shared enclave:
 // the instance table.
 type multiHostState struct {
-	key       crypto.Key
+	key       *crypto.MACKey
 	instances map[InstanceID]*state
 }
 
 // NewMultiHost creates the shared enclave.
 func NewMultiHost(p *enclave.Platform, key crypto.Key, cost enclave.CostModel) *MultiHost {
 	enc := enclave.Create(p, "multi-trinx", cost, func() any {
-		return &multiHostState{key: key, instances: make(map[InstanceID]*state)}
+		return &multiHostState{key: crypto.NewMACKey(key), instances: make(map[InstanceID]*state)}
 	})
 	return &MultiHost{enc: enc}
 }

@@ -61,7 +61,7 @@ var (
 
 func baseCost() time.Duration {
 	libraryBaseOnce.Do(func() {
-		key := crypto.NewKeyFromSeed("calibration")
+		key := crypto.NewMACKey(crypto.NewKeyFromSeed("calibration"))
 		msg := make([]byte, 32)
 		const rounds = 4000
 		start := time.Now()
@@ -83,19 +83,19 @@ func baseCost() time.Duration {
 // state across threads and therefore scale perfectly, as in the paper.
 type LibraryProfile struct {
 	name   string
-	key    crypto.Key
+	key    *crypto.MACKey
 	factor float64
 }
 
 // Library profile constructors for the Fig. 5a variants.
 func NewOpenSSLProfile(key crypto.Key) *LibraryProfile {
-	return &LibraryProfile{name: "OpenSSL (native)", key: key, factor: 1.0}
+	return &LibraryProfile{name: "OpenSSL (native)", key: crypto.NewMACKey(key), factor: 1.0}
 }
 func NewJavaProfile(key crypto.Key) *LibraryProfile {
-	return &LibraryProfile{name: "Java", key: key, factor: 1.2}
+	return &LibraryProfile{name: "Java", key: crypto.NewMACKey(key), factor: 1.2}
 }
 func NewTCryptoProfile(key crypto.Key) *LibraryProfile {
-	return &LibraryProfile{name: "TCrypto (native)", key: key, factor: 1.4}
+	return &LibraryProfile{name: "TCrypto (native)", key: crypto.NewMACKey(key), factor: 1.4}
 }
 
 // Name implements Certifier.
@@ -117,7 +117,7 @@ func (l *LibraryProfile) Certify(msg []byte) (crypto.MAC, error) {
 // serialize. It exists purely to reproduce the "17,500 vs 240,000
 // certifications per second" comparison.
 type CASHProfile struct {
-	key     crypto.Key
+	key     *crypto.MACKey
 	service time.Duration
 	mu      sync.Mutex
 }
@@ -125,7 +125,7 @@ type CASHProfile struct {
 // NewCASHProfile creates the CASH comparison profile with the paper's
 // 57 µs per-operation service time.
 func NewCASHProfile(key crypto.Key) *CASHProfile {
-	return &CASHProfile{key: key, service: 57 * time.Microsecond}
+	return &CASHProfile{key: crypto.NewMACKey(key), service: 57 * time.Microsecond}
 }
 
 // Name implements Certifier.

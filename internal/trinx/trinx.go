@@ -118,7 +118,7 @@ type MultiCertificate struct {
 // state is the enclave-private state of one TrInX instance.
 type state struct {
 	id       InstanceID
-	key      crypto.Key
+	key      *crypto.MACKey
 	counters []uint64
 }
 
@@ -137,7 +137,7 @@ type TrInX struct {
 // step of §5.1.
 func New(p *enclave.Platform, id InstanceID, numCounters int, key crypto.Key, cost enclave.CostModel) *TrInX {
 	enc := enclave.Create(p, fmt.Sprintf("trinx-%s", id), cost, func() any {
-		return &state{id: id, key: key, counters: make([]uint64, numCounters)}
+		return &state{id: id, key: crypto.NewMACKey(key), counters: make([]uint64, numCounters)}
 	})
 	return &TrInX{id: id, enc: enc}
 }
@@ -164,7 +164,7 @@ func (t *TrInX) Destroy() { t.enc.Destroy() }
 // certMAC computes the MAC of a single-counter certificate. For
 // independent certificates the previous value is excluded, matching the
 // τ(tss, tc, tv', −) form of the paper.
-func certMAC(key crypto.Key, kind Kind, issuer InstanceID, counter uint32, value, prev uint64, msg crypto.Digest) crypto.MAC {
+func certMAC(key *crypto.MACKey, kind Kind, issuer InstanceID, counter uint32, value, prev uint64, msg crypto.Digest) crypto.MAC {
 	if kind == Independent {
 		return key.SumParts([]byte{'t', 'x', byte(kind)},
 			crypto.U64(uint64(issuer)), crypto.U32(counter), crypto.U64(value), msg[:])
@@ -174,7 +174,7 @@ func certMAC(key crypto.Key, kind Kind, issuer InstanceID, counter uint32, value
 }
 
 // multiMAC computes the MAC of a multi-counter certificate.
-func multiMAC(key crypto.Key, kind Kind, issuer InstanceID, entries []CounterValue, msg crypto.Digest) crypto.MAC {
+func multiMAC(key *crypto.MACKey, kind Kind, issuer InstanceID, entries []CounterValue, msg crypto.Digest) crypto.MAC {
 	parts := make([][]byte, 0, 3+3*len(entries))
 	parts = append(parts, []byte{'t', 'm', byte(kind)}, crypto.U64(uint64(issuer)))
 	for _, e := range entries {

@@ -34,7 +34,7 @@ type UI struct {
 
 type state struct {
 	id      uint32
-	key     crypto.Key
+	key     *crypto.MACKey
 	counter uint64
 }
 
@@ -49,7 +49,7 @@ type USIG struct {
 // secret key.
 func New(p *enclave.Platform, id uint32, key crypto.Key, cost enclave.CostModel) *USIG {
 	enc := enclave.Create(p, fmt.Sprintf("usig-%d", id), cost, func() any {
-		return &state{id: id, key: key}
+		return &state{id: id, key: crypto.NewMACKey(key)}
 	})
 	return &USIG{id: id, enc: enc}
 }
@@ -60,7 +60,7 @@ func (u *USIG) ID() uint32 { return u.id }
 // Destroy tears down the instance's enclave.
 func (u *USIG) Destroy() { u.enc.Destroy() }
 
-func uiMAC(key crypto.Key, issuer uint32, counter uint64, msg crypto.Digest) crypto.MAC {
+func uiMAC(key *crypto.MACKey, issuer uint32, counter uint64, msg crypto.Digest) crypto.MAC {
 	return key.SumParts([]byte("ui"), crypto.U32(issuer), crypto.U64(counter), msg[:])
 }
 
