@@ -3,7 +3,7 @@ GO ?= go
 # Per-target budget of the fuzz smoke (make fuzz-smoke / CI).
 FUZZTIME ?= 20s
 
-.PHONY: build test test-race vet chaos-smoke chaos-long fuzz-smoke bench bench-smoke bench-hotpath bench-compare benchmark benchmark-test ops-demo audit-demo audit-smoke
+.PHONY: build test test-race vet loc chaos-smoke chaos-long fuzz-smoke bench bench-smoke bench-hotpath bench-compare benchmark benchmark-test ops-demo audit-demo audit-smoke
 
 build:
 	$(GO) build ./...
@@ -17,10 +17,18 @@ test-race:
 vet:
 	$(GO) vet ./...
 
+# Non-test lines per internal package: the number the "less code" items
+# in ROADMAP.md are measured by.
+loc:
+	@for d in internal/*/; do \
+		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" $$d; done
+
+
 # Short seeded chaos run: all four protocols under link faults,
 # a partition window, and a crash-restart, with the race detector on.
 chaos-smoke:
 	$(GO) test -race -short -count=1 -run 'TestChaos' ./internal/chaos/...
+	$(GO) test -race -count=20 -run 'TestSequencerConcurrentAdmitAndCredit' ./internal/engine/
 
 # Long seed sweep with elevated fault rates, alternating cold-restart
 # and amnesia recovery. Tune with CHAOS_LONG_SEEDS / CHAOS_LONG_HORIZON.

@@ -129,7 +129,7 @@ func main() {
 			Telemetry: tel,
 		})
 		if eng != nil {
-			replica, healthz, readyz = eng, eng.Healthz, eng.Healthz
+			replica, healthz, readyz = eng, eng.Healthz, eng.Readyz
 		}
 	case config.MinBFT:
 		var eng *minbft.Engine
@@ -139,7 +139,7 @@ func main() {
 			Telemetry: tel,
 		})
 		if eng != nil {
-			replica, healthz, readyz = eng, eng.Healthz, eng.Healthz
+			replica, healthz, readyz = eng, eng.Healthz, eng.Readyz
 		}
 	}
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hybster/internal/client"
 	"hybster/internal/cluster"
 	"hybster/internal/config"
 	"hybster/internal/enclave"
@@ -117,7 +118,13 @@ func BuildCluster(spec ProtocolSpec, cores, batch int, rotate bool,
 // each continuously issues operations from its generator and waits for
 // the f+1 matching replies, exactly the client behaviour of §6. Setup
 // operations (key creation for the coordination service) run before
-// the measured window.
+// the measured window. When the window ends the clients are closed:
+// an operation still in flight returns client.ErrClosed and is not
+// recorded. (Letting it finish would wait on the protocol's idle path —
+// with leader rotation the last requests sit behind order numbers of
+// proposers that just went idle, which gap-fill one order per
+// coordinator tick, 2.5 s under BuildCluster's timeout — and put that
+// wait into the latency summary as a multi-second sample.)
 func RunLoad(c *cluster.Cluster, clients int, warmup, duration time.Duration,
 	newGen func(clientID uint32) workload.Generator) (float64, stats.Summary, error) {
 
@@ -130,17 +137,26 @@ func RunLoad(c *cluster.Cluster, clients int, warmup, duration time.Duration,
 	stop := make(chan struct{})
 	ready := make(chan error, clients)
 	var wg sync.WaitGroup
+	cls := make([]*client.Client, 0, clients)
+	shutdown := func() {
+		close(stop)
+		for _, cl := range cls {
+			cl.Close()
+		}
+		wg.Wait()
+	}
 
 	for i := 0; i < clients; i++ {
 		cl, err := c.NewClient(5 * time.Second)
 		if err != nil {
+			shutdown()
 			return 0, stats.Summary{}, err
 		}
+		cls = append(cls, cl)
 		gen := newGen(cl.ID())
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer cl.Close()
 			if s, ok := gen.(setupper); ok {
 				for _, op := range s.Setup() {
 					if _, err := cl.Invoke(op.Payload, op.ReadOnly); err != nil {
@@ -167,7 +183,7 @@ func RunLoad(c *cluster.Cluster, clients int, warmup, duration time.Duration,
 				inWindow := measuring.Load()
 				start := time.Now()
 				if _, err := cl.Invoke(op.Payload, op.ReadOnly); err != nil {
-					return // cluster shutting down or persistent failure
+					return // window over (client closed) or persistent failure
 				}
 				if inWindow {
 					ops.Add(1)
@@ -178,8 +194,7 @@ func RunLoad(c *cluster.Cluster, clients int, warmup, duration time.Duration,
 	}
 	for i := 0; i < clients; i++ {
 		if err := <-ready; err != nil {
-			close(stop)
-			wg.Wait()
+			shutdown()
 			return 0, stats.Summary{}, fmt.Errorf("bench: client setup: %w", err)
 		}
 	}
@@ -190,8 +205,7 @@ func RunLoad(c *cluster.Cluster, clients int, warmup, duration time.Duration,
 	time.Sleep(duration)
 	measuring.Store(false)
 	elapsed := time.Since(start)
-	close(stop)
-	wg.Wait()
+	shutdown()
 
 	return stats.Throughput(ops.Load(), elapsed), rec.Summarize(), nil
 }

@@ -34,10 +34,20 @@ func TestFig5cScalingSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Stop()
-		tput, _, err := RunLoad(cl, clients, warmup, duration,
+		start := time.Now()
+		tput, lat, err := RunLoad(cl, clients, warmup, duration,
 			func(uint32) workload.Generator { return workload.NewFixed(0) })
 		if err != nil {
 			t.Fatal(err)
+		}
+		// With rotation on, clients left to finish their last request
+		// waited 2.5 s or 5 s here for idle proposers' gap-fill no-ops;
+		// RunLoad must cut them off instead, and must not record them.
+		if teardown := time.Since(start) - warmup - duration; teardown > time.Second {
+			t.Fatalf("pillars=%d: RunLoad teardown took %v after the window", pillars, teardown)
+		}
+		if lat.Max > time.Second {
+			t.Fatalf("pillars=%d: latency summary holds a %v sample — a teardown straggler was recorded", pillars, lat.Max)
 		}
 		if tput <= 0 {
 			t.Fatalf("pillars=%d: throughput = %f", pillars, tput)

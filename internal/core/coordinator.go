@@ -6,6 +6,7 @@ import (
 	"hybster/internal/checkpoint"
 	"hybster/internal/cop"
 	"hybster/internal/crypto"
+	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/statemachine"
 	"hybster/internal/telemetry"
@@ -13,19 +14,9 @@ import (
 	"hybster/internal/transport"
 )
 
-// Events delivered to the coordinator mailbox.
+// Events delivered to the coordinator mailbox (besides inbound messages
+// and the execution stage's *statemachine.CheckpointView boundaries).
 type (
-	// evCkptCandidate is the materialized form of a checkpoint boundary:
-	// the digest to announce plus the state needed to serve transfers
-	// once the checkpoint stabilizes. The execution stage does not build
-	// it directly — it posts a lazy *statemachine.CheckpointView and the
-	// coordinator pays the serialization here, off the delivery path.
-	evCkptCandidate struct {
-		order    timeline.Order
-		digest   crypto.Digest
-		snapshot []byte
-		rv       []byte
-	}
 	// evStable reports a checkpoint quorum from its owning pillar.
 	evStable struct {
 		stable *checkpoint.Stable[*message.Checkpoint]
@@ -35,16 +26,8 @@ type (
 	evBehind struct{ order timeline.Order }
 )
 
-// stableCkpt is the coordinator's record of the last stable
-// checkpoint; snapshot/rv are nil when the local execution never
-// reached it (state must then be fetched before serving transfers).
-type stableCkpt struct {
-	order    timeline.Order
-	digest   crypto.Digest
-	proof    []*message.Checkpoint
-	snapshot []byte
-	rv       []byte
-}
+// stableCkpt is the coordinator's record of the last stable checkpoint.
+type stableCkpt = engine.StableCkpt[*message.Checkpoint]
 
 // coordinator runs the replica-local side of checkpointing (§5.3.2),
 // the distributed view change (§5.2.3, §5.3.3), and state transfer. It
@@ -59,19 +42,11 @@ type coordinator struct {
 	pendingTo    timeline.View
 	pendingSince time.Time
 	desired      timeline.View // highest view we have evidence for
-	// vcBackoff counts consecutive pending-view timeouts without
-	// execution progress; the effective timeout doubles with each one.
-	// Without the backoff, two crash survivors under message loss chase
-	// each other's pending views in lockstep forever: each NEW-VIEW
-	// arrives after the follower's constant-rate timer has already
-	// aborted past its view, so it is acknowledged but never installed.
-	vcBackoff uint
-	// lastExecSeen tracks execution progress between ticks to reset the
-	// backoff once the configuration orders again.
-	lastExecSeen timeline.Order
+	viewChanges  *telemetry.Counter
 
-	lastStable stableCkpt
-	candidates map[timeline.Order]evCkptCandidate
+	// ck holds the checkpoint candidates, the last stable checkpoint
+	// and the state-transfer requester/server.
+	ck *engine.Checkpoints[*message.Checkpoint]
 
 	// vcs[v][replica][pillar] collects VIEW-CHANGE parts for view v; a
 	// logical view change is complete when all pillar parts arrived.
@@ -91,27 +66,6 @@ type coordinator struct {
 	// replica learned through view-change certificates, NEW-VIEWs, and
 	// acknowledgments; propagated in future VIEW-CHANGEs (§5.2.3).
 	learned map[timeline.Order]*message.Prepare
-
-	lastStateReq time.Time
-}
-
-// tickInterval drives retransmission and the watchdog.
-func (c *coordinator) tickInterval() time.Duration {
-	return c.e.cfg.ViewChangeTimeout / 4
-}
-
-// viewTimeout is the current view-change patience: the configured
-// timeout doubled per consecutive fruitless abort, capped at 8x. The
-// exponential backoff lets a reduced group dwell in a pending view
-// long enough for retransmitted VIEW-CHANGEs and the NEW-VIEW to make
-// the round trip even under loss (the paper's liveness argument
-// assumes eventually-sufficient timeouts).
-func (c *coordinator) viewTimeout() time.Duration {
-	shift := c.vcBackoff
-	if shift > 3 {
-		shift = 3
-	}
-	return c.e.cfg.ViewChangeTimeout << shift
 }
 
 // gapDelay is how long execution may stall on an unproposed order
@@ -121,53 +75,41 @@ func (c *coordinator) gapDelay() time.Duration {
 }
 
 func newCoordinator(e *Engine, tx Certifier) *coordinator {
-	return &coordinator{
-		e:          e,
-		tx:         tx,
-		inbox:      cop.NewMailbox[any](),
-		candidates: make(map[timeline.Order]evCkptCandidate),
-		vcs:        make(map[timeline.View]map[uint32][]*message.ViewChange),
-		acks:       make(map[timeline.View]map[uint32][]*message.NewViewAck),
-		ownVC:      make(map[timeline.View][]*message.ViewChange),
-		nvParts:    make(map[timeline.View][]*message.NewView),
-		nvEmitted:  make(map[timeline.View]bool),
-		learned:    make(map[timeline.Order]*message.Prepare),
+	c := &coordinator{
+		e:           e,
+		tx:          tx,
+		inbox:       cop.NewMailbox[any](),
+		viewChanges: e.met.Counter("view_changes_total", "view changes this replica initiated or joined"),
+		vcs:         make(map[timeline.View]map[uint32][]*message.ViewChange),
+		acks:        make(map[timeline.View]map[uint32][]*message.NewViewAck),
+		ownVC:       make(map[timeline.View][]*message.ViewChange),
+		nvParts:     make(map[timeline.View][]*message.NewView),
+		nvEmitted:   make(map[timeline.View]bool),
+		learned:     make(map[timeline.Order]*message.Prepare),
 	}
+	c.ck = engine.NewCheckpoints[*message.Checkpoint](e.cfg, e.id, e.ep, e.Watchdog, e.met, e.exec,
+		func(o timeline.Order, d crypto.Digest, proof []*message.Checkpoint) error {
+			return e.verifyCheckpointProof(tx, o, d, proof)
+		})
+	return c
 }
 
 func (c *coordinator) run() {
-	stopTick := make(chan struct{})
-	go func() {
-		t := time.NewTicker(c.tickInterval())
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				c.inbox.Put(evTick{})
-			case <-stopTick:
-				return
-			}
-		}
-	}()
-	defer close(stopTick)
-
 	for {
 		ev, ok := c.inbox.Get()
 		if !ok {
 			return
 		}
 		switch v := ev.(type) {
-		case inMsg:
-			c.handleMessage(v.from, v.msg)
+		case engine.InMsg:
+			c.handleMessage(v.From, v.Msg)
 		case *statemachine.CheckpointView:
-			c.handleCandidateView(v)
-		case evCkptCandidate:
 			c.handleCandidate(v)
 		case evStable:
 			c.handleStable(v.stable)
 		case evBehind:
-			c.maybeRequestState()
-		case evTick:
+			c.ck.RequestState()
+		case engine.Tick:
 			c.handleTick()
 		}
 	}
@@ -182,7 +124,7 @@ func (c *coordinator) handleMessage(from uint32, m message.Message) {
 	case *message.NewViewAck:
 		c.handleNewViewAck(from, v)
 	case *message.StateRequest:
-		c.handleStateRequest(from, v)
+		c.ck.Serve(from, v)
 	case *message.StateReply:
 		c.handleStateReply(v)
 	}
@@ -190,135 +132,50 @@ func (c *coordinator) handleMessage(from uint32, m message.Message) {
 
 // --- checkpointing ----------------------------------------------------------
 
-// handleCandidateView materializes a checkpoint boundary posted by the
-// execution stage: the application snapshot is encoded and hashed here
-// — on the coordinator loop — so the exec loop never stalls behind a
-// state copy. Boundaries already covered by a stable checkpoint are
-// dropped before paying for the encode.
-func (c *coordinator) handleCandidateView(v *statemachine.CheckpointView) {
-	if v.Order <= c.lastStable.order {
-		return
+// handleCandidate stores execution state for a checkpoint boundary
+// posted by the execution stage and dispatches the checkpoint protocol
+// instance to its round-robin owner pillar (§5.3.2).
+func (c *coordinator) handleCandidate(v *statemachine.CheckpointView) {
+	if digest, ahead := c.ck.Candidate(v); ahead {
+		owner := c.e.cfg.CheckpointPillar(v.Order) % uint32(len(c.e.pillars))
+		c.e.pillars[owner].inbox.Put(evCkptDue{order: v.Order, digest: digest})
 	}
-	c.handleCandidate(evCkptCandidate{
-		order:    v.Order,
-		digest:   v.StateDigest(),
-		snapshot: v.Snapshot(),
-		rv:       v.ReplyVector(),
-	})
-}
-
-// handleCandidate stores execution state for a checkpoint boundary and
-// dispatches the checkpoint protocol instance to its round-robin owner
-// pillar (§5.3.2).
-func (c *coordinator) handleCandidate(ev evCkptCandidate) {
-	if ev.order <= c.lastStable.order {
-		return
-	}
-	c.candidates[ev.order] = ev
-	// Keep only the two newest candidates; older ones can no longer
-	// become the latest stable checkpoint first.
-	for o := range c.candidates {
-		if o+2*c.e.cfg.CheckpointInterval <= ev.order {
-			delete(c.candidates, o)
-		}
-	}
-	owner := c.e.cfg.CheckpointPillar(ev.order) % uint32(len(c.e.pillars))
-	c.e.pillars[owner].inbox.Put(evCkptDue{order: ev.order, digest: ev.digest})
 }
 
 // handleStable records a stable checkpoint, slides every pillar's
 // window, and triggers state transfer if execution is behind the
 // group.
 func (c *coordinator) handleStable(s *checkpoint.Stable[*message.Checkpoint]) {
-	if s.Order <= c.lastStable.order {
+	if !c.ck.Adopt(stableCkpt{Order: s.Order, Digest: s.Digest, Proof: s.Proof}) {
 		return
 	}
-	st := stableCkpt{order: s.Order, digest: s.Digest, proof: s.Proof}
-	if cand, ok := c.candidates[s.Order]; ok && cand.digest == s.Digest {
-		st.snapshot, st.rv = cand.snapshot, cand.rv
-	}
-	c.lastStable = st
-	c.e.stableOrd.Store(uint64(s.Order))
-	c.e.met.ckptsStable.Inc()
-	c.e.traceD(telemetry.EvCkptStable, uint64(c.curView), uint64(s.Order), 0, s.Digest[:], "")
+	c.e.met.CkptsStable.Inc()
+	c.e.met.TraceD(telemetry.EvCkptStable, uint64(c.curView), uint64(s.Order), 0, s.Digest[:], "")
+	c.stableAdvanced()
+	c.ck.CatchUp()
+}
+
+// stableAdvanced propagates a newly recorded stable checkpoint: to the
+// WAL, the learned set and every pillar's window.
+func (c *coordinator) stableAdvanced() {
+	st := c.ck.Stable()
 	c.e.logCheckpoint(st)
-	for o := range c.candidates {
-		if o <= s.Order {
-			delete(c.candidates, o)
-		}
-	}
 	for o := range c.learned {
-		if o <= s.Order {
+		if o <= st.Order {
 			delete(c.learned, o)
 		}
 	}
 	for _, p := range c.e.pillars {
-		p.inbox.Put(evAdvance{order: s.Order})
-	}
-	if st.snapshot == nil && s.Order > c.e.exec.lastExecuted() {
-		c.maybeRequestState()
+		p.inbox.Put(evAdvance{order: st.Order})
 	}
 }
 
-// --- state transfer -----------------------------------------------------------
-
-// maybeRequestState asks the group for the newest stable state,
-// rate-limited to one round per second.
-func (c *coordinator) maybeRequestState() {
-	now := c.e.now()
-	if now.Sub(c.lastStateReq) < time.Second {
-		return
-	}
-	c.lastStateReq = now
-	req := &message.StateRequest{Replica: c.e.id, From: c.e.exec.lastExecuted() + 1}
-	transport.Multicast(c.e.ep, c.e.cfg.N, req)
-}
-
-func (c *coordinator) handleStateRequest(from uint32, req *message.StateRequest) {
-	if c.lastStable.snapshot == nil || c.lastStable.order < req.From {
-		return
-	}
-	_ = c.e.ep.Send(from, &message.StateReply{
-		Replica:     c.e.id,
-		CkptOrder:   c.lastStable.order,
-		Snapshot:    c.lastStable.snapshot,
-		ReplyVector: c.lastStable.rv,
-		Proof:       c.lastStable.proof,
-	})
-}
-
+// handleStateReply installs transferred state; a checkpoint newer than
+// the recorded one becomes the stable checkpoint.
 func (c *coordinator) handleStateReply(rep *message.StateReply) {
-	if rep.CkptOrder <= c.e.exec.lastExecuted() {
-		return
+	if _, adopted := c.ck.Install(rep, c.curView); adopted {
+		c.stableAdvanced()
 	}
-	digest := combineStateDigest(rep.Snapshot, rep.ReplyVector)
-	if err := c.e.verifyCheckpointProof(c.tx, rep.CkptOrder, digest, rep.Proof); err != nil {
-		return
-	}
-	done := make(chan error, 1)
-	c.e.exec.inbox.Put(evInstallState{ckpt: rep.CkptOrder, snapshot: rep.Snapshot, rv: rep.ReplyVector, done: done})
-	select {
-	case err := <-done:
-		if err != nil {
-			return
-		}
-	case <-c.e.stopped:
-		return
-	}
-	if rep.CkptOrder > c.lastStable.order {
-		c.lastStable = stableCkpt{
-			order: rep.CkptOrder, digest: digest, proof: rep.Proof,
-			snapshot: rep.Snapshot, rv: rep.ReplyVector,
-		}
-		c.e.stableOrd.Store(uint64(rep.CkptOrder))
-		c.e.logCheckpoint(c.lastStable)
-		for _, p := range c.e.pillars {
-			p.inbox.Put(evAdvance{order: rep.CkptOrder})
-		}
-	}
-	c.e.met.stateXfers.Inc()
-	c.e.trace(telemetry.EvStateXfer, uint64(c.curView), uint64(rep.CkptOrder), 0, "")
-	c.e.noteProgress(false)
 }
 
 // --- view change ---------------------------------------------------------------
@@ -327,41 +184,27 @@ func (c *coordinator) handleStateReply(rep *message.StateReply) {
 // retransmission.
 func (c *coordinator) handleTick() {
 	for _, p := range c.e.pillars {
-		p.inbox.Put(evTick{})
+		p.inbox.Put(engine.Tick{})
 	}
-	now := c.e.now()
-	ps := c.e.pendingSince.Load()
-	if exec := c.e.exec.lastExecuted(); exec > c.lastExecSeen {
-		// The configuration orders again: suspicion resets.
-		c.lastExecSeen = exec
-		c.vcBackoff = 0
-	}
-	if c.lastStable.order > c.e.exec.lastExecuted() {
-		// We adopted a stable checkpoint beyond what local execution can
-		// reach (the decisions below it are gone from the group's logs).
-		// State transfer is the only way forward; keep retrying — the
-		// one-shot requests issued at adoption time can be lost, and no
-		// further event would re-trigger them. maybeRequestState
-		// rate-limits the actual traffic.
-		c.maybeRequestState()
-	}
+	c.e.ObserveExec(c.e.exec.LastExecuted())
+	c.ck.CatchUp()
 
 	if !c.pending {
 		// Watchdog: outstanding work without execution progress for a
 		// full timeout means the current configuration is stuck.
-		if ps != 0 && now.Sub(time.Unix(0, ps)) > c.e.cfg.ViewChangeTimeout {
+		if stalled := c.e.Stalled(); stalled > c.e.cfg.ViewChangeTimeout {
 			c.bumpDesired(c.curView + 1)
-		} else if ps != 0 && now.Sub(time.Unix(0, ps)) > c.gapDelay() {
+		} else if stalled > c.gapDelay() {
 			// Gap filling: if execution waits on an order we own and
 			// never proposed, close it with a no-op (§5.3.1).
-			c.e.seq.proposeNoop(c.curView, c.e.exec.nextNeeded())
+			c.e.seq.ProposeNoop(c.curView, c.e.exec.LastExecuted()+1)
 		}
 	} else {
-		if now.Sub(c.pendingSince) > c.viewTimeout() {
+		if now := c.e.Now(); now.Sub(c.pendingSince) > c.e.Patience() {
 			// The pending view did not stabilize in time; escalate with
 			// exponentially growing patience.
 			c.pendingSince = now
-			c.vcBackoff++
+			c.e.Escalate()
 			c.bumpDesired(c.pendingTo + 1)
 		}
 		// Retransmit our VIEW-CHANGE parts.
@@ -482,7 +325,7 @@ func (c *coordinator) mergeLearnedFromVCs(v timeline.View) {
 
 func (c *coordinator) mergeLearned(ps []*message.Prepare) {
 	for _, p := range ps {
-		if p.Order <= c.lastStable.order {
+		if p.Order <= c.ck.Stable().Order {
 			continue
 		}
 		if cur, ok := c.learned[p.Order]; !ok || p.View > cur.View {
@@ -511,14 +354,15 @@ func (c *coordinator) startViewChange(to timeline.View) bool {
 		return false
 	}
 	parts := make([]*message.ViewChange, len(c.e.pillars))
+	stable := c.ck.Stable()
 	for u, p := range c.e.pillars {
 		reply := make(chan *message.ViewChange, 1)
 		p.inbox.Put(evCollectVC{
 			from:      c.curView,
 			to:        to,
-			ckptOrder: c.lastStable.order,
-			ckptDig:   c.lastStable.digest,
-			ckptProof: c.lastStable.proof,
+			ckptOrder: stable.Order,
+			ckptDig:   stable.Digest,
+			ckptProof: stable.Proof,
 			learned:   c.learnedForPillar(uint32(u)),
 			reply:     reply,
 		})
@@ -534,9 +378,9 @@ func (c *coordinator) startViewChange(to timeline.View) bool {
 	}
 	c.pending = true
 	c.pendingTo = to
-	c.pendingSince = c.e.now()
-	c.e.met.viewChanges.Inc()
-	c.e.trace(telemetry.EvViewChange, uint64(to), 0, 0, "")
+	c.pendingSince = c.e.Now()
+	c.viewChanges.Inc()
+	c.e.met.Trace(telemetry.EvViewChange, uint64(to), 0, 0, "")
 	c.ownVC = map[timeline.View][]*message.ViewChange{to: parts}
 	c.storeVCParts(c.e.id, parts)
 	for _, vc := range parts {

@@ -9,7 +9,10 @@
 // the replica-local parts of checkpointing, view changes, and state
 // transfer. With a single pillar the engine is exactly the sequential
 // basic protocol of §5.2 (the HybsterS configuration); with one pillar
-// per core it is HybsterX.
+// per core it is HybsterX. The protocol-independent parts of that
+// pipeline (sequencer, execution stage, watchdog, checkpoint store and
+// state transfer, metrics) are internal/engine's; this package holds
+// what TrInX certifies.
 //
 // Messages flow:
 //
@@ -29,6 +32,7 @@ import (
 	"hybster/internal/config"
 	"hybster/internal/crypto"
 	"hybster/internal/enclave"
+	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/reply"
 	"hybster/internal/statemachine"
@@ -88,29 +92,21 @@ type Engine struct {
 	id  uint32
 	ep  transport.Endpoint
 	ks  *crypto.KeyStore
-	now func() time.Time
+	*engine.Watchdog
 
 	pillars []*pillar
-	exec    *execLoop
+	exec    *engine.ExecLoop
 	coord   *coordinator
-	seq     *sequencer
+	seq     *engine.Sequencer
 	replies *reply.Stage
 	vpool   *verify.Pool
 	vord    *verify.Ordered
-	dur     *durability   // nil without a data dir
-	met     engineMetrics // zero value when telemetry is off
+	dur     *durability    // nil without a data dir
+	met     engine.Metrics // records nothing when telemetry is off
 
 	// curView mirrors the coordinator's stable view for lock-free
 	// reads on hot paths.
 	curView atomic.Uint64
-
-	// stableOrd mirrors the coordinator's last stable checkpoint order
-	// for lock-free gauge sampling (the auditor's checkpoint-lag check
-	// reads it against last_executed).
-	stableOrd atomic.Uint64
-
-	// progress tracking for the view-change watchdog.
-	pendingSince atomic.Int64 // unix nanos of oldest unserved work; 0 = none
 
 	stopOnce sync.Once
 	stopped  chan struct{}
@@ -122,27 +118,29 @@ func New(opts Options) (*Engine, error) {
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
 	key := crypto.NewKeyFromSeed(opts.Config.KeySeed)
 	e := &Engine{
 		cfg:     opts.Config,
 		id:      opts.ID,
 		ep:      opts.Endpoint,
 		ks:      crypto.NewKeyStore(opts.ID, key),
-		now:     opts.Now,
-		met:     newEngineMetrics(opts.Telemetry),
+		met:     engine.NewMetrics(opts.Telemetry, "core"),
 		stopped: make(chan struct{}),
 	}
+	e.Watchdog = engine.NewWatchdog("core", e.cfg.ViewChangeTimeout, opts.Now, e.stopped)
+	x := statemachine.NewExecutor(opts.Application)
 	if opts.DataDir != "" {
 		dur, err := openDurability(opts.DataDir, opts.Telemetry)
 		if err != nil {
 			return nil, err
 		}
 		e.dur = dur
+		e.replay(x)
 	}
-	e.exec = newExecLoop(e, opts.Application)
+	e.seq = engine.NewSequencer(e.cfg, e.id, e.View, e.ep, e.met, e.propose)
+	e.replies = reply.NewStage(e.id, e.ks, e.ep, 0, opts.Telemetry)
+	e.exec = engine.NewExecLoop(x, e.cfg, e.met, e.replies, e.seq.Credit,
+		func(v *statemachine.CheckpointView) { e.coord.inbox.Put(v) }, e.NoteProgress)
 	coordTx, err := e.newCertifier(opts, coordinatorPillar, key)
 	if err != nil {
 		if e.dur != nil {
@@ -168,11 +166,10 @@ func New(opts Options) (*Engine, error) {
 		}
 		e.pillars[u] = newPillar(e, uint32(u), tx)
 	}
-	e.seq = newSequencer(e)
-	e.replies = reply.NewStage(e.id, e.ks, e.ep, 0, opts.Telemetry)
 	e.vpool = verify.NewPool(e.ks, 0, opts.Telemetry)
 	e.vord = verify.NewOrdered(e.vpool)
-	e.registerGauges(opts.Telemetry)
+	e.met.PillarGauges(&e.curView, e.coord.ck.StableOrder, len(e.pillars),
+		func(u int) int { return e.pillars[u].inbox.Len() }, e.exec, e.coord.inbox)
 	if e.dur != nil {
 		e.restore()
 	}
@@ -190,7 +187,11 @@ func (e *Engine) View() timeline.View { return timeline.View(e.curView.Load()) }
 
 // LastExecuted returns the highest executed order number (diagnostics
 // and tests).
-func (e *Engine) LastExecuted() timeline.Order { return e.exec.lastExecuted() }
+func (e *Engine) LastExecuted() timeline.Order { return e.exec.LastExecuted() }
+
+// Telemetry returns the engine's telemetry bundle (nil when disabled);
+// the ops server and cluster introspection read through it.
+func (e *Engine) Telemetry() *telemetry.Telemetry { return e.met.Telemetry() }
 
 // Start launches the replica's goroutines and installs the transport
 // handler.
@@ -200,9 +201,10 @@ func (e *Engine) Start() {
 		e.wg.Add(1)
 		go func(p *pillar) { defer e.wg.Done(); p.run() }(p)
 	}
-	e.wg.Add(2)
-	go func() { defer e.wg.Done(); e.exec.run() }()
+	e.wg.Add(3)
+	go func() { defer e.wg.Done(); e.exec.Run() }()
 	go func() { defer e.wg.Done(); e.coord.run() }()
+	go func() { defer e.wg.Done(); e.RunTicker(func() { e.coord.inbox.Put(engine.Tick{}) }) }()
 }
 
 // Stop shuts the replica down gracefully and waits for its goroutines:
@@ -227,7 +229,7 @@ func (e *Engine) stop(graceful bool) {
 		for _, p := range e.pillars {
 			p.inbox.Close()
 		}
-		e.exec.inbox.Close()
+		e.exec.Close()
 		e.coord.inbox.Close()
 		e.wg.Wait()
 		// The exec loop is done submitting; drain outstanding replies.
@@ -255,30 +257,31 @@ func (e *Engine) route(from uint32, m message.Message) {
 	case *message.Request:
 		e.vord.Submit(from, []*message.Request{v}, func(ok bool) {
 			if ok {
-				e.seq.admitVerified(v)
+				e.NoteWork()
+				e.seq.Admit(v)
 			}
 		})
 	case *message.Prepare:
 		if len(v.Requests) == 0 {
-			e.vord.Pass(from, func() { e.pillarFor(v.Order).inbox.Put(inMsg{from: from, msg: m}) })
+			e.vord.Pass(from, func() { e.pillarFor(v.Order).inbox.Put(engine.InMsg{From: from, Msg: m}) })
 			return
 		}
 		e.vord.Submit(from, v.Requests, func(ok bool) {
 			// A batch with a forged client authenticator dies here,
 			// before it can occupy a pillar.
 			if ok {
-				e.pillarFor(v.Order).inbox.Put(inMsg{from: from, msg: m, verified: true})
+				e.pillarFor(v.Order).inbox.Put(engine.InMsg{From: from, Msg: m, Verified: true})
 			}
 		})
 	case *message.Commit:
-		e.vord.Pass(from, func() { e.pillarFor(v.Order).inbox.Put(inMsg{from: from, msg: m}) })
+		e.vord.Pass(from, func() { e.pillarFor(v.Order).inbox.Put(engine.InMsg{From: from, Msg: m}) })
 	case *message.Checkpoint:
 		e.vord.Pass(from, func() {
-			e.pillars[e.cfg.CheckpointPillar(v.Order)%uint32(len(e.pillars))].inbox.Put(inMsg{from: from, msg: m})
+			e.pillars[e.cfg.CheckpointPillar(v.Order)%uint32(len(e.pillars))].inbox.Put(engine.InMsg{From: from, Msg: m})
 		})
 	case *message.ViewChange, *message.NewView, *message.NewViewAck,
 		*message.StateRequest, *message.StateReply:
-		e.vord.Pass(from, func() { e.coord.inbox.Put(inMsg{from: from, msg: m}) })
+		e.vord.Pass(from, func() { e.coord.inbox.Put(engine.InMsg{From: from, Msg: m}) })
 	default:
 		// Unknown or foreign-protocol message: drop.
 	}
@@ -288,339 +291,8 @@ func (e *Engine) pillarFor(o timeline.Order) *pillar {
 	return e.pillars[e.cfg.PillarOf(o)%uint32(len(e.pillars))]
 }
 
-// noteWork records the arrival of work for the watchdog.
-func (e *Engine) noteWork() {
-	if e.pendingSince.Load() == 0 {
-		e.pendingSince.CompareAndSwap(0, e.now().UnixNano())
-	}
-}
-
-// noteProgress records execution progress: if the executor has no
-// buffered instances the pending marker clears, otherwise it restarts.
-func (e *Engine) noteProgress(stillPending bool) {
-	if stillPending {
-		e.pendingSince.Store(e.now().UnixNano())
-	} else {
-		e.pendingSince.Store(0)
-	}
-}
-
-// inMsg is an inbound protocol message tagged with its sender.
-// verified marks messages whose client authenticators were already
-// checked by the parallel verify stage; pillars re-check sequentially
-// when it is unset.
-type inMsg struct {
-	from     uint32
-	msg      message.Message
-	verified bool
-}
-
-// --- sequencer -------------------------------------------------------------
-
-// sequencer admits client requests and assigns order numbers to the
-// proposals this replica is responsible for. Without rotation the
-// leader proposes every order number and followers forward requests to
-// it; with rotation every replica proposes the requests it receives,
-// using the order numbers of its rotation slot (§6.2).
-//
-// The admission path is built for many concurrent producers: requests
-// arrive from every verify lane and commit-credits return from every
-// pillar. Per-pillar in-flight accounting is atomic (credits never
-// take the queue lock), the queue lock scopes only the append and the
-// O(1) batch cut, and the dispatch loop is single-flighted through
-// pumpGate so concurrent callers hand off instead of piling up on the
-// mutex re-running the same scan.
-type sequencer struct {
-	e *Engine
-
-	mu    sync.Mutex
-	queue []*message.Request
-	next  timeline.Order // next order number to propose from our slot
-
-	// inFlight counts proposals awaiting commit, per pillar. Credits
-	// are returned from pillar goroutines without touching mu.
-	inFlight []atomic.Int32
-
-	// pumpGate single-flights the dispatch loop: 0 = idle, 1 = a pump
-	// is running, 2 = a pump is running and must re-scan before exiting
-	// (work arrived while it ran).
-	pumpGate atomic.Int32
-
-	// outReqs counts requests dispatched but not yet returned by a
-	// credit: the closed-loop population currently inside the pipeline.
-	// Together with the queue length it bounds how many requests cycle
-	// through this proposer, which is what decides whether holding a
-	// partial batch can ever fill it.
-	outReqs atomic.Int64
-	// holdArmed marks a partial batch parked behind holdTimer (under mu).
-	holdArmed bool
-	holdTimer *time.Timer
-	// flushNow, set by the timer, makes the next dispatch flush a
-	// partial batch unconditionally; it bounds how long a hold can defer
-	// a request and is what keeps the hold deadlock-free.
-	flushNow atomic.Bool
-}
-
-// maxInFlightPerPillar bounds un-committed own proposals per pillar;
-// beyond it requests accumulate in the queue, which is what makes
-// batches grow under load.
-const maxInFlightPerPillar = 4
-
-// batchHold is the longest a partial batch may wait for more requests
-// once its pillar is idle. A pillar that commits quickly (partitioned
-// HybsterX pillars turn an instance around in well under a millisecond)
-// would otherwise flush tiny batches on every credit and burn the
-// saved time on per-instance protocol work.
-const batchHold = 2 * time.Millisecond
-
-// holdWorthwhile gates the partial-batch hold on closed-loop pressure:
-// park a partial batch only when the requests queued plus those still
-// inside the pipeline could fill it — fewer cycling clients than a
-// batch means the hold would pay its latency without ever producing a
-// full batch. Light traffic always dispatches immediately, so an idle
-// system keeps single-request latency at one protocol round and a lone
-// client never waits on the timer.
-func (s *sequencer) holdWorthwhile(n int) bool {
-	return n+int(s.outReqs.Load()) >= s.e.cfg.BatchSize
-}
-
-func newSequencer(e *Engine) *sequencer {
-	s := &sequencer{e: e, inFlight: make([]atomic.Int32, e.cfg.Pillars)}
-	s.next = s.firstSlot(0, 0)
-	s.holdTimer = time.AfterFunc(batchHold, s.flushHeld)
-	s.holdTimer.Stop()
-	return s
-}
-
-// flushHeld is the hold timer's callback: release the parked partial
-// batch on the next dispatch.
-func (s *sequencer) flushHeld() {
-	s.mu.Lock()
-	s.holdArmed = false
-	s.mu.Unlock()
-	s.flushNow.Store(true)
-	s.pump()
-}
-
-// firstSlot returns the smallest order > after that this replica
-// proposes in view v. Without rotation a non-leader proposes nothing;
-// the returned cursor is then a placeholder that resetForView fixes on
-// the next leadership change.
-func (s *sequencer) firstSlot(v timeline.View, after timeline.Order) timeline.Order {
-	if !s.e.cfg.RotateLeader && s.e.cfg.LeaderOf(v) != s.e.id {
-		return after + 1
-	}
-	o := after + 1
-	for s.e.cfg.ProposerOf(v, o) != s.e.id {
-		o++
-	}
-	return o
-}
-
-// admit ingests a client request from the transport. It verifies the
-// client's authenticator; valid requests are queued for proposing if
-// this replica is a proposer, or forwarded to the current leader
-// otherwise. The engine's route normally runs the verification on the
-// parallel verify stage and calls admitVerified directly; admit is the
-// sequential path for callers that bypass the stage.
-func (s *sequencer) admit(r *message.Request) {
-	if !crypto.VerifyAuthenticator(s.e.ks, r.Auth, r.Digest()) {
-		return
-	}
-	s.admitVerified(r)
-}
-
-// admitVerified queues or relays a request whose client authenticator
-// has already been checked.
-func (s *sequencer) admitVerified(r *message.Request) {
-	s.e.noteWork()
-	v := s.e.View()
-	if !s.e.cfg.RotateLeader && s.e.cfg.LeaderOf(v) != s.e.id {
-		// Followers relay to the leader; the client's own timeout
-		// multicast already reaches it in the common case, so relaying
-		// is best effort.
-		_ = s.e.ep.Send(s.e.cfg.LeaderOf(v), r)
-		return
-	}
-	s.mu.Lock()
-	s.queue = append(s.queue, r)
-	s.mu.Unlock()
-	s.pump()
-}
-
-// pump schedules the dispatch loop, single-flighted: whichever caller
-// wins the gate scans the queue; losers just mark it dirty and return.
-// Verify-lane callbacks and pillar credits therefore never queue up on
-// the mutex behind a dispatch already in progress.
-func (s *sequencer) pump() {
-	for {
-		if s.pumpGate.CompareAndSwap(0, 1) {
-			for {
-				s.dispatch()
-				if s.pumpGate.CompareAndSwap(1, 0) {
-					return
-				}
-				// Marked dirty while we dispatched: clear and re-scan.
-				s.pumpGate.Store(1)
-			}
-		}
-		if s.pumpGate.CompareAndSwap(1, 2) || s.pumpGate.Load() == 2 {
-			return // the running pump will re-scan
-		}
-		// The pump exited between our checks; try to take the gate.
-	}
-}
-
-// dispatch proposes as many batches as in-flight credits allow. The
-// queue lock scopes only the batch cut — an O(1) reslice — and is
-// never held across the pillar hand-off.
-func (s *sequencer) dispatch() {
-	v := s.e.View()
-	if !s.e.cfg.RotateLeader && s.e.cfg.LeaderOf(v) != s.e.id {
-		// Not a proposer in this view (e.g. demoted by a view change):
-		// relay anything still queued to the new leader.
-		s.mu.Lock()
-		queued := s.queue
-		s.queue = nil
-		s.mu.Unlock()
-		for _, r := range queued {
-			_ = s.e.ep.Send(s.e.cfg.LeaderOf(v), r)
-		}
-		return
-	}
-	for {
-		s.mu.Lock()
-		n := len(s.queue)
-		if n == 0 {
-			s.mu.Unlock()
-			return
-		}
-		o := s.next
-		u := s.e.cfg.PillarOf(o) % uint32(len(s.e.pillars))
-		busy := int(s.inFlight[u].Load())
-		if busy >= maxInFlightPerPillar {
-			s.mu.Unlock()
-			return
-		}
-		if n < s.e.cfg.BatchSize && !s.flushNow.Load() &&
-			(busy > 0 || s.holdWorthwhile(n)) {
-			// Hold the partial batch so it fills instead of fragmenting:
-			// either the target pillar already has an instance in flight
-			// (its credit usually flushes us well before the timer), or
-			// the pillar is idle but enough requests cycle through this
-			// proposer to fill a batch. Liveness never depends on the
-			// credit returning — under faults an in-flight instance can
-			// stall indefinitely (quorum loss, lost prepare), so the
-			// timer's unconditional flush is armed on BOTH branches and
-			// bounds the wait at batchHold.
-			if !s.holdArmed {
-				s.holdArmed = true
-				s.holdTimer.Reset(batchHold)
-			}
-			s.mu.Unlock()
-			return
-		}
-		s.flushNow.Store(false)
-		var batch []*message.Request
-		if n <= s.e.cfg.BatchSize {
-			batch = s.queue
-			s.queue = nil
-		} else {
-			n = s.e.cfg.BatchSize
-			// Cut with a capped reslice: the batch keeps the head of the
-			// backing array, the queue continues on the tail, and later
-			// appends cannot reach into the batch.
-			batch = s.queue[:n:n]
-			s.queue = s.queue[n:]
-		}
-		s.next = s.nextSlot(v, o)
-		s.inFlight[u].Add(1)
-		s.outReqs.Add(int64(len(batch)))
-		if s.holdArmed {
-			s.holdArmed = false
-			s.holdTimer.Stop()
-		}
-		s.mu.Unlock()
-
-		s.e.pillars[u].inbox.Put(evPropose{view: v, order: o, batch: batch})
-	}
-}
-
-// nextSlot returns the next order after o proposed by this replica.
-func (s *sequencer) nextSlot(v timeline.View, o timeline.Order) timeline.Order {
-	if !s.e.cfg.RotateLeader && s.e.cfg.LeaderOf(v) != s.e.id {
-		return o + 1
-	}
-	n := o + 1
-	for s.e.cfg.ProposerOf(v, n) != s.e.id {
-		n++
-	}
-	return n
-}
-
-// credit returns an in-flight slot for pillar u, subtracts the
-// instance's reqs from the outstanding population, and pumps the queue.
-// It is lock-free: pillar goroutines returning commit-credits never
-// contend with admission on the queue mutex. Both decrements clamp at
-// zero — after a view reset, credits for dropped proposals may arrive
-// late and must not underflow.
-func (s *sequencer) credit(u uint32, reqs int) {
-	c := &s.inFlight[u]
-	for {
-		v := c.Load()
-		if v <= 0 {
-			break
-		}
-		if c.CompareAndSwap(v, v-1) {
-			break
-		}
-	}
-	for {
-		v := s.outReqs.Load()
-		nv := v - int64(reqs)
-		if nv < 0 {
-			nv = 0
-		}
-		if v <= 0 || s.outReqs.CompareAndSwap(v, nv) {
-			break
-		}
-	}
-	s.pump()
-}
-
-// proposeNoop issues an empty proposal for order o if it belongs to
-// this replica in view v; used to close execution gaps (§5.3.1).
-func (s *sequencer) proposeNoop(v timeline.View, o timeline.Order) {
-	if s.e.cfg.ProposerOf(v, o) != s.e.id {
-		return
-	}
-	s.mu.Lock()
-	if o < s.next {
-		s.mu.Unlock()
-		return // already proposed (or will be covered by the queue)
-	}
-	// Skip the slot cursor past o so regular proposals continue after
-	// the no-op.
-	for s.next <= o {
-		s.next = s.nextSlot(v, s.next)
-	}
-	s.mu.Unlock()
-	u := s.e.cfg.PillarOf(o) % uint32(len(s.e.pillars))
-	s.e.met.noops.Inc()
-	s.e.pillars[u].inbox.Put(evPropose{view: v, order: o, batch: nil})
-}
-
-// resetForView realigns the proposal cursor after a view change: the
-// replica's first slot after the re-proposed range. In-flight
-// accounting restarts at zero; stragglers crediting dropped proposals
-// are absorbed by credit's clamp.
-func (s *sequencer) resetForView(v timeline.View, after timeline.Order) {
-	s.mu.Lock()
-	s.next = s.firstSlot(v, after)
-	for i := range s.inFlight {
-		s.inFlight[i].Store(0)
-	}
-	s.outReqs.Store(0)
-	s.mu.Unlock()
-	s.pump()
+// propose is the sequencer's hand-off: the batch goes to the pillar
+// owning order o, which certifies and multicasts it.
+func (e *Engine) propose(pillar uint32, v timeline.View, o timeline.Order, batch []*message.Request) {
+	e.pillars[pillar].inbox.Put(evPropose{view: v, order: o, batch: batch})
 }

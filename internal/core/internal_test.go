@@ -306,24 +306,6 @@ func TestMergePrepares(t *testing.T) {
 	}
 }
 
-func TestSequencerSlotAssignment(t *testing.T) {
-	e := newTestEngine(t, 1, 2)
-	e.cfg.RotateLeader = true
-	s := newSequencer(e)
-	// Replica 1 with rotation in view 0 proposes orders ≡ 1 (mod 3).
-	o := s.firstSlot(0, 0)
-	if e.cfg.ProposerOf(0, o) != 1 {
-		t.Fatalf("firstSlot %d not owned by replica 1", o)
-	}
-	n := s.nextSlot(0, o)
-	if n <= o || e.cfg.ProposerOf(0, n) != 1 {
-		t.Fatalf("nextSlot %d invalid", n)
-	}
-	if n-o != 3 {
-		t.Fatalf("slot stride = %d, want n=3", n-o)
-	}
-}
-
 func TestVerifyCheckpointProof(t *testing.T) {
 	r0 := newTestEngine(t, 0, 1)
 	r1 := newTestEngine(t, 1, 1)

@@ -121,10 +121,10 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 	}
 	ackSet := c.completeAcks(vmax)
 	startCkpt, props := computeTransfer(vcSet, ackSet)
-	if startCkpt > c.lastStable.order {
+	if startCkpt > c.ck.Stable().Order {
 		// The quorum is ahead of our state; fetch it first and retry
 		// when the transfer completes.
-		c.maybeRequestState()
+		c.ck.RequestState()
 		return
 	}
 
@@ -374,7 +374,7 @@ func (c *coordinator) sendAcks(w timeline.View, newPreps [][]*message.Prepare) {
 func (c *coordinator) installNewView(w timeline.View, startCkpt timeline.Order, newPreps [][]*message.Prepare, leader bool, vcSet map[uint32][]*message.ViewChange) {
 	c.curView = w
 	c.e.curView.Store(uint64(w))
-	c.e.trace(telemetry.EvNewView, uint64(w), uint64(startCkpt), 0, "")
+	c.e.met.Trace(telemetry.EvNewView, uint64(w), uint64(startCkpt), 0, "")
 	c.pending = false
 	c.pendingTo = 0
 	// Reset suspicion to the installed view: any desire for a higher
@@ -386,20 +386,14 @@ func (c *coordinator) installNewView(w timeline.View, startCkpt timeline.Order, 
 
 	// Adopt the new-view checkpoint if it is ahead of ours; the proof
 	// comes from any VC that declared it.
-	if startCkpt > c.lastStable.order {
+	if startCkpt > c.ck.Stable().Order {
 		for _, parts := range vcSet {
 			if parts[0].CkptOrder == startCkpt {
-				c.lastStable = stableCkpt{
-					order:  startCkpt,
-					digest: parts[0].CkptDigest,
-					proof:  parts[0].CkptProof,
-				}
+				c.ck.Adopt(stableCkpt{Order: startCkpt, Digest: parts[0].CkptDigest, Proof: parts[0].CkptProof})
 				break
 			}
 		}
-		if startCkpt > c.e.exec.lastExecuted() {
-			c.maybeRequestState()
-		}
+		c.ck.CatchUp()
 	}
 
 	var maxOrder timeline.Order = startCkpt
@@ -444,6 +438,6 @@ func (c *coordinator) installNewView(w timeline.View, startCkpt timeline.Order, 
 		}
 	}
 
-	c.e.seq.resetForView(w, maxOrder)
-	c.e.noteProgress(false)
+	c.e.seq.ResetForView(w, maxOrder)
+	c.e.NoteProgress(false)
 }

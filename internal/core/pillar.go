@@ -3,6 +3,7 @@ package core
 import (
 	"hybster/internal/checkpoint"
 	"hybster/internal/cop"
+	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
@@ -10,7 +11,8 @@ import (
 )
 
 // Events delivered to pillar mailboxes (besides inbound protocol
-// messages wrapped in inMsg).
+// messages wrapped in engine.InMsg and the coordinator's engine.Tick,
+// which drives retransmission).
 type (
 	// evPropose instructs the pillar to propose a batch for an order
 	// number this replica owns.
@@ -58,8 +60,6 @@ type (
 		prepares []*message.Prepare
 		leader   bool // true when this replica produced the prepares
 	}
-	// evTick drives retransmission.
-	evTick struct{}
 )
 
 // reProposal is one instance the new leader transfers into its view.
@@ -79,7 +79,7 @@ type pillar struct {
 	idx   uint32
 	tx    Certifier
 	inbox *cop.Mailbox[any]
-	met   pillarMetrics
+	met   engine.OrderingMetrics
 
 	view    timeline.View
 	aborted bool
@@ -112,7 +112,7 @@ func newPillar(e *Engine, idx uint32, tx Certifier) *pillar {
 		idx:          idx,
 		tx:           tx,
 		inbox:        cop.NewMailbox[any](),
-		met:          newPillarMetrics(e.met.tel, idx),
+		met:          e.met.Ordering(engine.PillarLabel(idx)),
 		win:          newOrderWindow(e.cfg.WindowSize, e.cfg.Quorum()),
 		ckpts:        checkpoint.NewTracker[*message.Checkpoint](e.cfg.Quorum()),
 		pendingProps: make(map[timeline.Order]evPropose),
@@ -152,7 +152,7 @@ func (p *pillar) run() {
 
 func (p *pillar) handleEvent(ev any) {
 	switch v := ev.(type) {
-	case inMsg:
+	case engine.InMsg:
 		p.handleMessage(v)
 	case evPropose:
 		p.handlePropose(v)
@@ -166,19 +166,19 @@ func (p *pillar) handleEvent(ev any) {
 		p.handleRepropose(v)
 	case evInstallView:
 		p.handleInstallView(v)
-	case evTick:
+	case engine.Tick:
 		p.handleTick()
 	}
 }
 
-func (p *pillar) handleMessage(in inMsg) {
-	switch v := in.msg.(type) {
+func (p *pillar) handleMessage(in engine.InMsg) {
+	switch v := in.Msg.(type) {
 	case *message.Prepare:
-		p.handlePrepare(in.from, v, in.verified)
+		p.handlePrepare(in.From, v, in.Verified)
 	case *message.Commit:
-		p.handleCommit(in.from, v)
+		p.handleCommit(in.From, v)
 	case *message.Checkpoint:
-		p.handleCheckpoint(in.from, v)
+		p.handleCheckpoint(in.From, v)
 	}
 }
 
@@ -202,7 +202,7 @@ func (p *pillar) handlePrepare(from uint32, m *message.Prepare, authVerified boo
 	if err := p.e.verifyPrepare(p.tx, m, from, authVerified); err != nil {
 		return
 	}
-	p.e.noteWork()
+	p.e.NoteWork()
 	p.pendingPreps[m.Order] = m
 	p.processReady()
 }
@@ -236,11 +236,11 @@ func (p *pillar) handlePropose(ev evPropose) {
 		// Stale proposal from before a view change; requests are
 		// re-proposed by the sequencer after the new view installs,
 		// so return the flow-control credit and drop.
-		p.e.seq.credit(p.idx, len(ev.batch))
+		p.e.seq.Credit(p.idx, len(ev.batch))
 		return
 	}
 	if ev.order < p.cursor || !p.win.InWindow(ev.order) {
-		p.e.seq.credit(p.idx, len(ev.batch))
+		p.e.seq.Credit(p.idx, len(ev.batch))
 		return
 	}
 	p.pendingProps[ev.order] = ev
@@ -276,15 +276,15 @@ func (p *pillar) sendPrepare(ev evPropose) {
 	prep := &message.Prepare{View: ev.view, Order: ev.order, Requests: ev.batch}
 	cert, err := p.tx.CreateIndependent(counterO, uint64(timeline.Pack(ev.view, ev.order)), prep.Digest())
 	if err != nil {
-		p.e.seq.credit(p.idx, len(ev.batch))
+		p.e.seq.Credit(p.idx, len(ev.batch))
 		return // counter already beyond this instance (view changed)
 	}
 	prep.Cert = cert
 	s := p.win.SetPrepare(prep)
 	p.ownMsg[ev.order] = prep
-	p.met.prepares.Inc()
+	p.met.Prepares.Inc()
 	bd := prep.BatchDigest()
-	p.e.traceD(telemetry.EvPropose, uint64(ev.view), uint64(ev.order), p.idx, bd[:], "")
+	p.e.met.TraceD(telemetry.EvPropose, uint64(ev.view), uint64(ev.order), p.idx, bd[:], "")
 	transport.Multicast(p.e.ep, p.e.cfg.N, prep)
 	p.maybeDeliver(s)
 }
@@ -305,8 +305,8 @@ func (p *pillar) sendCommit(m *message.Prepare) {
 	s.AddOwnAck(p.e.id)
 	p.win.Refresh(s)
 	p.ownMsg[m.Order] = com
-	p.met.commits.Inc()
-	p.e.traceD(telemetry.EvCommit, uint64(m.View), uint64(m.Order), p.idx, com.BatchDigest[:], "")
+	p.met.Commits.Inc()
+	p.e.met.TraceD(telemetry.EvCommit, uint64(m.View), uint64(m.Order), p.idx, com.BatchDigest[:], "")
 	transport.Multicast(p.e.ep, p.e.cfg.N, com)
 	p.maybeDeliver(s)
 }
@@ -318,14 +318,14 @@ func (p *pillar) maybeDeliver(s *slot) {
 		return
 	}
 	s.Executed = true
-	p.met.committed.Inc()
-	p.e.traceD(telemetry.EvDeliver, uint64(s.Prepare.View), uint64(s.Order), p.idx, s.BatchDigest[:], "")
+	p.met.Committed.Inc()
+	p.e.met.TraceD(telemetry.EvDeliver, uint64(s.Prepare.View), uint64(s.Order), p.idx, s.BatchDigest[:], "")
 	p.e.logDecision(s.Prepare.View, s.Order, s.Prepare.Requests)
-	credit := int32(-1)
+	credit := engine.NoCredit
 	if s.Prepare.Cert.Issuer.Replica() == p.e.id {
 		credit = int32(p.idx)
 	}
-	p.e.exec.inbox.Put(evExec{order: s.Order, batch: s.Prepare.Requests, credit: credit})
+	p.e.exec.Deliver(s.Order, s.Prepare.Requests, credit)
 }
 
 // handleCkptDue runs this pillar's checkpoint protocol instance
@@ -338,8 +338,8 @@ func (p *pillar) handleCkptDue(ev evCkptDue) {
 	}
 	ck.Cert = cert
 	p.ownCkpt[ev.order] = ck
-	p.e.met.ckptsOwn.Inc()
-	p.e.traceD(telemetry.EvCheckpoint, uint64(p.view), uint64(ev.order), p.idx, ev.digest[:], "")
+	p.e.met.CkptsOwn.Inc()
+	p.e.met.TraceD(telemetry.EvCheckpoint, uint64(p.view), uint64(ev.order), p.idx, ev.digest[:], "")
 	transport.Multicast(p.e.ep, p.e.cfg.N, ck)
 	p.addCheckpoint(ck)
 }
@@ -380,7 +380,7 @@ func (p *pillar) advance(o timeline.Order) {
 	}
 	for k, ev := range p.pendingProps {
 		if k <= o {
-			p.e.seq.credit(p.idx, len(ev.batch))
+			p.e.seq.Credit(p.idx, len(ev.batch))
 			delete(p.pendingProps, k)
 		}
 	}
@@ -486,8 +486,8 @@ func (p *pillar) handleTick() {
 			continue
 		}
 		if m, ok := p.ownMsg[o]; ok {
-			p.met.retransmits.Inc()
-			p.e.trace(telemetry.EvRetransmit, uint64(p.view), uint64(o), p.idx, "")
+			p.met.Retransmits.Inc()
+			p.e.met.Trace(telemetry.EvRetransmit, uint64(p.view), uint64(o), p.idx, "")
 			transport.Multicast(p.e.ep, p.e.cfg.N, m)
 		}
 		break // one per tick is enough

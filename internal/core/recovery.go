@@ -6,6 +6,7 @@ import (
 
 	"hybster/internal/crypto"
 	"hybster/internal/message"
+	"hybster/internal/statemachine"
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/trinx"
@@ -69,54 +70,47 @@ func (e *Engine) newCertifier(opts Options, pillar uint32, key crypto.Key) (Cert
 	return d, nil
 }
 
-// restore applies recovered WAL state to the freshly built engine.
-// It runs in New, before Start launches any goroutine, so it mutates
-// component state directly: install the last stable checkpoint, replay
-// the decision tail into the executor, and slide pillar windows.
-// Anything past the synced tail is fetched later through the normal
-// state-transfer path.
-func (e *Engine) restore() {
+// replay rebuilds execution state from the recovered WAL before the
+// execution stage wraps the executor: install the newest
+// snapshot-bearing checkpoint (Base), which may trail the stable
+// Checkpoint when stability outran local execution before the crash,
+// then bridge the rest with the decision tail. Anything past the
+// synced tail is fetched later through the normal state-transfer path.
+func (e *Engine) replay(x *statemachine.Executor) {
 	rec := e.dur.recovered
-	e.trace(telemetry.EvRecovery, 0, uint64(e.exec.last.Load()),
-		0, fmt.Sprintf("wal replay: %d decisions", len(rec.Decisions)))
-	if ck := rec.Checkpoint; ck != nil {
-		e.coord.lastStable = stableCkpt{
-			order: ck.Order, digest: ck.Digest, proof: ck.Proof,
-			snapshot: ck.Snapshot, rv: ck.ReplyVector,
-		}
-		e.stableOrd.Store(uint64(ck.Order))
+	e.met.Trace(telemetry.EvRecovery, 0, 0, 0, fmt.Sprintf("wal replay: %d decisions", len(rec.Decisions)))
+	if base := rec.Base; base != nil {
+		// A snapshot the application refuses leaves execution at
+		// genesis; state transfer then brings the replica up.
+		_ = x.InstallState(base.Order, base.Snapshot, base.ReplyVector)
+	}
+	// Buffer tolerates gaps (a hole the sync batch lost); execution
+	// stops at the first gap and the executor keeps the rest pending
+	// until ordering or state transfer fills it.
+	for i := range rec.Decisions {
+		x.Buffer(rec.Decisions[i].Order, rec.Decisions[i].Requests)
+	}
+	// No client replies during replay: the original execution sent
+	// them, and clients retransmit if theirs got lost.
+	for x.Step() != nil {
+	}
+}
+
+// restore applies the recovered stable checkpoint to the freshly built
+// components. It runs in New, before Start launches any goroutine, so
+// it mutates component state directly.
+func (e *Engine) restore() {
+	if ck := e.dur.recovered.Checkpoint; ck != nil {
+		e.coord.ck.Adopt(stableCkpt{
+			Order: ck.Order, Digest: ck.Digest, Proof: ck.Proof,
+			Snapshot: ck.Snapshot, RV: ck.ReplyVector,
+		})
 		for _, p := range e.pillars {
 			p.advance(ck.Order)
 		}
 	}
-	// Execution restarts from the newest snapshot-bearing checkpoint
-	// (Base), which may trail Checkpoint when stability outran local
-	// execution before the crash; the decision tail bridges the rest.
-	if base := rec.Base; base != nil {
-		if err := e.exec.x.InstallState(base.Order, base.Snapshot, base.ReplyVector); err == nil {
-			e.exec.last.Store(uint64(base.Order))
-		}
-	}
-	// Replay the decision tail. Buffer tolerates gaps (a hole the sync
-	// batch lost); execution stops at the first gap and the executor
-	// keeps the rest pending until ordering or state transfer fills it.
-	for i := range rec.Decisions {
-		d := &rec.Decisions[i]
-		if !e.exec.x.Buffer(d.Order, d.Requests) {
-			continue
-		}
-	}
-	for {
-		ex := e.exec.x.Step()
-		if ex == nil {
-			break
-		}
-		// No client replies during replay: the original execution sent
-		// them, and clients retransmit if theirs got lost.
-		e.exec.last.Store(uint64(ex.Order))
-	}
-	for _, p := range e.pillars {
-		if last := timeline.Order(e.exec.last.Load()); last > 0 {
+	if last := e.exec.LastExecuted(); last > 0 {
+		for _, p := range e.pillars {
 			// The pillar cannot re-certify replayed instances (counters
 			// resumed past them); move its cursor beyond the replay so
 			// fresh ordering starts cleanly after it.
@@ -139,13 +133,13 @@ func (e *Engine) logDecision(v timeline.View, o timeline.Order, batch []*message
 
 // logCheckpoint appends a stable checkpoint to the WAL, which also
 // garbage-collects segments the checkpoint subsumes.
-func (e *Engine) logCheckpoint(st stableCkpt) {
+func (e *Engine) logCheckpoint(st *stableCkpt) {
 	if e.dur == nil {
 		return
 	}
 	_ = e.dur.log.AppendCheckpoint(&wal.CheckpointRec{
-		Order: st.order, Digest: st.digest,
-		Snapshot: st.snapshot, ReplyVector: st.rv, Proof: st.proof,
+		Order: st.Order, Digest: st.Digest,
+		Snapshot: st.Snapshot, ReplyVector: st.RV, Proof: st.Proof,
 	})
 }
 

@@ -1,0 +1,337 @@
+package engine
+
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"hybster/internal/config"
+	"hybster/internal/message"
+	"hybster/internal/telemetry"
+	"hybster/internal/timeline"
+	"hybster/internal/transport"
+)
+
+// ProposeFunc hands one batch to the pillar that certifies and
+// multicasts it as this replica's proposal for (view, order). A nil
+// batch is a no-op proposal. The sequencer calls it directly, outside
+// its lock.
+type ProposeFunc func(pillar uint32, view timeline.View, order timeline.Order, batch []*message.Request)
+
+// Sequencer admits client requests and assigns order numbers to the
+// proposals this replica is responsible for. Without rotation the
+// leader proposes every order number and followers forward requests to
+// it; with rotation every replica proposes the requests it receives,
+// using the order numbers of its rotation slot (§6.2).
+//
+// The admission path is built for many concurrent producers: requests
+// arrive from every verify lane and commit-credits return from the
+// execution stage and every pillar. Per-pillar in-flight accounting is
+// atomic (credits never take the queue lock), the queue lock scopes
+// only the append and the O(1) batch cut, and the dispatch loop is
+// single-flighted through pumpGate so concurrent callers hand off
+// instead of piling up on the mutex re-running the same scan.
+type Sequencer struct {
+	cfg     config.Config
+	id      uint32
+	view    func() timeline.View
+	ep      transport.Endpoint
+	propose ProposeFunc
+	noops   *telemetry.Counter
+
+	mu    sync.Mutex
+	queue []*message.Request
+	next  timeline.Order // next order number to propose from our slot
+
+	// inFlight counts proposals awaiting commit, per pillar. Credits
+	// are returned without touching mu.
+	inFlight []atomic.Int32
+
+	// pumpGate single-flights the dispatch loop: 0 = idle, 1 = a pump
+	// is running, 2 = a pump is running and must re-scan before exiting
+	// (work arrived while it ran).
+	pumpGate atomic.Int32
+
+	// outReqs counts requests dispatched but not yet returned by a
+	// credit: the closed-loop population currently inside the pipeline.
+	// Together with the queue length it bounds how many requests cycle
+	// through this proposer, which is what decides whether holding a
+	// partial batch can ever fill it.
+	outReqs atomic.Int64
+	// holdArmed marks a partial batch parked behind holdTimer (under mu).
+	holdArmed bool
+	holdTimer *time.Timer
+	// flushNow, set by the timer, makes the next dispatch flush a
+	// partial batch unconditionally; it bounds how long a hold can defer
+	// a request and is what keeps the hold deadlock-free.
+	flushNow atomic.Bool
+}
+
+// maxInFlightPerPillar bounds un-committed own proposals per pillar;
+// beyond it requests accumulate in the queue, which is what makes
+// batches grow under load.
+const maxInFlightPerPillar = 4
+
+// batchHold is the longest a partial batch may wait for more requests
+// once its pillar is idle. A pillar that commits quickly (partitioned
+// HybsterX pillars turn an instance around in well under a millisecond)
+// would otherwise flush tiny batches on every credit and burn the
+// saved time on per-instance protocol work.
+const batchHold = 2 * time.Millisecond
+
+// NewSequencer builds the sequencer of replica id. view reads the
+// replica's current stable view; propose receives every batch cut.
+func NewSequencer(cfg config.Config, id uint32, view func() timeline.View,
+	ep transport.Endpoint, met Metrics, propose ProposeFunc) *Sequencer {
+
+	s := &Sequencer{
+		cfg: cfg, id: id, view: view, ep: ep, propose: propose,
+		noops:    met.Counter("noop_proposals_total", "no-op proposals filling execution gaps"),
+		inFlight: make([]atomic.Int32, cfg.Pillars),
+	}
+	s.next = s.slotAfter(0, 0)
+	s.holdTimer = time.AfterFunc(batchHold, s.flushHeld)
+	s.holdTimer.Stop()
+	for u := range s.inFlight {
+		c := &s.inFlight[u]
+		met.GaugeFunc("seq_inflight", "proposals awaiting commit credit",
+			func() float64 { return float64(c.Load()) }, PillarLabel(uint32(u)))
+	}
+	met.GaugeFunc("seq_outreqs", "requests dispatched but not yet credited back",
+		func() float64 { return float64(s.outReqs.Load()) })
+	met.GaugeFunc("seq_queue_depth", "admitted requests awaiting a batch cut",
+		func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(len(s.queue))
+		})
+	return s
+}
+
+// relays reports whether this replica proposes nothing in view v and
+// forwards requests to the leader instead.
+func (s *Sequencer) relays(v timeline.View) bool {
+	return !s.cfg.RotateLeader && s.cfg.LeaderOf(v) != s.id
+}
+
+func (s *Sequencer) pillarOf(o timeline.Order) uint32 {
+	return s.cfg.PillarOf(o) % uint32(len(s.inFlight))
+}
+
+// slotAfter returns the smallest order > after that this replica
+// proposes in view v. Without rotation a non-leader proposes nothing;
+// the returned cursor is then a placeholder that ResetForView fixes on
+// the next leadership change.
+func (s *Sequencer) slotAfter(v timeline.View, after timeline.Order) timeline.Order {
+	o := after + 1
+	if s.relays(v) {
+		return o
+	}
+	for s.cfg.ProposerOf(v, o) != s.id {
+		o++
+	}
+	return o
+}
+
+// holdWorthwhile gates the partial-batch hold on closed-loop pressure:
+// park a partial batch only when the requests queued plus those still
+// inside the pipeline could fill it — fewer cycling clients than a
+// batch means the hold would pay its latency without ever producing a
+// full batch. Light traffic always dispatches immediately, so an idle
+// system keeps single-request latency at one protocol round and a lone
+// client never waits on the timer.
+func (s *Sequencer) holdWorthwhile(n int) bool {
+	return n+int(s.outReqs.Load()) >= s.cfg.BatchSize
+}
+
+// flushHeld is the hold timer's callback: release the parked partial
+// batch on the next dispatch.
+func (s *Sequencer) flushHeld() {
+	s.mu.Lock()
+	s.holdArmed = false
+	s.mu.Unlock()
+	s.flushNow.Store(true)
+	s.pump()
+}
+
+// Admit queues a request whose client authenticator has already been
+// checked, or relays it when this replica is not a proposer.
+func (s *Sequencer) Admit(r *message.Request) {
+	if v := s.view(); s.relays(v) {
+		// Followers relay to the leader; the client's own timeout
+		// multicast already reaches it in the common case, so relaying
+		// is best effort.
+		_ = s.ep.Send(s.cfg.LeaderOf(v), r)
+		return
+	}
+	s.mu.Lock()
+	s.queue = append(s.queue, r)
+	s.mu.Unlock()
+	s.pump()
+}
+
+// pump schedules the dispatch loop, single-flighted: whichever caller
+// wins the gate scans the queue; losers just mark it dirty and return.
+// Verify-lane callbacks and credits therefore never queue up on the
+// mutex behind a dispatch already in progress.
+func (s *Sequencer) pump() {
+	for {
+		if s.pumpGate.CompareAndSwap(0, 1) {
+			for {
+				s.dispatch()
+				if s.pumpGate.CompareAndSwap(1, 0) {
+					return
+				}
+				// Marked dirty while we dispatched: clear and re-scan.
+				s.pumpGate.Store(1)
+			}
+		}
+		if s.pumpGate.CompareAndSwap(1, 2) || s.pumpGate.Load() == 2 {
+			return // the running pump will re-scan
+		}
+		// The pump exited between our checks; try to take the gate.
+	}
+}
+
+// dispatch proposes as many batches as in-flight credits allow. The
+// queue lock scopes only the batch cut — an O(1) reslice — and is
+// never held across the pillar hand-off.
+func (s *Sequencer) dispatch() {
+	v := s.view()
+	if s.relays(v) {
+		// Not a proposer in this view (e.g. demoted by a view change):
+		// relay anything still queued to the new leader.
+		s.mu.Lock()
+		queued := s.queue
+		s.queue = nil
+		s.mu.Unlock()
+		for _, r := range queued {
+			_ = s.ep.Send(s.cfg.LeaderOf(v), r)
+		}
+		return
+	}
+	for {
+		s.mu.Lock()
+		n := len(s.queue)
+		if n == 0 {
+			s.mu.Unlock()
+			return
+		}
+		o := s.next
+		u := s.pillarOf(o)
+		busy := int(s.inFlight[u].Load())
+		if busy >= maxInFlightPerPillar {
+			s.mu.Unlock()
+			return
+		}
+		if n < s.cfg.BatchSize && !s.flushNow.Load() &&
+			(busy > 0 || s.holdWorthwhile(n)) {
+			// Hold the partial batch so it fills instead of fragmenting:
+			// either the target pillar already has an instance in flight
+			// (its credit usually flushes us well before the timer), or
+			// the pillar is idle but enough requests cycle through this
+			// proposer to fill a batch. Liveness never depends on the
+			// credit returning — under faults an in-flight instance can
+			// stall indefinitely (quorum loss, lost prepare), so the
+			// timer's unconditional flush is armed on BOTH branches and
+			// bounds the wait at batchHold.
+			if !s.holdArmed {
+				s.holdArmed = true
+				s.holdTimer.Reset(batchHold)
+			}
+			s.mu.Unlock()
+			return
+		}
+		s.flushNow.Store(false)
+		var batch []*message.Request
+		if n <= s.cfg.BatchSize {
+			batch = s.queue
+			s.queue = nil
+		} else {
+			n = s.cfg.BatchSize
+			// Cut with a capped reslice: the batch keeps the head of the
+			// backing array, the queue continues on the tail, and later
+			// appends cannot reach into the batch.
+			batch = s.queue[:n:n]
+			s.queue = s.queue[n:]
+		}
+		s.next = s.slotAfter(v, o)
+		s.inFlight[u].Add(1)
+		s.outReqs.Add(int64(len(batch)))
+		if s.holdArmed {
+			s.holdArmed = false
+			s.holdTimer.Stop()
+		}
+		s.mu.Unlock()
+
+		s.propose(u, v, o, batch)
+	}
+}
+
+// Credit returns an in-flight slot for pillar u, subtracts the
+// instance's reqs from the outstanding population, and pumps the queue.
+// The execution stage calls it when it dequeues an own instance, not
+// when the instance commits: dispatch is thereby paced by the shared
+// execution stage — the real bottleneck — so fast-committing
+// partitioned pillars accumulate full batches instead of flushing on
+// every quick commit. Pillars call it for proposals they drop.
+//
+// It is lock-free: credits never contend with admission on the queue
+// mutex. Both decrements clamp at zero — after a view reset, credits
+// for dropped proposals may arrive late and must not underflow.
+func (s *Sequencer) Credit(u uint32, reqs int) {
+	c := &s.inFlight[u]
+	for {
+		v := c.Load()
+		if v <= 0 || c.CompareAndSwap(v, v-1) {
+			break
+		}
+	}
+	for {
+		v := s.outReqs.Load()
+		nv := v - int64(reqs)
+		if nv < 0 {
+			nv = 0
+		}
+		if v <= 0 || s.outReqs.CompareAndSwap(v, nv) {
+			break
+		}
+	}
+	s.pump()
+}
+
+// ProposeNoop issues an empty proposal for order o if it belongs to
+// this replica in view v; used to close execution gaps (§5.3.1).
+func (s *Sequencer) ProposeNoop(v timeline.View, o timeline.Order) {
+	if s.cfg.ProposerOf(v, o) != s.id {
+		return
+	}
+	s.mu.Lock()
+	if o < s.next {
+		s.mu.Unlock()
+		return // already proposed (or will be covered by the queue)
+	}
+	// Skip the slot cursor past o so regular proposals continue after
+	// the no-op.
+	for s.next <= o {
+		s.next = s.slotAfter(v, s.next)
+	}
+	s.mu.Unlock()
+	s.noops.Inc()
+	s.propose(s.pillarOf(o), v, o, nil)
+}
+
+// ResetForView realigns the proposal cursor after a view change: the
+// replica's first slot after the re-proposed range. In-flight
+// accounting restarts at zero; stragglers crediting dropped proposals
+// are absorbed by Credit's clamp.
+func (s *Sequencer) ResetForView(v timeline.View, after timeline.Order) {
+	s.mu.Lock()
+	s.next = s.slotAfter(v, after)
+	for i := range s.inFlight {
+		s.inFlight[i].Store(0)
+	}
+	s.outReqs.Store(0)
+	s.mu.Unlock()
+	s.pump()
+}

@@ -30,12 +30,14 @@ import (
 	"hybster/internal/cop"
 	"hybster/internal/crypto"
 	"hybster/internal/enclave"
+	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/reply"
 	"hybster/internal/statemachine"
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
+	"hybster/internal/trinx"
 	"hybster/internal/usig"
 	"hybster/internal/verify"
 )
@@ -76,9 +78,14 @@ type Engine struct {
 	// ordering counter maps 1:1 onto order numbers).
 	sig     *usig.USIG
 	sigCkpt *usig.USIG
+	// Watchdog backs the health probes and the ticker, and keeps the
+	// suspicion patience. Its pending-work marker only feeds /readyz:
+	// the suspicion clock below restarts on commits and timeouts, which
+	// a stuck-detector must not.
+	*engine.Watchdog
 
 	inbox   *cop.Mailbox[any]
-	exec    *execLoop
+	exec    *engine.ExecLoop
 	replies *reply.Stage
 	vpool   *verify.Pool
 	vord    *verify.Ordered
@@ -96,8 +103,14 @@ type Engine struct {
 	nextOrder timeline.Order
 	// slots maps order numbers to instances in the current window.
 	slots map[timeline.Order]*slot
+	// low is the last stable checkpoint order (ck.Stable().Order): the
+	// window's low watermark.
 	low   timeline.Order
 	ckpts *checkpoint.Tracker[*message.Checkpoint]
+	// ck holds the own checkpoint candidates, the stable checkpoint
+	// with the quorum certificate VIEW-CHANGEs carry, and the
+	// state-transfer requester/server.
+	ck *engine.Checkpoints[*message.Checkpoint]
 
 	// queue of admitted requests (leader only).
 	mu       sync.Mutex
@@ -109,15 +122,10 @@ type Engine struct {
 	pendingTo    timeline.View
 	pendingSince time.Time
 	reqSent      timeline.View
-	// vcBackoff counts consecutive suspicion timeouts without progress;
-	// it widens the timeout exponentially (capped) so two stalled
-	// replicas stop chasing each other through view numbers in
-	// lockstep, and it drives target escalation past lost requests.
-	vcBackoff uint
-	reqVCs    map[timeline.View]map[uint32]bool
-	vcs       map[timeline.View]map[uint32]*message.MinViewChange
-	nvDone    map[timeline.View]bool
-	ownVC     *message.MinViewChange
+	reqVCs       map[timeline.View]map[uint32]bool
+	vcs          map[timeline.View]map[uint32]*message.MinViewChange
+	nvDone       map[timeline.View]bool
+	ownVC        *message.MinViewChange
 	// history of sent UI-consuming messages since the last stable
 	// checkpoint (§4.4's unbounded state).
 	sentLog  []sentEntry
@@ -139,17 +147,6 @@ type Engine struct {
 	// would lose the ack forever. Keyed by the leader-prepare counter
 	// the commit answers; drained when that prepare is accepted.
 	earlyCommits map[uint64]map[uint32]*message.MinCommit
-	// ckptProof is the quorum certificate of the last stable
-	// checkpoint, carried by VIEW-CHANGEs.
-	ckptProof []*message.Checkpoint
-	// ownCkpt is the snapshot bundle from this replica's most recent
-	// own checkpoint boundary; stableCkpt is the bundle matching the
-	// last *stable* checkpoint (e.low), the one state transfer serves.
-	// Only these two are retained, so snapshot memory stays bounded.
-	ownCkpt    ckptBundle
-	stableCkpt ckptBundle
-	// lastStateReq rate-limits outgoing STATE-REQUEST rounds.
-	lastStateReq time.Time
 	// resend is a bounded ring of recently sent UI-consuming messages.
 	// MinBFT requires reliable FIFO channels: a receiver processes a
 	// sender's messages strictly in counter order, so one lost message
@@ -168,7 +165,12 @@ type Engine struct {
 	histLenSnapshot int
 
 	suspects atomic.Uint64 // leader-timeout events (diagnostics)
-	met      engineMetrics
+	met      engine.Metrics
+	ord      engine.OrderingMetrics
+	// suspectsC and zombiesC count leader-timeout suspicions and
+	// replicas convicted of counter regression.
+	suspectsC *telemetry.Counter
+	zombiesC  *telemetry.Counter
 	// gm mirrors loop-owned fields for lock-free gauge sampling; the
 	// run loop refreshes it after every event (see publishGauges).
 	gm gaugeMirror
@@ -199,16 +201,8 @@ type Engine struct {
 	zombieSet map[uint32]bool
 
 	stopOnce sync.Once
-	stopTick chan struct{}
+	stopped  chan struct{}
 	wg       sync.WaitGroup
-}
-
-// inMsg is an inbound message tagged with its sender; verified marks
-// client authenticators already checked by the parallel verify stage.
-type inMsg struct {
-	from     uint32
-	msg      message.Message
-	verified bool
 }
 
 // heldMsg is a held-back out-of-order message plus its verified bit.
@@ -223,12 +217,19 @@ const maxInFlight = 16
 // from its ordering instance in UI issuer IDs.
 const ckptIssuerFlag uint32 = 1 << 30
 
+// trinxIssuer adapts a USIG issuer ID to the instance-ID field of the
+// shared Checkpoint message type.
+func trinxIssuer(id uint32) trinx.InstanceID {
+	return trinx.InstanceID(uint64(id) << 16)
+}
+
 // New assembles a MinBFT replica.
 func New(opts Options) (*Engine, error) {
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
 	}
 	key := crypto.NewKeyFromSeed(opts.Config.KeySeed)
+	met := engine.NewMetrics(opts.Telemetry, "minbft")
 	e := &Engine{
 		cfg:       opts.Config,
 		id:        opts.ID,
@@ -236,7 +237,11 @@ func New(opts Options) (*Engine, error) {
 		ks:        crypto.NewKeyStore(opts.ID, key),
 		sig:       usig.New(opts.Platform, opts.ID, key, opts.EnclaveCost).Instrument(opts.Telemetry),
 		sigCkpt:   usig.New(opts.Platform, opts.ID|ckptIssuerFlag, key, opts.EnclaveCost).Instrument(opts.Telemetry),
-		met:       newEngineMetrics(opts.Telemetry),
+		met:       met,
+		ord:       met.Ordering(),
+		suspectsC: met.Counter("suspects_total", "leader-timeout suspicion events"),
+		zombiesC:  met.Counter("zombies_total", "replicas convicted of counter regression"),
+		stopped:   make(chan struct{}),
 		inbox:     cop.NewMailbox[any](),
 		expected:  make(map[uint32]uint64),
 		holdback:  make(map[uint32]map[uint64]heldMsg),
@@ -256,15 +261,24 @@ func New(opts Options) (*Engine, error) {
 		zombieSet:      make(map[uint32]bool),
 		deaf:           make(map[uint32]bool),
 	}
-	e.exec = newExecLoop(e, opts.Application)
+	e.Watchdog = engine.NewWatchdog("minbft", e.cfg.ViewChangeTimeout, nil, e.stopped)
 	e.replies = reply.NewStage(e.id, e.ks, e.ep, 0, opts.Telemetry)
+	// Checkpoints run on the protocol loop, so USIG and window state
+	// stay single-threaded; the suspicion clock lives there too.
+	e.exec = engine.NewExecLoop(statemachine.NewExecutor(opts.Application), e.cfg, e.met, e.replies, nil,
+		func(v *statemachine.CheckpointView) { e.inbox.Put(v) },
+		func(pending bool) {
+			e.NoteProgress(pending)
+			e.inbox.Put(evProgress{pending: pending})
+		})
+	e.ck = engine.NewCheckpoints[*message.Checkpoint](e.cfg, e.id, e.ep, e.Watchdog, e.met, e.exec, e.verifyCkptProof)
 	e.vpool = verify.NewPool(e.ks, 0, opts.Telemetry)
 	e.vord = verify.NewOrdered(e.vpool)
 	for r := uint32(0); int(r) < opts.Config.N; r++ {
 		e.expected[r] = 1
 	}
 	e.publishGauges()
-	e.registerGauges(opts.Telemetry)
+	e.registerGauges()
 	return e, nil
 }
 
@@ -272,7 +286,10 @@ func New(opts Options) (*Engine, error) {
 func (e *Engine) ID() uint32 { return e.id }
 
 // LastExecuted returns the highest executed order number.
-func (e *Engine) LastExecuted() timeline.Order { return e.exec.lastExecuted() }
+func (e *Engine) LastExecuted() timeline.Order { return e.exec.LastExecuted() }
+
+// Telemetry returns the engine's telemetry bundle (nil when disabled).
+func (e *Engine) Telemetry() *telemetry.Telemetry { return e.met.Telemetry() }
 
 // Suspects returns how often the leader was suspected (diagnostics).
 func (e *Engine) Suspects() uint64 { return e.suspects.Load() }
@@ -319,12 +336,12 @@ func (e *Engine) Start() {
 		case *message.Request:
 			e.vord.Submit(from, []*message.Request{v}, func(ok bool) {
 				if ok {
-					e.inbox.Put(inMsg{from: from, msg: m, verified: true})
+					e.inbox.Put(engine.InMsg{From: from, Msg: m, Verified: true})
 				}
 			})
 		case *message.MinPrepare:
 			if len(v.Requests) == 0 {
-				e.vord.Pass(from, func() { e.inbox.Put(inMsg{from: from, msg: m}) })
+				e.vord.Pass(from, func() { e.inbox.Put(engine.InMsg{From: from, Msg: m}) })
 				return
 			}
 			e.vord.Submit(from, v.Requests, func(ok bool) {
@@ -336,40 +353,26 @@ func (e *Engine) Start() {
 				// re-check in handlePrepare rejects the batch after
 				// the counter bookkeeping, exactly like the inline
 				// path this stage replaces.
-				e.inbox.Put(inMsg{from: from, msg: m, verified: ok})
+				e.inbox.Put(engine.InMsg{From: from, Msg: m, Verified: ok})
 			})
 		default:
-			e.vord.Pass(from, func() { e.inbox.Put(inMsg{from: from, msg: m}) })
+			e.vord.Pass(from, func() { e.inbox.Put(engine.InMsg{From: from, Msg: m}) })
 		}
 	})
-	e.stopTick = make(chan struct{})
-	go func() {
-		t := time.NewTicker(e.cfg.ViewChangeTimeout / 4)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				e.inbox.Put(evTick{})
-			case <-e.stopTick:
-				return
-			}
-		}
-	}()
-	e.wg.Add(2)
+	e.wg.Add(3)
 	go func() { defer e.wg.Done(); e.run() }()
-	go func() { defer e.wg.Done(); e.exec.run() }()
+	go func() { defer e.wg.Done(); e.exec.Run() }()
+	go func() { defer e.wg.Done(); e.RunTicker(func() { e.inbox.Put(engine.Tick{}) }) }()
 }
 
 // Stop shuts the replica down.
 func (e *Engine) Stop() {
 	e.stopOnce.Do(func() {
-		if e.stopTick != nil {
-			close(e.stopTick)
-		}
+		close(e.stopped)
 		_ = e.ep.Close()
 		e.vpool.Close()
 		e.inbox.Close()
-		e.exec.inbox.Close()
+		e.exec.Close()
 		e.wg.Wait()
 		// The exec loop is done submitting; drain outstanding replies.
 		e.replies.Close()
@@ -399,56 +402,40 @@ func (e *Engine) run() {
 
 func (e *Engine) handleEvent(ev any) {
 	switch in := ev.(type) {
-	case inMsg:
-		switch m := in.msg.(type) {
+	case engine.InMsg:
+		switch m := in.Msg.(type) {
 		case *message.Request:
-			e.handleRequest(m, in.verified)
+			e.handleRequest(m, in.Verified)
 		case *message.MinPrepare:
-			e.ingest(in.from, m.UI, m, in.verified)
+			e.ingest(in.From, m.UI, m, in.Verified)
 		case *message.MinCommit:
-			e.ingest(in.from, m.UI, m, false)
+			e.ingest(in.From, m.UI, m, false)
 		case *message.MinViewChange:
-			e.ingest(in.from, m.UI, m, false)
+			e.ingest(in.From, m.UI, m, false)
 		case *message.MinNewView:
-			e.ingest(in.from, m.UI, m, false)
+			e.ingest(in.From, m.UI, m, false)
 		case *message.MinReqViewChange:
-			e.handleReqViewChange(in.from, m)
+			e.handleReqViewChange(in.From, m)
 		case *message.Checkpoint:
-			e.handleCheckpoint(in.from, m)
+			e.handleCheckpoint(in.From, m)
 		case *message.StateRequest:
-			e.handleStateRequest(in.from, m)
+			e.handleStateRequest(in.From, m)
 		case *message.StateReply:
-			e.handleStateReply(in.from, m)
+			e.handleStateReply(in.From, m)
 		}
-	case evCkptDue:
+	case *statemachine.CheckpointView:
 		e.checkpointDue(in)
 	case evProgress:
 		if in.pending {
 			e.pendingSince = time.Now()
 		} else {
 			e.pendingSince = time.Time{}
-			e.vcBackoff = 0 // execution progressed; suspicions start fresh
+			e.Relax() // execution progressed; suspicions start fresh
 		}
-	case evTick:
+	case engine.Tick:
 		e.handleTick()
 	}
 	e.publishGauges()
-}
-
-// evCkptDue carries a checkpoint boundary from the execution loop to
-// the protocol loop (all USIG and window state is confined there). It
-// holds a lazy view: the snapshot encode and digest hashes run on the
-// protocol loop, not the delivery loop.
-type evCkptDue struct {
-	view *statemachine.CheckpointView
-}
-
-// ckptBundle is the serialized service state at one checkpoint
-// boundary, retained so fallen-behind peers can fetch it.
-type ckptBundle struct {
-	order    timeline.Order
-	snapshot []byte
-	rv       []byte
 }
 
 // ingest enforces per-sender counter order: messages are processed
@@ -602,7 +589,7 @@ func (e *Engine) markZombie(from uint32) {
 		return
 	}
 	e.zombies[from] = true
-	e.met.zombiesC.Inc()
+	e.zombiesC.Inc()
 	e.zombieMu.Lock()
 	e.zombieSet[from] = true
 	e.zombieMu.Unlock()
@@ -705,9 +692,9 @@ func (e *Engine) propose() {
 		}
 		prep.UI = ui
 		e.recordSent(ui, e.nextOrder, prep)
-		e.met.prepares.Inc()
+		e.ord.Prepares.Inc()
 		bd := message.BatchDigest(batch)
-		e.traceD(telemetry.EvPropose, uint64(e.view), uint64(e.nextOrder), bd[:], "")
+		e.met.TraceD(telemetry.EvPropose, uint64(e.view), uint64(e.nextOrder), 0, bd[:], "")
 		transport.Multicast(e.ep, e.cfg.N, prep)
 		// The leader's own prepare is processed inline (its UI is the
 		// next expected from itself).
@@ -771,8 +758,8 @@ func (e *Engine) handlePrepare(from uint32, p *message.MinPrepare, authVerified 
 		com.UI = ui
 		e.recordSent(ui, o, com)
 		s.acks[e.id] = true
-		e.met.commits.Inc()
-		e.traceD(telemetry.EvCommit, uint64(e.view), uint64(o), s.batchDigest[:], "")
+		e.ord.Commits.Inc()
+		e.met.TraceD(telemetry.EvCommit, uint64(e.view), uint64(o), 0, s.batchDigest[:], "")
 		transport.Multicast(e.ep, e.cfg.N, com)
 	}
 	// Commits that overtook this prepare are waiting for it.
@@ -836,8 +823,8 @@ func (e *Engine) refresh(s *slot) {
 	}
 	if s.committed && !s.executed {
 		s.executed = true
-		e.met.committed.Inc()
-		e.traceD(telemetry.EvDeliver, uint64(e.view), uint64(s.order), s.batchDigest[:], "")
+		e.ord.Committed.Inc()
+		e.met.TraceD(telemetry.EvDeliver, uint64(e.view), uint64(s.order), 0, s.batchDigest[:], "")
 		// A commit is ordering progress: the leader is doing its job, so
 		// the suspicion clock restarts. Execution progress alone is the
 		// wrong signal here — a replica that missed an instance later
@@ -849,8 +836,8 @@ func (e *Engine) refresh(s *slot) {
 		if !e.pendingSince.IsZero() {
 			e.pendingSince = time.Now()
 		}
-		e.vcBackoff = 0
-		e.exec.inbox.Put(evExec{order: s.order, batch: s.batch})
+		e.Relax()
+		e.exec.Deliver(s.order, s.batch, engine.NoCredit)
 		if e.leader() == e.id {
 			e.mu.Lock()
 			if e.inFlight > 0 {
@@ -864,18 +851,18 @@ func (e *Engine) refresh(s *slot) {
 
 // --- checkpointing ---
 
-// checkpointDue is called by the execution loop at interval
-// boundaries. Checkpoint UIs come from the dedicated checkpoint USIG
-// instance and are embedded in the shared Checkpoint message's
-// certificate fields (issuer/value/MAC).
-func (e *Engine) checkpointDue(ev evCkptDue) {
-	o, digest := ev.view.Order, ev.view.StateDigest()
-	e.ownCkpt = ckptBundle{order: o, snapshot: ev.view.Snapshot(), rv: ev.view.ReplyVector()}
-	if o == e.low {
-		// This boundary already stabilized (we executed it late);
-		// promote the bundle so we can serve transfers for it.
-		e.stableCkpt = e.ownCkpt
+// checkpointDue handles a checkpoint boundary posted by the execution
+// loop. Checkpoint UIs come from the dedicated checkpoint USIG instance
+// and are embedded in the shared Checkpoint message's certificate
+// fields (issuer/value/MAC).
+func (e *Engine) checkpointDue(v *statemachine.CheckpointView) {
+	if v.Order < e.low {
+		return
 	}
+	// A boundary that already stabilized (we executed it late) is still
+	// announced: a peer that missed one announcement needs ours.
+	o := v.Order
+	digest, _ := e.ck.Candidate(v)
 	ck := &message.Checkpoint{Order: o, Replica: e.id, StateDigest: digest}
 	ui, err := e.sigCkpt.CreateUI(ck.Digest())
 	if err != nil {
@@ -884,8 +871,8 @@ func (e *Engine) checkpointDue(ev evCkptDue) {
 	ck.Cert.Issuer = trinxIssuer(ui.Issuer)
 	ck.Cert.Value = ui.Counter
 	ck.Cert.MAC = ui.MAC
-	e.met.ckptsOwn.Inc()
-	e.traceD(telemetry.EvCheckpoint, uint64(e.view), uint64(o), digest[:], "")
+	e.met.CkptsOwn.Inc()
+	e.met.TraceD(telemetry.EvCheckpoint, uint64(e.view), uint64(o), 0, digest[:], "")
 	transport.Multicast(e.ep, e.cfg.N, ck)
 	e.addCheckpoint(e.id, ck)
 }
@@ -908,59 +895,49 @@ func (e *Engine) addCheckpoint(from uint32, ck *message.Checkpoint) {
 	stable := e.ckpts.Add(ck.Order, checkpoint.Announcement[*message.Checkpoint]{
 		Replica: from, Digest: ck.StateDigest, Msg: ck,
 	})
-	if stable != nil && stable.Order > e.low {
-		e.low = stable.Order
-		e.met.ckptsStable.Inc()
-		e.traceD(telemetry.EvCkptStable, uint64(e.view), uint64(stable.Order), stable.Digest[:], "")
-		e.ckptProof = stable.Proof
-		for o := range e.slots {
-			if o <= stable.Order {
-				delete(e.slots, o)
-			}
-		}
-		for c, o := range e.orderByCounter {
-			if o <= stable.Order {
-				delete(e.orderByCounter, c)
-			}
-		}
-		e.pruneHistory(stable.Order)
-		e.mu.Lock()
-		e.histLenSnapshot = len(e.sentLog)
-		e.mu.Unlock()
-		if e.ownCkpt.order == stable.Order {
-			e.stableCkpt = e.ownCkpt
-		}
-		if e.exec.lastExecuted() < stable.Order {
-			// The slots this stable checkpoint covers are pruned above,
-			// so any delivery hole below it just became permanent —
-			// execution can only resume from transferred state.
-			e.maybeRequestState()
-		}
-		e.propose()
+	if stable == nil || !e.ck.Adopt(engine.StableCkpt[*message.Checkpoint]{
+		Order: stable.Order, Digest: stable.Digest, Proof: stable.Proof,
+	}) {
+		return
 	}
+	e.met.CkptsStable.Inc()
+	e.met.TraceD(telemetry.EvCkptStable, uint64(e.view), uint64(stable.Order), 0, stable.Digest[:], "")
+	e.advanceLow(stable.Order)
+	// The slots this stable checkpoint covers are pruned, so any
+	// delivery hole below it just became permanent — execution can only
+	// resume from transferred state. Without the request a replica that
+	// missed instances could never execute again: MinBFT's
+	// counter-ordered streams have no way to re-deliver pruned batches,
+	// so one lost commit would silently cost the cluster an executing
+	// replica (and, with it, checkpoint quorums and client reply quorums).
+	e.ck.CatchUp()
+	e.propose()
+}
+
+// advanceLow slides the window to stable checkpoint o and prunes what
+// it covers.
+func (e *Engine) advanceLow(o timeline.Order) {
+	e.low = o
+	for k := range e.slots {
+		if k <= o {
+			delete(e.slots, k)
+		}
+	}
+	for c, k := range e.orderByCounter {
+		if k <= o {
+			delete(e.orderByCounter, c)
+		}
+	}
+	e.pruneHistory(o)
+	e.mu.Lock()
+	e.histLenSnapshot = len(e.sentLog)
+	e.mu.Unlock()
 }
 
 // --- state transfer ---
 
-// maybeRequestState asks the group for the newest stable state,
-// rate-limited to one round per second. Without this, a replica that
-// missed instances later garbage-collected by a stable checkpoint
-// could never execute again: MinBFT's counter-ordered streams have no
-// way to re-deliver pruned batches, so one lost commit would silently
-// cost the cluster an executing replica (and, with it, checkpoint
-// quorums and client reply quorums).
-func (e *Engine) maybeRequestState() {
-	now := time.Now()
-	if now.Sub(e.lastStateReq) < time.Second {
-		return
-	}
-	e.lastStateReq = now
-	req := &message.StateRequest{Replica: e.id, From: e.exec.lastExecuted() + 1}
-	transport.Multicast(e.ep, e.cfg.N, req)
-}
-
-// handleStateRequest serves the stable snapshot bundle if it covers
-// the requested frontier. Zombies may fetch state too: the reply is
+// handleStateRequest serves the stable snapshot if it covers the
+// requested frontier. Zombies may fetch state too: the reply is
 // read-only and quorum-certified, and a revived zombie that executes
 // again still helps clients reach their f+1 matching replies even
 // though its own ordering messages stay refused.
@@ -968,16 +945,7 @@ func (e *Engine) handleStateRequest(from uint32, req *message.StateRequest) {
 	if req.Replica != from || from == e.id {
 		return
 	}
-	if e.stableCkpt.order == 0 || e.stableCkpt.order != e.low || e.stableCkpt.order < req.From {
-		return
-	}
-	_ = e.ep.Send(from, &message.StateReply{
-		Replica:     e.id,
-		CkptOrder:   e.stableCkpt.order,
-		Snapshot:    e.stableCkpt.snapshot,
-		ReplyVector: e.stableCkpt.rv,
-		Proof:       e.ckptProof,
-	})
+	e.ck.Serve(from, req)
 }
 
 // handleStateReply verifies a transferred snapshot against its
@@ -986,47 +954,10 @@ func (e *Engine) handleStateReply(from uint32, rep *message.StateReply) {
 	if rep.Replica != from || e.zombies[from] {
 		return
 	}
-	if rep.CkptOrder <= e.exec.lastExecuted() {
-		return
-	}
-	digest := crypto.Combine(crypto.Hash(rep.Snapshot), crypto.Hash(rep.ReplyVector))
-	if err := e.verifyCkptProof(rep.CkptOrder, digest, rep.Proof); err != nil {
-		return
-	}
-	done := make(chan error, 1)
-	e.exec.inbox.Put(evExec{install: &installReq{
-		ckpt: rep.CkptOrder, snapshot: rep.Snapshot, rv: rep.ReplyVector, done: done,
-	}})
-	select {
-	case err := <-done:
-		if err != nil {
-			return
-		}
-	case <-e.stopTick:
-		return
-	}
-	e.met.stateXfers.Inc()
-	e.trace(telemetry.EvStateXfer, uint64(e.view), uint64(rep.CkptOrder), "adopted")
-	// The transferred checkpoint is quorum-certified: adopt it as our
+	// The transferred checkpoint is quorum-certified: it becomes our
 	// stable anchor if it is ahead of what we had.
-	if rep.CkptOrder > e.low {
-		e.low = rep.CkptOrder
-		e.ckptProof = rep.Proof
-		e.stableCkpt = ckptBundle{order: rep.CkptOrder, snapshot: rep.Snapshot, rv: rep.ReplyVector}
-		for o := range e.slots {
-			if o <= rep.CkptOrder {
-				delete(e.slots, o)
-			}
-		}
-		for c, o := range e.orderByCounter {
-			if o <= rep.CkptOrder {
-				delete(e.orderByCounter, c)
-			}
-		}
-		e.pruneHistory(rep.CkptOrder)
-		e.mu.Lock()
-		e.histLenSnapshot = len(e.sentLog)
-		e.mu.Unlock()
+	if _, adopted := e.ck.Install(rep, e.view); adopted {
+		e.advanceLow(rep.CkptOrder)
 		e.propose()
 	}
 }

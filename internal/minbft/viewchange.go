@@ -33,9 +33,6 @@ import (
 // detection regime (UI sequence), not re-validated against the quorum
 // as Hybster's equivocation prevention allows.
 
-// evTick drives the suspicion watchdog and retransmission.
-type evTick struct{}
-
 // sentEntry is one history record: a message this replica sent under
 // UI counter "counter" while working on order "order".
 type sentEntry struct {
@@ -155,34 +152,32 @@ func (e *Engine) handleTick() {
 	// Execution fell behind the stable low-watermark: the batches it
 	// is missing are garbage-collected and will never be re-delivered,
 	// so keep asking for transferred state (replies can be lost).
-	if e.exec.lastExecuted() < e.low {
-		e.maybeRequestState()
-	}
+	e.ck.CatchUp()
 	// Progress stalled for half a suspicion period: assume messages
 	// were lost and re-multicast the recent send window so peers can
 	// fill counter gaps (see the resend field).
 	if !ps.IsZero() && now.Sub(ps) > e.cfg.ViewChangeTimeout/2 &&
 		now.Sub(e.lastResend) >= e.cfg.ViewChangeTimeout/2 {
 		e.lastResend = now
-		e.met.retransmits.Add(uint64(len(e.resend)))
-		e.trace(telemetry.EvRetransmit, uint64(e.view), 0, "")
+		e.ord.Retransmits.Add(uint64(len(e.resend)))
+		e.met.Trace(telemetry.EvRetransmit, uint64(e.view), 0, 0, "")
 		for _, m := range e.resend {
 			transport.Multicast(e.ep, e.cfg.N, m)
 		}
 	}
 	if !e.pending {
-		if !ps.IsZero() && now.Sub(ps) > e.suspicionTimeout() {
+		if !ps.IsZero() && now.Sub(ps) > e.Patience() {
 			e.suspects.Add(1)
-			e.met.suspectsC.Inc()
-			e.trace(telemetry.EvViewChange, uint64(e.view+1), 0, "suspect")
-			e.vcBackoff++
+			e.suspectsC.Inc()
+			e.met.Trace(telemetry.EvViewChange, uint64(e.view+1), 0, 0, "suspect")
+			e.Escalate()
 			e.escalateReqViewChange(e.view + 1)
 			e.pendingSince = now
 		}
 	} else {
-		if now.Sub(ps) > e.suspicionTimeout() {
+		if now.Sub(ps) > e.Patience() {
 			e.pendingSince = now
-			e.vcBackoff++
+			e.Escalate()
 			e.escalateReqViewChange(e.pendingTo + 1)
 		}
 		// Retransmit our own VIEW-CHANGE while the view is pending —
@@ -194,17 +189,6 @@ func (e *Engine) handleTick() {
 			transport.Multicast(e.ep, e.cfg.N, vc)
 		}
 	}
-}
-
-// suspicionTimeout is the view-change timeout widened exponentially by
-// consecutive fruitless suspicions (reset on install), so repeated
-// elections decorrelate instead of racing in lockstep.
-func (e *Engine) suspicionTimeout() time.Duration {
-	shift := e.vcBackoff
-	if shift > 3 {
-		shift = 3
-	}
-	return e.cfg.ViewChangeTimeout << shift
 }
 
 // escalateReqViewChange voices suspicion for target on a timeout.
@@ -229,9 +213,10 @@ func (e *Engine) escalateReqViewChange(target timeline.View) {
 	transport.Multicast(e.ep, e.cfg.N, req)
 }
 
-// noteWorkLocked marks outstanding work for the watchdog (run loop
-// only).
+// noteWorkLocked marks outstanding work for the readiness probe and
+// starts the suspicion clock (run loop only).
 func (e *Engine) noteWorkLocked() {
+	e.NoteWork()
 	if e.pendingSince.IsZero() {
 		e.pendingSince = time.Now()
 	}
@@ -283,7 +268,7 @@ func (e *Engine) sendViewChange(target timeline.View) {
 		Replica:       e.id,
 		View:          target,
 		CkptOrder:     e.low,
-		CkptProof:     e.ckptProof,
+		CkptProof:     e.ck.Stable().Proof,
 		HistBase:      e.histBase,
 		History:       e.historyBytes(),
 		AnchorView:    e.anchorView,
@@ -624,8 +609,8 @@ func (e *Engine) install(v timeline.View, startCkpt timeline.Order, batches [][]
 	}
 	e.ownVC = nil
 	e.pendingSince = time.Time{}
-	e.vcBackoff = 0
-	e.trace(telemetry.EvNewView, uint64(v), uint64(startCkpt), "installed")
+	e.Relax()
+	e.met.Trace(telemetry.EvNewView, uint64(v), uint64(startCkpt), 0, "installed")
 
 	if leader {
 		for _, batch := range batches {
@@ -644,8 +629,8 @@ func (e *Engine) proposeBatch(batch []*message.Request) {
 		return
 	}
 	prep.UI = ui
-	e.met.prepares.Inc()
-	e.trace(telemetry.EvPropose, uint64(e.view), uint64(e.nextOrder), "reproposal")
+	e.ord.Prepares.Inc()
+	e.met.Trace(telemetry.EvPropose, uint64(e.view), uint64(e.nextOrder), 0, "reproposal")
 	e.recordSent(ui, e.nextOrder, prep)
 	transport.Multicast(e.ep, e.cfg.N, prep)
 	e.ingest(e.id, ui, prep, false)

@@ -1,11 +1,13 @@
 package pbft
 
 import (
+	"errors"
 	"time"
 
 	"hybster/internal/checkpoint"
 	"hybster/internal/cop"
 	"hybster/internal/crypto"
+	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/statemachine"
 	"hybster/internal/telemetry"
@@ -14,27 +16,23 @@ import (
 	"hybster/internal/trinx"
 )
 
-// Events delivered to the coordinator mailbox.
+// Events delivered to the coordinator mailbox (besides inbound messages
+// and the execution stage's *statemachine.CheckpointView boundaries).
 type (
-	evCkptCandidate struct {
-		order    timeline.Order
-		digest   crypto.Digest
-		snapshot []byte
-		rv       []byte
-	}
+	// evStable reports a checkpoint quorum from its owning pillar.
 	evStable struct {
 		stable *checkpoint.Stable[*message.PBFTCheckpoint]
 	}
+	// evBehind reports ordering traffic beyond the window.
 	evBehind struct{}
 )
 
-type stableCkpt struct {
-	order    timeline.Order
-	digest   crypto.Digest
-	proof    []*message.PBFTCheckpoint
-	snapshot []byte
-	rv       []byte
-}
+// stableCkpt is the coordinator's record of the last stable checkpoint.
+type stableCkpt = engine.StableCkpt[*message.PBFTCheckpoint]
+
+// errUnknownState rejects transferred state that does not match the
+// stable checkpoint this replica recorded.
+var errUnknownState = errors.New("pbft: state reply does not match the stable checkpoint")
 
 // coordinator runs PBFT's checkpoint bookkeeping, the PBFT view-change
 // protocol (VIEW-CHANGE carrying prepared certificates, NEW-VIEW with
@@ -48,62 +46,58 @@ type coordinator struct {
 	pending      bool
 	pendingTo    timeline.View
 	pendingSince time.Time
+	viewChanges  *telemetry.Counter
 
-	lastStable stableCkpt
-	candidates map[timeline.Order]evCkptCandidate
+	// ck holds the checkpoint candidates, the last stable checkpoint
+	// and the state-transfer requester/server.
+	ck *engine.Checkpoints[*message.PBFTCheckpoint]
 
-	vcs          map[timeline.View]map[uint32]*message.PBFTViewChange
-	ownVC        map[timeline.View]*message.PBFTViewChange
-	nvDone       map[timeline.View]bool
-	lastNV       *message.PBFTNewView
-	lastStateReq time.Time
+	vcs    map[timeline.View]map[uint32]*message.PBFTViewChange
+	ownVC  map[timeline.View]*message.PBFTViewChange
+	nvDone map[timeline.View]bool
+	lastNV *message.PBFTNewView
 }
 
 func newCoordinator(e *Engine, tx *trinx.TrInX) *coordinator {
-	return &coordinator{
-		e:          e,
-		tx:         tx,
-		inbox:      cop.NewMailbox[any](),
-		candidates: make(map[timeline.Order]evCkptCandidate),
-		vcs:        make(map[timeline.View]map[uint32]*message.PBFTViewChange),
-		ownVC:      make(map[timeline.View]*message.PBFTViewChange),
-		nvDone:     make(map[timeline.View]bool),
+	c := &coordinator{
+		e:           e,
+		tx:          tx,
+		inbox:       cop.NewMailbox[any](),
+		viewChanges: e.met.Counter("view_changes_total", "view changes this replica initiated or joined"),
+		vcs:         make(map[timeline.View]map[uint32]*message.PBFTViewChange),
+		ownVC:       make(map[timeline.View]*message.PBFTViewChange),
+		nvDone:      make(map[timeline.View]bool),
 	}
+	// The STATE-REPLY wire format carries no PBFT checkpoint proof, so
+	// accept only state matching a digest we know to be stable: our own
+	// stable checkpoint or — during a view change — the checkpoint
+	// claimed by a quorum of view-change messages and adopted in install.
+	c.ck = engine.NewCheckpoints[*message.PBFTCheckpoint](e.cfg, e.id, e.ep, e.Watchdog, e.met, e.exec,
+		func(o timeline.Order, d crypto.Digest, _ []*message.Checkpoint) error {
+			if st := c.ck.Stable(); o != st.Order || d != st.Digest {
+				return errUnknownState
+			}
+			return nil
+		})
+	return c
 }
 
 func (c *coordinator) run() {
-	stopTick := make(chan struct{})
-	go func() {
-		t := time.NewTicker(c.e.cfg.ViewChangeTimeout / 4)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				c.inbox.Put(evTick{})
-			case <-stopTick:
-				return
-			}
-		}
-	}()
-	defer close(stopTick)
-
 	for {
 		ev, ok := c.inbox.Get()
 		if !ok {
 			return
 		}
 		switch v := ev.(type) {
-		case inMsg:
-			c.handleMessage(v.from, v.msg)
+		case engine.InMsg:
+			c.handleMessage(v.From, v.Msg)
 		case *statemachine.CheckpointView:
-			c.handleCandidateView(v)
-		case evCkptCandidate:
 			c.handleCandidate(v)
 		case evStable:
 			c.handleStable(v.stable)
 		case evBehind:
-			c.maybeRequestState()
-		case evTick:
+			c.ck.RequestState()
+		case engine.Tick:
 			c.handleTick()
 		}
 	}
@@ -116,7 +110,7 @@ func (c *coordinator) handleMessage(from uint32, m message.Message) {
 	case *message.PBFTNewView:
 		c.handleNewView(from, v)
 	case *message.StateRequest:
-		c.handleStateRequest(from, v)
+		c.ck.Serve(from, v)
 	case *message.StateReply:
 		c.handleStateReply(v)
 	}
@@ -124,147 +118,63 @@ func (c *coordinator) handleMessage(from uint32, m message.Message) {
 
 // --- checkpoints ---
 
-// handleCandidateView materializes a checkpoint boundary posted by the
-// execution stage — snapshot encode and digest hashes run here, off
-// the delivery path.
-func (c *coordinator) handleCandidateView(v *statemachine.CheckpointView) {
-	if v.Order <= c.lastStable.order {
-		return
+// handleCandidate stores execution state for a checkpoint boundary
+// posted by the execution stage and dispatches the checkpoint protocol
+// instance to its round-robin owner pillar.
+func (c *coordinator) handleCandidate(v *statemachine.CheckpointView) {
+	if digest, ahead := c.ck.Candidate(v); ahead {
+		owner := c.e.cfg.CheckpointPillar(v.Order) % uint32(len(c.e.pillars))
+		c.e.pillars[owner].inbox.Put(evCkptDue{order: v.Order, digest: digest})
 	}
-	c.handleCandidate(evCkptCandidate{
-		order:    v.Order,
-		digest:   v.StateDigest(),
-		snapshot: v.Snapshot(),
-		rv:       v.ReplyVector(),
-	})
 }
 
-func (c *coordinator) handleCandidate(ev evCkptCandidate) {
-	if ev.order <= c.lastStable.order {
-		return
-	}
-	c.candidates[ev.order] = ev
-	for o := range c.candidates {
-		if o+2*c.e.cfg.CheckpointInterval <= ev.order {
-			delete(c.candidates, o)
-		}
-	}
-	owner := c.e.cfg.CheckpointPillar(ev.order) % uint32(len(c.e.pillars))
-	c.e.pillars[owner].inbox.Put(evCkptDue{order: ev.order, digest: ev.digest})
-}
-
+// handleStable records a stable checkpoint, slides every pillar's
+// window, and triggers state transfer if execution is behind.
 func (c *coordinator) handleStable(s *checkpoint.Stable[*message.PBFTCheckpoint]) {
-	if s.Order <= c.lastStable.order {
+	if !c.ck.Adopt(stableCkpt{Order: s.Order, Digest: s.Digest, Proof: s.Proof}) {
 		return
 	}
-	st := stableCkpt{order: s.Order, digest: s.Digest, proof: s.Proof}
-	if cand, ok := c.candidates[s.Order]; ok && cand.digest == s.Digest {
-		st.snapshot, st.rv = cand.snapshot, cand.rv
-	}
-	c.lastStable = st
-	c.e.stableOrd.Store(uint64(s.Order))
-	c.e.met.ckptsStable.Inc()
-	c.e.traceD(telemetry.EvCkptStable, uint64(c.curView), uint64(s.Order), 0, s.Digest[:], "")
-	for o := range c.candidates {
-		if o <= s.Order {
-			delete(c.candidates, o)
-		}
-	}
+	c.e.met.CkptsStable.Inc()
+	c.e.met.TraceD(telemetry.EvCkptStable, uint64(c.curView), uint64(s.Order), 0, s.Digest[:], "")
+	c.advancePillars(s.Order)
+	c.ck.CatchUp()
+}
+
+func (c *coordinator) advancePillars(o timeline.Order) {
 	for _, p := range c.e.pillars {
-		p.inbox.Put(evAdvance{order: s.Order})
-	}
-	if st.snapshot == nil && s.Order > c.e.exec.lastExecuted() {
-		c.maybeRequestState()
+		p.inbox.Put(evAdvance{order: o})
 	}
 }
 
-// --- state transfer ---
-
-func (c *coordinator) maybeRequestState() {
-	now := c.e.now()
-	if now.Sub(c.lastStateReq) < time.Second {
-		return
-	}
-	c.lastStateReq = now
-	req := &message.StateRequest{Replica: c.e.id, From: c.e.exec.lastExecuted() + 1}
-	transport.Multicast(c.e.ep, c.e.cfg.N, req)
-}
-
-func (c *coordinator) handleStateRequest(from uint32, req *message.StateRequest) {
-	if c.lastStable.snapshot == nil || c.lastStable.order < req.From {
-		return
-	}
-	_ = c.e.ep.Send(from, &message.StateReply{
-		Replica:     c.e.id,
-		CkptOrder:   c.lastStable.order,
-		Snapshot:    c.lastStable.snapshot,
-		ReplyVector: c.lastStable.rv,
-		// Proof is omitted on the wire for PBFT replies (the message
-		// type carries Hybster checkpoints); the digest is re-verified
-		// against the stable checkpoint below.
-	})
-}
-
+// handleStateReply installs transferred state for the stable
+// checkpoint and lets the pillars skip to it.
 func (c *coordinator) handleStateReply(rep *message.StateReply) {
-	if rep.CkptOrder <= c.e.exec.lastExecuted() {
-		return
+	if installed, _ := c.ck.Install(rep, c.curView); installed {
+		c.advancePillars(rep.CkptOrder)
 	}
-	// Accept only state matching a digest we know to be stable: either
-	// our own stable checkpoint or — during a view change — the
-	// checkpoint claimed by a quorum of view-change messages.
-	digest := combineStateDigest(rep.Snapshot, rep.ReplyVector)
-	if rep.CkptOrder != c.lastStable.order || digest != c.lastStable.digest {
-		return
-	}
-	done := make(chan error, 1)
-	c.e.exec.inbox.Put(evInstallState{ckpt: rep.CkptOrder, snapshot: rep.Snapshot, rv: rep.ReplyVector, done: done})
-	select {
-	case err := <-done:
-		if err != nil {
-			return
-		}
-	case <-c.e.stopped:
-		return
-	}
-	if c.lastStable.snapshot == nil {
-		c.lastStable.snapshot, c.lastStable.rv = rep.Snapshot, rep.ReplyVector
-	}
-	for _, p := range c.e.pillars {
-		p.inbox.Put(evAdvance{order: rep.CkptOrder})
-	}
-	c.e.met.stateXfers.Inc()
-	c.e.trace(telemetry.EvStateXfer, uint64(c.curView), uint64(rep.CkptOrder), 0, "")
-	c.e.noteProgress(false)
 }
 
 // --- view change ---
 
 func (c *coordinator) handleTick() {
 	for _, p := range c.e.pillars {
-		p.inbox.Put(evTick{})
+		p.inbox.Put(engine.Tick{})
 	}
-	now := c.e.now()
-	ps := c.e.pendingSince.Load()
-	if c.lastStable.order > c.e.exec.lastExecuted() {
-		// A stable checkpoint lies beyond what local execution can
-		// reach — state transfer is the only way forward, and the
-		// one-shot request issued when the checkpoint was adopted can
-		// be lost on a faulty link. Keep retrying (rate-limited inside
-		// maybeRequestState); without this a lagging replica wedges
-		// forever, and if the laggards hold the quorum margin, the
-		// whole cluster stops committing.
-		c.maybeRequestState()
-	}
+	c.e.ObserveExec(c.e.exec.LastExecuted())
+	c.ck.CatchUp()
 
 	if !c.pending {
-		if ps != 0 && now.Sub(time.Unix(0, ps)) > c.e.cfg.ViewChangeTimeout {
+		if stalled := c.e.Stalled(); stalled > c.e.cfg.ViewChangeTimeout {
 			c.startViewChange(c.curView + 1)
-		} else if ps != 0 && now.Sub(time.Unix(0, ps)) > c.e.cfg.ViewChangeTimeout/8 {
-			c.e.seq.proposeNoop(c.curView, c.e.exec.nextNeeded())
+		} else if stalled > c.e.cfg.ViewChangeTimeout/8 {
+			c.e.seq.ProposeNoop(c.curView, c.e.exec.LastExecuted()+1)
 		}
 	} else {
-		if now.Sub(c.pendingSince) > c.e.cfg.ViewChangeTimeout {
+		if now := c.e.Now(); now.Sub(c.pendingSince) > c.e.Patience() {
+			// The pending view did not stabilize in time; escalate with
+			// exponentially growing patience.
 			c.pendingSince = now
+			c.e.Escalate()
 			c.startViewChange(c.pendingTo + 1)
 		}
 		if vc, ok := c.ownVC[c.pendingTo]; ok {
@@ -293,8 +203,8 @@ func (c *coordinator) startViewChange(to timeline.View) {
 	vc := &message.PBFTViewChange{
 		Replica:   c.e.id,
 		View:      to,
-		CkptOrder: c.lastStable.order,
-		CkptProof: c.lastStable.proof,
+		CkptOrder: c.ck.Stable().Order,
+		CkptProof: c.ck.Stable().Proof,
 		Prepared:  prepared,
 	}
 	proof, err := c.e.sign(c.tx, vc.Digest())
@@ -304,9 +214,9 @@ func (c *coordinator) startViewChange(to timeline.View) {
 	vc.Proof = proof
 	c.pending = true
 	c.pendingTo = to
-	c.pendingSince = c.e.now()
-	c.e.met.viewChanges.Inc()
-	c.e.trace(telemetry.EvViewChange, uint64(to), 0, 0, "")
+	c.pendingSince = c.e.Now()
+	c.viewChanges.Inc()
+	c.e.met.Trace(telemetry.EvViewChange, uint64(to), 0, 0, "")
 	c.ownVC = map[timeline.View]*message.PBFTViewChange{to: vc}
 	c.storeVC(vc)
 	transport.Multicast(c.e.ep, c.e.cfg.N, vc)
@@ -454,8 +364,8 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 		return
 	}
 	startCkpt, templates := computeTransfer(vcSet)
-	if startCkpt > c.lastStable.order {
-		c.maybeRequestState()
+	if startCkpt > c.ck.Stable().Order {
+		c.ck.RequestState()
 		return
 	}
 	newPPs := make([]*message.PrePrepare, 0, len(templates))
@@ -522,26 +432,21 @@ func (c *coordinator) handleNewView(from uint32, nv *message.PBFTNewView) {
 func (c *coordinator) install(w timeline.View, startCkpt timeline.Order, pps []*message.PrePrepare, leader bool) {
 	c.curView = w
 	c.e.curView.Store(uint64(w))
-	c.e.trace(telemetry.EvNewView, uint64(w), uint64(startCkpt), 0, "")
+	c.e.met.Trace(telemetry.EvNewView, uint64(w), uint64(startCkpt), 0, "")
 	c.pending = false
 	c.pendingTo = 0
 
-	if startCkpt > c.lastStable.order {
+	if startCkpt > c.ck.Stable().Order {
 		// Adopt the quorum's checkpoint claim; the state itself comes
 		// through state transfer.
 		for _, vcSet := range c.vcs {
 			for _, vc := range vcSet {
 				if vc.CkptOrder == startCkpt && len(vc.CkptProof) > 0 {
-					c.lastStable = stableCkpt{
-						order: startCkpt, digest: vc.CkptProof[0].StateDigest, proof: vc.CkptProof,
-					}
-					c.e.stableOrd.Store(uint64(startCkpt))
+					c.ck.Adopt(stableCkpt{Order: startCkpt, Digest: vc.CkptProof[0].StateDigest, Proof: vc.CkptProof})
 				}
 			}
 		}
-		if startCkpt > c.e.exec.lastExecuted() {
-			c.maybeRequestState()
-		}
+		c.ck.CatchUp()
 	}
 
 	pillars := uint32(len(c.e.pillars))
@@ -567,6 +472,6 @@ func (c *coordinator) install(w timeline.View, startCkpt timeline.Order, pps []*
 			delete(c.nvDone, v)
 		}
 	}
-	c.e.seq.resetForView(w, maxOrder)
-	c.e.noteProgress(false)
+	c.e.seq.ResetForView(w, maxOrder)
+	c.e.NoteProgress(false)
 }

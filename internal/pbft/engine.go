@@ -10,8 +10,9 @@
 // order, so pillars can certify instances of their class in any order;
 // the parallelization only partitions the instance space.
 //
-// The structure mirrors internal/core: pillars + execution stage +
-// coordinator (checkpoint stability, view changes, state transfer).
+// The structure is the pipeline of §5.3: pillars + execution stage +
+// coordinator (checkpoint stability, view changes, state transfer),
+// with the protocol-independent parts supplied by internal/engine.
 package pbft
 
 import (
@@ -22,6 +23,7 @@ import (
 	"hybster/internal/config"
 	"hybster/internal/crypto"
 	"hybster/internal/enclave"
+	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/reply"
 	"hybster/internal/statemachine"
@@ -58,23 +60,21 @@ type Engine struct {
 	id     uint32
 	ep     transport.Endpoint
 	ks     *crypto.KeyStore
-	now    func() time.Time
 	hybrid bool // true for HybridPBFT (trusted MACs)
+	*engine.Watchdog
 
 	pillars []*pillar
-	exec    *execLoop
+	exec    *engine.ExecLoop
 	coord   *coordinator
-	seq     *sequencer
+	seq     *engine.Sequencer
 	replies *reply.Stage
 	vpool   *verify.Pool
 	vord    *verify.Ordered
-	met     engineMetrics
+	met     engine.Metrics
 
-	curView      atomic.Uint64
-	pendingSince atomic.Int64
-	// stableOrd mirrors the coordinator's last stable checkpoint order
-	// for lock-free gauge sampling (the auditor's checkpoint-lag check).
-	stableOrd atomic.Uint64
+	// curView mirrors the coordinator's stable view for lock-free
+	// reads on hot paths.
+	curView atomic.Uint64
 
 	stopOnce sync.Once
 	stopped  chan struct{}
@@ -86,21 +86,21 @@ func New(opts Options) (*Engine, error) {
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
 	key := crypto.NewKeyFromSeed(opts.Config.KeySeed)
 	e := &Engine{
 		cfg:     opts.Config,
 		id:      opts.ID,
 		ep:      opts.Endpoint,
 		ks:      crypto.NewKeyStore(opts.ID, key),
-		now:     opts.Now,
 		hybrid:  opts.Config.Protocol == config.HybridPBFT,
-		met:     newEngineMetrics(opts.Telemetry),
+		met:     engine.NewMetrics(opts.Telemetry, "pbft"),
 		stopped: make(chan struct{}),
 	}
-	e.exec = newExecLoop(e, opts.Application)
+	e.Watchdog = engine.NewWatchdog("pbft", e.cfg.ViewChangeTimeout, opts.Now, e.stopped)
+	e.seq = engine.NewSequencer(e.cfg, e.id, e.View, e.ep, e.met, e.propose)
+	e.replies = reply.NewStage(e.id, e.ks, e.ep, 0, opts.Telemetry)
+	e.exec = engine.NewExecLoop(statemachine.NewExecutor(opts.Application), e.cfg, e.met, e.replies, e.seq.Credit,
+		func(v *statemachine.CheckpointView) { e.coord.inbox.Put(v) }, e.NoteProgress)
 	var coordTx *trinx.TrInX
 	if e.hybrid {
 		coordTx = trinx.New(opts.Platform, trinx.MakeInstanceID(opts.ID, 0xffff), 1, key, opts.EnclaveCost).Instrument(opts.Telemetry)
@@ -114,11 +114,10 @@ func New(opts Options) (*Engine, error) {
 		}
 		e.pillars[u] = newPillar(e, uint32(u), tx)
 	}
-	e.seq = newSequencer(e)
-	e.replies = reply.NewStage(e.id, e.ks, e.ep, 0, opts.Telemetry)
 	e.vpool = verify.NewPool(e.ks, 0, opts.Telemetry)
 	e.vord = verify.NewOrdered(e.vpool)
-	e.registerGauges(opts.Telemetry)
+	e.met.PillarGauges(&e.curView, e.coord.ck.StableOrder, len(e.pillars),
+		func(u int) int { return e.pillars[u].inbox.Len() }, e.exec, e.coord.inbox)
 	return e, nil
 }
 
@@ -129,7 +128,10 @@ func (e *Engine) ID() uint32 { return e.id }
 func (e *Engine) View() timeline.View { return timeline.View(e.curView.Load()) }
 
 // LastExecuted returns the highest executed order number.
-func (e *Engine) LastExecuted() timeline.Order { return e.exec.lastExecuted() }
+func (e *Engine) LastExecuted() timeline.Order { return e.exec.LastExecuted() }
+
+// Telemetry returns the engine's telemetry bundle (nil when disabled).
+func (e *Engine) Telemetry() *telemetry.Telemetry { return e.met.Telemetry() }
 
 // Start launches the replica.
 func (e *Engine) Start() {
@@ -138,9 +140,10 @@ func (e *Engine) Start() {
 		e.wg.Add(1)
 		go func(p *pillar) { defer e.wg.Done(); p.run() }(p)
 	}
-	e.wg.Add(2)
-	go func() { defer e.wg.Done(); e.exec.run() }()
+	e.wg.Add(3)
+	go func() { defer e.wg.Done(); e.exec.Run() }()
 	go func() { defer e.wg.Done(); e.coord.run() }()
+	go func() { defer e.wg.Done(); e.RunTicker(func() { e.coord.inbox.Put(engine.Tick{}) }) }()
 }
 
 // Stop shuts the replica down.
@@ -152,7 +155,7 @@ func (e *Engine) Stop() {
 		for _, p := range e.pillars {
 			p.inbox.Close()
 		}
-		e.exec.inbox.Close()
+		e.exec.Close()
 		e.coord.inbox.Close()
 		e.wg.Wait()
 		// The exec loop is done submitting; drain outstanding replies.
@@ -177,30 +180,31 @@ func (e *Engine) route(from uint32, m message.Message) {
 	case *message.Request:
 		e.vord.Submit(from, []*message.Request{v}, func(ok bool) {
 			if ok {
-				e.seq.admitVerified(v)
+				e.NoteWork()
+				e.seq.Admit(v)
 			}
 		})
 	case *message.PrePrepare:
 		if len(v.Requests) == 0 {
-			e.vord.Pass(from, func() { e.pillarFor(v.Order).inbox.Put(inMsg{from: from, msg: m}) })
+			e.vord.Pass(from, func() { e.pillarFor(v.Order).inbox.Put(engine.InMsg{From: from, Msg: m}) })
 			return
 		}
 		e.vord.Submit(from, v.Requests, func(ok bool) {
 			if ok {
-				e.pillarFor(v.Order).inbox.Put(inMsg{from: from, msg: m, verified: true})
+				e.pillarFor(v.Order).inbox.Put(engine.InMsg{From: from, Msg: m, Verified: true})
 			}
 		})
 	case *message.PBFTPrepare:
-		e.vord.Pass(from, func() { e.pillarFor(v.Order).inbox.Put(inMsg{from: from, msg: m}) })
+		e.vord.Pass(from, func() { e.pillarFor(v.Order).inbox.Put(engine.InMsg{From: from, Msg: m}) })
 	case *message.PBFTCommit:
-		e.vord.Pass(from, func() { e.pillarFor(v.Order).inbox.Put(inMsg{from: from, msg: m}) })
+		e.vord.Pass(from, func() { e.pillarFor(v.Order).inbox.Put(engine.InMsg{From: from, Msg: m}) })
 	case *message.PBFTCheckpoint:
 		e.vord.Pass(from, func() {
-			e.pillars[e.cfg.CheckpointPillar(v.Order)%uint32(len(e.pillars))].inbox.Put(inMsg{from: from, msg: m})
+			e.pillars[e.cfg.CheckpointPillar(v.Order)%uint32(len(e.pillars))].inbox.Put(engine.InMsg{From: from, Msg: m})
 		})
 	case *message.PBFTViewChange, *message.PBFTNewView,
 		*message.StateRequest, *message.StateReply:
-		e.vord.Pass(from, func() { e.coord.inbox.Put(inMsg{from: from, msg: m}) })
+		e.vord.Pass(from, func() { e.coord.inbox.Put(engine.InMsg{From: from, Msg: m}) })
 	}
 }
 
@@ -208,27 +212,10 @@ func (e *Engine) pillarFor(o timeline.Order) *pillar {
 	return e.pillars[e.cfg.PillarOf(o)%uint32(len(e.pillars))]
 }
 
-func (e *Engine) noteWork() {
-	if e.pendingSince.Load() == 0 {
-		e.pendingSince.CompareAndSwap(0, e.now().UnixNano())
-	}
-}
-
-func (e *Engine) noteProgress(stillPending bool) {
-	if stillPending {
-		e.pendingSince.Store(e.now().UnixNano())
-	} else {
-		e.pendingSince.Store(0)
-	}
-}
-
-// inMsg is an inbound protocol message tagged with its sender;
-// verified marks client authenticators already checked by the parallel
-// verify stage.
-type inMsg struct {
-	from     uint32
-	msg      message.Message
-	verified bool
+// propose is the sequencer's hand-off: the batch goes to the pillar
+// owning order o, which certifies and multicasts it.
+func (e *Engine) propose(pillar uint32, v timeline.View, o timeline.Order, batch []*message.Request) {
+	e.pillars[pillar].inbox.Put(evPropose{view: v, order: o, batch: batch})
 }
 
 // sign authenticates digest d for the whole group: an authenticator
@@ -258,239 +245,4 @@ func (e *Engine) verify(tx *trinx.TrInX, p *message.Proof, d crypto.Digest, clai
 		return false
 	}
 	return crypto.VerifyAuthenticator(e.ks, p.Auth, d)
-}
-
-// --- sequencer (same scheme as core's) --------------------------------------
-
-type sequencer struct {
-	e *Engine
-
-	mu    sync.Mutex
-	queue []*message.Request
-	next  timeline.Order
-
-	// inFlight counts proposals awaiting commit, per pillar; credits
-	// decrement atomically, never taking mu.
-	inFlight []atomic.Int32
-
-	// pumpGate single-flights dispatch: 0 idle, 1 pumping, 2 pumping
-	// with a re-scan owed.
-	pumpGate atomic.Int32
-
-	// Partial-batch hold under saturated load; see the core sequencer
-	// for the scheme (outReqs is the dispatched-but-uncredited request
-	// population, flushNow is the timer's liveness escape).
-	outReqs   atomic.Int64
-	holdArmed bool
-	holdTimer *time.Timer
-	flushNow  atomic.Bool
-}
-
-const (
-	maxInFlightPerPillar = 4
-	batchHold            = 2 * time.Millisecond
-)
-
-// holdWorthwhile mirrors the core sequencer's load gate: hold a
-// partial batch only when the queued plus in-pipeline requests could
-// fill it.
-func (s *sequencer) holdWorthwhile(n int) bool {
-	return n+int(s.outReqs.Load()) >= s.e.cfg.BatchSize
-}
-
-func newSequencer(e *Engine) *sequencer {
-	s := &sequencer{e: e, inFlight: make([]atomic.Int32, e.cfg.Pillars)}
-	s.next = s.firstSlot(0, 0)
-	s.holdTimer = time.AfterFunc(batchHold, s.flushHeld)
-	s.holdTimer.Stop()
-	return s
-}
-
-func (s *sequencer) flushHeld() {
-	s.mu.Lock()
-	s.holdArmed = false
-	s.mu.Unlock()
-	s.flushNow.Store(true)
-	s.pump()
-}
-
-func (s *sequencer) firstSlot(v timeline.View, after timeline.Order) timeline.Order {
-	if !s.e.cfg.RotateLeader && s.e.cfg.LeaderOf(v) != s.e.id {
-		return after + 1
-	}
-	o := after + 1
-	for s.e.cfg.ProposerOf(v, o) != s.e.id {
-		o++
-	}
-	return o
-}
-
-func (s *sequencer) nextSlot(v timeline.View, o timeline.Order) timeline.Order {
-	if !s.e.cfg.RotateLeader && s.e.cfg.LeaderOf(v) != s.e.id {
-		return o + 1
-	}
-	n := o + 1
-	for s.e.cfg.ProposerOf(v, n) != s.e.id {
-		n++
-	}
-	return n
-}
-
-// admit verifies and queues a client request; the engine's route
-// normally verifies on the parallel stage and calls admitVerified.
-func (s *sequencer) admit(r *message.Request) {
-	if !crypto.VerifyAuthenticator(s.e.ks, r.Auth, r.Digest()) {
-		return
-	}
-	s.admitVerified(r)
-}
-
-func (s *sequencer) admitVerified(r *message.Request) {
-	s.e.noteWork()
-	v := s.e.View()
-	if !s.e.cfg.RotateLeader && s.e.cfg.LeaderOf(v) != s.e.id {
-		_ = s.e.ep.Send(s.e.cfg.LeaderOf(v), r)
-		return
-	}
-	s.mu.Lock()
-	s.queue = append(s.queue, r)
-	s.mu.Unlock()
-	s.pump()
-}
-
-// pump single-flights the dispatch loop through pumpGate; see the
-// core sequencer for the scheme's rationale.
-func (s *sequencer) pump() {
-	for {
-		if s.pumpGate.CompareAndSwap(0, 1) {
-			for {
-				s.dispatch()
-				if s.pumpGate.CompareAndSwap(1, 0) {
-					return
-				}
-				s.pumpGate.Store(1)
-			}
-		}
-		if s.pumpGate.CompareAndSwap(1, 2) || s.pumpGate.Load() == 2 {
-			return
-		}
-	}
-}
-
-func (s *sequencer) dispatch() {
-	v := s.e.View()
-	if !s.e.cfg.RotateLeader && s.e.cfg.LeaderOf(v) != s.e.id {
-		s.mu.Lock()
-		queued := s.queue
-		s.queue = nil
-		s.mu.Unlock()
-		for _, r := range queued {
-			_ = s.e.ep.Send(s.e.cfg.LeaderOf(v), r)
-		}
-		return
-	}
-	for {
-		s.mu.Lock()
-		n := len(s.queue)
-		if n == 0 {
-			s.mu.Unlock()
-			return
-		}
-		o := s.next
-		u := s.e.cfg.PillarOf(o) % uint32(len(s.e.pillars))
-		busy := int(s.inFlight[u].Load())
-		if busy >= maxInFlightPerPillar {
-			s.mu.Unlock()
-			return
-		}
-		if n < s.e.cfg.BatchSize && !s.flushNow.Load() &&
-			(busy > 0 || s.holdWorthwhile(n)) {
-			// Hold the partial batch so it fills instead of fragmenting
-			// (same policy as core's sequencer). The timer is armed on
-			// both the busy and the idle branch: liveness must never
-			// depend on an in-flight instance's credit returning, since
-			// under faults that instance can stall indefinitely.
-			if !s.holdArmed {
-				s.holdArmed = true
-				s.holdTimer.Reset(batchHold)
-			}
-			s.mu.Unlock()
-			return
-		}
-		s.flushNow.Store(false)
-		var batch []*message.Request
-		if n <= s.e.cfg.BatchSize {
-			batch = s.queue
-			s.queue = nil
-		} else {
-			n = s.e.cfg.BatchSize
-			batch = s.queue[:n:n]
-			s.queue = s.queue[n:]
-		}
-		s.next = s.nextSlot(v, o)
-		s.inFlight[u].Add(1)
-		s.outReqs.Add(int64(len(batch)))
-		if s.holdArmed {
-			s.holdArmed = false
-			s.holdTimer.Stop()
-		}
-		s.mu.Unlock()
-
-		s.e.pillars[u].inbox.Put(evPropose{view: v, order: o, batch: batch})
-	}
-}
-
-// credit returns an in-flight slot for pillar u and subtracts the
-// instance's reqs from the outstanding population, both clamped at
-// zero; it never takes the queue mutex.
-func (s *sequencer) credit(u uint32, reqs int) {
-	c := &s.inFlight[u]
-	for {
-		v := c.Load()
-		if v <= 0 {
-			break
-		}
-		if c.CompareAndSwap(v, v-1) {
-			break
-		}
-	}
-	for {
-		v := s.outReqs.Load()
-		nv := v - int64(reqs)
-		if nv < 0 {
-			nv = 0
-		}
-		if v <= 0 || s.outReqs.CompareAndSwap(v, nv) {
-			break
-		}
-	}
-	s.pump()
-}
-
-func (s *sequencer) proposeNoop(v timeline.View, o timeline.Order) {
-	if s.e.cfg.ProposerOf(v, o) != s.e.id {
-		return
-	}
-	s.mu.Lock()
-	if o < s.next {
-		s.mu.Unlock()
-		return
-	}
-	for s.next <= o {
-		s.next = s.nextSlot(v, s.next)
-	}
-	s.mu.Unlock()
-	u := s.e.cfg.PillarOf(o) % uint32(len(s.e.pillars))
-	s.e.pillars[u].inbox.Put(evPropose{view: v, order: o, batch: nil})
-}
-
-func (s *sequencer) resetForView(v timeline.View, after timeline.Order) {
-	s.mu.Lock()
-	s.next = s.firstSlot(v, after)
-	for i := range s.inFlight {
-		s.inFlight[i].Store(0)
-	}
-	s.outReqs.Store(0)
-	s.mu.Unlock()
-	s.pump()
 }

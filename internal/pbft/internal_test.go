@@ -1,12 +1,15 @@
 package pbft
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hybster/internal/apps/counter"
 	"hybster/internal/config"
 	"hybster/internal/crypto"
 	"hybster/internal/enclave"
+	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
@@ -224,5 +227,53 @@ func TestProgressQuorums(t *testing.T) {
 	p.progress(s)
 	if !s.committed || !s.executed {
 		t.Fatal("2f+1 commits did not commit/execute")
+	}
+}
+
+// TestReadyzDetectsWedgedReplica pins /readyz's meaning: live, and not
+// holding admitted work without execution progress for more than twice
+// the view-change timeout. The leader runs alone in its group, so the
+// request it admits can never gather a quorum.
+func TestReadyzDetectsWedgedReplica(t *testing.T) {
+	var offset atomic.Int64
+	base := time.Now()
+	cfg := config.Default(config.PBFTcop)
+	net := transport.NewNetwork(transport.LinkProfile{}, 1)
+	t.Cleanup(net.Close)
+	e, err := New(Options{
+		Config: cfg, ID: 0, Endpoint: net.Endpoint(0), Application: counter.New(),
+		Platform: enclave.NewPlatform("test"),
+		Now:      func() time.Time { return base.Add(time.Duration(offset.Load())) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	req := &message.Request{Client: crypto.ClientIDBase, Seq: 1, Payload: []byte("x")}
+	e.NoteWork() // what route does for a verified request
+	e.seq.Admit(req)
+	if err := e.Readyz(); err != nil {
+		t.Fatalf("fresh work already counts as wedged: %v", err)
+	}
+
+	offset.Store(int64(2*cfg.ViewChangeTimeout + time.Millisecond))
+	if err := e.Healthz(); err != nil {
+		t.Fatalf("wedged replica reported dead: %v", err)
+	}
+	if err := e.Readyz(); err == nil {
+		t.Fatal("replica holding unexecutable work past 2x the view-change timeout reports ready")
+	}
+
+	// Execution progress (here: the instance arriving committed) clears it.
+	e.exec.Deliver(1, []*message.Request{req}, engine.NoCredit)
+	for deadline := time.Now().Add(5 * time.Second); e.Readyz() != nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("not ready again after progress: %v", e.Readyz())
+		}
+	}
+
+	e.Stop()
+	if e.Healthz() == nil || e.Readyz() == nil {
+		t.Fatal("stopped engine reports live or ready")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"hybster/internal/checkpoint"
 	"hybster/internal/cop"
 	"hybster/internal/crypto"
+	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
@@ -11,7 +12,8 @@ import (
 	"hybster/internal/trinx"
 )
 
-// Events delivered to pillar mailboxes.
+// Events delivered to pillar mailboxes (besides inbound messages in
+// engine.InMsg and the coordinator's engine.Tick).
 type (
 	evPropose struct {
 		view  timeline.View
@@ -36,7 +38,6 @@ type (
 		prePrepares []*message.PrePrepare
 		leader      bool
 	}
-	evTick struct{}
 )
 
 // pslot tracks one PBFT consensus instance: it reaches "prepared" with
@@ -72,7 +73,9 @@ type pillar struct {
 	idx   uint32
 	tx    *trinx.TrInX // nil for PBFTcop
 	inbox *cop.Mailbox[any]
-	met   pillarMetrics
+	met   engine.OrderingMetrics
+	// preprepares counts own proposals multicast (PRE-PREPARE sent).
+	preprepares *telemetry.Counter
 
 	view    timeline.View
 	aborted bool
@@ -84,11 +87,13 @@ type pillar struct {
 
 func newPillar(e *Engine, idx uint32, tx *trinx.TrInX) *pillar {
 	return &pillar{
-		e:       e,
-		idx:     idx,
-		tx:      tx,
-		inbox:   cop.NewMailbox[any](),
-		met:     newPillarMetrics(e.met.tel, idx),
+		e:     e,
+		idx:   idx,
+		tx:    tx,
+		inbox: cop.NewMailbox[any](),
+		met:   e.met.Ordering(engine.PillarLabel(idx)),
+		preprepares: e.met.Counter("preprepares_total", "own proposals multicast (PRE-PREPARE sent)",
+			engine.PillarLabel(idx)),
 		slots:   make(map[timeline.Order]*pslot),
 		ckpts:   checkpoint.NewTracker[*message.PBFTCheckpoint](e.cfg.Quorum()),
 		ownCkpt: make(map[timeline.Order]*message.PBFTCheckpoint),
@@ -139,7 +144,7 @@ func (p *pillar) run() {
 
 func (p *pillar) handleEvent(ev any) {
 	switch v := ev.(type) {
-	case inMsg:
+	case engine.InMsg:
 		p.handleMessage(v)
 	case evPropose:
 		p.handlePropose(v)
@@ -151,21 +156,21 @@ func (p *pillar) handleEvent(ev any) {
 		p.handleCollectVC(v)
 	case evInstallView:
 		p.handleInstallView(v)
-	case evTick:
+	case engine.Tick:
 		p.handleTick()
 	}
 }
 
-func (p *pillar) handleMessage(in inMsg) {
-	switch v := in.msg.(type) {
+func (p *pillar) handleMessage(in engine.InMsg) {
+	switch v := in.Msg.(type) {
 	case *message.PrePrepare:
-		p.handlePrePrepare(in.from, v, in.verified)
+		p.handlePrePrepare(in.From, v, in.Verified)
 	case *message.PBFTPrepare:
-		p.handlePrepare(in.from, v)
+		p.handlePrepare(in.From, v)
 	case *message.PBFTCommit:
-		p.handleCommit(in.from, v)
+		p.handleCommit(in.From, v)
 	case *message.PBFTCheckpoint:
-		p.handleCheckpoint(in.from, v)
+		p.handleCheckpoint(in.From, v)
 	}
 }
 
@@ -173,25 +178,25 @@ func (p *pillar) handleMessage(in inMsg) {
 // PRE-PREPARE.
 func (p *pillar) handlePropose(ev evPropose) {
 	if ev.view != p.view || p.aborted || !p.inWindow(ev.order) {
-		p.e.seq.credit(p.idx, len(ev.batch))
+		p.e.seq.Credit(p.idx, len(ev.batch))
 		return
 	}
 	pp := &message.PrePrepare{View: ev.view, Order: ev.order, Requests: ev.batch}
 	proof, err := p.e.sign(p.tx, pp.Digest())
 	if err != nil {
-		p.e.seq.credit(p.idx, len(ev.batch))
+		p.e.seq.Credit(p.idx, len(ev.batch))
 		return
 	}
 	pp.Proof = proof
 	s := p.slot(ev.order, ev.view)
 	if s == nil || s.prePrepare != nil {
-		p.e.seq.credit(p.idx, len(ev.batch))
+		p.e.seq.Credit(p.idx, len(ev.batch))
 		return
 	}
 	s.prePrepare = pp
 	s.batchDigest = pp.BatchDigest()
-	p.met.preprepares.Inc()
-	p.e.traceD(telemetry.EvPropose, uint64(ev.view), uint64(ev.order), p.idx, s.batchDigest[:], "")
+	p.preprepares.Inc()
+	p.e.met.TraceD(telemetry.EvPropose, uint64(ev.view), uint64(ev.order), p.idx, s.batchDigest[:], "")
 	transport.Multicast(p.e.ep, p.e.cfg.N, pp)
 	p.progress(s)
 }
@@ -220,7 +225,7 @@ func (p *pillar) handlePrePrepare(from uint32, pp *message.PrePrepare, authVerif
 			}
 		}
 	}
-	p.e.noteWork()
+	p.e.NoteWork()
 	p.acceptPrePrepare(pp)
 }
 
@@ -244,8 +249,8 @@ func (p *pillar) acceptPrePrepare(pp *message.PrePrepare) {
 		}
 		prep.Proof = proof
 		s.prepares[p.e.id] = prep
-		p.met.prepares.Inc()
-		p.e.traceD(telemetry.EvPrepare, uint64(pp.View), uint64(pp.Order), p.idx, s.batchDigest[:], "")
+		p.met.Prepares.Inc()
+		p.e.met.TraceD(telemetry.EvPrepare, uint64(pp.View), uint64(pp.Order), p.idx, s.batchDigest[:], "")
 		transport.Multicast(p.e.ep, p.e.cfg.N, prep)
 	}
 	p.progress(s)
@@ -314,8 +319,8 @@ func (p *pillar) progress(s *pslot) {
 		if err == nil {
 			com.Proof = proof
 			s.commits[p.e.id] = true
-			p.met.commits.Inc()
-			p.e.traceD(telemetry.EvCommit, uint64(s.view), uint64(s.order), p.idx, s.batchDigest[:], "")
+			p.met.Commits.Inc()
+			p.e.met.TraceD(telemetry.EvCommit, uint64(s.view), uint64(s.order), p.idx, s.batchDigest[:], "")
 			transport.Multicast(p.e.ep, p.e.cfg.N, com)
 		}
 	}
@@ -324,13 +329,13 @@ func (p *pillar) progress(s *pslot) {
 	}
 	if s.committed && !s.executed {
 		s.executed = true
-		p.met.committed.Inc()
-		p.e.traceD(telemetry.EvDeliver, uint64(s.view), uint64(s.order), p.idx, s.batchDigest[:], "")
-		credit := int32(-1)
+		p.met.Committed.Inc()
+		p.e.met.TraceD(telemetry.EvDeliver, uint64(s.view), uint64(s.order), p.idx, s.batchDigest[:], "")
+		credit := engine.NoCredit
 		if p.e.cfg.ProposerOf(s.view, s.order) == p.e.id {
 			credit = int32(p.idx)
 		}
-		p.e.exec.inbox.Put(evExec{order: s.order, batch: s.prePrepare.Requests, credit: credit})
+		p.e.exec.Deliver(s.order, s.prePrepare.Requests, credit)
 	}
 }
 
@@ -344,8 +349,8 @@ func (p *pillar) handleCkptDue(ev evCkptDue) {
 	}
 	ck.Proof = proof
 	p.ownCkpt[ev.order] = ck
-	p.e.met.ckptsOwn.Inc()
-	p.e.traceD(telemetry.EvCheckpoint, uint64(p.view), uint64(ev.order), p.idx, ev.digest[:], "")
+	p.e.met.CkptsOwn.Inc()
+	p.e.met.TraceD(telemetry.EvCheckpoint, uint64(p.view), uint64(ev.order), p.idx, ev.digest[:], "")
 	transport.Multicast(p.e.ep, p.e.cfg.N, ck)
 	p.addCheckpoint(ck)
 }
@@ -444,12 +449,12 @@ func (p *pillar) handleTick() {
 	}
 	if oldest != nil && oldest.prePrepare != nil {
 		if p.e.cfg.ProposerOf(oldest.view, oldest.order) == p.e.id {
-			p.met.retransmits.Inc()
-			p.e.trace(telemetry.EvRetransmit, uint64(oldest.view), uint64(oldest.order), p.idx, "")
+			p.met.Retransmits.Inc()
+			p.e.met.Trace(telemetry.EvRetransmit, uint64(oldest.view), uint64(oldest.order), p.idx, "")
 			transport.Multicast(p.e.ep, p.e.cfg.N, oldest.prePrepare)
 		} else if own, ok := oldest.prepares[p.e.id]; ok {
-			p.met.retransmits.Inc()
-			p.e.trace(telemetry.EvRetransmit, uint64(oldest.view), uint64(oldest.order), p.idx, "")
+			p.met.Retransmits.Inc()
+			p.e.met.Trace(telemetry.EvRetransmit, uint64(oldest.view), uint64(oldest.order), p.idx, "")
 			transport.Multicast(p.e.ep, p.e.cfg.N, own)
 		}
 	}
