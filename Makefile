@@ -3,7 +3,7 @@ GO ?= go
 # Per-target budget of the fuzz smoke (make fuzz-smoke / CI).
 FUZZTIME ?= 20s
 
-.PHONY: build test test-race vet loc chaos-smoke chaos-long fuzz-smoke bench bench-smoke bench-hotpath bench-compare benchmark benchmark-test ops-demo audit-demo audit-smoke
+.PHONY: build test test-race vet loc chaos-smoke chaos-long fuzz-smoke bench bench-smoke bench-hotpath benchmark benchmark-test ops-demo audit-demo audit-smoke
 
 build:
 	$(GO) build ./...
@@ -25,10 +25,12 @@ loc:
 
 
 # Short seeded chaos run: all four protocols under link faults,
-# a partition window, and a crash-restart, with the race detector on.
+# a partition window, and a crash-restart, with the race detector on;
+# then the engine's concurrency-sensitive unit tests (sequencer
+# admit/credit, host routing order and teardown) repeated.
 chaos-smoke:
 	$(GO) test -race -short -count=1 -run 'TestChaos' ./internal/chaos/...
-	$(GO) test -race -count=20 -run 'TestSequencerConcurrentAdmitAndCredit' ./internal/engine/
+	$(GO) test -race -count=20 -run 'TestSequencerConcurrentAdmitAndCredit|TestHost' ./internal/engine/
 
 # Long seed sweep with elevated fault rates, alternating cold-restart
 # and amnesia recovery. Tune with CHAOS_LONG_SEEDS / CHAOS_LONG_HORIZON.
@@ -56,10 +58,9 @@ bench-smoke:
 
 # Hot-path benchmark suite: alloc/latency profile of cached digests,
 # marshal-once multicast, mailboxes, the memnet send→handler path, the
-# client's Invoke wait path and the full prepare→commit→exec path,
-# plus a quick hybster-bench figure run. Writes BENCH_hotpath.txt
-# (standard go-test bench output) and BENCH_fig5c.json; CI uploads both
-# as artifacts. Tune iteration time with HOTPATH_BENCHTIME.
+# client's Invoke wait path and the full prepare→commit→exec path.
+# Writes BENCH_hotpath.txt (standard go-test bench output); CI uploads
+# it as an artifact. Tune iteration time with HOTPATH_BENCHTIME.
 HOTPATH_BENCHTIME ?= 0.3s
 
 bench-hotpath:
@@ -67,15 +68,6 @@ bench-hotpath:
 		-benchtime $(HOTPATH_BENCHTIME) \
 		./internal/message/ ./internal/cop/ ./internal/transport/ ./internal/client/ ./internal/reply/ ./internal/cluster/ \
 		| tee BENCH_hotpath.txt
-	$(GO) run ./cmd/hybster-bench -figure 5c -quick -duration 1s -clients 96 \
-		-json -results .bench-scratch
-	mv .bench-scratch/fig5c.json BENCH_fig5c.json
-	rm -rf .bench-scratch
-
-# Throughput-regression guard: fresh quick sweep vs the committed
-# baseline in results/fig5c.json (>25% drop on any point fails).
-bench-compare:
-	sh scripts/bench-compare.sh
 
 # The repository benchmark (BENCHMARK.json): five workloads end to end
 # and traced, ≈ 3.5 min. For one workload or a seed, call run.sh itself.

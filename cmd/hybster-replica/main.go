@@ -28,10 +28,7 @@ import (
 	"hybster/internal/audit"
 	"hybster/internal/cluster"
 	"hybster/internal/config"
-	"hybster/internal/core"
 	"hybster/internal/enclave"
-	"hybster/internal/minbft"
-	"hybster/internal/pbft"
 	"hybster/internal/statemachine"
 	"hybster/internal/telemetry"
 	"hybster/internal/transport"
@@ -108,40 +105,8 @@ func main() {
 		}
 	}
 
-	var replica cluster.Replica
-	var healthz, readyz func() error
-	switch proto {
-	case config.HybsterS, config.HybsterX:
-		var eng *core.Engine
-		eng, err = core.New(core.Options{
-			Config: cfg, ID: uint32(*id), Endpoint: ep, Application: app,
-			Platform: platform, EnclaveCost: enclave.DefaultCostModel,
-			DataDir: *dataDir, Telemetry: tel,
-		})
-		if eng != nil {
-			replica, healthz, readyz = eng, eng.Healthz, eng.Readyz
-		}
-	case config.PBFTcop, config.HybridPBFT:
-		var eng *pbft.Engine
-		eng, err = pbft.New(pbft.Options{
-			Config: cfg, ID: uint32(*id), Endpoint: ep, Application: app,
-			Platform: platform, EnclaveCost: enclave.DefaultCostModel,
-			Telemetry: tel,
-		})
-		if eng != nil {
-			replica, healthz, readyz = eng, eng.Healthz, eng.Readyz
-		}
-	case config.MinBFT:
-		var eng *minbft.Engine
-		eng, err = minbft.New(minbft.Options{
-			Config: cfg, ID: uint32(*id), Endpoint: ep, Application: app,
-			Platform: platform, EnclaveCost: enclave.DefaultCostModel,
-			Telemetry: tel,
-		})
-		if eng != nil {
-			replica, healthz, readyz = eng, eng.Healthz, eng.Readyz
-		}
-	}
+	replica, err := cluster.NewEngine(cfg, uint32(*id), ep,
+		cluster.NodeEnv{Platform: platform, DataDir: *dataDir, Telemetry: tel}, app, enclave.DefaultCostModel)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -180,8 +145,8 @@ func main() {
 	if *opsAddr != "" {
 		opts := telemetry.OpsOptions{
 			Telemetry:    tel,
-			Healthz:      healthz,
-			Readyz:       readyz,
+			Healthz:      replica.Healthz,
+			Readyz:       replica.Readyz,
 			TraceDumpDir: dumpDir,
 			Vars: func() map[string]any {
 				return map[string]any{
@@ -193,12 +158,9 @@ func main() {
 		}
 		if monitor != nil {
 			opts.Audit = func() any { return monitor.Report() }
-			engineReady := opts.Readyz
 			opts.Readyz = func() error {
-				if engineReady != nil {
-					if err := engineReady(); err != nil {
-						return err
-					}
+				if err := replica.Readyz(); err != nil {
+					return err
 				}
 				return monitor.Healthz()
 			}

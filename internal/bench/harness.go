@@ -101,17 +101,7 @@ func BuildCluster(spec ProtocolSpec, cores, batch int, rotate bool,
 	cfg.CheckpointInterval = 256
 	cfg.WindowSize = 1024
 	cfg.ViewChangeTimeout = 10 * time.Second // benches must never view-change
-	opts := cluster.Options{Config: cfg, Profile: profile, Seed: 42, EnclaveCost: cost}
-	switch spec.Proto {
-	case config.HybsterS, config.HybsterX:
-		return cluster.NewHybster(opts, app)
-	case config.PBFTcop, config.HybridPBFT:
-		return cluster.NewPBFT(opts, app)
-	case config.MinBFT:
-		return cluster.NewMinBFT(opts, app)
-	default:
-		return nil, fmt.Errorf("bench: unknown protocol %v", spec.Proto)
-	}
+	return cluster.Boot(cluster.Options{Config: cfg, Profile: profile, Seed: 42, EnclaveCost: cost}, app)
 }
 
 // RunLoad drives `clients` closed-loop clients against the cluster:

@@ -18,7 +18,7 @@ import (
 // fraction of single-pillar throughput that any healthy sequencer
 // clears by a wide margin. (A mis-gated batch hold once cost 6×; this
 // floor exists to catch that class of bug, not to measure scaling —
-// results/fig5c.json and scripts/bench-compare.sh do the measuring.)
+// benchmark/run.sh and hybster-bench -figure 5c do the measuring.)
 func TestFig5cScalingSmoke(t *testing.T) {
 	const (
 		clients  = 48

@@ -14,11 +14,9 @@ import (
 	"hybster/internal/client"
 	"hybster/internal/cluster"
 	"hybster/internal/config"
-	"hybster/internal/core"
 	"hybster/internal/crypto"
+	"hybster/internal/enclave"
 	"hybster/internal/message"
-	"hybster/internal/minbft"
-	"hybster/internal/pbft"
 	"hybster/internal/statemachine"
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
@@ -319,23 +317,7 @@ func (r *run) factory(cfg config.Config, id uint32, ep transport.Endpoint, env c
 		reg:   r.reg,
 		inc:   fmt.Sprintf("r%d#%d", id, r.incarnation[id]),
 	}
-	switch cfg.Protocol {
-	case config.MinBFT:
-		return minbft.New(minbft.Options{
-			Config: cfg, ID: id, Endpoint: ep, Application: app, Platform: env.Platform,
-			Telemetry: env.Telemetry,
-		})
-	case config.PBFTcop, config.HybridPBFT:
-		return pbft.New(pbft.Options{
-			Config: cfg, ID: id, Endpoint: ep, Application: app, Platform: env.Platform,
-			Telemetry: env.Telemetry,
-		})
-	default:
-		return core.New(core.Options{
-			Config: cfg, ID: id, Endpoint: ep, Application: app, Platform: env.Platform,
-			DataDir: env.DataDir, Telemetry: env.Telemetry,
-		})
-	}
+	return cluster.NewEngine(cfg, id, ep, env, app, enclave.CostModel{})
 }
 
 // wrapEndpoint decorates a replica endpoint with the run's fault

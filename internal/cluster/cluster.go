@@ -15,6 +15,7 @@ import (
 	"hybster/internal/core"
 	"hybster/internal/crypto"
 	"hybster/internal/enclave"
+	"hybster/internal/engine"
 	"hybster/internal/minbft"
 	"hybster/internal/pbft"
 	"hybster/internal/statemachine"
@@ -185,52 +186,57 @@ func (c *Cluster) TelemetrySnapshot() map[string]float64 {
 	return out
 }
 
-// NewHybster boots a Hybster cluster (HybsterS or HybsterX depending
-// on cfg.Pillars) running the applications produced by newApp.
+// Engine is what NewEngine builds: a Replica with the health probes of
+// the engine.Host every protocol engine embeds.
+type Engine interface {
+	Replica
+	Healthz() error
+	Readyz() error
+}
+
+// NewEngine builds the engine cfg.Protocol names for replica id on
+// machine env, running app. It is the one place outside benchmark/ that
+// maps a protocol to its engine. Only Hybster has a recovery path, so
+// only it is given the machine's data directory.
+func NewEngine(cfg config.Config, id uint32, ep transport.Endpoint, env NodeEnv,
+	app statemachine.Application, cost enclave.CostModel) (Engine, error) {
+
+	o := engine.Options{
+		Config: cfg, ID: id, Endpoint: ep, Application: app,
+		Platform: env.Platform, EnclaveCost: cost, Telemetry: env.Telemetry,
+	}
+	switch cfg.Protocol {
+	case config.MinBFT:
+		return minbft.New(o)
+	case config.PBFTcop, config.HybridPBFT:
+		return pbft.New(o)
+	default:
+		o.DataDir = env.DataDir
+		return core.New(o)
+	}
+}
+
+// Boot boots a cluster of the protocol opts.Config.Protocol names,
+// running the applications produced by newApp.
+func Boot(opts Options, newApp func() statemachine.Application) (*Cluster, error) {
+	return New(opts, func(cfg config.Config, id uint32, ep transport.Endpoint, env NodeEnv) (Replica, error) {
+		return NewEngine(cfg, id, ep, env, newApp(), opts.EnclaveCost)
+	})
+}
+
+// NewHybster, NewPBFT and NewMinBFT are Boot under the names of the
+// protocol families; which engine runs is decided by
+// opts.Config.Protocol alone.
 func NewHybster(opts Options, newApp func() statemachine.Application) (*Cluster, error) {
-	return New(opts, func(cfg config.Config, id uint32, ep transport.Endpoint, env NodeEnv) (Replica, error) {
-		return core.New(core.Options{
-			Config:      cfg,
-			ID:          id,
-			Endpoint:    ep,
-			Application: newApp(),
-			Platform:    env.Platform,
-			EnclaveCost: opts.EnclaveCost,
-			Telemetry:   env.Telemetry,
-			DataDir:     env.DataDir,
-		})
-	})
+	return Boot(opts, newApp)
 }
 
-// NewPBFT boots a PBFTcop or HybridPBFT cluster depending on
-// cfg.Protocol.
 func NewPBFT(opts Options, newApp func() statemachine.Application) (*Cluster, error) {
-	return New(opts, func(cfg config.Config, id uint32, ep transport.Endpoint, env NodeEnv) (Replica, error) {
-		return pbft.New(pbft.Options{
-			Config:      cfg,
-			ID:          id,
-			Endpoint:    ep,
-			Application: newApp(),
-			Platform:    env.Platform,
-			EnclaveCost: opts.EnclaveCost,
-			Telemetry:   env.Telemetry,
-		})
-	})
+	return Boot(opts, newApp)
 }
 
-// NewMinBFT boots a MinBFT cluster.
 func NewMinBFT(opts Options, newApp func() statemachine.Application) (*Cluster, error) {
-	return New(opts, func(cfg config.Config, id uint32, ep transport.Endpoint, env NodeEnv) (Replica, error) {
-		return minbft.New(minbft.Options{
-			Config:      cfg,
-			ID:          id,
-			Endpoint:    ep,
-			Application: newApp(),
-			Platform:    env.Platform,
-			EnclaveCost: opts.EnclaveCost,
-			Telemetry:   env.Telemetry,
-		})
-	})
+	return Boot(opts, newApp)
 }
 
 // Replica returns replica id (nil if crashed).

@@ -3,39 +3,27 @@ package core
 import (
 	"time"
 
-	"hybster/internal/checkpoint"
-	"hybster/internal/cop"
 	"hybster/internal/crypto"
 	"hybster/internal/engine"
 	"hybster/internal/message"
-	"hybster/internal/statemachine"
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
 )
 
-// Events delivered to the coordinator mailbox (besides inbound messages
-// and the execution stage's *statemachine.CheckpointView boundaries).
+// stableCkpt is the record of the last stable checkpoint, announcement
+// one replica's certified CHECKPOINT on its way to the quorum count.
 type (
-	// evStable reports a checkpoint quorum from its owning pillar.
-	evStable struct {
-		stable *checkpoint.Stable[*message.Checkpoint]
-	}
-	// evBehind reports ordering traffic beyond the window — evidence
-	// that this replica has fallen behind the group.
-	evBehind struct{ order timeline.Order }
+	stableCkpt   = engine.StableCkpt[*message.Checkpoint]
+	announcement = engine.Announcement[*message.Checkpoint]
 )
-
-// stableCkpt is the coordinator's record of the last stable checkpoint.
-type stableCkpt = engine.StableCkpt[*message.Checkpoint]
 
 // coordinator runs the replica-local side of checkpointing (§5.3.2),
 // the distributed view change (§5.2.3, §5.3.3), and state transfer. It
 // is a single event loop; all fields below are confined to it.
 type coordinator struct {
-	e     *Engine
-	tx    Certifier
-	inbox *cop.Mailbox[any]
+	e  *Engine
+	tx Certifier
 
 	curView      timeline.View
 	pending      bool
@@ -44,8 +32,7 @@ type coordinator struct {
 	desired      timeline.View // highest view we have evidence for
 	viewChanges  *telemetry.Counter
 
-	// ck holds the checkpoint candidates, the last stable checkpoint
-	// and the state-transfer requester/server.
+	// ck is the checkpoint sub-protocol and state transfer.
 	ck *engine.Checkpoints[*message.Checkpoint]
 
 	// vcs[v][replica][pillar] collects VIEW-CHANGE parts for view v; a
@@ -71,15 +58,14 @@ type coordinator struct {
 // gapDelay is how long execution may stall on an unproposed order
 // before its proposer fills it with a no-op.
 func (c *coordinator) gapDelay() time.Duration {
-	return c.e.cfg.ViewChangeTimeout / 8
+	return c.e.Cfg.ViewChangeTimeout / 8
 }
 
 func newCoordinator(e *Engine, tx Certifier) *coordinator {
 	c := &coordinator{
 		e:           e,
 		tx:          tx,
-		inbox:       cop.NewMailbox[any](),
-		viewChanges: e.met.Counter("view_changes_total", "view changes this replica initiated or joined"),
+		viewChanges: e.Met.Counter("view_changes_total", "view changes this replica initiated or joined"),
 		vcs:         make(map[timeline.View]map[uint32][]*message.ViewChange),
 		acks:        make(map[timeline.View]map[uint32][]*message.NewViewAck),
 		ownVC:       make(map[timeline.View][]*message.ViewChange),
@@ -87,31 +73,24 @@ func newCoordinator(e *Engine, tx Certifier) *coordinator {
 		nvEmitted:   make(map[timeline.View]bool),
 		learned:     make(map[timeline.Order]*message.Prepare),
 	}
-	c.ck = engine.NewCheckpoints[*message.Checkpoint](e.cfg, e.id, e.ep, e.Watchdog, e.met, e.exec,
+	c.ck = engine.NewCheckpoints(e.Host,
 		func(o timeline.Order, d crypto.Digest, proof []*message.Checkpoint) error {
 			return e.verifyCheckpointProof(tx, o, d, proof)
-		})
+		}, c.stableAdvanced)
 	return c
 }
 
-func (c *coordinator) run() {
-	for {
-		ev, ok := c.inbox.Get()
-		if !ok {
-			return
-		}
-		switch v := ev.(type) {
-		case engine.InMsg:
-			c.handleMessage(v.From, v.Msg)
-		case *statemachine.CheckpointView:
-			c.handleCandidate(v)
-		case evStable:
-			c.handleStable(v.stable)
-		case evBehind:
-			c.ck.RequestState()
-		case engine.Tick:
-			c.handleTick()
-		}
+// handleEvent is the Host's handler for the coordinator mailbox;
+// checkpoint boundaries, announcements and Behind are the checkpoint
+// sub-protocol's.
+func (c *coordinator) handleEvent(ev any) {
+	switch v := ev.(type) {
+	case engine.InMsg:
+		c.handleMessage(v.From, v.Msg)
+	case engine.Tick:
+		c.handleTick()
+	default:
+		c.ck.Handle(ev)
 	}
 }
 
@@ -126,55 +105,19 @@ func (c *coordinator) handleMessage(from uint32, m message.Message) {
 	case *message.StateRequest:
 		c.ck.Serve(from, v)
 	case *message.StateReply:
-		c.handleStateReply(v)
+		c.ck.Install(v)
 	}
 }
 
-// --- checkpointing ----------------------------------------------------------
-
-// handleCandidate stores execution state for a checkpoint boundary
-// posted by the execution stage and dispatches the checkpoint protocol
-// instance to its round-robin owner pillar (§5.3.2).
-func (c *coordinator) handleCandidate(v *statemachine.CheckpointView) {
-	if digest, ahead := c.ck.Candidate(v); ahead {
-		owner := c.e.cfg.CheckpointPillar(v.Order) % uint32(len(c.e.pillars))
-		c.e.pillars[owner].inbox.Put(evCkptDue{order: v.Order, digest: digest})
-	}
-}
-
-// handleStable records a stable checkpoint, slides every pillar's
-// window, and triggers state transfer if execution is behind the
-// group.
-func (c *coordinator) handleStable(s *checkpoint.Stable[*message.Checkpoint]) {
-	if !c.ck.Adopt(stableCkpt{Order: s.Order, Digest: s.Digest, Proof: s.Proof}) {
-		return
-	}
-	c.e.met.CkptsStable.Inc()
-	c.e.met.TraceD(telemetry.EvCkptStable, uint64(c.curView), uint64(s.Order), 0, s.Digest[:], "")
-	c.stableAdvanced()
-	c.ck.CatchUp()
-}
-
-// stableAdvanced propagates a newly recorded stable checkpoint: to the
-// WAL, the learned set and every pillar's window.
-func (c *coordinator) stableAdvanced() {
-	st := c.ck.Stable()
+// stableAdvanced propagates a newly recorded stable checkpoint to the
+// WAL and the learned set (the pillars' windows slide on their own
+// engine.Advance).
+func (c *coordinator) stableAdvanced(st *stableCkpt) {
 	c.e.logCheckpoint(st)
 	for o := range c.learned {
 		if o <= st.Order {
 			delete(c.learned, o)
 		}
-	}
-	for _, p := range c.e.pillars {
-		p.inbox.Put(evAdvance{order: st.Order})
-	}
-}
-
-// handleStateReply installs transferred state; a checkpoint newer than
-// the recorded one becomes the stable checkpoint.
-func (c *coordinator) handleStateReply(rep *message.StateReply) {
-	if _, adopted := c.ck.Install(rep, c.curView); adopted {
-		c.stableAdvanced()
 	}
 }
 
@@ -183,21 +126,18 @@ func (c *coordinator) handleStateReply(rep *message.StateReply) {
 // handleTick drives the watchdog, escalation, gap filling, and
 // retransmission.
 func (c *coordinator) handleTick() {
-	for _, p := range c.e.pillars {
-		p.inbox.Put(engine.Tick{})
-	}
-	c.e.ObserveExec(c.e.exec.LastExecuted())
-	c.ck.CatchUp()
+	c.e.ObserveExec(c.e.LastExecuted())
+	c.ck.Tick()
 
 	if !c.pending {
 		// Watchdog: outstanding work without execution progress for a
 		// full timeout means the current configuration is stuck.
-		if stalled := c.e.Stalled(); stalled > c.e.cfg.ViewChangeTimeout {
+		if stalled := c.e.Stalled(); stalled > c.e.Cfg.ViewChangeTimeout {
 			c.bumpDesired(c.curView + 1)
 		} else if stalled > c.gapDelay() {
 			// Gap filling: if execution waits on an order we own and
 			// never proposed, close it with a no-op (§5.3.1).
-			c.e.seq.ProposeNoop(c.curView, c.e.exec.LastExecuted()+1)
+			c.e.Seq.ProposeNoop(c.curView, c.e.LastExecuted()+1)
 		}
 	} else {
 		if now := c.e.Now(); now.Sub(c.pendingSince) > c.e.Patience() {
@@ -210,7 +150,7 @@ func (c *coordinator) handleTick() {
 		// Retransmit our VIEW-CHANGE parts.
 		if parts, ok := c.ownVC[c.pendingTo]; ok {
 			for _, vc := range parts {
-				transport.Multicast(c.e.ep, c.e.cfg.N, vc)
+				transport.Multicast(c.e.Ep, c.e.Cfg.N, vc)
 			}
 		}
 	}
@@ -227,7 +167,7 @@ func (c *coordinator) bumpDesired(v timeline.View) {
 // haveVCQuorum reports whether a view-change certificate — a quorum of
 // complete logical VIEW-CHANGEs — exists for view v (§5.2.3).
 func (c *coordinator) haveVCQuorum(v timeline.View) bool {
-	return len(c.completeVCs(v)) >= c.e.cfg.Quorum()
+	return len(c.completeVCs(v)) >= c.e.Cfg.Quorum()
 }
 
 // completeVCs returns the logical (all pillar parts present and
@@ -288,7 +228,7 @@ func (c *coordinator) tryAdvanceView() {
 			// pending timeout has already raised desired, so without
 			// this the whole group chases view numbers in lockstep and
 			// no view ever installs.
-			if c.e.cfg.LeaderOf(c.pendingTo) == c.e.id {
+			if c.e.Cfg.LeaderOf(c.pendingTo) == c.e.ID() {
 				c.maybeEmitNewView(c.pendingTo)
 				if !c.pending {
 					continue // installed; re-evaluate from the new view
@@ -339,7 +279,7 @@ func (c *coordinator) learnedForPillar(u uint32) []*message.Prepare {
 	var out []*message.Prepare
 	pillars := uint32(len(c.e.pillars))
 	for _, p := range c.learned {
-		if c.e.cfg.PillarOf(p.Order)%pillars == u {
+		if c.e.Cfg.PillarOf(p.Order)%pillars == u {
 			out = append(out, p)
 		}
 	}
@@ -355,9 +295,9 @@ func (c *coordinator) startViewChange(to timeline.View) bool {
 	}
 	parts := make([]*message.ViewChange, len(c.e.pillars))
 	stable := c.ck.Stable()
-	for u, p := range c.e.pillars {
+	for u, box := range c.e.PillarBox {
 		reply := make(chan *message.ViewChange, 1)
-		p.inbox.Put(evCollectVC{
+		box.Put(evCollectVC{
 			from:      c.curView,
 			to:        to,
 			ckptOrder: stable.Order,
@@ -372,7 +312,7 @@ func (c *coordinator) startViewChange(to timeline.View) bool {
 				return false
 			}
 			parts[u] = part
-		case <-c.e.stopped:
+		case <-c.e.Stopped():
 			return false
 		}
 	}
@@ -380,11 +320,11 @@ func (c *coordinator) startViewChange(to timeline.View) bool {
 	c.pendingTo = to
 	c.pendingSince = c.e.Now()
 	c.viewChanges.Inc()
-	c.e.met.Trace(telemetry.EvViewChange, uint64(to), 0, 0, "")
+	c.e.Met.Trace(telemetry.EvViewChange, uint64(to), 0, 0, "")
 	c.ownVC = map[timeline.View][]*message.ViewChange{to: parts}
-	c.storeVCParts(c.e.id, parts)
+	c.storeVCParts(c.e.ID(), parts)
 	for _, vc := range parts {
-		transport.Multicast(c.e.ep, c.e.cfg.N, vc)
+		transport.Multicast(c.e.Ep, c.e.Cfg.N, vc)
 	}
 	c.maybeEmitNewView(to)
 	return true
@@ -421,7 +361,7 @@ func (c *coordinator) handleViewChange(from uint32, vc *message.ViewChange) {
 		// The sender lags behind an already-installed view: help it
 		// with the NEW-VIEW we hold.
 		for _, nv := range c.lastNV {
-			_ = c.e.ep.Send(from, nv)
+			_ = c.e.Ep.Send(from, nv)
 		}
 		return
 	}
@@ -437,7 +377,7 @@ func (c *coordinator) handleViewChange(from uint32, vc *message.ViewChange) {
 		// forever. Re-send the NEW-VIEW we hold; receiving it makes the
 		// peer emit (or re-emit) its acknowledgment.
 		for _, nv := range c.lastNV {
-			_ = c.e.ep.Send(from, nv)
+			_ = c.e.Ep.Send(from, nv)
 		}
 	}
 	c.storeVCPart(from, vc)
@@ -445,11 +385,11 @@ func (c *coordinator) handleViewChange(from uint32, vc *message.ViewChange) {
 	// Join rule: f+1 distinct replicas moving to a higher view prove
 	// at least one correct replica suspects the configuration; follow
 	// them (the example's step 6).
-	if len(c.completeVCs(vc.To)) > c.e.cfg.F() {
+	if len(c.completeVCs(vc.To)) > c.e.Cfg.F() {
 		c.bumpDesired(vc.To)
 	}
 	c.tryAdvanceView()
-	if c.e.cfg.LeaderOf(vc.To) == c.e.id {
+	if c.e.Cfg.LeaderOf(vc.To) == c.e.ID() {
 		c.maybeEmitNewView(vc.To)
 	}
 }
@@ -481,7 +421,7 @@ func (c *coordinator) handleNewViewAck(from uint32, a *message.NewViewAck) {
 		parts[a.Pillar] = a
 	}
 	c.mergeLearned(a.Prepares)
-	if c.pending && c.e.cfg.LeaderOf(c.pendingTo) == c.e.id {
+	if c.pending && c.e.Cfg.LeaderOf(c.pendingTo) == c.e.ID() {
 		c.maybeEmitNewView(c.pendingTo)
 	}
 }

@@ -36,12 +36,7 @@ func newTestEngine(t *testing.T, id uint32, pillars int) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		for _, p := range e.pillars {
-			p.tx.Destroy()
-		}
-		e.coord.tx.Destroy()
-	})
+	t.Cleanup(e.Stop)
 	return e
 }
 
@@ -53,7 +48,7 @@ func leaderPrepare(t *testing.T, e *Engine, v timeline.View, o timeline.Order, p
 		reqs = []*message.Request{{Client: crypto.ClientIDBase, Seq: 1, Payload: []byte(payload)}}
 	}
 	p := &message.Prepare{View: v, Order: o, Requests: reqs}
-	u := e.cfg.PillarOf(o) % uint32(len(e.pillars))
+	u := e.Cfg.PillarOf(o) % uint32(len(e.pillars))
 	cert, err := e.pillars[u].tx.CreateIndependent(counterO, uint64(timeline.Pack(v, o)), p.Digest())
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +347,7 @@ func TestVerifyCheckpointProof(t *testing.T) {
 func TestViewChangeSizeBoundedAcrossViews(t *testing.T) {
 	e := newTestEngine(t, 0, 1)
 	p := e.pillars[0]
-	windowSlots := int(e.cfg.WindowSize)
+	windowSlots := int(e.Cfg.WindowSize)
 
 	for v := timeline.View(0); v < 12; v++ {
 		// Act as the proposer of view v (replica 0 leads views 0,3,6,...

@@ -98,21 +98,21 @@ func (c *coordinator) checkFromRule(vcSet map[uint32][]*message.ViewChange, ackS
 			confirm[r] = true
 		}
 	}
-	return vmax, len(confirm) >= c.e.cfg.F()+1
+	return vmax, len(confirm) >= c.e.Cfg.F()+1
 }
 
 // maybeEmitNewView attempts to produce the NEW-VIEW for view w; the
 // replica must be w's designated leader and must itself have aborted
 // into w.
 func (c *coordinator) maybeEmitNewView(w timeline.View) {
-	if c.nvEmitted[w] || c.e.cfg.LeaderOf(w) != c.e.id {
+	if c.nvEmitted[w] || c.e.Cfg.LeaderOf(w) != c.e.ID() {
 		return
 	}
 	if !c.pending || c.pendingTo != w {
 		return
 	}
 	vcSet := c.completeVCs(w)
-	if len(vcSet) < c.e.cfg.Quorum() {
+	if len(vcSet) < c.e.Cfg.Quorum() {
 		return
 	}
 	vmax, ok := c.checkFromRule(vcSet, c.completeAcks(maxFrom(vcSet)))
@@ -132,17 +132,17 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 	pillars := len(c.e.pillars)
 	byPillar := make([][]reProposal, pillars)
 	for _, rp := range props {
-		u := c.e.cfg.PillarOf(rp.order) % uint32(pillars)
+		u := c.e.Cfg.PillarOf(rp.order) % uint32(pillars)
 		byPillar[u] = append(byPillar[u], rp)
 	}
 	newPreps := make([][]*message.Prepare, pillars)
 	for u := 0; u < pillars; u++ {
 		reply := make(chan []*message.Prepare, 1)
-		c.e.pillars[u].inbox.Put(evRepropose{view: w, props: byPillar[u], reply: reply})
+		c.e.PillarBox[u].Put(evRepropose{view: w, props: byPillar[u], reply: reply})
 		var ps []*message.Prepare
 		select {
 		case ps = <-reply:
-		case <-c.e.stopped:
+		case <-c.e.Stopped():
 			return
 		}
 		if ps == nil && len(byPillar[u]) > 0 {
@@ -170,7 +170,7 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 		parts[u] = nv
 	}
 	for _, nv := range parts {
-		transport.Multicast(c.e.ep, c.e.cfg.N, nv)
+		transport.Multicast(c.e.Ep, c.e.Cfg.N, nv)
 	}
 	c.lastNV = parts
 	c.nvEmitted[w] = true
@@ -193,7 +193,7 @@ func (c *coordinator) handleNewView(from uint32, nv *message.NewView) {
 	if w <= c.curView {
 		return
 	}
-	if from != c.e.cfg.LeaderOf(w) {
+	if from != c.e.Cfg.LeaderOf(w) {
 		return
 	}
 	if int(nv.Pillar) >= len(c.e.pillars) {
@@ -231,7 +231,7 @@ func (c *coordinator) processNewView(w timeline.View, parts []*message.NewView) 
 		delete(c.nvParts, w)
 		return
 	}
-	if len(vcSet) < c.e.cfg.Quorum() {
+	if len(vcSet) < c.e.Cfg.Quorum() {
 		return
 	}
 	if _, ok := c.checkFromRule(vcSet, ackSet); !ok {
@@ -240,7 +240,7 @@ func (c *coordinator) processNewView(w timeline.View, parts []*message.NewView) 
 	startCkpt, props := computeTransfer(vcSet, ackSet)
 
 	// Validate the leader's re-proposals against our own computation.
-	leader := c.e.cfg.LeaderOf(w)
+	leader := c.e.Cfg.LeaderOf(w)
 	pillars := len(c.e.pillars)
 	newPreps := make([][]*message.Prepare, pillars)
 	total := 0
@@ -253,7 +253,7 @@ func (c *coordinator) processNewView(w timeline.View, parts []*message.NewView) 
 			if p.View != w || p.Order <= startCkpt {
 				return
 			}
-			if c.e.cfg.PillarOf(p.Order)%uint32(pillars) != uint32(u) {
+			if c.e.Cfg.PillarOf(p.Order)%uint32(pillars) != uint32(u) {
 				return
 			}
 			if p.Cert.Issuer != trinx.MakeInstanceID(leader, uint32(u)) ||
@@ -351,21 +351,21 @@ func (c *coordinator) reassemble(w timeline.View, parts []*message.NewView) (map
 func (c *coordinator) sendAcks(w timeline.View, newPreps [][]*message.Prepare) {
 	own := make([]*message.NewViewAck, len(c.e.pillars))
 	for u := range c.e.pillars {
-		ack := &message.NewViewAck{Replica: c.e.id, Pillar: uint32(u), View: w, Prepares: newPreps[u]}
+		ack := &message.NewViewAck{Replica: c.e.ID(), Pillar: uint32(u), View: w, Prepares: newPreps[u]}
 		cert, err := c.tx.CreateTrustedMAC(counterM, ack.Digest())
 		if err != nil {
 			return
 		}
 		ack.Cert = cert
 		own[u] = ack
-		transport.Multicast(c.e.ep, c.e.cfg.N, ack)
+		transport.Multicast(c.e.Ep, c.e.Cfg.N, ack)
 	}
 	byReplica, ok := c.acks[w]
 	if !ok {
 		byReplica = make(map[uint32][]*message.NewViewAck)
 		c.acks[w] = byReplica
 	}
-	byReplica[c.e.id] = own
+	byReplica[c.e.ID()] = own
 }
 
 // installNewView makes view w stable: updates coordinator and engine
@@ -373,8 +373,8 @@ func (c *coordinator) sendAcks(w timeline.View, newPreps [][]*message.Prepare) {
 // realigns the sequencer past the transferred range.
 func (c *coordinator) installNewView(w timeline.View, startCkpt timeline.Order, newPreps [][]*message.Prepare, leader bool, vcSet map[uint32][]*message.ViewChange) {
 	c.curView = w
-	c.e.curView.Store(uint64(w))
-	c.e.met.Trace(telemetry.EvNewView, uint64(w), uint64(startCkpt), 0, "")
+	c.e.SetView(w)
+	c.e.Met.Trace(telemetry.EvNewView, uint64(w), uint64(startCkpt), 0, "")
 	c.pending = false
 	c.pendingTo = 0
 	// Reset suspicion to the installed view: any desire for a higher
@@ -398,7 +398,7 @@ func (c *coordinator) installNewView(w timeline.View, startCkpt timeline.Order, 
 
 	var maxOrder timeline.Order = startCkpt
 	for u, ps := range newPreps {
-		c.e.pillars[u].inbox.Put(evInstallView{
+		c.e.PillarBox[u].Put(evInstallView{
 			view: w, startCkpt: startCkpt, prepares: ps, leader: leader,
 		})
 		for _, p := range ps {
@@ -438,6 +438,6 @@ func (c *coordinator) installNewView(w timeline.View, startCkpt timeline.Order, 
 		}
 	}
 
-	c.e.seq.ResetForView(w, maxOrder)
+	c.e.Seq.ResetForView(w, maxOrder)
 	c.e.NoteProgress(false)
 }

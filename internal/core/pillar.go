@@ -1,35 +1,19 @@
 package core
 
 import (
-	"hybster/internal/checkpoint"
-	"hybster/internal/cop"
 	"hybster/internal/engine"
 	"hybster/internal/message"
+	"hybster/internal/order"
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
 )
 
-// Events delivered to pillar mailboxes (besides inbound protocol
-// messages wrapped in engine.InMsg and the coordinator's engine.Tick,
-// which drives retransmission).
+// Events delivered to pillar mailboxes besides those of internal/engine
+// (inbound protocol messages in engine.InMsg, the sequencer's
+// engine.Propose, the checkpoint sub-protocol's engine.CkptDue and
+// engine.Advance, and engine.Tick, which drives retransmission).
 type (
-	// evPropose instructs the pillar to propose a batch for an order
-	// number this replica owns.
-	evPropose struct {
-		view  timeline.View
-		order timeline.Order
-		batch []*message.Request
-	}
-	// evCkptDue tells the owning pillar to run the checkpoint protocol
-	// instance for the given digest (execution stage reached the
-	// interval boundary).
-	evCkptDue struct {
-		order  timeline.Order
-		digest [32]byte
-	}
-	// evAdvance announces a stable checkpoint: slide the window.
-	evAdvance struct{ order timeline.Order }
 	// evCollectVC asks the pillar for its part of a VIEW-CHANGE
 	// message and suspends ordering (§5.3.3, local view-change
 	// preparation).
@@ -70,55 +54,44 @@ type reProposal struct {
 
 // pillar is one processing unit of the consensus-oriented
 // parallelization: it owns the consensus instances of its order-number
-// class (o mod P == idx), a private TrInX instance, a private ordering
-// window, and a private checkpoint tracker for the checkpoint
-// instances it is responsible for. All state is confined to the run
-// goroutine.
+// class (o mod P == idx), a private TrInX instance and a private
+// ordering window, and certifies the checkpoint instances it is the
+// round-robin owner of. All state is confined to the goroutine draining
+// its mailbox.
 type pillar struct {
-	e     *Engine
-	idx   uint32
-	tx    Certifier
-	inbox *cop.Mailbox[any]
-	met   engine.OrderingMetrics
+	e   *Engine
+	idx uint32
+	tx  Certifier
+	met engine.OrderingMetrics
 
 	view    timeline.View
 	aborted bool
-	win     *window
-	ckpts   *checkpoint.Tracker[*message.Checkpoint]
+	win     *order.Window
 
 	// cursor is the next class order this pillar will certify; the
 	// trusted counter forces ascending certification within the
 	// pillar's timeline.
 	cursor timeline.Order
 	// pendingProps holds own proposals waiting for the cursor.
-	pendingProps map[timeline.Order]evPropose
+	pendingProps map[timeline.Order]engine.Propose
 	// pendingPreps holds verified foreign prepares waiting for the
 	// cursor.
 	pendingPreps map[timeline.Order]*message.Prepare
 	// ownMsg retains this pillar's sent ordering message per order
 	// for retransmission; garbage collected with the window.
 	ownMsg map[timeline.Order]message.Message
-	// ownCkpt retains own checkpoint announcements for retransmission.
-	ownCkpt map[timeline.Order]*message.Checkpoint
 }
-
-// window aliases order.Window; kept as a named type local to the
-// package for brevity.
-type window = orderWindow
 
 func newPillar(e *Engine, idx uint32, tx Certifier) *pillar {
 	p := &pillar{
 		e:            e,
 		idx:          idx,
 		tx:           tx,
-		inbox:        cop.NewMailbox[any](),
-		met:          e.met.Ordering(engine.PillarLabel(idx)),
-		win:          newOrderWindow(e.cfg.WindowSize, e.cfg.Quorum()),
-		ckpts:        checkpoint.NewTracker[*message.Checkpoint](e.cfg.Quorum()),
-		pendingProps: make(map[timeline.Order]evPropose),
+		met:          e.Met.Ordering(engine.PillarLabel(idx)),
+		win:          order.NewWindow(e.Cfg.WindowSize, e.Cfg.Quorum()),
+		pendingProps: make(map[timeline.Order]engine.Propose),
 		pendingPreps: make(map[timeline.Order]*message.Prepare),
 		ownMsg:       make(map[timeline.Order]message.Message),
-		ownCkpt:      make(map[timeline.Order]*message.Checkpoint),
 	}
 	p.cursor = p.firstClassOrder(0)
 	return p
@@ -128,38 +101,23 @@ func newPillar(e *Engine, idx uint32, tx Certifier) *pillar {
 // pillar's class.
 func (p *pillar) firstClassOrder(after timeline.Order) timeline.Order {
 	o := after + 1
-	for p.e.cfg.PillarOf(o)%uint32(len(p.e.pillars)) != p.idx {
+	for p.e.Cfg.PillarOf(o)%uint32(len(p.e.pillars)) != p.idx {
 		o++
 	}
 	return o
 }
 
-// run is the pillar event loop.
-func (p *pillar) run() {
-	// Drain the mailbox in batches: under load one lock round-trip
-	// fetches a burst of events instead of paying the lock per event.
-	batch := make([]any, 0, 32)
-	for {
-		events, ok := p.inbox.GetBatch(batch[:0])
-		if !ok {
-			return
-		}
-		for _, ev := range events {
-			p.handleEvent(ev)
-		}
-	}
-}
-
+// handleEvent is the Host's handler for this pillar's mailbox.
 func (p *pillar) handleEvent(ev any) {
 	switch v := ev.(type) {
 	case engine.InMsg:
 		p.handleMessage(v)
-	case evPropose:
+	case engine.Propose:
 		p.handlePropose(v)
-	case evCkptDue:
+	case engine.CkptDue:
 		p.handleCkptDue(v)
-	case evAdvance:
-		p.advance(v.order)
+	case engine.Advance:
+		p.advance(v.Order)
 	case evCollectVC:
 		p.handleCollectVC(v)
 	case evRepropose:
@@ -190,7 +148,7 @@ func (p *pillar) handlePrepare(from uint32, m *message.Prepare, authVerified boo
 		return
 	}
 	if m.Order > p.win.High() {
-		p.e.coord.inbox.Put(evBehind{order: m.Order})
+		p.e.CoordBox.Put(engine.Behind{})
 		return
 	}
 	if !p.win.InWindow(m.Order) || m.Order < p.cursor {
@@ -213,7 +171,7 @@ func (p *pillar) handleCommit(from uint32, m *message.Commit) {
 		return
 	}
 	if m.Order > p.win.High() {
-		p.e.coord.inbox.Put(evBehind{order: m.Order})
+		p.e.CoordBox.Put(engine.Behind{})
 		return
 	}
 	if !p.win.InWindow(m.Order) {
@@ -231,19 +189,19 @@ func (p *pillar) handleCommit(from uint32, m *message.Commit) {
 
 // handlePropose certifies and multicasts an own proposal once the
 // cursor permits.
-func (p *pillar) handlePropose(ev evPropose) {
-	if ev.view != p.view || p.aborted {
+func (p *pillar) handlePropose(ev engine.Propose) {
+	if ev.View != p.view || p.aborted {
 		// Stale proposal from before a view change; requests are
 		// re-proposed by the sequencer after the new view installs,
 		// so return the flow-control credit and drop.
-		p.e.seq.Credit(p.idx, len(ev.batch))
+		p.e.Seq.Credit(p.idx, len(ev.Batch))
 		return
 	}
-	if ev.order < p.cursor || !p.win.InWindow(ev.order) {
-		p.e.seq.Credit(p.idx, len(ev.batch))
+	if ev.Order < p.cursor || !p.win.InWindow(ev.Order) {
+		p.e.Seq.Credit(p.idx, len(ev.Batch))
 		return
 	}
-	p.pendingProps[ev.order] = ev
+	p.pendingProps[ev.Order] = ev
 	p.processReady()
 }
 
@@ -272,20 +230,20 @@ func (p *pillar) processReady() {
 
 // sendPrepare issues the independent counter certificate
 // τ(r(u), O, v|o, −) and multicasts the proposal (§5.2.1).
-func (p *pillar) sendPrepare(ev evPropose) {
-	prep := &message.Prepare{View: ev.view, Order: ev.order, Requests: ev.batch}
-	cert, err := p.tx.CreateIndependent(counterO, uint64(timeline.Pack(ev.view, ev.order)), prep.Digest())
+func (p *pillar) sendPrepare(ev engine.Propose) {
+	prep := &message.Prepare{View: ev.View, Order: ev.Order, Requests: ev.Batch}
+	cert, err := p.tx.CreateIndependent(counterO, uint64(timeline.Pack(ev.View, ev.Order)), prep.Digest())
 	if err != nil {
-		p.e.seq.Credit(p.idx, len(ev.batch))
+		p.e.Seq.Credit(p.idx, len(ev.Batch))
 		return // counter already beyond this instance (view changed)
 	}
 	prep.Cert = cert
 	s := p.win.SetPrepare(prep)
-	p.ownMsg[ev.order] = prep
+	p.ownMsg[ev.Order] = prep
 	p.met.Prepares.Inc()
 	bd := prep.BatchDigest()
-	p.e.met.TraceD(telemetry.EvPropose, uint64(ev.view), uint64(ev.order), p.idx, bd[:], "")
-	transport.Multicast(p.e.ep, p.e.cfg.N, prep)
+	p.e.Met.TraceD(telemetry.EvPropose, uint64(ev.View), uint64(ev.Order), p.idx, bd[:], "")
+	transport.Multicast(p.e.Ep, p.e.Cfg.N, prep)
 	p.maybeDeliver(s)
 }
 
@@ -296,55 +254,52 @@ func (p *pillar) sendCommit(m *message.Prepare) {
 	if s == nil {
 		return
 	}
-	com := &message.Commit{View: m.View, Order: m.Order, Replica: p.e.id, BatchDigest: s.BatchDigest}
+	com := &message.Commit{View: m.View, Order: m.Order, Replica: p.e.ID(), BatchDigest: s.BatchDigest}
 	cert, err := p.tx.CreateIndependent(counterO, uint64(timeline.Pack(m.View, m.Order)), com.Digest())
 	if err != nil {
 		return
 	}
 	com.Cert = cert
-	s.AddOwnAck(p.e.id)
+	s.AddOwnAck(p.e.ID())
 	p.win.Refresh(s)
 	p.ownMsg[m.Order] = com
 	p.met.Commits.Inc()
-	p.e.met.TraceD(telemetry.EvCommit, uint64(m.View), uint64(m.Order), p.idx, com.BatchDigest[:], "")
-	transport.Multicast(p.e.ep, p.e.cfg.N, com)
+	p.e.Met.TraceD(telemetry.EvCommit, uint64(m.View), uint64(m.Order), p.idx, com.BatchDigest[:], "")
+	transport.Multicast(p.e.Ep, p.e.Cfg.N, com)
 	p.maybeDeliver(s)
 }
 
 // maybeDeliver forwards a freshly committed instance to the execution
 // stage and returns flow-control credit for own proposals.
-func (p *pillar) maybeDeliver(s *slot) {
+func (p *pillar) maybeDeliver(s *order.Slot) {
 	if s == nil || !s.Committed || s.Executed {
 		return
 	}
 	s.Executed = true
 	p.met.Committed.Inc()
-	p.e.met.TraceD(telemetry.EvDeliver, uint64(s.Prepare.View), uint64(s.Order), p.idx, s.BatchDigest[:], "")
+	p.e.Met.TraceD(telemetry.EvDeliver, uint64(s.Prepare.View), uint64(s.Order), p.idx, s.BatchDigest[:], "")
 	p.e.logDecision(s.Prepare.View, s.Order, s.Prepare.Requests)
 	credit := engine.NoCredit
-	if s.Prepare.Cert.Issuer.Replica() == p.e.id {
+	if s.Prepare.Cert.Issuer.Replica() == p.e.ID() {
 		credit = int32(p.idx)
 	}
-	p.e.exec.Deliver(s.Order, s.Prepare.Requests, credit)
+	p.e.Exec.Deliver(s.Order, s.Prepare.Requests, credit)
 }
 
 // handleCkptDue runs this pillar's checkpoint protocol instance
 // (§5.3.2): announce the digest with a trusted MAC certificate.
-func (p *pillar) handleCkptDue(ev evCkptDue) {
-	ck := &message.Checkpoint{Order: ev.order, Replica: p.e.id, StateDigest: ev.digest}
+func (p *pillar) handleCkptDue(ev engine.CkptDue) {
+	ck := &message.Checkpoint{Order: ev.Order, Replica: p.e.ID(), StateDigest: ev.Digest}
 	cert, err := p.tx.CreateTrustedMAC(counterM, ck.Digest())
 	if err != nil {
 		return
 	}
 	ck.Cert = cert
-	p.ownCkpt[ev.order] = ck
-	p.e.met.CkptsOwn.Inc()
-	p.e.met.TraceD(telemetry.EvCheckpoint, uint64(p.view), uint64(ev.order), p.idx, ev.digest[:], "")
-	transport.Multicast(p.e.ep, p.e.cfg.N, ck)
-	p.addCheckpoint(ck)
+	p.e.coord.ck.Announce(p.idx, p.view, announcement{Replica: ck.Replica, Order: ck.Order, Digest: ck.StateDigest, Msg: ck})
 }
 
-// handleCheckpoint processes a peer's checkpoint announcement.
+// handleCheckpoint verifies a peer's checkpoint announcement and hands
+// it to the coordinator, which counts the quorum.
 func (p *pillar) handleCheckpoint(from uint32, m *message.Checkpoint) {
 	if m.Replica != from {
 		return
@@ -352,16 +307,7 @@ func (p *pillar) handleCheckpoint(from uint32, m *message.Checkpoint) {
 	if err := p.e.verifyCheckpoint(p.tx, m); err != nil {
 		return
 	}
-	p.addCheckpoint(m)
-}
-
-func (p *pillar) addCheckpoint(m *message.Checkpoint) {
-	stable := p.ckpts.Add(m.Order, checkpoint.Announcement[*message.Checkpoint]{
-		Replica: m.Replica, Digest: m.StateDigest, Msg: m,
-	})
-	if stable != nil {
-		p.e.coord.inbox.Put(evStable{stable: stable})
-	}
+	p.e.CoordBox.Put(announcement{Replica: from, Order: m.Order, Digest: m.StateDigest, Msg: m})
 }
 
 // advance slides the ordering window to a stable checkpoint and
@@ -373,14 +319,9 @@ func (p *pillar) advance(o timeline.Order) {
 			delete(p.ownMsg, k)
 		}
 	}
-	for k := range p.ownCkpt {
-		if k <= o {
-			delete(p.ownCkpt, k)
-		}
-	}
 	for k, ev := range p.pendingProps {
 		if k <= o {
-			p.e.seq.Credit(p.idx, len(ev.batch))
+			p.e.Seq.Credit(p.idx, len(ev.Batch))
 			delete(p.pendingProps, k)
 		}
 	}
@@ -402,7 +343,7 @@ func (p *pillar) advance(o timeline.Order) {
 func (p *pillar) handleCollectVC(ev evCollectVC) {
 	prepares := mergePrepares(p.win.Prepares(), ev.learned)
 	vc := &message.ViewChange{
-		Replica: p.e.id, Pillar: p.idx,
+		Replica: p.e.ID(), Pillar: p.idx,
 		From: ev.from, To: ev.to,
 		CkptOrder: ev.ckptOrder, CkptDigest: ev.ckptDig, CkptProof: ev.ckptProof,
 		Prepares: prepares,
@@ -419,7 +360,7 @@ func (p *pillar) handleCollectVC(ev evCollectVC) {
 	}
 	vc.Cert = cert
 	p.aborted = true
-	p.pendingProps = make(map[timeline.Order]evPropose)
+	p.pendingProps = make(map[timeline.Order]engine.Propose)
 	p.pendingPreps = make(map[timeline.Order]*message.Prepare)
 	ev.reply <- vc
 }
@@ -449,7 +390,7 @@ func (p *pillar) handleInstallView(ev evInstallView) {
 	p.aborted = false
 	p.view = ev.view
 	p.advance(ev.startCkpt)
-	p.pendingProps = make(map[timeline.Order]evPropose)
+	p.pendingProps = make(map[timeline.Order]engine.Propose)
 	p.pendingPreps = make(map[timeline.Order]*message.Prepare)
 	p.cursor = p.firstClassOrder(p.win.Low())
 
@@ -487,18 +428,10 @@ func (p *pillar) handleTick() {
 		}
 		if m, ok := p.ownMsg[o]; ok {
 			p.met.Retransmits.Inc()
-			p.e.met.Trace(telemetry.EvRetransmit, uint64(p.view), uint64(o), p.idx, "")
-			transport.Multicast(p.e.ep, p.e.cfg.N, m)
+			p.e.Met.Trace(telemetry.EvRetransmit, uint64(p.view), uint64(o), p.idx, "")
+			transport.Multicast(p.e.Ep, p.e.Cfg.N, m)
 		}
 		break // one per tick is enough
-	}
-	// Oldest unstable own checkpoint.
-	for o, ck := range p.ownCkpt {
-		last := p.ckpts.Last()
-		if last == nil || o > last.Order {
-			transport.Multicast(p.e.ep, p.e.cfg.N, ck)
-			break
-		}
 	}
 }
 

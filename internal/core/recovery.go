@@ -76,9 +76,9 @@ func (e *Engine) newCertifier(opts Options, pillar uint32, key crypto.Key) (Cert
 // Checkpoint when stability outran local execution before the crash,
 // then bridge the rest with the decision tail. Anything past the
 // synced tail is fetched later through the normal state-transfer path.
-func (e *Engine) replay(x *statemachine.Executor) {
-	rec := e.dur.recovered
-	e.met.Trace(telemetry.EvRecovery, 0, 0, 0, fmt.Sprintf("wal replay: %d decisions", len(rec.Decisions)))
+func (d *durability) replay(x *statemachine.Executor, tel *telemetry.Telemetry) {
+	rec := d.recovered
+	tel.Trace(telemetry.EvRecovery, 0, 0, 0, fmt.Sprintf("wal replay: %d decisions", len(rec.Decisions)))
 	if base := rec.Base; base != nil {
 		// A snapshot the application refuses leaves execution at
 		// genesis; state transfer then brings the replica up.
@@ -109,7 +109,7 @@ func (e *Engine) restore() {
 			p.advance(ck.Order)
 		}
 	}
-	if last := e.exec.LastExecuted(); last > 0 {
+	if last := e.LastExecuted(); last > 0 {
 		for _, p := range e.pillars {
 			// The pillar cannot re-certify replayed instances (counters
 			// resumed past them); move its cursor beyond the replay so

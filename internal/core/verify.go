@@ -7,21 +7,9 @@ import (
 
 	"hybster/internal/crypto"
 	"hybster/internal/message"
-	"hybster/internal/order"
 	"hybster/internal/timeline"
 	"hybster/internal/trinx"
 )
-
-// Type aliases binding the pillar to the order package without
-// repeating the import path on every use.
-type (
-	orderWindow = order.Window
-	slot        = order.Slot
-)
-
-func newOrderWindow(size timeline.Order, quorum int) *order.Window {
-	return order.NewWindow(size, quorum)
-}
 
 func sortPrepares(ps []*message.Prepare) {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Order < ps[j].Order })
@@ -46,7 +34,7 @@ var (
 // verify stage already cleared; the structural and certificate checks
 // always run on the pillar.
 func (e *Engine) verifyPrepare(tx Certifier, m *message.Prepare, from uint32, authVerified bool) error {
-	proposer := e.cfg.ProposerOf(m.View, m.Order)
+	proposer := e.Cfg.ProposerOf(m.View, m.Order)
 	if from != proposer {
 		return errBadSender
 	}
@@ -55,7 +43,7 @@ func (e *Engine) verifyPrepare(tx Certifier, m *message.Prepare, from uint32, au
 	}
 	if !authVerified {
 		for _, r := range m.Requests {
-			if !crypto.VerifyAuthenticator(e.ks, r.Auth, r.Digest()) {
+			if !crypto.VerifyAuthenticator(e.Keys, r.Auth, r.Digest()) {
 				return errBadAuth
 			}
 		}
@@ -69,8 +57,8 @@ func (e *Engine) verifyPrepare(tx Certifier, m *message.Prepare, from uint32, au
 // rotation proposer of the prepare's view or that view's leader (the
 // leader re-proposes all transferred instances in its NEW-VIEW).
 func (e *Engine) verifyEmbeddedPrepare(tx Certifier, m *message.Prepare) error {
-	rot := e.cfg.ProposerOf(m.View, m.Order)
-	ld := e.cfg.LeaderOf(m.View)
+	rot := e.Cfg.ProposerOf(m.View, m.Order)
+	ld := e.Cfg.LeaderOf(m.View)
 	issuer := m.Cert.Issuer.Replica()
 	if issuer != rot && issuer != ld {
 		return errBadIssuer
@@ -79,7 +67,7 @@ func (e *Engine) verifyEmbeddedPrepare(tx Certifier, m *message.Prepare) error {
 }
 
 func (e *Engine) verifyPrepareEmbedded(tx Certifier, m *message.Prepare, proposer uint32) error {
-	pillar := e.cfg.PillarOf(m.Order) % uint32(len(e.pillars))
+	pillar := e.Cfg.PillarOf(m.Order) % uint32(len(e.pillars))
 	if m.Cert.Kind != trinx.Independent {
 		return errBadKind
 	}
@@ -94,7 +82,7 @@ func (e *Engine) verifyPrepareEmbedded(tx Certifier, m *message.Prepare, propose
 
 // verifyCommit validates a follower acknowledgment analogously.
 func (e *Engine) verifyCommit(tx Certifier, m *message.Commit) error {
-	pillar := e.cfg.PillarOf(m.Order) % uint32(len(e.pillars))
+	pillar := e.Cfg.PillarOf(m.Order) % uint32(len(e.pillars))
 	if m.Cert.Kind != trinx.Independent {
 		return errBadKind
 	}
@@ -137,8 +125,8 @@ func (e *Engine) verifyCheckpointProof(tx Certifier, o timeline.Order, d crypto.
 		}
 		seen[ck.Replica] = true
 	}
-	if len(seen) < e.cfg.Quorum() {
-		return fmt.Errorf("core: checkpoint proof has %d of %d announcements", len(seen), e.cfg.Quorum())
+	if len(seen) < e.Cfg.Quorum() {
+		return fmt.Errorf("core: checkpoint proof has %d of %d announcements", len(seen), e.Cfg.Quorum())
 	}
 	return nil
 }
@@ -174,7 +162,7 @@ func (e *Engine) verifyViewChangePart(tx Certifier, vc *message.ViewChange) erro
 	}
 	disclosed := make(map[timeline.Order]bool, len(vc.Prepares))
 	for _, p := range vc.Prepares {
-		if e.cfg.PillarOf(p.Order)%pillars != vc.Pillar {
+		if e.Cfg.PillarOf(p.Order)%pillars != vc.Pillar {
 			return fmt.Errorf("core: prepare for order %d in part of pillar %d", p.Order, vc.Pillar)
 		}
 		if err := e.verifyEmbeddedPrepare(tx, p); err != nil {
@@ -189,7 +177,7 @@ func (e *Engine) verifyViewChangePart(tx Certifier, vc *message.ViewChange) erro
 	pv, po := prev.Unpack()
 	if pv == vc.From && po > vc.CkptOrder {
 		for o := vc.CkptOrder + 1; o <= po; o++ {
-			if e.cfg.PillarOf(o)%pillars != vc.Pillar {
+			if e.Cfg.PillarOf(o)%pillars != vc.Pillar {
 				continue
 			}
 			if !disclosed[o] {
@@ -214,7 +202,7 @@ func (e *Engine) verifyNewViewAckPart(tx Certifier, a *message.NewViewAck) error
 	}
 	pillars := uint32(len(e.pillars))
 	for _, p := range a.Prepares {
-		if e.cfg.PillarOf(p.Order)%pillars != a.Pillar {
+		if e.Cfg.PillarOf(p.Order)%pillars != a.Pillar {
 			return fmt.Errorf("core: ack prepare for order %d in part of pillar %d", p.Order, a.Pillar)
 		}
 		if err := e.verifyEmbeddedPrepare(tx, p); err != nil {

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hybster/internal/config"
 	"hybster/internal/crypto"
 	"hybster/internal/message"
 	"hybster/internal/statemachine"
@@ -16,7 +15,8 @@ import (
 // StableCkpt is a replica's record of the last stable checkpoint;
 // Snapshot/RV are nil when local execution never reached it (state
 // must then be fetched before serving transfers). Proof is the quorum
-// certificate in the protocol's checkpoint message type M.
+// certificate K in the protocol's checkpoint message type M: one
+// announcement per replica.
 type StableCkpt[M any] struct {
 	Order    timeline.Order
 	Digest   crypto.Digest
@@ -24,6 +24,30 @@ type StableCkpt[M any] struct {
 	Snapshot []byte
 	RV       []byte
 }
+
+// Announcement is one replica's certified checkpoint message, reduced
+// to the fields the quorum count needs; Msg retains the original for
+// proofs and retransmission. It is also the coordinator-mailbox event
+// a pillar hands a verified announcement on with.
+type Announcement[M any] struct {
+	Replica uint32
+	Order   timeline.Order
+	Digest  crypto.Digest
+	Msg     M
+}
+
+// Events of the checkpoint sub-protocol delivered to pillar mailboxes.
+type (
+	// CkptDue tells the owning pillar to run the checkpoint protocol
+	// instance for Digest (the execution stage reached the interval
+	// boundary): certify the announcement and pass it to Announce.
+	CkptDue struct {
+		Order  timeline.Order
+		Digest crypto.Digest
+	}
+	// Advance announces a stable checkpoint: slide the window.
+	Advance struct{ Order timeline.Order }
+)
 
 // candidate is the materialized form of one own checkpoint boundary:
 // the digest announced plus the state needed to serve transfers once
@@ -34,38 +58,56 @@ type candidate struct {
 	rv       []byte
 }
 
-// Checkpoints is the replica-local side of checkpointing and state
-// transfer: the candidates of own boundaries awaiting stability, the
-// stable record, and the STATE-REQUEST/STATE-REPLY requester and
-// server. It is confined to the loop that runs the protocol's
-// checkpoint bookkeeping (the coordinator; MinBFT's protocol loop);
-// only StableOrder may be read from elsewhere.
-type Checkpoints[M any] struct {
-	cfg  config.Config
-	id   uint32
-	ep   transport.Endpoint
-	wd   *Watchdog
-	met  Metrics
-	exec *ExecLoop
+// Checkpoints is the checkpoint sub-protocol (§5.2.2, §5.3.2) and
+// state transfer: replicas announce state digests per checkpoint
+// order; once a quorum of matching announcements exists the checkpoint
+// is stable, its message set forms the quorum certificate used for
+// garbage collection, view changes and state transfer, and every
+// window slides. What stays with the protocol is certification: the
+// round-robin owner pillar certifies the own announcement and verifies
+// the peers' with its trusted subsystem instance, then hands both on.
+//
+// Checkpoints is confined to the loop that drains the coordinator
+// mailbox; only Announce and StableOrder may be called from elsewhere.
+type Checkpoints[M message.Message] struct {
+	h *Host
 	// verify checks that proof certifies digest as the state of
 	// checkpoint order — the one thing that depends on what the
-	// protocol's trusted subsystem signs.
+	// protocol's trusted subsystem signs. nil means the STATE-REPLY
+	// wire format carries no proof of type M; only state matching a
+	// digest already known to be stable is then accepted: the own
+	// stable checkpoint or — during a view change — the checkpoint
+	// claimed by a quorum of view-change messages and adopted there.
 	verify func(order timeline.Order, digest crypto.Digest, proof []*message.Checkpoint) error
+	// advanced, when non-nil, learns every newly recorded stable
+	// checkpoint after the pillar windows were told to slide.
+	advanced func(*StableCkpt[M])
 
 	stable     StableCkpt[M]
 	stableOrd  atomic.Uint64 // mirrors stable.Order for gauges
 	candidates map[timeline.Order]candidate
+	// pending[o][r] is replica r's announcement for checkpoint o above
+	// the stable one. Conflicting digests from different replicas
+	// coexist until one reaches a quorum (a faulty replica may announce
+	// garbage; it can never prevent a correct quorum).
+	pending map[timeline.Order]map[uint32]Announcement[M]
+	// own retains this replica's unstable announcements for
+	// retransmission.
+	own map[timeline.Order]M
 
 	lastStateReq time.Time
 }
 
-// NewCheckpoints builds the store of replica id.
-func NewCheckpoints[M any](cfg config.Config, id uint32, ep transport.Endpoint, wd *Watchdog, met Metrics,
-	exec *ExecLoop, verify func(timeline.Order, crypto.Digest, []*message.Checkpoint) error) *Checkpoints[M] {
+// NewCheckpoints builds the sub-protocol instance of h's replica.
+func NewCheckpoints[M message.Message](h *Host,
+	verify func(timeline.Order, crypto.Digest, []*message.Checkpoint) error,
+	advanced func(*StableCkpt[M])) *Checkpoints[M] {
 
 	return &Checkpoints[M]{
-		cfg: cfg, id: id, ep: ep, wd: wd, met: met, exec: exec, verify: verify,
+		h: h, verify: verify, advanced: advanced,
 		candidates: make(map[timeline.Order]candidate),
+		pending:    make(map[timeline.Order]map[uint32]Announcement[M]),
+		own:        make(map[timeline.Order]M),
 	}
 }
 
@@ -75,6 +117,24 @@ func (c *Checkpoints[M]) Stable() *StableCkpt[M] { return &c.stable }
 // StableOrder is the last stable checkpoint order, readable from any
 // goroutine.
 func (c *Checkpoints[M]) StableOrder() uint64 { return c.stableOrd.Load() }
+
+// Handle processes the sub-protocol's coordinator-mailbox events: a
+// checkpoint boundary from the execution stage, a certified
+// announcement handed on by its owner pillar, a pillar's Behind.
+func (c *Checkpoints[M]) Handle(ev any) {
+	switch v := ev.(type) {
+	case *statemachine.CheckpointView:
+		// Dispatch the checkpoint protocol instance to its round-robin
+		// owner pillar (§5.3.2).
+		if digest, ahead := c.Candidate(v); ahead {
+			c.h.ckptBox(v.Order).Put(CkptDue{Order: v.Order, Digest: digest})
+		}
+	case Announcement[M]:
+		c.vote(v)
+	case Behind:
+		c.RequestState()
+	}
+}
 
 // Candidate materializes a checkpoint boundary posted by the execution
 // stage: the application snapshot is encoded and hashed here, off the
@@ -98,16 +158,98 @@ func (c *Checkpoints[M]) Candidate(v *statemachine.CheckpointView) (digest crypt
 	// Keep only the two newest candidates; older ones can no longer
 	// become the latest stable checkpoint first.
 	for o := range c.candidates {
-		if o+2*c.cfg.CheckpointInterval <= v.Order {
+		if o+2*c.h.Cfg.CheckpointInterval <= v.Order {
 			delete(c.candidates, o)
 		}
 	}
 	return digest, true
 }
 
+// Announce publishes this replica's certified announcement: multicast
+// to the group, then handed to the coordinator mailbox like a peer's.
+// The owner pillar calls it from its own goroutine; view and pillar
+// label the trace event.
+func (c *Checkpoints[M]) Announce(pillar uint32, view timeline.View, a Announcement[M]) {
+	c.h.Met.CkptsOwn.Inc()
+	c.h.Met.TraceD(telemetry.EvCheckpoint, uint64(view), uint64(a.Order), pillar, a.Digest[:], "")
+	transport.Multicast(c.h.Ep, c.h.Cfg.N, a.Msg)
+	c.h.CoordBox.Put(a)
+}
+
+// vote records one verified announcement. Order a.Order becomes stable
+// exactly when a quorum of replicas announced the same digest.
+func (c *Checkpoints[M]) vote(a Announcement[M]) {
+	if a.Order <= c.stable.Order {
+		return // obsolete
+	}
+	votes := c.pending[a.Order]
+	if votes == nil {
+		votes = make(map[uint32]Announcement[M])
+		c.pending[a.Order] = votes
+	}
+	if _, dup := votes[a.Replica]; dup {
+		return // first announcement per replica wins
+	}
+	votes[a.Replica] = a
+	if a.Replica == c.h.id {
+		c.own[a.Order] = a.Msg
+	}
+	// Bound what one announcing replica can make this one store: a
+	// correct replica announces ascending boundaries and cannot run
+	// more than a window ahead of the stable checkpoint, so beyond
+	// that many outstanding announcements its lowest order goes. A
+	// lagging replica still learns the group's frontier from the
+	// newest ones and from Behind.
+	held, lowest := 0, a.Order
+	for o, vs := range c.pending {
+		if _, ok := vs[a.Replica]; ok {
+			held++
+			lowest = min(lowest, o)
+		}
+	}
+	if held > int(c.h.Cfg.WindowSize/c.h.Cfg.CheckpointInterval)+1 {
+		delete(c.pending[lowest], a.Replica)
+		if len(c.pending[lowest]) == 0 {
+			delete(c.pending, lowest)
+		}
+		if lowest == a.Order {
+			return
+		}
+	}
+	var proof []M
+	for _, other := range votes {
+		if other.Digest == a.Digest {
+			proof = append(proof, other.Msg)
+		}
+	}
+	if len(proof) < c.h.Cfg.Quorum() || !c.Adopt(StableCkpt[M]{Order: a.Order, Digest: a.Digest, Proof: proof}) {
+		return
+	}
+	c.h.Met.CkptsStable.Inc()
+	c.h.Met.TraceD(telemetry.EvCkptStable, uint64(c.h.View()), uint64(a.Order), 0, a.Digest[:], "")
+	c.slide()
+	// The instances this stable checkpoint covers are pruned from every
+	// window, so any delivery hole below it just became permanent —
+	// execution can only resume from transferred state.
+	c.CatchUp()
+}
+
+// slide propagates a newly recorded stable checkpoint to every
+// pillar's window and to the protocol.
+func (c *Checkpoints[M]) slide() {
+	for _, box := range c.h.PillarBox {
+		box.Put(Advance{Order: c.stable.Order})
+	}
+	if c.advanced != nil {
+		c.advanced(&c.stable)
+	}
+}
+
 // Adopt records st as the stable checkpoint if it is newer than the
-// current one and reports whether it was. A record without state takes
-// it from the matching own candidate.
+// current one and reports whether it was; announcements and candidates
+// it covers are garbage collected. A record without state takes it
+// from the matching own candidate. The caller slides the windows
+// (view-change installation does so with the new view).
 func (c *Checkpoints[M]) Adopt(st StableCkpt[M]) bool {
 	if st.Order <= c.stable.Order {
 		return false
@@ -122,19 +264,46 @@ func (c *Checkpoints[M]) Adopt(st StableCkpt[M]) bool {
 			delete(c.candidates, o)
 		}
 	}
+	for o := range c.pending {
+		if o <= st.Order {
+			delete(c.pending, o)
+		}
+	}
+	for o := range c.own {
+		if o <= st.Order {
+			delete(c.own, o)
+		}
+	}
 	return true
+}
+
+// Tick drives the sub-protocol's retries: state transfer while
+// execution is behind the stable checkpoint, and re-multicast of the
+// oldest own announcement that is not yet stable (its first copy, or
+// the peers', may have been lost).
+func (c *Checkpoints[M]) Tick() {
+	c.CatchUp()
+	var oldest timeline.Order
+	for o := range c.own {
+		if oldest == 0 || o < oldest {
+			oldest = o
+		}
+	}
+	if oldest != 0 {
+		transport.Multicast(c.h.Ep, c.h.Cfg.N, c.own[oldest])
+	}
 }
 
 // RequestState asks the group for the newest stable state,
 // rate-limited to one round per second.
 func (c *Checkpoints[M]) RequestState() {
-	now := c.wd.Now()
+	now := c.h.Now()
 	if now.Sub(c.lastStateReq) < time.Second {
 		return
 	}
 	c.lastStateReq = now
-	req := &message.StateRequest{Replica: c.id, From: c.exec.LastExecuted() + 1}
-	transport.Multicast(c.ep, c.cfg.N, req)
+	req := &message.StateRequest{Replica: c.h.id, From: c.h.Exec.LastExecuted() + 1}
+	transport.Multicast(c.h.Ep, c.h.Cfg.N, req)
 }
 
 // CatchUp requests state while the stable checkpoint lies beyond what
@@ -145,7 +314,7 @@ func (c *Checkpoints[M]) RequestState() {
 // laggards hold the quorum margin the whole cluster stops committing.
 // RequestState rate-limits the actual traffic.
 func (c *Checkpoints[M]) CatchUp() {
-	if c.stable.Order > c.exec.LastExecuted() {
+	if c.stable.Order > c.h.Exec.LastExecuted() {
 		c.RequestState()
 	}
 }
@@ -157,11 +326,10 @@ func (c *Checkpoints[M]) Serve(from uint32, req *message.StateRequest) {
 		return
 	}
 	// The wire format carries Hybster-type checkpoint proofs; a protocol
-	// with another message type sends none, and its receivers verify
-	// the state against a checkpoint they already know to be stable.
+	// with another message type sends none (see verify).
 	proof, _ := any(c.stable.Proof).([]*message.Checkpoint)
-	_ = c.ep.Send(from, &message.StateReply{
-		Replica:     c.id,
+	_ = c.h.Ep.Send(from, &message.StateReply{
+		Replica:     c.h.id,
 		CkptOrder:   c.stable.Order,
 		Snapshot:    c.stable.Snapshot,
 		ReplyVector: c.stable.RV,
@@ -170,31 +338,35 @@ func (c *Checkpoints[M]) Serve(from uint32, req *message.StateRequest) {
 }
 
 // Install verifies a STATE-REPLY and hands its snapshot to the
-// execution stage. installed reports that execution now stands at the
-// transferred checkpoint; adopted that it also became the stable
-// checkpoint (it was newer than the one recorded), so the caller must
-// slide its windows. view only labels the trace event.
-func (c *Checkpoints[M]) Install(rep *message.StateReply, view timeline.View) (installed, adopted bool) {
-	if rep.CkptOrder <= c.exec.LastExecuted() {
-		return false, false
+// execution stage; a transferred checkpoint newer than the recorded
+// one becomes the stable checkpoint and slides the windows.
+func (c *Checkpoints[M]) Install(rep *message.StateReply) {
+	if rep.CkptOrder <= c.h.Exec.LastExecuted() {
+		return
 	}
 	digest := crypto.Combine(crypto.Hash(rep.Snapshot), crypto.Hash(rep.ReplyVector))
-	if err := c.verify(rep.CkptOrder, digest, rep.Proof); err != nil {
-		return false, false
+	if c.verify == nil {
+		if rep.CkptOrder != c.stable.Order || digest != c.stable.Digest {
+			return
+		}
+	} else if c.verify(rep.CkptOrder, digest, rep.Proof) != nil {
+		return
 	}
-	if err := c.exec.install(rep.CkptOrder, rep.Snapshot, rep.ReplyVector, c.wd.stopped); err != nil {
-		return false, false
+	if c.h.Exec.install(rep.CkptOrder, rep.Snapshot, rep.ReplyVector, c.h.stopped) != nil {
+		return
 	}
 	proof, _ := any(rep.Proof).([]M)
-	adopted = c.Adopt(StableCkpt[M]{
+	adopted := c.Adopt(StableCkpt[M]{
 		Order: rep.CkptOrder, Digest: digest, Proof: proof,
 		Snapshot: rep.Snapshot, RV: rep.ReplyVector,
 	})
 	if !adopted && rep.CkptOrder == c.stable.Order && c.stable.Snapshot == nil && digest == c.stable.Digest {
 		c.stable.Snapshot, c.stable.RV = rep.Snapshot, rep.ReplyVector
 	}
-	c.met.StateXfers.Inc()
-	c.met.Trace(telemetry.EvStateXfer, uint64(view), uint64(rep.CkptOrder), 0, "")
-	c.wd.NoteProgress(false)
-	return true, adopted
+	c.h.Met.StateXfers.Inc()
+	c.h.Met.Trace(telemetry.EvStateXfer, uint64(c.h.View()), uint64(rep.CkptOrder), 0, "")
+	c.h.NoteProgress(false)
+	if adopted {
+		c.slide()
+	}
 }

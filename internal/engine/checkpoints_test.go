@@ -1,0 +1,252 @@
+package engine
+
+import (
+	"testing"
+
+	"hybster/internal/config"
+	"hybster/internal/crypto"
+	"hybster/internal/message"
+	"hybster/internal/statemachine"
+	"hybster/internal/timeline"
+)
+
+// ckptHarness is the checkpoint sub-protocol of replica 0 on an
+// unstarted Host with a recording endpoint — no engine. The test
+// goroutine plays the coordinator loop.
+type ckptHarness struct {
+	*Checkpoints[*message.Checkpoint]
+	h        *Host
+	ep       *fakeEndpoint
+	x        *statemachine.Executor
+	advanced []timeline.Order
+}
+
+// newCkptHarness builds a 2-pillar group of n replicas with checkpoint
+// interval 4 and window 16 (so at most 16/4+1 = 5 announcements are
+// retained per announcing replica).
+func newCkptHarness(t *testing.T, proto config.Protocol) *ckptHarness {
+	t.Helper()
+	cfg := config.Default(proto)
+	cfg.Pillars, cfg.CheckpointInterval, cfg.WindowSize = 2, 4, 16
+	c := &ckptHarness{ep: &fakeEndpoint{}, x: statemachine.NewExecutor(&logApp{})}
+	c.h = NewHost("test", Options{Config: cfg, Endpoint: c.ep}, c.x, Handlers{
+		Pillar: func(uint32, any) {}, Coord: func(any) {}, Close: func(bool) {},
+	})
+	t.Cleanup(c.h.Stop)
+	c.Checkpoints = NewCheckpoints(c.h, nil, func(st *StableCkpt[*message.Checkpoint]) {
+		c.advanced = append(c.advanced, st.Order)
+	})
+	return c
+}
+
+func announce(r uint32, o timeline.Order, state string) Announcement[*message.Checkpoint] {
+	d := crypto.Hash([]byte(state))
+	return Announcement[*message.Checkpoint]{Replica: r, Order: o, Digest: d,
+		Msg: &message.Checkpoint{Order: o, Replica: r, StateDigest: d}}
+}
+
+// advances drains the Advance events queued for pillar u.
+func (c *ckptHarness) advances(u int) (out []timeline.Order) {
+	for {
+		ev, ok := c.h.PillarBox[u].TryGet()
+		if !ok {
+			return out
+		}
+		if a, ok := ev.(Advance); ok {
+			out = append(out, a.Order)
+		}
+	}
+}
+
+func TestCheckpointsQuorumStabilizesOnce(t *testing.T) {
+	c := newCkptHarness(t, config.HybsterX) // n = 3, quorum 2
+	c.Handle(announce(1, 4, "s"))
+	if c.Stable().Order != 0 || len(c.advanced) != 0 {
+		t.Fatal("stable with a single announcement")
+	}
+	c.Handle(announce(2, 4, "s"))
+	st := c.Stable()
+	if st.Order != 4 || st.Digest != crypto.Hash([]byte("s")) || len(st.Proof) != 2 || c.StableOrder() != 4 {
+		t.Fatalf("stable = %+v", st)
+	}
+	c.Handle(announce(0, 4, "s")) // a late third vote changes nothing
+	if len(c.advanced) != 1 || c.advanced[0] != 4 {
+		t.Fatalf("protocol told to advance %v, want [4]", c.advanced)
+	}
+	for u := range c.h.PillarBox {
+		if got := c.advances(u); len(got) != 1 || got[0] != 4 {
+			t.Fatalf("pillar %d windows advanced %v, want [4]", u, got)
+		}
+	}
+	// Execution is behind the stable checkpoint: state was requested.
+	if sends := c.ep.sends(); len(sends) != 2 {
+		t.Fatalf("%d sends, want the STATE-REQUEST multicast", len(sends))
+	} else if _, ok := sends[0].msg.(*message.StateRequest); !ok {
+		t.Fatalf("sent %T, want *message.StateRequest", sends[0].msg)
+	}
+}
+
+func TestCheckpointsConflictsAndDuplicatesDoNotCount(t *testing.T) {
+	c := newCkptHarness(t, config.HybsterX)
+	c.Handle(announce(1, 4, "good"))
+	c.Handle(announce(2, 4, "bad"))
+	if c.Stable().Order != 0 {
+		t.Fatal("conflicting digests reached stability")
+	}
+	c.Handle(announce(1, 4, "good")) // duplicate
+	c.Handle(announce(2, 4, "good")) // equivocation: first announcement wins
+	if c.Stable().Order != 0 {
+		t.Fatal("one replica counted twice")
+	}
+	// A second matching announcement stabilizes despite the faulty one.
+	c.Handle(announce(0, 4, "good"))
+	if st := c.Stable(); st.Order != 4 || st.Digest != crypto.Hash([]byte("good")) || len(st.Proof) != 2 {
+		t.Fatalf("stable = %+v", st)
+	}
+}
+
+func TestCheckpointsQuorumOfThree(t *testing.T) {
+	c := newCkptHarness(t, config.PBFTcop) // n = 4, quorum 3
+	c.Handle(announce(0, 4, "s"))
+	c.Handle(announce(1, 4, "s"))
+	if c.Stable().Order != 0 {
+		t.Fatal("stable below quorum")
+	}
+	c.Handle(announce(2, 4, "s"))
+	if st := c.Stable(); st.Order != 4 || len(st.Proof) != 3 {
+		t.Fatalf("stable = %+v", st)
+	}
+}
+
+func TestCheckpointsObsoleteAndOutOfOrder(t *testing.T) {
+	c := newCkptHarness(t, config.HybsterX)
+	// A later checkpoint can stabilize first (pillar parallelism); the
+	// earlier one is then obsolete and garbage collected.
+	c.Handle(announce(1, 4, "4"))
+	c.Handle(announce(1, 8, "8"))
+	c.Handle(announce(2, 8, "8"))
+	if c.Stable().Order != 8 || len(c.pending) != 0 {
+		t.Fatalf("stable %d, %d pending orders", c.Stable().Order, len(c.pending))
+	}
+	c.Handle(announce(2, 4, "4"))
+	c.Handle(announce(0, 8, "8"))
+	if c.Stable().Order != 8 || len(c.pending) != 0 || len(c.advanced) != 1 {
+		t.Fatal("obsolete or already-stable announcement recorded")
+	}
+	for _, o := range []timeline.Order{12, 16} {
+		c.Handle(announce(1, o, "s"))
+		c.Handle(announce(2, o, "s"))
+		if c.Stable().Order != o {
+			t.Fatalf("order %d did not stabilize", o)
+		}
+	}
+}
+
+func TestCheckpointsOwnAnnouncementRetransmittedUntilStable(t *testing.T) {
+	c := newCkptHarness(t, config.HybsterX)
+	own := announce(0, 4, "s")
+	c.Announce(1, 0, own) // what the owner pillar does after certifying
+	if sends := c.ep.sends(); len(sends) != 2 || sends[0].msg != own.Msg {
+		t.Fatalf("own announcement not multicast: %+v", sends)
+	}
+	ev, ok := c.h.CoordBox.TryGet()
+	if !ok {
+		t.Fatal("own announcement not handed to the coordinator mailbox")
+	}
+	c.Handle(ev)
+	for tick := 1; tick <= 2; tick++ {
+		c.Tick()
+		if sends := c.ep.sends(); len(sends) != 2+2*tick || sends[len(sends)-1].msg != own.Msg {
+			t.Fatalf("tick %d: unstable own announcement not re-multicast (%d sends)", tick, len(sends))
+		}
+	}
+	c.Handle(announce(1, 4, "s"))
+	if c.Stable().Order != 4 || len(c.own) != 0 {
+		t.Fatal("own announcement not pruned at stability")
+	}
+	before := len(c.ep.sends())
+	c.lastStateReq = c.h.Now() // isolate the retransmission from CatchUp's STATE-REQUEST
+	c.Tick()
+	if got := len(c.ep.sends()); got != before {
+		t.Fatalf("stable announcement still retransmitted (%d new sends)", got-before)
+	}
+}
+
+func TestCheckpointsBoundaryDispatchAndLateBoundary(t *testing.T) {
+	c := newCkptHarness(t, config.HybsterX)
+	boundary := func(o timeline.Order) *statemachine.CheckpointView {
+		for next := c.x.NextOrder(); next <= o; next++ {
+			c.x.Submit(next, instance(next))
+		}
+		return c.x.CheckpointView()
+	}
+	// Order 4 is checkpoint #1: round-robin owner is pillar 1.
+	v4 := boundary(4)
+	c.Handle(v4)
+	if ev, ok := c.h.PillarBox[1].TryGet(); !ok || ev != (CkptDue{Order: 4, Digest: v4.StateDigest()}) {
+		t.Fatalf("owner pillar got %+v", ev)
+	}
+	if _, ok := c.h.PillarBox[0].TryGet(); ok {
+		t.Fatal("checkpoint instance dispatched to a second pillar")
+	}
+	// Order 8 stabilizes through the peers before this replica executes
+	// it: the record has no state to serve transfers from.
+	v8 := boundary(8)
+	d8 := v8.StateDigest()
+	for _, r := range []uint32{1, 2} {
+		c.Handle(Announcement[*message.Checkpoint]{Replica: r, Order: 8, Digest: d8, Msg: &message.Checkpoint{Order: 8, Replica: r}})
+	}
+	if st := c.Stable(); st.Order != 8 || st.Snapshot != nil {
+		t.Fatalf("stable = %+v", st)
+	}
+	c.advances(0)
+	c.advances(1)
+	// The boundary executed late completes the record and still yields
+	// the digest, so a protocol that announces stabilized boundaries
+	// (MinBFT: a peer that missed one announcement needs ours) can; the
+	// pillar-structured dispatch does not announce it again.
+	digest, ahead := c.Candidate(v8)
+	if ahead || digest != d8 {
+		t.Fatalf("late boundary: ahead=%v digest match=%v", ahead, digest == d8)
+	}
+	if st := c.Stable(); st.Snapshot == nil || st.RV == nil {
+		t.Fatal("late boundary did not complete the stable record's snapshot")
+	}
+	c.Handle(v8)
+	for u := range c.h.PillarBox {
+		if ev, ok := c.h.PillarBox[u].TryGet(); ok {
+			t.Fatalf("stabilized boundary dispatched again: %+v", ev)
+		}
+	}
+	// Announcing it is a multicast and nothing else: it is not retained
+	// for retransmission.
+	c.Announce(0, 0, Announcement[*message.Checkpoint]{Replica: 0, Order: 8, Digest: d8, Msg: &message.Checkpoint{Order: 8}})
+	ev, _ := c.h.CoordBox.TryGet()
+	c.Handle(ev)
+	if len(c.own) != 0 || len(c.pending) != 0 {
+		t.Fatal("announcement of a stable checkpoint retained")
+	}
+}
+
+// TestCheckpointsAnnouncementsBoundedPerReplica pins the memory bound:
+// one faulty replica's validly certified announcements for ever new
+// future orders must not accumulate.
+func TestCheckpointsAnnouncementsBoundedPerReplica(t *testing.T) {
+	c := newCkptHarness(t, config.HybsterX)
+	bound := int(c.h.Cfg.WindowSize/c.h.Cfg.CheckpointInterval) + 1
+	for i := 1; i <= 10000; i++ {
+		c.Handle(announce(2, timeline.Order(4*i), "junk"))
+		if len(c.pending) > c.h.Cfg.N*bound {
+			t.Fatalf("after %d announcements %d orders pending, bound %d", i, len(c.pending), c.h.Cfg.N*bound)
+		}
+	}
+	if len(c.pending) != bound {
+		t.Fatalf("%d orders pending from one replica, want its newest %d", len(c.pending), bound)
+	}
+	// A genuine quorum at a real boundary still stabilizes.
+	c.Handle(announce(0, 8, "s"))
+	c.Handle(announce(1, 8, "s"))
+	if c.Stable().Order != 8 {
+		t.Fatal("genuine quorum did not stabilize")
+	}
+}

@@ -1,24 +1,29 @@
-// Package engine is the ordering skeleton Hybster (internal/core),
-// PBFTcop/HybridPBFT (internal/pbft) and MinBFT (internal/minbft) have
-// in common: §5.3's consensus-oriented pipeline minus everything the
-// trusted subsystem certifies. It owns
+// Package engine is what Hybster (internal/core), PBFTcop/HybridPBFT
+// (internal/pbft) and MinBFT (internal/minbft) have in common: §5.3's
+// consensus-oriented pipeline minus everything the trusted subsystem
+// certifies. It owns
 //
+//   - the Host: key store, verify stage and ordered inbound routing,
+//     reply stage, pillar and coordinator mailboxes with their one
+//     drain loop, and the Start/Stop/Kill goroutine lifecycle;
 //   - the Sequencer: request admission, batching and order-number
 //     assignment for the replica's proposal slots (core, pbft);
 //   - the ExecLoop: in-order delivery, reply hand-off, checkpoint
 //     boundaries, state installation (all three);
 //   - the Watchdog: pending-work tracking, the health probes, the
 //     exponential view-change patience and the tick source (all three);
-//   - Checkpoints: the checkpoint-candidate store and the state-transfer
-//     requester/server, generic over the checkpoint message type;
+//   - Checkpoints: the checkpoint sub-protocol — candidates, quorum
+//     counting, retransmission, stability, window advance — and the
+//     state-transfer requester/server, generic over the checkpoint
+//     message type;
 //   - Metrics: the metric handles, gauges and trace helpers under the
 //     protocol's hybster_<proto>_ prefix.
 //
 // A protocol supplies plain functions for the few things that differ
-// (how a batch is proposed, where the execution stage posts checkpoint
-// boundaries and progress, how a checkpoint proof is verified) and
-// keeps what the paper says differs: slots and phases, certificate
-// types, view-change rules, recovery.
+// (Handlers: how a message is classified, what a pillar and the
+// coordinator do with an event, what to release on shutdown; how a
+// checkpoint proof is verified) and keeps what the paper says differs:
+// slots and phases, certificate types, view-change rules, recovery.
 //
 // The package cannot live in internal/cop: transport imports
 // cop.Mailbox, and the sequencer relays requests over a
@@ -37,6 +42,6 @@ type InMsg struct {
 	Verified bool
 }
 
-// Tick is the periodic event engines post from Watchdog.RunTicker; it
+// Tick is the periodic event the Host posts to every mailbox; it
 // drives retransmission, gap filling and the view-change timers.
 type Tick struct{}

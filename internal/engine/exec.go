@@ -60,9 +60,9 @@ type ExecLoop struct {
 	last atomic.Uint64
 }
 
-// NewExecLoop wraps executor x (which recovery may have advanced
+// newExecLoop wraps executor x (which recovery may have advanced
 // already). The three funcs are called directly on the loop goroutine.
-func NewExecLoop(x *statemachine.Executor, cfg config.Config, met Metrics, replies *reply.Stage,
+func newExecLoop(x *statemachine.Executor, cfg config.Config, met Metrics, replies *reply.Stage,
 	credit func(pillar uint32, reqs int),
 	checkpoint func(*statemachine.CheckpointView),
 	progress func(stillPending bool)) *ExecLoop {
@@ -99,11 +99,11 @@ func (l *ExecLoop) install(ckpt timeline.Order, snapshot, rv []byte, stopped <-c
 	}
 }
 
-// Close ends Run once the queued events are drained.
-func (l *ExecLoop) Close() { l.inbox.Close() }
+// close ends run once the queued events are drained.
+func (l *ExecLoop) close() { l.inbox.Close() }
 
-// Run is the loop; it returns after Close.
-func (l *ExecLoop) Run() {
+// run is the loop; it returns after close.
+func (l *ExecLoop) run() {
 	for {
 		ev, ok := l.inbox.Get()
 		if !ok {

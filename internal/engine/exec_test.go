@@ -65,7 +65,7 @@ func newExecHarness(t *testing.T, interval timeline.Order) *execHarness {
 	h := &execHarness{app: &logApp{}}
 	ks := crypto.NewKeyStore(0, crypto.NewKeyFromSeed("exec-test"))
 	replies := reply.NewStage(0, ks, &fakeEndpoint{}, 1, nil)
-	h.ExecLoop = NewExecLoop(statemachine.NewExecutor(h.app), cfg, NewMetrics(nil, "test"), replies,
+	h.ExecLoop = newExecLoop(statemachine.NewExecutor(h.app), cfg, newMetrics(nil, "test"), replies,
 		func(pillar uint32, reqs int) {
 			h.mu.Lock()
 			h.credits = append(h.credits, fmt.Sprintf("%d:%d@%d", pillar, reqs, h.LastExecuted()))
@@ -82,9 +82,9 @@ func newExecHarness(t *testing.T, interval timeline.Order) *execHarness {
 			h.mu.Unlock()
 		})
 	done := make(chan struct{})
-	go func() { defer close(done); h.Run() }()
+	go func() { defer close(done); h.run() }()
 	t.Cleanup(func() {
-		h.Close()
+		h.close()
 		<-done
 		replies.Close()
 	})

@@ -1,0 +1,352 @@
+package engine
+
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"hybster/internal/config"
+	"hybster/internal/cop"
+	"hybster/internal/crypto"
+	"hybster/internal/enclave"
+	"hybster/internal/message"
+	"hybster/internal/reply"
+	"hybster/internal/statemachine"
+	"hybster/internal/telemetry"
+	"hybster/internal/timeline"
+	"hybster/internal/transport"
+	"hybster/internal/verify"
+)
+
+// Options bundle the dependencies of one replica engine. core, pbft
+// and minbft alias it as their Options.
+type Options struct {
+	// Config is the validated group configuration.
+	Config config.Config
+	// ID is this replica's ID in [0, N).
+	ID uint32
+	// Endpoint connects the replica to the group.
+	Endpoint transport.Endpoint
+	// Application is the replicated service.
+	Application statemachine.Application
+	// Platform hosts the trusted subsystems (TrInX, USIG); PBFTcop
+	// does not use it.
+	Platform *enclave.Platform
+	// EnclaveCost is the simulated SGX cost model for trusted calls.
+	EnclaveCost enclave.CostModel
+	// Telemetry, when non-nil, enables metrics and protocol-event
+	// tracing for this replica (package telemetry). nil runs the
+	// engine fully uninstrumented.
+	Telemetry *telemetry.Telemetry
+	// DataDir, when non-empty, enables durable crash-recovery: trusted
+	// counters are sealed to DataDir/seal with a monotonic horizon and
+	// committed decisions plus stable checkpoints land in a write-ahead
+	// log under DataDir/wal. On boot the engine restores the sealed
+	// counters, installs the last stable checkpoint, and replays the
+	// decision tail before fetching the rest via state transfer. Only
+	// Hybster (core) has that recovery path: core.New fails with
+	// trinx.ErrStaleSeal on a rolled-back seal and trinx.ErrAmnesia
+	// when the seal register proves state the disk no longer holds;
+	// pbft.New and minbft.New refuse a non-empty DataDir.
+	DataDir string
+	// Now optionally overrides the time source (tests).
+	Now func() time.Time
+}
+
+// Dest names the component of the replica an inbound message belongs
+// to.
+type Dest uint8
+
+const (
+	// Drop discards the message (unknown or foreign-protocol type).
+	Drop Dest = iota
+	// ToSequencer admits a client request for proposal.
+	ToSequencer
+	// ToPillar delivers to the pillar owning Route.Order.
+	ToPillar
+	// ToCkptPillar delivers to the pillar that runs the checkpoint
+	// instance of Route.Order (round-robin, §5.3.2).
+	ToCkptPillar
+	// ToCoord delivers to the coordinator mailbox.
+	ToCoord
+)
+
+// Route is a protocol's verdict on one inbound message: where it goes
+// and which client requests it carries whose authenticators the
+// parallel verify stage must check first.
+type Route struct {
+	To     Dest
+	Order  timeline.Order
+	Verify []*message.Request
+}
+
+// Handlers are the funcs a protocol supplies to its Host; everything
+// else a replica consists of is the Host's.
+type Handlers struct {
+	// Classify maps an inbound message to its Route. It runs on
+	// transport goroutines and must not touch protocol state.
+	Classify func(message.Message) Route
+	// Pillar handles one event of pillar u's mailbox, on that pillar's
+	// goroutine. nil means the protocol is not pillar-structured: the
+	// Host then has neither pillar mailboxes nor a Sequencer (MinBFT).
+	Pillar func(u uint32, ev any)
+	// Coord handles one event of the coordinator mailbox.
+	Coord func(ev any)
+	// Progress, when non-nil, additionally learns the outcome of every
+	// delivery round on the execution goroutine (MinBFT keeps its
+	// suspicion clock on the protocol loop).
+	Progress func(stillPending bool)
+	// Close releases what the protocol owns (certifiers, the WAL) once
+	// every goroutine has exited; graceful is false for Kill.
+	Close func(graceful bool)
+}
+
+// Events the Host posts besides InMsg and Tick.
+type (
+	// Propose instructs a pillar to propose Batch (nil = no-op) for an
+	// order number this replica owns; posted by the Sequencer.
+	Propose struct {
+		View  timeline.View
+		Order timeline.Order
+		Batch []*message.Request
+	}
+	// Behind reports ordering traffic beyond the window — evidence that
+	// this replica has fallen behind the group. Pillars post it to the
+	// coordinator mailbox, where Checkpoints.Handle requests state.
+	Behind struct{}
+)
+
+// Host is what every replica has regardless of protocol (§5.3): the
+// key store, the Watchdog and its ticker, the verify stage with its
+// ordered front, the reply stage, the execution stage, the Sequencer
+// and the pillar mailboxes of a pillar-structured protocol, the
+// coordinator mailbox, the one mailbox-drain loop, inbound routing and
+// the goroutine lifecycle. Engines embed it.
+type Host struct {
+	Cfg  config.Config
+	Ep   transport.Endpoint
+	Keys *crypto.KeyStore
+	Met  Metrics // records nothing when telemetry is off
+	*Watchdog
+
+	Exec *ExecLoop
+	Seq  *Sequencer // nil without pillars
+	// PillarBox[u] is pillar u's mailbox, CoordBox the coordinator's
+	// (MinBFT's single protocol loop).
+	PillarBox []*cop.Mailbox[any]
+	CoordBox  *cop.Mailbox[any]
+
+	id      uint32
+	hd      Handlers
+	replies *reply.Stage
+	vpool   *verify.Pool
+	vord    *verify.Ordered
+
+	// curView mirrors the protocol's stable view for lock-free reads on
+	// hot paths.
+	curView atomic.Uint64
+
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+}
+
+// NewHost assembles the replica around executor x, which recovery may
+// have advanced already. name is the protocol's metric and error-text
+// prefix ("core", "pbft", "minbft"). Call Start to begin processing.
+func NewHost(name string, opts Options, x *statemachine.Executor, hd Handlers) *Host {
+	h := &Host{
+		Cfg: opts.Config, Ep: opts.Endpoint, id: opts.ID, hd: hd,
+		Keys:     crypto.NewKeyStore(opts.ID, crypto.NewKeyFromSeed(opts.Config.KeySeed)),
+		Met:      newMetrics(opts.Telemetry, name),
+		CoordBox: cop.NewMailbox[any](),
+		Watchdog: newWatchdog(name, opts.Config.ViewChangeTimeout, opts.Now),
+	}
+	var credit func(pillar uint32, reqs int)
+	if hd.Pillar != nil {
+		h.PillarBox = make([]*cop.Mailbox[any], h.Cfg.Pillars)
+		for u := range h.PillarBox {
+			h.PillarBox[u] = cop.NewMailbox[any]()
+		}
+		// The batch goes to the pillar owning order o, which certifies
+		// and multicasts it.
+		h.Seq = newSequencer(h.Cfg, h.id, h.View, h.Ep, h.Met,
+			func(u uint32, v timeline.View, o timeline.Order, batch []*message.Request) {
+				h.PillarBox[u].Put(Propose{View: v, Order: o, Batch: batch})
+			})
+		credit = h.Seq.Credit
+	}
+	progress := h.NoteProgress
+	if hd.Progress != nil {
+		progress = func(stillPending bool) {
+			h.NoteProgress(stillPending)
+			hd.Progress(stillPending)
+		}
+	}
+	h.replies = reply.NewStage(h.id, h.Keys, h.Ep, 0, opts.Telemetry)
+	h.Exec = newExecLoop(x, h.Cfg, h.Met, h.replies, credit,
+		func(v *statemachine.CheckpointView) { h.CoordBox.Put(v) }, progress)
+	h.vpool = verify.NewPool(h.Keys, 0, opts.Telemetry)
+	h.vord = verify.NewOrdered(h.vpool)
+	return h
+}
+
+// ID returns the replica ID.
+func (h *Host) ID() uint32 { return h.id }
+
+// View returns the replica's current stable view.
+func (h *Host) View() timeline.View { return timeline.View(h.curView.Load()) }
+
+// SetView publishes the view the protocol just installed.
+func (h *Host) SetView(v timeline.View) { h.curView.Store(uint64(v)) }
+
+// LastExecuted returns the highest executed order number (diagnostics
+// and tests).
+func (h *Host) LastExecuted() timeline.Order { return h.Exec.LastExecuted() }
+
+// Telemetry returns the replica's telemetry bundle (nil when
+// disabled); the ops server and cluster introspection read through it.
+func (h *Host) Telemetry() *telemetry.Telemetry { return h.Met.tel }
+
+// Start launches the replica's goroutines — one per pillar, the
+// execution stage, the coordinator loop and the ticker — and installs
+// the transport handler.
+func (h *Host) Start() {
+	h.Ep.Handle(h.route)
+	for u, box := range h.PillarBox {
+		h.spawn(func() { drain(box, func(ev any) { h.hd.Pillar(uint32(u), ev) }) })
+	}
+	h.spawn(h.Exec.run)
+	h.spawn(func() { drain(h.CoordBox, h.hd.Coord) })
+	h.spawn(func() {
+		h.runTicker(func() {
+			for _, box := range h.PillarBox {
+				box.Put(Tick{})
+			}
+			h.CoordBox.Put(Tick{})
+		})
+	})
+}
+
+func (h *Host) spawn(fn func()) {
+	h.wg.Add(1)
+	go func() { defer h.wg.Done(); fn() }()
+}
+
+// drain is the event loop of one mailbox. It fetches in batches: under
+// load one lock round-trip yields a burst of events instead of paying
+// the lock per event.
+func drain(box *cop.Mailbox[any], handle func(ev any)) {
+	batch := make([]any, 0, 32)
+	for {
+		events, ok := box.GetBatch(batch[:0])
+		if !ok {
+			return
+		}
+		for _, ev := range events {
+			handle(ev)
+		}
+	}
+}
+
+// Stop shuts the replica down gracefully and waits for its goroutines;
+// a durable protocol flushes its log and seals exact counter values in
+// its Close hook, so a subsequent boot resumes warm. Stop is
+// idempotent and safe on a replica that was never started.
+func (h *Host) Stop() { h.stop(true) }
+
+// Kill crash-stops the replica: goroutines are torn down (an
+// in-process harness cannot leak them), but the Close hook leaves
+// durable state exactly as kill -9 would — no exact-value seal, no WAL
+// flush, the WAL's unsynced tail torn mid-frame — so a cold restart
+// exercises the genuine crash-recovery path. For a volatile protocol
+// Kill equals Stop.
+func (h *Host) Kill() { h.stop(false) }
+
+func (h *Host) stop(graceful bool) {
+	h.stopOnce.Do(func() {
+		close(h.stopped)
+		_ = h.Ep.Close()
+		h.vpool.Close()
+		for _, box := range h.PillarBox {
+			box.Close()
+		}
+		h.Exec.close()
+		h.CoordBox.Close()
+		h.wg.Wait()
+		// The exec loop is done submitting; drain outstanding replies.
+		h.replies.Close()
+		h.hd.Close(graceful)
+	})
+}
+
+// ckptBox is the mailbox of the pillar running the checkpoint instance
+// of order o.
+func (h *Host) ckptBox(o timeline.Order) *cop.Mailbox[any] {
+	return h.PillarBox[h.Cfg.CheckpointPillar(o)%uint32(len(h.PillarBox))]
+}
+
+// route dispatches an inbound message to the component that owns it.
+// It runs on transport goroutines and does no crypto itself: messages
+// carrying client authenticators are verified on the parallel stage,
+// everything else passes through unchecked — but all of it flows
+// through the stage's ordered front, so events reach the mailboxes in
+// exact arrival order just as an inline check would deliver them.
+func (h *Host) route(from uint32, m message.Message) {
+	r := h.hd.Classify(m)
+	var box *cop.Mailbox[any]
+	switch r.To {
+	case ToSequencer:
+		req := r.Verify[0]
+		h.vord.Submit(from, r.Verify, func(ok bool) {
+			if ok {
+				h.NoteWork()
+				h.Seq.admit(req)
+			}
+		})
+		return
+	case ToPillar:
+		box = h.PillarBox[h.Cfg.PillarOf(r.Order)%uint32(len(h.PillarBox))]
+	case ToCkptPillar:
+		box = h.ckptBox(r.Order)
+	case ToCoord:
+		box = h.CoordBox
+	default:
+		return
+	}
+	if len(r.Verify) == 0 {
+		h.vord.Pass(from, func() { box.Put(InMsg{From: from, Msg: m}) })
+		return
+	}
+	toCoord := r.To == ToCoord
+	h.vord.Submit(from, r.Verify, func(ok bool) {
+		// A batch with a forged client authenticator dies here, before
+		// it can occupy a pillar. A coordinator loop still gets it,
+		// marked unverified: MinBFT consumes every sender's UI counters
+		// strictly in order, so dropping the message here would wedge
+		// the link — all later counters would wait in holdback forever.
+		// Its loop re-checks inline and rejects the batch after the
+		// counter bookkeeping, exactly like the inline path this stage
+		// replaces.
+		if ok || toCoord {
+			box.Put(InMsg{From: from, Msg: m, Verified: ok})
+		}
+	})
+}
+
+// PillarGauges registers the sampled gauges of a pillar-structured
+// engine beyond those its sequencer and execution stage register
+// themselves; stable reads the last stable checkpoint order.
+func (h *Host) PillarGauges(stable func() uint64) {
+	m := h.Met
+	m.GaugeFunc("view", "current stable view", func() float64 { return float64(h.curView.Load()) })
+	m.GaugeFunc("stable_checkpoint", "last stable checkpoint order",
+		func() float64 { return float64(stable()) })
+	for u, box := range h.PillarBox {
+		m.GaugeFunc("pillar_mailbox_depth", "queued pillar events",
+			func() float64 { return float64(box.Len()) }, PillarLabel(uint32(u)))
+	}
+	m.GaugeFunc("exec_mailbox_depth", "queued execution events",
+		func() float64 { return float64(h.Exec.inbox.Len()) })
+	m.GaugeFunc("coord_mailbox_depth", "queued coordinator events",
+		func() float64 { return float64(h.CoordBox.Len()) })
+}

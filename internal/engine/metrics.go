@@ -2,9 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"hybster/internal/cop"
 	"hybster/internal/message"
 	"hybster/internal/telemetry"
 )
@@ -24,9 +22,9 @@ type Metrics struct {
 	StateXfers   *telemetry.Counter
 }
 
-// NewMetrics resolves the shared handles for protocol proto ("core",
+// newMetrics resolves the shared handles for protocol proto ("core",
 // "pbft", "minbft").
-func NewMetrics(tel *telemetry.Telemetry, proto string) Metrics {
+func newMetrics(tel *telemetry.Telemetry, proto string) Metrics {
 	m := Metrics{tel: tel, prefix: "hybster_" + proto + "_"}
 	m.ExecBatches = m.Counter("exec_batches_total", "batches delivered to the application")
 	m.ExecRequests = m.Counter("exec_requests_total", "client requests executed")
@@ -79,27 +77,6 @@ func (m Metrics) Ordering(labels ...telemetry.Label) OrderingMetrics {
 // PillarLabel is the label of pillar idx's series.
 func PillarLabel(idx uint32) telemetry.Label { return telemetry.L("pillar", fmt.Sprint(idx)) }
 
-// PillarGauges registers the sampled gauges of a pillar-structured
-// engine (core, pbft) beyond those its sequencer and execution stage
-// register themselves. pillarDepth reads the mailbox depth of one of
-// the engine's pillars.
-func (m Metrics) PillarGauges(view *atomic.Uint64, stable func() uint64,
-	pillars int, pillarDepth func(u int) int, exec *ExecLoop, coord *cop.Mailbox[any]) {
-
-	m.GaugeFunc("view", "current stable view", func() float64 { return float64(view.Load()) })
-	m.GaugeFunc("stable_checkpoint", "last stable checkpoint order",
-		func() float64 { return float64(stable()) })
-	for u := 0; u < pillars; u++ {
-		u := u
-		m.GaugeFunc("pillar_mailbox_depth", "queued pillar events",
-			func() float64 { return float64(pillarDepth(u)) }, PillarLabel(uint32(u)))
-	}
-	m.GaugeFunc("exec_mailbox_depth", "queued execution events",
-		func() float64 { return float64(exec.inbox.Len()) })
-	m.GaugeFunc("coord_mailbox_depth", "queued coordinator events",
-		func() float64 { return float64(coord.Len()) })
-}
-
 // Trace records one protocol event on the replica's tracer.
 func (m Metrics) Trace(kind telemetry.EventKind, view, slot uint64, pillar uint32, note string) {
 	m.tel.Trace(kind, view, slot, pillar, note)
@@ -111,7 +88,3 @@ func (m Metrics) Trace(kind telemetry.EventKind, view, slot uint64, pillar uint3
 func (m Metrics) TraceD(kind telemetry.EventKind, view, slot uint64, pillar uint32, digest []byte, note string) {
 	m.tel.TraceDigest(kind, view, slot, pillar, digest, note)
 }
-
-// Telemetry returns the replica's telemetry bundle (nil when
-// disabled); the ops server and cluster introspection read through it.
-func (m Metrics) Telemetry() *telemetry.Telemetry { return m.tel }

@@ -12,11 +12,11 @@ import (
 	"hybster/internal/transport"
 )
 
-// ProposeFunc hands one batch to the pillar that certifies and
+// proposeFunc hands one batch to the pillar that certifies and
 // multicasts it as this replica's proposal for (view, order). A nil
 // batch is a no-op proposal. The sequencer calls it directly, outside
 // its lock.
-type ProposeFunc func(pillar uint32, view timeline.View, order timeline.Order, batch []*message.Request)
+type proposeFunc func(pillar uint32, view timeline.View, order timeline.Order, batch []*message.Request)
 
 // Sequencer admits client requests and assigns order numbers to the
 // proposals this replica is responsible for. Without rotation the
@@ -36,7 +36,7 @@ type Sequencer struct {
 	id      uint32
 	view    func() timeline.View
 	ep      transport.Endpoint
-	propose ProposeFunc
+	propose proposeFunc
 	noops   *telemetry.Counter
 
 	mu    sync.Mutex
@@ -79,10 +79,10 @@ const maxInFlightPerPillar = 4
 // saved time on per-instance protocol work.
 const batchHold = 2 * time.Millisecond
 
-// NewSequencer builds the sequencer of replica id. view reads the
+// newSequencer builds the sequencer of replica id. view reads the
 // replica's current stable view; propose receives every batch cut.
-func NewSequencer(cfg config.Config, id uint32, view func() timeline.View,
-	ep transport.Endpoint, met Metrics, propose ProposeFunc) *Sequencer {
+func newSequencer(cfg config.Config, id uint32, view func() timeline.View,
+	ep transport.Endpoint, met Metrics, propose proposeFunc) *Sequencer {
 
 	s := &Sequencer{
 		cfg: cfg, id: id, view: view, ep: ep, propose: propose,
@@ -154,9 +154,9 @@ func (s *Sequencer) flushHeld() {
 	s.pump()
 }
 
-// Admit queues a request whose client authenticator has already been
+// admit queues a request whose client authenticator has already been
 // checked, or relays it when this replica is not a proposer.
-func (s *Sequencer) Admit(r *message.Request) {
+func (s *Sequencer) admit(r *message.Request) {
 	if v := s.view(); s.relays(v) {
 		// Followers relay to the leader; the client's own timeout
 		// multicast already reaches it in the common case, so relaying

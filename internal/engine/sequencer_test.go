@@ -56,16 +56,18 @@ type sentMsg struct {
 	msg message.Message
 }
 
-// fakeEndpoint records sends instead of delivering them.
+// fakeEndpoint records sends instead of delivering them, and keeps the
+// installed handler so a test can play the network.
 type fakeEndpoint struct {
-	id   uint32
-	mu   sync.Mutex
-	sent []sentMsg
+	id      uint32
+	mu      sync.Mutex
+	sent    []sentMsg
+	deliver transport.Handler
 }
 
-func (f *fakeEndpoint) ID() uint32               { return f.id }
-func (f *fakeEndpoint) Handle(transport.Handler) {}
-func (f *fakeEndpoint) Close() error             { return nil }
+func (f *fakeEndpoint) ID() uint32                 { return f.id }
+func (f *fakeEndpoint) Handle(h transport.Handler) { f.deliver = h }
+func (f *fakeEndpoint) Close() error               { return nil }
 func (f *fakeEndpoint) Send(to uint32, m message.Message) error {
 	f.mu.Lock()
 	f.sent = append(f.sent, sentMsg{to, m})
@@ -92,8 +94,8 @@ func newSeqHarness(id uint32, pillars, batch int, rotate bool) *seqHarness {
 	cfg := config.Default(config.HybsterX)
 	cfg.Pillars, cfg.BatchSize, cfg.RotateLeader = pillars, batch, rotate
 	h := &seqHarness{rec: &recorder{}, ep: &fakeEndpoint{id: id}}
-	h.Sequencer = NewSequencer(cfg, id, func() timeline.View { return timeline.View(h.view.Load()) },
-		h.ep, NewMetrics(nil, "test"), h.rec.propose)
+	h.Sequencer = newSequencer(cfg, id, func() timeline.View { return timeline.View(h.view.Load()) },
+		h.ep, newMetrics(nil, "test"), h.rec.propose)
 	return h
 }
 
@@ -126,7 +128,7 @@ func TestSequencerSlotAssignment(t *testing.T) {
 // before Admit returns, never parked behind the hold timer.
 func TestSequencerLoneRequestDispatchesImmediately(t *testing.T) {
 	h := newSeqHarness(0, 1, 16, false)
-	h.Admit(request(1))
+	h.admit(request(1))
 	ps := h.rec.snapshot()
 	if len(ps) != 1 || len(ps[0].batch) != 1 || ps[0].order != 1 || ps[0].pillar != 0 {
 		t.Fatalf("proposals after one Admit: %+v", ps)
@@ -151,8 +153,8 @@ func TestSequencerHoldFlushedByTimerWithoutCredit(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newSeqHarness(0, tc.pillars, tc.batch, false)
-			h.Admit(request(1)) // dispatched at once, never credited
-			h.Admit(request(2))
+			h.admit(request(1)) // dispatched at once, never credited
+			h.admit(request(2))
 			if n := len(h.rec.snapshot()); n != 1 {
 				t.Fatalf("partial batch not held: %d proposals right after Admit", n)
 			}
@@ -177,7 +179,7 @@ func TestSequencerBatchNotAliasedByLaterAppends(t *testing.T) {
 	saturate(h)
 	const seq = 1
 	for i := 0; i < 5; i++ {
-		h.Admit(request(seq + uint64(i)))
+		h.admit(request(seq + uint64(i)))
 	}
 	if n := len(h.rec.snapshot()); n != 0 {
 		t.Fatalf("saturated pillar accepted a proposal: %d", n)
@@ -195,7 +197,7 @@ func TestSequencerBatchNotAliasedByLaterAppends(t *testing.T) {
 	// Later admissions append to the queue's tail; they must not reach
 	// into the dispatched batch, and growing the batch must not reach
 	// into the queue.
-	h.Admit(request(100))
+	h.admit(request(100))
 	_ = append(batch, request(200))
 	if batch[0] != first || batch[1] != second || first.Seq != seq || second.Seq != seq+1 {
 		t.Fatal("dispatched batch changed after later appends")
@@ -216,7 +218,7 @@ func TestSequencerBatchNotAliasedByLaterAppends(t *testing.T) {
 
 func TestSequencerCreditsAfterResetClampAtZero(t *testing.T) {
 	h := newSeqHarness(0, 2, 16, true)
-	h.Admit(request(1))
+	h.admit(request(1))
 	h.ResetForView(1, 0)
 	// Stragglers crediting proposals the view change dropped.
 	for i := 0; i < 3; i++ {
@@ -233,7 +235,7 @@ func TestSequencerCreditsAfterResetClampAtZero(t *testing.T) {
 	}
 	// Accounting still works afterwards.
 	h.view.Store(1)
-	h.Admit(request(2))
+	h.admit(request(2))
 	ps := h.rec.snapshot()
 	last := ps[len(ps)-1]
 	if last.view != 1 || h.cfg.ProposerOf(1, last.order) != 0 {
@@ -249,12 +251,12 @@ func TestSequencerDemotedProposerRelaysQueue(t *testing.T) {
 	saturate(h)
 	const seq = 1
 	for i := 0; i < 3; i++ {
-		h.Admit(request(seq + uint64(i)))
+		h.admit(request(seq + uint64(i)))
 	}
 	// A view change installs view 1, led by replica 1.
 	h.view.Store(1)
 	h.ResetForView(1, 10)
-	h.Admit(request(seq + 3)) // arrives after the demotion
+	h.admit(request(seq + 3)) // arrives after the demotion
 	if n := len(h.rec.snapshot()); n != 0 {
 		t.Fatalf("demoted replica proposed: %d proposals", n)
 	}
@@ -298,7 +300,7 @@ func TestSequencerConcurrentAdmitAndCredit(t *testing.T) {
 		orders = make(map[timeline.Order]int)
 		count  atomic.Int64
 	)
-	s := NewSequencer(cfg, 0, func() timeline.View { return 0 }, &fakeEndpoint{}, NewMetrics(nil, "test"),
+	s := newSequencer(cfg, 0, func() timeline.View { return 0 }, &fakeEndpoint{}, newMetrics(nil, "test"),
 		func(pillar uint32, _ timeline.View, o timeline.Order, batch []*message.Request) {
 			mu.Lock()
 			orders[o]++
@@ -326,7 +328,7 @@ func TestSequencerConcurrentAdmitAndCredit(t *testing.T) {
 		go func(a int) {
 			defer awg.Done()
 			for i := 0; i < perAdmit; i++ {
-				s.Admit(request(uint64(a*perAdmit + i + 1)))
+				s.admit(request(uint64(a*perAdmit + i + 1)))
 			}
 		}(a)
 	}

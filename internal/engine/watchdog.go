@@ -8,8 +8,8 @@ import (
 	"hybster/internal/timeline"
 )
 
-// Watchdog tracks whether admitted work is being executed. Engines
-// embed it: it backs /healthz and /readyz, tells the view-change logic
+// Watchdog tracks whether admitted work is being executed. The Host
+// embeds it: it backs /healthz and /readyz, tells the view-change logic
 // how long work has been stalled and how patient to be, and is the
 // tick source of the replica.
 //
@@ -25,7 +25,7 @@ type Watchdog struct {
 	// 0 = none.
 	pendingSince atomic.Int64
 
-	stopped <-chan struct{}
+	stopped chan struct{} // closed by the Host when the engine shuts down
 
 	// backoff counts consecutive view-change timeouts without
 	// execution progress; the effective timeout doubles with each one.
@@ -39,18 +39,21 @@ type Watchdog struct {
 	lastExecSeen timeline.Order
 }
 
-// NewWatchdog creates the watchdog of one replica. timeout is the
-// configured view-change timeout, a nil now means time.Now, and the
-// engine closes stopped when it shuts down.
-func NewWatchdog(name string, timeout time.Duration, now func() time.Time, stopped <-chan struct{}) *Watchdog {
+// newWatchdog creates the watchdog of one replica. timeout is the
+// configured view-change timeout and a nil now means time.Now.
+func newWatchdog(name string, timeout time.Duration, now func() time.Time) *Watchdog {
 	if now == nil {
 		now = time.Now
 	}
-	return &Watchdog{name: name, timeout: timeout, now: now, stopped: stopped}
+	return &Watchdog{name: name, timeout: timeout, now: now, stopped: make(chan struct{})}
 }
 
 // Now reads the replica's (possibly injected) clock.
 func (w *Watchdog) Now() time.Time { return w.now() }
+
+// Stopped is closed when the engine shuts down; loops blocked on a
+// hand-off select on it.
+func (w *Watchdog) Stopped() <-chan struct{} { return w.stopped }
 
 // NoteWork records the arrival of work.
 func (w *Watchdog) NoteWork() {
@@ -134,9 +137,9 @@ func (w *Watchdog) ObserveExec(executed timeline.Order) {
 	}
 }
 
-// RunTicker posts a tick every quarter view-change timeout and
+// runTicker posts a tick every quarter view-change timeout and
 // returns once the engine stopped.
-func (w *Watchdog) RunTicker(post func()) {
+func (w *Watchdog) runTicker(post func()) {
 	t := time.NewTicker(w.timeout / 4)
 	defer t.Stop()
 	for {

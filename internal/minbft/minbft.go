@@ -25,35 +25,20 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hybster/internal/checkpoint"
-	"hybster/internal/config"
-	"hybster/internal/cop"
 	"hybster/internal/crypto"
-	"hybster/internal/enclave"
 	"hybster/internal/engine"
 	"hybster/internal/message"
-	"hybster/internal/reply"
 	"hybster/internal/statemachine"
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
 	"hybster/internal/trinx"
 	"hybster/internal/usig"
-	"hybster/internal/verify"
 )
 
-// Options bundle the dependencies of an Engine.
-type Options struct {
-	Config      config.Config
-	ID          uint32
-	Endpoint    transport.Endpoint
-	Application statemachine.Application
-	Platform    *enclave.Platform
-	EnclaveCost enclave.CostModel
-	// Telemetry receives this replica's metrics and trace events; nil
-	// disables instrumentation.
-	Telemetry *telemetry.Telemetry
-}
+// Options bundle the dependencies of an Engine. MinBFT has no durable
+// mode; DataDir must be empty.
+type Options = engine.Options
 
 // slot tracks one ordered instance (identified by the leader prepare's
 // UI counter).
@@ -68,29 +53,20 @@ type slot struct {
 
 // Engine is one MinBFT replica.
 type Engine struct {
-	cfg config.Config
-	id  uint32
-	ep  transport.Endpoint
-	ks  *crypto.KeyStore
+	// Host supplies everything protocol-independent. MinBFT is not
+	// pillar-structured: its one protocol loop drains the Host's
+	// coordinator mailbox, and it proposes by itself. The Watchdog's
+	// pending-work marker only feeds /readyz: the suspicion clock below
+	// restarts on commits and timeouts, which a stuck-detector must not.
+	*engine.Host
 	// sig issues UIs for ordering messages; sigCkpt is a second USIG
 	// instance dedicated to checkpoints so that checkpoint traffic
 	// does not perturb the ordering counter sequence (the leader's
 	// ordering counter maps 1:1 onto order numbers).
 	sig     *usig.USIG
 	sigCkpt *usig.USIG
-	// Watchdog backs the health probes and the ticker, and keeps the
-	// suspicion patience. Its pending-work marker only feeds /readyz:
-	// the suspicion clock below restarts on commits and timeouts, which
-	// a stuck-detector must not.
-	*engine.Watchdog
 
-	inbox   *cop.Mailbox[any]
-	exec    *engine.ExecLoop
-	replies *reply.Stage
-	vpool   *verify.Pool
-	vord    *verify.Ordered
-
-	// protocol state, confined to the run goroutine
+	// protocol state, confined to the protocol loop
 	view timeline.View
 	// expected[r] is the next UI counter value accepted from replica
 	// r; the in-order processing MinBFT requires.
@@ -105,11 +81,9 @@ type Engine struct {
 	slots map[timeline.Order]*slot
 	// low is the last stable checkpoint order (ck.Stable().Order): the
 	// window's low watermark.
-	low   timeline.Order
-	ckpts *checkpoint.Tracker[*message.Checkpoint]
-	// ck holds the own checkpoint candidates, the stable checkpoint
-	// with the quorum certificate VIEW-CHANGEs carry, and the
-	// state-transfer requester/server.
+	low timeline.Order
+	// ck is the checkpoint sub-protocol (its stable record holds the
+	// quorum certificate VIEW-CHANGEs carry) and state transfer.
 	ck *engine.Checkpoints[*message.Checkpoint]
 
 	// queue of admitted requests (leader only).
@@ -165,7 +139,6 @@ type Engine struct {
 	histLenSnapshot int
 
 	suspects atomic.Uint64 // leader-timeout events (diagnostics)
-	met      engine.Metrics
 	ord      engine.OrderingMetrics
 	// suspectsC and zombiesC count leader-timeout suspicions and
 	// replicas convicted of counter regression.
@@ -199,10 +172,6 @@ type Engine struct {
 
 	zombieMu  sync.Mutex
 	zombieSet map[uint32]bool
-
-	stopOnce sync.Once
-	stopped  chan struct{}
-	wg       sync.WaitGroup
 }
 
 // heldMsg is a held-back out-of-order message plus its verified bit.
@@ -228,26 +197,17 @@ func New(opts Options) (*Engine, error) {
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.DataDir != "" {
+		return nil, errors.New("minbft: no recovery path; a replica with a data dir would silently run volatile")
+	}
 	key := crypto.NewKeyFromSeed(opts.Config.KeySeed)
-	met := engine.NewMetrics(opts.Telemetry, "minbft")
 	e := &Engine{
-		cfg:       opts.Config,
-		id:        opts.ID,
-		ep:        opts.Endpoint,
-		ks:        crypto.NewKeyStore(opts.ID, key),
 		sig:       usig.New(opts.Platform, opts.ID, key, opts.EnclaveCost).Instrument(opts.Telemetry),
 		sigCkpt:   usig.New(opts.Platform, opts.ID|ckptIssuerFlag, key, opts.EnclaveCost).Instrument(opts.Telemetry),
-		met:       met,
-		ord:       met.Ordering(),
-		suspectsC: met.Counter("suspects_total", "leader-timeout suspicion events"),
-		zombiesC:  met.Counter("zombies_total", "replicas convicted of counter regression"),
-		stopped:   make(chan struct{}),
-		inbox:     cop.NewMailbox[any](),
 		expected:  make(map[uint32]uint64),
 		holdback:  make(map[uint32]map[uint64]heldMsg),
 		nextOrder: 1,
 		slots:     make(map[timeline.Order]*slot),
-		ckpts:     checkpoint.NewTracker[*message.Checkpoint](opts.Config.Quorum()),
 
 		reqVCs:         make(map[timeline.View]map[uint32]bool),
 		vcs:            make(map[timeline.View]map[uint32]*message.MinViewChange),
@@ -261,19 +221,21 @@ func New(opts Options) (*Engine, error) {
 		zombieSet:      make(map[uint32]bool),
 		deaf:           make(map[uint32]bool),
 	}
-	e.Watchdog = engine.NewWatchdog("minbft", e.cfg.ViewChangeTimeout, nil, e.stopped)
-	e.replies = reply.NewStage(e.id, e.ks, e.ep, 0, opts.Telemetry)
 	// Checkpoints run on the protocol loop, so USIG and window state
 	// stay single-threaded; the suspicion clock lives there too.
-	e.exec = engine.NewExecLoop(statemachine.NewExecutor(opts.Application), e.cfg, e.met, e.replies, nil,
-		func(v *statemachine.CheckpointView) { e.inbox.Put(v) },
-		func(pending bool) {
-			e.NoteProgress(pending)
-			e.inbox.Put(evProgress{pending: pending})
-		})
-	e.ck = engine.NewCheckpoints[*message.Checkpoint](e.cfg, e.id, e.ep, e.Watchdog, e.met, e.exec, e.verifyCkptProof)
-	e.vpool = verify.NewPool(e.ks, 0, opts.Telemetry)
-	e.vord = verify.NewOrdered(e.vpool)
+	e.Host = engine.NewHost("minbft", opts, statemachine.NewExecutor(opts.Application), engine.Handlers{
+		Classify: classify,
+		Coord:    e.handleEvent,
+		Progress: func(pending bool) { e.CoordBox.Put(evProgress{pending: pending}) },
+		Close:    func(bool) { e.sig.Destroy(); e.sigCkpt.Destroy() },
+	})
+	e.ord = e.Met.Ordering()
+	e.suspectsC = e.Met.Counter("suspects_total", "leader-timeout suspicion events")
+	e.zombiesC = e.Met.Counter("zombies_total", "replicas convicted of counter regression")
+	e.ck = engine.NewCheckpoints(e.Host, e.verifyCkptProof, func(st *engine.StableCkpt[*message.Checkpoint]) {
+		e.advanceLow(st.Order)
+		e.propose()
+	})
 	for r := uint32(0); int(r) < opts.Config.N; r++ {
 		e.expected[r] = 1
 	}
@@ -281,15 +243,6 @@ func New(opts Options) (*Engine, error) {
 	e.registerGauges()
 	return e, nil
 }
-
-// ID returns the replica ID.
-func (e *Engine) ID() uint32 { return e.id }
-
-// LastExecuted returns the highest executed order number.
-func (e *Engine) LastExecuted() timeline.Order { return e.exec.LastExecuted() }
-
-// Telemetry returns the engine's telemetry bundle (nil when disabled).
-func (e *Engine) Telemetry() *telemetry.Telemetry { return e.met.Telemetry() }
 
 // Suspects returns how often the leader was suspected (diagnostics).
 func (e *Engine) Suspects() uint64 { return e.suspects.Load() }
@@ -323,83 +276,24 @@ func (e *Engine) ZombieErr(r uint32) error {
 	return nil
 }
 
-// Start launches the replica.
-func (e *Engine) Start() {
-	e.ep.Handle(func(from uint32, m message.Message) {
-		// Every inbound message goes through the ordered front of the
-		// verify stage: request-bearing messages are verified on the
-		// worker pool, the rest pass straight through, and all of them
-		// reach the inbox in exact arrival order — ingest's per-sender
-		// counter sequencing depends on the stage never reordering a
-		// connection's stream.
-		switch v := m.(type) {
-		case *message.Request:
-			e.vord.Submit(from, []*message.Request{v}, func(ok bool) {
-				if ok {
-					e.inbox.Put(engine.InMsg{From: from, Msg: m, Verified: true})
-				}
-			})
-		case *message.MinPrepare:
-			if len(v.Requests) == 0 {
-				e.vord.Pass(from, func() { e.inbox.Put(engine.InMsg{From: from, Msg: m}) })
-				return
-			}
-			e.vord.Submit(from, v.Requests, func(ok bool) {
-				// A rejected batch must still enter the protocol loop:
-				// MinBFT consumes every sender's UI counters strictly
-				// in order, so dropping the message here would wedge
-				// the link — all later counters would wait in holdback
-				// forever. Deliver it unverified instead; the inline
-				// re-check in handlePrepare rejects the batch after
-				// the counter bookkeeping, exactly like the inline
-				// path this stage replaces.
-				e.inbox.Put(engine.InMsg{From: from, Msg: m, Verified: ok})
-			})
-		default:
-			e.vord.Pass(from, func() { e.inbox.Put(engine.InMsg{From: from, Msg: m}) })
-		}
-	})
-	e.wg.Add(3)
-	go func() { defer e.wg.Done(); e.run() }()
-	go func() { defer e.wg.Done(); e.exec.Run() }()
-	go func() { defer e.wg.Done(); e.RunTicker(func() { e.inbox.Put(engine.Tick{}) }) }()
-}
-
-// Stop shuts the replica down.
-func (e *Engine) Stop() {
-	e.stopOnce.Do(func() {
-		close(e.stopped)
-		_ = e.ep.Close()
-		e.vpool.Close()
-		e.inbox.Close()
-		e.exec.Close()
-		e.wg.Wait()
-		// The exec loop is done submitting; drain outstanding replies.
-		e.replies.Close()
-		e.sig.Destroy()
-		e.sigCkpt.Destroy()
-	})
-}
-
-func (e *Engine) leader() uint32 { return e.cfg.LeaderOf(e.view) }
-
-// run is the single protocol loop: MinBFT's defining constraint is
-// that it cannot be split further.
-func (e *Engine) run() {
-	// Drain the mailbox in batches: under load one lock round-trip
-	// fetches a burst of events instead of paying the lock per event.
-	batch := make([]any, 0, 32)
-	for {
-		events, ok := e.inbox.GetBatch(batch[:0])
-		if !ok {
-			return
-		}
-		for _, ev := range events {
-			e.handleEvent(ev)
-		}
+// classify sends every inbound message to the one protocol loop: MinBFT's
+// defining constraint is that it cannot be split further. The Host
+// keeps each sender's stream in arrival order — ingest's per-sender
+// counter sequencing depends on it — and delivers a request-bearing
+// message even when its batch fails verification (see engine.Host).
+func classify(m message.Message) engine.Route {
+	switch v := m.(type) {
+	case *message.Request:
+		return engine.Route{To: engine.ToCoord, Verify: []*message.Request{v}}
+	case *message.MinPrepare:
+		return engine.Route{To: engine.ToCoord, Verify: v.Requests}
 	}
+	return engine.Route{To: engine.ToCoord}
 }
 
+func (e *Engine) leader() uint32 { return e.Cfg.LeaderOf(e.view) }
+
+// handleEvent is the Host's handler for the protocol loop's mailbox.
 func (e *Engine) handleEvent(ev any) {
 	switch in := ev.(type) {
 	case engine.InMsg:
@@ -425,6 +319,8 @@ func (e *Engine) handleEvent(ev any) {
 		}
 	case *statemachine.CheckpointView:
 		e.checkpointDue(in)
+	case engine.Announcement[*message.Checkpoint]:
+		e.ck.Handle(in)
 	case evProgress:
 		if in.pending {
 			e.pendingSince = time.Now()
@@ -448,7 +344,7 @@ func (e *Engine) ingest(from uint32, ui usig.UI, m message.Message, verified boo
 	if e.zombies[from] {
 		return // convicted of counter regression; refuse everything
 	}
-	if from != e.id {
+	if from != e.ID() {
 		// Verify the UI before the counter stream consumes it. A
 		// corrupted message must not burn its counter slot (the genuine
 		// retransmission would then be dropped as a replay), and its
@@ -459,7 +355,7 @@ func (e *Engine) ingest(from uint32, ui usig.UI, m message.Message, verified boo
 			return
 		}
 	}
-	if from == e.id {
+	if from == e.ID() {
 		// Own messages are produced in counter order by construction,
 		// but not every own message is self-ingested (commits and
 		// view-change messages are recorded directly), so the counter
@@ -496,7 +392,7 @@ func (e *Engine) ingest(from uint32, ui usig.UI, m message.Message, verified boo
 		// the stream at the sender's live position; the skipped
 		// counters are acknowledged lost. Ordering messages must not —
 		// a prepare or commit is only meaningful in sequence.
-		if ui.Counter-want > 4*uint64(e.cfg.WindowSize) {
+		if ui.Counter-want > 4*uint64(e.Cfg.WindowSize) {
 			switch m.(type) {
 			case *message.MinViewChange, *message.MinNewView:
 				for c := range e.holdback[from] {
@@ -521,7 +417,7 @@ func (e *Engine) ingest(from uint32, ui usig.UI, m message.Message, verified boo
 			e.holdback[from] = hb
 		}
 		// Bound holdback memory against a flooding sender.
-		if len(hb) < 4*int(e.cfg.WindowSize) {
+		if len(hb) < 4*int(e.Cfg.WindowSize) {
 			hb[ui.Counter] = heldMsg{msg: m, verified: verified}
 		}
 		return
@@ -575,7 +471,7 @@ func (e *Engine) recordSeen(from uint32, ui usig.UI) {
 		e.seenMAC[from] = ring
 	}
 	ring[ui.Counter] = ui.MAC
-	bound := 4 * uint64(e.cfg.WindowSize)
+	bound := 4 * uint64(e.Cfg.WindowSize)
 	if ui.Counter > bound {
 		delete(ring, ui.Counter-bound)
 	}
@@ -642,12 +538,12 @@ func (e *Engine) process(from uint32, m message.Message, verified bool) {
 // verified skips the authenticator re-check for requests the parallel
 // verify stage already cleared.
 func (e *Engine) handleRequest(r *message.Request, verified bool) {
-	if !verified && !crypto.VerifyAuthenticator(e.ks, r.Auth, r.Digest()) {
+	if !verified && !crypto.VerifyAuthenticator(e.Keys, r.Auth, r.Digest()) {
 		return
 	}
 	e.noteWorkLocked()
-	if e.leader() != e.id {
-		_ = e.ep.Send(e.leader(), r)
+	if e.leader() != e.ID() {
+		_ = e.Ep.Send(e.leader(), r)
 		return
 	}
 	e.mu.Lock()
@@ -658,7 +554,7 @@ func (e *Engine) handleRequest(r *message.Request, verified bool) {
 
 // propose sends MinPrepares while in-flight credit remains.
 func (e *Engine) propose() {
-	if e.pending || e.leader() != e.id {
+	if e.pending || e.leader() != e.ID() {
 		return
 	}
 	for {
@@ -668,8 +564,8 @@ func (e *Engine) propose() {
 			return
 		}
 		n := len(e.queue)
-		if n > e.cfg.BatchSize {
-			n = e.cfg.BatchSize
+		if n > e.Cfg.BatchSize {
+			n = e.Cfg.BatchSize
 		}
 		batch := make([]*message.Request, n)
 		copy(batch, e.queue[:n])
@@ -677,7 +573,7 @@ func (e *Engine) propose() {
 		e.inFlight++
 		e.mu.Unlock()
 
-		if e.nextOrder > e.low+e.cfg.WindowSize {
+		if e.nextOrder > e.low+e.Cfg.WindowSize {
 			// Window full: return the batch and wait for checkpoints.
 			e.mu.Lock()
 			e.queue = append(batch, e.queue...)
@@ -694,11 +590,11 @@ func (e *Engine) propose() {
 		e.recordSent(ui, e.nextOrder, prep)
 		e.ord.Prepares.Inc()
 		bd := message.BatchDigest(batch)
-		e.met.TraceD(telemetry.EvPropose, uint64(e.view), uint64(e.nextOrder), 0, bd[:], "")
-		transport.Multicast(e.ep, e.cfg.N, prep)
+		e.Met.TraceD(telemetry.EvPropose, uint64(e.view), uint64(e.nextOrder), 0, bd[:], "")
+		transport.Multicast(e.Ep, e.Cfg.N, prep)
 		// The leader's own prepare is processed inline (its UI is the
 		// next expected from itself).
-		e.ingest(e.id, ui, prep, false)
+		e.ingest(e.ID(), ui, prep, false)
 	}
 }
 
@@ -717,13 +613,13 @@ func (e *Engine) handlePrepare(from uint32, p *message.MinPrepare, authVerified 
 		return
 	}
 	e.noteWorkLocked()
-	if from != e.id {
+	if from != e.ID() {
 		if err := e.sig.VerifyUI(p.UI, p.Digest()); err != nil {
 			return
 		}
 		if !authVerified {
 			for _, r := range p.Requests {
-				if !crypto.VerifyAuthenticator(e.ks, r.Auth, r.Digest()) {
+				if !crypto.VerifyAuthenticator(e.Keys, r.Auth, r.Digest()) {
 					return
 				}
 			}
@@ -746,9 +642,9 @@ func (e *Engine) handlePrepare(from uint32, p *message.MinPrepare, authVerified 
 	}
 	e.slots[o] = s
 
-	if from != e.id {
+	if from != e.ID() {
 		com := &message.MinCommit{
-			View: e.view, Replica: e.id, BatchDigest: s.batchDigest,
+			View: e.view, Replica: e.ID(), BatchDigest: s.batchDigest,
 			Prepare: p, PrepareUI: p.UI,
 		}
 		ui, err := e.sig.CreateUI(com.Digest())
@@ -757,10 +653,10 @@ func (e *Engine) handlePrepare(from uint32, p *message.MinPrepare, authVerified 
 		}
 		com.UI = ui
 		e.recordSent(ui, o, com)
-		s.acks[e.id] = true
+		s.acks[e.ID()] = true
 		e.ord.Commits.Inc()
-		e.met.TraceD(telemetry.EvCommit, uint64(e.view), uint64(o), 0, s.batchDigest[:], "")
-		transport.Multicast(e.ep, e.cfg.N, com)
+		e.Met.TraceD(telemetry.EvCommit, uint64(e.view), uint64(o), 0, s.batchDigest[:], "")
+		transport.Multicast(e.Ep, e.Cfg.N, com)
 	}
 	// Commits that overtook this prepare are waiting for it.
 	if held := e.earlyCommits[p.UI.Counter]; held != nil {
@@ -777,7 +673,7 @@ func (e *Engine) handlePrepare(from uint32, p *message.MinPrepare, authVerified 
 // handleCommit records a follower acknowledgment; the commit names the
 // leader UI it answers, which identifies the slot.
 func (e *Engine) handleCommit(from uint32, c *message.MinCommit) {
-	if c.View != e.view || from == e.id {
+	if c.View != e.view || from == e.ID() {
 		return
 	}
 	if err := e.sig.VerifyUI(c.UI, c.Digest()); err != nil {
@@ -791,7 +687,7 @@ func (e *Engine) handleCommit(from uint32, c *message.MinCommit) {
 		// (ingest already advanced the sender's stream) and a replay
 		// would be discarded, so park it until the prepare lands —
 		// bounded like the holdback map against a flooding sender.
-		if len(e.earlyCommits) < 4*int(e.cfg.WindowSize) {
+		if len(e.earlyCommits) < 4*int(e.Cfg.WindowSize) {
 			held := e.earlyCommits[c.PrepareUI.Counter]
 			if held == nil {
 				held = make(map[uint32]*message.MinCommit)
@@ -818,13 +714,13 @@ func (e *Engine) applyCommit(from uint32, c *message.MinCommit, o timeline.Order
 }
 
 func (e *Engine) refresh(s *slot) {
-	if !s.committed && len(s.acks) >= e.cfg.Quorum() {
+	if !s.committed && len(s.acks) >= e.Cfg.Quorum() {
 		s.committed = true
 	}
 	if s.committed && !s.executed {
 		s.executed = true
 		e.ord.Committed.Inc()
-		e.met.TraceD(telemetry.EvDeliver, uint64(e.view), uint64(s.order), 0, s.batchDigest[:], "")
+		e.Met.TraceD(telemetry.EvDeliver, uint64(e.view), uint64(s.order), 0, s.batchDigest[:], "")
 		// A commit is ordering progress: the leader is doing its job, so
 		// the suspicion clock restarts. Execution progress alone is the
 		// wrong signal here — a replica that missed an instance later
@@ -837,8 +733,8 @@ func (e *Engine) refresh(s *slot) {
 			e.pendingSince = time.Now()
 		}
 		e.Relax()
-		e.exec.Deliver(s.order, s.batch, engine.NoCredit)
-		if e.leader() == e.id {
+		e.Exec.Deliver(s.order, s.batch, engine.NoCredit)
+		if e.leader() == e.ID() {
 			e.mu.Lock()
 			if e.inFlight > 0 {
 				e.inFlight--
@@ -851,19 +747,18 @@ func (e *Engine) refresh(s *slot) {
 
 // --- checkpointing ---
 
-// checkpointDue handles a checkpoint boundary posted by the execution
-// loop. Checkpoint UIs come from the dedicated checkpoint USIG instance
-// and are embedded in the shared Checkpoint message's certificate
-// fields (issuer/value/MAC).
+// checkpointDue certifies the announcement of a checkpoint boundary
+// posted by the execution loop. Checkpoint UIs come from the dedicated
+// checkpoint USIG instance and are embedded in the shared Checkpoint
+// message's certificate fields (issuer/value/MAC).
 func (e *Engine) checkpointDue(v *statemachine.CheckpointView) {
 	if v.Order < e.low {
 		return
 	}
 	// A boundary that already stabilized (we executed it late) is still
 	// announced: a peer that missed one announcement needs ours.
-	o := v.Order
 	digest, _ := e.ck.Candidate(v)
-	ck := &message.Checkpoint{Order: o, Replica: e.id, StateDigest: digest}
+	ck := &message.Checkpoint{Order: v.Order, Replica: e.ID(), StateDigest: digest}
 	ui, err := e.sigCkpt.CreateUI(ck.Digest())
 	if err != nil {
 		return
@@ -871,12 +766,10 @@ func (e *Engine) checkpointDue(v *statemachine.CheckpointView) {
 	ck.Cert.Issuer = trinxIssuer(ui.Issuer)
 	ck.Cert.Value = ui.Counter
 	ck.Cert.MAC = ui.MAC
-	e.met.CkptsOwn.Inc()
-	e.met.TraceD(telemetry.EvCheckpoint, uint64(e.view), uint64(o), 0, digest[:], "")
-	transport.Multicast(e.ep, e.cfg.N, ck)
-	e.addCheckpoint(e.id, ck)
+	e.ck.Announce(0, e.view, engine.Announcement[*message.Checkpoint]{Replica: ck.Replica, Order: ck.Order, Digest: digest, Msg: ck})
 }
 
+// handleCheckpoint verifies a peer's announcement and counts it.
 func (e *Engine) handleCheckpoint(from uint32, ck *message.Checkpoint) {
 	if ck.Replica != from {
 		return
@@ -888,34 +781,15 @@ func (e *Engine) handleCheckpoint(from uint32, ck *message.Checkpoint) {
 	if err := e.sigCkpt.VerifyUI(ui, ck.Digest()); err != nil {
 		return
 	}
-	e.addCheckpoint(from, ck)
-}
-
-func (e *Engine) addCheckpoint(from uint32, ck *message.Checkpoint) {
-	stable := e.ckpts.Add(ck.Order, checkpoint.Announcement[*message.Checkpoint]{
-		Replica: from, Digest: ck.StateDigest, Msg: ck,
-	})
-	if stable == nil || !e.ck.Adopt(engine.StableCkpt[*message.Checkpoint]{
-		Order: stable.Order, Digest: stable.Digest, Proof: stable.Proof,
-	}) {
-		return
-	}
-	e.met.CkptsStable.Inc()
-	e.met.TraceD(telemetry.EvCkptStable, uint64(e.view), uint64(stable.Order), 0, stable.Digest[:], "")
-	e.advanceLow(stable.Order)
-	// The slots this stable checkpoint covers are pruned, so any
-	// delivery hole below it just became permanent — execution can only
-	// resume from transferred state. Without the request a replica that
-	// missed instances could never execute again: MinBFT's
-	// counter-ordered streams have no way to re-deliver pruned batches,
-	// so one lost commit would silently cost the cluster an executing
-	// replica (and, with it, checkpoint quorums and client reply quorums).
-	e.ck.CatchUp()
-	e.propose()
+	e.ck.Handle(engine.Announcement[*message.Checkpoint]{Replica: from, Order: ck.Order, Digest: ck.StateDigest, Msg: ck})
 }
 
 // advanceLow slides the window to stable checkpoint o and prunes what
-// it covers.
+// it covers. Without state transfer that would strand a replica that
+// missed instances: MinBFT's counter-ordered streams have no way to
+// re-deliver pruned batches, so one lost commit would silently cost the
+// cluster an executing replica (and, with it, checkpoint quorums and
+// client reply quorums) — Checkpoints requests state right after.
 func (e *Engine) advanceLow(o timeline.Order) {
 	e.low = o
 	for k := range e.slots {
@@ -942,7 +816,7 @@ func (e *Engine) advanceLow(o timeline.Order) {
 // again still helps clients reach their f+1 matching replies even
 // though its own ordering messages stay refused.
 func (e *Engine) handleStateRequest(from uint32, req *message.StateRequest) {
-	if req.Replica != from || from == e.id {
+	if req.Replica != from || from == e.ID() {
 		return
 	}
 	e.ck.Serve(from, req)
@@ -956,8 +830,5 @@ func (e *Engine) handleStateReply(from uint32, rep *message.StateReply) {
 	}
 	// The transferred checkpoint is quorum-certified: it becomes our
 	// stable anchor if it is ahead of what we had.
-	if _, adopted := e.ck.Install(rep, e.view); adopted {
-		e.advanceLow(rep.CkptOrder)
-		e.propose()
-	}
+	e.ck.Install(rep)
 }

@@ -59,7 +59,7 @@ func TestPrepareSkipDoesNotShiftOrderBinding(t *testing.T) {
 			}},
 		}
 		for i := range p.Requests {
-			p.Requests[i].Auth = crypto.NewAuthenticator(eng.ks, p.Requests[i].Digest(), eng.cfg.N)
+			p.Requests[i].Auth = crypto.NewAuthenticator(eng.Keys, p.Requests[i].Digest(), eng.Cfg.N)
 		}
 		ui, err := leader.CreateUI(p.Digest())
 		if err != nil {
@@ -134,7 +134,7 @@ func TestDeadStreamReanchorsOnViewChangeMessage(t *testing.T) {
 
 	// The peer's counter ran far past the holdback horizon while this
 	// replica remembers nothing (expected[1] == 0).
-	burn := 4*uint64(eng.cfg.WindowSize) + 100
+	burn := 4*uint64(eng.Cfg.WindowSize) + 100
 	dummy := crypto.Hash([]byte("burned"))
 	for i := uint64(0); i < burn; i++ {
 		if _, err := peer.CreateUI(dummy); err != nil {

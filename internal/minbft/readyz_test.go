@@ -35,7 +35,7 @@ func TestReadyzDetectsWedgedReplica(t *testing.T) {
 		t.Fatalf("idle replica not ready: %v", err)
 	}
 	req := &message.Request{Client: crypto.ClientIDBase, Seq: 1, Payload: []byte("x")}
-	e.inbox.Put(engine.InMsg{From: crypto.ClientIDBase, Msg: req, Verified: true})
+	e.CoordBox.Put(engine.InMsg{From: crypto.ClientIDBase, Msg: req, Verified: true})
 
 	// The suspicion clock restarts on every timeout; the readiness
 	// marker must not, or a wedged replica would look ready forever.
@@ -53,7 +53,7 @@ func TestReadyzDetectsWedgedReplica(t *testing.T) {
 	}
 
 	// Execution progress (here: the instance arriving committed) clears it.
-	e.exec.Deliver(1, []*message.Request{req}, engine.NoCredit)
+	e.Exec.Deliver(1, []*message.Request{req}, engine.NoCredit)
 	for deadline := time.Now().Add(5 * time.Second); e.Readyz() != nil; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("not ready again after progress: %v", e.Readyz())

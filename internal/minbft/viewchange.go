@@ -110,7 +110,7 @@ func (e *Engine) recordSent(ui usig.UI, order timeline.Order, m message.Message)
 	e.mu.Lock()
 	e.histLenSnapshot = len(e.sentLog)
 	e.mu.Unlock()
-	if cap := 4 * int(e.cfg.WindowSize); len(e.resend) >= cap {
+	if cap := 4 * int(e.Cfg.WindowSize); len(e.resend) >= cap {
 		e.resend = append(e.resend[:0], e.resend[len(e.resend)-cap+1:]...)
 	}
 	e.resend = append(e.resend, m)
@@ -156,20 +156,20 @@ func (e *Engine) handleTick() {
 	// Progress stalled for half a suspicion period: assume messages
 	// were lost and re-multicast the recent send window so peers can
 	// fill counter gaps (see the resend field).
-	if !ps.IsZero() && now.Sub(ps) > e.cfg.ViewChangeTimeout/2 &&
-		now.Sub(e.lastResend) >= e.cfg.ViewChangeTimeout/2 {
+	if !ps.IsZero() && now.Sub(ps) > e.Cfg.ViewChangeTimeout/2 &&
+		now.Sub(e.lastResend) >= e.Cfg.ViewChangeTimeout/2 {
 		e.lastResend = now
 		e.ord.Retransmits.Add(uint64(len(e.resend)))
-		e.met.Trace(telemetry.EvRetransmit, uint64(e.view), 0, 0, "")
+		e.Met.Trace(telemetry.EvRetransmit, uint64(e.view), 0, 0, "")
 		for _, m := range e.resend {
-			transport.Multicast(e.ep, e.cfg.N, m)
+			transport.Multicast(e.Ep, e.Cfg.N, m)
 		}
 	}
 	if !e.pending {
 		if !ps.IsZero() && now.Sub(ps) > e.Patience() {
 			e.suspects.Add(1)
 			e.suspectsC.Inc()
-			e.met.Trace(telemetry.EvViewChange, uint64(e.view+1), 0, 0, "suspect")
+			e.Met.Trace(telemetry.EvViewChange, uint64(e.view+1), 0, 0, "suspect")
 			e.Escalate()
 			e.escalateReqViewChange(e.view + 1)
 			e.pendingSince = now
@@ -184,9 +184,9 @@ func (e *Engine) handleTick() {
 		// rate-limited, because a history-bearing VIEW-CHANGE can be
 		// enormous after repeated elections (§4.4) and peers that
 		// already consumed its counter replay-drop every copy anyway.
-		if vc := e.ownVC; vc != nil && now.Sub(e.lastVCResend) >= e.cfg.ViewChangeTimeout/2 {
+		if vc := e.ownVC; vc != nil && now.Sub(e.lastVCResend) >= e.Cfg.ViewChangeTimeout/2 {
 			e.lastVCResend = now
-			transport.Multicast(e.ep, e.cfg.N, vc)
+			transport.Multicast(e.Ep, e.Cfg.N, vc)
 		}
 	}
 }
@@ -208,9 +208,9 @@ func (e *Engine) escalateReqViewChange(target timeline.View) {
 		e.sendReqViewChange(target)
 		return
 	}
-	req := &message.MinReqViewChange{Replica: e.id, View: e.reqSent}
-	req.Auth = crypto.NewAuthenticator(e.ks, req.Digest(), e.cfg.N)
-	transport.Multicast(e.ep, e.cfg.N, req)
+	req := &message.MinReqViewChange{Replica: e.ID(), View: e.reqSent}
+	req.Auth = crypto.NewAuthenticator(e.Keys, req.Digest(), e.Cfg.N)
+	transport.Multicast(e.Ep, e.Cfg.N, req)
 }
 
 // noteWorkLocked marks outstanding work for the readiness probe and
@@ -231,17 +231,17 @@ func (e *Engine) sendReqViewChange(target timeline.View) {
 		return
 	}
 	e.reqSent = target
-	req := &message.MinReqViewChange{Replica: e.id, View: target}
-	req.Auth = crypto.NewAuthenticator(e.ks, req.Digest(), e.cfg.N)
-	transport.Multicast(e.ep, e.cfg.N, req)
-	e.recordReqVC(e.id, target)
+	req := &message.MinReqViewChange{Replica: e.ID(), View: target}
+	req.Auth = crypto.NewAuthenticator(e.Keys, req.Digest(), e.Cfg.N)
+	transport.Multicast(e.Ep, e.Cfg.N, req)
+	e.recordReqVC(e.ID(), target)
 }
 
 func (e *Engine) handleReqViewChange(from uint32, m *message.MinReqViewChange) {
 	if m.Replica != from || m.View <= e.view {
 		return
 	}
-	if !crypto.VerifyAuthenticator(e.ks, m.Auth, m.Digest()) {
+	if !crypto.VerifyAuthenticator(e.Keys, m.Auth, m.Digest()) {
 		return
 	}
 	e.recordReqVC(from, m.View)
@@ -256,7 +256,7 @@ func (e *Engine) recordReqVC(from uint32, target timeline.View) {
 		e.reqVCs[target] = byReplica
 	}
 	byReplica[from] = true
-	if len(byReplica) >= e.cfg.F()+1 && target > e.view && (!e.pending || target > e.pendingTo) {
+	if len(byReplica) >= e.Cfg.F()+1 && target > e.view && (!e.pending || target > e.pendingTo) {
 		e.sendViewChange(target)
 	}
 }
@@ -265,7 +265,7 @@ func (e *Engine) recordReqVC(from uint32, target timeline.View) {
 
 func (e *Engine) sendViewChange(target timeline.View) {
 	vc := &message.MinViewChange{
-		Replica:       e.id,
+		Replica:       e.ID(),
 		View:          target,
 		CkptOrder:     e.low,
 		CkptProof:     e.ck.Stable().Proof,
@@ -290,7 +290,7 @@ func (e *Engine) sendViewChange(target timeline.View) {
 	e.pendingSince = time.Now()
 	e.ownVC = vc
 	e.storeVC(vc)
-	transport.Multicast(e.ep, e.cfg.N, vc)
+	transport.Multicast(e.Ep, e.Cfg.N, vc)
 	e.maybeNewView(target)
 }
 
@@ -325,7 +325,7 @@ func (e *Engine) verifyCkptProof(order timeline.Order, digest crypto.Digest, pro
 		}
 		seen[ck.Replica] = true
 	}
-	if len(seen) < e.cfg.Quorum() {
+	if len(seen) < e.Cfg.Quorum() {
 		return fmt.Errorf("minbft: checkpoint proof below quorum")
 	}
 	return nil
@@ -437,10 +437,10 @@ func (e *Engine) handleViewChange(from uint32, vc *message.MinViewChange) {
 	}
 	e.storeVC(vc)
 	// f+1 view changes for a higher view: join (one is correct).
-	if len(e.vcs[vc.View]) >= e.cfg.F()+1 && (!e.pending || e.pendingTo < vc.View) && vc.View > e.view {
+	if len(e.vcs[vc.View]) >= e.Cfg.F()+1 && (!e.pending || e.pendingTo < vc.View) && vc.View > e.view {
 		e.sendViewChange(vc.View)
 	}
-	if e.cfg.LeaderOf(vc.View) == e.id {
+	if e.Cfg.LeaderOf(vc.View) == e.ID() {
 		e.maybeNewView(vc.View)
 	}
 }
@@ -508,14 +508,14 @@ func minTransfer(vcs map[uint32]*message.MinViewChange) (startCkpt timeline.Orde
 }
 
 func (e *Engine) maybeNewView(target timeline.View) {
-	if e.cfg.LeaderOf(target) != e.id || e.nvDone[target] {
+	if e.Cfg.LeaderOf(target) != e.ID() || e.nvDone[target] {
 		return
 	}
 	if !e.pending || e.pendingTo != target {
 		return
 	}
 	vcs := e.vcs[target]
-	if len(vcs) < e.cfg.Quorum() {
+	if len(vcs) < e.Cfg.Quorum() {
 		return
 	}
 	nv := &message.MinNewView{View: target}
@@ -529,7 +529,7 @@ func (e *Engine) maybeNewView(target timeline.View) {
 	}
 	nv.UI = ui
 	e.recordSent(ui, e.nextOrder, nv)
-	transport.Multicast(e.ep, e.cfg.N, nv)
+	transport.Multicast(e.Ep, e.Cfg.N, nv)
 	e.nvDone[target] = true
 
 	startCkpt, batches := minTransfer(vcs)
@@ -539,7 +539,7 @@ func (e *Engine) maybeNewView(target timeline.View) {
 }
 
 func (e *Engine) handleNewView(from uint32, nv *message.MinNewView) {
-	if nv.View <= e.view || from != e.cfg.LeaderOf(nv.View) {
+	if nv.View <= e.view || from != e.Cfg.LeaderOf(nv.View) {
 		return
 	}
 	if err := e.sig.VerifyUI(nv.UI, nv.Digest()); err != nil {
@@ -555,7 +555,7 @@ func (e *Engine) handleNewView(from uint32, nv *message.MinNewView) {
 		}
 		vcs[vc.Replica] = vc
 	}
-	if len(vcs) < e.cfg.Quorum() {
+	if len(vcs) < e.Cfg.Quorum() {
 		return
 	}
 	startCkpt, batches := minTransfer(vcs)
@@ -570,6 +570,7 @@ func (e *Engine) handleNewView(from uint32, nv *message.MinNewView) {
 // are proposed afresh with new UIs.
 func (e *Engine) install(v timeline.View, startCkpt timeline.Order, batches [][]*message.Request, leader bool, anchorCounter uint64) {
 	e.view = v
+	e.SetView(v)
 	e.pending = false
 	e.reqSent = v // allow future requests for v+1
 	for o := range e.slots {
@@ -610,7 +611,7 @@ func (e *Engine) install(v timeline.View, startCkpt timeline.Order, batches [][]
 	e.ownVC = nil
 	e.pendingSince = time.Time{}
 	e.Relax()
-	e.met.Trace(telemetry.EvNewView, uint64(v), uint64(startCkpt), 0, "installed")
+	e.Met.Trace(telemetry.EvNewView, uint64(v), uint64(startCkpt), 0, "installed")
 
 	if leader {
 		for _, batch := range batches {
@@ -630,8 +631,8 @@ func (e *Engine) proposeBatch(batch []*message.Request) {
 	}
 	prep.UI = ui
 	e.ord.Prepares.Inc()
-	e.met.Trace(telemetry.EvPropose, uint64(e.view), uint64(e.nextOrder), 0, "reproposal")
+	e.Met.Trace(telemetry.EvPropose, uint64(e.view), uint64(e.nextOrder), 0, "reproposal")
 	e.recordSent(ui, e.nextOrder, prep)
-	transport.Multicast(e.ep, e.cfg.N, prep)
-	e.ingest(e.id, ui, prep, false)
+	transport.Multicast(e.Ep, e.Cfg.N, prep)
+	e.ingest(e.ID(), ui, prep, false)
 }

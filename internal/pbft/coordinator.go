@@ -1,46 +1,30 @@
 package pbft
 
 import (
-	"errors"
 	"time"
 
-	"hybster/internal/checkpoint"
-	"hybster/internal/cop"
 	"hybster/internal/crypto"
 	"hybster/internal/engine"
 	"hybster/internal/message"
-	"hybster/internal/statemachine"
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
 	"hybster/internal/trinx"
 )
 
-// Events delivered to the coordinator mailbox (besides inbound messages
-// and the execution stage's *statemachine.CheckpointView boundaries).
+// stableCkpt is the record of the last stable checkpoint, announcement
+// one replica's certified CHECKPOINT on its way to the quorum count.
 type (
-	// evStable reports a checkpoint quorum from its owning pillar.
-	evStable struct {
-		stable *checkpoint.Stable[*message.PBFTCheckpoint]
-	}
-	// evBehind reports ordering traffic beyond the window.
-	evBehind struct{}
+	stableCkpt   = engine.StableCkpt[*message.PBFTCheckpoint]
+	announcement = engine.Announcement[*message.PBFTCheckpoint]
 )
 
-// stableCkpt is the coordinator's record of the last stable checkpoint.
-type stableCkpt = engine.StableCkpt[*message.PBFTCheckpoint]
-
-// errUnknownState rejects transferred state that does not match the
-// stable checkpoint this replica recorded.
-var errUnknownState = errors.New("pbft: state reply does not match the stable checkpoint")
-
-// coordinator runs PBFT's checkpoint bookkeeping, the PBFT view-change
-// protocol (VIEW-CHANGE carrying prepared certificates, NEW-VIEW with
-// re-issued PRE-PREPAREs), and state transfer.
+// coordinator runs the PBFT view-change protocol (VIEW-CHANGE carrying
+// prepared certificates, NEW-VIEW with re-issued PRE-PREPAREs) and
+// hosts the checkpoint sub-protocol and state transfer.
 type coordinator struct {
-	e     *Engine
-	tx    *trinx.TrInX // nil for PBFTcop
-	inbox *cop.Mailbox[any]
+	e  *Engine
+	tx *trinx.TrInX // nil for PBFTcop
 
 	curView      timeline.View
 	pending      bool
@@ -48,8 +32,10 @@ type coordinator struct {
 	pendingSince time.Time
 	viewChanges  *telemetry.Counter
 
-	// ck holds the checkpoint candidates, the last stable checkpoint
-	// and the state-transfer requester/server.
+	// ck is the checkpoint sub-protocol and state transfer. The
+	// STATE-REPLY wire format carries no PBFT checkpoint proof, so it
+	// gets no verify func: only state matching the recorded stable
+	// checkpoint is installed.
 	ck *engine.Checkpoints[*message.PBFTCheckpoint]
 
 	vcs    map[timeline.View]map[uint32]*message.PBFTViewChange
@@ -62,44 +48,26 @@ func newCoordinator(e *Engine, tx *trinx.TrInX) *coordinator {
 	c := &coordinator{
 		e:           e,
 		tx:          tx,
-		inbox:       cop.NewMailbox[any](),
-		viewChanges: e.met.Counter("view_changes_total", "view changes this replica initiated or joined"),
+		viewChanges: e.Met.Counter("view_changes_total", "view changes this replica initiated or joined"),
 		vcs:         make(map[timeline.View]map[uint32]*message.PBFTViewChange),
 		ownVC:       make(map[timeline.View]*message.PBFTViewChange),
 		nvDone:      make(map[timeline.View]bool),
 	}
-	// The STATE-REPLY wire format carries no PBFT checkpoint proof, so
-	// accept only state matching a digest we know to be stable: our own
-	// stable checkpoint or — during a view change — the checkpoint
-	// claimed by a quorum of view-change messages and adopted in install.
-	c.ck = engine.NewCheckpoints[*message.PBFTCheckpoint](e.cfg, e.id, e.ep, e.Watchdog, e.met, e.exec,
-		func(o timeline.Order, d crypto.Digest, _ []*message.Checkpoint) error {
-			if st := c.ck.Stable(); o != st.Order || d != st.Digest {
-				return errUnknownState
-			}
-			return nil
-		})
+	c.ck = engine.NewCheckpoints[*message.PBFTCheckpoint](e.Host, nil, nil)
 	return c
 }
 
-func (c *coordinator) run() {
-	for {
-		ev, ok := c.inbox.Get()
-		if !ok {
-			return
-		}
-		switch v := ev.(type) {
-		case engine.InMsg:
-			c.handleMessage(v.From, v.Msg)
-		case *statemachine.CheckpointView:
-			c.handleCandidate(v)
-		case evStable:
-			c.handleStable(v.stable)
-		case evBehind:
-			c.ck.RequestState()
-		case engine.Tick:
-			c.handleTick()
-		}
+// handleEvent is the Host's handler for the coordinator mailbox;
+// checkpoint boundaries, announcements and Behind are the checkpoint
+// sub-protocol's.
+func (c *coordinator) handleEvent(ev any) {
+	switch v := ev.(type) {
+	case engine.InMsg:
+		c.handleMessage(v.From, v.Msg)
+	case engine.Tick:
+		c.handleTick()
+	default:
+		c.ck.Handle(ev)
 	}
 }
 
@@ -112,62 +80,21 @@ func (c *coordinator) handleMessage(from uint32, m message.Message) {
 	case *message.StateRequest:
 		c.ck.Serve(from, v)
 	case *message.StateReply:
-		c.handleStateReply(v)
-	}
-}
-
-// --- checkpoints ---
-
-// handleCandidate stores execution state for a checkpoint boundary
-// posted by the execution stage and dispatches the checkpoint protocol
-// instance to its round-robin owner pillar.
-func (c *coordinator) handleCandidate(v *statemachine.CheckpointView) {
-	if digest, ahead := c.ck.Candidate(v); ahead {
-		owner := c.e.cfg.CheckpointPillar(v.Order) % uint32(len(c.e.pillars))
-		c.e.pillars[owner].inbox.Put(evCkptDue{order: v.Order, digest: digest})
-	}
-}
-
-// handleStable records a stable checkpoint, slides every pillar's
-// window, and triggers state transfer if execution is behind.
-func (c *coordinator) handleStable(s *checkpoint.Stable[*message.PBFTCheckpoint]) {
-	if !c.ck.Adopt(stableCkpt{Order: s.Order, Digest: s.Digest, Proof: s.Proof}) {
-		return
-	}
-	c.e.met.CkptsStable.Inc()
-	c.e.met.TraceD(telemetry.EvCkptStable, uint64(c.curView), uint64(s.Order), 0, s.Digest[:], "")
-	c.advancePillars(s.Order)
-	c.ck.CatchUp()
-}
-
-func (c *coordinator) advancePillars(o timeline.Order) {
-	for _, p := range c.e.pillars {
-		p.inbox.Put(evAdvance{order: o})
-	}
-}
-
-// handleStateReply installs transferred state for the stable
-// checkpoint and lets the pillars skip to it.
-func (c *coordinator) handleStateReply(rep *message.StateReply) {
-	if installed, _ := c.ck.Install(rep, c.curView); installed {
-		c.advancePillars(rep.CkptOrder)
+		c.ck.Install(v)
 	}
 }
 
 // --- view change ---
 
 func (c *coordinator) handleTick() {
-	for _, p := range c.e.pillars {
-		p.inbox.Put(engine.Tick{})
-	}
-	c.e.ObserveExec(c.e.exec.LastExecuted())
-	c.ck.CatchUp()
+	c.e.ObserveExec(c.e.LastExecuted())
+	c.ck.Tick()
 
 	if !c.pending {
-		if stalled := c.e.Stalled(); stalled > c.e.cfg.ViewChangeTimeout {
+		if stalled := c.e.Stalled(); stalled > c.e.Cfg.ViewChangeTimeout {
 			c.startViewChange(c.curView + 1)
-		} else if stalled > c.e.cfg.ViewChangeTimeout/8 {
-			c.e.seq.ProposeNoop(c.curView, c.e.exec.LastExecuted()+1)
+		} else if stalled > c.e.Cfg.ViewChangeTimeout/8 {
+			c.e.Seq.ProposeNoop(c.curView, c.e.LastExecuted()+1)
 		}
 	} else {
 		if now := c.e.Now(); now.Sub(c.pendingSince) > c.e.Patience() {
@@ -178,7 +105,7 @@ func (c *coordinator) handleTick() {
 			c.startViewChange(c.pendingTo + 1)
 		}
 		if vc, ok := c.ownVC[c.pendingTo]; ok {
-			transport.Multicast(c.e.ep, c.e.cfg.N, vc)
+			transport.Multicast(c.e.Ep, c.e.Cfg.N, vc)
 		}
 	}
 }
@@ -190,18 +117,18 @@ func (c *coordinator) startViewChange(to timeline.View) {
 		return
 	}
 	var prepared []message.PreparedProof
-	for _, p := range c.e.pillars {
+	for _, box := range c.e.PillarBox {
 		reply := make(chan []message.PreparedProof, 1)
-		p.inbox.Put(evCollectVC{reply: reply})
+		box.Put(evCollectVC{reply: reply})
 		select {
 		case proofs := <-reply:
 			prepared = append(prepared, proofs...)
-		case <-c.e.stopped:
+		case <-c.e.Stopped():
 			return
 		}
 	}
 	vc := &message.PBFTViewChange{
-		Replica:   c.e.id,
+		Replica:   c.e.ID(),
 		View:      to,
 		CkptOrder: c.ck.Stable().Order,
 		CkptProof: c.ck.Stable().Proof,
@@ -216,10 +143,10 @@ func (c *coordinator) startViewChange(to timeline.View) {
 	c.pendingTo = to
 	c.pendingSince = c.e.Now()
 	c.viewChanges.Inc()
-	c.e.met.Trace(telemetry.EvViewChange, uint64(to), 0, 0, "")
+	c.e.Met.Trace(telemetry.EvViewChange, uint64(to), 0, 0, "")
 	c.ownVC = map[timeline.View]*message.PBFTViewChange{to: vc}
 	c.storeVC(vc)
-	transport.Multicast(c.e.ep, c.e.cfg.N, vc)
+	transport.Multicast(c.e.Ep, c.e.Cfg.N, vc)
 	c.maybeEmitNewView(to)
 }
 
@@ -258,18 +185,18 @@ func (c *coordinator) verifyViewChange(vc *message.PBFTViewChange) bool {
 			}
 			seen[ck.Replica] = true
 		}
-		if len(seen) < c.e.cfg.Quorum() {
+		if len(seen) < c.e.Cfg.Quorum() {
 			return false
 		}
 	}
 	// Prepared proofs: PRE-PREPARE plus 2f matching PREPAREs each.
-	f := c.e.cfg.F()
+	f := c.e.Cfg.F()
 	for _, pp := range vc.Prepared {
 		ppre := pp.PrePrepare
 		if ppre == nil {
 			return false
 		}
-		proposer := c.e.cfg.ProposerOf(ppre.View, ppre.Order)
+		proposer := c.e.Cfg.ProposerOf(ppre.View, ppre.Order)
 		if !c.e.verify(c.tx, &ppre.Proof, ppre.Digest(), proposer) {
 			return false
 		}
@@ -300,7 +227,7 @@ func (c *coordinator) handleViewChange(from uint32, vc *message.PBFTViewChange) 
 	}
 	if vc.View <= c.curView {
 		if c.lastNV != nil && c.lastNV.View == c.curView {
-			_ = c.e.ep.Send(from, c.lastNV)
+			_ = c.e.Ep.Send(from, c.lastNV)
 		}
 		return
 	}
@@ -310,10 +237,10 @@ func (c *coordinator) handleViewChange(from uint32, vc *message.PBFTViewChange) 
 	c.storeVC(vc)
 
 	// Join once f+1 replicas abort (PBFT's liveness rule).
-	if len(c.vcs[vc.View]) > c.e.cfg.F() && (!c.pending || c.pendingTo < vc.View) {
+	if len(c.vcs[vc.View]) > c.e.Cfg.F() && (!c.pending || c.pendingTo < vc.View) {
 		c.startViewChange(vc.View)
 	}
-	if c.e.cfg.LeaderOf(vc.View) == c.e.id {
+	if c.e.Cfg.LeaderOf(vc.View) == c.e.ID() {
 		c.maybeEmitNewView(vc.View)
 	}
 }
@@ -353,14 +280,14 @@ func computeTransfer(vcSet map[uint32]*message.PBFTViewChange) (timeline.Order, 
 }
 
 func (c *coordinator) maybeEmitNewView(w timeline.View) {
-	if c.nvDone[w] || c.e.cfg.LeaderOf(w) != c.e.id {
+	if c.nvDone[w] || c.e.Cfg.LeaderOf(w) != c.e.ID() {
 		return
 	}
 	if !c.pending || c.pendingTo != w {
 		return
 	}
 	vcSet := c.vcs[w]
-	if len(vcSet) < c.e.cfg.Quorum() {
+	if len(vcSet) < c.e.Cfg.Quorum() {
 		return
 	}
 	startCkpt, templates := computeTransfer(vcSet)
@@ -387,7 +314,7 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 		return
 	}
 	nv.Proof = proof
-	transport.Multicast(c.e.ep, c.e.cfg.N, nv)
+	transport.Multicast(c.e.Ep, c.e.Cfg.N, nv)
 	c.nvDone[w] = true
 	c.lastNV = nv
 	c.install(w, startCkpt, newPPs, true)
@@ -395,7 +322,7 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 
 func (c *coordinator) handleNewView(from uint32, nv *message.PBFTNewView) {
 	w := nv.View
-	if w <= c.curView || from != c.e.cfg.LeaderOf(w) {
+	if w <= c.curView || from != c.e.Cfg.LeaderOf(w) {
 		return
 	}
 	if !c.e.verify(c.tx, &nv.Proof, nv.Digest(), from) {
@@ -408,7 +335,7 @@ func (c *coordinator) handleNewView(from uint32, nv *message.PBFTNewView) {
 		}
 		vcSet[vc.Replica] = vc
 	}
-	if len(vcSet) < c.e.cfg.Quorum() {
+	if len(vcSet) < c.e.Cfg.Quorum() {
 		return
 	}
 	startCkpt, templates := computeTransfer(vcSet)
@@ -431,8 +358,8 @@ func (c *coordinator) handleNewView(from uint32, nv *message.PBFTNewView) {
 
 func (c *coordinator) install(w timeline.View, startCkpt timeline.Order, pps []*message.PrePrepare, leader bool) {
 	c.curView = w
-	c.e.curView.Store(uint64(w))
-	c.e.met.Trace(telemetry.EvNewView, uint64(w), uint64(startCkpt), 0, "")
+	c.e.SetView(w)
+	c.e.Met.Trace(telemetry.EvNewView, uint64(w), uint64(startCkpt), 0, "")
 	c.pending = false
 	c.pendingTo = 0
 
@@ -453,14 +380,14 @@ func (c *coordinator) install(w timeline.View, startCkpt timeline.Order, pps []*
 	byPillar := make([][]*message.PrePrepare, pillars)
 	var maxOrder timeline.Order = startCkpt
 	for _, pp := range pps {
-		u := c.e.cfg.PillarOf(pp.Order) % pillars
+		u := c.e.Cfg.PillarOf(pp.Order) % pillars
 		byPillar[u] = append(byPillar[u], pp)
 		if pp.Order > maxOrder {
 			maxOrder = pp.Order
 		}
 	}
-	for u, p := range c.e.pillars {
-		p.inbox.Put(evInstallView{view: w, startCkpt: startCkpt, prePrepares: byPillar[u], leader: leader})
+	for u, box := range c.e.PillarBox {
+		box.Put(evInstallView{view: w, startCkpt: startCkpt, prePrepares: byPillar[u], leader: leader})
 	}
 	for v := range c.vcs {
 		if v <= w {
@@ -472,6 +399,6 @@ func (c *coordinator) install(w timeline.View, startCkpt timeline.Order, pps []*
 			delete(c.nvDone, v)
 		}
 	}
-	c.e.seq.ResetForView(w, maxOrder)
+	c.e.Seq.ResetForView(w, maxOrder)
 	c.e.NoteProgress(false)
 }

@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"hybster/internal/enclave"
 	"hybster/internal/engine"
 	"hybster/internal/message"
+	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
 )
@@ -26,20 +28,12 @@ func newTestEngine(t *testing.T, proto config.Protocol, id uint32) *Engine {
 		Endpoint:    net.Endpoint(id),
 		Application: counter.New(),
 		Platform:    enclave.NewPlatform("test"),
+		Telemetry:   telemetry.New(proto.String()),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		for _, p := range e.pillars {
-			if p.tx != nil {
-				p.tx.Destroy()
-			}
-		}
-		if e.coord.tx != nil {
-			e.coord.tx.Destroy()
-		}
-	})
+	t.Cleanup(e.Stop)
 	return e
 }
 
@@ -68,7 +62,7 @@ func TestSignVerifyBothVariants(t *testing.T) {
 // instance using real engines for every replica.
 func buildPreparedProof(t *testing.T, engines []*Engine, v timeline.View, o timeline.Order, payload string) message.PreparedProof {
 	t.Helper()
-	proposer := engines[0].cfg.ProposerOf(v, o)
+	proposer := engines[0].Cfg.ProposerOf(v, o)
 	pp := &message.PrePrepare{View: v, Order: o,
 		Requests: []*message.Request{{Client: crypto.ClientIDBase, Seq: 1, Payload: []byte(payload)}}}
 	proof, err := engines[proposer].sign(engines[proposer].pillars[0].tx, pp.Digest())
@@ -206,14 +200,14 @@ func TestProgressQuorums(t *testing.T) {
 	s := p.slot(1, 0)
 
 	// 2f prepares without a pre-prepare: not prepared.
-	s.prepares[1] = &message.PBFTPrepare{}
-	s.prepares[2] = &message.PBFTPrepare{}
+	pp := &message.PrePrepare{View: 0, Order: 1}
+	s.prepares[1] = &message.PBFTPrepare{BatchDigest: pp.BatchDigest()}
+	s.prepares[2] = &message.PBFTPrepare{BatchDigest: pp.BatchDigest()}
 	p.progress(s)
 	if s.prepared {
 		t.Fatal("prepared without pre-prepare")
 	}
-	s.prePrepare = &message.PrePrepare{View: 0, Order: 1}
-	s.batchDigest = s.prePrepare.BatchDigest()
+	s.setPrePrepare(pp)
 	p.progress(s)
 	if !s.prepared || !s.sentCommit {
 		t.Fatalf("not prepared with pre-prepare + 2f prepares: %+v", s)
@@ -222,12 +216,80 @@ func TestProgressQuorums(t *testing.T) {
 	if s.committed {
 		t.Fatal("committed too early")
 	}
-	s.commits[0] = true
-	s.commits[1] = true
+	s.commits[0] = s.batchDigest
+	s.commits[1] = s.batchDigest
 	p.progress(s)
 	if !s.committed || !s.executed {
 		t.Fatal("2f+1 commits did not commit/execute")
 	}
+}
+
+// TestVotesForAnotherDigestDoNotCount pins the vote-matching rule: a
+// backup that missed the original PRE-PREPARE but collected the group's
+// PREPAREs and COMMITs for it must not reach prepared or committed on a
+// different batch proposed for the same slot (an equivocating or
+// amnesiac proposer) with those votes.
+func TestVotesForAnotherDigestDoNotCount(t *testing.T) {
+	engines := make([]*Engine, 4)
+	for i := range engines {
+		engines[i] = newTestEngine(t, config.PBFTcop, uint32(i))
+	}
+	backup := engines[3]
+	p := backup.pillars[0]
+	proposer := backup.Cfg.ProposerOf(0, 1)
+	ppFor := func(payload string) *message.PrePrepare {
+		pp := &message.PrePrepare{View: 0, Order: 1,
+			Requests: []*message.Request{{Client: crypto.ClientIDBase, Seq: 1, Payload: []byte(payload)}}}
+		proof, err := engines[proposer].sign(nil, pp.Digest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp.Proof = proof
+		return pp
+	}
+	// vote delivers 2f PREPAREs and 2f+1 COMMITs for pp's batch from
+	// the other replicas.
+	vote := func(pp *message.PrePrepare) {
+		for r := uint32(0); r < 3; r++ {
+			if r != proposer {
+				prep := &message.PBFTPrepare{View: 0, Order: 1, Replica: r, BatchDigest: pp.BatchDigest()}
+				prep.Proof, _ = engines[r].sign(nil, prep.Digest())
+				p.handlePrepare(r, prep)
+			}
+			com := &message.PBFTCommit{View: 0, Order: 1, Replica: r, BatchDigest: pp.BatchDigest()}
+			com.Proof, _ = engines[r].sign(nil, com.Digest())
+			p.handleCommit(r, com)
+		}
+	}
+	a, b := ppFor("A"), ppFor("B")
+
+	vote(a)
+	p.handlePrePrepare(proposer, b, true)
+	s := p.slots[1]
+	if s == nil || s.prePrepare != b {
+		t.Fatal("PRE-PREPARE for B not accepted")
+	}
+	if s.prepared || s.committed || s.executed {
+		t.Fatalf("votes for A counted toward B: prepared=%v committed=%v executed=%v", s.prepared, s.committed, s.executed)
+	}
+	vote(b)
+	if !s.prepared || !s.committed || !s.executed {
+		t.Fatalf("matching votes did not commit B: prepared=%v committed=%v executed=%v", s.prepared, s.committed, s.executed)
+	}
+	vote(b) // duplicates change nothing
+	if got := p.met.Committed.Value(); got != 1 {
+		t.Fatalf("instance delivered %d times, want exactly once", got)
+	}
+}
+
+// waitFor polls cond for up to five seconds.
+func waitFor(cond func() bool) error {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return errors.New("timeout")
+		}
+	}
+	return nil
 }
 
 // TestReadyzDetectsWedgedReplica pins /readyz's meaning: live, and not
@@ -250,8 +312,16 @@ func TestReadyzDetectsWedgedReplica(t *testing.T) {
 	}
 	e.Start()
 	req := &message.Request{Client: crypto.ClientIDBase, Seq: 1, Payload: []byte("x")}
-	e.NoteWork() // what route does for a verified request
-	e.seq.Admit(req)
+	clientKeys := crypto.NewKeyStore(req.Client, crypto.NewKeyFromSeed(cfg.KeySeed))
+	req.Auth = crypto.NewAuthenticator(clientKeys, req.Digest(), cfg.N)
+	if err := net.Endpoint(req.Client).Send(0, req); err != nil {
+		t.Fatal(err)
+	}
+	// The injected clock only moves when the test moves it: a nanosecond
+	// per poll makes the admitted request show up as stalled work.
+	if err := waitFor(func() bool { offset.Add(1); return e.Stalled() > 0 }); err != nil {
+		t.Fatal("verified request never admitted")
+	}
 	if err := e.Readyz(); err != nil {
 		t.Fatalf("fresh work already counts as wedged: %v", err)
 	}
@@ -265,11 +335,9 @@ func TestReadyzDetectsWedgedReplica(t *testing.T) {
 	}
 
 	// Execution progress (here: the instance arriving committed) clears it.
-	e.exec.Deliver(1, []*message.Request{req}, engine.NoCredit)
-	for deadline := time.Now().Add(5 * time.Second); e.Readyz() != nil; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("not ready again after progress: %v", e.Readyz())
-		}
+	e.Exec.Deliver(1, []*message.Request{req}, engine.NoCredit)
+	if err := waitFor(func() bool { return e.Readyz() == nil }); err != nil {
+		t.Fatalf("not ready again after progress: %v", e.Readyz())
 	}
 
 	e.Stop()

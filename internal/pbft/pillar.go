@@ -1,8 +1,6 @@
 package pbft
 
 import (
-	"hybster/internal/checkpoint"
-	"hybster/internal/cop"
 	"hybster/internal/crypto"
 	"hybster/internal/engine"
 	"hybster/internal/message"
@@ -12,19 +10,10 @@ import (
 	"hybster/internal/trinx"
 )
 
-// Events delivered to pillar mailboxes (besides inbound messages in
-// engine.InMsg and the coordinator's engine.Tick).
+// Events delivered to pillar mailboxes besides those of internal/engine
+// (engine.InMsg, engine.Propose, engine.CkptDue, engine.Advance,
+// engine.Tick).
 type (
-	evPropose struct {
-		view  timeline.View
-		order timeline.Order
-		batch []*message.Request
-	}
-	evCkptDue struct {
-		order  timeline.Order
-		digest crypto.Digest
-	}
-	evAdvance struct{ order timeline.Order }
 	// evCollectVC gathers the pillar's prepared proofs for a view
 	// change.
 	evCollectVC struct {
@@ -42,14 +31,16 @@ type (
 
 // pslot tracks one PBFT consensus instance: it reaches "prepared" with
 // the PRE-PREPARE plus 2f matching PREPAREs and "committed" with 2f+1
-// COMMITs (Castro & Liskov, OSDI '99).
+// matching COMMITs (Castro & Liskov, OSDI '99). Votes may arrive before
+// the PRE-PREPARE; they are kept with the batch digest they were cast
+// for, and only those for the PRE-PREPARE's digest survive its arrival.
 type pslot struct {
 	order       timeline.Order
 	view        timeline.View
 	prePrepare  *message.PrePrepare
 	batchDigest crypto.Digest
 	prepares    map[uint32]*message.PBFTPrepare
-	commits     map[uint32]bool
+	commits     map[uint32]crypto.Digest
 	sentPrepare bool
 	sentCommit  bool
 	prepared    bool
@@ -57,11 +48,30 @@ type pslot struct {
 	executed    bool
 }
 
+// setPrePrepare binds the slot to proposal pp and discards the early
+// votes cast for any other batch: counted, they would let a replica
+// that missed the original PRE-PREPARE commit an equivocating
+// proposer's second batch on the strength of votes for the first.
+func (s *pslot) setPrePrepare(pp *message.PrePrepare) {
+	s.prePrepare = pp
+	s.batchDigest = pp.BatchDigest()
+	for r, m := range s.prepares {
+		if m.BatchDigest != s.batchDigest {
+			delete(s.prepares, r)
+		}
+	}
+	for r, d := range s.commits {
+		if d != s.batchDigest {
+			delete(s.commits, r)
+		}
+	}
+}
+
 func newPSlot(o timeline.Order, v timeline.View) *pslot {
 	return &pslot{
 		order: o, view: v,
 		prepares: make(map[uint32]*message.PBFTPrepare),
-		commits:  make(map[uint32]bool),
+		commits:  make(map[uint32]crypto.Digest),
 	}
 }
 
@@ -69,11 +79,10 @@ func newPSlot(o timeline.Order, v timeline.View) *pslot {
 // there is no per-pillar ascending constraint; instances of the class
 // proceed independently.
 type pillar struct {
-	e     *Engine
-	idx   uint32
-	tx    *trinx.TrInX // nil for PBFTcop
-	inbox *cop.Mailbox[any]
-	met   engine.OrderingMetrics
+	e   *Engine
+	idx uint32
+	tx  *trinx.TrInX // nil for PBFTcop
+	met engine.OrderingMetrics
 	// preprepares counts own proposals multicast (PRE-PREPARE sent).
 	preprepares *telemetry.Counter
 
@@ -81,26 +90,21 @@ type pillar struct {
 	aborted bool
 	low     timeline.Order
 	slots   map[timeline.Order]*pslot
-	ckpts   *checkpoint.Tracker[*message.PBFTCheckpoint]
-	ownCkpt map[timeline.Order]*message.PBFTCheckpoint
 }
 
 func newPillar(e *Engine, idx uint32, tx *trinx.TrInX) *pillar {
 	return &pillar{
-		e:     e,
-		idx:   idx,
-		tx:    tx,
-		inbox: cop.NewMailbox[any](),
-		met:   e.met.Ordering(engine.PillarLabel(idx)),
-		preprepares: e.met.Counter("preprepares_total", "own proposals multicast (PRE-PREPARE sent)",
+		e:   e,
+		idx: idx,
+		tx:  tx,
+		met: e.Met.Ordering(engine.PillarLabel(idx)),
+		preprepares: e.Met.Counter("preprepares_total", "own proposals multicast (PRE-PREPARE sent)",
 			engine.PillarLabel(idx)),
-		slots:   make(map[timeline.Order]*pslot),
-		ckpts:   checkpoint.NewTracker[*message.PBFTCheckpoint](e.cfg.Quorum()),
-		ownCkpt: make(map[timeline.Order]*message.PBFTCheckpoint),
+		slots: make(map[timeline.Order]*pslot),
 	}
 }
 
-func (p *pillar) high() timeline.Order { return p.low + p.e.cfg.WindowSize }
+func (p *pillar) high() timeline.Order { return p.low + p.e.Cfg.WindowSize }
 
 func (p *pillar) inWindow(o timeline.Order) bool { return o > p.low && o <= p.high() }
 
@@ -127,31 +131,17 @@ func (p *pillar) slot(o timeline.Order, v timeline.View) *pslot {
 	return s
 }
 
-func (p *pillar) run() {
-	// Drain the mailbox in batches: under load one lock round-trip
-	// fetches a burst of events instead of paying the lock per event.
-	batch := make([]any, 0, 32)
-	for {
-		events, ok := p.inbox.GetBatch(batch[:0])
-		if !ok {
-			return
-		}
-		for _, ev := range events {
-			p.handleEvent(ev)
-		}
-	}
-}
-
+// handleEvent is the Host's handler for this pillar's mailbox.
 func (p *pillar) handleEvent(ev any) {
 	switch v := ev.(type) {
 	case engine.InMsg:
 		p.handleMessage(v)
-	case evPropose:
+	case engine.Propose:
 		p.handlePropose(v)
-	case evCkptDue:
+	case engine.CkptDue:
 		p.handleCkptDue(v)
-	case evAdvance:
-		p.advance(v.order)
+	case engine.Advance:
+		p.advance(v.Order)
 	case evCollectVC:
 		p.handleCollectVC(v)
 	case evInstallView:
@@ -176,28 +166,27 @@ func (p *pillar) handleMessage(in engine.InMsg) {
 
 // handlePropose makes this replica's proposal: certify and multicast a
 // PRE-PREPARE.
-func (p *pillar) handlePropose(ev evPropose) {
-	if ev.view != p.view || p.aborted || !p.inWindow(ev.order) {
-		p.e.seq.Credit(p.idx, len(ev.batch))
+func (p *pillar) handlePropose(ev engine.Propose) {
+	if ev.View != p.view || p.aborted || !p.inWindow(ev.Order) {
+		p.e.Seq.Credit(p.idx, len(ev.Batch))
 		return
 	}
-	pp := &message.PrePrepare{View: ev.view, Order: ev.order, Requests: ev.batch}
+	pp := &message.PrePrepare{View: ev.View, Order: ev.Order, Requests: ev.Batch}
 	proof, err := p.e.sign(p.tx, pp.Digest())
 	if err != nil {
-		p.e.seq.Credit(p.idx, len(ev.batch))
+		p.e.Seq.Credit(p.idx, len(ev.Batch))
 		return
 	}
 	pp.Proof = proof
-	s := p.slot(ev.order, ev.view)
+	s := p.slot(ev.Order, ev.View)
 	if s == nil || s.prePrepare != nil {
-		p.e.seq.Credit(p.idx, len(ev.batch))
+		p.e.Seq.Credit(p.idx, len(ev.Batch))
 		return
 	}
-	s.prePrepare = pp
-	s.batchDigest = pp.BatchDigest()
+	s.setPrePrepare(pp)
 	p.preprepares.Inc()
-	p.e.met.TraceD(telemetry.EvPropose, uint64(ev.view), uint64(ev.order), p.idx, s.batchDigest[:], "")
-	transport.Multicast(p.e.ep, p.e.cfg.N, pp)
+	p.e.Met.TraceD(telemetry.EvPropose, uint64(ev.View), uint64(ev.Order), p.idx, s.batchDigest[:], "")
+	transport.Multicast(p.e.Ep, p.e.Cfg.N, pp)
 	p.progress(s)
 }
 
@@ -209,10 +198,10 @@ func (p *pillar) handlePrePrepare(from uint32, pp *message.PrePrepare, authVerif
 		return
 	}
 	if pp.Order > p.high() {
-		p.e.coord.inbox.Put(evBehind{})
+		p.e.CoordBox.Put(engine.Behind{})
 		return
 	}
-	if from != p.e.cfg.ProposerOf(pp.View, pp.Order) {
+	if from != p.e.Cfg.ProposerOf(pp.View, pp.Order) {
 		return
 	}
 	if !p.e.verify(p.tx, &pp.Proof, pp.Digest(), from) {
@@ -220,7 +209,7 @@ func (p *pillar) handlePrePrepare(from uint32, pp *message.PrePrepare, authVerif
 	}
 	if !authVerified {
 		for _, r := range pp.Requests {
-			if !crypto.VerifyAuthenticator(p.e.ks, r.Auth, r.Digest()) {
+			if !crypto.VerifyAuthenticator(p.e.Keys, r.Auth, r.Digest()) {
 				return
 			}
 		}
@@ -236,22 +225,21 @@ func (p *pillar) acceptPrePrepare(pp *message.PrePrepare) {
 	if s == nil || s.prePrepare != nil {
 		return
 	}
-	s.prePrepare = pp
-	s.batchDigest = pp.BatchDigest()
+	s.setPrePrepare(pp)
 	if !s.sentPrepare {
 		s.sentPrepare = true
 		prep := &message.PBFTPrepare{
-			View: pp.View, Order: pp.Order, Replica: p.e.id, BatchDigest: s.batchDigest,
+			View: pp.View, Order: pp.Order, Replica: p.e.ID(), BatchDigest: s.batchDigest,
 		}
 		proof, err := p.e.sign(p.tx, prep.Digest())
 		if err != nil {
 			return
 		}
 		prep.Proof = proof
-		s.prepares[p.e.id] = prep
+		s.prepares[p.e.ID()] = prep
 		p.met.Prepares.Inc()
-		p.e.met.TraceD(telemetry.EvPrepare, uint64(pp.View), uint64(pp.Order), p.idx, s.batchDigest[:], "")
-		transport.Multicast(p.e.ep, p.e.cfg.N, prep)
+		p.e.Met.TraceD(telemetry.EvPrepare, uint64(pp.View), uint64(pp.Order), p.idx, s.batchDigest[:], "")
+		transport.Multicast(p.e.Ep, p.e.Cfg.N, prep)
 	}
 	p.progress(s)
 }
@@ -260,7 +248,7 @@ func (p *pillar) handlePrepare(from uint32, m *message.PBFTPrepare) {
 	if m.View != p.view || p.aborted || !p.inWindow(m.Order) {
 		return
 	}
-	if m.Replica != from || from == p.e.cfg.ProposerOf(m.View, m.Order) {
+	if m.Replica != from || from == p.e.Cfg.ProposerOf(m.View, m.Order) {
 		return // the proposer's PRE-PREPARE stands in for its PREPARE
 	}
 	if !p.e.verify(p.tx, &m.Proof, m.Digest(), from) {
@@ -297,7 +285,7 @@ func (p *pillar) handleCommit(from uint32, m *message.PBFTCommit) {
 	if s.prePrepare != nil && s.batchDigest != m.BatchDigest {
 		return
 	}
-	s.commits[from] = true
+	s.commits[from] = m.BatchDigest
 	p.progress(s)
 }
 
@@ -306,22 +294,22 @@ func (p *pillar) handleCommit(from uint32, m *message.PBFTCommit) {
 // backups (the proposer's PRE-PREPARE counts as its PREPARE);
 // committed requires 2f+1 COMMITs.
 func (p *pillar) progress(s *pslot) {
-	f := p.e.cfg.F()
+	f := p.e.Cfg.F()
 	if !s.prepared && s.prePrepare != nil && len(s.prepares) >= 2*f {
 		s.prepared = true
 	}
 	if s.prepared && !s.sentCommit {
 		s.sentCommit = true
 		com := &message.PBFTCommit{
-			View: s.view, Order: s.order, Replica: p.e.id, BatchDigest: s.batchDigest,
+			View: s.view, Order: s.order, Replica: p.e.ID(), BatchDigest: s.batchDigest,
 		}
 		proof, err := p.e.sign(p.tx, com.Digest())
 		if err == nil {
 			com.Proof = proof
-			s.commits[p.e.id] = true
+			s.commits[p.e.ID()] = s.batchDigest
 			p.met.Commits.Inc()
-			p.e.met.TraceD(telemetry.EvCommit, uint64(s.view), uint64(s.order), p.idx, s.batchDigest[:], "")
-			transport.Multicast(p.e.ep, p.e.cfg.N, com)
+			p.e.Met.TraceD(telemetry.EvCommit, uint64(s.view), uint64(s.order), p.idx, s.batchDigest[:], "")
+			transport.Multicast(p.e.Ep, p.e.Cfg.N, com)
 		}
 	}
 	if !s.committed && s.prepared && len(s.commits) >= 2*f+1 {
@@ -330,31 +318,29 @@ func (p *pillar) progress(s *pslot) {
 	if s.committed && !s.executed {
 		s.executed = true
 		p.met.Committed.Inc()
-		p.e.met.TraceD(telemetry.EvDeliver, uint64(s.view), uint64(s.order), p.idx, s.batchDigest[:], "")
+		p.e.Met.TraceD(telemetry.EvDeliver, uint64(s.view), uint64(s.order), p.idx, s.batchDigest[:], "")
 		credit := engine.NoCredit
-		if p.e.cfg.ProposerOf(s.view, s.order) == p.e.id {
+		if p.e.Cfg.ProposerOf(s.view, s.order) == p.e.ID() {
 			credit = int32(p.idx)
 		}
-		p.e.exec.Deliver(s.order, s.prePrepare.Requests, credit)
+		p.e.Exec.Deliver(s.order, s.prePrepare.Requests, credit)
 	}
 }
 
-// --- checkpoints ---
-
-func (p *pillar) handleCkptDue(ev evCkptDue) {
-	ck := &message.PBFTCheckpoint{Order: ev.order, Replica: p.e.id, StateDigest: ev.digest}
+// handleCkptDue runs this pillar's checkpoint protocol instance
+// (§5.3.2): certify the announcement of the digest.
+func (p *pillar) handleCkptDue(ev engine.CkptDue) {
+	ck := &message.PBFTCheckpoint{Order: ev.Order, Replica: p.e.ID(), StateDigest: ev.Digest}
 	proof, err := p.e.sign(p.tx, ck.Digest())
 	if err != nil {
 		return
 	}
 	ck.Proof = proof
-	p.ownCkpt[ev.order] = ck
-	p.e.met.CkptsOwn.Inc()
-	p.e.met.TraceD(telemetry.EvCheckpoint, uint64(p.view), uint64(ev.order), p.idx, ev.digest[:], "")
-	transport.Multicast(p.e.ep, p.e.cfg.N, ck)
-	p.addCheckpoint(ck)
+	p.e.coord.ck.Announce(p.idx, p.view, announcement{Replica: ck.Replica, Order: ck.Order, Digest: ck.StateDigest, Msg: ck})
 }
 
+// handleCheckpoint verifies a peer's checkpoint announcement and hands
+// it to the coordinator, which counts the quorum.
 func (p *pillar) handleCheckpoint(from uint32, m *message.PBFTCheckpoint) {
 	if m.Replica != from {
 		return
@@ -362,16 +348,7 @@ func (p *pillar) handleCheckpoint(from uint32, m *message.PBFTCheckpoint) {
 	if !p.e.verify(p.tx, &m.Proof, m.Digest(), from) {
 		return
 	}
-	p.addCheckpoint(m)
-}
-
-func (p *pillar) addCheckpoint(m *message.PBFTCheckpoint) {
-	stable := p.ckpts.Add(m.Order, checkpoint.Announcement[*message.PBFTCheckpoint]{
-		Replica: m.Replica, Digest: m.StateDigest, Msg: m,
-	})
-	if stable != nil {
-		p.e.coord.inbox.Put(evStable{stable: stable})
-	}
+	p.e.CoordBox.Put(announcement{Replica: from, Order: m.Order, Digest: m.StateDigest, Msg: m})
 }
 
 func (p *pillar) advance(o timeline.Order) {
@@ -382,11 +359,6 @@ func (p *pillar) advance(o timeline.Order) {
 	for k := range p.slots {
 		if k <= o {
 			delete(p.slots, k)
-		}
-	}
-	for k := range p.ownCkpt {
-		if k <= o {
-			delete(p.ownCkpt, k)
 		}
 	}
 }
@@ -422,8 +394,7 @@ func (p *pillar) handleInstallView(ev evInstallView) {
 		if ev.leader {
 			s := p.slot(pp.Order, ev.view)
 			if s != nil && s.prePrepare == nil {
-				s.prePrepare = pp
-				s.batchDigest = pp.BatchDigest()
+				s.setPrePrepare(pp)
 				p.progress(s)
 			}
 		} else {
@@ -433,7 +404,7 @@ func (p *pillar) handleInstallView(ev evInstallView) {
 }
 
 // handleTick retransmits this replica's message for the oldest
-// uncommitted instance and any unstable checkpoint.
+// uncommitted instance.
 func (p *pillar) handleTick() {
 	if p.aborted {
 		return
@@ -448,21 +419,14 @@ func (p *pillar) handleTick() {
 		}
 	}
 	if oldest != nil && oldest.prePrepare != nil {
-		if p.e.cfg.ProposerOf(oldest.view, oldest.order) == p.e.id {
+		if p.e.Cfg.ProposerOf(oldest.view, oldest.order) == p.e.ID() {
 			p.met.Retransmits.Inc()
-			p.e.met.Trace(telemetry.EvRetransmit, uint64(oldest.view), uint64(oldest.order), p.idx, "")
-			transport.Multicast(p.e.ep, p.e.cfg.N, oldest.prePrepare)
-		} else if own, ok := oldest.prepares[p.e.id]; ok {
+			p.e.Met.Trace(telemetry.EvRetransmit, uint64(oldest.view), uint64(oldest.order), p.idx, "")
+			transport.Multicast(p.e.Ep, p.e.Cfg.N, oldest.prePrepare)
+		} else if own, ok := oldest.prepares[p.e.ID()]; ok {
 			p.met.Retransmits.Inc()
-			p.e.met.Trace(telemetry.EvRetransmit, uint64(oldest.view), uint64(oldest.order), p.idx, "")
-			transport.Multicast(p.e.ep, p.e.cfg.N, own)
-		}
-	}
-	for o, ck := range p.ownCkpt {
-		last := p.ckpts.Last()
-		if last == nil || o > last.Order {
-			transport.Multicast(p.e.ep, p.e.cfg.N, ck)
-			break
+			p.e.Met.Trace(telemetry.EvRetransmit, uint64(oldest.view), uint64(oldest.order), p.idx, "")
+			transport.Multicast(p.e.Ep, p.e.Cfg.N, own)
 		}
 	}
 }
