@@ -30,26 +30,28 @@ import (
 
 // figOpts keeps figure benchmarks short enough for go test -bench.
 func figOpts() bench.Options {
-	opts := bench.DefaultOptions()
-	opts.Quick = true
-	opts.Warmup = 100 * time.Millisecond
-	opts.Duration = 400 * time.Millisecond
-	opts.Clients = 24
-	return opts
+	return bench.Options{Duration: 400 * time.Millisecond, Clients: 24, Quick: true}
 }
 
-// reportBest reports the best throughput per series as custom metrics.
-// Metric units must not contain whitespace, so series names are reduced
-// to their identifier characters ("TrInX (native)" → "TrInX-native").
-func reportBest(b *testing.B, points []bench.Point) {
-	best := map[string]float64{}
-	for _, p := range points {
-		if p.Throughput > best[p.Series] {
-			best[p.Series] = p.Throughput
+// runFigure runs one figure's reduced sweep per iteration and reports
+// the best throughput per series as custom metrics. Metric units must
+// not contain whitespace, so series names are reduced to their
+// identifier characters ("TrInX (native)" → "TrInX-native").
+func runFigure(b *testing.B, fig func(bench.Options) ([]bench.Point, error)) {
+	for i := 0; i < b.N; i++ {
+		points, err := fig(figOpts())
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
-	for series, tput := range best {
-		b.ReportMetric(tput, metricName(series)+"_ops/s")
+		best := map[string]float64{}
+		for _, p := range points {
+			if p.Throughput > best[p.Series] {
+				best[p.Series] = p.Throughput
+			}
+		}
+		for series, tput := range best {
+			b.ReportMetric(tput, metricName(series)+"_ops/s")
+		}
 	}
 }
 
@@ -76,84 +78,43 @@ func metricName(series string) string {
 // BenchmarkFig5aTrustedSubsystem regenerates Figure 5a: certification
 // throughput of 32-byte messages for every trusted-subsystem variant.
 func BenchmarkFig5aTrustedSubsystem(b *testing.B) {
-	opts := figOpts()
-	for i := 0; i < b.N; i++ {
-		reportBest(b, bench.Fig5a(opts))
-	}
+	runFigure(b, bench.Fig5a)
 }
 
 // BenchmarkFig5aCASHComparison regenerates the §6.1 published-numbers
 // comparison: TrInX vs the FPGA-based CASH at 57 µs per operation.
 func BenchmarkFig5aCASHComparison(b *testing.B) {
-	opts := figOpts()
-	for i := 0; i < b.N; i++ {
-		reportBest(b, bench.CASHReference(opts))
-	}
+	runFigure(b, bench.CASHReference)
 }
 
 // BenchmarkFig5bUnbatchedRotation regenerates Figure 5b: one consensus
 // instance per request, rotating proposer, empty payloads.
 func BenchmarkFig5bUnbatchedRotation(b *testing.B) {
-	opts := figOpts()
-	for i := 0; i < b.N; i++ {
-		points, err := bench.Fig5b(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportBest(b, points)
-	}
+	runFigure(b, bench.Fig5b)
 }
 
 // BenchmarkFig5cBatchedRotation regenerates Figure 5c: batched
 // ordering, rotating proposer, empty payloads.
 func BenchmarkFig5cBatchedRotation(b *testing.B) {
-	opts := figOpts()
-	for i := 0; i < b.N; i++ {
-		points, err := bench.Fig5c(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportBest(b, points)
-	}
+	runFigure(b, bench.Fig5c)
 }
 
 // BenchmarkFig6aLatency0B regenerates Figure 6a: latency vs throughput
 // under a client sweep, empty payloads, fixed leader.
 func BenchmarkFig6aLatency0B(b *testing.B) {
-	opts := figOpts()
-	for i := 0; i < b.N; i++ {
-		points, err := bench.Fig6a(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportBest(b, points)
-	}
+	runFigure(b, bench.Fig6a)
 }
 
 // BenchmarkFig6bLatency1KB regenerates Figure 6b: 1-kilobyte request
 // and reply payloads over 1 GbE-modeled links.
 func BenchmarkFig6bLatency1KB(b *testing.B) {
-	opts := figOpts()
-	for i := 0; i < b.N; i++ {
-		points, err := bench.Fig6b(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportBest(b, points)
-	}
+	runFigure(b, bench.Fig6b)
 }
 
 // BenchmarkFig6cCoordination regenerates Figure 6c: the coordination
 // service with 128-byte znodes under a read-rate sweep.
 func BenchmarkFig6cCoordination(b *testing.B) {
-	opts := figOpts()
-	for i := 0; i < b.N; i++ {
-		points, err := bench.Fig6c(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportBest(b, points)
-	}
+	runFigure(b, bench.Fig6c)
 }
 
 // --- Per-operation microbenchmarks -------------------------------------------
@@ -161,8 +122,8 @@ func BenchmarkFig6cCoordination(b *testing.B) {
 // benchOp measures single-client end-to-end request latency for one
 // protocol configuration (a request ordered, executed, and answered by
 // f+1 replicas per iteration).
-func benchOp(b *testing.B, spec bench.ProtocolSpec, pillars int) {
-	c, err := bench.BuildCluster(spec, pillars, 16, false, enclave.CostModel{},
+func benchOp(b *testing.B, proto config.Protocol, pillars int) {
+	c, err := bench.BuildCluster(proto, pillars, 16, false, enclave.CostModel{},
 		transport.LinkProfile{}, func() statemachine.Application { return echo.New(0) })
 	if err != nil {
 		b.Fatal(err)
@@ -183,23 +144,23 @@ func benchOp(b *testing.B, spec bench.ProtocolSpec, pillars int) {
 }
 
 func BenchmarkOpHybsterS(b *testing.B) {
-	benchOp(b, bench.ProtocolSpec{Name: "HybsterS", Proto: config.HybsterS}, 1)
+	benchOp(b, config.HybsterS, 1)
 }
 
 func BenchmarkOpHybsterX(b *testing.B) {
-	benchOp(b, bench.ProtocolSpec{Name: "HybsterX", Proto: config.HybsterX, ScalesWithCores: true}, 4)
+	benchOp(b, config.HybsterX, 4)
 }
 
 func BenchmarkOpPBFTcop(b *testing.B) {
-	benchOp(b, bench.ProtocolSpec{Name: "PBFTcop", Proto: config.PBFTcop, ScalesWithCores: true}, 4)
+	benchOp(b, config.PBFTcop, 4)
 }
 
 func BenchmarkOpHybridPBFT(b *testing.B) {
-	benchOp(b, bench.ProtocolSpec{Name: "HybridPBFT", Proto: config.HybridPBFT, ScalesWithCores: true}, 4)
+	benchOp(b, config.HybridPBFT, 4)
 }
 
 func BenchmarkOpMinBFT(b *testing.B) {
-	benchOp(b, bench.ProtocolSpec{Name: "MinBFT", Proto: config.MinBFT}, 1)
+	benchOp(b, config.MinBFT, 1)
 }
 
 // --- Trusted subsystem microbenchmarks ----------------------------------------
@@ -259,15 +220,14 @@ func BenchmarkUSIGCreateUI(b *testing.B) {
 
 // ablationLoad runs a short fixed load and reports throughput.
 func ablationLoad(b *testing.B, proto config.Protocol, pillars, batch int, rotate bool) {
-	spec := bench.ProtocolSpec{Name: proto.String(), Proto: proto, ScalesWithCores: true}
 	for i := 0; i < b.N; i++ {
-		c, err := bench.BuildCluster(spec, pillars, batch, rotate, enclave.DefaultCostModel,
+		c, err := bench.BuildCluster(proto, pillars, batch, rotate, enclave.DefaultCostModel,
 			transport.LinkProfile{}, func() statemachine.Application { return echo.New(0) })
 		if err != nil {
 			b.Fatal(err)
 		}
-		tput, _, err := bench.RunLoad(c, 24, 100*time.Millisecond, 400*time.Millisecond,
-			func(uint32) workload.Generator { return workload.NewFixed(0) })
+		tput, _, err := bench.RunLoad(bench.ClusterClients(c), 24, 100*time.Millisecond, 400*time.Millisecond,
+			func(uint32) workload.Generator { return workload.NewFixed(0, 0) })
 		c.Stop()
 		if err != nil {
 			b.Fatal(err)

@@ -6,62 +6,45 @@
 //	hybster-bench -figure 5b                 # one figure
 //	hybster-bench -figure all -duration 10s  # everything, longer windows
 //	hybster-bench -figure 6c -csv            # machine-readable output
-//	hybster-bench -figure 5c -json           # results/fig5c.json with telemetry
 //
 // Figures: 5a (trusted subsystem), 5b (unbatched throughput),
 // 5c (batched throughput), 6a (latency, 0 B), 6b (latency, 1 kB),
-// 6c (coordination service), cash (§6.1 CASH comparison).
+// 6c (coordination service), cash (§6.1 CASH comparison), minbft
+// (sequential baselines). Absolute numbers depend on the host; compare
+// shapes against the paper (see EXPERIMENTS.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"hybster/internal/bench"
 )
 
 func main() {
-	figure := flag.String("figure", "all", "figure to run: 5a, 5b, 5c, 6a, 6b, 6c, cash, all")
+	figure := flag.String("figure", "all", "figure to run: 5a, 5b, 5c, 6a, 6b, 6c, cash, minbft, all")
 	duration := flag.Duration("duration", time.Second, "measured window per data point")
-	warmup := flag.Duration("warmup", 300*time.Millisecond, "warmup before each measurement")
 	clients := flag.Int("clients", 48, "closed-loop clients for throughput figures")
 	quick := flag.Bool("quick", false, "reduced sweep resolution (smoke test)")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
-	jsonOut := flag.Bool("json", false, "additionally write machine-readable results (with telemetry snapshots) under -results")
-	resultsDir := flag.String("results", "results", "directory for -json output files")
 	flag.Parse()
 
-	opts := bench.DefaultOptions()
-	opts.Duration = *duration
-	opts.Warmup = *warmup
-	opts.Clients = *clients
-	opts.Quick = *quick
+	opts := bench.Options{Duration: *duration, Clients: *clients, Quick: *quick}
 
-	type fig struct {
+	figs := []struct {
 		name, title, xLabel string
-		run                 func() ([]bench.Point, error)
-	}
-	figs := []fig{
-		{"5a", "Figure 5a — trusted subsystem, certifying 32-byte messages", "cores",
-			func() ([]bench.Point, error) { return bench.Fig5a(opts), nil }},
-		{"5b", "Figure 5b — 0 bytes, unbatched, rotation", "cores",
-			func() ([]bench.Point, error) { return bench.Fig5b(opts) }},
-		{"5c", "Figure 5c — 0 bytes, batched, rotation", "cores",
-			func() ([]bench.Point, error) { return bench.Fig5c(opts) }},
-		{"6a", "Figure 6a — 0 bytes, batched, no rotation (latency vs throughput)", "clients",
-			func() ([]bench.Point, error) { return bench.Fig6a(opts) }},
-		{"6b", "Figure 6b — 1 kilobyte, batched, no rotation (latency vs throughput)", "clients",
-			func() ([]bench.Point, error) { return bench.Fig6b(opts) }},
-		{"6c", "Figure 6c — coordination service (128 bytes), read-rate sweep", "read-%",
-			func() ([]bench.Point, error) { return bench.Fig6c(opts) }},
-		{"cash", "§6.1 — TrInX vs published CASH numbers", "-",
-			func() ([]bench.Point, error) { return bench.CASHReference(opts), nil }},
-		{"minbft", "Extension — sequential baselines head to head (HybsterS vs MinBFT)", "batch",
-			func() ([]bench.Point, error) { return bench.SequentialBaselines(opts) }},
+		run                 func(bench.Options) ([]bench.Point, error)
+	}{
+		{"5a", "Figure 5a — trusted subsystem, certifying 32-byte messages", "cores", bench.Fig5a},
+		{"5b", "Figure 5b — 0 bytes, unbatched, rotation", "cores", bench.Fig5b},
+		{"5c", "Figure 5c — 0 bytes, batched, rotation", "cores", bench.Fig5c},
+		{"6a", "Figure 6a — 0 bytes, batched, no rotation (latency vs throughput)", "clients", bench.Fig6a},
+		{"6b", "Figure 6b — 1 kilobyte, batched, no rotation (latency vs throughput)", "clients", bench.Fig6b},
+		{"6c", "Figure 6c — coordination service (128 bytes), read-rate sweep", "read-%", bench.Fig6c},
+		{"cash", "§6.1 — TrInX vs published CASH numbers", "-", bench.CASHReference},
+		{"minbft", "Extension — sequential baselines head to head (HybsterS vs MinBFT)", "batch", bench.SequentialBaselines},
 	}
 
 	ran := false
@@ -70,7 +53,7 @@ func main() {
 			continue
 		}
 		ran = true
-		points, err := f.run()
+		points, err := f.run(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "figure %s: %v\n", f.name, err)
 			os.Exit(1)
@@ -80,88 +63,10 @@ func main() {
 		} else {
 			bench.WriteTable(os.Stdout, f.title, f.xLabel, points)
 		}
-		if *jsonOut {
-			path, err := writeJSON(*resultsDir, f.name, f.title, f.xLabel, opts, points)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "figure %s: %v\n", f.name, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *figure)
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// jsonPoint is the machine-readable form of one measurement: durations
-// flattened to microseconds and the cluster-wide telemetry snapshot
-// attached, so a results file carries not just the numbers a figure
-// plots but the internal counters explaining them.
-type jsonPoint struct {
-	Series       string             `json:"series"`
-	X            float64            `json:"x"`
-	ThroughputOS float64            `json:"throughput_ops"`
-	AvgUS        int64              `json:"avg_latency_us"`
-	P50US        int64              `json:"p50_us"`
-	P90US        int64              `json:"p90_us"`
-	P99US        int64              `json:"p99_us"`
-	MaxUS        int64              `json:"max_us"`
-	Samples      int                `json:"latency_samples"`
-	Telemetry    map[string]float64 `json:"telemetry,omitempty"`
-}
-
-// writeJSON renders one figure's points to <dir>/fig<name>.json.
-func writeJSON(dir, name, title, xLabel string, opts bench.Options, points []bench.Point) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	doc := struct {
-		Figure     string      `json:"figure"`
-		Title      string      `json:"title"`
-		XLabel     string      `json:"x_label"`
-		DurationMS int64       `json:"duration_ms"`
-		WarmupMS   int64       `json:"warmup_ms"`
-		Clients    int         `json:"clients"`
-		Quick      bool        `json:"quick"`
-		Generated  string      `json:"generated"`
-		Points     []jsonPoint `json:"points"`
-	}{
-		Figure:     name,
-		Title:      title,
-		XLabel:     xLabel,
-		DurationMS: opts.Duration.Milliseconds(),
-		WarmupMS:   opts.Warmup.Milliseconds(),
-		Clients:    opts.Clients,
-		Quick:      opts.Quick,
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, p := range points {
-		doc.Points = append(doc.Points, jsonPoint{
-			Series:       p.Series,
-			X:            p.X,
-			ThroughputOS: p.Throughput,
-			AvgUS:        p.Latency.Avg.Microseconds(),
-			P50US:        p.Latency.P50.Microseconds(),
-			P90US:        p.Latency.P90.Microseconds(),
-			P99US:        p.Latency.P99.Microseconds(),
-			MaxUS:        p.Latency.Max.Microseconds(),
-			Samples:      p.Latency.Count,
-			Telemetry:    p.Telemetry,
-		})
-	}
-	path := filepath.Join(dir, "fig"+name+".json")
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return "", err
-	}
-	return path, f.Close()
 }

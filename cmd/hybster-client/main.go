@@ -7,16 +7,17 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"hybster/internal/bench"
 	"hybster/internal/client"
 	"hybster/internal/config"
 	"hybster/internal/crypto"
 	"hybster/internal/stats"
 	"hybster/internal/transport"
+	"hybster/internal/workload"
 )
 
 func main() {
@@ -34,75 +35,50 @@ func main() {
 	if len(peers) < 3 {
 		log.Fatalf("need at least 3 peers (use -peers)")
 	}
-	var proto config.Protocol
-	switch strings.ToLower(*protoFlag) {
-	case "hybsters":
-		proto = config.HybsterS
-	case "hybsterx":
-		proto = config.HybsterX
-	case "pbft", "pbftcop":
-		proto = config.PBFTcop
-	case "hybridpbft":
-		proto = config.HybridPBFT
-	case "minbft":
-		proto = config.MinBFT
-	default:
-		log.Fatalf("unknown protocol %q", *protoFlag)
+	proto, err := config.ParseProtocol(*protoFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
 	cfg := config.Default(proto)
 	cfg.N = len(peers)
 	cfg.KeySeed = *keySeed
 	cfg.RotateLeader = *rotate
 
-	payloadBytes := make([]byte, *payload)
-	rec := stats.NewRecorder()
-	var total atomic.Uint64
-	var failures atomic.Uint64
-
-	start := time.Now()
-	deadline := start.Add(*duration)
-	var wg sync.WaitGroup
 	// Each process takes a distinct client-ID block: request sequence
 	// numbers restart at 1 in a new process, and replicas deduplicate
 	// per client ID, so reusing IDs across runs would make every
 	// request look stale.
-	idBase := crypto.ClientIDBase + uint32(time.Now().UnixNano()&0x3FFF)<<8
-	for i := 0; i < *clients; i++ {
-		cid := idBase + uint32(i)
+	nextID := crypto.ClientIDBase + uint32(time.Now().UnixNano()&0x3FFF)<<8
+	dial := func() (*client.Client, error) {
+		cid := nextID
+		nextID++
 		ep, err := transport.NewTCP(cid, "127.0.0.1:0", nil)
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		for r, addr := range peers {
 			ep.AddPeer(uint32(r), strings.TrimSpace(addr))
 		}
-		cl, err := client.New(client.Options{Config: cfg, ID: cid, Endpoint: ep, Timeout: 2 * time.Second})
-		if err != nil {
-			log.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer cl.Close()
-			for n := 0; *ops == 0 || n < *ops; n++ {
-				if *ops == 0 && time.Now().After(deadline) {
-					return
-				}
-				t0 := time.Now()
-				if _, err := cl.Invoke(payloadBytes, false); err != nil {
-					failures.Add(1)
-					return
-				}
-				rec.Record(time.Since(t0))
-				total.Add(1)
-			}
-		}()
+		return client.New(client.Options{Config: cfg, ID: cid, Endpoint: ep, Timeout: 2 * time.Second})
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
 
-	sum := rec.Summarize()
-	fmt.Printf("clients=%d ops=%d failures=%d elapsed=%v\n", *clients, total.Load(), failures.Load(), elapsed.Round(time.Millisecond))
-	fmt.Printf("throughput: %s\n", stats.FormatOps(stats.Throughput(total.Load(), elapsed)))
+	// A bounded run ends with its generators, not with a window.
+	window := *duration
+	if *ops > 0 {
+		window = math.MaxInt64
+	}
+	start := time.Now()
+	tput, sum, err := bench.RunLoad(dial, *clients, 0, window,
+		func(uint32) workload.Generator { return workload.NewFixed(*payload, *ops) })
+
+	fmt.Printf("clients=%d ops=%d elapsed=%v\n", *clients, sum.Count, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("throughput: %s\n", stats.FormatOps(tput))
 	fmt.Printf("latency: avg=%v p50=%v p90=%v p99=%v max=%v\n", sum.Avg, sum.P50, sum.P90, sum.P99, sum.Max)
+	// Scripts take this exit status to mean "the load committed".
+	if err != nil {
+		log.Fatal(err)
+	}
+	if sum.Count == 0 {
+		log.Fatal("no operation committed")
+	}
 }

@@ -47,8 +47,6 @@ func main() {
 	opsAddr := flag.String("ops", "", "ops endpoint listen address (/metrics, /vars, /trace, /healthz, /readyz, pprof); empty = disabled")
 	auditScrape := flag.String("audit-scrape", "", "comma-separated ops-endpoint URLs to audit (e.g. http://h0:9100,http://h1:9100); serves findings at /audit and demotes /readyz on violations; empty = disabled")
 	auditEvery := flag.Duration("audit-interval", time.Second, "audit scrape cadence (with -audit-scrape)")
-	mutexProfile := flag.Int("mutex-profile-fraction", 0, "runtime mutex-profile sampling fraction (1 in N contention events; 0 = off); adjustable at runtime via POST <ops>/debug/profile-rates")
-	blockProfile := flag.Int("block-profile-rate", 0, "runtime block-profile rate in nanoseconds (1 = every event; 0 = off); adjustable at runtime via POST <ops>/debug/profile-rates")
 	flag.Parse()
 
 	peers := strings.Split(*peersFlag, ",")
@@ -59,7 +57,7 @@ func main() {
 		log.Fatalf("id %d out of range for %d peers", *id, len(peers))
 	}
 
-	proto, err := parseProtocol(*protoFlag)
+	proto, err := config.ParseProtocol(*protoFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -137,11 +135,6 @@ func main() {
 		log.Printf("replica %d auditing %d ops endpoints every %v", *id, len(sources), *auditEvery)
 	}
 
-	if *mutexProfile > 0 || *blockProfile > 0 {
-		telemetry.SetProfileRates(*mutexProfile, *blockProfile)
-		log.Printf("replica %d contention profiling: mutex fraction %d, block rate %dns", *id, *mutexProfile, *blockProfile)
-	}
-
 	if *opsAddr != "" {
 		opts := telemetry.OpsOptions{
 			Telemetry:    tel,
@@ -203,23 +196,6 @@ func main() {
 	replica.Stop()
 	if *dataDir != "" {
 		log.Printf("replica %d state sealed under %s", *id, *dataDir)
-	}
-}
-
-func parseProtocol(s string) (config.Protocol, error) {
-	switch strings.ToLower(s) {
-	case "hybsters":
-		return config.HybsterS, nil
-	case "hybsterx":
-		return config.HybsterX, nil
-	case "pbft", "pbftcop":
-		return config.PBFTcop, nil
-	case "hybridpbft":
-		return config.HybridPBFT, nil
-	case "minbft":
-		return config.MinBFT, nil
-	default:
-		return 0, fmt.Errorf("unknown protocol %q", s)
 	}
 }
 

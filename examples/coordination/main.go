@@ -30,7 +30,7 @@ func do(cl *client.Client, op coordination.Op, path string, data []byte, version
 
 func main() {
 	cfg := config.Default(config.HybsterX)
-	c, err := cluster.NewHybster(cluster.Options{Config: cfg},
+	c, err := cluster.Boot(cluster.Options{Config: cfg},
 		func() statemachine.Application { return coordination.New() })
 	if err != nil {
 		log.Fatal(err)

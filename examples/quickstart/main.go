@@ -22,7 +22,7 @@ func main() {
 	// 2. Boot the replica group on the in-process fabric. Each replica
 	//    gets its own simulated SGX platform hosting its TrInX
 	//    instances, exactly one per pillar.
-	c, err := cluster.NewHybster(cluster.Options{Config: cfg},
+	c, err := cluster.Boot(cluster.Options{Config: cfg},
 		func() statemachine.Application { return counter.New() })
 	if err != nil {
 		log.Fatal(err)

@@ -22,7 +22,7 @@ func main() {
 	cfg := config.Default(config.HybsterS) // sequential basic protocol
 	cfg.ViewChangeTimeout = 500 * time.Millisecond
 
-	c, err := cluster.NewHybster(cluster.Options{Config: cfg},
+	c, err := cluster.Boot(cluster.Options{Config: cfg},
 		func() statemachine.Application { return counter.New() })
 	if err != nil {
 		log.Fatal(err)

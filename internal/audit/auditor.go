@@ -80,14 +80,16 @@ type Options struct {
 	// LagRounds is how many consecutive rounds the checkpoint lag
 	// must persist (default 3).
 	LagRounds int
-	// RetainSlots bounds digest-divergence memory: coordinates more
-	// than this many slots behind the highest slot seen are pruned
-	// (default 8192).
-	RetainSlots uint64
-	// MaxFindings caps the findings list; excess findings are counted
-	// but dropped (default 128).
-	MaxFindings int
 }
+
+const (
+	// retainSlots bounds digest-divergence memory: coordinates more
+	// than this many slots behind the highest slot seen are pruned.
+	retainSlots = 8192
+	// maxFindings caps the findings list; excess findings are counted
+	// but dropped.
+	maxFindings = 128
+)
 
 func (o *Options) fillDefaults() {
 	if o.FrontierStallGap == 0 {
@@ -110,12 +112,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.LagRounds == 0 {
 		o.LagRounds = 3
-	}
-	if o.RetainSlots == 0 {
-		o.RetainSlots = 8192
-	}
-	if o.MaxFindings == 0 {
-		o.MaxFindings = 128
 	}
 }
 
@@ -317,10 +313,10 @@ func (a *Auditor) raiseDivergence(k digestKey, seen map[string][]uint32) {
 // pruneDigests bounds divergence-state memory by forgetting
 // coordinates far behind the highest slot seen.
 func (a *Auditor) pruneDigests() {
-	if uint64(len(a.digests)) <= 4*a.opts.RetainSlots || a.maxSlot <= a.opts.RetainSlots {
+	if uint64(len(a.digests)) <= 4*retainSlots || a.maxSlot <= retainSlots {
 		return
 	}
-	floor := a.maxSlot - a.opts.RetainSlots
+	floor := a.maxSlot - retainSlots
 	for k := range a.digests {
 		if k.slot < floor {
 			delete(a.digests, k)
@@ -447,7 +443,7 @@ func (a *Auditor) raise(dedup string, f Finding) {
 		return
 	}
 	a.dedup[dedup] = true
-	if len(a.findings) >= a.opts.MaxFindings {
+	if len(a.findings) >= maxFindings {
 		a.truncated++
 		return
 	}

@@ -2,39 +2,41 @@ package bench
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"hybster/internal/apps/echo"
+	"hybster/internal/client"
+	"hybster/internal/cluster"
+	"hybster/internal/config"
+	"hybster/internal/crypto"
 	"hybster/internal/enclave"
+	"hybster/internal/message"
 	"hybster/internal/statemachine"
 	"hybster/internal/transport"
 	"hybster/internal/workload"
 )
 
-// quickOpts keeps harness tests fast: tiny windows, no enclave cost.
+// quickOpts keeps harness tests fast: tiny windows, reduced sweeps.
 func quickOpts() Options {
-	return Options{
-		Warmup:   30 * time.Millisecond,
-		Duration: 150 * time.Millisecond,
-		Clients:  8,
-		Quick:    true,
-	}
+	return Options{Duration: 150 * time.Millisecond, Clients: 8, Quick: true}
 }
 
+func endless(uint32) workload.Generator { return workload.NewFixed(0, 0) }
+
 func TestRunLoadAllProtocols(t *testing.T) {
-	for _, spec := range Specs() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			cl, err := BuildCluster(spec, 2, 8, false, enclave.CostModel{},
+	for _, proto := range append(Specs(), config.MinBFT) {
+		t.Run(proto.String(), func(t *testing.T) {
+			cl, err := BuildCluster(proto, 2, 8, false, enclave.CostModel{},
 				transport.LinkProfile{}, func() statemachine.Application { return echo.New(0) })
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer cl.Stop()
-			tput, lat, err := RunLoad(cl, 4, 30*time.Millisecond, 200*time.Millisecond,
-				func(uint32) workload.Generator { return workload.NewFixed(0) })
+			tput, lat, err := RunLoad(ClusterClients(cl), 4, 30*time.Millisecond, 200*time.Millisecond, endless)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,9 +53,97 @@ func TestRunLoadAllProtocols(t *testing.T) {
 	}
 }
 
+// blackhole is an endpoint that drops every frame.
+type blackhole struct{ id uint32 }
+
+func (b blackhole) ID() uint32                       { return b.id }
+func (blackhole) Handle(transport.Handler)           {}
+func (blackhole) Send(uint32, message.Message) error { return nil }
+func (blackhole) Close() error                       { return nil }
+
+// TestRunLoadReportsLostClient: a client whose operations fail must
+// fail the run, named, instead of silently dropping out of it and
+// deflating the reported throughput.
+func TestRunLoadReportsLostClient(t *testing.T) {
+	cfg := config.Default(config.HybsterX)
+	next := uint32(crypto.ClientIDBase)
+	lost := func() (*client.Client, error) {
+		next++
+		return client.New(client.Options{Config: cfg, ID: next, Endpoint: blackhole{next},
+			Timeout: 5 * time.Millisecond, Retries: 1})
+	}
+	_, lat, err := RunLoad(lost, 2, 0, 200*time.Millisecond, endless)
+	if err == nil || !strings.Contains(err.Error(), "client 6553") {
+		t.Fatalf("err = %v, want a failure naming the client", err)
+	}
+	if errors.Is(err, client.ErrClosed) || lat.Count != 0 {
+		t.Fatalf("err = %v, samples = %d", err, lat.Count)
+	}
+}
+
+// TestRunLoadOverTCP drives an in-process replica group over loopback
+// TCP — the path cmd/hybster-client takes — with an op-bounded
+// generator: the run ends with the generators, well inside the window,
+// and records every operation exactly once.
+func TestRunLoadOverTCP(t *testing.T) {
+	cfg := config.Default(config.HybsterX)
+	addrs := make([]string, cfg.N)
+	eps := make([]*transport.TCPEndpoint, cfg.N)
+	for i := range eps {
+		ep, err := transport.NewTCP(uint32(i), "127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		eps[i], addrs[i] = ep, ep.Addr()
+	}
+	for i, ep := range eps {
+		for j, a := range addrs {
+			if j != i {
+				ep.AddPeer(uint32(j), a)
+			}
+		}
+		r, err := cluster.NewEngine(cfg, uint32(i), ep,
+			cluster.NodeEnv{Platform: enclave.NewPlatform(fmt.Sprintf("replica-%d", i))}, echo.New(0), enclave.CostModel{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Start()
+		defer r.Stop()
+	}
+	next := uint32(crypto.ClientIDBase)
+	dial := func() (*client.Client, error) {
+		next++
+		ep, err := transport.NewTCP(next, "127.0.0.1:0", nil)
+		if err != nil {
+			return nil, err
+		}
+		for j, a := range addrs {
+			ep.AddPeer(uint32(j), a)
+		}
+		return client.New(client.Options{Config: cfg, ID: next, Endpoint: ep})
+	}
+
+	const clients, ops = 3, 40
+	start := time.Now()
+	tput, lat, err := RunLoad(dial, clients, 0, time.Minute,
+		func(uint32) workload.Generator { return workload.NewFixed(16, ops) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat.Count != clients*ops || tput <= 0 {
+		t.Fatalf("recorded %d samples at %.0f ops/s, want %d", lat.Count, tput, clients*ops)
+	}
+	if took := time.Since(start); took > 30*time.Second {
+		t.Fatalf("bounded run took %v: RunLoad waited out the window", took)
+	}
+}
+
 func TestFig5aQuick(t *testing.T) {
-	opts := quickOpts()
-	points := Fig5a(opts)
+	points, err := Fig5a(quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// 6 variants × 2 core settings in quick mode.
 	if len(points) != 12 {
 		t.Fatalf("points = %d", len(points))
@@ -77,8 +167,10 @@ func TestFig5aQuick(t *testing.T) {
 }
 
 func TestCASHReference(t *testing.T) {
-	opts := quickOpts()
-	points := CASHReference(opts)
+	points, err := CASHReference(quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) != 2 {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -93,35 +185,28 @@ func TestCASHReference(t *testing.T) {
 	}
 }
 
-func TestCoordinationWorkloadSetup(t *testing.T) {
-	gen := workload.NewCoordination(99, 0.5, 128, 4)
-	setup := gen.Setup()
-	if len(setup) != 5 { // prefix + 4 keys
-		t.Fatalf("setup ops = %d", len(setup))
-	}
-	reads, writes := 0, 0
-	for i := 0; i < 200; i++ {
-		op := gen.Next()
-		if op.ReadOnly {
-			reads++
-		} else {
-			writes++
-		}
-	}
-	if reads == 0 || writes == 0 {
-		t.Fatalf("mix degenerate: %d reads, %d writes", reads, writes)
-	}
-}
-
 func TestWriteTableAndCSV(t *testing.T) {
-	points := []Point{{Series: "HybsterX", X: 4, Throughput: 123456}}
+	points := []Point{
+		{Series: "HybsterX", X: 4, Throughput: 123456},
+		{Series: "Multi-TrInX (native)", X: 1, Throughput: 1},
+		{Series: "CASH (57µs, published)", X: 1, Throughput: 1},
+	}
 	var buf bytes.Buffer
 	WriteTable(&buf, "Fig test", "cores", points)
 	if !strings.Contains(buf.String(), "HybsterX") || !strings.Contains(buf.String(), "123.5k") {
 		t.Fatalf("table output:\n%s", buf.String())
 	}
+	// Every row, header included, puts its x value in the same column,
+	// however long the series name.
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")[1:]
+	col := strings.Index(lines[0], "cores") + len("cores")
+	for _, l := range lines[1:] {
+		if r := []rune(l); len(r) < col || r[col-1] != '0' || r[col] != ' ' {
+			t.Fatalf("x column not at %d in %q:\n%s", col, l, buf.String())
+		}
+	}
 	buf.Reset()
-	WriteCSV(&buf, points)
+	WriteCSV(&buf, points[:1])
 	if !strings.Contains(buf.String(), "HybsterX,4,123456.0") {
 		t.Fatalf("csv output:\n%s", buf.String())
 	}

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hybster/internal/apps/coordination"
@@ -28,306 +26,229 @@ const threadsPerCore = 2
 
 // --- Figure 5a: trusted subsystem -------------------------------------------
 
-// certVariant builds the per-worker certifiers of one Fig. 5a series.
-type certVariant struct {
-	name string
-	// build returns one certifier per worker; cleanup tears shared
-	// state down.
-	build func(workers int, key crypto.Key, cost enclave.CostModel) ([]trinx.Certifier, func())
+// fig5aPoint is what the workers of one Fig. 5a data point share: a
+// platform and a Multi-TrInX enclave of the point's own, dropped with
+// it, so nothing is torn down.
+type fig5aPoint struct {
+	platform *enclave.Platform
+	host     *trinx.MultiHost
+	key      crypto.Key
 }
 
-func fig5aVariants() []certVariant {
-	return []certVariant{
-		{name: "TrInX (native)", build: func(workers int, key crypto.Key, cost enclave.CostModel) ([]trinx.Certifier, func()) {
-			p := enclave.NewPlatform("fig5a")
-			out := make([]trinx.Certifier, workers)
-			instances := make([]*trinx.TrInX, workers)
-			for i := range out {
-				instances[i] = trinx.New(p, trinx.MakeInstanceID(0, uint32(i)), 1, key, cost)
-				out[i] = trinx.NewCertifier(instances[i], "TrInX (native)")
-			}
-			return out, func() {
-				for _, t := range instances {
-					t.Destroy()
-				}
-			}
-		}},
-		{name: "TrInX (JNI)", build: func(workers int, key crypto.Key, cost enclave.CostModel) ([]trinx.Certifier, func()) {
-			p := enclave.NewPlatform("fig5a")
-			out := make([]trinx.Certifier, workers)
-			instances := make([]*trinx.TrInX, workers)
-			for i := range out {
-				instances[i] = trinx.New(p, trinx.MakeInstanceID(0, uint32(i)), 1, key, cost)
-				out[i] = trinx.NewCertifier(instances[i].WithBridge(), "TrInX (JNI)")
-			}
-			return out, func() {
-				for _, t := range instances {
-					t.Destroy()
-				}
-			}
-		}},
-		{name: "Multi-TrInX (native)", build: func(workers int, key crypto.Key, cost enclave.CostModel) ([]trinx.Certifier, func()) {
-			p := enclave.NewPlatform("fig5a")
-			host := trinx.NewMultiHost(p, key, cost)
-			out := make([]trinx.Certifier, workers)
-			for i := range out {
-				inst, err := host.Instance(trinx.MakeInstanceID(0, uint32(i)), 1)
-				if err != nil {
-					panic(err)
-				}
-				out[i] = trinx.NewCertifier(inst, "Multi-TrInX (native)")
-			}
-			return out, host.Destroy
-		}},
-		{name: "TCrypto (native)", build: func(workers int, key crypto.Key, _ enclave.CostModel) ([]trinx.Certifier, func()) {
-			out := make([]trinx.Certifier, workers)
-			for i := range out {
-				out[i] = trinx.NewTCryptoProfile(key)
-			}
-			return out, func() {}
-		}},
-		{name: "OpenSSL (native)", build: func(workers int, key crypto.Key, _ enclave.CostModel) ([]trinx.Certifier, func()) {
-			out := make([]trinx.Certifier, workers)
-			for i := range out {
-				out[i] = trinx.NewOpenSSLProfile(key)
-			}
-			return out, func() {}
-		}},
-		{name: "Java", build: func(workers int, key crypto.Key, _ enclave.CostModel) ([]trinx.Certifier, func()) {
-			out := make([]trinx.Certifier, workers)
-			for i := range out {
-				out[i] = trinx.NewJavaProfile(key)
-			}
-			return out, func() {}
-		}},
-	}
+func (pt fig5aPoint) trinx(id trinx.InstanceID) *trinx.TrInX {
+	return trinx.New(pt.platform, id, 1, pt.key, enclave.DefaultCostModel)
+}
+
+// fig5aVariants are the series of Fig. 5a, each with how one worker of
+// a data point gets its certifier.
+var fig5aVariants = []struct {
+	name string
+	cert func(pt fig5aPoint, id trinx.InstanceID) (trinx.Certifier, error)
+}{
+	{"TrInX (native)", func(pt fig5aPoint, id trinx.InstanceID) (trinx.Certifier, error) {
+		return trinx.NewCertifier(pt.trinx(id), "TrInX (native)"), nil
+	}},
+	{"TrInX (JNI)", func(pt fig5aPoint, id trinx.InstanceID) (trinx.Certifier, error) {
+		return trinx.NewCertifier(pt.trinx(id).WithBridge(), "TrInX (JNI)"), nil
+	}},
+	{"Multi-TrInX (native)", func(pt fig5aPoint, id trinx.InstanceID) (trinx.Certifier, error) {
+		inst, err := pt.host.Instance(id, 1)
+		return trinx.NewCertifier(inst, "Multi-TrInX (native)"), err
+	}},
+	{"TCrypto (native)", library(trinx.NewTCryptoProfile)},
+	{"OpenSSL (native)", library(trinx.NewOpenSSLProfile)},
+	{"Java", library(trinx.NewJavaProfile)},
+}
+
+// library adapts a crypto-library profile, which needs no enclave, to
+// the variant table.
+func library(profile func(crypto.Key) *trinx.LibraryProfile) func(fig5aPoint, trinx.InstanceID) (trinx.Certifier, error) {
+	return func(pt fig5aPoint, _ trinx.InstanceID) (trinx.Certifier, error) { return profile(pt.key), nil }
 }
 
 // runCertifiers measures aggregate certification throughput of 32-byte
-// messages across workers, one goroutine per worker.
-func runCertifiers(certs []trinx.Certifier, warmup, duration time.Duration) float64 {
+// messages across certs, one goroutine per certifier.
+func runCertifiers(certs []trinx.Certifier, duration time.Duration) (float64, error) {
 	msg := make([]byte, 32)
-	var ops atomic.Uint64
-	var measuring atomic.Bool
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, c := range certs {
-		wg.Add(1)
-		go func(c trinx.Certifier) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := c.Certify(msg); err != nil {
-					return
-				}
-				if measuring.Load() {
-					ops.Add(1)
-				}
-			}
-		}(c)
+	steps := make([]func(bool) error, len(certs))
+	for i, c := range certs {
+		steps[i] = func(bool) error {
+			_, err := c.Certify(msg)
+			return err
+		}
 	}
-	time.Sleep(warmup)
-	measuring.Store(true)
-	start := time.Now()
-	time.Sleep(duration)
-	measuring.Store(false)
-	elapsed := time.Since(start)
-	close(stop)
-	wg.Wait()
-	return stats.Throughput(ops.Load(), elapsed)
+	ops, elapsed, err := measureWindow(steps, warmup, duration, func() {})
+	return stats.Throughput(ops, elapsed), err
 }
 
 // Fig5a measures trusted-subsystem certification throughput over
 // 32-byte messages for 1..4 cores (2 worker threads each), for every
 // variant of §6.1.
-func Fig5a(opts Options) []Point {
+func Fig5a(opts Options) ([]Point, error) {
 	key := crypto.NewKeyFromSeed("fig5a")
 	var out []Point
-	cores := coreSweep(opts)
-	for _, v := range fig5aVariants() {
-		for _, c := range cores {
-			workers := c * threadsPerCore
-			certs, cleanup := v.build(workers, key, opts.EnclaveCost)
-			tput := runCertifiers(certs, opts.Warmup, opts.Duration)
-			cleanup()
-			out = append(out, Point{Series: v.name, X: float64(c), Throughput: tput})
+	for _, v := range fig5aVariants {
+		for _, cores := range coreSweep(opts) {
+			p := enclave.NewPlatform("fig5a")
+			pt := fig5aPoint{p, trinx.NewMultiHost(p, key, enclave.DefaultCostModel), key}
+			certs := make([]trinx.Certifier, int(cores)*threadsPerCore)
+			for i := range certs {
+				var err error
+				if certs[i], err = v.cert(pt, trinx.MakeInstanceID(0, uint32(i))); err != nil {
+					return nil, fmt.Errorf("%s cores=%g: %w", v.name, cores, err)
+				}
+			}
+			tput, err := runCertifiers(certs, opts.Duration)
+			if err != nil {
+				return nil, fmt.Errorf("%s cores=%g: %w", v.name, cores, err)
+			}
+			out = append(out, Point{Series: v.name, X: cores, Throughput: tput})
 		}
 	}
-	return out
+	return out, nil
 }
 
 // CASHReference returns the published comparison point of §6.1: the
 // FPGA-based CASH subsystem at 57 µs per certification over a single
 // channel, next to one measured single-instance TrInX.
-func CASHReference(opts Options) []Point {
+func CASHReference(opts Options) ([]Point, error) {
 	key := crypto.NewKeyFromSeed("fig5a")
-	cash := trinx.NewCASHProfile(key)
-	cashTput := runCertifiers([]trinx.Certifier{cash}, opts.Warmup, opts.Duration)
-
-	p := enclave.NewPlatform("cash-ref")
-	inst := trinx.New(p, trinx.MakeInstanceID(0, 0), 1, key, opts.EnclaveCost)
-	defer inst.Destroy()
-	trinxTput := runCertifiers([]trinx.Certifier{trinx.NewCertifier(inst, "TrInX")}, opts.Warmup, opts.Duration)
-
-	return []Point{
-		{Series: "CASH (57µs, published)", X: 1, Throughput: cashTput},
-		{Series: "TrInX (single instance)", X: 1, Throughput: trinxTput},
-	}
-}
-
-// --- Figures 5b/5c: throughput scaling ---------------------------------------
-
-func coreSweep(opts Options) []int {
-	if opts.Quick {
-		return []int{1, maxCores}
-	}
-	return []int{1, 2, 3, 4}
-}
-
-// throughputSweep measures all four protocol configurations over the
-// core sweep with the echo microbenchmark.
-func throughputSweep(opts Options, batch int, rotate bool) ([]Point, error) {
+	inst := trinx.New(enclave.NewPlatform("cash-ref"), trinx.MakeInstanceID(0, 0), 1, key, enclave.DefaultCostModel)
 	var out []Point
-	for _, spec := range Specs() {
-		for _, c := range coreSweep(opts) {
-			cl, err := BuildCluster(spec, c, batch, rotate, opts.EnclaveCost,
-				transport.LinkProfile{}, func() statemachine.Application { return echo.New(0) })
+	for _, c := range []struct {
+		series string
+		cert   trinx.Certifier
+	}{
+		{"CASH (57µs, published)", trinx.NewCASHProfile(key)},
+		{"TrInX (single instance)", trinx.NewCertifier(inst, "TrInX")},
+	} {
+		tput, err := runCertifiers([]trinx.Certifier{c.cert}, opts.Duration)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.series, err)
+		}
+		out = append(out, Point{Series: c.series, X: 1, Throughput: tput})
+	}
+	return out, nil
+}
+
+// --- Figures 5b-6c: the replicated system ------------------------------------
+
+// load is one data point's setup: the cluster to boot and the
+// closed-loop clients to drive it with.
+type load struct {
+	cores, batch, clients int
+	rotate                bool
+	profile               transport.LinkProfile
+	app                   func() statemachine.Application
+	gen                   func(clientID uint32) workload.Generator
+}
+
+// echo completes l as the microbenchmark: payload-byte requests
+// answered by payload-byte replies.
+func (l load) echo(payload int) load {
+	l.app = func() statemachine.Application { return echo.New(payload) }
+	l.gen = func(uint32) workload.Generator { return workload.NewFixed(payload, 0) }
+	return l
+}
+
+// measure boots proto under l, drives it through one RunLoad window
+// and stops it.
+func measure(proto config.Protocol, duration time.Duration, l load) (float64, stats.Summary, error) {
+	c, err := BuildCluster(proto, l.cores, l.batch, l.rotate, enclave.DefaultCostModel, l.profile, l.app)
+	if err != nil {
+		return 0, stats.Summary{}, err
+	}
+	defer c.Stop()
+	return RunLoad(ClusterClients(c), l.clients, warmup, duration, l.gen)
+}
+
+// sweep measures every protocol at every x of a figure's axis.
+func sweep(opts Options, protos []config.Protocol, xs []float64, at func(x float64) load) ([]Point, error) {
+	var out []Point
+	for _, proto := range protos {
+		for _, x := range xs {
+			tput, lat, err := measure(proto, opts.Duration, at(x))
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s x=%g: %w", proto, x, err)
 			}
-			tput, lat, err := RunLoad(cl, opts.Clients, opts.Warmup, opts.Duration,
-				func(uint32) workload.Generator { return workload.NewFixed(0) })
-			snap := cl.TelemetrySnapshot()
-			cl.Stop()
-			if err != nil {
-				return nil, fmt.Errorf("%s cores=%d: %w", spec.Name, c, err)
-			}
-			out = append(out, Point{Series: spec.Name, X: float64(c), Throughput: tput, Latency: lat, Telemetry: snap})
+			out = append(out, Point{Series: proto.String(), X: x, Throughput: tput, Latency: lat})
 		}
 	}
 	return out, nil
+}
+
+func coreSweep(opts Options) []float64 {
+	if opts.Quick {
+		return []float64{1, maxCores}
+	}
+	return []float64{1, 2, 3, 4}
 }
 
 // Fig5b: empty requests, unbatched (one instance per request), rotating
-// leader.
-func Fig5b(opts Options) ([]Point, error) { return throughputSweep(opts, 1, true) }
-
-// Fig5c: empty requests, batched, rotating leader.
-func Fig5c(opts Options) ([]Point, error) { return throughputSweep(opts, 16, true) }
-
-// --- Figures 6a/6b: latency vs throughput -------------------------------------
-
-func clientSweep(opts Options) []int {
-	if opts.Quick {
-		return []int{4, 32}
-	}
-	return []int{1, 2, 4, 8, 16, 32, 64, 128}
+// leader, all four configurations over the core sweep.
+func Fig5b(opts Options) ([]Point, error) {
+	return sweep(opts, Specs(), coreSweep(opts), func(cores float64) load {
+		return load{cores: int(cores), batch: 1, clients: opts.Clients, rotate: true}.echo(0)
+	})
 }
 
-// latencySweep sweeps closed-loop client counts to saturation and
-// reports (throughput, latency) pairs — the axes of Figs. 6a/6b.
-func latencySweep(opts Options, payload int, profile transport.LinkProfile) ([]Point, error) {
-	var out []Point
-	for _, spec := range Specs() {
-		for _, nc := range clientSweep(opts) {
-			cl, err := BuildCluster(spec, maxCores, 16, false, opts.EnclaveCost, profile,
-				func() statemachine.Application { return echo.New(payload) })
-			if err != nil {
-				return nil, err
-			}
-			tput, lat, err := RunLoad(cl, nc, opts.Warmup, opts.Duration,
-				func(uint32) workload.Generator { return workload.NewFixed(payload) })
-			snap := cl.TelemetrySnapshot()
-			cl.Stop()
-			if err != nil {
-				return nil, fmt.Errorf("%s clients=%d: %w", spec.Name, nc, err)
-			}
-			out = append(out, Point{Series: spec.Name, X: float64(nc), Throughput: tput, Latency: lat, Telemetry: snap})
-		}
+// Fig5c: empty requests, batched, rotating leader.
+func Fig5c(opts Options) ([]Point, error) {
+	return sweep(opts, Specs(), coreSweep(opts), func(cores float64) load {
+		return load{cores: int(cores), batch: 16, clients: opts.Clients, rotate: true}.echo(0)
+	})
+}
+
+// clientSweep sweeps closed-loop client counts to saturation: with the
+// (throughput, latency) pairs it yields, the axes of Figs. 6a/6b.
+func clientSweep(opts Options) []float64 {
+	if opts.Quick {
+		return []float64{4, 32}
 	}
-	return out, nil
+	return []float64{1, 2, 4, 8, 16, 32, 64, 128}
 }
 
 // Fig6a: empty payload, batched, fixed leader.
 func Fig6a(opts Options) ([]Point, error) {
-	return latencySweep(opts, 0, transport.LinkProfile{})
+	return sweep(opts, Specs(), clientSweep(opts), func(clients float64) load {
+		return load{cores: maxCores, batch: 16, clients: int(clients)}.echo(0)
+	})
 }
 
 // Fig6b: 1 kB request and reply payloads; links carry the 1 GbE
 // bandwidth of the paper's testbed so the network becomes a secondary
 // limit, as §6.3 observes.
 func Fig6b(opts Options) ([]Point, error) {
-	return latencySweep(opts, 1024, transport.LinkProfile{Bandwidth: 125_000_000})
+	return sweep(opts, Specs(), clientSweep(opts), func(clients float64) load {
+		return load{cores: maxCores, batch: 16, clients: int(clients),
+			profile: transport.LinkProfile{Bandwidth: 125_000_000}}.echo(1024)
+	})
 }
 
 // SequentialBaselines compares the two sequential hybrid protocols —
-// Hybster's basic protocol and MinBFT — head to head. The paper argues
-// (§6, "Subjects") that HybsterS always reaches at least MinBFT's
-// performance because MinBFT must additionally process every incoming
-// message in counter order; this extension experiment measures the
-// claim directly.
+// Hybster's basic protocol and MinBFT — head to head, unbatched and
+// batched. The paper argues (§6, "Subjects") that HybsterS always
+// reaches at least MinBFT's performance because MinBFT must
+// additionally process every incoming message in counter order; this
+// extension experiment measures the claim directly.
 func SequentialBaselines(opts Options) ([]Point, error) {
-	specs := []ProtocolSpec{
-		{Name: "HybsterS", Proto: config.HybsterS},
-		{Name: "MinBFT", Proto: config.MinBFT},
-	}
-	var out []Point
-	for _, spec := range specs {
-		for _, batch := range []int{1, 16} {
-			cl, err := BuildCluster(spec, 1, batch, false, opts.EnclaveCost,
-				transport.LinkProfile{}, func() statemachine.Application { return echo.New(0) })
-			if err != nil {
-				return nil, err
-			}
-			tput, lat, err := RunLoad(cl, opts.Clients, opts.Warmup, opts.Duration,
-				func(uint32) workload.Generator { return workload.NewFixed(0) })
-			snap := cl.TelemetrySnapshot()
-			cl.Stop()
-			if err != nil {
-				return nil, fmt.Errorf("%s batch=%d: %w", spec.Name, batch, err)
-			}
-			out = append(out, Point{Series: spec.Name, X: float64(batch), Throughput: tput, Latency: lat, Telemetry: snap})
-		}
-	}
-	return out, nil
-}
-
-// --- Figure 6c: coordination service ------------------------------------------
-
-func readRatioSweep(opts Options) []float64 {
-	if opts.Quick {
-		return []float64{0, 1}
-	}
-	return []float64{0, 0.25, 0.5, 0.75, 1.0}
+	return sweep(opts, []config.Protocol{config.HybsterS, config.MinBFT}, []float64{1, 16}, func(batch float64) load {
+		return load{cores: 1, batch: int(batch), clients: opts.Clients}.echo(0)
+	})
 }
 
 // Fig6c: the ZooKeeper-inspired coordination service storing and
-// retrieving 128-byte znodes, read fraction swept, fixed leader.
+// retrieving 128-byte znodes, read percentage swept, fixed leader.
 func Fig6c(opts Options) ([]Point, error) {
-	var out []Point
-	for _, spec := range Specs() {
-		for _, ratio := range readRatioSweep(opts) {
-			cl, err := BuildCluster(spec, maxCores, 16, false, opts.EnclaveCost,
-				transport.LinkProfile{}, func() statemachine.Application { return coordination.New() })
-			if err != nil {
-				return nil, err
-			}
-			r := ratio
-			tput, lat, err := RunLoad(cl, opts.Clients, opts.Warmup, opts.Duration,
-				func(clientID uint32) workload.Generator {
-					return workload.NewCoordination(clientID, r, 128, 16)
-				})
-			snap := cl.TelemetrySnapshot()
-			cl.Stop()
-			if err != nil {
-				return nil, fmt.Errorf("%s read=%.0f%%: %w", spec.Name, ratio*100, err)
-			}
-			out = append(out, Point{Series: spec.Name, X: ratio * 100, Throughput: tput, Latency: lat, Telemetry: snap})
-		}
+	reads := []float64{0, 25, 50, 75, 100}
+	if opts.Quick {
+		reads = []float64{0, 100}
 	}
-	return out, nil
+	return sweep(opts, Specs(), reads, func(read float64) load {
+		return load{cores: maxCores, batch: 16, clients: opts.Clients,
+			app: func() statemachine.Application { return coordination.New() },
+			gen: func(clientID uint32) workload.Generator {
+				return workload.NewCoordination(clientID, read/100, 128, 16)
+			}}
+	})
 }

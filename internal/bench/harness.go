@@ -3,7 +3,8 @@
 // protocol configurations under test on the in-process fabric, drives
 // them with closed-loop clients exactly like the paper's load
 // generators, and returns the measured series; cmd/hybster-bench and
-// the bench_test.go benchmarks print them.
+// the bench_test.go benchmarks print them. RunLoad is the root module's
+// one closed-loop driver: cmd/hybster-client runs it over TCP clients.
 //
 // Absolute numbers differ from the paper's testbed (different CPU,
 // language, and a simulated SGX), but the comparative shapes — who
@@ -12,11 +13,13 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"hybster/internal/client"
 	"hybster/internal/cluster"
@@ -34,66 +37,37 @@ type Point struct {
 	X          float64
 	Throughput float64 // ops/s
 	Latency    stats.Summary
-	// Telemetry is the cluster-wide metric snapshot taken right after
-	// the measured window (series summed across replicas). Nil for
-	// points measured without a cluster (e.g. Fig. 5a certifiers).
-	Telemetry map[string]float64
 }
 
-// Options control measurement length and simulated platform costs.
+// Options control the length and resolution of a figure's measurement.
 type Options struct {
-	// Warmup is discarded before the measured window starts.
-	Warmup time.Duration
-	// Duration is the measured window per data point.
+	// Duration is the measured window per data point; raise it toward
+	// the paper's 120 s for stable numbers.
 	Duration time.Duration
 	// Clients is the closed-loop client count for throughput-oriented
 	// figures (latency figures sweep their own counts).
 	Clients int
-	// EnclaveCost simulates the SGX transition overhead.
-	EnclaveCost enclave.CostModel
 	// Quick reduces sweep resolution for smoke tests.
 	Quick bool
 }
 
-// DefaultOptions mirror the paper's setup at a laptop-friendly scale;
-// raise Duration toward the paper's 120 s for stable numbers.
-func DefaultOptions() Options {
-	return Options{
-		Warmup:      300 * time.Millisecond,
-		Duration:    time.Second,
-		Clients:     48,
-		EnclaveCost: enclave.DefaultCostModel,
-	}
-}
-
-// ProtocolSpec names one protocol configuration of §6 and how to scale
-// it with the core count.
-type ProtocolSpec struct {
-	Name  string
-	Proto config.Protocol
-	// ScalesWithCores is false for the sequential configurations
-	// (HybsterS, MinBFT), whose pillar count stays 1.
-	ScalesWithCores bool
-}
+// warmup is discarded before every figure's measured window starts.
+const warmup = 300 * time.Millisecond
 
 // Specs returns the four configurations of Figs. 5b-6c in paper order.
-func Specs() []ProtocolSpec {
-	return []ProtocolSpec{
-		{Name: "HybsterX", Proto: config.HybsterX, ScalesWithCores: true},
-		{Name: "HybsterS", Proto: config.HybsterS, ScalesWithCores: false},
-		{Name: "HybridPBFT", Proto: config.HybridPBFT, ScalesWithCores: true},
-		{Name: "PBFTcop", Proto: config.PBFTcop, ScalesWithCores: true},
-	}
+func Specs() []config.Protocol {
+	return []config.Protocol{config.HybsterX, config.HybsterS, config.HybridPBFT, config.PBFTcop}
 }
 
-// BuildCluster boots one protocol configuration for benchmarking.
-func BuildCluster(spec ProtocolSpec, cores, batch int, rotate bool,
+// BuildCluster boots one protocol configuration for benchmarking. The
+// sequential configurations (HybsterS, MinBFT) keep their one pillar
+// whatever the core count.
+func BuildCluster(proto config.Protocol, cores, batch int, rotate bool,
 	cost enclave.CostModel, profile transport.LinkProfile,
 	app func() statemachine.Application) (*cluster.Cluster, error) {
 
-	cfg := config.Default(spec.Proto)
-	cfg.Pillars = 1
-	if spec.ScalesWithCores {
+	cfg := config.Default(proto)
+	if cfg.Pillars > 1 {
 		cfg.Pillars = cores
 	}
 	cfg.BatchSize = batch
@@ -104,111 +78,156 @@ func BuildCluster(spec ProtocolSpec, cores, batch int, rotate bool,
 	return cluster.Boot(cluster.Options{Config: cfg, Profile: profile, Seed: 42, EnclaveCost: cost}, app)
 }
 
-// RunLoad drives `clients` closed-loop clients against the cluster:
-// each continuously issues operations from its generator and waits for
-// the f+1 matching replies, exactly the client behaviour of §6. Setup
-// operations (key creation for the coordination service) run before
-// the measured window. When the window ends the clients are closed:
-// an operation still in flight returns client.ErrClosed and is not
-// recorded. (Letting it finish would wait on the protocol's idle path —
-// with leader rotation the last requests sit behind order numbers of
-// proposers that just went idle, which gap-fill one order per
-// coordinator tick, 2.5 s under BuildCluster's timeout — and put that
-// wait into the latency summary as a multi-second sample.)
-func RunLoad(c *cluster.Cluster, clients int, warmup, duration time.Duration,
-	newGen func(clientID uint32) workload.Generator) (float64, stats.Summary, error) {
+// ClusterClients is the client factory of an in-process cluster, for
+// RunLoad. The timeout is long: a bench cluster never view-changes, so
+// a retransmission only ever papers over a stall worth seeing.
+func ClusterClients(c *cluster.Cluster) func() (*client.Client, error) {
+	return func() (*client.Client, error) { return c.NewClient(5 * time.Second) }
+}
 
-	type setupper interface{ Setup() []workload.Op }
+// errDone is what a step returns when its worker has no more work.
+var errDone = errors.New("bench: worker done")
 
-	var ops atomic.Uint64
-	rec := stats.NewRecorder()
-	var measuring atomic.Bool
+// measureWindow is the measurement protocol of every number this
+// module reports. Each step is called back to back from a goroutine of
+// its own until it fails or returns errDone; calls that start in the
+// first `warmup` are discarded, calls that start in the `duration`
+// after it and succeed are counted. When the window closes — or
+// earlier, once every worker has returned — interrupt is called to
+// abort the calls still in flight and the workers are joined. It
+// returns the count, the length of the window and the first failure.
+//
+// A step is told whether it is measured as of its START: a call issued
+// during warm-up but completing inside the window would otherwise be
+// recorded with latency accumulated before measurement began, biasing
+// the first window samples upward (calls issued inside the window that
+// complete after it closes are counted — the symmetric convention for
+// closed-loop load).
+func measureWindow(steps []func(measured bool) error, warmup, duration time.Duration,
+	interrupt func()) (uint64, time.Duration, error) {
 
-	stop := make(chan struct{})
-	ready := make(chan error, clients)
-	var wg sync.WaitGroup
-	cls := make([]*client.Client, 0, clients)
-	shutdown := func() {
-		close(stop)
-		for _, cl := range cls {
-			cl.Close()
-		}
-		wg.Wait()
-	}
-
-	for i := 0; i < clients; i++ {
-		cl, err := c.NewClient(5 * time.Second)
-		if err != nil {
-			shutdown()
-			return 0, stats.Summary{}, err
-		}
-		cls = append(cls, cl)
-		gen := newGen(cl.ID())
+	var (
+		measuring, stopped atomic.Bool
+		ops                atomic.Uint64
+		wg                 sync.WaitGroup
+		failOnce           sync.Once
+		failure            error
+	)
+	// Without a warm-up the window is open before the first call
+	// starts, so a bounded run counts every one of its operations.
+	measuring.Store(warmup <= 0)
+	for _, step := range steps {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if s, ok := gen.(setupper); ok {
-				for _, op := range s.Setup() {
-					if _, err := cl.Invoke(op.Payload, op.ReadOnly); err != nil {
-						ready <- err
-						return
+			for !stopped.Load() {
+				measured := measuring.Load()
+				if err := step(measured); err != nil {
+					if err != errDone {
+						failOnce.Do(func() { failure = err })
 					}
-				}
-			}
-			ready <- nil
-			for {
-				select {
-				case <-stop:
 					return
-				default:
 				}
-				op := gen.Next()
-				// Sample the measuring flag at op START: an op issued
-				// during warmup but completing inside the window would
-				// otherwise be recorded with latency accumulated before
-				// measurement began, biasing the first window samples
-				// upward (ops issued inside the window that complete
-				// after it closes are counted — the symmetric
-				// convention for closed-loop load).
-				inWindow := measuring.Load()
-				start := time.Now()
-				if _, err := cl.Invoke(op.Payload, op.ReadOnly); err != nil {
-					return // window over (client closed) or persistent failure
-				}
-				if inWindow {
+				if measured {
 					ops.Add(1)
-					rec.Record(time.Since(start))
 				}
 			}
 		}()
 	}
-	for i := 0; i < clients; i++ {
-		if err := <-ready; err != nil {
-			shutdown()
-			return 0, stats.Summary{}, fmt.Errorf("bench: client setup: %w", err)
+	idle := make(chan struct{})
+	go func() { wg.Wait(); close(idle) }()
+	sleep := func(d time.Duration) {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-idle:
 		}
 	}
 
-	time.Sleep(warmup)
+	sleep(warmup)
 	measuring.Store(true)
 	start := time.Now()
-	time.Sleep(duration)
+	sleep(duration)
 	measuring.Store(false)
 	elapsed := time.Since(start)
-	shutdown()
+	stopped.Store(true)
+	interrupt()
+	<-idle
+	return ops.Load(), elapsed, failure
+}
 
-	return stats.Throughput(ops.Load(), elapsed), rec.Summarize(), nil
+// RunLoad drives `clients` closed-loop clients, each obtained from
+// newClient: a client continuously issues the operations of its
+// generator and waits for the f+1 matching replies, exactly the client
+// behaviour of §6, until the generator ends or the window closes. Then
+// the clients are closed: an operation still in flight returns
+// client.ErrClosed and is not recorded. (Letting it finish would wait
+// on the protocol's idle path — with leader rotation the last requests
+// sit behind order numbers of proposers that just went idle, which
+// gap-fill one order per coordinator tick, 2.5 s under BuildCluster's
+// timeout — and put that wait into the latency summary as a
+// multi-second sample.) Any other failed operation ends its client and
+// is returned, naming the client: a figure from fewer clients than it
+// claims is not a figure.
+func RunLoad(newClient func() (*client.Client, error), clients int, warmup, duration time.Duration,
+	newGen func(clientID uint32) workload.Generator) (float64, stats.Summary, error) {
+
+	rec := stats.NewRecorder()
+	var closing atomic.Bool
+	var cls []*client.Client
+	closeAll := func() {
+		closing.Store(true)
+		for _, cl := range cls {
+			cl.Close()
+		}
+	}
+	steps := make([]func(bool) error, clients)
+	for i := range steps {
+		cl, err := newClient()
+		if err != nil {
+			closeAll()
+			return 0, stats.Summary{}, fmt.Errorf("bench: client %d of %d: %w", i+1, clients, err)
+		}
+		cls = append(cls, cl)
+		gen := newGen(cl.ID())
+		steps[i] = func(measured bool) error {
+			op, ok := gen.Next()
+			if !ok {
+				return errDone
+			}
+			start := time.Now()
+			_, err := cl.Invoke(op.Payload, op.ReadOnly)
+			switch {
+			case err == nil:
+				if measured {
+					rec.Record(time.Since(start))
+				}
+				return nil
+			case closing.Load() && errors.Is(err, client.ErrClosed):
+				return errDone
+			default:
+				return fmt.Errorf("bench: client %d: %w", cl.ID(), err)
+			}
+		}
+	}
+	ops, elapsed, err := measureWindow(steps, warmup, duration, closeAll)
+	return stats.Throughput(ops, elapsed), rec.Summarize(), err
 }
 
 // WriteTable renders points grouped by series as the rows/columns the
 // paper's figures plot.
 func WriteTable(w io.Writer, title, xLabel string, points []Point) {
-	fmt.Fprintf(w, "# %s\n", title)
-	fmt.Fprintf(w, "%-14s %10s %14s %12s %12s %12s\n",
-		"series", xLabel, "throughput", "avg-lat", "p50", "p99")
+	width := len("series")
 	for _, p := range points {
-		fmt.Fprintf(w, "%-14s %10.2f %14s %12s %12s %12s\n",
-			p.Series, p.X, stats.FormatOps(p.Throughput),
+		width = max(width, utf8.RuneCountInString(p.Series)) // what %-*s pads by
+	}
+	fmt.Fprintf(w, "# %s\n", title)
+	fmt.Fprintf(w, "%-*s %10s %14s %12s %12s %12s\n",
+		width, "series", xLabel, "throughput", "avg-lat", "p50", "p99")
+	for _, p := range points {
+		fmt.Fprintf(w, "%-*s %10.2f %14s %12s %12s %12s\n",
+			width, p.Series, p.X, stats.FormatOps(p.Throughput),
 			fmtDur(p.Latency.Avg), fmtDur(p.Latency.P50), fmtDur(p.Latency.P99))
 	}
 	fmt.Fprintln(w)

@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"hybster/internal/apps/echo"
+	"hybster/internal/config"
 	"hybster/internal/enclave"
 	"hybster/internal/statemachine"
 	"hybster/internal/transport"
-	"hybster/internal/workload"
 )
 
 // TestFig5cScalingSmoke runs the Fig. 5c HybsterX point at 1 and 4
@@ -25,18 +25,16 @@ func TestFig5cScalingSmoke(t *testing.T) {
 		warmup   = 50 * time.Millisecond
 		duration = 300 * time.Millisecond
 	)
-	spec := Specs()[0] // HybsterX
 	tputAt := func(pillars int) float64 {
 		t.Helper()
-		cl, err := BuildCluster(spec, pillars, 16, true, enclave.CostModel{},
+		cl, err := BuildCluster(config.HybsterX, pillars, 16, true, enclave.CostModel{},
 			transport.LinkProfile{}, func() statemachine.Application { return echo.New(0) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cl.Stop()
 		start := time.Now()
-		tput, lat, err := RunLoad(cl, clients, warmup, duration,
-			func(uint32) workload.Generator { return workload.NewFixed(0) })
+		tput, lat, err := RunLoad(ClusterClients(cl), clients, warmup, duration, endless)
 		if err != nil {
 			t.Fatal(err)
 		}

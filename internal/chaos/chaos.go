@@ -23,6 +23,9 @@ import (
 	"hybster/internal/transport"
 )
 
+// loadClients is the number of concurrent load generators of a run.
+const loadClients = 3
+
 // Options configure one chaos run.
 type Options struct {
 	// Protocol selects the cluster flavor under test.
@@ -34,8 +37,6 @@ type Options struct {
 	// Horizon is how long the fault schedule stays active (generated
 	// plans only; an explicit Plan carries its own horizon).
 	Horizon time.Duration
-	// Clients is the number of concurrent load generators (default 3).
-	Clients int
 	// SettleTimeout bounds the post-heal recovery phase: the cluster
 	// must commit fresh requests and lagging replicas must catch up
 	// within it (default 20s).
@@ -116,9 +117,6 @@ func (r *Result) Metric(prefix string) float64 {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Clients <= 0 {
-		o.Clients = 3
-	}
 	if o.SettleTimeout <= 0 {
 		o.SettleTimeout = 20 * time.Second
 	}
@@ -383,7 +381,7 @@ func Run(o Options) (*Result, error) {
 	// partitions surface as retries, not as stuck goroutines.
 	stopLoad := make(chan struct{})
 	var load sync.WaitGroup
-	for i := 0; i < o.Clients; i++ {
+	for i := 0; i < loadClients; i++ {
 		r.mu.Lock()
 		c, cerr := cl.NewClient(120 * time.Millisecond)
 		r.mu.Unlock()

@@ -28,7 +28,6 @@ func runChaos(t *testing.T, p config.Protocol, seed int64) *Result {
 		Protocol: p,
 		Seed:     seed,
 		Horizon:  chaosHorizon(),
-		Clients:  3,
 		Logf:     t.Logf,
 	})
 	if err != nil {

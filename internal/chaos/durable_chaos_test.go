@@ -48,7 +48,6 @@ func TestChaosColdRestartDurable(t *testing.T) {
 	res, err := Run(Options{
 		Protocol: config.HybsterS,
 		Plan:     durablePlan(7, chaosHorizon(), false),
-		Clients:  3,
 		DataRoot: t.TempDir(),
 		// Recovery converges through view-change backoff; give it
 		// headroom against CPU starvation when the whole suite runs in
@@ -84,7 +83,6 @@ func TestChaosAmnesiaZombie(t *testing.T) {
 	res, err := Run(Options{
 		Protocol: config.HybsterS,
 		Plan:     durablePlan(7, chaosHorizon(), true),
-		Clients:  3,
 		DataRoot: t.TempDir(),
 		// Two survivors carrying a permanent zombie is the slowest
 		// convergence in the suite; same starvation headroom as above.

@@ -84,7 +84,6 @@ func TestChaosLongDurableSweep(t *testing.T) {
 				res, err := Run(Options{
 					Protocol:      config.HybsterS,
 					Plan:          longPlan(seed, horizon, amnesia),
-					Clients:       3,
 					DataRoot:      t.TempDir(),
 					SettleTimeout: 60 * time.Second,
 					Logf:          t.Logf,

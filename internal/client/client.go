@@ -231,19 +231,3 @@ func (c *Client) onMessage(from uint32, m message.Message) {
 		p.done <- rep.Result // buffered; decided admits one send
 	}
 }
-
-// InvokeAsync submits an operation without waiting; the result is
-// delivered on the returned channel (closed on client shutdown). It
-// is the building block for the closed-loop load generators of the
-// benchmark harness.
-func (c *Client) InvokeAsync(payload []byte, readOnly bool) <-chan []byte {
-	out := make(chan []byte, 1)
-	go func() {
-		res, err := c.Invoke(payload, readOnly)
-		if err == nil {
-			out <- res
-		}
-		close(out)
-	}()
-	return out
-}

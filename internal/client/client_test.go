@@ -294,20 +294,6 @@ func TestCloseUnblocksInvoke(t *testing.T) {
 	}
 }
 
-func TestInvokeAsync(t *testing.T) {
-	cfg, net, _ := setup(t)
-	cl := newClient(t, cfg, net, 200*time.Millisecond)
-	ch := cl.InvokeAsync([]byte("op"), false)
-	select {
-	case res, ok := <-ch:
-		if !ok || string(res) != "ok" {
-			t.Fatalf("async result %q ok=%v", res, ok)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("async result never arrived")
-	}
-}
-
 func TestRotationPrefersAssignedProposer(t *testing.T) {
 	cfg, net, replicas := setup(t)
 	cfg.RotateLeader = true

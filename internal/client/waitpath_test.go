@@ -100,7 +100,13 @@ func invokeMuted(t *testing.T, timeout time.Duration) (config.Config, *Client, <
 		r.mute = true
 	}
 	cl := newClient(t, cfg, net, timeout)
-	done := cl.InvokeAsync([]byte("op"), false)
+	done := make(chan []byte, 1) // closed without a result if the Invoke fails
+	go func() {
+		defer close(done)
+		if res, err := cl.Invoke([]byte("op"), false); err == nil {
+			done <- res
+		}
+	}()
 	waitUntil(t, "the request is pending", func() bool {
 		cl.mu.Lock()
 		defer cl.mu.Unlock()

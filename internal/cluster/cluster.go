@@ -224,21 +224,6 @@ func Boot(opts Options, newApp func() statemachine.Application) (*Cluster, error
 	})
 }
 
-// NewHybster, NewPBFT and NewMinBFT are Boot under the names of the
-// protocol families; which engine runs is decided by
-// opts.Config.Protocol alone.
-func NewHybster(opts Options, newApp func() statemachine.Application) (*Cluster, error) {
-	return Boot(opts, newApp)
-}
-
-func NewPBFT(opts Options, newApp func() statemachine.Application) (*Cluster, error) {
-	return Boot(opts, newApp)
-}
-
-func NewMinBFT(opts Options, newApp func() statemachine.Application) (*Cluster, error) {
-	return Boot(opts, newApp)
-}
-
 // Replica returns replica id (nil if crashed).
 func (c *Cluster) Replica(id uint32) Replica {
 	if c.crashed[id] {

@@ -28,19 +28,19 @@ func TestAllProtocolFactories(t *testing.T) {
 		boot  func(cluster.Options) (*cluster.Cluster, error)
 	}{
 		{"HybsterS", config.HybsterS, func(o cluster.Options) (*cluster.Cluster, error) {
-			return cluster.NewHybster(o, counterApp)
+			return cluster.Boot(o, counterApp)
 		}},
 		{"HybsterX", config.HybsterX, func(o cluster.Options) (*cluster.Cluster, error) {
-			return cluster.NewHybster(o, counterApp)
+			return cluster.Boot(o, counterApp)
 		}},
 		{"PBFTcop", config.PBFTcop, func(o cluster.Options) (*cluster.Cluster, error) {
-			return cluster.NewPBFT(o, counterApp)
+			return cluster.Boot(o, counterApp)
 		}},
 		{"HybridPBFT", config.HybridPBFT, func(o cluster.Options) (*cluster.Cluster, error) {
-			return cluster.NewPBFT(o, counterApp)
+			return cluster.Boot(o, counterApp)
 		}},
 		{"MinBFT", config.MinBFT, func(o cluster.Options) (*cluster.Cluster, error) {
-			return cluster.NewMinBFT(o, counterApp)
+			return cluster.Boot(o, counterApp)
 		}},
 	}
 	for _, tc := range cases {
@@ -68,7 +68,7 @@ func TestAllProtocolFactories(t *testing.T) {
 }
 
 func TestFactoryTypesMatchProtocols(t *testing.T) {
-	h, err := cluster.NewHybster(cluster.Options{Config: config.Default(config.HybsterX)}, counterApp)
+	h, err := cluster.Boot(cluster.Options{Config: config.Default(config.HybsterX)}, counterApp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFactoryTypesMatchProtocols(t *testing.T) {
 		t.Fatalf("Hybster replica has type %T", h.Replica(0))
 	}
 
-	p, err := cluster.NewPBFT(cluster.Options{Config: config.Default(config.PBFTcop)}, counterApp)
+	p, err := cluster.Boot(cluster.Options{Config: config.Default(config.PBFTcop)}, counterApp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFactoryTypesMatchProtocols(t *testing.T) {
 		t.Fatalf("PBFT replica has type %T", p.Replica(0))
 	}
 
-	m, err := cluster.NewMinBFT(cluster.Options{Config: config.Default(config.MinBFT)}, counterApp)
+	m, err := cluster.Boot(cluster.Options{Config: config.Default(config.MinBFT)}, counterApp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +99,13 @@ func TestFactoryTypesMatchProtocols(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	cfg := config.Default(config.HybsterX)
 	cfg.N = 1
-	if _, err := cluster.NewHybster(cluster.Options{Config: cfg}, counterApp); err == nil {
+	if _, err := cluster.Boot(cluster.Options{Config: cfg}, counterApp); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
 
 func TestCrashMarksReplica(t *testing.T) {
-	c, err := cluster.NewHybster(cluster.Options{Config: config.Default(config.HybsterS)}, counterApp)
+	c, err := cluster.Boot(cluster.Options{Config: config.Default(config.HybsterS)}, counterApp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestCrashMarksReplica(t *testing.T) {
 }
 
 func TestWaitExecuted(t *testing.T) {
-	c, err := cluster.NewHybster(cluster.Options{Config: config.Default(config.HybsterS)}, counterApp)
+	c, err := cluster.Boot(cluster.Options{Config: config.Default(config.HybsterS)}, counterApp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestWaitExecuted(t *testing.T) {
 }
 
 func TestClientsGetDistinctIDs(t *testing.T) {
-	c, err := cluster.NewHybster(cluster.Options{Config: config.Default(config.HybsterS)}, counterApp)
+	c, err := cluster.Boot(cluster.Options{Config: config.Default(config.HybsterS)}, counterApp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func durableConfig() config.Config {
 
 func newDurableCluster(t *testing.T) *Cluster {
 	t.Helper()
-	c, err := NewHybster(Options{
+	c, err := Boot(Options{
 		Config:   durableConfig(),
 		DataRoot: t.TempDir(),
 	}, func() statemachine.Application {

@@ -16,7 +16,7 @@ import (
 func BenchmarkHotPathPrepareCommitExec(b *testing.B) {
 	cfg := config.Default(config.HybsterX)
 	cfg.ViewChangeTimeout = time.Minute // the benchmark must never view-change
-	c, err := cluster.NewHybster(cluster.Options{Config: cfg}, counterApp)
+	c, err := cluster.Boot(cluster.Options{Config: cfg}, counterApp)
 	if err != nil {
 		b.Fatal(err)
 	}

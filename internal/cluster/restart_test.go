@@ -29,7 +29,7 @@ func restartConfig() config.Config {
 // rebuilds the engine on the original platform, and the restarted
 // replica catches back up to the cluster via state transfer.
 func TestCrashRestartRejoin(t *testing.T) {
-	c, err := NewHybster(Options{Config: restartConfig()}, func() statemachine.Application {
+	c, err := Boot(Options{Config: restartConfig()}, func() statemachine.Application {
 		return counter.New()
 	})
 	if err != nil {

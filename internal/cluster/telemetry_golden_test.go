@@ -22,11 +22,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics_*.golden
 // refactoring that drops or renames one fails here, not in a soak.
 func TestEngineMetricNamesGolden(t *testing.T) {
 	boot := map[config.Protocol]func(cluster.Options) (*cluster.Cluster, error){
-		config.HybsterS:   func(o cluster.Options) (*cluster.Cluster, error) { return cluster.NewHybster(o, counterApp) },
-		config.HybsterX:   func(o cluster.Options) (*cluster.Cluster, error) { return cluster.NewHybster(o, counterApp) },
-		config.PBFTcop:    func(o cluster.Options) (*cluster.Cluster, error) { return cluster.NewPBFT(o, counterApp) },
-		config.HybridPBFT: func(o cluster.Options) (*cluster.Cluster, error) { return cluster.NewPBFT(o, counterApp) },
-		config.MinBFT:     func(o cluster.Options) (*cluster.Cluster, error) { return cluster.NewMinBFT(o, counterApp) },
+		config.HybsterS:   func(o cluster.Options) (*cluster.Cluster, error) { return cluster.Boot(o, counterApp) },
+		config.HybsterX:   func(o cluster.Options) (*cluster.Cluster, error) { return cluster.Boot(o, counterApp) },
+		config.PBFTcop:    func(o cluster.Options) (*cluster.Cluster, error) { return cluster.Boot(o, counterApp) },
+		config.HybridPBFT: func(o cluster.Options) (*cluster.Cluster, error) { return cluster.Boot(o, counterApp) },
+		config.MinBFT:     func(o cluster.Options) (*cluster.Cluster, error) { return cluster.Boot(o, counterApp) },
 	}
 	for proto, newCluster := range boot {
 		t.Run(proto.String(), func(t *testing.T) {

@@ -7,6 +7,7 @@ package config
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"hybster/internal/timeline"
@@ -48,17 +49,19 @@ func (p Protocol) String() string {
 	}
 }
 
-// Hybrid reports whether the protocol runs on the hybrid fault model
-// with n = 2f+1 replicas (true) or the pure Byzantine model with
-// n = 3f+1 (false).
-func (p Protocol) Hybrid() bool {
-	return p == HybsterS || p == HybsterX || p == MinBFT || p == HybridPBFT
+// ParseProtocol is the inverse of String, ignoring case; "pbft" is
+// accepted for PBFTcop.
+func ParseProtocol(name string) (Protocol, error) {
+	if strings.EqualFold(name, "pbft") {
+		return PBFTcop, nil
+	}
+	for p := HybsterS; p <= MinBFT; p++ {
+		if strings.EqualFold(name, p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("config: unknown protocol %q", name)
 }
-
-// Note: HybridPBFT still uses n = 3f+1 — it is PBFT's protocol with a
-// trusted certification primitive, exactly as evaluated in the paper —
-// but it is "hybrid" in the sense of using a trusted subsystem. The
-// replica count is decided by ReplicasFor below, not by Hybrid.
 
 // ReplicasFor returns the minimum group size tolerating f faults under
 // protocol p.

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"strings"
 	"testing"
 
 	"hybster/internal/timeline"
@@ -174,11 +175,23 @@ func TestIsCheckpoint(t *testing.T) {
 	}
 }
 
-func TestProtocolStringAndHybrid(t *testing.T) {
+func TestProtocolStringAndParse(t *testing.T) {
 	if HybsterX.String() != "HybsterX" || Protocol(99).String() == "" {
 		t.Fatal("bad protocol names")
 	}
-	if !HybsterX.Hybrid() || !MinBFT.Hybrid() || PBFTcop.Hybrid() {
-		t.Fatal("wrong hybrid classification")
+	for p := HybsterS; p <= MinBFT; p++ {
+		for _, name := range []string{p.String(), strings.ToLower(p.String())} {
+			if got, err := ParseProtocol(name); err != nil || got != p {
+				t.Errorf("ParseProtocol(%q) = %v, %v; want %v", name, got, err, p)
+			}
+		}
+	}
+	if got, err := ParseProtocol("pbft"); err != nil || got != PBFTcop {
+		t.Errorf(`ParseProtocol("pbft") = %v, %v`, got, err)
+	}
+	for _, name := range []string{"", "raft", "hybster", Protocol(99).String()} {
+		if _, err := ParseProtocol(name); err == nil {
+			t.Errorf("ParseProtocol(%q) accepted", name)
+		}
 	}
 }

@@ -277,9 +277,8 @@ func (c *coordinator) mergeLearned(ps []*message.Prepare) {
 // learnedForPillar filters the learned set to one pillar's class.
 func (c *coordinator) learnedForPillar(u uint32) []*message.Prepare {
 	var out []*message.Prepare
-	pillars := uint32(len(c.e.pillars))
 	for _, p := range c.learned {
-		if c.e.Cfg.PillarOf(p.Order)%pillars == u {
+		if c.e.Cfg.PillarOf(p.Order) == u {
 			out = append(out, p)
 		}
 	}

@@ -30,7 +30,7 @@ func testConfig(pillars int) config.Config {
 
 func newCounterCluster(t *testing.T, cfg config.Config, profile transport.LinkProfile) *cluster.Cluster {
 	t.Helper()
-	c, err := cluster.NewHybster(cluster.Options{Config: cfg, Profile: profile, Seed: 1},
+	c, err := cluster.Boot(cluster.Options{Config: cfg, Profile: profile, Seed: 1},
 		func() statemachine.Application { return counter.New() })
 	if err != nil {
 		t.Fatal(err)

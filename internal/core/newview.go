@@ -132,7 +132,7 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 	pillars := len(c.e.pillars)
 	byPillar := make([][]reProposal, pillars)
 	for _, rp := range props {
-		u := c.e.Cfg.PillarOf(rp.order) % uint32(pillars)
+		u := c.e.Cfg.PillarOf(rp.order)
 		byPillar[u] = append(byPillar[u], rp)
 	}
 	newPreps := make([][]*message.Prepare, pillars)
@@ -253,7 +253,7 @@ func (c *coordinator) processNewView(w timeline.View, parts []*message.NewView) 
 			if p.View != w || p.Order <= startCkpt {
 				return
 			}
-			if c.e.Cfg.PillarOf(p.Order)%uint32(pillars) != uint32(u) {
+			if c.e.Cfg.PillarOf(p.Order) != uint32(u) {
 				return
 			}
 			if p.Cert.Issuer != trinx.MakeInstanceID(leader, uint32(u)) ||

@@ -101,7 +101,7 @@ func newPillar(e *Engine, idx uint32, tx Certifier) *pillar {
 // pillar's class.
 func (p *pillar) firstClassOrder(after timeline.Order) timeline.Order {
 	o := after + 1
-	for p.e.Cfg.PillarOf(o)%uint32(len(p.e.pillars)) != p.idx {
+	for p.e.Cfg.PillarOf(o) != p.idx {
 		o++
 	}
 	return o

@@ -67,7 +67,7 @@ func (e *Engine) verifyEmbeddedPrepare(tx Certifier, m *message.Prepare) error {
 }
 
 func (e *Engine) verifyPrepareEmbedded(tx Certifier, m *message.Prepare, proposer uint32) error {
-	pillar := e.Cfg.PillarOf(m.Order) % uint32(len(e.pillars))
+	pillar := e.Cfg.PillarOf(m.Order)
 	if m.Cert.Kind != trinx.Independent {
 		return errBadKind
 	}
@@ -82,7 +82,7 @@ func (e *Engine) verifyPrepareEmbedded(tx Certifier, m *message.Prepare, propose
 
 // verifyCommit validates a follower acknowledgment analogously.
 func (e *Engine) verifyCommit(tx Certifier, m *message.Commit) error {
-	pillar := e.Cfg.PillarOf(m.Order) % uint32(len(e.pillars))
+	pillar := e.Cfg.PillarOf(m.Order)
 	if m.Cert.Kind != trinx.Independent {
 		return errBadKind
 	}
@@ -162,7 +162,7 @@ func (e *Engine) verifyViewChangePart(tx Certifier, vc *message.ViewChange) erro
 	}
 	disclosed := make(map[timeline.Order]bool, len(vc.Prepares))
 	for _, p := range vc.Prepares {
-		if e.Cfg.PillarOf(p.Order)%pillars != vc.Pillar {
+		if e.Cfg.PillarOf(p.Order) != vc.Pillar {
 			return fmt.Errorf("core: prepare for order %d in part of pillar %d", p.Order, vc.Pillar)
 		}
 		if err := e.verifyEmbeddedPrepare(tx, p); err != nil {
@@ -177,7 +177,7 @@ func (e *Engine) verifyViewChangePart(tx Certifier, vc *message.ViewChange) erro
 	pv, po := prev.Unpack()
 	if pv == vc.From && po > vc.CkptOrder {
 		for o := vc.CkptOrder + 1; o <= po; o++ {
-			if e.Cfg.PillarOf(o)%pillars != vc.Pillar {
+			if e.Cfg.PillarOf(o) != vc.Pillar {
 				continue
 			}
 			if !disclosed[o] {
@@ -200,9 +200,8 @@ func (e *Engine) verifyNewViewAckPart(tx Certifier, a *message.NewViewAck) error
 	if err := tx.Verify(a.Cert, a.Digest()); err != nil {
 		return err
 	}
-	pillars := uint32(len(e.pillars))
 	for _, p := range a.Prepares {
-		if e.Cfg.PillarOf(p.Order)%pillars != a.Pillar {
+		if e.Cfg.PillarOf(p.Order) != a.Pillar {
 			return fmt.Errorf("core: ack prepare for order %d in part of pillar %d", p.Order, a.Pillar)
 		}
 		if err := e.verifyEmbeddedPrepare(tx, p); err != nil {

@@ -14,7 +14,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash"
 	"sync"
 	"sync/atomic"
@@ -273,39 +272,4 @@ func VerifyAuthenticator(ks *KeyStore, a Authenticator, d Digest) bool {
 		return false
 	}
 	return ks.KeyFor(a.Sender).Verify(d[:], a.MACs[ks.Self()])
-}
-
-// Marshal serializes the authenticator.
-func (a Authenticator) Marshal() []byte {
-	buf := make([]byte, 8+len(a.MACs)*MACSize)
-	binary.BigEndian.PutUint32(buf[0:4], a.Sender)
-	binary.BigEndian.PutUint32(buf[4:8], uint32(len(a.MACs)))
-	off := 8
-	for _, m := range a.MACs {
-		copy(buf[off:], m[:])
-		off += MACSize
-	}
-	return buf
-}
-
-// UnmarshalAuthenticator parses an authenticator and returns the number
-// of bytes consumed.
-func UnmarshalAuthenticator(buf []byte) (Authenticator, int, error) {
-	if len(buf) < 8 {
-		return Authenticator{}, 0, fmt.Errorf("crypto: authenticator truncated: %d bytes", len(buf))
-	}
-	var a Authenticator
-	a.Sender = binary.BigEndian.Uint32(buf[0:4])
-	n := int(binary.BigEndian.Uint32(buf[4:8]))
-	need := 8 + n*MACSize
-	if n < 0 || len(buf) < need {
-		return Authenticator{}, 0, fmt.Errorf("crypto: authenticator truncated: want %d MACs", n)
-	}
-	a.MACs = make([]MAC, n)
-	off := 8
-	for i := 0; i < n; i++ {
-		copy(a.MACs[i][:], buf[off:off+MACSize])
-		off += MACSize
-	}
-	return a, need, nil
 }

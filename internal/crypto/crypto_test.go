@@ -128,38 +128,6 @@ func TestAuthenticatorWrongGroupRejected(t *testing.T) {
 	}
 }
 
-func TestAuthenticatorMarshalRoundtrip(t *testing.T) {
-	master := NewKeyFromSeed("group")
-	auth := NewAuthenticator(NewKeyStore(2, master), Hash([]byte("m")), 4)
-	buf := auth.Marshal()
-	got, n, err := UnmarshalAuthenticator(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", n, len(buf))
-	}
-	if got.Sender != auth.Sender || len(got.MACs) != len(auth.MACs) {
-		t.Fatalf("roundtrip mismatch: %+v vs %+v", got, auth)
-	}
-	for i := range auth.MACs {
-		if got.MACs[i] != auth.MACs[i] {
-			t.Fatalf("MAC %d mismatch", i)
-		}
-	}
-}
-
-func TestAuthenticatorUnmarshalTruncated(t *testing.T) {
-	master := NewKeyFromSeed("group")
-	auth := NewAuthenticator(NewKeyStore(2, master), Hash([]byte("m")), 4)
-	buf := auth.Marshal()
-	for cut := 0; cut < len(buf); cut += 7 {
-		if _, _, err := UnmarshalAuthenticator(buf[:cut]); err == nil {
-			t.Fatalf("no error for truncation at %d", cut)
-		}
-	}
-}
-
 func TestAuthenticatorOutOfRangeReceiver(t *testing.T) {
 	master := NewKeyFromSeed("group")
 	auth := NewAuthenticator(NewKeyStore(0, master), Hash([]byte("m")), 2)

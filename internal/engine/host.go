@@ -185,7 +185,7 @@ func NewHost(name string, opts Options, x *statemachine.Executor, hd Handlers) *
 	h.replies = reply.NewStage(h.id, h.Keys, h.Ep, 0, opts.Telemetry)
 	h.Exec = newExecLoop(x, h.Cfg, h.Met, h.replies, credit,
 		func(v *statemachine.CheckpointView) { h.CoordBox.Put(v) }, progress)
-	h.vpool = verify.NewPool(h.Keys, 0, opts.Telemetry)
+	h.vpool = verify.NewPool(h.Keys, opts.Telemetry)
 	h.vord = verify.NewOrdered(h.vpool)
 	return h
 }
@@ -305,7 +305,7 @@ func (h *Host) route(from uint32, m message.Message) {
 		})
 		return
 	case ToPillar:
-		box = h.PillarBox[h.Cfg.PillarOf(r.Order)%uint32(len(h.PillarBox))]
+		box = h.PillarBox[h.Cfg.PillarOf(r.Order)]
 	case ToCkptPillar:
 		box = h.ckptBox(r.Order)
 	case ToCoord:

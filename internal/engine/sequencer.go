@@ -114,10 +114,6 @@ func (s *Sequencer) relays(v timeline.View) bool {
 	return !s.cfg.RotateLeader && s.cfg.LeaderOf(v) != s.id
 }
 
-func (s *Sequencer) pillarOf(o timeline.Order) uint32 {
-	return s.cfg.PillarOf(o) % uint32(len(s.inFlight))
-}
-
 // slotAfter returns the smallest order > after that this replica
 // proposes in view v. Without rotation a non-leader proposes nothing;
 // the returned cursor is then a placeholder that ResetForView fixes on
@@ -218,7 +214,7 @@ func (s *Sequencer) dispatch() {
 			return
 		}
 		o := s.next
-		u := s.pillarOf(o)
+		u := s.cfg.PillarOf(o)
 		busy := int(s.inFlight[u].Load())
 		if busy >= maxInFlightPerPillar {
 			s.mu.Unlock()
@@ -318,7 +314,7 @@ func (s *Sequencer) ProposeNoop(v timeline.View, o timeline.Order) {
 	}
 	s.mu.Unlock()
 	s.noops.Inc()
-	s.propose(s.pillarOf(o), v, o, nil)
+	s.propose(s.cfg.PillarOf(o), v, o, nil)
 }
 
 // ResetForView realigns the proposal cursor after a view change: the

@@ -44,9 +44,6 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
-// U16 appends a big-endian uint16.
-func (e *Encoder) U16(v uint16) { e.buf = append(e.buf, byte(v>>8), byte(v)) }
-
 // U32 appends a big-endian uint32.
 func (e *Encoder) U32(v uint32) {
 	e.buf = append(e.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
@@ -130,15 +127,6 @@ func (d *Decoder) U8() uint8 {
 		return 0
 	}
 	return b[0]
-}
-
-// U16 reads a big-endian uint16.
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return uint16(b[0])<<8 | uint16(b[1])
 }
 
 // U32 reads a big-endian uint32.

@@ -138,8 +138,7 @@ type Engine struct {
 	// histLenSnapshot mirrors len(sentLog) for HistoryLen (tests).
 	histLenSnapshot int
 
-	suspects atomic.Uint64 // leader-timeout events (diagnostics)
-	ord      engine.OrderingMetrics
+	ord engine.OrderingMetrics
 	// suspectsC and zombiesC count leader-timeout suspicions and
 	// replicas convicted of counter regression.
 	suspectsC *telemetry.Counter
@@ -243,9 +242,6 @@ func New(opts Options) (*Engine, error) {
 	e.registerGauges()
 	return e, nil
 }
-
-// Suspects returns how often the leader was suspected (diagnostics).
-func (e *Engine) Suspects() uint64 { return e.suspects.Load() }
 
 // ErrCounterRegression reports that a peer presented a valid UI whose
 // counter value was already consumed by a different message — proof it

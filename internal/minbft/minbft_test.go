@@ -24,7 +24,7 @@ func testConfig() config.Config {
 
 func newCounterCluster(t *testing.T, cfg config.Config) *cluster.Cluster {
 	t.Helper()
-	c, err := cluster.NewMinBFT(cluster.Options{Config: cfg, Seed: 1},
+	c, err := cluster.Boot(cluster.Options{Config: cfg, Seed: 1},
 		func() statemachine.Application { return counter.New() })
 	if err != nil {
 		t.Fatal(err)

@@ -167,7 +167,6 @@ func (e *Engine) handleTick() {
 	}
 	if !e.pending {
 		if !ps.IsZero() && now.Sub(ps) > e.Patience() {
-			e.suspects.Add(1)
 			e.suspectsC.Inc()
 			e.Met.Trace(telemetry.EvViewChange, uint64(e.view+1), 0, 0, "suspect")
 			e.Escalate()

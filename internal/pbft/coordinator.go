@@ -380,7 +380,7 @@ func (c *coordinator) install(w timeline.View, startCkpt timeline.Order, pps []*
 	byPillar := make([][]*message.PrePrepare, pillars)
 	var maxOrder timeline.Order = startCkpt
 	for _, pp := range pps {
-		u := c.e.Cfg.PillarOf(pp.Order) % pillars
+		u := c.e.Cfg.PillarOf(pp.Order)
 		byPillar[u] = append(byPillar[u], pp)
 		if pp.Order > maxOrder {
 			maxOrder = pp.Order

@@ -34,11 +34,11 @@ type Recorder struct {
 }
 
 // NewRecorder creates an empty recorder with DefaultCap.
-func NewRecorder() *Recorder { return NewRecorderCap(DefaultCap) }
+func NewRecorder() *Recorder { return newRecorderCap(DefaultCap) }
 
-// NewRecorderCap creates a recorder holding at most capSamples
+// newRecorderCap creates a recorder holding at most capSamples
 // latencies (<= 0 means unbounded).
-func NewRecorderCap(capSamples int) *Recorder {
+func newRecorderCap(capSamples int) *Recorder {
 	return &Recorder{cap: capSamples, rng: 0x9e3779b97f4a7c15}
 }
 

@@ -65,7 +65,7 @@ func TestRecorderConcurrent(t *testing.T) {
 // cap" would report only the low tail.
 func TestRecorderReservoirBounded(t *testing.T) {
 	const cap, n = 2000, 200_000
-	r := NewRecorderCap(cap)
+	r := newRecorderCap(cap)
 	for i := 1; i <= n; i++ {
 		r.Record(time.Duration(i) * time.Microsecond)
 	}
@@ -106,7 +106,7 @@ func TestRecorderReservoirBounded(t *testing.T) {
 
 // TestRecorderUnboundedCap pins that cap<=0 disables sampling.
 func TestRecorderUnboundedCap(t *testing.T) {
-	r := NewRecorderCap(0)
+	r := newRecorderCap(0)
 	for i := 0; i < 3*DefaultCap/2; i++ {
 		r.Record(time.Microsecond)
 	}

@@ -21,7 +21,7 @@ func TestOpsServerConcurrentScrapes(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer("minbft", ringDepth)
 	tr.SetReplica(7)
-	tel := NewWith(reg, tr)
+	tel := &Telemetry{metrics: reg, tracer: tr}
 	commits := tel.Counter("hybster_minbft_committed_total", "committed")
 	lat := tel.Histogram("hybster_exec_latency_us", "execution latency")
 	var view atomic.Uint64

@@ -24,11 +24,6 @@ func NewFor(protocol string, replica uint32) *Telemetry {
 	return t
 }
 
-// NewWith assembles a bundle from existing parts (either may be nil).
-func NewWith(reg *Registry, tr *Tracer) *Telemetry {
-	return &Telemetry{metrics: reg, tracer: tr}
-}
-
 // Metrics returns the registry (nil when disabled).
 func (t *Telemetry) Metrics() *Registry {
 	if t == nil {

@@ -30,7 +30,6 @@ const (
 	EvRetransmit                      // stalled instance re-multicast
 	EvRecovery                        // boot-time recovery milestone
 	EvSeal                            // trusted counter horizon sealed
-	EvCrash                           // harness-injected crash/restart marker
 )
 
 var eventKindNames = map[EventKind]string{
@@ -47,7 +46,6 @@ var eventKindNames = map[EventKind]string{
 	EvRetransmit: "retransmit",
 	EvRecovery:   "recovery",
 	EvSeal:       "seal",
-	EvCrash:      "crash",
 }
 
 // String returns the taxonomy name of the kind.

@@ -88,9 +88,6 @@ func (f *FaultyEndpoint) ID() uint32 { return f.inner.ID() }
 // Handle implements Endpoint.
 func (f *FaultyEndpoint) Handle(h Handler) { f.inner.Handle(h) }
 
-// Inner returns the wrapped endpoint.
-func (f *FaultyEndpoint) Inner() Endpoint { return f.inner }
-
 // Stats returns a snapshot of the injected-fault counters.
 func (f *FaultyEndpoint) Stats() FaultStats {
 	f.mu.Lock()

@@ -452,21 +452,6 @@ func (ep *TCPEndpoint) AddPeer(id uint32, addr string) {
 	go l.run()
 }
 
-// PeerStates returns a health snapshot of every configured peer link.
-func (ep *TCPEndpoint) PeerStates() map[uint32]PeerState {
-	ep.mu.Lock()
-	links := make([]*peerLink, 0, len(ep.links))
-	for _, l := range ep.links {
-		links = append(links, l)
-	}
-	ep.mu.Unlock()
-	out := make(map[uint32]PeerState, len(links))
-	for _, l := range links {
-		out[l.id] = l.snapshot()
-	}
-	return out
-}
-
 // PeerState returns the health snapshot of one peer link.
 func (ep *TCPEndpoint) PeerState(id uint32) (PeerState, bool) {
 	ep.mu.Lock()

@@ -40,7 +40,6 @@ var (
 	ErrNotIncreasing     = errors.New("trinx: independent certificate requires strictly increasing value")
 	ErrNoSuchCounter     = errors.New("trinx: counter ID out of range")
 	ErrBadCertificate    = errors.New("trinx: certificate verification failed")
-	ErrWrongIssuer       = errors.New("trinx: certificate names a foreign issuer")
 )
 
 // Kind distinguishes the certificate flavors of §5.1.
@@ -139,12 +138,6 @@ func New(p *enclave.Platform, id InstanceID, numCounters int, key crypto.Key, co
 	enc := enclave.Create(p, fmt.Sprintf("trinx-%s", id), cost, func() any {
 		return &state{id: id, key: crypto.NewMACKey(key), counters: make([]uint64, numCounters)}
 	})
-	return &TrInX{id: id, enc: enc}
-}
-
-// newFromEnclave wires a handle to an existing enclave; used by the
-// Multi-TrInX host and the bridge variant.
-func newFromEnclave(id InstanceID, enc *enclave.Enclave) *TrInX {
 	return &TrInX{id: id, enc: enc}
 }
 

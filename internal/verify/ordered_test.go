@@ -28,7 +28,7 @@ func testRequest(master crypto.Key, seq uint64, forged bool) *message.Request {
 func TestOrderedDeliversInSubmissionOrder(t *testing.T) {
 	master := crypto.Key("ordered-test-master-key")
 	replica := crypto.NewKeyStore(0, master)
-	pool := NewPool(replica, 4, nil)
+	pool := NewPool(replica, nil)
 	defer pool.Close()
 	ord := NewOrdered(pool)
 
@@ -100,7 +100,7 @@ func TestOrderedDeliversInSubmissionOrder(t *testing.T) {
 func TestOrderedReentrantPass(t *testing.T) {
 	master := crypto.Key("ordered-test-master-key")
 	replica := crypto.NewKeyStore(0, master)
-	pool := NewPool(replica, 2, nil)
+	pool := NewPool(replica, nil)
 	defer pool.Close()
 	ord := NewOrdered(pool)
 
@@ -131,7 +131,7 @@ func TestOrderedReentrantPass(t *testing.T) {
 func TestOrderedLaneCapOverflow(t *testing.T) {
 	master := crypto.Key("ordered-test-master-key")
 	replica := crypto.NewKeyStore(0, master)
-	pool := NewPool(replica, 2, nil)
+	pool := NewPool(replica, nil)
 	defer pool.Close()
 	ord := NewOrdered(pool)
 

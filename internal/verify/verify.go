@@ -59,19 +59,10 @@ type Pool struct {
 // unbounded growth never would.
 const queueDepth = 1024
 
-// NewPool starts a pool verifying against ks with the given number of
-// workers (<= 0 selects a default sized to leave the pillars their
-// cores). Telemetry may be nil.
-func NewPool(ks *crypto.KeyStore, workers int, tel *telemetry.Telemetry) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) / 2
-		if workers < 2 {
-			workers = 2
-		}
-		if workers > 8 {
-			workers = 8
-		}
-	}
+// NewPool starts a pool verifying against ks, its worker count sized
+// to leave the pillars their cores. Telemetry may be nil.
+func NewPool(ks *crypto.KeyStore, tel *telemetry.Telemetry) *Pool {
+	workers := min(max(runtime.GOMAXPROCS(0)/2, 2), 8)
 	p := &Pool{
 		ks:    ks,
 		tasks: make(chan task, queueDepth),
