@@ -46,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecoderPrimitives$$' -fuzztime $(FUZZTIME) ./internal/message/
 	$(GO) test -run '^$$' -fuzz 'FuzzPooledBufferAliasing$$' -fuzztime $(FUZZTIME) ./internal/message/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/wal/
+	$(GO) test -run '^$$' -fuzz 'FuzzFrameStream$$' -fuzztime $(FUZZTIME) ./internal/transport/
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -58,7 +59,9 @@ bench-smoke:
 
 # Hot-path benchmark suite: alloc/latency profile of cached digests,
 # marshal-once multicast, mailboxes, the memnet send→handler path, the
-# client's Invoke wait path and the full prepare→commit→exec path.
+# TCP request/reply stream over loopback sockets (frames per write and
+# read), the client's Invoke wait path and the full
+# prepare→commit→exec path.
 # Writes BENCH_hotpath.txt (standard go-test bench output); CI uploads
 # it as an artifact. Tune iteration time with HOTPATH_BENCHTIME.
 HOTPATH_BENCHTIME ?= 0.3s

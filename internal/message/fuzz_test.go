@@ -145,8 +145,9 @@ func FuzzViewChangeRoundtrip(f *testing.F) {
 }
 
 // FuzzPooledBufferAliasing is the copy-on-decode regression guard for
-// the transport's pooled read buffers. The TCP read loop hands the
-// decoder a buffer it will recycle (and overwrite) as soon as
+// the transport's read buffers. The TCP read loop decodes a frame where
+// it lies in the connection's buffer (or, when it does not fit, in a
+// pooled one) and the next read overwrites those bytes as soon as
 // Unmarshal returns, so no decoded message may alias the input: every
 // var-length field must be cloned during decode. The fuzzer decodes
 // from a scratch buffer, scribbles over that buffer, and requires the

@@ -29,7 +29,12 @@ func MarshalStats() (total, poolHits uint64) {
 
 // Marshal serializes any protocol message, prefixed with its type tag.
 // The returned buffer is sized exactly and owned by the caller.
-func Marshal(m Message) []byte {
+func Marshal(m Message) []byte { return MarshalHeadroom(m, 0) }
+
+// MarshalHeadroom is Marshal with headroom zero bytes in front of the
+// type tag, inside the same exact-size allocation: a transport fills
+// its frame header there instead of copying the message behind one.
+func MarshalHeadroom(m Message, headroom int) []byte {
 	marshalTotal.Add(1)
 	e, _ := encoderPool.Get().(*Encoder)
 	if e == nil {
@@ -37,7 +42,7 @@ func Marshal(m Message) []byte {
 	} else {
 		marshalPoolHits.Add(1)
 	}
-	e.buf = make([]byte, 0, 1+wireSize(m))
+	e.buf = make([]byte, headroom, headroom+1+wireSize(m))
 	e.U8(uint8(m.MsgType()))
 	switch v := m.(type) {
 	case *Request:

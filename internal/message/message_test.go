@@ -2,6 +2,7 @@ package message
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -233,6 +234,38 @@ func TestUnmarshalUnknownType(t *testing.T) {
 	}
 	if _, err := Unmarshal(nil); err == nil {
 		t.Fatal("empty buffer accepted")
+	}
+}
+
+// TestPayloadDigestGoldens pins the preimages of the two digests that
+// cover a payload. MACs, TrInX certificates and WAL records are
+// computed over these values, so a change here is a wire and storage
+// format break. The hex strings were computed at d4dc3c5.
+func TestPayloadDigestGoldens(t *testing.T) {
+	kib := make([]byte, 1024)
+	for i := range kib {
+		kib[i] = byte(i * 7)
+	}
+	const client = crypto.ClientIDBase + 1
+	for _, tc := range []struct {
+		name string
+		got  crypto.Digest
+		want string
+	}{
+		{"request 0 B", (&Request{Client: client, Seq: 9}).Digest(),
+			"12f1304885ebf8d1c75f76ea921e2c2463daa6dc1cda37d4cd58b255d0ae1ad0"},
+		{"request 1 KiB", (&Request{Client: client, Seq: 9, Payload: kib}).Digest(),
+			"5a9a31a2472d895985c6308328be1a8ed521fb247603f34a30665da7d3b40918"},
+		{"request 1 KiB read-only", (&Request{Client: client, Seq: 9, ReadOnly: true, Payload: kib}).Digest(),
+			"d5b755ed15956d6f636246ca9f031cfb879ca309e8d8667526830d7f27108c04"},
+		{"reply 0 B", (&Reply{Replica: 2, Client: client, Seq: 9}).Digest(),
+			"6401c0248b962434fe6cc89ac4c20ac38f54f48e005a269457f6054e04afa86d"},
+		{"reply 1 KiB", (&Reply{Replica: 2, Client: client, Seq: 9, Result: kib}).Digest(),
+			"17c6b4b2fd6c8c725b50352ff317fe39249708dde0513542a0a621923e297964"},
+	} {
+		if got := hex.EncodeToString(tc.got[:]); got != tc.want {
+			t.Errorf("%s: digest %s, golden %s", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package message
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 
 	"hybster/internal/crypto"
 	"hybster/internal/timeline"
@@ -89,12 +90,17 @@ func (r *Request) Digest() crypto.Digest {
 	if d, ok := r.dc.cached(); ok {
 		return d
 	}
-	e := NewEncoder(17 + len(r.Payload))
-	e.U32(r.Client)
-	e.U64(r.Seq)
-	e.Bool(r.ReadOnly)
-	e.VarBytes(r.Payload)
-	return r.dc.fill(crypto.HashParts([]byte("req"), e.Bytes()))
+	// The preimage is "req" ‖ client ‖ seq ‖ read-only ‖ len ‖ payload;
+	// the payload is hashed where it lies, the rest from the stack.
+	var hdr [20]byte
+	copy(hdr[:], "req")
+	binary.BigEndian.PutUint32(hdr[3:], r.Client)
+	binary.BigEndian.PutUint64(hdr[7:], r.Seq)
+	if r.ReadOnly {
+		hdr[15] = 1
+	}
+	binary.BigEndian.PutUint32(hdr[16:], uint32(len(r.Payload)))
+	return r.dc.fill(crypto.HashParts(hdr[:], r.Payload))
 }
 
 // Reply carries the execution result of one request back to its client,
@@ -117,12 +123,14 @@ func (r *Reply) Digest() crypto.Digest {
 	if d, ok := r.dc.cached(); ok {
 		return d
 	}
-	e := NewEncoder(16 + len(r.Result))
-	e.U32(r.Replica)
-	e.U32(r.Client)
-	e.U64(r.Seq)
-	e.VarBytes(r.Result)
-	return r.dc.fill(crypto.HashParts([]byte("reply"), e.Bytes()))
+	// "reply" ‖ replica ‖ client ‖ seq ‖ len ‖ result, as in Request.Digest.
+	var hdr [25]byte
+	copy(hdr[:], "reply")
+	binary.BigEndian.PutUint32(hdr[5:], r.Replica)
+	binary.BigEndian.PutUint32(hdr[9:], r.Client)
+	binary.BigEndian.PutUint64(hdr[13:], r.Seq)
+	binary.BigEndian.PutUint32(hdr[21:], uint32(len(r.Result)))
+	return r.dc.fill(crypto.HashParts(hdr[:], r.Result))
 }
 
 // BatchDigest folds the digests of a request batch into one digest.

@@ -1,12 +1,15 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hybster/internal/message"
@@ -17,12 +20,19 @@ import (
 // corrupt length prefixes.
 const maxFrameSize = 64 << 20
 
+// connReadBuf is the size of a connection's buffered reader. Measured,
+// not tunable: 4 KiB holds three 1 KiB requests or some thirty COMMITs;
+// 32 KiB saved no more CPU and nearly doubled the time to open the
+// benchmark's ~100 connections (EXPERIMENTS.md "PR 17").
+const connReadBuf = 4 << 10
+
 // maxPooledReadBuf caps the size of read buffers kept in the pool;
 // rare oversized frames (state transfer) allocate fresh and are left
 // for the GC rather than pinning megabytes in the pool.
 const maxPooledReadBuf = 64 << 10
 
-// readBufPool recycles per-frame read buffers across all read loops.
+// readBufPool recycles the buffers of frames too large for a
+// connection's own buffer (big PREPARE batches) across all read loops.
 // Safe because the codec clones every variable-length field on decode,
 // so no decoded message aliases a pooled buffer.
 var readBufPool sync.Pool
@@ -67,7 +77,8 @@ type TCPOptions struct {
 	HeartbeatInterval time.Duration
 	// ReadIdleTimeout is the read deadline on inbound connections;
 	// peers heartbeat when idle, so a silent inbound connection is a
-	// dead one and is closed. Zero disables. Default 3×heartbeat.
+	// dead one and is closed ¾ to 1 × ReadIdleTimeout after its last
+	// frame. Default 3×heartbeat.
 	ReadIdleTimeout time.Duration
 	// Telemetry receives the endpoint's metrics (hybster_transport_*);
 	// nil disables instrumentation.
@@ -111,16 +122,34 @@ type PeerState struct {
 
 // tcpConn serializes frame writes; a frame must reach the stream
 // atomically even when several goroutines send concurrently (the
-// reply path writes directly from protocol goroutines).
+// reply path writes directly from protocol goroutines). It counts the
+// calls made on the socket in either direction.
 type tcpConn struct {
 	net.Conn
-	mu sync.Mutex
+	met *tcpMetrics
+	mu  sync.Mutex
+}
+
+func (c *tcpConn) Read(p []byte) (int, error) {
+	c.met.reads.Inc()
+	return c.Conn.Read(p)
 }
 
 func (c *tcpConn) writeFrame(frame []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.met.writes.Inc()
 	_, err := c.Conn.Write(frame)
+	return err
+}
+
+// writeFrames writes a batch with one call (writev on a TCP socket).
+// It consumes bufs: after an error, what it did not write in full.
+func (c *tcpConn) writeFrames(bufs *net.Buffers) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.met.writes.Inc()
+	_, err := bufs.WriteTo(c.Conn)
 	return err
 }
 
@@ -151,12 +180,8 @@ func (l *peerLink) enqueue(frame []byte) {
 		l.mu.Unlock()
 		return
 	}
-	if len(l.queue) >= l.ep.opts.QueueDepth {
-		l.queue = l.queue[1:]
-		l.state.Drops++
-		l.mDrops.Inc()
-	}
 	l.queue = append(l.queue, frame)
+	l.dropOldest()
 	l.mu.Unlock()
 	select {
 	case l.notify <- struct{}{}:
@@ -164,25 +189,27 @@ func (l *peerLink) enqueue(frame []byte) {
 	}
 }
 
-// requeueFront puts a frame whose write failed back at the head of the
-// queue so the redialed connection retries it instead of losing it.
-func (l *peerLink) requeueFront(frame []byte) {
-	l.mu.Lock()
-	if !l.closed && len(l.queue) < l.ep.opts.QueueDepth {
-		l.queue = append([][]byte{frame}, l.queue...)
+// dropOldest cuts the queue back to its bound from the front, releasing
+// the dropped frames. The caller holds l.mu.
+func (l *peerLink) dropOldest() {
+	if over := len(l.queue) - l.ep.opts.QueueDepth; over > 0 {
+		clear(l.queue[:over])
+		l.queue = l.queue[over:]
+		l.state.Drops += uint64(over)
+		l.mDrops.Add(uint64(over))
 	}
-	l.mu.Unlock()
 }
 
-func (l *peerLink) dequeue() ([]byte, bool) {
+// requeue puts the frames of a batch whose write failed back in front
+// of everything queued since, in order, so the redialed connection
+// retries them instead of losing them.
+func (l *peerLink) requeue(unwritten [][]byte) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.queue) == 0 {
-		return nil, false
+	if !l.closed {
+		l.queue = append(unwritten, l.queue...)
+		l.dropOldest()
 	}
-	f := l.queue[0]
-	l.queue = l.queue[1:]
-	return f, true
+	l.mu.Unlock()
 }
 
 func (l *peerLink) snapshot() PeerState {
@@ -198,24 +225,26 @@ func (l *peerLink) snapshot() PeerState {
 func (l *peerLink) run() {
 	defer l.ep.wg.Done()
 	backoff := l.ep.opts.BackoffMin
+	// One stoppable timer (created stopped) serves every redial pause:
+	// an abandoned time.After would outlive Close by up to BackoffMax.
+	pause := time.NewTimer(time.Hour)
+	defer pause.Stop()
+	pause.Stop()
 	for {
-		conn, ok := l.connect(&backoff)
+		conn, ok := l.connect(&backoff, pause)
 		if !ok {
 			return // endpoint closed
 		}
 		l.drain(conn)
 		// drain only returns on write error or shutdown; drop the
-		// broken connection and loop to redial.
-		l.ep.dropConn(l.id, conn)
-		if l.isClosed() {
-			return
-		}
+		// broken connection (its read loop untracks it) and redial.
+		_ = conn.Close()
 	}
 }
 
 // connect establishes (or reuses) the outbound connection, sleeping
 // with exponential backoff plus jitter between failed attempts.
-func (l *peerLink) connect(backoff *time.Duration) (*tcpConn, bool) {
+func (l *peerLink) connect(backoff *time.Duration, pause *time.Timer) (*tcpConn, bool) {
 	for {
 		if l.isClosed() {
 			return nil, false
@@ -228,8 +257,8 @@ func (l *peerLink) connect(backoff *time.Duration) (*tcpConn, bool) {
 			if tc, ok := raw.(*net.TCPConn); ok {
 				_ = tc.SetNoDelay(true)
 			}
-			c := &tcpConn{Conn: raw}
-			if !l.ep.registerConn(l.id, c) {
+			c := &tcpConn{Conn: raw, met: &l.ep.met}
+			if !l.ep.serve(c, false) {
 				_ = raw.Close()
 				return nil, false
 			}
@@ -248,8 +277,9 @@ func (l *peerLink) connect(backoff *time.Duration) (*tcpConn, bool) {
 		if *backoff *= 2; *backoff > l.ep.opts.BackoffMax {
 			*backoff = l.ep.opts.BackoffMax
 		}
+		pause.Reset(sleep) // stopped or expired, and drained, whenever we get here
 		select {
-		case <-time.After(sleep):
+		case <-pause.C:
 		case <-l.ep.done:
 			return nil, false
 		}
@@ -257,7 +287,11 @@ func (l *peerLink) connect(backoff *time.Duration) (*tcpConn, bool) {
 }
 
 // drain writes queued frames to conn, heartbeating when idle. It
-// returns when a write fails or the endpoint shuts down.
+// returns when a write fails or the endpoint shuts down. Each wake-up
+// swaps the whole queue out and writes it with one call, so the lock,
+// the syscall and the idle-timer reset are per batch, not per frame
+// (and a link holds up to QueueDepth frames queued plus as many in
+// flight).
 //
 // The first frame on a freshly dialed connection is the ID-announcing
 // heartbeat frame: the peer can answer a node without a listen address
@@ -275,9 +309,15 @@ func (l *peerLink) drain(conn *tcpConn) {
 	}
 	idle := time.NewTimer(l.ep.opts.HeartbeatInterval)
 	defer idle.Stop()
+	var spare [][]byte
+	var iov, bufs net.Buffers // bufs escapes into the write: hoisted, once per connection
 	for {
-		frame, ok := l.dequeue()
-		if !ok {
+		l.mu.Lock()
+		batch := l.queue
+		l.queue = spare
+		l.mu.Unlock()
+		if len(batch) == 0 {
+			spare = batch
 			select {
 			case <-l.notify:
 				continue
@@ -292,10 +332,18 @@ func (l *peerLink) drain(conn *tcpConn) {
 				return
 			}
 		}
-		if err := conn.writeFrame(frame); err != nil {
-			l.requeueFront(frame)
+		// Writing consumes its vector, so it gets a copy: the frame cut
+		// short by an error must be retried from its first byte.
+		iov = append(iov[:0], batch...)
+		bufs = iov
+		if err := conn.writeFrames(&bufs); err != nil {
+			written := len(batch) - len(bufs)
+			clear(batch[:written])
+			l.requeue(batch[written:])
 			return
 		}
+		clear(batch)
+		spare = batch[:0]
 		if !idle.Stop() {
 			select {
 			case <-idle.C:
@@ -339,19 +387,36 @@ type TCPEndpoint struct {
 	heartbeat []byte // prebuilt empty frame announcing our ID
 	done      chan struct{}
 
-	mu      sync.Mutex
-	links   map[uint32]*peerLink
-	conns   map[uint32]*tcpConn
-	inbound map[net.Conn]*tcpConn
+	// The data path takes no endpoint lock: a send resolves its
+	// destination in the current routing snapshot, a received frame its
+	// handler, with one atomic load each.
+	routes  atomic.Pointer[tcpRoutes]
+	handler atomic.Pointer[Handler]
+
+	mu    sync.Mutex // serializes the mutators below; each republishes routes
+	links map[uint32]*peerLink
+	open  map[*tcpConn]struct{} // every live connection, dialed or accepted
 	// replyPath maps node IDs to the inbound connection their frames
 	// last arrived on, providing a return channel to clients that
 	// have no listener of their own registered here.
 	replyPath map[uint32]*tcpConn
-	handler   Handler
 	closed    bool
 	wg        sync.WaitGroup
 
 	met tcpMetrics
+}
+
+// tcpRoutes is one immutable snapshot of links, replyPath and closed.
+type tcpRoutes struct {
+	links     map[uint32]*peerLink
+	replyPath map[uint32]*tcpConn
+	closed    bool
+}
+
+// publish replaces the routing snapshot with a copy of the maps as they
+// are now (per dial or close, never per frame). The caller holds ep.mu.
+func (ep *TCPEndpoint) publish() {
+	ep.routes.Store(&tcpRoutes{links: maps.Clone(ep.links), replyPath: maps.Clone(ep.replyPath), closed: ep.closed})
 }
 
 // tcpMetrics holds the endpoint-wide metric handles (all nil-safe;
@@ -363,6 +428,8 @@ type tcpMetrics struct {
 	sentBytes     *telemetry.Counter
 	recvFrames    *telemetry.Counter
 	recvBytes     *telemetry.Counter
+	writes        *telemetry.Counter
+	reads         *telemetry.Counter
 	heartbeats    *telemetry.Counter
 	savedMarshals *telemetry.Counter
 }
@@ -377,6 +444,8 @@ func newTCPMetrics(tel *telemetry.Telemetry) tcpMetrics {
 		sentBytes:     tel.Counter("hybster_transport_sent_bytes_total", "framed bytes queued or written outbound"),
 		recvFrames:    tel.Counter("hybster_transport_recv_frames_total", "frames read inbound (including heartbeats)"),
 		recvBytes:     tel.Counter("hybster_transport_recv_bytes_total", "framed bytes read inbound"),
+		writes:        tel.Counter("hybster_transport_writes_total", "write calls on sockets, links and reply paths alike (sent_frames / writes = frames per call)"),
+		reads:         tel.Counter("hybster_transport_reads_total", "read calls on sockets (recv_frames / reads = frames per call)"),
 		heartbeats:    tel.Counter("hybster_transport_heartbeats_total", "heartbeat frames written on idle links"),
 		savedMarshals: tel.Counter("hybster_transport_multicast_saved_marshals_total", "per-destination marshals avoided by marshal-once multicast"),
 	}
@@ -406,11 +475,11 @@ func NewTCPWithOptions(id uint32, listenAddr string, peers map[uint32]string, op
 		heartbeat: hb,
 		done:      make(chan struct{}),
 		links:     make(map[uint32]*peerLink),
-		conns:     make(map[uint32]*tcpConn),
-		inbound:   make(map[net.Conn]*tcpConn),
+		open:      make(map[*tcpConn]struct{}),
 		replyPath: make(map[uint32]*tcpConn),
 		met:       newTCPMetrics(opts.Telemetry),
 	}
+	ep.routes.Store(&tcpRoutes{})
 	for pid, addr := range peers {
 		ep.AddPeer(pid, addr)
 	}
@@ -448,6 +517,7 @@ func (ep *TCPEndpoint) AddPeer(id uint32, addr string) {
 			func() float64 { return float64(l.snapshot().Queued) }, peer)
 	}
 	ep.links[id] = l
+	ep.publish()
 	ep.wg.Add(1)
 	go l.run()
 }
@@ -467,11 +537,7 @@ func (ep *TCPEndpoint) PeerState(id uint32) (PeerState, bool) {
 func (ep *TCPEndpoint) ID() uint32 { return ep.id }
 
 // Handle implements Endpoint.
-func (ep *TCPEndpoint) Handle(h Handler) {
-	ep.mu.Lock()
-	ep.handler = h
-	ep.mu.Unlock()
-}
+func (ep *TCPEndpoint) Handle(h Handler) { ep.handler.Store(&h) }
 
 // Send implements Endpoint. For configured peers the frame is queued
 // on the peer's self-healing link and the call returns immediately;
@@ -484,36 +550,33 @@ func (ep *TCPEndpoint) Send(to uint32, m message.Message) error {
 }
 
 // buildFrame marshals m into an owned, immutable wire frame:
-// [len u32 = 4+payload][sender u32][payload].
+// [len u32 = 4+payload][sender u32][payload], one allocation.
 func (ep *TCPEndpoint) buildFrame(m message.Message) []byte {
-	payload := message.Marshal(m)
-	frame := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(4+len(payload)))
+	frame := message.MarshalHeadroom(m, 8)
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(frame)-4))
 	binary.BigEndian.PutUint32(frame[4:8], ep.id)
-	copy(frame[8:], payload)
 	return frame
 }
 
 // sendFrame queues or writes one prebuilt frame to a destination. The
 // frame is immutable and may be shared between destinations.
 func (ep *TCPEndpoint) sendFrame(to uint32, frame []byte) error {
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
+	rt := ep.routes.Load()
+	if rt.closed {
 		return ErrClosed
 	}
 	ep.met.sentFrames.Inc()
 	ep.met.sentBytes.Add(uint64(len(frame)))
-	if l, ok := ep.links[to]; ok {
-		ep.mu.Unlock()
+	if l := rt.links[to]; l != nil {
 		l.enqueue(frame)
 		return nil
 	}
-	rp, ok := ep.replyPath[to]
-	ep.mu.Unlock()
-	if !ok {
+	rp := rt.replyPath[to]
+	if rp == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, to)
 	}
+	// One direct write per reply: with one request outstanding per
+	// client connection a queue would batch nothing and add a hop.
 	if err := rp.writeFrame(frame); err != nil {
 		// Evict the dead reply-path connection immediately: later
 		// replies must not keep hitting it until the read loop notices.
@@ -545,38 +608,24 @@ func (ep *TCPEndpoint) evictReplyPath(to uint32, c *tcpConn) {
 	ep.mu.Lock()
 	if ep.replyPath[to] == c {
 		delete(ep.replyPath, to)
+		ep.publish()
 	}
 	ep.mu.Unlock()
 	_ = c.Close()
 }
 
-// registerConn installs a freshly dialed outbound connection and
-// starts its read loop. It returns false when the endpoint is closed.
-func (ep *TCPEndpoint) registerConn(to uint32, c *tcpConn) bool {
+// serve tracks a dialed or accepted connection and starts its read
+// loop. It returns false when the endpoint is closed.
+func (ep *TCPEndpoint) serve(c *tcpConn, isInbound bool) bool {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.closed {
 		return false
 	}
-	if old, ok := ep.conns[to]; ok && old != c {
-		_ = old.Close()
-	}
-	ep.conns[to] = c
+	ep.open[c] = struct{}{}
 	ep.wg.Add(1)
-	go ep.readLoop(c, false)
+	go ep.readLoop(c, isInbound)
 	return true
-}
-
-func (ep *TCPEndpoint) dropConn(to uint32, c *tcpConn) {
-	if c == nil {
-		return
-	}
-	ep.mu.Lock()
-	if ep.conns[to] == c {
-		delete(ep.conns, to)
-	}
-	ep.mu.Unlock()
-	_ = c.Close()
 }
 
 func (ep *TCPEndpoint) acceptLoop() {
@@ -586,92 +635,97 @@ func (ep *TCPEndpoint) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		c := &tcpConn{Conn: raw}
-		ep.mu.Lock()
-		if ep.closed {
-			ep.mu.Unlock()
+		if !ep.serve(&tcpConn{Conn: raw, met: &ep.met}, true) {
 			_ = raw.Close()
 			return
 		}
-		ep.inbound[raw] = c
-		ep.mu.Unlock()
-		ep.wg.Add(1)
-		go ep.readLoop(c, true)
 	}
 }
 
-// readLoop consumes frames from one connection. Inbound connections
-// additionally register as the reply path of the sending node and
-// carry an idle read deadline: peers heartbeat when idle, so silence
-// beyond the deadline means the peer is dead and the connection is
-// dropped.
+// readLoop consumes frames from one connection through a fixed-size
+// buffered reader: one read call takes in every frame the socket holds,
+// and a frame that fits the buffer is decoded where it lies — Unmarshal
+// deep-copies every variable-length field (the codec's clone-on-decode
+// rule), so no message aliases bytes the next read overwrites. Inbound
+// connections additionally register as the reply path of the sending
+// node and carry an idle read deadline: peers heartbeat when idle, so
+// silence beyond the deadline means the peer is dead and the connection
+// is dropped.
 func (ep *TCPEndpoint) readLoop(c *tcpConn, isInbound bool) {
 	defer ep.wg.Done()
 	defer func() {
 		ep.mu.Lock()
-		delete(ep.inbound, c.Conn)
-		for id, rp := range ep.replyPath {
-			if rp == c {
-				delete(ep.replyPath, id)
-			}
-		}
-		for id, oc := range ep.conns {
-			if oc == c {
-				delete(ep.conns, id)
-			}
-		}
+		delete(ep.open, c)
+		maps.DeleteFunc(ep.replyPath, func(_ uint32, rp *tcpConn) bool { return rp == c })
+		ep.publish()
 		ep.mu.Unlock()
 		_ = c.Close()
 	}()
-	var lenBuf [4]byte
+	br := bufio.NewReaderSize(c, connReadBuf)
+	idle := ep.opts.ReadIdleTimeout
+	var armed time.Time // when the read deadline was last pushed out
 	registered := false
 	for {
-		if isInbound && ep.opts.ReadIdleTimeout > 0 {
-			_ = c.SetReadDeadline(time.Now().Add(ep.opts.ReadIdleTimeout))
+		// Pushing the deadline out is a timer operation under the fd
+		// lock, so it happens every idle/4 at most, not per frame: a
+		// connection gone silent is closed ¾ to 1 × ReadIdleTimeout later.
+		if isInbound && time.Since(armed) >= idle/4 {
+			armed = time.Now()
+			_ = c.SetReadDeadline(armed.Add(idle))
 		}
-		if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
+		hdr, err := br.Peek(4)
+		if err != nil {
 			return
 		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
+		n := int(binary.BigEndian.Uint32(hdr))
 		if n < 4 || n > maxFrameSize {
 			return // corrupt stream
 		}
-		body := getReadBuf(int(n))
-		if _, err := io.ReadFull(c, body); err != nil {
-			putReadBuf(body)
-			return
+		// body is [sender u32][payload]: in place when the frame fits
+		// the connection buffer, else (big PREPARE batches, state
+		// transfer) in a rented one.
+		var body, rented []byte
+		if 4+n <= connReadBuf {
+			if body, err = br.Peek(4 + n); err != nil {
+				return
+			}
+			body = body[4:]
+		} else {
+			_, _ = br.Discard(4)
+			rented = getReadBuf(n)
+			if _, err := io.ReadFull(br, rented); err != nil {
+				putReadBuf(rented)
+				return
+			}
+			body = rented
 		}
 		ep.met.recvFrames.Inc()
 		ep.met.recvBytes.Add(uint64(4 + n))
 		from := binary.BigEndian.Uint32(body[0:4])
+		var m message.Message
+		if n > 4 { // n == 4 is a heartbeat frame: ID only, no payload
+			m, err = message.Unmarshal(body[4:])
+		}
+		if rented != nil {
+			putReadBuf(rented)
+		} else {
+			_, _ = br.Discard(4 + n)
+		}
 		if isInbound && !registered {
 			ep.mu.Lock()
 			ep.replyPath[from] = c
+			ep.publish()
 			ep.mu.Unlock()
 			registered = true
 		}
-		if n == 4 {
-			putReadBuf(body)
-			continue // heartbeat frame: ID only, no payload
+		if m == nil || err != nil {
+			continue // heartbeat, or a malformed message: drop it, keep the stream
 		}
-		// Unmarshal deep-copies every variable-length field out of the
-		// buffer (the codec's clone-on-decode rule), so the pooled
-		// buffer can be recycled as soon as decoding returns without
-		// the decoded message aliasing it.
-		m, err := message.Unmarshal(body[4:])
-		putReadBuf(body)
-		if err != nil {
-			continue // drop malformed message, keep the stream
-		}
-		ep.mu.Lock()
-		h := ep.handler
-		closed := ep.closed
-		ep.mu.Unlock()
-		if closed {
+		if ep.routes.Load().closed {
 			return
 		}
-		if h != nil {
-			h(from, m)
+		if h := ep.handler.Load(); h != nil {
+			(*h)(from, m)
 		}
 	}
 }
@@ -684,17 +738,9 @@ func (ep *TCPEndpoint) Close() error {
 		return nil
 	}
 	ep.closed = true
-	links := ep.links
-	all := make([]*tcpConn, 0, len(ep.conns)+len(ep.inbound))
-	for _, c := range ep.conns {
-		all = append(all, c)
-	}
-	for _, c := range ep.inbound {
-		all = append(all, c)
-	}
-	ep.links = make(map[uint32]*peerLink)
-	ep.conns = make(map[uint32]*tcpConn)
-	ep.inbound = make(map[net.Conn]*tcpConn)
+	links, open := ep.links, ep.open
+	ep.links, ep.open = map[uint32]*peerLink{}, map[*tcpConn]struct{}{}
+	ep.publish()
 	ep.mu.Unlock()
 
 	close(ep.done)
@@ -702,7 +748,7 @@ func (ep *TCPEndpoint) Close() error {
 		l.close()
 	}
 	err := ep.listener.Close()
-	for _, c := range all {
+	for c := range open {
 		_ = c.Close()
 	}
 	ep.wg.Wait()
