@@ -60,7 +60,8 @@ bench-smoke:
 # Hot-path benchmark suite: alloc/latency profile of cached digests,
 # marshal-once multicast, mailboxes, the memnet send→handler path, the
 # TCP request/reply stream over loopback sockets (frames per write and
-# read), the client's Invoke wait path and the full
+# read), a replica's inbound route (authenticator check and mailbox
+# hand-off), the client's Invoke wait path and the full
 # prepare→commit→exec path.
 # Writes BENCH_hotpath.txt (standard go-test bench output); CI uploads
 # it as an artifact. Tune iteration time with HOTPATH_BENCHTIME.
@@ -69,7 +70,7 @@ HOTPATH_BENCHTIME ?= 0.3s
 bench-hotpath:
 	$(GO) test -run '^$$' -bench 'BenchmarkHotPath' -benchmem \
 		-benchtime $(HOTPATH_BENCHTIME) \
-		./internal/message/ ./internal/cop/ ./internal/transport/ ./internal/client/ ./internal/reply/ ./internal/cluster/ \
+		./internal/message/ ./internal/cop/ ./internal/transport/ ./internal/engine/ ./internal/client/ ./internal/reply/ ./internal/cluster/ \
 		| tee BENCH_hotpath.txt
 
 # The repository benchmark (BENCHMARK.json): five workloads end to end

@@ -5,6 +5,7 @@ import (
 	"os"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -553,10 +554,38 @@ func (r *run) settle(target timeline.Order) error {
 		}
 	}
 	if int(r.healCommits.Load()) < r.opts.MinPostHealCommits {
-		return fmt.Errorf("chaos: liveness violated: only %d/%d commits within %v after heal",
-			r.healCommits.Load(), r.opts.MinPostHealCommits, r.opts.SettleTimeout)
+		return fmt.Errorf("chaos: liveness violated: only %d/%d commits within %v after heal; %s",
+			r.healCommits.Load(), r.opts.MinPostHealCommits, r.opts.SettleTimeout, r.standings())
 	}
-	return fmt.Errorf("chaos: catch-up failed: %s within %v after heal", r.lagReport(target), r.opts.SettleTimeout)
+	return fmt.Errorf("chaos: catch-up failed: not every replica executed order %d within %v after heal; %s",
+		target, r.opts.SettleTimeout, r.standings())
+}
+
+// standings says where every replica stands, one clause each — `r1
+// view=0 exec=212 readyz="core: no execution progress for 1m4s"`, `r1
+// down` or `r1 zombie` — so a failed settle tells a group stuck in a
+// view change from one that orders but lost a member.
+func (r *run) standings() string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b := make([]string, r.cfg.N)
+	for i := range b {
+		id := uint32(i)
+		switch rep := r.cl.Replica(id); {
+		case r.cl.Zombie(id):
+			b[i] = fmt.Sprintf("r%d zombie", id)
+		case rep == nil:
+			b[i] = fmt.Sprintf("r%d down", id)
+		default:
+			// Every engine has these through its engine.Host.
+			e := rep.(interface {
+				View() timeline.View
+				Readyz() error
+			})
+			b[i] = fmt.Sprintf("r%d view=%d exec=%d readyz=%q", id, e.View(), rep.LastExecuted(), fmt.Sprint(e.Readyz()))
+		}
+	}
+	return strings.Join(b, ", ")
 }
 
 // caughtUp reports whether every catch-up-eligible replica executed
@@ -565,7 +594,10 @@ func (r *run) caughtUp(target timeline.Order) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for id := uint32(0); int(id) < r.cfg.N; id++ {
-		if r.exemptLocked(id) {
+		// Zombies are permanently down by design (their rejoin was
+		// refused); demanding catch-up from them would fail every durable
+		// run. MinBFT is exempt as a whole (see settle).
+		if r.cfg.Protocol == config.MinBFT || r.cl.Zombie(id) {
 			continue
 		}
 		rep := r.cl.Replica(id)
@@ -574,33 +606,6 @@ func (r *run) caughtUp(target timeline.Order) bool {
 		}
 	}
 	return true
-}
-
-func (r *run) exemptLocked(id uint32) bool {
-	// Zombies are permanently down by design (their rejoin was refused);
-	// demanding catch-up from them would fail every durable run.
-	return r.cfg.Protocol == config.MinBFT || r.cl.Zombie(id)
-}
-
-func (r *run) lagReport(target timeline.Order) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var b []string
-	for id := uint32(0); int(id) < r.cfg.N; id++ {
-		if r.exemptLocked(id) {
-			continue
-		}
-		rep := r.cl.Replica(id)
-		if rep == nil {
-			b = append(b, fmt.Sprintf("r%d down", id))
-		} else if got := rep.LastExecuted(); got < target {
-			b = append(b, fmt.Sprintf("r%d at %d < %d", id, got, target))
-		}
-	}
-	if len(b) == 0 {
-		return "no lagging replica"
-	}
-	return fmt.Sprintf("lagging: %v", b)
 }
 
 func (r *run) maxExecutedLocked() timeline.Order {

@@ -2,9 +2,11 @@ package chaos
 
 import (
 	"reflect"
+	"regexp"
 	"testing"
 	"time"
 
+	"hybster/internal/cluster"
 	"hybster/internal/config"
 	"hybster/internal/transport"
 )
@@ -96,14 +98,14 @@ func TestChaosTelemetryAssertsRetransmits(t *testing.T) {
 }
 
 // TestChaosCorruptionDrivesVerifyRejections runs a corruption-heavy
-// plan and asserts on the parallel verification stage: flipped bytes
+// plan and asserts on the inbound authenticator check: flipped bytes
 // that land in a client authenticator produce frames that still parse
-// but fail MAC verification, and those must be rejected by the
-// off-pillar verify pool (hybster_verify_rejected_total) before they
+// but fail MAC verification, and those must be rejected by the Host's
+// route (hybster_verify_rejected_total) before they
 // reach a pillar mailbox — with the cluster still committing, since
 // rejection must never cost liveness. Safety is checked by the
 // harness's history comparison: had a corrupted request slipped past
-// the stage into ordering, replica states would diverge.
+// the check into ordering, replica states would diverge.
 func TestChaosCorruptionDrivesVerifyRejections(t *testing.T) {
 	plan := Plan{
 		Seed:    101,
@@ -222,5 +224,36 @@ func TestChaosClientLinksUntouched(t *testing.T) {
 		if f := inj.Decide(0, 99, seq); f != (transport.Fault{}) {
 			t.Fatalf("reply link faulted: %+v", f)
 		}
+	}
+}
+
+// TestSettleSaysWhereEachReplicaStands drives settle against a group
+// whose quorum is crashed: no probe can commit, and the liveness error
+// must say, replica by replica, what the survivor sees and who is down.
+func TestSettleSaysWhereEachReplicaStands(t *testing.T) {
+	r := &run{
+		opts:        Options{SettleTimeout: 1500 * time.Millisecond, MinPostHealCommits: 1}.withDefaults(),
+		cfg:         configFor(config.HybsterX),
+		reg:         newHistoryRegistry(),
+		incarnation: make(map[uint32]int),
+	}
+	cl, err := cluster.New(cluster.Options{Config: r.cfg, Seed: 1}, r.factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	r.cl = cl
+	cl.Crash(1)
+	cl.Crash(2)
+
+	err = r.settle(0)
+	if err == nil {
+		t.Fatal("settle succeeded with a crashed quorum")
+	}
+	// The survivor holds the probe's request for longer than twice the
+	// view-change timeout, so its readiness probe names the stall.
+	want := regexp.MustCompile(`liveness violated: only 0/1 commits .*; r0 view=\d+ exec=0 readyz="core: no execution progress for [^"]+", r1 down, r2 down$`)
+	if !want.MatchString(err.Error()) {
+		t.Fatalf("settle error %q does not match %s", err, want)
 	}
 }

@@ -15,15 +15,15 @@ import (
 	"hybster/internal/trinx"
 )
 
-// These tests target the off-pillar verification stage: requests and
+// These tests target the off-pillar authenticator check: requests and
 // prepares whose client authenticators are corrupted must be rejected
-// by the parallel verify pool *before* they reach a pillar mailbox.
+// on the inbound route *before* they reach a pillar mailbox.
 // Two observables pin that down:
 //
 //  1. hybster_verify_rejected_total rises on the correct replicas —
-//     the rejection happened in the verify stage, not on a pillar.
+//     the rejection happened on the inbound route, not on a pillar.
 //  2. The replicated counter stays exact. Every corrupted request
-//     carries payload {1}; had even one slipped past the stage into
+//     carries payload {1}; had even one slipped past the check into
 //     ordering and execution, the counter would be off by one and
 //     expectProgress would fail on the next legit op.
 
@@ -68,7 +68,7 @@ func TestCorruptedAuthenticatorsRejectedOffPillar(t *testing.T) {
 		transport.Multicast(attacker, 3, corruptedRequest(uint64(i+1)))
 	}
 	// ...and corrupted-auth requests smuggled inside PREPAREs, which
-	// the engines detour through the verify pool before the pillar ever
+	// the engines check on the inbound route before the pillar ever
 	// sees them.
 	for o := timeline.Order(1); o <= 8; o++ {
 		prep := &message.Prepare{
@@ -130,7 +130,7 @@ func TestCorruptedAuthenticatorsRejectedMinBFT(t *testing.T) {
 }
 
 // TestVerifyStageCountsLegitTraffic closes the loop on the happy path:
-// legit client load must flow through the parallel stage (verified
+// legit client load must pass the inbound check (verified
 // counter rises) and nothing may be rejected in a fault-free cluster.
 func TestVerifyStageCountsLegitTraffic(t *testing.T) {
 	cfg := config.Default(config.HybsterS)

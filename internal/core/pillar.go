@@ -3,7 +3,6 @@ package core
 import (
 	"hybster/internal/engine"
 	"hybster/internal/message"
-	"hybster/internal/order"
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
@@ -66,7 +65,7 @@ type pillar struct {
 
 	view    timeline.View
 	aborted bool
-	win     *order.Window
+	win     *window
 
 	// cursor is the next class order this pillar will certify; the
 	// trusted counter forces ascending certification within the
@@ -88,7 +87,7 @@ func newPillar(e *Engine, idx uint32, tx Certifier) *pillar {
 		idx:          idx,
 		tx:           tx,
 		met:          e.Met.Ordering(engine.PillarLabel(idx)),
-		win:          order.NewWindow(e.Cfg.WindowSize, e.Cfg.Quorum()),
+		win:          newWindow(e.Cfg.WindowSize, e.Cfg.Quorum()),
 		pendingProps: make(map[timeline.Order]engine.Propose),
 		pendingPreps: make(map[timeline.Order]*message.Prepare),
 		ownMsg:       make(map[timeline.Order]message.Message),
@@ -141,7 +140,7 @@ func (p *pillar) handleMessage(in engine.InMsg) {
 }
 
 // handlePrepare processes a leader proposal for one of this pillar's
-// instances. authVerified reports that the parallel verify stage has
+// instances. authVerified reports that the Host's inbound route has
 // already checked the batch's client authenticators.
 func (p *pillar) handlePrepare(from uint32, m *message.Prepare, authVerified bool) {
 	if m.View != p.view || p.aborted {
@@ -271,7 +270,7 @@ func (p *pillar) sendCommit(m *message.Prepare) {
 
 // maybeDeliver forwards a freshly committed instance to the execution
 // stage and returns flow-control credit for own proposals.
-func (p *pillar) maybeDeliver(s *order.Slot) {
+func (p *pillar) maybeDeliver(s *slot) {
 	if s == nil || !s.Committed || s.Executed {
 		return
 	}

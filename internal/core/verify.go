@@ -30,9 +30,10 @@ var (
 // counter certificate with the predefined value [view|order] issued by
 // the TrInX instance of the responsible pillar, and every request in
 // the batch must carry a valid client authenticator. authVerified
-// skips the (parallelizable) client-authenticator loop for batches the
-// verify stage already cleared; the structural and certificate checks
-// always run on the pillar.
+// skips the client-authenticator loop for batches the Host's inbound
+// route already cleared on the sender's link; NEW-VIEW re-proposals and
+// directly enqueued events arrive unchecked. The structural and
+// certificate checks always run on the pillar.
 func (e *Engine) verifyPrepare(tx Certifier, m *message.Prepare, from uint32, authVerified bool) error {
 	proposer := e.Cfg.ProposerOf(m.View, m.Order)
 	if from != proposer {

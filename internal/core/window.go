@@ -1,15 +1,16 @@
-// Package order implements the ordering window of a pillar: the log of
-// ongoing consensus instances between the low and high water marks
-// (§5.2.2, "Strict Ordering Window"). Each slot accumulates the PREPARE
-// and COMMIT messages of one instance until a committed certificate —
-// a quorum of acknowledgments including the leader's PREPARE — is
-// complete. Advancing a stable checkpoint slides the window and garbage
-// collects older slots, which bounds memory; Hybster adheres to this
-// window even during view changes.
+// The ordering window of a pillar: the log of ongoing consensus
+// instances between the low and high water marks (§5.2.2, "Strict
+// Ordering Window"). Each slot accumulates the PREPARE and COMMIT
+// messages of one instance until a committed certificate — a quorum of
+// acknowledgments including the leader's PREPARE — is complete.
+// Advancing a stable checkpoint slides the window and garbage collects
+// older slots, which bounds memory; Hybster adheres to this window even
+// during view changes.
 //
-// A Window is confined to a single pillar goroutine and therefore
+// A window is confined to a single pillar goroutine and therefore
 // performs no locking.
-package order
+
+package core
 
 import (
 	"fmt"
@@ -19,8 +20,8 @@ import (
 	"hybster/internal/timeline"
 )
 
-// Slot tracks one consensus instance within the window.
-type Slot struct {
+// slot tracks one consensus instance within the window.
+type slot struct {
 	// Order is the instance's order number.
 	Order timeline.Order
 	// View is the view the slot's messages belong to. Messages from
@@ -40,17 +41,17 @@ type Slot struct {
 }
 
 // Acks returns the number of distinct acknowledgments collected.
-func (s *Slot) Acks() int { return len(s.acks) }
+func (s *slot) Acks() int { return len(s.acks) }
 
 // AddOwnAck records the local replica's acknowledgment (its COMMIT)
-// directly, without a message. Callers follow up with Window.Refresh.
-func (s *Slot) AddOwnAck(r uint32) { s.acks[r] = true }
+// directly, without a message. Callers follow up with window.Refresh.
+func (s *slot) AddOwnAck(r uint32) { s.acks[r] = true }
 
 // HasAck reports whether replica r acknowledged the instance.
-func (s *Slot) HasAck(r uint32) bool { return s.acks[r] }
+func (s *slot) HasAck(r uint32) bool { return s.acks[r] }
 
 // reset clears per-view state when the slot transitions to a new view.
-func (s *Slot) reset(v timeline.View) {
+func (s *slot) reset(v timeline.View) {
 	s.View = v
 	s.Prepare = nil
 	s.BatchDigest = crypto.Digest{}
@@ -59,33 +60,33 @@ func (s *Slot) reset(v timeline.View) {
 	// Executed survives: execution is permanent across views.
 }
 
-// Window is the sliding ordering window of one pillar.
-type Window struct {
+// window is the sliding ordering window of one pillar.
+type window struct {
 	low    timeline.Order // last stable checkpoint; instances <= low are done
 	size   timeline.Order // high water mark = low + size
 	quorum int
-	slots  map[timeline.Order]*Slot
+	slots  map[timeline.Order]*slot
 }
 
-// NewWindow creates a window of the given span and quorum size
+// newWindow creates a window of the given span and quorum size
 // starting at low water mark 0.
-func NewWindow(size timeline.Order, quorum int) *Window {
+func newWindow(size timeline.Order, quorum int) *window {
 	if size == 0 || quorum < 1 {
-		panic(fmt.Sprintf("order: invalid window size=%d quorum=%d", size, quorum))
+		panic(fmt.Sprintf("core: invalid window size=%d quorum=%d", size, quorum))
 	}
-	return &Window{size: size, quorum: quorum, slots: make(map[timeline.Order]*Slot)}
+	return &window{size: size, quorum: quorum, slots: make(map[timeline.Order]*slot)}
 }
 
 // Low returns the low water mark (the last stable checkpoint order).
-func (w *Window) Low() timeline.Order { return w.low }
+func (w *window) Low() timeline.Order { return w.low }
 
 // High returns the high water mark; replicas do not participate in
 // instances above it.
-func (w *Window) High() timeline.Order { return w.low + w.size }
+func (w *window) High() timeline.Order { return w.low + w.size }
 
 // InWindow reports whether order o lies inside the active window
 // (low, high].
-func (w *Window) InWindow(o timeline.Order) bool {
+func (w *window) InWindow(o timeline.Order) bool {
 	return o > w.low && o <= w.High()
 }
 
@@ -94,13 +95,13 @@ func (w *Window) InWindow(o timeline.Order) bool {
 // reset for v (messages of aborted views are obsolete; re-proposals in
 // the new view replace them). Accessing a slot with an older view than
 // recorded returns nil — the caller's message is stale.
-func (w *Window) Slot(o timeline.Order, v timeline.View) *Slot {
+func (w *window) Slot(o timeline.Order, v timeline.View) *slot {
 	if !w.InWindow(o) {
 		return nil
 	}
 	s, ok := w.slots[o]
 	if !ok {
-		s = &Slot{Order: o, View: v, acks: make(map[uint32]bool)}
+		s = &slot{Order: o, View: v, acks: make(map[uint32]bool)}
 		w.slots[o] = s
 		return s
 	}
@@ -115,12 +116,12 @@ func (w *Window) Slot(o timeline.Order, v timeline.View) *Slot {
 
 // Existing returns the slot of o if present, without creating or
 // resetting it.
-func (w *Window) Existing(o timeline.Order) *Slot { return w.slots[o] }
+func (w *window) Existing(o timeline.Order) *slot { return w.slots[o] }
 
 // SetPrepare records the proposal for its instance. It returns the slot
 // or nil if the message is outside the window or stale. The caller has
 // already verified the certificate.
-func (w *Window) SetPrepare(p *message.Prepare) *Slot {
+func (w *window) SetPrepare(p *message.Prepare) *slot {
 	s := w.Slot(p.Order, p.View)
 	if s == nil || s.Prepare != nil {
 		return s
@@ -136,7 +137,7 @@ func (w *Window) SetPrepare(p *message.Prepare) *Slot {
 // AddCommit records a follower acknowledgment. It returns the slot or
 // nil if the commit is outside the window, stale, or inconsistent with
 // the prepared batch.
-func (w *Window) AddCommit(c *message.Commit) *Slot {
+func (w *window) AddCommit(c *message.Commit) *slot {
 	s := w.Slot(c.Order, c.View)
 	if s == nil {
 		return nil
@@ -153,10 +154,10 @@ func (w *Window) AddCommit(c *message.Commit) *Slot {
 
 // Refresh recomputes the committed flag after out-of-band ack changes
 // (AddOwnAck).
-func (w *Window) Refresh(s *Slot) { w.refresh(s) }
+func (w *window) Refresh(s *slot) { w.refresh(s) }
 
 // refresh recomputes the committed flag.
-func (w *Window) refresh(s *Slot) {
+func (w *window) refresh(s *slot) {
 	if !s.Committed && s.Prepare != nil && len(s.acks) >= w.quorum {
 		s.Committed = true
 	}
@@ -165,7 +166,7 @@ func (w *Window) refresh(s *Slot) {
 // Advance slides the window to a new stable checkpoint at order ckpt:
 // the low water mark becomes ckpt and every slot at or below it is
 // discarded (§5.2.2). Advancing backwards is a no-op.
-func (w *Window) Advance(ckpt timeline.Order) {
+func (w *window) Advance(ckpt timeline.Order) {
 	if ckpt <= w.low {
 		return
 	}
@@ -180,7 +181,7 @@ func (w *Window) Advance(ckpt timeline.Order) {
 // Prepares returns the PREPAREs of all instances in the window the
 // replica participated in, ordered by order number — the disclosure a
 // VIEW-CHANGE must carry (§5.2.3).
-func (w *Window) Prepares() []*message.Prepare {
+func (w *window) Prepares() []*message.Prepare {
 	var out []*message.Prepare
 	for o := w.low + 1; o <= w.High(); o++ {
 		if s, ok := w.slots[o]; ok && s.Prepare != nil {
@@ -192,8 +193,8 @@ func (w *Window) Prepares() []*message.Prepare {
 
 // CommittedUnexecuted returns the committed but not yet executed slots
 // in ascending order.
-func (w *Window) CommittedUnexecuted() []*Slot {
-	var out []*Slot
+func (w *window) CommittedUnexecuted() []*slot {
+	var out []*slot
 	for o := w.low + 1; o <= w.High(); o++ {
 		if s, ok := w.slots[o]; ok && s.Committed && !s.Executed {
 			out = append(out, s)
@@ -204,7 +205,7 @@ func (w *Window) CommittedUnexecuted() []*Slot {
 
 // Len returns the number of live slots (diagnostics; memory-bound
 // tests rely on it).
-func (w *Window) Len() int { return len(w.slots) }
+func (w *window) Len() int { return len(w.slots) }
 
 // trinxReplica extracts the proposing replica from the prepare's
 // certificate issuer.

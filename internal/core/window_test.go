@@ -1,4 +1,4 @@
-package order
+package core
 
 import (
 	"testing"
@@ -28,7 +28,7 @@ func commitFor(p *message.Prepare, replica uint32) *message.Commit {
 }
 
 func TestWindowBounds(t *testing.T) {
-	w := NewWindow(100, 2)
+	w := newWindow(100, 2)
 	if w.Low() != 0 || w.High() != 100 {
 		t.Fatalf("low=%d high=%d", w.Low(), w.High())
 	}
@@ -44,7 +44,7 @@ func TestWindowBounds(t *testing.T) {
 }
 
 func TestCommitQuorum(t *testing.T) {
-	w := NewWindow(100, 2) // n=3, q=2
+	w := newWindow(100, 2) // n=3, q=2
 	p := prep(0, 1, 0, "a")
 	s := w.SetPrepare(p)
 	if s == nil || s.Committed {
@@ -60,7 +60,7 @@ func TestCommitQuorum(t *testing.T) {
 }
 
 func TestCommitBeforePrepare(t *testing.T) {
-	w := NewWindow(100, 2)
+	w := newWindow(100, 2)
 	p := prep(0, 5, 0, "a")
 	// Commit arrives first (reordering across links).
 	if s := w.AddCommit(commitFor(p, 1)); s == nil || s.Committed {
@@ -73,7 +73,7 @@ func TestCommitBeforePrepare(t *testing.T) {
 }
 
 func TestConflictingDigestRejected(t *testing.T) {
-	w := NewWindow(100, 2)
+	w := newWindow(100, 2)
 	p := prep(0, 1, 0, "a")
 	w.SetPrepare(p)
 	other := prep(0, 1, 0, "b")
@@ -86,7 +86,7 @@ func TestConflictingDigestRejected(t *testing.T) {
 }
 
 func TestDuplicateAcksCountOnce(t *testing.T) {
-	w := NewWindow(100, 3) // need 3 acks
+	w := newWindow(100, 3) // need 3 acks
 	p := prep(0, 1, 0, "a")
 	w.SetPrepare(p)
 	for i := 0; i < 5; i++ {
@@ -102,7 +102,7 @@ func TestDuplicateAcksCountOnce(t *testing.T) {
 }
 
 func TestOutOfWindowRejected(t *testing.T) {
-	w := NewWindow(10, 2)
+	w := newWindow(10, 2)
 	if s := w.SetPrepare(prep(0, 11, 0, "a")); s != nil {
 		t.Fatal("prepare above high water mark accepted")
 	}
@@ -116,7 +116,7 @@ func TestOutOfWindowRejected(t *testing.T) {
 }
 
 func TestAdvanceGarbageCollects(t *testing.T) {
-	w := NewWindow(100, 2)
+	w := newWindow(100, 2)
 	for o := timeline.Order(1); o <= 50; o++ {
 		w.SetPrepare(prep(0, o, 0, "x"))
 	}
@@ -139,7 +139,7 @@ func TestAdvanceGarbageCollects(t *testing.T) {
 func TestWindowMemoryBounded(t *testing.T) {
 	// Property: under arbitrary prepare/advance interleavings the
 	// number of live slots never exceeds the window size.
-	w := NewWindow(16, 2)
+	w := newWindow(16, 2)
 	err := quick.Check(func(orders []uint16, advances []uint16) bool {
 		for i, oRaw := range orders {
 			o := timeline.Order(oRaw % 64)
@@ -159,7 +159,7 @@ func TestWindowMemoryBounded(t *testing.T) {
 }
 
 func TestViewTransitionResetsSlot(t *testing.T) {
-	w := NewWindow(100, 2)
+	w := newWindow(100, 2)
 	p0 := prep(0, 1, 0, "a")
 	w.SetPrepare(p0)
 	w.AddCommit(commitFor(p0, 1))
@@ -184,7 +184,7 @@ func TestViewTransitionResetsSlot(t *testing.T) {
 }
 
 func TestExecutedSurvivesViewChange(t *testing.T) {
-	w := NewWindow(100, 2)
+	w := newWindow(100, 2)
 	p0 := prep(0, 1, 0, "a")
 	w.SetPrepare(p0)
 	w.AddCommit(commitFor(p0, 1))
@@ -197,7 +197,7 @@ func TestExecutedSurvivesViewChange(t *testing.T) {
 }
 
 func TestPreparesOrderedDisclosure(t *testing.T) {
-	w := NewWindow(100, 2)
+	w := newWindow(100, 2)
 	for _, o := range []timeline.Order{5, 2, 9, 1} {
 		w.SetPrepare(prep(0, o, 0, "x"))
 	}
@@ -217,7 +217,7 @@ func TestPreparesOrderedDisclosure(t *testing.T) {
 }
 
 func TestCommittedUnexecuted(t *testing.T) {
-	w := NewWindow(100, 2)
+	w := newWindow(100, 2)
 	for o := timeline.Order(1); o <= 3; o++ {
 		p := prep(0, o, 0, "x")
 		w.SetPrepare(p)
@@ -231,7 +231,7 @@ func TestCommittedUnexecuted(t *testing.T) {
 }
 
 func TestDuplicatePrepareIgnored(t *testing.T) {
-	w := NewWindow(100, 2)
+	w := newWindow(100, 2)
 	p := prep(0, 1, 0, "a")
 	w.SetPrepare(p)
 	// A different prepare for the same slot in the same view must not
@@ -245,8 +245,8 @@ func TestDuplicatePrepareIgnored(t *testing.T) {
 
 func TestNewWindowPanicsOnBadArgs(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewWindow(0, 2) },
-		func() { NewWindow(10, 0) },
+		func() { newWindow(0, 2) },
+		func() { newWindow(10, 0) },
 	} {
 		func() {
 			defer func() {

@@ -3,7 +3,8 @@
 // consensus-oriented pipeline minus everything the trusted subsystem
 // certifies. It owns
 //
-//   - the Host: key store, verify stage and ordered inbound routing,
+//   - the Host: key store, inbound routing (classify, check client
+//     authenticators on the sender's transport goroutine, deliver),
 //     reply stage, pillar and coordinator mailboxes with their one
 //     drain loop, and the Start/Stop/Kill goroutine lifecycle;
 //   - the Sequencer: request admission, batching and order-number
@@ -33,9 +34,10 @@ package engine
 import "hybster/internal/message"
 
 // InMsg is an inbound protocol message tagged with its sender.
-// Verified marks messages whose client authenticators were already
-// checked by the parallel verify stage; protocol loops re-check
-// sequentially when it is unset.
+// Verified marks messages whose client authenticators Host.route
+// already checked on the way in; protocol loops re-check sequentially
+// when it is unset (a message without requests, a forged batch handed
+// to a coordinator, an event enqueued directly).
 type InMsg struct {
 	From     uint32
 	Msg      message.Message

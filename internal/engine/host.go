@@ -15,7 +15,6 @@ import (
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
-	"hybster/internal/verify"
 )
 
 // Options bundle the dependencies of one replica engine. core, pbft
@@ -72,8 +71,8 @@ const (
 )
 
 // Route is a protocol's verdict on one inbound message: where it goes
-// and which client requests it carries whose authenticators the
-// parallel verify stage must check first.
+// and which client requests it carries whose authenticators the Host
+// must check first.
 type Route struct {
 	To     Dest
 	Order  timeline.Order
@@ -117,10 +116,10 @@ type (
 )
 
 // Host is what every replica has regardless of protocol (§5.3): the
-// key store, the Watchdog and its ticker, the verify stage with its
-// ordered front, the reply stage, the execution stage, the Sequencer
-// and the pillar mailboxes of a pillar-structured protocol, the
-// coordinator mailbox, the one mailbox-drain loop, inbound routing and
+// key store, the Watchdog and its ticker, inbound routing with its
+// client-authenticator check, the reply stage, the execution stage,
+// the Sequencer and the pillar mailboxes of a pillar-structured
+// protocol, the coordinator mailbox, the one mailbox-drain loop and
 // the goroutine lifecycle. Engines embed it.
 type Host struct {
 	Cfg  config.Config
@@ -139,8 +138,11 @@ type Host struct {
 	id      uint32
 	hd      Handlers
 	replies *reply.Stage
-	vpool   *verify.Pool
-	vord    *verify.Ordered
+
+	// Request authenticators route accepted, and messages it rejected
+	// for a forged one.
+	verified *telemetry.Counter
+	rejected *telemetry.Counter
 
 	// curView mirrors the protocol's stable view for lock-free reads on
 	// hot paths.
@@ -185,8 +187,8 @@ func NewHost(name string, opts Options, x *statemachine.Executor, hd Handlers) *
 	h.replies = reply.NewStage(h.id, h.Keys, h.Ep, 0, opts.Telemetry)
 	h.Exec = newExecLoop(x, h.Cfg, h.Met, h.replies, credit,
 		func(v *statemachine.CheckpointView) { h.CoordBox.Put(v) }, progress)
-	h.vpool = verify.NewPool(h.Keys, opts.Telemetry)
-	h.vord = verify.NewOrdered(h.vpool)
+	h.verified = opts.Telemetry.Counter("hybster_verify_verified_total", "request authenticators verified by the parallel stage")
+	h.rejected = opts.Telemetry.Counter("hybster_verify_rejected_total", "request batches rejected by the parallel stage")
 	return h
 }
 
@@ -266,7 +268,6 @@ func (h *Host) stop(graceful bool) {
 	h.stopOnce.Do(func() {
 		close(h.stopped)
 		_ = h.Ep.Close()
-		h.vpool.Close()
 		for _, box := range h.PillarBox {
 			box.Close()
 		}
@@ -282,55 +283,62 @@ func (h *Host) stop(graceful bool) {
 // ckptBox is the mailbox of the pillar running the checkpoint instance
 // of order o.
 func (h *Host) ckptBox(o timeline.Order) *cop.Mailbox[any] {
-	return h.PillarBox[h.Cfg.CheckpointPillar(o)%uint32(len(h.PillarBox))]
+	return h.PillarBox[h.Cfg.CheckpointPillar(o)]
 }
 
-// route dispatches an inbound message to the component that owns it.
-// It runs on transport goroutines and does no crypto itself: messages
-// carrying client authenticators are verified on the parallel stage,
-// everything else passes through unchecked — but all of it flows
-// through the stage's ordered front, so events reach the mailboxes in
-// exact arrival order just as an inline check would deliver them.
+// route is the whole inbound path: classify the message, check the
+// client authenticators it carries, deliver it. All of it runs on the
+// calling transport goroutine, which is the sender's link: a link
+// hands over its sender's messages one at a time in FIFO order, so
+// events reach the mailboxes in arrival order, the MACs stay off the
+// pillars, and a slow check delays only its own sender's stream while
+// other senders' links verify in parallel.
 func (h *Host) route(from uint32, m message.Message) {
 	r := h.hd.Classify(m)
+	if r.To == Drop {
+		return
+	}
+	verified := len(r.Verify) > 0 && h.authentic(r.Verify)
+	// A batch with a forged client authenticator dies here, before it
+	// can occupy a pillar.
+	deliver := verified || len(r.Verify) == 0
 	var box *cop.Mailbox[any]
 	switch r.To {
 	case ToSequencer:
-		req := r.Verify[0]
-		h.vord.Submit(from, r.Verify, func(ok bool) {
-			if ok {
-				h.NoteWork()
-				h.Seq.admit(req)
-			}
-		})
+		// A forged request is never admitted.
+		if verified {
+			h.NoteWork()
+			h.Seq.admit(r.Verify[0])
+		}
 		return
 	case ToPillar:
 		box = h.PillarBox[h.Cfg.PillarOf(r.Order)]
 	case ToCkptPillar:
 		box = h.ckptBox(r.Order)
 	case ToCoord:
-		box = h.CoordBox
-	default:
-		return
+		// A coordinator loop gets a forged batch too, marked unverified:
+		// MinBFT consumes every sender's UI counters strictly in order,
+		// so dropping the message here would wedge the link — all later
+		// counters would wait in holdback forever. Its loop re-checks
+		// and rejects the batch after the counter bookkeeping.
+		box, deliver = h.CoordBox, true
 	}
-	if len(r.Verify) == 0 {
-		h.vord.Pass(from, func() { box.Put(InMsg{From: from, Msg: m}) })
-		return
+	if deliver {
+		box.Put(InMsg{From: from, Msg: m, Verified: verified})
 	}
-	toCoord := r.To == ToCoord
-	h.vord.Submit(from, r.Verify, func(ok bool) {
-		// A batch with a forged client authenticator dies here, before
-		// it can occupy a pillar. A coordinator loop still gets it,
-		// marked unverified: MinBFT consumes every sender's UI counters
-		// strictly in order, so dropping the message here would wedge
-		// the link — all later counters would wait in holdback forever.
-		// Its loop re-checks inline and rejects the batch after the
-		// counter bookkeeping, exactly like the inline path this stage
-		// replaces.
-		if ok || toCoord {
-			box.Put(InMsg{From: from, Msg: m, Verified: ok})
+}
+
+// authentic checks every request's client authenticator against this
+// replica's keys and counts the verdict.
+func (h *Host) authentic(reqs []*message.Request) bool {
+	for _, r := range reqs {
+		if !crypto.VerifyAuthenticator(h.Keys, r.Auth, r.Digest()) {
+			h.rejected.Inc()
+			return false
 		}
-	})
+	}
+	h.verified.Add(uint64(len(reqs)))
+	return true
 }
 
 // PillarGauges registers the sampled gauges of a pillar-structured

@@ -10,31 +10,37 @@ import (
 	"hybster/internal/crypto"
 	"hybster/internal/message"
 	"hybster/internal/statemachine"
+	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 )
 
-// hostHarness is a started Host of replica 0 whose protocol is a pair
-// of recording handlers: PREPAREs (request-bearing, so verified) and
-// COMMITs (pass-through) go to the pillar of their order, VIEW-CHANGEs
-// and — like MinBFT's proposals — MinPrepares to the coordinator.
+// hostHarness is a started Host of replica 0 (the leader of view 0)
+// whose protocol is a pair of recording handlers: requests go to the
+// sequencer, PREPAREs (request-bearing, so verified) and COMMITs
+// (pass-through) to the pillar of their order, VIEW-CHANGEs and — like
+// MinBFT's proposals — MinPrepares to the coordinator. The pillar
+// credits every proposal straight back, as if it committed at once.
 type hostHarness struct {
 	*Host
 	ep *fakeEndpoint
+	// discard makes the handlers record nothing (benchmarks).
+	discard bool
 
-	mu     sync.Mutex
-	pillar []InMsg
-	coord  []InMsg
-	closed []bool
+	mu       sync.Mutex
+	pillar   []InMsg
+	coord    []InMsg
+	proposed []*message.Request
+	closed   []bool
 }
 
-func newHostHarness(t *testing.T) *hostHarness {
+func newHostHarness(t testing.TB) *hostHarness {
 	t.Helper()
 	cfg := config.Default(config.HybsterS)
 	cfg.ViewChangeTimeout = time.Hour // no ticks
 	h := &hostHarness{ep: &fakeEndpoint{}}
 	record := func(into *[]InMsg) func(ev any) {
 		return func(ev any) {
-			if in, ok := ev.(InMsg); ok {
+			if in, ok := ev.(InMsg); ok && !h.discard {
 				h.mu.Lock()
 				*into = append(*into, in)
 				h.mu.Unlock()
@@ -42,9 +48,12 @@ func newHostHarness(t *testing.T) *hostHarness {
 		}
 	}
 	pillar := record(&h.pillar)
-	h.Host = NewHost("test", Options{Config: cfg, Endpoint: h.ep}, statemachine.NewExecutor(&logApp{}), Handlers{
+	opts := Options{Config: cfg, Endpoint: h.ep, Telemetry: telemetry.NewFor("test", 0)}
+	h.Host = NewHost("test", opts, statemachine.NewExecutor(&logApp{}), Handlers{
 		Classify: func(m message.Message) Route {
 			switch v := m.(type) {
+			case *message.Request:
+				return Route{To: ToSequencer, Verify: []*message.Request{v}}
 			case *message.Prepare:
 				return Route{To: ToPillar, Order: v.Order, Verify: v.Requests}
 			case *message.Commit:
@@ -56,9 +65,19 @@ func newHostHarness(t *testing.T) *hostHarness {
 			}
 			return Route{}
 		},
-		Pillar: func(_ uint32, ev any) { pillar(ev) },
-		Coord:  record(&h.coord),
-		Close:  func(graceful bool) { h.closed = append(h.closed, graceful) },
+		Pillar: func(u uint32, ev any) {
+			if p, ok := ev.(Propose); ok {
+				if !h.discard {
+					h.mu.Lock()
+					h.proposed = append(h.proposed, p.Batch...)
+					h.mu.Unlock()
+				}
+				h.Seq.Credit(u, len(p.Batch))
+			}
+			pillar(ev)
+		},
+		Coord: record(&h.coord),
+		Close: func(graceful bool) { h.closed = append(h.closed, graceful) },
 	})
 	h.Start()
 	t.Cleanup(h.Stop)
@@ -68,13 +87,23 @@ func newHostHarness(t *testing.T) *hostHarness {
 // authentic builds a one-request batch with a valid (or forged) client
 // authenticator for the harness's group.
 func (h *hostHarness) authentic(seq uint64, valid bool) []*message.Request {
-	r := &message.Request{Client: crypto.ClientIDBase, Seq: seq}
-	keys := crypto.NewKeyStore(r.Client, crypto.NewKeyFromSeed(h.Cfg.KeySeed))
-	r.Auth = crypto.NewAuthenticator(keys, r.Digest(), h.Cfg.N)
+	reqs := h.batch(seq, 1)
 	if !valid {
-		r.Auth.MACs[h.ID()][0] ^= 1
+		reqs[0].Auth.MACs[h.ID()][0] ^= 1
 	}
-	return []*message.Request{r}
+	return reqs
+}
+
+// batch builds n authentic requests with sequence numbers from seq on.
+func (h *hostHarness) batch(seq uint64, n int) []*message.Request {
+	keys := crypto.NewKeyStore(crypto.ClientIDBase, crypto.NewKeyFromSeed(h.Cfg.KeySeed))
+	reqs := make([]*message.Request, n)
+	for i := range reqs {
+		r := &message.Request{Client: crypto.ClientIDBase, Seq: seq + uint64(i)}
+		r.Auth = crypto.NewAuthenticator(keys, r.Digest(), h.Cfg.N)
+		reqs[i] = r
+	}
+	return reqs
 }
 
 // received waits until box holds n messages and returns them.
@@ -157,5 +186,86 @@ func TestHostStopIsIdempotentAndLeavesNoGoroutine(t *testing.T) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("%d goroutines before, %d after Stop:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
+	}
+}
+
+func TestHostForgedRequestIsNeverAdmitted(t *testing.T) {
+	h := newHostHarness(t)
+	h.ep.deliver(crypto.ClientIDBase, h.authentic(1, false)[0])
+	// route ran on this goroutine: whatever it did is done.
+	h.Seq.mu.Lock()
+	queued := len(h.Seq.queue)
+	h.Seq.mu.Unlock()
+	if queued != 0 || h.Seq.outReqs.Load() != 0 {
+		t.Fatalf("forged request admitted: %d queued, %d dispatched", queued, h.Seq.outReqs.Load())
+	}
+	if h.rejected.Value() != 1 || h.verified.Value() != 0 {
+		t.Fatalf("rejected_total=%d verified_total=%d, want 1 and 0", h.rejected.Value(), h.verified.Value())
+	}
+	if h.Stalled() != 0 {
+		t.Fatal("forged request noted as pending work")
+	}
+
+	// The same request with its authenticator intact goes through.
+	genuine := h.authentic(1, true)[0]
+	h.ep.deliver(crypto.ClientIDBase, genuine)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		h.mu.Lock()
+		proposed := append([]*message.Request(nil), h.proposed...)
+		h.mu.Unlock()
+		if len(proposed) == 1 && proposed[0] == genuine {
+			break
+		}
+		if len(proposed) > 1 || time.Now().After(deadline) {
+			t.Fatalf("proposed %v, want only the genuine request", proposed)
+		}
+	}
+	if h.rejected.Value() != 1 || h.verified.Value() != 1 || h.Stalled() == 0 {
+		t.Fatalf("after the genuine request: rejected_total=%d verified_total=%d stalled=%v",
+			h.rejected.Value(), h.verified.Value(), h.Stalled())
+	}
+}
+
+// TestHostRouteConcurrentSenders plays eight links delivering at once,
+// the way the transports call route: each sender's interleaved
+// PREPAREs and COMMITs must reach the mailbox in that sender's order,
+// whatever the other senders do.
+func TestHostRouteConcurrentSenders(t *testing.T) {
+	h := newHostHarness(t)
+	const senders, each = 8, 200
+	var wg sync.WaitGroup
+	for s := uint32(1); s <= senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for o := timeline.Order(1); o <= each; o++ {
+				if o%2 == 1 {
+					h.ep.deliver(s, &message.Prepare{Order: o, Requests: h.authentic(uint64(o), true)})
+				} else {
+					h.ep.deliver(s, &message.Commit{Order: o})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	last := make(map[uint32]timeline.Order)
+	for i, in := range h.received(t, &h.pillar, senders*each) {
+		var o timeline.Order
+		switch m := in.Msg.(type) {
+		case *message.Prepare:
+			o = m.Order
+			if !in.Verified {
+				t.Fatalf("event %d: PREPARE %d from %d delivered unverified", i, o, in.From)
+			}
+		case *message.Commit:
+			o = m.Order
+		}
+		if o != last[in.From]+1 {
+			t.Fatalf("event %d: sender %d delivered order %d after %d", i, in.From, o, last[in.From])
+		}
+		last[in.From] = o
+	}
+	if got := h.verified.Value(); got != senders*each/2 {
+		t.Fatalf("verified_total=%d, want %d", got, senders*each/2)
 	}
 }

@@ -25,8 +25,8 @@ type proposeFunc func(pillar uint32, view timeline.View, order timeline.Order, b
 // using the order numbers of its rotation slot (§6.2).
 //
 // The admission path is built for many concurrent producers: requests
-// arrive from every verify lane and commit-credits return from the
-// execution stage and every pillar. Per-pillar in-flight accounting is
+// arrive on every client's transport goroutine and commit-credits
+// return from the execution stage and every pillar. Per-pillar in-flight accounting is
 // atomic (credits never take the queue lock), the queue lock scopes
 // only the append and the O(1) batch cut, and the dispatch loop is
 // single-flighted through pumpGate so concurrent callers hand off
@@ -168,8 +168,8 @@ func (s *Sequencer) admit(r *message.Request) {
 
 // pump schedules the dispatch loop, single-flighted: whichever caller
 // wins the gate scans the queue; losers just mark it dirty and return.
-// Verify-lane callbacks and credits therefore never queue up on the
-// mutex behind a dispatch already in progress.
+// Admitting transport goroutines and credits therefore never queue up
+// on the mutex behind a dispatch already in progress.
 func (s *Sequencer) pump() {
 	for {
 		if s.pumpGate.CompareAndSwap(0, 1) {

@@ -113,9 +113,9 @@ type Engine struct {
 	// orderByCounter maps current-view leader prepare counters to the
 	// orders this replica assigned them.
 	orderByCounter map[uint64]timeline.Order
-	// earlyCommits parks commits that overtook their prepare (the
-	// parallel verify stage delays request-bearing prepares while
-	// commits from other senders pass straight through). Their UI
+	// earlyCommits parks commits that overtook their prepare (links
+	// are independent: a follower's commit can arrive before the
+	// leader's prepare it answers). Their UI
 	// counter slots are already consumed, so a retransmitted copy
 	// would be discarded as a replay — dropping an early commit here
 	// would lose the ack forever. Keyed by the leader-prepare counter
@@ -531,8 +531,8 @@ func (e *Engine) process(from uint32, m message.Message, verified bool) {
 }
 
 // handleRequest admits a client request; only the leader proposes.
-// verified skips the authenticator re-check for requests the parallel
-// verify stage already cleared.
+// verified skips the authenticator re-check for requests the Host's
+// inbound route already cleared.
 func (e *Engine) handleRequest(r *message.Request, verified bool) {
 	if !verified && !crypto.VerifyAuthenticator(e.Keys, r.Auth, r.Digest()) {
 		return

@@ -191,7 +191,7 @@ func (p *pillar) handlePropose(ev engine.Propose) {
 }
 
 // handlePrePrepare validates a proposal; authVerified skips the
-// client-authenticator loop for batches the parallel verify stage
+// client-authenticator loop for batches the Host's inbound route
 // already cleared (the proposer's proof is always checked here).
 func (p *pillar) handlePrePrepare(from uint32, pp *message.PrePrepare, authVerified bool) {
 	if pp.View != p.view || p.aborted {

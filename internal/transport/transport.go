@@ -12,8 +12,11 @@
 //   - TCP, a real network transport with length-prefixed frames for
 //     multi-process deployments (cmd/hybster-replica).
 //
-// Handlers run on transport goroutines; protocol engines are expected
-// to hand messages off to their pillar event loops quickly.
+// Handlers run on transport goroutines, one per sender (a memnet link,
+// a TCP connection's read loop), each delivering its sender's messages
+// one at a time in FIFO order. A handler may authenticate a message
+// inline before handing it to an event loop: that delays only its own
+// sender's stream. It must not block on protocol progress.
 package transport
 
 import (
@@ -30,8 +33,10 @@ var ErrClosed = errors.New("transport: endpoint closed")
 // ErrUnknownNode is returned when the destination is not registered.
 var ErrUnknownNode = errors.New("transport: unknown node")
 
-// Handler consumes an inbound message. Implementations must not retain
-// the message past mutation; messages are immutable by convention.
+// Handler consumes an inbound message on the sender's transport
+// goroutine (see the package comment for what it may do there).
+// Implementations must not retain the message past mutation; messages
+// are immutable by convention.
 type Handler func(from uint32, m message.Message)
 
 // Endpoint is one node's attachment to a transport.
