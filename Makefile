@@ -3,7 +3,7 @@ GO ?= go
 # Per-target budget of the fuzz smoke (make fuzz-smoke / CI).
 FUZZTIME ?= 20s
 
-.PHONY: build test test-race vet loc chaos-smoke chaos-long fuzz-smoke bench bench-smoke bench-hotpath benchmark benchmark-test ops-demo audit-demo audit-smoke
+.PHONY: build test test-race vet loc wire-golden chaos-smoke chaos-long fuzz-smoke bench bench-smoke bench-hotpath benchmark benchmark-test ops-demo audit-demo audit-smoke
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,12 @@ loc:
 	@for d in internal/*/ cmd/ 'internal cmd'; do \
 		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$$d"; done
 
+# Regenerate the byte-level wire fixture from the current codec. The
+# only way internal/message/testdata/wire.golden changes: a wire change
+# is "edit the walk, make wire-golden, list the changed types in
+# CHANGES.md". CI runs this and fails if the file moves.
+wire-golden:
+	$(GO) test -count=1 -run 'TestWireGolden' ./internal/message/ -update
 
 # Short seeded chaos run: all four protocols under link faults,
 # a partition window, and a crash-restart, with the race detector on;
