@@ -7,15 +7,16 @@
 // The in-process transport passes message values directly; the TCP
 // transport and the state-transfer protocol use Marshal/Unmarshal.
 // Messages are treated as immutable once sent.
+//
+// Each message's wire layout is written once, as the wire method next
+// to its struct; Marshal, Unmarshal and WireSize walk it in put, get or
+// count mode (marshal.go). testdata/wire.golden pins the bytes: a wire
+// change regenerates it (make wire-golden) in the same commit.
 package message
 
 import (
 	"errors"
 	"fmt"
-
-	"hybster/internal/crypto"
-	"hybster/internal/trinx"
-	"hybster/internal/usig"
 )
 
 // ErrTruncated is returned when a buffer ends before the message does.
@@ -188,57 +189,4 @@ func (d *Decoder) Len(minElem int) int {
 		return 0
 	}
 	return int(n)
-}
-
-// certificate encoding: kind(1) issuer(8) counter(4) value(8) prev(8) mac(32)
-
-func putCert(e *Encoder, c trinx.Certificate) {
-	e.U8(uint8(c.Kind))
-	e.U64(uint64(c.Issuer))
-	e.U32(c.Counter)
-	e.U64(c.Value)
-	e.U64(c.Prev)
-	e.Bytes32(c.MAC)
-}
-
-func getCert(d *Decoder) trinx.Certificate {
-	return trinx.Certificate{
-		Kind:    trinx.Kind(d.U8()),
-		Issuer:  trinx.InstanceID(d.U64()),
-		Counter: d.U32(),
-		Value:   d.U64(),
-		Prev:    d.U64(),
-		MAC:     d.Bytes32(),
-	}
-}
-
-func putUI(e *Encoder, u usig.UI) {
-	e.U32(u.Issuer)
-	e.U64(u.Counter)
-	e.Bytes32(u.MAC)
-}
-
-func getUI(d *Decoder) usig.UI {
-	return usig.UI{Issuer: d.U32(), Counter: d.U64(), MAC: d.Bytes32()}
-}
-
-func putAuth(e *Encoder, a crypto.Authenticator) {
-	e.U32(a.Sender)
-	e.Len(len(a.MACs))
-	for _, m := range a.MACs {
-		e.Bytes32(m)
-	}
-}
-
-func getAuth(d *Decoder) crypto.Authenticator {
-	a := crypto.Authenticator{Sender: d.U32()}
-	n := d.Len(32)
-	if d.err != nil {
-		return a
-	}
-	a.MACs = make([]crypto.MAC, n)
-	for i := range a.MACs {
-		a.MACs[i] = d.Bytes32()
-	}
-	return a
 }

@@ -1,22 +1,26 @@
 package message
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 )
 
-// TestWireSizeMatchesMarshal pins every wireSize sizer against its
-// encoder over the full message corpus: the exact-size precompute must
-// equal what Marshal actually produced, and the output buffer must
-// carry zero spare capacity (one allocation at the final size).
-func TestWireSizeMatchesMarshal(t *testing.T) {
-	for _, m := range allMessages() {
-		buf := Marshal(m)
-		if want := 1 + wireSize(m); len(buf) != want {
-			t.Errorf("%T: wireSize predicts %d bytes, Marshal wrote %d", m, want, len(buf))
-		}
-		if cap(buf) != len(buf) {
-			t.Errorf("%T: marshal buffer has spare capacity (len %d, cap %d)", m, len(buf), cap(buf))
+// TestMarshalIsExactAndCounted pins the three arms of the walk against
+// each other over the full corpus: what the count arm predicts is what
+// the put arm wrote, and the returned buffer is one allocation of
+// exactly that size behind the requested headroom.
+func TestMarshalIsExactAndCounted(t *testing.T) {
+	for _, m := range goldenCorpus() {
+		for _, headroom := range []int{0, 8} {
+			buf := MarshalHeadroom(m, headroom)
+			if want := headroom + 1 + WireSize(m); len(buf) != want || cap(buf) != want {
+				t.Errorf("%T headroom %d: len %d cap %d, WireSize predicts %d",
+					m, headroom, len(buf), cap(buf), want)
+			}
+			if !bytes.Equal(buf[:headroom], make([]byte, headroom)) || !bytes.Equal(buf[headroom:], Marshal(m)) {
+				t.Errorf("%T headroom %d: not zero headroom followed by Marshal(m)", m, headroom)
+			}
 		}
 	}
 }
@@ -75,6 +79,14 @@ func TestHotPathAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = Marshal(p) }); n > 1 {
 		t.Errorf("Marshal(Prepare) allocates %.1f/op, want <= 1", n)
 	}
+
+	// Decoding a 16-request PREPARE: the message, one backing array and
+	// one pointer slice for the batch, and a payload and a MAC slice per
+	// request (35), with two to spare for the pool running cold.
+	raw := Marshal(benchPrepare(16))
+	if n := testing.AllocsPerRun(100, func() { _, _ = Unmarshal(raw) }); n > 37 {
+		t.Errorf("Unmarshal(Prepare×16) allocates %.1f/op, want <= 37", n)
+	}
 }
 
 // TestDigestConcurrent exercises the first-writer-wins cache fill from
@@ -110,6 +122,23 @@ func TestPrecomputeDigestWarmsCache(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(10, func() { PrecomputeDigest(m) }); n != 0 {
 			t.Errorf("%T: PrecomputeDigest after warmup allocates %.1f/op, want 0", m, n)
+		}
+	}
+}
+
+// TestMarshalAfterFailedUnmarshal pins that a walker returning to the
+// pool from a failed decode carries nothing into the next pass: the put
+// and count arms must never see (or act on) a stale decode error, least
+// of all by touching the message they walk.
+func TestMarshalAfterFailedUnmarshal(t *testing.T) {
+	p := samplePrepare(3)
+	want := Marshal(p)
+	for i := 0; i < 8; i++ {
+		if _, err := Unmarshal(want[:len(want)/2]); err == nil {
+			t.Fatal("truncated PREPARE accepted")
+		}
+		if got := Marshal(p); !bytes.Equal(got, want) || len(p.Requests) != 2 || WireSize(p) != len(want)-1 {
+			t.Fatalf("pass %d after a failed decode: marshal or message changed", i)
 		}
 	}
 }

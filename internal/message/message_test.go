@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -355,11 +356,34 @@ func TestViewChangeDigestCoversPrepares(t *testing.T) {
 }
 
 func TestTypeString(t *testing.T) {
-	if TypePrepare.String() != "PREPARE" || TypeViewChange.String() != "VIEW-CHANGE" {
-		t.Fatal("wrong type names")
+	names := []string{
+		"REQUEST", "REPLY", "PREPARE", "COMMIT", "CHECKPOINT", "VIEW-CHANGE",
+		"NEW-VIEW", "NEW-VIEW-ACK", "PRE-PREPARE", "PBFT-PREPARE", "PBFT-COMMIT",
+		"PBFT-CHECKPOINT", "PBFT-VIEW-CHANGE", "PBFT-NEW-VIEW", "MIN-PREPARE",
+		"MIN-COMMIT", "MIN-REQ-VIEW-CHANGE", "MIN-VIEW-CHANGE", "MIN-NEW-VIEW",
+		"STATE-REQUEST", "STATE-REPLY",
 	}
-	if Type(200).String() != "UNKNOWN" {
-		t.Fatal("unknown type not reported")
+	if len(names) != int(TypeStateReply) {
+		t.Fatalf("%d names for %d types", len(names), TypeStateReply)
+	}
+	for i, want := range names {
+		if got := Type(i + 1).String(); got != want {
+			t.Errorf("Type(%d) = %s, want %s", i+1, got, want)
+		}
+	}
+	// The table's other column: each row constructs its own type.
+	for i := range names {
+		if got := types[i+1].new().MsgType(); got != Type(i+1) {
+			t.Errorf("types[%d] constructs a %s", i+1, got)
+		}
+	}
+	for _, unknown := range []Type{0, TypeStateReply + 1, 200} {
+		if unknown.String() != "UNKNOWN" {
+			t.Errorf("Type(%d) = %s, want UNKNOWN", unknown, unknown)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = TypeViewChange.String(); _ = Type(200).String() }); n != 0 {
+		t.Errorf("Type.String allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -405,5 +429,61 @@ func TestUnmarshalRejectsOutOfRangeViewOrder(t *testing.T) {
 			t.Fatalf("%s with out-of-range view/order: err = %v, want ErrMalformed",
 				m.MsgType(), err)
 		}
+	}
+}
+
+// TestUnmarshalHostilePrefixSweep overwrites every four-byte window of
+// every corpus message with a huge count, so each length prefix (and
+// each field next to one) is hostile in turn: 0xFFFFFFFF, and 0x03FFFFFF,
+// the largest value the decoder's global slice cap lets through, which
+// only the per-list minimum element sizes stand against. Unmarshal must
+// not panic, and an input it rejects must not have sized an allocation
+// from the prefix.
+func TestUnmarshalHostilePrefixSweep(t *testing.T) {
+	for _, m := range goldenCorpus() {
+		good := Marshal(m)
+		buf := make([]byte, len(good))
+		for _, hostile := range []string{"\xff\xff\xff\xff", "\x03\xff\xff\xff"} {
+			for off := 0; off+4 <= len(good); off++ {
+				copy(buf, good)
+				copy(buf[off:], hostile)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, err := Unmarshal(buf)
+				runtime.ReadMemStats(&after)
+				if grew := after.TotalAlloc - before.TotalAlloc; err != nil && grew >= 1<<20 {
+					t.Fatalf("%s: % x at %d/%d rejected only after allocating %d bytes",
+						m.MsgType(), hostile, off, len(good), grew)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeErrorLeavesListNil pins what a caller inside the package
+// may rely on after a failed walk: a list with a decode error inside is
+// nil, never a prefix of half-decoded elements.
+func TestDecodeErrorLeavesListNil(t *testing.T) {
+	p := samplePrepare(2)
+	raw := Marshal(p)[1:]
+	// Cut inside the second request: the first one decodes fine.
+	cut := 8 + 8 + 4 + WireSize(p.Requests[0]) + 5
+	w := &wire{mode: wireGet, d: Decoder{buf: raw[:cut]}}
+	var got Prepare
+	got.wire(w)
+	if !errors.Is(w.d.Err(), ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", w.d.Err())
+	}
+	if got.Requests != nil {
+		t.Fatalf("failed list decode left %d elements behind", len(got.Requests))
+	}
+
+	vc := &MinViewChange{History: [][]byte{{1, 2, 3}, {4, 5, 6}}}
+	raw = Marshal(vc)[1:]
+	w = &wire{mode: wireGet, d: Decoder{buf: raw[:4+8+8+4+8+4+7+2]}}
+	var gotVC MinViewChange
+	gotVC.wire(w)
+	if w.d.Err() == nil || gotVC.History != nil {
+		t.Fatalf("err = %v, history = %v; want an error and nil", w.d.Err(), gotVC.History)
 	}
 }

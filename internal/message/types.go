@@ -38,23 +38,40 @@ const (
 	TypeStateReply
 )
 
+// types is the one per-type table: the wire name of each type and a
+// constructor for the decoder. Everything else the codec needs to know
+// about a type is in its wire method.
+var types = [...]struct {
+	name string
+	new  func() Message
+}{
+	TypeRequest:          {"REQUEST", func() Message { return new(Request) }},
+	TypeReply:            {"REPLY", func() Message { return new(Reply) }},
+	TypePrepare:          {"PREPARE", func() Message { return new(Prepare) }},
+	TypeCommit:           {"COMMIT", func() Message { return new(Commit) }},
+	TypeCheckpoint:       {"CHECKPOINT", func() Message { return new(Checkpoint) }},
+	TypeViewChange:       {"VIEW-CHANGE", func() Message { return new(ViewChange) }},
+	TypeNewView:          {"NEW-VIEW", func() Message { return new(NewView) }},
+	TypeNewViewAck:       {"NEW-VIEW-ACK", func() Message { return new(NewViewAck) }},
+	TypePrePrepare:       {"PRE-PREPARE", func() Message { return new(PrePrepare) }},
+	TypePBFTPrepare:      {"PBFT-PREPARE", func() Message { return new(PBFTPrepare) }},
+	TypePBFTCommit:       {"PBFT-COMMIT", func() Message { return new(PBFTCommit) }},
+	TypePBFTCheckpoint:   {"PBFT-CHECKPOINT", func() Message { return new(PBFTCheckpoint) }},
+	TypePBFTViewChange:   {"PBFT-VIEW-CHANGE", func() Message { return new(PBFTViewChange) }},
+	TypePBFTNewView:      {"PBFT-NEW-VIEW", func() Message { return new(PBFTNewView) }},
+	TypeMinPrepare:       {"MIN-PREPARE", func() Message { return new(MinPrepare) }},
+	TypeMinCommit:        {"MIN-COMMIT", func() Message { return new(MinCommit) }},
+	TypeMinReqViewChange: {"MIN-REQ-VIEW-CHANGE", func() Message { return new(MinReqViewChange) }},
+	TypeMinViewChange:    {"MIN-VIEW-CHANGE", func() Message { return new(MinViewChange) }},
+	TypeMinNewView:       {"MIN-NEW-VIEW", func() Message { return new(MinNewView) }},
+	TypeStateRequest:     {"STATE-REQUEST", func() Message { return new(StateRequest) }},
+	TypeStateReply:       {"STATE-REPLY", func() Message { return new(StateReply) }},
+}
+
 // String implements fmt.Stringer.
 func (t Type) String() string {
-	names := map[Type]string{
-		TypeRequest: "REQUEST", TypeReply: "REPLY",
-		TypePrepare: "PREPARE", TypeCommit: "COMMIT",
-		TypeCheckpoint: "CHECKPOINT", TypeViewChange: "VIEW-CHANGE",
-		TypeNewView: "NEW-VIEW", TypeNewViewAck: "NEW-VIEW-ACK",
-		TypePrePrepare: "PRE-PREPARE", TypePBFTPrepare: "PBFT-PREPARE",
-		TypePBFTCommit: "PBFT-COMMIT", TypePBFTCheckpoint: "PBFT-CHECKPOINT",
-		TypePBFTViewChange: "PBFT-VIEW-CHANGE", TypePBFTNewView: "PBFT-NEW-VIEW",
-		TypeMinPrepare: "MIN-PREPARE", TypeMinCommit: "MIN-COMMIT",
-		TypeMinReqViewChange: "MIN-REQ-VIEW-CHANGE", TypeMinViewChange: "MIN-VIEW-CHANGE",
-		TypeMinNewView:   "MIN-NEW-VIEW",
-		TypeStateRequest: "STATE-REQUEST", TypeStateReply: "STATE-REPLY",
-	}
-	if s, ok := names[t]; ok {
-		return s
+	if int(t) < len(types) && types[t].name != "" {
+		return types[t].name
 	}
 	return "UNKNOWN"
 }
@@ -63,6 +80,9 @@ func (t Type) String() string {
 type Message interface {
 	// MsgType returns the wire type tag.
 	MsgType() Type
+	// wire names the message's fields once, in wire order; the walker
+	// it is handed encodes, decodes or sizes them (marshal.go).
+	wire(w *wire)
 }
 
 // --- Client interaction -------------------------------------------------
@@ -82,6 +102,14 @@ type Request struct {
 
 // MsgType implements Message.
 func (*Request) MsgType() Type { return TypeRequest }
+
+func (r *Request) wire(w *wire) {
+	w.u32(&r.Client)
+	w.u64(&r.Seq)
+	w.flag(&r.ReadOnly)
+	w.bytes(&r.Payload)
+	w.auth(&r.Auth)
+}
 
 // Digest returns the canonical digest of the request, the value covered
 // by its authenticator and by batch digests. The result is memoized on
@@ -117,6 +145,14 @@ type Reply struct {
 
 // MsgType implements Message.
 func (*Reply) MsgType() Type { return TypeReply }
+
+func (r *Reply) wire(w *wire) {
+	w.u32(&r.Replica)
+	w.u32(&r.Client)
+	w.u64(&r.Seq)
+	w.bytes(&r.Result)
+	w.b32((*[32]byte)(&r.MAC))
+}
 
 // Digest returns the value the reply MAC covers.
 func (r *Reply) Digest() crypto.Digest {
@@ -168,6 +204,13 @@ type Prepare struct {
 // MsgType implements Message.
 func (*Prepare) MsgType() Type { return TypePrepare }
 
+func (p *Prepare) wire(w *wire) {
+	w.view(&p.View)
+	w.order(&p.Order)
+	list(w, &p.Requests, 17, (*Request).wire)
+	w.cert(&p.Cert)
+}
+
 // BatchDigest returns the digest of the proposed batch, memoized on
 // first use.
 func (p *Prepare) BatchDigest() crypto.Digest {
@@ -205,6 +248,14 @@ type Commit struct {
 // MsgType implements Message.
 func (*Commit) MsgType() Type { return TypeCommit }
 
+func (c *Commit) wire(w *wire) {
+	w.view(&c.View)
+	w.order(&c.Order)
+	w.u32(&c.Replica)
+	w.b32((*[32]byte)(&c.BatchDigest))
+	w.cert(&c.Cert)
+}
+
 // Digest returns the value the commit certificate covers.
 func (c *Commit) Digest() crypto.Digest {
 	if d, ok := c.dc.cached(); ok {
@@ -236,6 +287,13 @@ type Checkpoint struct {
 
 // MsgType implements Message.
 func (*Checkpoint) MsgType() Type { return TypeCheckpoint }
+
+func (c *Checkpoint) wire(w *wire) {
+	w.order(&c.Order)
+	w.u32(&c.Replica)
+	w.b32((*[32]byte)(&c.StateDigest))
+	w.cert(&c.Cert)
+}
 
 // Digest returns the value the checkpoint certificate covers.
 func (c *Checkpoint) Digest() crypto.Digest {
@@ -275,6 +333,18 @@ type ViewChange struct {
 
 // MsgType implements Message.
 func (*ViewChange) MsgType() Type { return TypeViewChange }
+
+func (v *ViewChange) wire(w *wire) {
+	w.u32(&v.Replica)
+	w.u32(&v.Pillar)
+	w.view(&v.From)
+	w.view(&v.To)
+	w.order(&v.CkptOrder)
+	w.b32((*[32]byte)(&v.CkptDigest))
+	list(w, &v.CkptProof, 44, (*Checkpoint).wire)
+	list(w, &v.Prepares, 16, (*Prepare).wire)
+	w.cert(&v.Cert)
+}
 
 // Digest returns the value the view-change certificate covers.
 func (v *ViewChange) Digest() crypto.Digest {
@@ -320,6 +390,15 @@ type NewView struct {
 // MsgType implements Message.
 func (*NewView) MsgType() Type { return TypeNewView }
 
+func (n *NewView) wire(w *wire) {
+	w.view(&n.View)
+	w.u32(&n.Pillar)
+	list(w, &n.VCs, 64, (*ViewChange).wire)
+	list(w, &n.Acks, 48, (*NewViewAck).wire)
+	list(w, &n.Prepares, 16, (*Prepare).wire)
+	w.cert(&n.Cert)
+}
+
 // Digest returns the value the new-view certificate covers.
 func (n *NewView) Digest() crypto.Digest {
 	if d, ok := n.dc.cached(); ok {
@@ -363,6 +442,14 @@ type NewViewAck struct {
 // MsgType implements Message.
 func (*NewViewAck) MsgType() Type { return TypeNewViewAck }
 
+func (a *NewViewAck) wire(w *wire) {
+	w.u32(&a.Replica)
+	w.u32(&a.Pillar)
+	w.view(&a.View)
+	list(w, &a.Prepares, 16, (*Prepare).wire)
+	w.cert(&a.Cert)
+}
+
 // Digest returns the value the ack certificate covers.
 func (a *NewViewAck) Digest() crypto.Digest {
 	if d, ok := a.dc.cached(); ok {
@@ -392,6 +479,11 @@ type StateRequest struct {
 // MsgType implements Message.
 func (*StateRequest) MsgType() Type { return TypeStateRequest }
 
+func (s *StateRequest) wire(w *wire) {
+	w.u32(&s.Replica)
+	w.order(&s.From)
+}
+
 // StateReply transfers a state snapshot together with the checkpoint
 // quorum proving its correctness and the serialized client reply
 // vector, allowing the fallen-behind replica to answer skipped requests
@@ -406,3 +498,11 @@ type StateReply struct {
 
 // MsgType implements Message.
 func (*StateReply) MsgType() Type { return TypeStateReply }
+
+func (s *StateReply) wire(w *wire) {
+	w.u32(&s.Replica)
+	w.order(&s.CkptOrder)
+	w.bytes(&s.Snapshot)
+	w.bytes(&s.ReplyVector)
+	list(w, &s.Proof, 44, (*Checkpoint).wire)
+}

@@ -18,6 +18,23 @@ type Proof struct {
 // HasTCert reports whether the trusted-MAC variant is populated.
 func (p *Proof) HasTCert() bool { return p.TCert.Kind != 0 }
 
+// wire is the variant tag (2 = TCert, 1 = Auth) and the variant.
+func (p *Proof) wire(w *wire) {
+	tag := uint8(1)
+	if p.HasTCert() {
+		tag = 2
+	}
+	w.u8(&tag)
+	switch tag {
+	case 2:
+		w.cert(&p.TCert)
+	case 1:
+		w.auth(&p.Auth)
+	default:
+		w.fail("unknown proof variant")
+	}
+}
+
 // --- PBFT (three-phase, n = 3f+1), consensus-oriented parallelization ----
 
 // PrePrepare is the PBFT leader's proposal of a request batch for
@@ -34,6 +51,13 @@ type PrePrepare struct {
 
 // MsgType implements Message.
 func (*PrePrepare) MsgType() Type { return TypePrePrepare }
+
+func (p *PrePrepare) wire(w *wire) {
+	w.view(&p.View)
+	w.order(&p.Order)
+	list(w, &p.Requests, 17, (*Request).wire)
+	p.Proof.wire(w)
+}
 
 // BatchDigest returns the digest of the proposed batch, memoized on
 // first use.
@@ -68,6 +92,14 @@ type PBFTPrepare struct {
 // MsgType implements Message.
 func (*PBFTPrepare) MsgType() Type { return TypePBFTPrepare }
 
+func (p *PBFTPrepare) wire(w *wire) {
+	w.view(&p.View)
+	w.order(&p.Order)
+	w.u32(&p.Replica)
+	w.b32((*[32]byte)(&p.BatchDigest))
+	p.Proof.wire(w)
+}
+
 // Digest returns the value the proof covers.
 func (p *PBFTPrepare) Digest() crypto.Digest {
 	if d, ok := p.dc.cached(); ok {
@@ -93,6 +125,14 @@ type PBFTCommit struct {
 // MsgType implements Message.
 func (*PBFTCommit) MsgType() Type { return TypePBFTCommit }
 
+func (c *PBFTCommit) wire(w *wire) {
+	w.view(&c.View)
+	w.order(&c.Order)
+	w.u32(&c.Replica)
+	w.b32((*[32]byte)(&c.BatchDigest))
+	c.Proof.wire(w)
+}
+
 // Digest returns the value the proof covers.
 func (c *PBFTCommit) Digest() crypto.Digest {
 	if d, ok := c.dc.cached(); ok {
@@ -117,6 +157,13 @@ type PBFTCheckpoint struct {
 // MsgType implements Message.
 func (*PBFTCheckpoint) MsgType() Type { return TypePBFTCheckpoint }
 
+func (c *PBFTCheckpoint) wire(w *wire) {
+	w.order(&c.Order)
+	w.u32(&c.Replica)
+	w.b32((*[32]byte)(&c.StateDigest))
+	c.Proof.wire(w)
+}
+
 // Digest returns the value the proof covers.
 func (c *PBFTCheckpoint) Digest() crypto.Digest {
 	if d, ok := c.dc.cached(); ok {
@@ -131,6 +178,14 @@ func (c *PBFTCheckpoint) Digest() crypto.Digest {
 type PreparedProof struct {
 	PrePrepare *PrePrepare
 	Prepares   []*PBFTPrepare
+}
+
+func (pp *PreparedProof) wire(w *wire) {
+	if w.mode == wireGet {
+		pp.PrePrepare = new(PrePrepare)
+	}
+	pp.PrePrepare.wire(w)
+	list(w, &pp.Prepares, 53, (*PBFTPrepare).wire)
 }
 
 // PBFTViewChange announces that the sender moved to view View and
@@ -149,6 +204,15 @@ type PBFTViewChange struct {
 
 // MsgType implements Message.
 func (*PBFTViewChange) MsgType() Type { return TypePBFTViewChange }
+
+func (v *PBFTViewChange) wire(w *wire) {
+	w.u32(&v.Replica)
+	w.view(&v.View)
+	w.order(&v.CkptOrder)
+	list(w, &v.CkptProof, 45, (*PBFTCheckpoint).wire)
+	values(w, &v.Prepared, 16, (*PreparedProof).wire)
+	v.Proof.wire(w)
+}
 
 // Digest returns the value the proof covers.
 func (v *PBFTViewChange) Digest() crypto.Digest {
@@ -191,6 +255,13 @@ type PBFTNewView struct {
 // MsgType implements Message.
 func (*PBFTNewView) MsgType() Type { return TypePBFTNewView }
 
+func (n *PBFTNewView) wire(w *wire) {
+	w.view(&n.View)
+	list(w, &n.VCs, 64, (*PBFTViewChange).wire)
+	list(w, &n.PrePrepares, 16, (*PrePrepare).wire)
+	n.Proof.wire(w)
+}
+
 // Digest returns the value the proof covers.
 func (n *PBFTNewView) Digest() crypto.Digest {
 	if d, ok := n.dc.cached(); ok {
@@ -228,6 +299,12 @@ type MinPrepare struct {
 // MsgType implements Message.
 func (*MinPrepare) MsgType() Type { return TypeMinPrepare }
 
+func (p *MinPrepare) wire(w *wire) {
+	w.view(&p.View)
+	list(w, &p.Requests, 17, (*Request).wire)
+	w.ui(&p.UI)
+}
+
 // BatchDigest returns the digest of the proposed batch, memoized on
 // first use.
 func (p *MinPrepare) BatchDigest() crypto.Digest {
@@ -260,6 +337,12 @@ type MinReqViewChange struct {
 
 // MsgType implements Message.
 func (*MinReqViewChange) MsgType() Type { return TypeMinReqViewChange }
+
+func (r *MinReqViewChange) wire(w *wire) {
+	w.u32(&r.Replica)
+	w.view(&r.View)
+	w.auth(&r.Auth)
+}
 
 // Digest returns the value the authenticator covers.
 func (r *MinReqViewChange) Digest() crypto.Digest {
@@ -303,6 +386,19 @@ type MinViewChange struct {
 // MsgType implements Message.
 func (*MinViewChange) MsgType() Type { return TypeMinViewChange }
 
+func (v *MinViewChange) wire(w *wire) {
+	w.u32(&v.Replica)
+	w.view(&v.View)
+	w.order(&v.CkptOrder)
+	list(w, &v.CkptProof, 44, (*Checkpoint).wire)
+	w.u64(&v.HistBase)
+	values(w, &v.History, 4, func(h *[]byte, w *wire) { w.bytes(h) })
+	w.view(&v.AnchorView)
+	w.u64(&v.AnchorOrder)
+	w.u64(&v.AnchorCounter)
+	w.ui(&v.UI)
+}
+
 // Digest returns the value the UI covers.
 func (v *MinViewChange) Digest() crypto.Digest {
 	if d, ok := v.dc.cached(); ok {
@@ -343,6 +439,12 @@ type MinNewView struct {
 // MsgType implements Message.
 func (*MinNewView) MsgType() Type { return TypeMinNewView }
 
+func (n *MinNewView) wire(w *wire) {
+	w.view(&n.View)
+	list(w, &n.VCs, 64, (*MinViewChange).wire)
+	w.ui(&n.UI)
+}
+
 // Digest returns the value the UI covers.
 func (n *MinNewView) Digest() crypto.Digest {
 	if d, ok := n.dc.cached(); ok {
@@ -376,6 +478,23 @@ type MinCommit struct {
 
 // MsgType implements Message.
 func (*MinCommit) MsgType() Type { return TypeMinCommit }
+
+// wire: the embedded PREPARE is optional, announced by a presence byte.
+func (c *MinCommit) wire(w *wire) {
+	w.view(&c.View)
+	w.u32(&c.Replica)
+	w.b32((*[32]byte)(&c.BatchDigest))
+	has := c.Prepare != nil
+	w.flag(&has)
+	if has {
+		if w.mode == wireGet {
+			c.Prepare = new(MinPrepare)
+		}
+		c.Prepare.wire(w)
+	}
+	w.ui(&c.PrepareUI)
+	w.ui(&c.UI)
+}
 
 // Digest returns the value the commit's UI covers.
 func (c *MinCommit) Digest() crypto.Digest {

@@ -18,7 +18,8 @@ type LinkProfile struct {
 	// Latency is the one-way propagation delay.
 	Latency time.Duration
 	// Bandwidth is the link capacity in bytes per second; 0 means
-	// unlimited. Transmissions on one link serialize, so large
+	// unlimited. A message occupies its link for its exact wire size
+	// (EstimateSize) and transmissions on one link serialize, so large
 	// messages delay subsequent ones (the Fig. 6b effect).
 	Bandwidth int64
 	// LossRate is the probability in [0,1) that a message is dropped.
@@ -237,8 +238,7 @@ func (n *Network) runLink(l *link) {
 				continue
 			}
 			if n.profile.Bandwidth > 0 {
-				size := EstimateSize(m)
-				tx := time.Duration(float64(size) / float64(n.profile.Bandwidth) * float64(time.Second))
+				tx := time.Duration(float64(EstimateSize(m)) / float64(n.profile.Bandwidth) * float64(time.Second))
 				time.Sleep(tx)
 			}
 			if n.profile.Latency > 0 {

@@ -7,7 +7,8 @@
 //     network partitions. All replicas of a benchmark cluster plus its
 //     clients run in one process connected by this fabric; the paper's
 //     evaluation is CPU-bound (§6.2), so in-process message passing
-//     preserves the relevant behaviour while the bandwidth model keeps
+//     preserves the relevant behaviour while the bandwidth model, which
+//     charges every message its exact wire size (EstimateSize), keeps
 //     payload-induced saturation (Fig. 6b) visible.
 //   - TCP, a real network transport with length-prefixed frames for
 //     multi-process deployments (cmd/hybster-replica).
@@ -23,7 +24,6 @@ import (
 	"errors"
 	"sync"
 
-	"hybster/internal/crypto"
 	"hybster/internal/message"
 )
 
@@ -113,103 +113,9 @@ func Multicast(ep Endpoint, n int, m message.Message) {
 	}
 }
 
-// EstimateSize approximates the wire size of m in bytes without
-// marshaling. The in-process fabric uses it for bandwidth modeling; the
-// estimate tracks the real codec within a few percent for the message
-// mix of the benchmarks.
-func EstimateSize(m message.Message) int {
-	const certSize = 61
-	const macSize = crypto.MACSize
-	const header = 16
-	reqSize := func(r *message.Request) int {
-		return 24 + len(r.Payload) + 8 + macSize*len(r.Auth.MACs)
-	}
-	batch := func(reqs []*message.Request) int {
-		s := 4
-		for _, r := range reqs {
-			s += reqSize(r)
-		}
-		return s
-	}
-	proof := func(p *message.Proof) int {
-		if p.HasTCert() {
-			return 1 + certSize
-		}
-		return 1 + 8 + macSize*len(p.Auth.MACs)
-	}
-	prepare := func(p *message.Prepare) int { return header + batch(p.Requests) + certSize }
-	ckpt := func() int { return header + 32 + certSize }
-
-	switch v := m.(type) {
-	case *message.Request:
-		return header + reqSize(v)
-	case *message.Reply:
-		return header + len(v.Result) + macSize
-	case *message.Prepare:
-		return prepare(v)
-	case *message.Commit:
-		return header + 32 + certSize
-	case *message.Checkpoint:
-		return ckpt()
-	case *message.ViewChange:
-		s := header + 48 + certSize + len(v.CkptProof)*ckpt()
-		for _, p := range v.Prepares {
-			s += prepare(p)
-		}
-		return s
-	case *message.NewView:
-		s := header + certSize
-		for _, vc := range v.VCs {
-			s += EstimateSize(vc)
-		}
-		for _, a := range v.Acks {
-			s += EstimateSize(a)
-		}
-		for _, p := range v.Prepares {
-			s += prepare(p)
-		}
-		return s
-	case *message.NewViewAck:
-		s := header + certSize
-		for _, p := range v.Prepares {
-			s += prepare(p)
-		}
-		return s
-	case *message.PrePrepare:
-		return header + batch(v.Requests) + proof(&v.Proof)
-	case *message.PBFTPrepare:
-		return header + 32 + proof(&v.Proof)
-	case *message.PBFTCommit:
-		return header + 32 + proof(&v.Proof)
-	case *message.PBFTCheckpoint:
-		return header + 32 + proof(&v.Proof)
-	case *message.PBFTViewChange:
-		s := header + 32 + proof(&v.Proof) + len(v.CkptProof)*(header+32+certSize)
-		for _, pp := range v.Prepared {
-			s += header + batch(pp.PrePrepare.Requests) + proof(&pp.PrePrepare.Proof)
-			for _, p := range pp.Prepares {
-				s += header + 32 + proof(&p.Proof)
-			}
-		}
-		return s
-	case *message.PBFTNewView:
-		s := header + proof(&v.Proof)
-		for _, vc := range v.VCs {
-			s += EstimateSize(vc)
-		}
-		for _, p := range v.PrePrepares {
-			s += header + batch(p.Requests) + proof(&p.Proof)
-		}
-		return s
-	case *message.MinPrepare:
-		return header + batch(v.Requests) + 44
-	case *message.MinCommit:
-		return header + 32 + 88
-	case *message.StateRequest:
-		return header + 8
-	case *message.StateReply:
-		return header + len(v.Snapshot) + len(v.ReplyVector) + len(v.Proof)*ckpt()
-	default:
-		return header + 64
-	}
-}
+// EstimateSize returns the exact number of bytes message.Marshal would
+// produce for m, without marshaling: the codec's own field walk in its
+// counting mode. It is no longer an estimate; the name stays because
+// benchmark/ compiles against it. The in-process fabric charges it to
+// the bandwidth model.
+func EstimateSize(m message.Message) int { return 1 + message.WireSize(m) }
