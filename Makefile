@@ -33,10 +33,12 @@ wire-golden:
 # Short seeded chaos run: all four protocols under link faults,
 # a partition window, and a crash-restart, with the race detector on;
 # then the engine's concurrency-sensitive unit tests (sequencer
-# admit/credit, host routing order and teardown) repeated.
+# admit/credit, host routing order and teardown) and Hybster's
+# skipped-view wedge, driven tick by tick, repeated.
 chaos-smoke:
 	$(GO) test -race -short -count=1 -run 'TestChaos' ./internal/chaos/...
 	$(GO) test -race -count=20 -run 'TestSequencerConcurrentAdmitAndCredit|TestHost' ./internal/engine/
+	$(GO) test -race -count=20 -run 'TestSkippedViewEvidenceReachesPendingPeer' ./internal/core/
 
 # Long seed sweep with elevated fault rates, alternating cold-restart
 # and amnesia recovery. Tune with CHAOS_LONG_SEEDS / CHAOS_LONG_HORIZON.

@@ -562,9 +562,11 @@ func (r *run) settle(target timeline.Order) error {
 }
 
 // standings says where every replica stands, one clause each — `r1
-// view=0 exec=212 readyz="core: no execution progress for 1m4s"`, `r1
-// down` or `r1 zombie` — so a failed settle tells a group stuck in a
-// view change from one that orders but lost a member.
+// view=0 exec=212 readyz="core: no execution progress for 1m4s"`, for
+// Hybster followed by its view change's `pending→2 desired=3
+// vcs[2]={r1 r2}`, `r1 down` or `r1 zombie` — so a failed settle tells
+// a group stuck in a view change, and where, from one that orders but
+// lost a member.
 func (r *run) standings() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -583,6 +585,10 @@ func (r *run) standings() string {
 				Readyz() error
 			})
 			b[i] = fmt.Sprintf("r%d view=%d exec=%d readyz=%q", id, e.View(), rep.LastExecuted(), fmt.Sprint(e.Readyz()))
+			// Hybster's coordinator also says where its view change stands.
+			if s, ok := rep.(interface{ Standing() string }); ok {
+				b[i] += " " + s.Standing()
+			}
 		}
 	}
 	return strings.Join(b, ", ")

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"hybster/internal/crypto"
@@ -25,8 +29,9 @@ type coordinator struct {
 	e  *Engine
 	tx Certifier
 
-	curView      timeline.View
-	pending      bool
+	// pendingTo is the view this replica aborted into and has not
+	// installed: a view change is pending while pendingTo > e.View(), the
+	// installed view. Every install resets it to 0.
 	pendingTo    timeline.View
 	pendingSince time.Time
 	desired      timeline.View // highest view we have evidence for
@@ -35,24 +40,24 @@ type coordinator struct {
 	// ck is the checkpoint sub-protocol and state transfer.
 	ck *engine.Checkpoints[*message.Checkpoint]
 
-	// vcs[v][replica][pillar] collects VIEW-CHANGE parts for view v; a
+	// vcs[v][replica][pillar] collects VIEW-CHANGE parts for view v,
+	// this replica's own included (they are what it retransmits); a
 	// logical view change is complete when all pillar parts arrived.
 	vcs map[timeline.View]map[uint32][]*message.ViewChange
 	// acks[v][replica][pillar] collects NEW-VIEW-ACK parts for view v.
 	acks map[timeline.View]map[uint32][]*message.NewViewAck
-	// ownVC retains our own parts for retransmission.
-	ownVC map[timeline.View][]*message.ViewChange
-	// nvParts[v][pillar] collects NEW-VIEW parts from the leader of v.
+	// nvParts[v][pillar] collects NEW-VIEW parts for view v, from its
+	// leader or, as that leader, our own. nvParts[e.View()] is the
+	// installed view's NEW-VIEW, re-sent to laggards.
 	nvParts map[timeline.View][]*message.NewView
-	// lastNV are the parts of the most recently installed or emitted
-	// NEW-VIEW, re-sent to laggards.
-	lastNV []*message.NewView
-	// nvEmitted marks views we already led a NEW-VIEW for.
-	nvEmitted map[timeline.View]bool
 	// learned maps order numbers to the highest-view prepare this
 	// replica learned through view-change certificates, NEW-VIEWs, and
 	// acknowledgments; propagated in future VIEW-CHANGEs (§5.2.3).
 	learned map[timeline.Order]*message.Prepare
+
+	// standing is where the view change stood after the last tick or
+	// message (publish); Engine.Standing reads it off the loop.
+	standing atomic.Pointer[string]
 }
 
 // gapDelay is how long execution may stall on an unproposed order
@@ -68,16 +73,40 @@ func newCoordinator(e *Engine, tx Certifier) *coordinator {
 		viewChanges: e.Met.Counter("view_changes_total", "view changes this replica initiated or joined"),
 		vcs:         make(map[timeline.View]map[uint32][]*message.ViewChange),
 		acks:        make(map[timeline.View]map[uint32][]*message.NewViewAck),
-		ownVC:       make(map[timeline.View][]*message.ViewChange),
 		nvParts:     make(map[timeline.View][]*message.NewView),
-		nvEmitted:   make(map[timeline.View]bool),
 		learned:     make(map[timeline.Order]*message.Prepare),
 	}
 	c.ck = engine.NewCheckpoints(e.Host,
 		func(o timeline.Order, d crypto.Digest, proof []*message.Checkpoint) error {
 			return e.verifyCheckpointProof(tx, o, d, proof)
 		}, c.stableAdvanced)
+	c.publish()
 	return c
+}
+
+// pending reports whether this replica aborted into a view it has not
+// installed yet.
+func (c *coordinator) pending() bool { return c.pendingTo > c.e.View() }
+
+// publish records where the view change stands — `pending→3 desired=4
+// vcs[3]={r0 r2}` (the view aborted into, the view wanted, the replicas
+// whose parts for the pending view are held), or `desired=1` with none
+// pending — for readers on other goroutines.
+func (c *coordinator) publish() {
+	s := fmt.Sprintf("desired=%d", c.desired)
+	if c.pending() {
+		var ids []uint32
+		for r := range c.vcs[c.pendingTo] {
+			ids = append(ids, r)
+		}
+		slices.Sort(ids)
+		holders := make([]string, len(ids))
+		for i, r := range ids {
+			holders[i] = fmt.Sprintf("r%d", r)
+		}
+		s = fmt.Sprintf("pending→%d %s vcs[%d]={%s}", c.pendingTo, s, c.pendingTo, strings.Join(holders, " "))
+	}
+	c.standing.Store(&s)
 }
 
 // handleEvent is the Host's handler for the coordinator mailbox;
@@ -91,7 +120,9 @@ func (c *coordinator) handleEvent(ev any) {
 		c.handleTick()
 	default:
 		c.ck.Handle(ev)
+		return
 	}
+	c.publish()
 }
 
 func (c *coordinator) handleMessage(from uint32, m message.Message) {
@@ -129,15 +160,15 @@ func (c *coordinator) handleTick() {
 	c.e.ObserveExec(c.e.LastExecuted())
 	c.ck.Tick()
 
-	if !c.pending {
+	if !c.pending() {
 		// Watchdog: outstanding work without execution progress for a
 		// full timeout means the current configuration is stuck.
 		if stalled := c.e.Stalled(); stalled > c.e.Cfg.ViewChangeTimeout {
-			c.bumpDesired(c.curView + 1)
+			c.bumpDesired(c.e.View() + 1)
 		} else if stalled > c.gapDelay() {
 			// Gap filling: if execution waits on an order we own and
 			// never proposed, close it with a no-op (§5.3.1).
-			c.e.Seq.ProposeNoop(c.curView, c.e.LastExecuted()+1)
+			c.e.Seq.ProposeNoop(c.e.View(), c.e.LastExecuted()+1)
 		}
 	} else {
 		if now := c.e.Now(); now.Sub(c.pendingSince) > c.e.Patience() {
@@ -147,11 +178,11 @@ func (c *coordinator) handleTick() {
 			c.e.Escalate()
 			c.bumpDesired(c.pendingTo + 1)
 		}
-		// Retransmit our VIEW-CHANGE parts.
-		if parts, ok := c.ownVC[c.pendingTo]; ok {
-			for _, vc := range parts {
-				transport.Multicast(c.e.Ep, c.e.Cfg.N, vc)
-			}
+		// Retransmit our VIEW-CHANGE parts for the pending view only;
+		// those for views stepped over go to whoever asks for them
+		// (handleViewChange).
+		for _, vc := range c.vcs[c.pendingTo][c.e.ID()] {
+			transport.Multicast(c.e.Ep, c.e.Cfg.N, vc)
 		}
 	}
 	c.tryAdvanceView()
@@ -174,47 +205,69 @@ func (c *coordinator) haveVCQuorum(v timeline.View) bool {
 // mutually consistent) view changes stored for view v, keyed by
 // replica.
 func (c *coordinator) completeVCs(v timeline.View) map[uint32][]*message.ViewChange {
-	out := make(map[uint32][]*message.ViewChange)
-	for r, parts := range c.vcs[v] {
-		if logicalVCComplete(parts) {
-			out[r] = parts
-		}
-	}
-	return out
+	return complete(c.vcs[v], logicalVCComplete)
 }
 
 func logicalVCComplete(parts []*message.ViewChange) bool {
-	if len(parts) == 0 {
+	if !allParts(parts) {
 		return false
 	}
-	first := (*message.ViewChange)(nil)
-	for _, p := range parts {
-		if p == nil {
-			return false
-		}
-		if first == nil {
-			first = p
-		} else if p.From != first.From || p.To != first.To || p.CkptOrder != first.CkptOrder || p.CkptDigest != first.CkptDigest {
+	first := parts[0]
+	for _, p := range parts[1:] {
+		if p.From != first.From || p.To != first.To || p.CkptOrder != first.CkptOrder || p.CkptDigest != first.CkptDigest {
 			return false
 		}
 	}
 	return true
 }
 
+// complete keeps the replicas whose logical message — one part per
+// pillar — is whole.
+func complete[M any](byReplica map[uint32][]*M, whole func([]*M) bool) map[uint32][]*M {
+	out := make(map[uint32][]*M)
+	for r, parts := range byReplica {
+		if whole(parts) {
+			out[r] = parts
+		}
+	}
+	return out
+}
+
+// allParts reports whether every pillar's part is present.
+func allParts[M any](parts []*M) bool {
+	for _, p := range parts {
+		if p == nil {
+			return false
+		}
+	}
+	return len(parts) > 0
+}
+
+// partsOf returns replica r's per-pillar parts for view v in table t,
+// creating them empty on first use.
+func partsOf[M any](t map[timeline.View]map[uint32][]*M, v timeline.View, r uint32, pillars int) []*M {
+	if t[v] == nil {
+		t[v] = make(map[uint32][]*M)
+	}
+	if t[v][r] == nil {
+		t[v][r] = make([]*M, pillars)
+	}
+	return t[v][r]
+}
+
 // tryAdvanceView walks the replica toward the desired view while the
-// view-change-certificate rule permits: the step to curView+1 is
+// view-change-certificate rule permits: the step to View()+1 is
 // always allowed; any further step to w requires a certificate for
 // w−1, whose prepares are merged into the learned set first. The
 // desired view itself only rises through the watchdog, the pending
 // timeout, or the f+1 join rule — never here.
 func (c *coordinator) tryAdvanceView() {
 	for {
-		var target timeline.View
-		if !c.pending {
-			if c.desired <= c.curView {
+		target := c.e.View() + 1
+		if !c.pending() {
+			if c.desired < target {
 				return
 			}
-			target = c.curView + 1
 		} else {
 			if c.desired <= c.pendingTo {
 				return
@@ -230,7 +283,7 @@ func (c *coordinator) tryAdvanceView() {
 			// no view ever installs.
 			if c.e.Cfg.LeaderOf(c.pendingTo) == c.e.ID() {
 				c.maybeEmitNewView(c.pendingTo)
-				if !c.pending {
+				if !c.pending() {
 					continue // installed; re-evaluate from the new view
 				}
 			}
@@ -264,14 +317,7 @@ func (c *coordinator) mergeLearnedFromVCs(v timeline.View) {
 }
 
 func (c *coordinator) mergeLearned(ps []*message.Prepare) {
-	for _, p := range ps {
-		if p.Order <= c.ck.Stable().Order {
-			continue
-		}
-		if cur, ok := c.learned[p.Order]; !ok || p.View > cur.View {
-			c.learned[p.Order] = p
-		}
-	}
+	keepHighest(c.learned, ps, c.ck.Stable().Order)
 }
 
 // learnedForPillar filters the learned set to one pillar's class.
@@ -289,7 +335,7 @@ func (c *coordinator) learnedForPillar(u uint32) []*message.Prepare {
 // VIEW-CHANGE parts for view "to", one per pillar (§5.3.3, split
 // external messages). Returns false if the target is not ahead.
 func (c *coordinator) startViewChange(to timeline.View) bool {
-	if to <= c.curView || (c.pending && to <= c.pendingTo) {
+	if to <= max(c.e.View(), c.pendingTo) {
 		return false
 	}
 	parts := make([]*message.ViewChange, len(c.e.pillars))
@@ -297,7 +343,7 @@ func (c *coordinator) startViewChange(to timeline.View) bool {
 	for u, box := range c.e.PillarBox {
 		reply := make(chan *message.ViewChange, 1)
 		box.Put(evCollectVC{
-			from:      c.curView,
+			from:      c.e.View(),
 			to:        to,
 			ckptOrder: stable.Order,
 			ckptDig:   stable.Digest,
@@ -315,13 +361,11 @@ func (c *coordinator) startViewChange(to timeline.View) bool {
 			return false
 		}
 	}
-	c.pending = true
 	c.pendingTo = to
 	c.pendingSince = c.e.Now()
 	c.viewChanges.Inc()
 	c.e.Met.Trace(telemetry.EvViewChange, uint64(to), 0, 0, "")
-	c.ownVC = map[timeline.View][]*message.ViewChange{to: parts}
-	c.storeVCParts(c.e.ID(), parts)
+	copy(partsOf(c.vcs, to, c.e.ID(), len(parts)), parts)
 	for _, vc := range parts {
 		transport.Multicast(c.e.Ep, c.e.Cfg.N, vc)
 	}
@@ -329,37 +373,15 @@ func (c *coordinator) startViewChange(to timeline.View) bool {
 	return true
 }
 
-func (c *coordinator) storeVCParts(replica uint32, parts []*message.ViewChange) {
-	for _, vc := range parts {
-		c.storeVCPart(replica, vc)
-	}
-}
-
-func (c *coordinator) storeVCPart(replica uint32, vc *message.ViewChange) {
-	byReplica, ok := c.vcs[vc.To]
-	if !ok {
-		byReplica = make(map[uint32][]*message.ViewChange)
-		c.vcs[vc.To] = byReplica
-	}
-	parts := byReplica[replica]
-	if parts == nil {
-		parts = make([]*message.ViewChange, len(c.e.pillars))
-		byReplica[replica] = parts
-	}
-	if parts[vc.Pillar] == nil {
-		parts[vc.Pillar] = vc
-	}
-}
-
 // handleViewChange ingests a peer's VIEW-CHANGE part.
 func (c *coordinator) handleViewChange(from uint32, vc *message.ViewChange) {
 	if vc.Replica != from {
 		return
 	}
-	if vc.To <= c.curView {
+	if vc.To <= c.e.View() {
 		// The sender lags behind an already-installed view: help it
 		// with the NEW-VIEW we hold.
-		for _, nv := range c.lastNV {
+		for _, nv := range c.nvParts[c.e.View()] {
 			_ = c.e.Ep.Send(from, nv)
 		}
 		return
@@ -367,7 +389,7 @@ func (c *coordinator) handleViewChange(from uint32, vc *message.ViewChange) {
 	if err := c.e.verifyViewChangePart(c.tx, vc); err != nil {
 		return
 	}
-	if vc.From < c.curView {
+	if vc.From < c.e.View() {
 		// The sender abandons views it never established: its From lags
 		// our installed view even though its To is ahead. Until it
 		// acknowledges our view, no later NEW-VIEW can satisfy the From
@@ -375,11 +397,20 @@ func (c *coordinator) handleViewChange(from uint32, vc *message.ViewChange) {
 		// a single lost NEW-VIEW or ack would wedge the view change
 		// forever. Re-send the NEW-VIEW we hold; receiving it makes the
 		// peer emit (or re-emit) its acknowledgment.
-		for _, nv := range c.lastNV {
+		for _, nv := range c.nvParts[c.e.View()] {
 			_ = c.e.Ep.Send(from, nv)
 		}
 	}
-	c.storeVCPart(from, vc)
+	if parts := partsOf(c.vcs, vc.To, from, len(c.e.pillars)); parts[vc.Pillar] == nil {
+		parts[vc.Pillar] = vc
+	}
+	if own := c.vcs[vc.To][c.e.ID()]; vc.To < c.pendingTo && own != nil {
+		// The sender is pending at a view this replica stepped over on
+		// that view's certificate (§5.2.3), which our own parts may
+		// complete for it; the tick retransmits only the pending view's,
+		// so answer part for part.
+		_ = c.e.Ep.Send(from, own[vc.Pillar])
+	}
 
 	// Join rule: f+1 distinct replicas moving to a higher view prove
 	// at least one correct replica suspects the configuration; follow
@@ -388,17 +419,15 @@ func (c *coordinator) handleViewChange(from uint32, vc *message.ViewChange) {
 		c.bumpDesired(vc.To)
 	}
 	c.tryAdvanceView()
-	if c.e.Cfg.LeaderOf(vc.To) == c.e.ID() {
-		c.maybeEmitNewView(vc.To)
-	}
+	c.maybeEmitNewView(vc.To)
 }
 
 // handleNewViewAck ingests an acknowledgment part.
 func (c *coordinator) handleNewViewAck(from uint32, a *message.NewViewAck) {
-	if a.Replica != from || a.View < c.curView {
+	if a.Replica != from || a.View < c.e.View() {
 		// Acks for views below ours are dead evidence — any NEW-VIEW we
-		// emit carries our own VC with From == curView, so the From rule
-		// never needs them. Acks for curView itself stay relevant: they
+		// emit carries our own VC with From == View(), so the From rule
+		// never needs them. Acks for View() itself stay relevant: they
 		// are precisely the f+1 confirmations a future view we lead must
 		// present (§5.2.3).
 		return
@@ -406,21 +435,9 @@ func (c *coordinator) handleNewViewAck(from uint32, a *message.NewViewAck) {
 	if err := c.e.verifyNewViewAckPart(c.tx, a); err != nil {
 		return
 	}
-	byReplica, ok := c.acks[a.View]
-	if !ok {
-		byReplica = make(map[uint32][]*message.NewViewAck)
-		c.acks[a.View] = byReplica
-	}
-	parts := byReplica[from]
-	if parts == nil {
-		parts = make([]*message.NewViewAck, len(c.e.pillars))
-		byReplica[from] = parts
-	}
-	if parts[a.Pillar] == nil {
+	if parts := partsOf(c.acks, a.View, from, len(c.e.pillars)); parts[a.Pillar] == nil {
 		parts[a.Pillar] = a
 	}
 	c.mergeLearned(a.Prepares)
-	if c.pending && c.e.Cfg.LeaderOf(c.pendingTo) == c.e.ID() {
-		c.maybeEmitNewView(c.pendingTo)
-	}
+	c.maybeEmitNewView(c.pendingTo)
 }

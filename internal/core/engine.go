@@ -100,6 +100,11 @@ func New(opts Options) (*Engine, error) {
 	return e, nil
 }
 
+// Standing says where this replica's view change stands, as its
+// coordinator last published it: `pending→3 desired=4 vcs[3]={r0 r2}`,
+// or `desired=1` with none pending. Safe from any goroutine.
+func (e *Engine) Standing() string { return *e.coord.standing.Load() }
+
 // close is the Host's shutdown hook. A graceful stop flushes and closes
 // the WAL and seals the exact counter values, so a subsequent boot
 // resumes warm; a kill leaves the durable state exactly as kill -9

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"hybster/internal/apps/counter"
 	"hybster/internal/config"
@@ -26,12 +27,20 @@ func newTestEngine(t *testing.T, id uint32, pillars int) *Engine {
 	cfg.Pillars = pillars
 	net := transport.NewNetwork(transport.LinkProfile{}, 1)
 	t.Cleanup(net.Close)
+	return newEngineOn(t, net, cfg, id, nil)
+}
+
+// newEngineOn builds an unstarted engine for replica id on net; a nil
+// now reads the wall clock.
+func newEngineOn(t *testing.T, net *transport.Network, cfg config.Config, id uint32, now func() time.Time) *Engine {
+	t.Helper()
 	e, err := New(Options{
 		Config:      cfg,
 		ID:          id,
 		Endpoint:    net.Endpoint(id),
 		Application: counter.New(),
 		Platform:    enclave.NewPlatform("test"),
+		Now:         now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +77,7 @@ func TestVerifyPrepareChecks(t *testing.T) {
 	}
 
 	// Wrong sender.
-	if err := follower.verifyPrepare(tx, good, 2, false); !errors.Is(err, errBadSender) {
+	if err := follower.verifyPrepare(tx, good, 2); !errors.Is(err, errBadSender) {
 		t.Fatalf("wrong sender: %v", err)
 	}
 	// Wrong certificate kind.
@@ -93,25 +102,6 @@ func TestVerifyPrepareChecks(t *testing.T) {
 	}
 	if err := follower.verifyPrepareEmbedded(tx, swapped, 0); err == nil {
 		t.Fatal("batch swap accepted")
-	}
-}
-
-func TestVerifyPrepareRejectsBadClientAuth(t *testing.T) {
-	leader := newTestEngine(t, 0, 1)
-	follower := newTestEngine(t, 1, 1)
-
-	// Batch with an unauthenticated request: the embedded certificate
-	// is fine, but followers must reject at admission.
-	req := &message.Request{Client: crypto.ClientIDBase, Seq: 1, Payload: []byte("x"),
-		Auth: crypto.Authenticator{Sender: crypto.ClientIDBase, MACs: make([]crypto.MAC, 3)}}
-	p := &message.Prepare{View: 0, Order: 1, Requests: []*message.Request{req}}
-	cert, err := leader.pillars[0].tx.CreateIndependent(counterO, uint64(timeline.Pack(0, 1)), p.Digest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Cert = cert
-	if err := follower.verifyPrepare(follower.pillars[0].tx, p, 0, false); !errors.Is(err, errBadAuth) {
-		t.Fatalf("err = %v, want errBadAuth", err)
 	}
 }
 
@@ -246,25 +236,29 @@ func TestCheckFromRule(t *testing.T) {
 	vc := func(r uint32, from timeline.View) []*message.ViewChange {
 		return []*message.ViewChange{{Replica: r, Pillar: 0, From: from, To: 5}}
 	}
+	acksFor := func(acks map[uint32][]*message.NewViewAck) func(timeline.View) map[uint32][]*message.NewViewAck {
+		return func(timeline.View) map[uint32][]*message.NewViewAck { return acks }
+	}
+	none := acksFor(nil)
 	// All From == 0: initial view needs no confirmation.
-	if _, ok := c.checkFromRule(map[uint32][]*message.ViewChange{0: vc(0, 0), 1: vc(1, 0)}, nil); !ok {
+	if _, ok := c.checkFromRule(map[uint32][]*message.ViewChange{0: vc(0, 0), 1: vc(1, 0)}, none); !ok {
 		t.Fatal("From=0 quorum rejected")
 	}
 	// vmax = 3 confirmed by two replicas (f+1 = 2): ok.
 	set := map[uint32][]*message.ViewChange{0: vc(0, 3), 1: vc(1, 3), 2: vc(2, 0)}
-	if vmax, ok := c.checkFromRule(set, nil); !ok || vmax != 3 {
+	if vmax, ok := c.checkFromRule(set, none); !ok || vmax != 3 {
 		t.Fatalf("vmax=%d ok=%v", vmax, ok)
 	}
 	// vmax = 3 confirmed by only one VC: not ok without acks.
 	set = map[uint32][]*message.ViewChange{0: vc(0, 3), 1: vc(1, 0)}
-	if _, ok := c.checkFromRule(set, nil); ok {
+	if _, ok := c.checkFromRule(set, none); ok {
 		t.Fatal("single confirmation satisfied f+1 rule")
 	}
 	// ...but an ack for view 3 from another replica completes it.
 	acks := map[uint32][]*message.NewViewAck{
 		2: {{Replica: 2, Pillar: 0, View: 3}},
 	}
-	if _, ok := c.checkFromRule(set, acks); !ok {
+	if _, ok := c.checkFromRule(set, acksFor(acks)); !ok {
 		t.Fatal("ack did not count toward the From rule")
 	}
 	// An ack from the same replica that already confirmed via VC must
@@ -272,7 +266,7 @@ func TestCheckFromRule(t *testing.T) {
 	acks = map[uint32][]*message.NewViewAck{
 		0: {{Replica: 0, Pillar: 0, View: 3}},
 	}
-	if _, ok := c.checkFromRule(set, acks); ok {
+	if _, ok := c.checkFromRule(set, acksFor(acks)); ok {
 		t.Fatal("same replica counted twice")
 	}
 }

@@ -17,25 +17,18 @@ import (
 // — the highest-view prepare wins, gaps become no-ops (§5.2.3, §5.3.3).
 func computeTransfer(vcSet map[uint32][]*message.ViewChange, ackSet map[uint32][]*message.NewViewAck) (startCkpt timeline.Order, props []reProposal) {
 	best := make(map[timeline.Order]*message.Prepare)
-	merge := func(ps []*message.Prepare) {
-		for _, p := range ps {
-			if cur, ok := best[p.Order]; !ok || p.View > cur.View {
-				best[p.Order] = p
-			}
-		}
-	}
 	for _, parts := range vcSet {
 		for _, part := range parts {
 			if part.CkptOrder > startCkpt {
 				startCkpt = part.CkptOrder
 			}
-			merge(part.Prepares)
+			keepHighest(best, part.Prepares, 0)
 		}
 	}
 	for _, parts := range ackSet {
 		for _, a := range parts {
 			if a != nil {
-				merge(a.Prepares)
+				keepHighest(best, a.Prepares, 0)
 			}
 		}
 	}
@@ -55,29 +48,30 @@ func computeTransfer(vcSet map[uint32][]*message.ViewChange, ackSet map[uint32][
 	return startCkpt, props
 }
 
+// keepHighest files every prepare of ps above order floor in best
+// unless best holds one of at least its view for that order: the
+// highest-view prepare per order, the one rule by which view-change
+// evidence is merged (§5.2.3).
+func keepHighest(best map[timeline.Order]*message.Prepare, ps []*message.Prepare, floor timeline.Order) {
+	for _, p := range ps {
+		if cur, ok := best[p.Order]; p.Order > floor && (!ok || p.View > cur.View) {
+			best[p.Order] = p
+		}
+	}
+}
+
 // completeAcks returns the logical (all pillar parts present)
 // acknowledgments for view v, keyed by replica.
 func (c *coordinator) completeAcks(v timeline.View) map[uint32][]*message.NewViewAck {
-	out := make(map[uint32][]*message.NewViewAck)
-	for r, parts := range c.acks[v] {
-		ok := len(parts) > 0
-		for _, p := range parts {
-			if p == nil {
-				ok = false
-			}
-		}
-		if ok {
-			out[r] = parts
-		}
-	}
-	return out
+	return complete(c.acks[v], allParts[message.NewViewAck])
 }
 
 // checkFromRule verifies the new-view-acknowledgment condition of
 // §5.2.3: the highest v_from among the quorum's VIEW-CHANGEs must be
 // confirmed as properly established by at least f+1 replicas — either
-// through VCs with that v_from or through NEW-VIEW-ACKs for it.
-func (c *coordinator) checkFromRule(vcSet map[uint32][]*message.ViewChange, ackSet map[uint32][]*message.NewViewAck) (timeline.View, bool) {
+// through VCs with that v_from or through the NEW-VIEW-ACKs for it that
+// acksFor supplies.
+func (c *coordinator) checkFromRule(vcSet map[uint32][]*message.ViewChange, acksFor func(timeline.View) map[uint32][]*message.NewViewAck) (timeline.View, bool) {
 	var vmax timeline.View
 	for _, parts := range vcSet {
 		if parts[0].From > vmax {
@@ -93,7 +87,7 @@ func (c *coordinator) checkFromRule(vcSet map[uint32][]*message.ViewChange, ackS
 			confirm[r] = true
 		}
 	}
-	for r, parts := range ackSet {
+	for r, parts := range acksFor(vmax) {
 		if parts[0].View == vmax {
 			confirm[r] = true
 		}
@@ -105,17 +99,14 @@ func (c *coordinator) checkFromRule(vcSet map[uint32][]*message.ViewChange, ackS
 // replica must be w's designated leader and must itself have aborted
 // into w.
 func (c *coordinator) maybeEmitNewView(w timeline.View) {
-	if c.nvEmitted[w] || c.e.Cfg.LeaderOf(w) != c.e.ID() {
-		return
-	}
-	if !c.pending || c.pendingTo != w {
+	if c.e.Cfg.LeaderOf(w) != c.e.ID() || !c.pending() || c.pendingTo != w {
 		return
 	}
 	vcSet := c.completeVCs(w)
 	if len(vcSet) < c.e.Cfg.Quorum() {
 		return
 	}
-	vmax, ok := c.checkFromRule(vcSet, c.completeAcks(maxFrom(vcSet)))
+	vmax, ok := c.checkFromRule(vcSet, c.completeAcks)
 	if !ok {
 		return
 	}
@@ -172,25 +163,14 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 	for _, nv := range parts {
 		transport.Multicast(c.e.Ep, c.e.Cfg.N, nv)
 	}
-	c.lastNV = parts
-	c.nvEmitted[w] = true
+	c.nvParts[w] = parts
 	c.installNewView(w, startCkpt, newPreps, true, vcSet)
-}
-
-func maxFrom(vcSet map[uint32][]*message.ViewChange) timeline.View {
-	var vmax timeline.View
-	for _, parts := range vcSet {
-		if parts[0].From > vmax {
-			vmax = parts[0].From
-		}
-	}
-	return vmax
 }
 
 // handleNewView ingests one NEW-VIEW part from the leader of its view.
 func (c *coordinator) handleNewView(from uint32, nv *message.NewView) {
 	w := nv.View
-	if w <= c.curView {
+	if w <= c.e.View() {
 		return
 	}
 	if from != c.e.Cfg.LeaderOf(w) {
@@ -234,7 +214,7 @@ func (c *coordinator) processNewView(w timeline.View, parts []*message.NewView) 
 	if len(vcSet) < c.e.Cfg.Quorum() {
 		return
 	}
-	if _, ok := c.checkFromRule(vcSet, ackSet); !ok {
+	if _, ok := c.checkFromRule(vcSet, func(timeline.View) map[uint32][]*message.NewViewAck { return ackSet }); !ok {
 		return
 	}
 	startCkpt, props := computeTransfer(vcSet, ackSet)
@@ -282,13 +262,12 @@ func (c *coordinator) processNewView(w timeline.View, parts []*message.NewView) 
 		c.mergeLearned(ps)
 	}
 
-	if c.pending && c.pendingTo > w {
+	if c.pendingTo > w {
 		// Already aborted this view: acknowledge instead of installing
 		// so a future leader can count view w as properly established.
 		c.sendAcks(w, newPreps)
 		return
 	}
-	c.lastNV = parts
 	c.installNewView(w, startCkpt, newPreps, false, vcSet)
 }
 
@@ -328,20 +307,7 @@ func (c *coordinator) reassemble(w timeline.View, parts []*message.NewView) (map
 			ps[u] = a
 		}
 	}
-	for r, ps := range vcSet {
-		if !logicalVCComplete(ps) {
-			delete(vcSet, r)
-		}
-	}
-	for r, ps := range ackSet {
-		for _, p := range ps {
-			if p == nil {
-				delete(ackSet, r)
-				break
-			}
-		}
-	}
-	return vcSet, ackSet, nil
+	return complete(vcSet, logicalVCComplete), complete(ackSet, allParts[message.NewViewAck]), nil
 }
 
 // sendAcks multicasts per-pillar NEW-VIEW-ACKs for view w carrying the
@@ -360,22 +326,15 @@ func (c *coordinator) sendAcks(w timeline.View, newPreps [][]*message.Prepare) {
 		own[u] = ack
 		transport.Multicast(c.e.Ep, c.e.Cfg.N, ack)
 	}
-	byReplica, ok := c.acks[w]
-	if !ok {
-		byReplica = make(map[uint32][]*message.NewViewAck)
-		c.acks[w] = byReplica
-	}
-	byReplica[c.e.ID()] = own
+	copy(partsOf(c.acks, w, c.e.ID(), len(own)), own)
 }
 
 // installNewView makes view w stable: updates coordinator and engine
 // state, slides windows, hands each pillar its re-proposals, and
 // realigns the sequencer past the transferred range.
 func (c *coordinator) installNewView(w timeline.View, startCkpt timeline.Order, newPreps [][]*message.Prepare, leader bool, vcSet map[uint32][]*message.ViewChange) {
-	c.curView = w
 	c.e.SetView(w)
 	c.e.Met.Trace(telemetry.EvNewView, uint64(w), uint64(startCkpt), 0, "")
-	c.pending = false
 	c.pendingTo = 0
 	// Reset suspicion to the installed view: any desire for a higher
 	// view was evidence of pre-w stuckness, now obsolete. If w is stuck
@@ -408,7 +367,8 @@ func (c *coordinator) installNewView(w timeline.View, startCkpt timeline.Order, 
 		}
 	}
 
-	// Prune stores for superseded views.
+	// Prune stores for superseded views; nvParts[w] stays, it is the
+	// NEW-VIEW a laggard is sent.
 	for v := range c.vcs {
 		if v <= w {
 			delete(c.vcs, v)
@@ -423,18 +383,8 @@ func (c *coordinator) installNewView(w timeline.View, startCkpt timeline.Order, 
 		}
 	}
 	for v := range c.nvParts {
-		if v <= w {
-			delete(c.nvParts, v)
-		}
-	}
-	for v := range c.ownVC {
-		if v <= w {
-			delete(c.ownVC, v)
-		}
-	}
-	for v := range c.nvEmitted {
 		if v < w {
-			delete(c.nvEmitted, v)
+			delete(c.nvParts, v)
 		}
 	}
 

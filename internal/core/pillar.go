@@ -131,7 +131,7 @@ func (p *pillar) handleEvent(ev any) {
 func (p *pillar) handleMessage(in engine.InMsg) {
 	switch v := in.Msg.(type) {
 	case *message.Prepare:
-		p.handlePrepare(in.From, v, in.Verified)
+		p.handlePrepare(in.From, v)
 	case *message.Commit:
 		p.handleCommit(in.From, v)
 	case *message.Checkpoint:
@@ -140,9 +140,9 @@ func (p *pillar) handleMessage(in engine.InMsg) {
 }
 
 // handlePrepare processes a leader proposal for one of this pillar's
-// instances. authVerified reports that the Host's inbound route has
-// already checked the batch's client authenticators.
-func (p *pillar) handlePrepare(from uint32, m *message.Prepare, authVerified bool) {
+// instances; the Host's inbound route delivered it only because every
+// client authenticator of its batch verified.
+func (p *pillar) handlePrepare(from uint32, m *message.Prepare) {
 	if m.View != p.view || p.aborted {
 		return
 	}
@@ -156,7 +156,7 @@ func (p *pillar) handlePrepare(from uint32, m *message.Prepare, authVerified boo
 	if _, dup := p.pendingPreps[m.Order]; dup {
 		return
 	}
-	if err := p.e.verifyPrepare(p.tx, m, from, authVerified); err != nil {
+	if err := p.e.verifyPrepare(p.tx, m, from); err != nil {
 		return
 	}
 	p.e.NoteWork()
@@ -441,14 +441,8 @@ func mergePrepares(a, b []*message.Prepare) []*message.Prepare {
 		return a
 	}
 	byOrder := make(map[timeline.Order]*message.Prepare, len(a)+len(b))
-	for _, p := range a {
-		byOrder[p.Order] = p
-	}
-	for _, p := range b {
-		if cur, ok := byOrder[p.Order]; !ok || p.View > cur.View {
-			byOrder[p.Order] = p
-		}
-	}
+	keepHighest(byOrder, a, 0)
+	keepHighest(byOrder, b, 0)
 	out := make([]*message.Prepare, 0, len(byOrder))
 	for _, p := range byOrder {
 		out = append(out, p)

@@ -20,36 +20,22 @@ var (
 	errBadIssuer    = errors.New("core: certificate issuer mismatch")
 	errBadKind      = errors.New("core: wrong certificate kind")
 	errBadValue     = errors.New("core: certificate value mismatch")
-	errBadAuth      = errors.New("core: request authenticator invalid")
 	errBadSender    = errors.New("core: sender is not the expected proposer")
 	errIncompleteVC = errors.New("core: view-change discloses fewer prepares than its counter proves")
 )
 
 // verifyPrepare validates a leader proposal: the sender must be the
-// proposer of (view, order), the certificate must be an independent
-// counter certificate with the predefined value [view|order] issued by
-// the TrInX instance of the responsible pillar, and every request in
-// the batch must carry a valid client authenticator. authVerified
-// skips the client-authenticator loop for batches the Host's inbound
-// route already cleared on the sender's link; NEW-VIEW re-proposals and
-// directly enqueued events arrive unchecked. The structural and
-// certificate checks always run on the pillar.
-func (e *Engine) verifyPrepare(tx Certifier, m *message.Prepare, from uint32, authVerified bool) error {
+// proposer of (view, order) and the certificate an independent counter
+// certificate with the predefined value [view|order] issued by the
+// TrInX instance of the responsible pillar. The batch's client
+// authenticators are the Host's inbound route's to check, on the
+// sender's link, before the PREPARE reaches a pillar.
+func (e *Engine) verifyPrepare(tx Certifier, m *message.Prepare, from uint32) error {
 	proposer := e.Cfg.ProposerOf(m.View, m.Order)
 	if from != proposer {
 		return errBadSender
 	}
-	if err := e.verifyPrepareEmbedded(tx, m, proposer); err != nil {
-		return err
-	}
-	if !authVerified {
-		for _, r := range m.Requests {
-			if !crypto.VerifyAuthenticator(e.Keys, r.Auth, r.Digest()) {
-				return errBadAuth
-			}
-		}
-	}
-	return nil
+	return e.verifyPrepareEmbedded(tx, m, proposer)
 }
 
 // verifyPrepareEmbedded validates a prepare carried inside

@@ -34,10 +34,11 @@ package engine
 import "hybster/internal/message"
 
 // InMsg is an inbound protocol message tagged with its sender.
-// Verified marks messages whose client authenticators Host.route
-// already checked on the way in; protocol loops re-check sequentially
-// when it is unset (a message without requests, a forged batch handed
-// to a coordinator, an event enqueued directly).
+// Verified marks a request-bearing message whose client authenticators
+// Host.route checked and found valid. A pillar is never handed any
+// other request-bearing message, so only a coordinator loop reads it:
+// MinBFT's gets a forged batch too, unverified, and rejects it after
+// its counter bookkeeping.
 type InMsg struct {
 	From     uint32
 	Msg      message.Message

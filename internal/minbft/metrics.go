@@ -10,7 +10,7 @@ import "sync/atomic"
 // snapshot at most one event stale.
 type gaugeMirror struct {
 	// pendingTo is the target view while a view change is pending;
-	// 0 means no view change in flight.
+	// 0 means no view change in flight (install resets it).
 	pendingTo atomic.Uint64
 	nextOrder atomic.Uint64
 	low       atomic.Uint64
@@ -49,11 +49,7 @@ func (e *Engine) registerGauges() {
 // state. Called by the run loop after every event (and once at
 // assembly, so gauges are sane before the loop starts).
 func (e *Engine) publishGauges() {
-	if e.pending {
-		e.gm.pendingTo.Store(uint64(e.pendingTo))
-	} else {
-		e.gm.pendingTo.Store(0)
-	}
+	e.gm.pendingTo.Store(uint64(e.pendingTo))
 	e.gm.nextOrder.Store(uint64(e.nextOrder))
 	e.gm.low.Store(uint64(e.low))
 }

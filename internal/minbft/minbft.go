@@ -66,8 +66,9 @@ type Engine struct {
 	sig     *usig.USIG
 	sigCkpt *usig.USIG
 
-	// protocol state, confined to the protocol loop
-	view timeline.View
+	// protocol state, confined to the protocol loop (the installed view
+	// is the Host's View, which install alone sets)
+	//
 	// expected[r] is the next UI counter value accepted from replica
 	// r; the in-order processing MinBFT requires.
 	expected map[uint32]uint64
@@ -91,15 +92,16 @@ type Engine struct {
 	queue    []*message.Request
 	inFlight int
 
-	// view-change state (confined to the run goroutine).
-	pending      bool
+	// view-change state (confined to the run goroutine). pendingTo is
+	// the view this replica aborted into and has not installed: a view
+	// change is pending while pendingTo > View(); install resets it to
+	// 0. vcs holds this replica's own VIEW-CHANGE too, which the tick
+	// retransmits.
 	pendingTo    timeline.View
 	pendingSince time.Time
 	reqSent      timeline.View
 	reqVCs       map[timeline.View]map[uint32]bool
 	vcs          map[timeline.View]map[uint32]*message.MinViewChange
-	nvDone       map[timeline.View]bool
-	ownVC        *message.MinViewChange
 	// history of sent UI-consuming messages since the last stable
 	// checkpoint (§4.4's unbounded state).
 	sentLog  []sentEntry
@@ -129,7 +131,7 @@ type Engine struct {
 	// over a lossy network; receivers drop replays by counter.
 	resend     []message.Message
 	lastResend time.Time
-	// lastVCResend rate-limits re-multicasting ownVC while a view
+	// lastVCResend rate-limits re-multicasting our VIEW-CHANGE while a view
 	// change is pending. VIEW-CHANGEs carry the full sent-message
 	// history (§4.4), so after a few election rounds they are by far
 	// the largest messages in the system; re-sending one per tick
@@ -210,7 +212,6 @@ func New(opts Options) (*Engine, error) {
 
 		reqVCs:         make(map[timeline.View]map[uint32]bool),
 		vcs:            make(map[timeline.View]map[uint32]*message.MinViewChange),
-		nvDone:         make(map[timeline.View]bool),
 		orderByCounter: make(map[uint64]timeline.Order),
 		earlyCommits:   make(map[uint64]map[uint32]*message.MinCommit),
 		anchorOrder:    1,
@@ -287,7 +288,11 @@ func classify(m message.Message) engine.Route {
 	return engine.Route{To: engine.ToCoord}
 }
 
-func (e *Engine) leader() uint32 { return e.Cfg.LeaderOf(e.view) }
+func (e *Engine) leader() uint32 { return e.Cfg.LeaderOf(e.View()) }
+
+// pending reports whether this replica aborted into a view it has not
+// installed yet.
+func (e *Engine) pending() bool { return e.pendingTo > e.View() }
 
 // handleEvent is the Host's handler for the protocol loop's mailbox.
 func (e *Engine) handleEvent(ev any) {
@@ -550,7 +555,7 @@ func (e *Engine) handleRequest(r *message.Request, verified bool) {
 
 // propose sends MinPrepares while in-flight credit remains.
 func (e *Engine) propose() {
-	if e.pending || e.leader() != e.ID() {
+	if e.pending() || e.leader() != e.ID() {
 		return
 	}
 	for {
@@ -577,7 +582,7 @@ func (e *Engine) propose() {
 			e.mu.Unlock()
 			return
 		}
-		prep := &message.MinPrepare{View: e.view, Requests: batch}
+		prep := &message.MinPrepare{View: e.View(), Requests: batch}
 		ui, err := e.sig.CreateUI(prep.Digest())
 		if err != nil {
 			return
@@ -586,7 +591,7 @@ func (e *Engine) propose() {
 		e.recordSent(ui, e.nextOrder, prep)
 		e.ord.Prepares.Inc()
 		bd := message.BatchDigest(batch)
-		e.Met.TraceD(telemetry.EvPropose, uint64(e.view), uint64(e.nextOrder), 0, bd[:], "")
+		e.Met.TraceD(telemetry.EvPropose, uint64(e.View()), uint64(e.nextOrder), 0, bd[:], "")
 		transport.Multicast(e.Ep, e.Cfg.N, prep)
 		// The leader's own prepare is processed inline (its UI is the
 		// next expected from itself).
@@ -605,7 +610,7 @@ func (e *Engine) propose() {
 // rotated orders, a silent state fork that only surfaces when
 // checkpoint digests stop matching.
 func (e *Engine) handlePrepare(from uint32, p *message.MinPrepare, authVerified bool) {
-	if from != e.leader() || p.View != e.view || e.pending {
+	if from != e.leader() || p.View != e.View() || e.pending() {
 		return
 	}
 	e.noteWorkLocked()
@@ -640,7 +645,7 @@ func (e *Engine) handlePrepare(from uint32, p *message.MinPrepare, authVerified 
 
 	if from != e.ID() {
 		com := &message.MinCommit{
-			View: e.view, Replica: e.ID(), BatchDigest: s.batchDigest,
+			View: e.View(), Replica: e.ID(), BatchDigest: s.batchDigest,
 			Prepare: p, PrepareUI: p.UI,
 		}
 		ui, err := e.sig.CreateUI(com.Digest())
@@ -651,14 +656,14 @@ func (e *Engine) handlePrepare(from uint32, p *message.MinPrepare, authVerified 
 		e.recordSent(ui, o, com)
 		s.acks[e.ID()] = true
 		e.ord.Commits.Inc()
-		e.Met.TraceD(telemetry.EvCommit, uint64(e.view), uint64(o), 0, s.batchDigest[:], "")
+		e.Met.TraceD(telemetry.EvCommit, uint64(e.View()), uint64(o), 0, s.batchDigest[:], "")
 		transport.Multicast(e.Ep, e.Cfg.N, com)
 	}
 	// Commits that overtook this prepare are waiting for it.
 	if held := e.earlyCommits[p.UI.Counter]; held != nil {
 		delete(e.earlyCommits, p.UI.Counter)
 		for r, c := range held {
-			if c.View == e.view {
+			if c.View == e.View() {
 				e.applyCommit(r, c, o)
 			}
 		}
@@ -669,7 +674,7 @@ func (e *Engine) handlePrepare(from uint32, p *message.MinPrepare, authVerified 
 // handleCommit records a follower acknowledgment; the commit names the
 // leader UI it answers, which identifies the slot.
 func (e *Engine) handleCommit(from uint32, c *message.MinCommit) {
-	if c.View != e.view || from == e.ID() {
+	if c.View != e.View() || from == e.ID() {
 		return
 	}
 	if err := e.sig.VerifyUI(c.UI, c.Digest()); err != nil {
@@ -716,7 +721,7 @@ func (e *Engine) refresh(s *slot) {
 	if s.committed && !s.executed {
 		s.executed = true
 		e.ord.Committed.Inc()
-		e.Met.TraceD(telemetry.EvDeliver, uint64(e.view), uint64(s.order), 0, s.batchDigest[:], "")
+		e.Met.TraceD(telemetry.EvDeliver, uint64(e.View()), uint64(s.order), 0, s.batchDigest[:], "")
 		// A commit is ordering progress: the leader is doing its job, so
 		// the suspicion clock restarts. Execution progress alone is the
 		// wrong signal here — a replica that missed an instance later
@@ -762,7 +767,7 @@ func (e *Engine) checkpointDue(v *statemachine.CheckpointView) {
 	ck.Cert.Issuer = trinxIssuer(ui.Issuer)
 	ck.Cert.Value = ui.Counter
 	ck.Cert.MAC = ui.MAC
-	e.ck.Announce(0, e.view, engine.Announcement[*message.Checkpoint]{Replica: ck.Replica, Order: ck.Order, Digest: digest, Msg: ck})
+	e.ck.Announce(0, e.View(), engine.Announcement[*message.Checkpoint]{Replica: ck.Replica, Order: ck.Order, Digest: digest, Msg: ck})
 }
 
 // handleCheckpoint verifies a peer's announcement and counts it.

@@ -160,17 +160,17 @@ func (e *Engine) handleTick() {
 		now.Sub(e.lastResend) >= e.Cfg.ViewChangeTimeout/2 {
 		e.lastResend = now
 		e.ord.Retransmits.Add(uint64(len(e.resend)))
-		e.Met.Trace(telemetry.EvRetransmit, uint64(e.view), 0, 0, "")
+		e.Met.Trace(telemetry.EvRetransmit, uint64(e.View()), 0, 0, "")
 		for _, m := range e.resend {
 			transport.Multicast(e.Ep, e.Cfg.N, m)
 		}
 	}
-	if !e.pending {
+	if !e.pending() {
 		if !ps.IsZero() && now.Sub(ps) > e.Patience() {
 			e.suspectsC.Inc()
-			e.Met.Trace(telemetry.EvViewChange, uint64(e.view+1), 0, 0, "suspect")
+			e.Met.Trace(telemetry.EvViewChange, uint64(e.View()+1), 0, 0, "suspect")
 			e.Escalate()
-			e.escalateReqViewChange(e.view + 1)
+			e.escalateReqViewChange(e.View() + 1)
 			e.pendingSince = now
 		}
 	} else {
@@ -183,7 +183,7 @@ func (e *Engine) handleTick() {
 		// rate-limited, because a history-bearing VIEW-CHANGE can be
 		// enormous after repeated elections (§4.4) and peers that
 		// already consumed its counter replay-drop every copy anyway.
-		if vc := e.ownVC; vc != nil && now.Sub(e.lastVCResend) >= e.Cfg.ViewChangeTimeout/2 {
+		if vc := e.vcs[e.pendingTo][e.ID()]; vc != nil && now.Sub(e.lastVCResend) >= e.Cfg.ViewChangeTimeout/2 {
 			e.lastVCResend = now
 			transport.Multicast(e.Ep, e.Cfg.N, vc)
 		}
@@ -226,7 +226,7 @@ func (e *Engine) noteWorkLocked() {
 type evProgress struct{ pending bool }
 
 func (e *Engine) sendReqViewChange(target timeline.View) {
-	if target <= e.view || target <= e.reqSent {
+	if target <= e.View() || target <= e.reqSent {
 		return
 	}
 	e.reqSent = target
@@ -237,7 +237,7 @@ func (e *Engine) sendReqViewChange(target timeline.View) {
 }
 
 func (e *Engine) handleReqViewChange(from uint32, m *message.MinReqViewChange) {
-	if m.Replica != from || m.View <= e.view {
+	if m.Replica != from || m.View <= e.View() {
 		return
 	}
 	if !crypto.VerifyAuthenticator(e.Keys, m.Auth, m.Digest()) {
@@ -255,7 +255,7 @@ func (e *Engine) recordReqVC(from uint32, target timeline.View) {
 		e.reqVCs[target] = byReplica
 	}
 	byReplica[from] = true
-	if len(byReplica) >= e.Cfg.F()+1 && target > e.view && (!e.pending || target > e.pendingTo) {
+	if len(byReplica) >= e.Cfg.F()+1 && target > max(e.View(), e.pendingTo) {
 		e.sendViewChange(target)
 	}
 }
@@ -284,22 +284,23 @@ func (e *Engine) sendViewChange(target timeline.View) {
 	// VIEW-CHANGE.
 	e.recordSent(ui, e.nextOrder, vc)
 
-	e.pending = true
 	e.pendingTo = target
 	e.pendingSince = time.Now()
-	e.ownVC = vc
 	e.storeVC(vc)
 	transport.Multicast(e.Ep, e.Cfg.N, vc)
 	e.maybeNewView(target)
 }
 
+// storeVC files vc, a peer's unless it already sent one for that view;
+// our own newest replaces an earlier one for a view we installed below
+// and then aborted into again.
 func (e *Engine) storeVC(vc *message.MinViewChange) {
 	byReplica, ok := e.vcs[vc.View]
 	if !ok {
 		byReplica = make(map[uint32]*message.MinViewChange)
 		e.vcs[vc.View] = byReplica
 	}
-	if _, dup := byReplica[vc.Replica]; !dup {
+	if _, dup := byReplica[vc.Replica]; !dup || vc.Replica == e.ID() {
 		byReplica[vc.Replica] = vc
 	}
 }
@@ -428,7 +429,7 @@ func digestOf(m message.Message) (crypto.Digest, bool) {
 }
 
 func (e *Engine) handleViewChange(from uint32, vc *message.MinViewChange) {
-	if vc.Replica != from || vc.View <= e.view {
+	if vc.Replica != from || vc.View <= e.View() {
 		return
 	}
 	if err := e.verifyViewChange(vc); err != nil {
@@ -436,7 +437,7 @@ func (e *Engine) handleViewChange(from uint32, vc *message.MinViewChange) {
 	}
 	e.storeVC(vc)
 	// f+1 view changes for a higher view: join (one is correct).
-	if len(e.vcs[vc.View]) >= e.Cfg.F()+1 && (!e.pending || e.pendingTo < vc.View) && vc.View > e.view {
+	if len(e.vcs[vc.View]) >= e.Cfg.F()+1 && e.pendingTo < vc.View {
 		e.sendViewChange(vc.View)
 	}
 	if e.Cfg.LeaderOf(vc.View) == e.ID() {
@@ -507,10 +508,7 @@ func minTransfer(vcs map[uint32]*message.MinViewChange) (startCkpt timeline.Orde
 }
 
 func (e *Engine) maybeNewView(target timeline.View) {
-	if e.Cfg.LeaderOf(target) != e.ID() || e.nvDone[target] {
-		return
-	}
-	if !e.pending || e.pendingTo != target {
+	if e.Cfg.LeaderOf(target) != e.ID() || !e.pending() || e.pendingTo != target {
 		return
 	}
 	vcs := e.vcs[target]
@@ -529,7 +527,6 @@ func (e *Engine) maybeNewView(target timeline.View) {
 	nv.UI = ui
 	e.recordSent(ui, e.nextOrder, nv)
 	transport.Multicast(e.Ep, e.Cfg.N, nv)
-	e.nvDone[target] = true
 
 	startCkpt, batches := minTransfer(vcs)
 	// Our first fresh prepare consumes the counter after the NEW-VIEW
@@ -538,7 +535,7 @@ func (e *Engine) maybeNewView(target timeline.View) {
 }
 
 func (e *Engine) handleNewView(from uint32, nv *message.MinNewView) {
-	if nv.View <= e.view || from != e.Cfg.LeaderOf(nv.View) {
+	if nv.View <= e.View() || from != e.Cfg.LeaderOf(nv.View) {
 		return
 	}
 	if err := e.sig.VerifyUI(nv.UI, nv.Digest()); err != nil {
@@ -568,9 +565,8 @@ func (e *Engine) handleNewView(from uint32, nv *message.MinNewView) {
 // cursor re-anchors, and — as the new leader — the transferred batches
 // are proposed afresh with new UIs.
 func (e *Engine) install(v timeline.View, startCkpt timeline.Order, batches [][]*message.Request, leader bool, anchorCounter uint64) {
-	e.view = v
 	e.SetView(v)
-	e.pending = false
+	e.pendingTo = 0
 	e.reqSent = v // allow future requests for v+1
 	for o := range e.slots {
 		if o > startCkpt {
@@ -607,7 +603,6 @@ func (e *Engine) install(v timeline.View, startCkpt timeline.Order, batches [][]
 			delete(e.vcs, view)
 		}
 	}
-	e.ownVC = nil
 	e.pendingSince = time.Time{}
 	e.Relax()
 	e.Met.Trace(telemetry.EvNewView, uint64(v), uint64(startCkpt), 0, "installed")
@@ -623,14 +618,14 @@ func (e *Engine) install(v timeline.View, startCkpt timeline.Order, batches [][]
 // proposeBatch certifies and multicasts one exact batch (view-change
 // re-proposals must not be re-batched).
 func (e *Engine) proposeBatch(batch []*message.Request) {
-	prep := &message.MinPrepare{View: e.view, Requests: batch}
+	prep := &message.MinPrepare{View: e.View(), Requests: batch}
 	ui, err := e.sig.CreateUI(prep.Digest())
 	if err != nil {
 		return
 	}
 	prep.UI = ui
 	e.ord.Prepares.Inc()
-	e.Met.Trace(telemetry.EvPropose, uint64(e.view), uint64(e.nextOrder), 0, "reproposal")
+	e.Met.Trace(telemetry.EvPropose, uint64(e.View()), uint64(e.nextOrder), 0, "reproposal")
 	e.recordSent(ui, e.nextOrder, prep)
 	transport.Multicast(e.Ep, e.Cfg.N, prep)
 	e.ingest(e.ID(), ui, prep, false)

@@ -26,8 +26,9 @@ type coordinator struct {
 	e  *Engine
 	tx *trinx.TrInX // nil for PBFTcop
 
-	curView      timeline.View
-	pending      bool
+	// pendingTo is the view this replica aborted into and has not
+	// installed: a view change is pending while pendingTo > e.View(), the
+	// installed view. Every install resets it to 0.
 	pendingTo    timeline.View
 	pendingSince time.Time
 	viewChanges  *telemetry.Counter
@@ -38,9 +39,9 @@ type coordinator struct {
 	// checkpoint is installed.
 	ck *engine.Checkpoints[*message.PBFTCheckpoint]
 
+	// vcs[v][replica] collects VIEW-CHANGEs for view v, this replica's
+	// own included (it is what the tick retransmits).
 	vcs    map[timeline.View]map[uint32]*message.PBFTViewChange
-	ownVC  map[timeline.View]*message.PBFTViewChange
-	nvDone map[timeline.View]bool
 	lastNV *message.PBFTNewView
 }
 
@@ -50,12 +51,14 @@ func newCoordinator(e *Engine, tx *trinx.TrInX) *coordinator {
 		tx:          tx,
 		viewChanges: e.Met.Counter("view_changes_total", "view changes this replica initiated or joined"),
 		vcs:         make(map[timeline.View]map[uint32]*message.PBFTViewChange),
-		ownVC:       make(map[timeline.View]*message.PBFTViewChange),
-		nvDone:      make(map[timeline.View]bool),
 	}
 	c.ck = engine.NewCheckpoints[*message.PBFTCheckpoint](e.Host, nil, nil)
 	return c
 }
+
+// pending reports whether this replica aborted into a view it has not
+// installed yet.
+func (c *coordinator) pending() bool { return c.pendingTo > c.e.View() }
 
 // handleEvent is the Host's handler for the coordinator mailbox;
 // checkpoint boundaries, announcements and Behind are the checkpoint
@@ -90,11 +93,11 @@ func (c *coordinator) handleTick() {
 	c.e.ObserveExec(c.e.LastExecuted())
 	c.ck.Tick()
 
-	if !c.pending {
+	if !c.pending() {
 		if stalled := c.e.Stalled(); stalled > c.e.Cfg.ViewChangeTimeout {
-			c.startViewChange(c.curView + 1)
+			c.startViewChange(c.e.View() + 1)
 		} else if stalled > c.e.Cfg.ViewChangeTimeout/8 {
-			c.e.Seq.ProposeNoop(c.curView, c.e.LastExecuted()+1)
+			c.e.Seq.ProposeNoop(c.e.View(), c.e.LastExecuted()+1)
 		}
 	} else {
 		if now := c.e.Now(); now.Sub(c.pendingSince) > c.e.Patience() {
@@ -104,7 +107,7 @@ func (c *coordinator) handleTick() {
 			c.e.Escalate()
 			c.startViewChange(c.pendingTo + 1)
 		}
-		if vc, ok := c.ownVC[c.pendingTo]; ok {
+		if vc := c.vcs[c.pendingTo][c.e.ID()]; vc != nil {
 			transport.Multicast(c.e.Ep, c.e.Cfg.N, vc)
 		}
 	}
@@ -113,7 +116,7 @@ func (c *coordinator) handleTick() {
 // startViewChange aborts toward view "to": gather prepared proofs from
 // all pillars and multicast the VIEW-CHANGE.
 func (c *coordinator) startViewChange(to timeline.View) {
-	if to <= c.curView || (c.pending && to <= c.pendingTo) {
+	if to <= max(c.e.View(), c.pendingTo) {
 		return
 	}
 	var prepared []message.PreparedProof
@@ -139,24 +142,25 @@ func (c *coordinator) startViewChange(to timeline.View) {
 		return
 	}
 	vc.Proof = proof
-	c.pending = true
 	c.pendingTo = to
 	c.pendingSince = c.e.Now()
 	c.viewChanges.Inc()
 	c.e.Met.Trace(telemetry.EvViewChange, uint64(to), 0, 0, "")
-	c.ownVC = map[timeline.View]*message.PBFTViewChange{to: vc}
 	c.storeVC(vc)
 	transport.Multicast(c.e.Ep, c.e.Cfg.N, vc)
 	c.maybeEmitNewView(to)
 }
 
+// storeVC files vc, a peer's unless it already sent one for that view;
+// our own newest replaces an earlier one for a view we installed below
+// and then aborted into again.
 func (c *coordinator) storeVC(vc *message.PBFTViewChange) {
 	byReplica, ok := c.vcs[vc.View]
 	if !ok {
 		byReplica = make(map[uint32]*message.PBFTViewChange)
 		c.vcs[vc.View] = byReplica
 	}
-	if _, dup := byReplica[vc.Replica]; !dup {
+	if _, dup := byReplica[vc.Replica]; !dup || vc.Replica == c.e.ID() {
 		byReplica[vc.Replica] = vc
 	}
 }
@@ -225,8 +229,8 @@ func (c *coordinator) handleViewChange(from uint32, vc *message.PBFTViewChange) 
 	if vc.Replica != from {
 		return
 	}
-	if vc.View <= c.curView {
-		if c.lastNV != nil && c.lastNV.View == c.curView {
+	if vc.View <= c.e.View() {
+		if c.lastNV != nil && c.lastNV.View == c.e.View() {
 			_ = c.e.Ep.Send(from, c.lastNV)
 		}
 		return
@@ -237,12 +241,10 @@ func (c *coordinator) handleViewChange(from uint32, vc *message.PBFTViewChange) 
 	c.storeVC(vc)
 
 	// Join once f+1 replicas abort (PBFT's liveness rule).
-	if len(c.vcs[vc.View]) > c.e.Cfg.F() && (!c.pending || c.pendingTo < vc.View) {
+	if len(c.vcs[vc.View]) > c.e.Cfg.F() {
 		c.startViewChange(vc.View)
 	}
-	if c.e.Cfg.LeaderOf(vc.View) == c.e.ID() {
-		c.maybeEmitNewView(vc.View)
-	}
+	c.maybeEmitNewView(vc.View)
 }
 
 // computeTransfer derives the new view's starting checkpoint and
@@ -280,10 +282,7 @@ func computeTransfer(vcSet map[uint32]*message.PBFTViewChange) (timeline.Order, 
 }
 
 func (c *coordinator) maybeEmitNewView(w timeline.View) {
-	if c.nvDone[w] || c.e.Cfg.LeaderOf(w) != c.e.ID() {
-		return
-	}
-	if !c.pending || c.pendingTo != w {
+	if c.e.Cfg.LeaderOf(w) != c.e.ID() || !c.pending() || c.pendingTo != w {
 		return
 	}
 	vcSet := c.vcs[w]
@@ -315,14 +314,13 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 	}
 	nv.Proof = proof
 	transport.Multicast(c.e.Ep, c.e.Cfg.N, nv)
-	c.nvDone[w] = true
 	c.lastNV = nv
 	c.install(w, startCkpt, newPPs, true)
 }
 
 func (c *coordinator) handleNewView(from uint32, nv *message.PBFTNewView) {
 	w := nv.View
-	if w <= c.curView || from != c.e.Cfg.LeaderOf(w) {
+	if w <= c.e.View() || from != c.e.Cfg.LeaderOf(w) {
 		return
 	}
 	if !c.e.verify(c.tx, &nv.Proof, nv.Digest(), from) {
@@ -357,10 +355,8 @@ func (c *coordinator) handleNewView(from uint32, nv *message.PBFTNewView) {
 }
 
 func (c *coordinator) install(w timeline.View, startCkpt timeline.Order, pps []*message.PrePrepare, leader bool) {
-	c.curView = w
 	c.e.SetView(w)
 	c.e.Met.Trace(telemetry.EvNewView, uint64(w), uint64(startCkpt), 0, "")
-	c.pending = false
 	c.pendingTo = 0
 
 	if startCkpt > c.ck.Stable().Order {
@@ -392,11 +388,6 @@ func (c *coordinator) install(w timeline.View, startCkpt timeline.Order, pps []*
 	for v := range c.vcs {
 		if v <= w {
 			delete(c.vcs, v)
-		}
-	}
-	for v := range c.nvDone {
-		if v < w {
-			delete(c.nvDone, v)
 		}
 	}
 	c.e.Seq.ResetForView(w, maxOrder)

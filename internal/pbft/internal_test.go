@@ -264,7 +264,7 @@ func TestVotesForAnotherDigestDoNotCount(t *testing.T) {
 	a, b := ppFor("A"), ppFor("B")
 
 	vote(a)
-	p.handlePrePrepare(proposer, b, true)
+	p.handlePrePrepare(proposer, b)
 	s := p.slots[1]
 	if s == nil || s.prePrepare != b {
 		t.Fatal("PRE-PREPARE for B not accepted")

@@ -154,7 +154,7 @@ func (p *pillar) handleEvent(ev any) {
 func (p *pillar) handleMessage(in engine.InMsg) {
 	switch v := in.Msg.(type) {
 	case *message.PrePrepare:
-		p.handlePrePrepare(in.From, v, in.Verified)
+		p.handlePrePrepare(in.From, v)
 	case *message.PBFTPrepare:
 		p.handlePrepare(in.From, v)
 	case *message.PBFTCommit:
@@ -190,10 +190,10 @@ func (p *pillar) handlePropose(ev engine.Propose) {
 	p.progress(s)
 }
 
-// handlePrePrepare validates a proposal; authVerified skips the
-// client-authenticator loop for batches the Host's inbound route
-// already cleared (the proposer's proof is always checked here).
-func (p *pillar) handlePrePrepare(from uint32, pp *message.PrePrepare, authVerified bool) {
+// handlePrePrepare validates a proposal's proof; the Host's inbound
+// route delivered it only because every client authenticator of its
+// batch verified.
+func (p *pillar) handlePrePrepare(from uint32, pp *message.PrePrepare) {
 	if pp.View != p.view || p.aborted {
 		return
 	}
@@ -206,13 +206,6 @@ func (p *pillar) handlePrePrepare(from uint32, pp *message.PrePrepare, authVerif
 	}
 	if !p.e.verify(p.tx, &pp.Proof, pp.Digest(), from) {
 		return
-	}
-	if !authVerified {
-		for _, r := range pp.Requests {
-			if !crypto.VerifyAuthenticator(p.e.Keys, r.Auth, r.Digest()) {
-				return
-			}
-		}
 	}
 	p.e.NoteWork()
 	p.acceptPrePrepare(pp)
