@@ -33,12 +33,14 @@ wire-golden:
 # Short seeded chaos run: all four protocols under link faults,
 # a partition window, and a crash-restart, with the race detector on;
 # then the engine's concurrency-sensitive unit tests (sequencer
-# admit/credit, host routing order and teardown) and Hybster's
-# skipped-view wedge, driven tick by tick, repeated.
+# admit/credit, host routing order and teardown), Hybster's
+# skipped-view wedge, driven tick by tick, and the pillar's one-ECALL
+# steps (a forged PREPARE at the cursor, surplus and needed COMMITs),
+# repeated.
 chaos-smoke:
 	$(GO) test -race -short -count=1 -run 'TestChaos' ./internal/chaos/...
 	$(GO) test -race -count=20 -run 'TestSequencerConcurrentAdmitAndCredit|TestHost' ./internal/engine/
-	$(GO) test -race -count=20 -run 'TestSkippedViewEvidenceReachesPendingPeer' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestSkippedViewEvidenceReachesPendingPeer|TestForgedPrepareAtCursorLeavesNoTrace|TestCommitCostsAnECallOnlyWhenNeeded' ./internal/core/
 
 # Long seed sweep with elevated fault rates, alternating cold-restart
 # and amnesia recovery. Tune with CHAOS_LONG_SEEDS / CHAOS_LONG_HORIZON.
@@ -70,7 +72,8 @@ bench-smoke:
 # TCP request/reply stream over loopback sockets (frames per write and
 # read), a replica's inbound route (authenticator check and mailbox
 # hand-off), the client's Invoke wait path and the full
-# prepare→commit→exec path.
+# prepare→commit→exec path (with the group's TrInX ECALLs per request,
+# ecalls/op).
 # Writes BENCH_hotpath.txt (standard go-test bench output); CI uploads
 # it as an artifact. Tune iteration time with HOTPATH_BENCHTIME.
 HOTPATH_BENCHTIME ?= 0.3s

@@ -49,6 +49,10 @@ func TestRunLoadAllProtocols(t *testing.T) {
 			if lat.P50 > lat.P99 || lat.P99 > lat.Max {
 				t.Fatalf("percentiles inconsistent: %+v", lat)
 			}
+			// Only PBFTcop runs without a trusted subsystem.
+			if n := ecallsPerRequest(cl); (n == 0) != (proto == config.PBFTcop) {
+				t.Fatalf("ecalls/req = %v", n)
+			}
 		})
 	}
 }
@@ -187,13 +191,14 @@ func TestCASHReference(t *testing.T) {
 
 func TestWriteTableAndCSV(t *testing.T) {
 	points := []Point{
-		{Series: "HybsterX", X: 4, Throughput: 123456},
+		{Series: "HybsterX", X: 4, Throughput: 123456, ECallsPerReq: 1.3333},
 		{Series: "Multi-TrInX (native)", X: 1, Throughput: 1},
 		{Series: "CASH (57µs, published)", X: 1, Throughput: 1},
 	}
 	var buf bytes.Buffer
 	WriteTable(&buf, "Fig test", "cores", points)
-	if !strings.Contains(buf.String(), "HybsterX") || !strings.Contains(buf.String(), "123.5k") {
+	if !strings.Contains(buf.String(), "HybsterX") || !strings.Contains(buf.String(), "123.5k") ||
+		!strings.Contains(buf.String(), "ecalls/req") || !strings.HasSuffix(strings.Split(buf.String(), "\n")[2], " 1.33") {
 		t.Fatalf("table output:\n%s", buf.String())
 	}
 	// Every row, header included, puts its x value in the same column,
@@ -207,7 +212,7 @@ func TestWriteTableAndCSV(t *testing.T) {
 	}
 	buf.Reset()
 	WriteCSV(&buf, points[:1])
-	if !strings.Contains(buf.String(), "HybsterX,4,123456.0") {
+	if !strings.Contains(buf.String(), "HybsterX,4,123456.0,0,0,0,1.333") {
 		t.Fatalf("csv output:\n%s", buf.String())
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"hybster/internal/apps/coordination"
 	"hybster/internal/apps/echo"
+	"hybster/internal/cluster"
 	"hybster/internal/config"
 	"hybster/internal/crypto"
 	"hybster/internal/enclave"
@@ -152,14 +153,29 @@ func (l load) echo(payload int) load {
 }
 
 // measure boots proto under l, drives it through one RunLoad window
-// and stops it.
-func measure(proto config.Protocol, duration time.Duration, l load) (float64, stats.Summary, error) {
+// and stops it; the point's ECALLs per request are read off the stopped
+// cluster.
+func measure(proto config.Protocol, duration time.Duration, l load) (Point, error) {
 	c, err := BuildCluster(proto, l.cores, l.batch, l.rotate, enclave.DefaultCostModel, l.profile, l.app)
 	if err != nil {
-		return 0, stats.Summary{}, err
+		return Point{}, err
 	}
-	defer c.Stop()
-	return RunLoad(ClusterClients(c), l.clients, warmup, duration, l.gen)
+	tput, lat, err := RunLoad(ClusterClients(c), l.clients, warmup, duration, l.gen)
+	c.Stop()
+	return Point{Throughput: tput, Latency: lat, ECallsPerReq: ecallsPerRequest(c)}, err
+}
+
+// ecallsPerRequest divides the replicas' trusted-subsystem ECALLs
+// (TrInX, or MinBFT's USIG) by the requests they executed, both lifetime
+// counters summed over the group, so no window has to line them up: the
+// enclave transitions one replica pays per request. 0 for PBFTcop,
+// which has no trusted subsystem.
+func ecallsPerRequest(c *cluster.Cluster) float64 {
+	reqs := c.MetricSum("hybster_core_exec_requests_total", "hybster_pbft_exec_requests_total", "hybster_minbft_exec_requests_total")
+	if reqs == 0 {
+		return 0
+	}
+	return c.MetricSum("hybster_trinx_ecalls_total", "hybster_usig_ecalls_total") / reqs
 }
 
 // sweep measures every protocol at every x of a figure's axis.
@@ -167,11 +183,12 @@ func sweep(opts Options, protos []config.Protocol, xs []float64, at func(x float
 	var out []Point
 	for _, proto := range protos {
 		for _, x := range xs {
-			tput, lat, err := measure(proto, opts.Duration, at(x))
+			p, err := measure(proto, opts.Duration, at(x))
 			if err != nil {
 				return nil, fmt.Errorf("%s x=%g: %w", proto, x, err)
 			}
-			out = append(out, Point{Series: proto.String(), X: x, Throughput: tput, Latency: lat})
+			p.Series, p.X = proto.String(), x
+			out = append(out, p)
 		}
 	}
 	return out, nil

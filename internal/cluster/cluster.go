@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"hybster/internal/client"
@@ -184,6 +185,22 @@ func (c *Cluster) TelemetrySnapshot() map[string]float64 {
 		}
 	}
 	return out
+}
+
+// MetricSum sums every series whose exposition name starts with one of
+// the prefixes over all replicas, e.g. "hybster_trinx_ecalls_total" for
+// the group's ECALLs of every operation and pillar.
+func (c *Cluster) MetricSum(prefixes ...string) float64 {
+	var sum float64
+	for name, v := range c.TelemetrySnapshot() {
+		for _, p := range prefixes {
+			if strings.HasPrefix(name, p) {
+				sum += v
+				break
+			}
+		}
+	}
+	return sum
 }
 
 // Engine is what NewEngine builds: a Replica with the health probes of

@@ -72,8 +72,11 @@ func TestVerifyPrepareChecks(t *testing.T) {
 	tx := follower.pillars[0].tx
 
 	good := leaderPrepare(t, leader, 0, 1, "")
-	if err := follower.verifyPrepareEmbedded(tx, good, 0); err != nil {
+	if err := follower.verifyPrepare(tx, good, 0); err != nil {
 		t.Fatalf("valid prepare rejected: %v", err)
+	}
+	if err := follower.verifyEmbeddedPrepare(tx, good); err != nil {
+		t.Fatalf("valid embedded prepare rejected: %v", err)
 	}
 
 	// Wrong sender.
@@ -83,13 +86,13 @@ func TestVerifyPrepareChecks(t *testing.T) {
 	// Wrong certificate kind.
 	bad := *good
 	bad.Cert.Kind = trinx.Continuing
-	if err := follower.verifyPrepareEmbedded(tx, &bad, 0); err == nil {
+	if err := follower.verifyEmbeddedPrepare(tx, &bad); err == nil {
 		t.Fatal("continuing cert accepted for prepare")
 	}
 	// Wrong value (prepared for different instance).
 	bad = *good
 	bad.Order = 2
-	if err := follower.verifyPrepareEmbedded(tx, &bad, 0); err == nil {
+	if err := follower.verifyEmbeddedPrepare(tx, &bad); err == nil {
 		t.Fatal("value mismatch accepted")
 	}
 	// Tampered batch: digest no longer matches the certificate. Built
@@ -100,7 +103,7 @@ func TestVerifyPrepareChecks(t *testing.T) {
 		View: good.View, Order: good.Order, Cert: good.Cert,
 		Requests: []*message.Request{{Client: 1, Seq: 9, Payload: []byte("swapped")}},
 	}
-	if err := follower.verifyPrepareEmbedded(tx, swapped, 0); err == nil {
+	if err := follower.verifyEmbeddedPrepare(tx, swapped); err == nil {
 		t.Fatal("batch swap accepted")
 	}
 }

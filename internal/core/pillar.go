@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
+
 	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
+	"hybster/internal/trinx"
 )
 
 // Events delivered to pillar mailboxes besides those of internal/engine
@@ -141,7 +144,10 @@ func (p *pillar) handleMessage(in engine.InMsg) {
 
 // handlePrepare processes a leader proposal for one of this pillar's
 // instances; the Host's inbound route delivered it only because every
-// client authenticator of its batch verified.
+// client authenticator of its batch verified. A PREPARE the cursor has
+// reached is acknowledged as it arrives; one that must wait is verified
+// now and parked, so that only a verified PREPARE can hold its order's
+// place against the genuine one.
 func (p *pillar) handlePrepare(from uint32, m *message.Prepare) {
 	if m.View != p.view || p.aborted {
 		return
@@ -156,6 +162,9 @@ func (p *pillar) handlePrepare(from uint32, m *message.Prepare) {
 	if _, dup := p.pendingPreps[m.Order]; dup {
 		return
 	}
+	if _, own := p.pendingProps[m.Order]; m.Order == p.cursor && !own && p.acknowledgeOnArrival(from, m) {
+		return
+	}
 	if err := p.e.verifyPrepare(p.tx, m, from); err != nil {
 		return
 	}
@@ -164,7 +173,35 @@ func (p *pillar) handlePrepare(from uint32, m *message.Prepare) {
 	p.processReady()
 }
 
-// handleCommit processes a follower acknowledgment.
+// acknowledgeOnArrival acknowledges a PREPARE at the cursor with one
+// enclave transition: checkPrepare's checks, then VerifyCreateIndependent
+// checks the PREPARE's MAC and certifies the COMMIT only if it holds. A
+// PREPARE whose MAC fails leaves no trace — no slot, no counter or
+// cursor move — so the genuine one is acknowledged when it comes. It
+// reports whether it is done with m; it is not when the enclave refused
+// the COMMIT's counter value or could not seal, and then the two-call
+// path records the verified PREPARE as it always has.
+func (p *pillar) acknowledgeOnArrival(from uint32, m *message.Prepare) bool {
+	if p.e.checkPrepare(m, from) != nil {
+		return true
+	}
+	com := p.commitFor(m)
+	cert, err := p.tx.VerifyCreateIndependent(m.Cert, m.Digest(), counterO, uint64(timeline.Pack(m.View, m.Order)), com.Digest())
+	if err != nil {
+		return errors.Is(err, trinx.ErrBadCertificate)
+	}
+	p.e.NoteWork()
+	if s := p.win.SetPrepare(m); s != nil {
+		p.multicastCommit(s, com, cert)
+	}
+	p.cursor = p.firstClassOrder(m.Order)
+	p.processReady()
+	return true
+}
+
+// handleCommit processes a follower acknowledgment. A COMMIT for an
+// instance already committed in the COMMIT's view cannot change
+// anything and is dropped before it costs an enclave transition.
 func (p *pillar) handleCommit(from uint32, m *message.Commit) {
 	if m.View != p.view || p.aborted {
 		return
@@ -177,6 +214,9 @@ func (p *pillar) handleCommit(from uint32, m *message.Commit) {
 		return
 	}
 	if m.Replica != from {
+		return
+	}
+	if s := p.win.Existing(m.Order); s != nil && s.View == m.View && s.Committed {
 		return
 	}
 	if err := p.e.verifyCommit(p.tx, m); err != nil {
@@ -246,24 +286,36 @@ func (p *pillar) sendPrepare(ev engine.Propose) {
 	p.maybeDeliver(s)
 }
 
-// sendCommit acknowledges a verified foreign prepare with an
-// independent counter certificate over the same value.
+// sendCommit acknowledges a verified foreign prepare — a parked one or
+// a NEW-VIEW re-proposal — with an independent counter certificate over
+// the same value.
 func (p *pillar) sendCommit(m *message.Prepare) {
 	s := p.win.SetPrepare(m)
 	if s == nil {
 		return
 	}
-	com := &message.Commit{View: m.View, Order: m.Order, Replica: p.e.ID(), BatchDigest: s.BatchDigest}
+	com := p.commitFor(m)
 	cert, err := p.tx.CreateIndependent(counterO, uint64(timeline.Pack(m.View, m.Order)), com.Digest())
 	if err != nil {
 		return
 	}
+	p.multicastCommit(s, com, cert)
+}
+
+// commitFor is this replica's (uncertified) COMMIT for prepare m.
+func (p *pillar) commitFor(m *message.Prepare) *message.Commit {
+	return &message.Commit{View: m.View, Order: m.Order, Replica: p.e.ID(), BatchDigest: m.BatchDigest()}
+}
+
+// multicastCommit records this replica's certified COMMIT in its slot
+// and sends it.
+func (p *pillar) multicastCommit(s *slot, com *message.Commit, cert trinx.Certificate) {
 	com.Cert = cert
 	s.AddOwnAck(p.e.ID())
 	p.win.Refresh(s)
-	p.ownMsg[m.Order] = com
+	p.ownMsg[com.Order] = com
 	p.met.Commits.Inc()
-	p.e.Met.TraceD(telemetry.EvCommit, uint64(m.View), uint64(m.Order), p.idx, com.BatchDigest[:], "")
+	p.e.Met.TraceD(telemetry.EvCommit, uint64(com.View), uint64(com.Order), p.idx, com.BatchDigest[:], "")
 	transport.Multicast(p.e.Ep, p.e.Cfg.N, com)
 	p.maybeDeliver(s)
 }

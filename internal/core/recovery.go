@@ -21,6 +21,7 @@ type Certifier interface {
 	CreateIndependent(tc uint32, value uint64, msg crypto.Digest) (trinx.Certificate, error)
 	CreateTrustedMAC(tc uint32, msg crypto.Digest) (trinx.Certificate, error)
 	Verify(cert trinx.Certificate, msg crypto.Digest) error
+	VerifyCreateIndependent(in trinx.Certificate, inMsg crypto.Digest, tc uint32, value uint64, msg crypto.Digest) (trinx.Certificate, error)
 	Destroy()
 }
 

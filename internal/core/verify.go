@@ -24,21 +24,33 @@ var (
 	errIncompleteVC = errors.New("core: view-change discloses fewer prepares than its counter proves")
 )
 
-// verifyPrepare validates a leader proposal: the sender must be the
-// proposer of (view, order) and the certificate an independent counter
-// certificate with the predefined value [view|order] issued by the
-// TrInX instance of the responsible pillar. The batch's client
-// authenticators are the Host's inbound route's to check, on the
-// sender's link, before the PREPARE reaches a pillar.
+// verifyPrepare validates a leader proposal: checkPrepare's checks,
+// then the certificate's MAC.
 func (e *Engine) verifyPrepare(tx Certifier, m *message.Prepare, from uint32) error {
+	if err := e.checkPrepare(m, from); err != nil {
+		return err
+	}
+	return tx.Verify(m.Cert, m.Digest())
+}
+
+// checkPrepare runs every check of a leader proposal short of the MAC:
+// the sender must be the proposer of (view, order) and the certificate
+// an independent counter certificate with the predefined value
+// [view|order] issued by the TrInX instance of the responsible pillar.
+// A follower that acknowledges the PREPARE as it arrives has the MAC
+// checked inside the ECALL that certifies its COMMIT
+// (pillar.acknowledgeOnArrival). The batch's client authenticators are
+// the Host's inbound route's to check, on the sender's link, before the
+// PREPARE reaches a pillar.
+func (e *Engine) checkPrepare(m *message.Prepare, from uint32) error {
 	proposer := e.Cfg.ProposerOf(m.View, m.Order)
 	if from != proposer {
 		return errBadSender
 	}
-	return e.verifyPrepareEmbedded(tx, m, proposer)
+	return e.checkPrepareCert(m, proposer)
 }
 
-// verifyPrepareEmbedded validates a prepare carried inside
+// verifyEmbeddedPrepare validates a prepare carried inside
 // VIEW-CHANGE, NEW-VIEW, or NEW-VIEW-ACK messages, where the original
 // sender is no longer available and the proposer may be either the
 // rotation proposer of the prepare's view or that view's leader (the
@@ -50,10 +62,15 @@ func (e *Engine) verifyEmbeddedPrepare(tx Certifier, m *message.Prepare) error {
 	if issuer != rot && issuer != ld {
 		return errBadIssuer
 	}
-	return e.verifyPrepareEmbedded(tx, m, issuer)
+	if err := e.checkPrepareCert(m, issuer); err != nil {
+		return err
+	}
+	return tx.Verify(m.Cert, m.Digest())
 }
 
-func (e *Engine) verifyPrepareEmbedded(tx Certifier, m *message.Prepare, proposer uint32) error {
+// checkPrepareCert checks everything of a prepare's certificate but
+// its MAC against the given proposer.
+func (e *Engine) checkPrepareCert(m *message.Prepare, proposer uint32) error {
 	pillar := e.Cfg.PillarOf(m.Order)
 	if m.Cert.Kind != trinx.Independent {
 		return errBadKind
@@ -64,7 +81,7 @@ func (e *Engine) verifyPrepareEmbedded(tx Certifier, m *message.Prepare, propose
 	if m.Cert.Value != uint64(timeline.Pack(m.View, m.Order)) {
 		return errBadValue
 	}
-	return tx.Verify(m.Cert, m.Digest())
+	return nil
 }
 
 // verifyCommit validates a follower acknowledgment analogously.

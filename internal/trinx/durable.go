@@ -283,6 +283,20 @@ func (d *DurableTrInX) CreateIndependent(tc uint32, value uint64, msg crypto.Dig
 	return d.TrInX.CreateIndependent(tc, value, msg)
 }
 
+// VerifyCreateIndependent verifies and certifies like
+// TrInX.VerifyCreateIndependent, first extending the sealed horizon to
+// cover value (locking as in CreateContinuing). The horizon may be
+// extended for a certificate that then fails to verify; that is safe,
+// because a horizon only bounds certified values from above.
+func (d *DurableTrInX) VerifyCreateIndependent(in Certificate, inMsg crypto.Digest, tc uint32, value uint64, msg crypto.Digest) (Certificate, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.ensureLocked(tc, value); err != nil {
+		return Certificate{}, err
+	}
+	return d.TrInX.VerifyCreateIndependent(in, inMsg, tc, value, msg)
+}
+
 // CreateMulti certifies like TrInX.CreateMulti, first extending the
 // sealed horizon to cover every updated value (one seal for the batch,
 // locking as in CreateContinuing).

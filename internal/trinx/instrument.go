@@ -17,10 +17,14 @@ const (
 	opCreateMulti
 	opVerify
 	opVerifyMulti
+	opVerifyCreateIndependent
 	opCounterRead
 	numOps
 )
 
+// opNames label the operations. Consumers sum ECalls by name prefix
+// ("create…", "verify…"), so each name starts with exactly one of the
+// two; the fused verify-then-certify call counts once, under "verify".
 var opNames = [numOps]string{
 	"create_continuing",
 	"create_independent",
@@ -28,6 +32,7 @@ var opNames = [numOps]string{
 	"create_multi",
 	"verify",
 	"verify_multi",
+	"verify_create_independent",
 	"counter_read",
 }
 

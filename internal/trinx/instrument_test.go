@@ -1,6 +1,7 @@
 package trinx
 
 import (
+	"strings"
 	"testing"
 
 	"hybster/internal/crypto"
@@ -28,7 +29,25 @@ func TestInstrumentCountsOperations(t *testing.T) {
 	if err := tx.Verify(cert, msg); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := tx.VerifyCreateIndependent(cert, msg, 0, 3, msg); err != nil {
+		t.Fatal(err)
+	}
 	reg := tel.Metrics()
+	if got := reg.Value(`hybster_trinx_ecalls_total{op="verify_create_independent",pillar="3"}`); got != 1 {
+		t.Fatalf("verify_create_independent count = %v, want 1", got)
+	}
+	// Summed by op-name prefix, the fused call counts once, as a verify.
+	prefixSum := func(prefix string) (sum float64) {
+		for name, v := range reg.Snapshot() {
+			if strings.HasPrefix(name, `hybster_trinx_ecalls_total{op="`+prefix) {
+				sum += v
+			}
+		}
+		return sum
+	}
+	if c, v := prefixSum("create"), prefixSum("verify"); c != 3 || v != 2 {
+		t.Fatalf("prefix sums create=%v verify=%v, want 3 and 2", c, v)
+	}
 	if got := reg.Value(`hybster_trinx_ecalls_total{op="create_independent",pillar="3"}`); got != 2 {
 		t.Fatalf("create_independent count = %v, want 2", got)
 	}

@@ -211,23 +211,46 @@ func (t *TrInX) CreateContinuing(tc uint32, value uint64, msg crypto.Digest) (Ce
 // valid certificate for (tc, value) can ever exist.
 func (t *TrInX) CreateIndependent(tc uint32, value uint64, msg crypto.Digest) (Certificate, error) {
 	res, err := t.ecall(opCreateIndependent, func(st any) (any, error) {
-		s := st.(*state)
-		if int(tc) >= len(s.counters) {
-			return nil, fmt.Errorf("%w: %d of %d", ErrNoSuchCounter, tc, len(s.counters))
-		}
-		if value <= s.counters[tc] {
-			return nil, fmt.Errorf("%w: counter %d at %d, requested %d", ErrNotIncreasing, tc, s.counters[tc], value)
-		}
-		s.counters[tc] = value
-		return Certificate{
-			Kind: Independent, Issuer: s.id, Counter: tc, Value: value,
-			MAC: certMAC(s.key, Independent, s.id, tc, value, 0, msg),
-		}, nil
+		return st.(*state).createIndependent(tc, value, msg)
 	})
 	if err != nil {
 		return Certificate{}, err
 	}
 	return res.(Certificate), nil
+}
+
+// VerifyCreateIndependent is Verify(in, inMsg) followed by
+// CreateIndependent(tc, value, msg) in one enclave transition: the
+// certificate is issued, and the counter advanced, only if in is valid.
+// A follower acknowledges a PREPARE with it — the acknowledgement
+// certifies nothing the PREPARE's certificate did not vouch for.
+func (t *TrInX) VerifyCreateIndependent(in Certificate, inMsg crypto.Digest, tc uint32, value uint64, msg crypto.Digest) (Certificate, error) {
+	res, err := t.ecall(opVerifyCreateIndependent, func(st any) (any, error) {
+		s := st.(*state)
+		if err := s.verify(in, inMsg); err != nil {
+			return nil, err
+		}
+		return s.createIndependent(tc, value, msg)
+	})
+	if err != nil {
+		return Certificate{}, err
+	}
+	return res.(Certificate), nil
+}
+
+// createIndependent is CreateIndependent's enclave-side body.
+func (s *state) createIndependent(tc uint32, value uint64, msg crypto.Digest) (Certificate, error) {
+	if int(tc) >= len(s.counters) {
+		return Certificate{}, fmt.Errorf("%w: %d of %d", ErrNoSuchCounter, tc, len(s.counters))
+	}
+	if value <= s.counters[tc] {
+		return Certificate{}, fmt.Errorf("%w: counter %d at %d, requested %d", ErrNotIncreasing, tc, s.counters[tc], value)
+	}
+	s.counters[tc] = value
+	return Certificate{
+		Kind: Independent, Issuer: s.id, Counter: tc, Value: value,
+		MAC: certMAC(s.key, Independent, s.id, tc, value, 0, msg),
+	}, nil
 }
 
 // CreateTrustedMAC issues a non-repudiable trusted MAC over msg: a
@@ -301,14 +324,17 @@ func (t *TrInX) CreateMulti(kind Kind, updates []CounterValue, msg crypto.Digest
 // certificate naming a foreign issuer.
 func (t *TrInX) Verify(cert Certificate, msg crypto.Digest) error {
 	_, err := t.ecall(opVerify, func(st any) (any, error) {
-		s := st.(*state)
-		expect := certMAC(s.key, cert.Kind, cert.Issuer, cert.Counter, cert.Value, cert.Prev, msg)
-		if expect != cert.MAC {
-			return nil, ErrBadCertificate
-		}
-		return nil, nil
+		return nil, st.(*state).verify(cert, msg)
 	})
 	return err
+}
+
+// verify is Verify's enclave-side body.
+func (s *state) verify(cert Certificate, msg crypto.Digest) error {
+	if certMAC(s.key, cert.Kind, cert.Issuer, cert.Counter, cert.Value, cert.Prev, msg) != cert.MAC {
+		return ErrBadCertificate
+	}
+	return nil
 }
 
 // VerifyMulti checks a multi-counter certificate over msg.
