@@ -36,11 +36,13 @@ wire-golden:
 # admit/credit, host routing order and teardown), Hybster's
 # skipped-view wedge, driven tick by tick, and the pillar's one-ECALL
 # steps (a forged PREPARE at the cursor, surplus and needed COMMITs),
-# repeated.
+# repeated; then the client, whose pending records are recycled across
+# requests while late replies and Close race them.
 chaos-smoke:
 	$(GO) test -race -short -count=1 -run 'TestChaos' ./internal/chaos/...
 	$(GO) test -race -count=20 -run 'TestSequencerConcurrentAdmitAndCredit|TestHost' ./internal/engine/
 	$(GO) test -race -count=20 -run 'TestSkippedViewEvidenceReachesPendingPeer|TestForgedPrepareAtCursorLeavesNoTrace|TestCommitCostsAnECallOnlyWhenNeeded' ./internal/core/
+	$(GO) test -race -count=20 ./internal/client/
 
 # Long seed sweep with elevated fault rates, alternating cold-restart
 # and amnesia recovery. Tune with CHAOS_LONG_SEEDS / CHAOS_LONG_HORIZON.
@@ -67,8 +69,8 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead' -benchtime 100x ./internal/trinx/
 
-# Hot-path benchmark suite: alloc/latency profile of cached digests,
-# marshal-once multicast, mailboxes, the memnet send→handler path, the
+# Hot-path benchmark suite: alloc/latency profile of pooled MACs, cached
+# digests, marshal-once multicast, mailboxes, the memnet send→handler path, the
 # TCP request/reply stream over loopback sockets (frames per write and
 # read), a replica's inbound route (authenticator check and mailbox
 # hand-off), the client's Invoke wait path and the full
@@ -81,7 +83,7 @@ HOTPATH_BENCHTIME ?= 0.3s
 bench-hotpath:
 	$(GO) test -run '^$$' -bench 'BenchmarkHotPath' -benchmem \
 		-benchtime $(HOTPATH_BENCHTIME) \
-		./internal/message/ ./internal/cop/ ./internal/transport/ ./internal/engine/ ./internal/client/ ./internal/reply/ ./internal/cluster/ \
+		./internal/crypto/ ./internal/message/ ./internal/cop/ ./internal/transport/ ./internal/engine/ ./internal/client/ ./internal/reply/ ./internal/cluster/ \
 		| tee BENCH_hotpath.txt
 
 # The repository benchmark (BENCHMARK.json): five workloads end to end

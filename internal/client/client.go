@@ -41,14 +41,32 @@ type Options struct {
 	Retries int
 }
 
-// pending tracks one outstanding request.
+// pending tracks one outstanding request. Its channel, timer and
+// per-replica slots are allocated once and serve request after request:
+// a Client keeps the records of returned requests for the next ones.
 type pending struct {
-	seq     uint64
-	done    chan []byte
-	replies map[uint32][]byte // replica -> result
+	seq   uint64
+	done  chan []byte // one slot; decided admits one send
+	timer *time.Timer // stopped whenever the record is not in use
+	// results holds each replica's verified result, indexed by replica
+	// ID; an entry belongs to this request only where seen is set.
+	results [][]byte
+	seen    []bool
 	// decided is set once the result went to done; what arrives later
 	// is the surplus of the quorum and is dropped unread.
 	decided bool
+}
+
+// arm starts p's stopped timer for a fresh request. go.mod is below
+// 1.23, so the channel of a stopped timer may still hold a tick of the
+// request that used the record before; it is drained first, or the new
+// request would retransmit at once.
+func (p *pending) arm(d time.Duration) {
+	select {
+	case <-p.timer.C:
+	default:
+	}
+	p.timer.Reset(d)
 }
 
 // Client issues requests to a replica group. It is safe for
@@ -65,6 +83,7 @@ type Client struct {
 	mu     sync.Mutex
 	seq    uint64
 	pend   map[uint64]*pending
+	free   []*pending // records of returned requests, cleared for reuse
 	closed bool
 	// direct reports whether a fresh request goes to the preferred
 	// replica alone. A retransmission clears it (that replica is
@@ -113,6 +132,7 @@ func (c *Client) Close() {
 		close(p.done)
 	}
 	c.pend = make(map[uint64]*pending)
+	c.free = nil
 	c.mu.Unlock()
 	_ = c.ep.Close()
 }
@@ -128,6 +148,47 @@ func (c *Client) preferredReplica() uint32 {
 	return 0
 }
 
+// record returns a cleared pending record for seq, a recycled one when
+// there is one. Called with c.mu held.
+func (c *Client) record(seq uint64) *pending {
+	var p *pending
+	if n := len(c.free); n > 0 {
+		p, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		p = &pending{
+			done:    make(chan []byte, 1),
+			timer:   time.NewTimer(time.Hour),
+			results: make([][]byte, c.cfg.N),
+			seen:    make([]bool, c.cfg.N),
+		}
+		p.timer.Stop()
+	}
+	p.seq = seq
+	return p
+}
+
+// release retires p when its Invoke returns. The record leaves c.pend
+// under c.mu before it is cleared, so a late reply, which looks its
+// request up under c.mu, can no longer reach it; after Close, which
+// closed p.done, it is dropped instead.
+func (c *Client) release(p *pending) {
+	p.timer.Stop()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.pend, p.seq)
+	if c.closed {
+		return
+	}
+	select {
+	case <-p.done: // decided after Invoke gave up
+	default:
+	}
+	p.decided = false
+	clear(p.results)
+	clear(p.seen)
+	c.free = append(c.free, p)
+}
+
 // Invoke submits an operation and blocks until f+1 matching replies
 // arrive or retries are exhausted.
 func (c *Client) Invoke(payload []byte, readOnly bool) ([]byte, error) {
@@ -139,16 +200,11 @@ func (c *Client) Invoke(payload []byte, readOnly bool) ([]byte, error) {
 	c.seq++
 	req := &message.Request{Client: c.id, Seq: c.seq, ReadOnly: readOnly, Payload: payload}
 	req.Auth = crypto.NewAuthenticator(c.ks, req.Digest(), c.cfg.N)
-	p := &pending{seq: req.Seq, done: make(chan []byte, 1), replies: make(map[uint32][]byte)}
+	p := c.record(req.Seq)
 	c.pend[req.Seq] = p
 	direct := c.direct
 	c.mu.Unlock()
-
-	defer func() {
-		c.mu.Lock()
-		delete(c.pend, p.seq)
-		c.mu.Unlock()
-	}()
+	defer c.release(p)
 
 	// The first attempt goes to the preferred replica only — unless a
 	// previous request needed retransmission, in which case that
@@ -160,11 +216,10 @@ func (c *Client) Invoke(payload []byte, readOnly bool) ([]byte, error) {
 	} else {
 		transport.Multicast(c.ep, c.cfg.N, req)
 	}
-	// One timer serves every attempt and is stopped on return: an
-	// abandoned timer stays in the runtime's heap until it fires, a
-	// full timeout after the request it guarded completed.
-	timer := time.NewTimer(c.timeout)
-	defer timer.Stop()
+	// The record's one timer serves every attempt and is stopped on
+	// return: an abandoned timer stays in the runtime's heap until it
+	// fires, a full timeout after the request it guarded completed.
+	p.arm(c.timeout)
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		select {
 		case res, ok := <-p.done:
@@ -172,14 +227,14 @@ func (c *Client) Invoke(payload []byte, readOnly bool) ([]byte, error) {
 				return nil, ErrClosed
 			}
 			return res, nil
-		case <-timer.C:
+		case <-p.timer.C:
 			c.mu.Lock()
 			if c.direct {
 				c.direct, c.lostSeq = false, p.seq
 			}
 			c.mu.Unlock()
 			transport.Multicast(c.ep, c.cfg.N, req)
-			timer.Reset(c.timeout)
+			p.timer.Reset(c.timeout)
 		}
 	}
 	return nil, fmt.Errorf("%w: seq %d after %d attempts", ErrTimeout, p.seq, c.retries+1)
@@ -188,15 +243,14 @@ func (c *Client) Invoke(payload []byte, readOnly bool) ([]byte, error) {
 // onMessage handles replica replies.
 func (c *Client) onMessage(from uint32, m message.Message) {
 	rep, ok := m.(*message.Reply)
-	if !ok || rep.Client != c.id || rep.Replica != from {
+	if !ok || rep.Client != c.id || rep.Replica != from || from >= uint32(c.cfg.N) {
 		return
 	}
-	// Look before hashing: every request draws n replies and is decided
+	// Look before MACing: every request draws n replies and is decided
 	// by the first f+1, so the rest are dropped for a map lookup
-	// instead of a digest over the result plus an HMAC. The one reply
-	// worth checking without a waiting request is the preferred
-	// replica's while direct mode is off — it is the evidence that
-	// turns it back on.
+	// instead of an HMAC over the result. The one reply worth checking
+	// without a waiting request is the preferred replica's while direct
+	// mode is off — it is the evidence that turns it back on.
 	c.mu.Lock()
 	p := c.pend[rep.Seq]
 	wanted := p != nil && !p.decided
@@ -205,8 +259,7 @@ func (c *Client) onMessage(from uint32, m message.Message) {
 	if !wanted && !probe {
 		return
 	}
-	d := rep.Digest()
-	if !c.ks.KeyFor(from).Verify(d[:], rep.MAC) {
+	if !rep.MACUnder(c.ks.KeyFor(from)).Equal(rep.MAC) {
 		return
 	}
 	c.mu.Lock()
@@ -214,20 +267,22 @@ func (c *Client) onMessage(from uint32, m message.Message) {
 	if probe {
 		c.direct = true
 	}
+	// Looked up again by sequence number: the record seen above may have
+	// been released and recycled for a later request meanwhile.
 	if p = c.pend[rep.Seq]; p == nil || p.decided {
 		return
 	}
-	p.replies[from] = rep.Result
+	p.results[from], p.seen[from] = rep.Result, true
 
 	// Accept once f+1 replicas returned byte-identical results.
 	matching := 0
-	for _, other := range p.replies {
-		if bytes.Equal(other, rep.Result) {
+	for r, seen := range p.seen {
+		if seen && bytes.Equal(p.results[r], rep.Result) {
 			matching++
 		}
 	}
 	if matching >= c.cfg.F()+1 {
 		p.decided = true
-		p.done <- rep.Result // buffered; decided admits one send
+		p.done <- rep.Result // one slot; decided admits one send
 	}
 }

@@ -57,8 +57,7 @@ func newFakeReplicaOn(ep transport.Endpoint, cfg config.Config) *fakeReplica {
 			return
 		}
 		rep := &message.Reply{Replica: f.ep.ID(), Client: req.Client, Seq: req.Seq, Result: res}
-		d := rep.Digest()
-		rep.MAC = f.ks.KeyFor(req.Client).Sum(d[:])
+		rep.MAC = rep.MACUnder(f.ks.KeyFor(req.Client))
 		_ = f.ep.Send(req.Client, rep)
 	})
 	return f
@@ -162,20 +161,33 @@ func TestAllRepliesDifferentTimesOut(t *testing.T) {
 
 func TestBadReplyMACIgnored(t *testing.T) {
 	cfg, net, replicas := setup(t)
-	// Replica 2 sends garbage MACs: its replies must not count, but
-	// 0 + 1 still form f+1.
+	// Replica 2's replies carry its result under a garbage MAC — a
+	// forger on its link: they must not count, but 0 + 1 still form f+1.
 	replicas[2].ep.Handle(func(from uint32, m message.Message) {
 		req, ok := m.(*message.Request)
 		if !ok {
 			return
 		}
-		rep := &message.Reply{Replica: 2, Client: req.Client, Seq: req.Seq, Result: []byte("ok")}
+		replicas[2].mu.Lock()
+		res := replicas[2].result(req)
+		replicas[2].mu.Unlock()
+		rep := &message.Reply{Replica: 2, Client: req.Client, Seq: req.Seq, Result: res}
 		rep.MAC = crypto.MAC{0xde, 0xad}
 		_ = replicas[2].ep.Send(req.Client, rep)
 	})
-	cl := newClient(t, cfg, net, 200*time.Millisecond)
-	if _, err := cl.Invoke([]byte("op"), false); err != nil {
-		t.Fatal(err)
+	cl := newClient(t, cfg, net, 50*time.Millisecond)
+	if res, err := cl.Invoke([]byte("op"), false); err != nil || string(res) != "ok" {
+		t.Fatalf("Invoke = %q, %v; want ok", res, err)
+	}
+	// Replica 1 turns faulty and the forger backs its lie: one authentic
+	// reply and one forged one are not f+1.
+	for _, r := range replicas[1:] {
+		r.mu.Lock()
+		r.result = func(*message.Request) []byte { return []byte("lie") }
+		r.mu.Unlock()
+	}
+	if res, err := cl.Invoke([]byte("op"), false); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Invoke = %q, %v; want ErrTimeout, the forged reply counted", res, err)
 	}
 }
 
@@ -223,20 +235,27 @@ func TestRequestsCarryIncreasingSeq(t *testing.T) {
 		}
 	}
 	// Retransmissions may repeat a sequence number, but fresh requests
-	// must use strictly increasing ones.
+	// must use strictly increasing ones. An Invoke returns on replicas 1
+	// and 2, so replica 0 may still be handling the last requests.
+	distinct := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		unique := map[uint64]bool{}
+		for _, s := range seqs {
+			unique[s] = true
+		}
+		return len(unique)
+	}
+	waitUntil(t, "replica 0 saw all five requests", func() bool { return distinct() >= 5 })
+	if n := distinct(); n != 5 {
+		t.Fatalf("saw %d distinct seqs, want 5", n)
+	}
 	mu.Lock()
 	defer mu.Unlock()
-	unique := map[uint64]bool{}
 	for i := 1; i < len(seqs); i++ {
 		if seqs[i] < seqs[i-1] {
 			t.Fatalf("seqs went backwards: %v", seqs)
 		}
-	}
-	for _, s := range seqs {
-		unique[s] = true
-	}
-	if len(unique) != 5 {
-		t.Fatalf("saw %d distinct seqs, want 5: %v", len(unique), seqs)
 	}
 }
 

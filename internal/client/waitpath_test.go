@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -82,8 +83,7 @@ func TestDirectModeHoldsThroughPreferredOutage(t *testing.T) {
 // unless forged.
 func signedReply(cfg config.Config, replica, client uint32, seq uint64, result []byte, forged bool) *message.Reply {
 	rep := &message.Reply{Replica: replica, Client: client, Seq: seq, Result: result}
-	d := rep.Digest()
-	rep.MAC = crypto.NewKeyStore(replica, crypto.NewKeyFromSeed(cfg.KeySeed)).KeyFor(client).Sum(d[:])
+	rep.MAC = rep.MACUnder(crypto.NewKeyStore(replica, crypto.NewKeyFromSeed(cfg.KeySeed)).KeyFor(client))
 	if forged {
 		rep.MAC[0] ^= 1
 	}
@@ -147,6 +147,76 @@ func TestForgedReplyForPendingRequestRejected(t *testing.T) {
 	}
 	if res := <-done; string(res) != "ok" {
 		t.Fatalf("Invoke = %q, want the authentic result", res)
+	}
+}
+
+// freeRecords returns the client's recycled pending records.
+func (c *Client) freeRecords() []*pending {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]*pending(nil), c.free...)
+}
+
+// A request's record serves the next request once it has left c.pend
+// and been cleared, so a late reply for request k — the surplus every
+// request draws — never counts toward request k+1 in k's record. The
+// results are empty, as on the 0 B workloads: a stale slot left in
+// place would match.
+func TestLateReplyNeverCountsForNextRequest(t *testing.T) {
+	cfg, cl, done := invokeMuted(t, 10*time.Second)
+	cl.onMessage(0, signedReply(cfg, 0, cl.id, 1, nil, false))
+	cl.onMessage(1, signedReply(cfg, 1, cl.id, 1, nil, false))
+	if res, ok := <-done; !ok || len(res) != 0 {
+		t.Fatalf("request 1 = %q, %v; want the empty result", res, ok)
+	}
+	free := cl.freeRecords()
+	if len(free) != 1 {
+		t.Fatalf("%d records free after request 1, want 1", len(free))
+	}
+
+	done2 := make(chan error, 1)
+	go func() {
+		_, err := cl.Invoke([]byte("op"), false)
+		done2 <- err
+	}()
+	waitUntil(t, "request 2 is pending", func() bool {
+		cl.mu.Lock()
+		defer cl.mu.Unlock()
+		return cl.pend[2] != nil
+	})
+	cl.mu.Lock()
+	reused := cl.pend[2] == free[0]
+	cl.mu.Unlock()
+	if !reused {
+		t.Fatal("request 2 did not reuse request 1's record")
+	}
+	cl.onMessage(2, signedReply(cfg, 2, cl.id, 1, nil, false)) // late, for request 1
+	cl.onMessage(2, signedReply(cfg, 2, cl.id, 2, nil, false))
+	select {
+	case err := <-done2:
+		t.Fatalf("request 2 returned (%v) on one reply of its own", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	cl.onMessage(0, signedReply(cfg, 0, cl.id, 2, nil, false))
+	if err := <-done2; err != nil {
+		t.Fatalf("request 2: %v", err)
+	}
+}
+
+// Close during an Invoke fails it with ErrClosed and retires its record
+// for good: Close closed the record's channel, so it may never serve
+// another request.
+func TestCloseDuringInvokeRetiresRecord(t *testing.T) {
+	_, cl, done := invokeMuted(t, 10*time.Second)
+	cl.Close()
+	if res, ok := <-done; ok {
+		t.Fatalf("Invoke returned %q after Close", res)
+	}
+	if n := len(cl.freeRecords()); n != 0 {
+		t.Fatalf("%d records recycled after Close, want 0", n)
+	}
+	if _, err := cl.Invoke(nil, false); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Invoke after Close = %v, want ErrClosed", err)
 	}
 }
 

@@ -70,9 +70,17 @@ func TestColdRestartRecoversFromDisk(t *testing.T) {
 	c := newDurableCluster(t)
 
 	commitN(t, c, 12) // past the first checkpoint (interval 8)
-	preCrash := c.replicas[1].LastExecuted()
-	if preCrash < 8 {
-		t.Fatalf("replica 1 only executed %d before crash; want >= 8", preCrash)
+	// The client returns on f+1 replies, which replicas 0 and 2 can give
+	// while replica 1 still trails; it catches up within milliseconds.
+	// What the crash must not take from it is its stable checkpoint at
+	// 8, which it logs and syncs as it records it.
+	caughtUp := time.Now().Add(5 * time.Second)
+	for c.MetricValue(1, "hybster_core_stable_checkpoint") < 8 {
+		if time.Now().After(caughtUp) {
+			t.Fatalf("replica 1 executed %d, stable checkpoint %v before crash; want >= 8",
+				c.replicas[1].LastExecuted(), c.MetricValue(1, "hybster_core_stable_checkpoint"))
+		}
+		time.Sleep(time.Millisecond)
 	}
 	c.Crash(1)
 	commitN(t, c, 12) // the group moves on without it

@@ -170,6 +170,35 @@ func TestCommitCostsAnECallOnlyWhenNeeded(t *testing.T) {
 	}
 }
 
+// TestProposalAboveWindowWaitsForAdvance: the sequencer numbers
+// proposals without looking at the window, so the leader's pillar can be
+// handed the order just above it while the stable checkpoint lags. The
+// proposal is parked, not dropped with its batch, and certified as soon
+// as the window's advance lets the cursor reach it.
+func TestProposalAboveWindowWaitsForAdvance(t *testing.T) {
+	cfg := config.Default(config.HybsterS)
+	cfg.CheckpointInterval, cfg.WindowSize = 2, 4
+	net := transport.NewNetwork(transport.LinkProfile{}, 1)
+	t.Cleanup(net.Close)
+	p := newEngineOn(t, net, cfg, 0, nil).pillars[0]
+
+	high := p.win.High()
+	for o := timeline.Order(1); o <= high; o++ {
+		p.handleEvent(engine.Propose{View: 0, Order: o})
+	}
+	p.handleEvent(engine.Propose{View: 0, Order: high + 1})
+	if s := p.win.Existing(high + 1); s != nil {
+		t.Fatalf("order %d above the window %d got a slot %+v", high+1, high, s)
+	}
+	p.handleEvent(engine.Advance{Order: cfg.CheckpointInterval})
+	if s := p.win.Existing(high + 1); s == nil || s.Prepare == nil {
+		t.Fatalf("proposal for order %d was not certified after the window advanced", high+1)
+	}
+	if got, want := counterValue(t, p), uint64(timeline.Pack(0, high+1)); got != want {
+		t.Fatalf("counter %d, want %d", got, want)
+	}
+}
+
 // counterValue reads the ordering counter of pillar p's TrInX.
 func counterValue(t *testing.T, p *pillar) uint64 {
 	t.Helper()

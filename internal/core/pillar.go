@@ -120,6 +120,7 @@ func (p *pillar) handleEvent(ev any) {
 		p.handleCkptDue(v)
 	case engine.Advance:
 		p.advance(v.Order)
+		p.processReady() // a proposal parked above the old window may be due
 	case evCollectVC:
 		p.handleCollectVC(v)
 	case evRepropose:
@@ -227,7 +228,10 @@ func (p *pillar) handleCommit(from uint32, m *message.Commit) {
 }
 
 // handlePropose certifies and multicasts an own proposal once the
-// cursor permits.
+// cursor permits. The sequencer numbers proposals without looking at
+// the window, so one above it is parked like any other until the
+// window's advance lets the cursor reach it; dropping it would lose its
+// batch until its clients retransmit.
 func (p *pillar) handlePropose(ev engine.Propose) {
 	if ev.View != p.view || p.aborted {
 		// Stale proposal from before a view change; requests are
@@ -236,7 +240,7 @@ func (p *pillar) handlePropose(ev engine.Propose) {
 		p.e.Seq.Credit(p.idx, len(ev.Batch))
 		return
 	}
-	if ev.Order < p.cursor || !p.win.InWindow(ev.Order) {
+	if ev.Order < p.cursor || ev.Order <= p.win.Low() {
 		p.e.Seq.Credit(p.idx, len(ev.Batch))
 		return
 	}

@@ -101,8 +101,7 @@ func (k Key) SumParts(parts ...[]byte) MAC {
 // Verify reports whether mac is a valid HMAC for data under key k,
 // using a constant-time comparison.
 func (k Key) Verify(data []byte, mac MAC) bool {
-	expect := k.Sum(data)
-	return hmac.Equal(expect[:], mac[:])
+	return k.Sum(data).Equal(mac)
 }
 
 func sumParts(h hash.Hash, parts [][]byte) MAC {
@@ -114,6 +113,9 @@ func sumParts(h hash.Hash, parts [][]byte) MAC {
 	return m
 }
 
+// Equal reports whether m and o are the same MAC, in constant time.
+func (m MAC) Equal(o MAC) bool { return hmac.Equal(m[:], o[:]) }
+
 // MACKey is a key bound to its own pool of keyed HMAC states. hmac.New
 // allocates two SHA-256 states plus the HMAC shell on every call, which
 // was the single largest allocator on the agreement hot path (every
@@ -123,36 +125,85 @@ func sumParts(h hash.Hash, parts [][]byte) MAC {
 // repeatedly — a KeyStore per peer, a TrInX or USIG instance — holds
 // the handle, so a MAC finds its state without any lookup by key.
 type MACKey struct {
-	states sync.Pool // of hash.Hash keyed with the handle's key
+	states sync.Pool // of *macState keyed with the handle's key
+}
+
+// macState is one pooled HMAC state together with the buffers a MAC
+// passes through. Whatever is handed to a hash.Hash escapes, so a
+// result summed into the caller's frame, or a header built there, would
+// be moved to the heap on every call; the state's own out and in live
+// on the heap once, with the state.
+type macState struct {
+	h   hash.Hash
+	out MAC
+	in  [64]byte
 }
 
 // NewMACKey binds k. The handle keeps a private copy of the key.
 func NewMACKey(k Key) *MACKey {
 	kc := append(Key(nil), k...)
 	h := &MACKey{}
-	h.states.New = func() any { return hmac.New(sha256.New, kc) }
+	h.states.New = func() any { return &macState{h: hmac.New(sha256.New, kc)} }
 	return h
+}
+
+// state takes a pooled state, reset to the key's initial state.
+func (k *MACKey) state() *macState {
+	st := k.states.Get().(*macState)
+	st.h.Reset()
+	return st
+}
+
+// sum finishes st's MAC and returns st to the pool.
+func (k *MACKey) sum(st *macState) MAC {
+	st.h.Sum(st.out[:0])
+	m := st.out
+	k.states.Put(st)
+	return m
 }
 
 // Sum computes the HMAC-SHA256 of data; byte-identical to Key.Sum.
 func (k *MACKey) Sum(data []byte) MAC {
-	return k.SumParts(data)
+	st := k.state()
+	st.h.Write(data)
+	return k.sum(st)
 }
 
 // SumParts computes the HMAC-SHA256 over the concatenation of parts.
 func (k *MACKey) SumParts(parts ...[]byte) MAC {
-	h := k.states.Get().(hash.Hash)
-	h.Reset()
-	m := sumParts(h, parts)
-	k.states.Put(h)
-	return m
+	st := k.state()
+	for _, part := range parts {
+		st.h.Write(part)
+	}
+	return k.sum(st)
+}
+
+// SumHeader computes the HMAC-SHA256 of hdr ‖ body. hdr is copied
+// through the pooled state on its way into the hash, so a header the
+// caller builds in its own frame stays there; body is hashed where it
+// lies.
+func (k *MACKey) SumHeader(hdr, body []byte) MAC {
+	st := k.state()
+	for len(hdr) > 0 {
+		n := copy(st.in[:], hdr)
+		st.h.Write(st.in[:n])
+		hdr = hdr[n:]
+	}
+	st.h.Write(body)
+	return k.sum(st)
+}
+
+// SumDigest computes the HMAC-SHA256 of d, byte-identical to Sum(d[:]),
+// without moving the caller's digest to the heap: the authenticator
+// entry point.
+func (k *MACKey) SumDigest(d Digest) MAC {
+	return k.SumHeader(d[:], nil)
 }
 
 // Verify reports whether mac is a valid HMAC for data, using a
 // constant-time comparison.
 func (k *MACKey) Verify(data []byte, mac MAC) bool {
-	expect := k.Sum(data)
-	return hmac.Equal(expect[:], mac[:])
+	return k.Sum(data).Equal(mac)
 }
 
 // U64 encodes v in big-endian order; a helper for building MAC inputs.
@@ -261,7 +312,7 @@ type Authenticator struct {
 func NewAuthenticator(ks *KeyStore, d Digest, n int) Authenticator {
 	a := Authenticator{Sender: ks.Self(), MACs: make([]MAC, n)}
 	for r := 0; r < n; r++ {
-		a.MACs[r] = ks.KeyFor(uint32(r)).Sum(d[:])
+		a.MACs[r] = ks.KeyFor(uint32(r)).SumDigest(d)
 	}
 	return a
 }
@@ -271,5 +322,5 @@ func VerifyAuthenticator(ks *KeyStore, a Authenticator, d Digest) bool {
 	if int(ks.Self()) >= len(a.MACs) {
 		return false
 	}
-	return ks.KeyFor(a.Sender).Verify(d[:], a.MACs[ks.Self()])
+	return ks.KeyFor(a.Sender).SumDigest(d).Equal(a.MACs[ks.Self()])
 }

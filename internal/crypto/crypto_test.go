@@ -148,7 +148,9 @@ func TestU64U32(t *testing.T) {
 
 // TestPooledHMACMatchesFresh pins the HMAC state pool to the reference
 // construction: a pooled, Reset state must produce byte-identical MACs
-// to a fresh hmac.New, including across reuse and concurrent callers.
+// to a fresh hmac.New — through every entry point, for inputs around
+// the block and header-buffer sizes, across reuse and for concurrent
+// callers.
 func TestPooledHMACMatchesFresh(t *testing.T) {
 	key := NewKeyFromSeed("pool")
 	k := NewMACKey(key)
@@ -160,13 +162,27 @@ func TestPooledHMACMatchesFresh(t *testing.T) {
 		return m
 	}
 	// Sequential reuse: the second call hits the pooled state.
-	for i := 0; i < 8; i++ {
-		data := []byte{byte(i), 0xfe, byte(i * 3)}
-		if got, want := k.Sum(data), ref(data); got != want {
-			t.Fatalf("iteration %d: pooled Sum = %s want %s", i, got, want)
+	for _, n := range []int{0, 31, 32, 63, 64, 65, 129, 1024} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(n + i*3)
 		}
-		if got, want := k.SumParts(data[:1], data[1:]), ref(data); got != want {
-			t.Fatalf("iteration %d: pooled SumParts = %s want %s", i, got, want)
+		want := ref(data)
+		for cut := 0; cut <= n; cut += 1 + n/5 {
+			if got := k.SumParts(data[:cut], data[cut:]); got != want {
+				t.Fatalf("%d B cut at %d: pooled SumParts = %s want %s", n, cut, got, want)
+			}
+			if got := k.SumHeader(data[:cut], data[cut:]); got != want {
+				t.Fatalf("%d B cut at %d: pooled SumHeader = %s want %s", n, cut, got, want)
+			}
+		}
+		if got := k.Sum(data); got != want || !k.Verify(data, want) {
+			t.Fatalf("%d B: pooled Sum = %s want %s", n, got, want)
+		}
+		if n == DigestSize {
+			if d := Digest(data); k.SumDigest(d) != want {
+				t.Fatalf("SumDigest = %s want %s", k.SumDigest(d), want)
+			}
 		}
 	}
 	// Concurrent use must never cross-contaminate states.
@@ -178,7 +194,16 @@ func TestPooledHMACMatchesFresh(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				data := []byte{byte(w), byte(i), byte(w ^ i)}
-				if got, want := k.Sum(data), ref(data); got != want {
+				var d Digest
+				copy(d[:], data)
+				if got, want := k.SumDigest(d), ref(d[:]); got != want {
+					select {
+					case errs <- got.String() + " != " + want.String():
+					default:
+					}
+					return
+				}
+				if got, want := k.SumHeader(data[:1], data[1:]), ref(data); got != want {
 					select {
 					case errs <- got.String() + " != " + want.String():
 					default:

@@ -57,8 +57,6 @@ func PrecomputeDigest(m Message) {
 	switch v := m.(type) {
 	case *Request:
 		_ = v.Digest()
-	case *Reply:
-		_ = v.Digest()
 	case *Prepare:
 		_ = v.BatchDigest()
 		_ = v.Digest()

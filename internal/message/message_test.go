@@ -2,6 +2,9 @@ package message
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"math/rand"
@@ -238,9 +241,70 @@ func TestUnmarshalUnknownType(t *testing.T) {
 	}
 }
 
-// TestPayloadDigestGoldens pins the preimages of the two digests that
-// cover a payload. MACs, TrInX certificates and WAL records are
-// computed over these values, so a change here is a wire and storage
+// TestReplyMACGoldens pins the REPLY authenticator: one HMAC-SHA256
+// under the replica-client pair key over "reply" ‖ replica ‖ client ‖
+// seq ‖ len ‖ result, with no digest of the reply in front. Clients and
+// replicas must agree on it byte for byte, so a change here is a
+// protocol break. Each value is checked against the preimage spelled
+// out and MACed by a fresh hmac.New as well as against its hex.
+func TestReplyMACGoldens(t *testing.T) {
+	kib := make([]byte, 1024)
+	for i := range kib {
+		kib[i] = byte(i * 7)
+	}
+	const client = crypto.ClientIDBase + 1
+	key := crypto.NewKeyFromSeed("reply-mac-golden")
+	for _, tc := range []struct {
+		name string
+		rep  *Reply
+		want string
+	}{
+		{"reply 0 B", &Reply{Replica: 2, Client: client, Seq: 9},
+			"ed24de87fe92f62c8a9cc228de2a870905e47e0345f7679b59917dce4504e809"},
+		{"reply 1 KiB", &Reply{Replica: 2, Client: client, Seq: 9, Result: kib},
+			"a3db5cc07e96dc292010489fda21d3b57e86e117c8901616b5596824a6653ba8"},
+	} {
+		got := tc.rep.MACUnder(crypto.NewMACKey(key))
+		pre := append([]byte("reply"), 0, 0, 0, 2)
+		pre = binary.BigEndian.AppendUint32(pre, client)
+		pre = binary.BigEndian.AppendUint64(pre, 9)
+		pre = binary.BigEndian.AppendUint32(pre, uint32(len(tc.rep.Result)))
+		h := hmac.New(sha256.New, key)
+		h.Write(append(pre, tc.rep.Result...))
+		if ref := h.Sum(nil); !bytes.Equal(got[:], ref) {
+			t.Errorf("%s: MAC %x, the spelled-out preimage's %x", tc.name, got[:], ref)
+		}
+		if hex.EncodeToString(got[:]) != tc.want {
+			t.Errorf("%s: MAC %x, golden %s", tc.name, got[:], tc.want)
+		}
+	}
+}
+
+// TestReplyMACCoversEveryField: a reply whose replica, client, sequence
+// number or result changed after it was MACed fails verification, and
+// so does one whose result lost or gained a byte at its boundary with
+// the length.
+func TestReplyMACCoversEveryField(t *testing.T) {
+	const client = crypto.ClientIDBase + 1
+	k := crypto.NewMACKey(crypto.NewKeyFromSeed("reply-mac"))
+	mac := (&Reply{Replica: 2, Client: client, Seq: 9, Result: []byte("result")}).MACUnder(k)
+	for name, forged := range map[string]*Reply{
+		"replica":              {Replica: 1, Client: client, Seq: 9, Result: []byte("result")},
+		"client":               {Replica: 2, Client: client + 1, Seq: 9, Result: []byte("result")},
+		"seq":                  {Replica: 2, Client: client, Seq: 10, Result: []byte("result")},
+		"result":               {Replica: 2, Client: client, Seq: 9, Result: []byte("resulT")},
+		"result one byte less": {Replica: 2, Client: client, Seq: 9, Result: []byte("esult")},
+		"result one byte more": {Replica: 2, Client: client, Seq: 9, Result: []byte("\x06result")},
+	} {
+		if forged.MACUnder(k).Equal(mac) {
+			t.Errorf("%s changed after MACing: the reply still verifies", name)
+		}
+	}
+}
+
+// TestPayloadDigestGoldens pins the preimage of the digest that covers
+// a request's payload. Authenticators, TrInX certificates and WAL
+// records are computed over it, so a change here is a wire and storage
 // format break. The hex strings were computed at d4dc3c5.
 func TestPayloadDigestGoldens(t *testing.T) {
 	kib := make([]byte, 1024)
@@ -259,10 +323,6 @@ func TestPayloadDigestGoldens(t *testing.T) {
 			"5a9a31a2472d895985c6308328be1a8ed521fb247603f34a30665da7d3b40918"},
 		{"request 1 KiB read-only", (&Request{Client: client, Seq: 9, ReadOnly: true, Payload: kib}).Digest(),
 			"d5b755ed15956d6f636246ca9f031cfb879ca309e8d8667526830d7f27108c04"},
-		{"reply 0 B", (&Reply{Replica: 2, Client: client, Seq: 9}).Digest(),
-			"6401c0248b962434fe6cc89ac4c20ac38f54f48e005a269457f6054e04afa86d"},
-		{"reply 1 KiB", (&Reply{Replica: 2, Client: client, Seq: 9, Result: kib}).Digest(),
-			"17c6b4b2fd6c8c725b50352ff317fe39249708dde0513542a0a621923e297964"},
 	} {
 		if got := hex.EncodeToString(tc.got[:]); got != tc.want {
 			t.Errorf("%s: digest %s, golden %s", tc.name, got, tc.want)

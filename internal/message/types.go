@@ -139,8 +139,6 @@ type Reply struct {
 	Seq     uint64
 	Result  []byte
 	MAC     crypto.MAC
-
-	dc digestCache
 }
 
 // MsgType implements Message.
@@ -154,19 +152,20 @@ func (r *Reply) wire(w *wire) {
 	w.b32((*[32]byte)(&r.MAC))
 }
 
-// Digest returns the value the reply MAC covers.
-func (r *Reply) Digest() crypto.Digest {
-	if d, ok := r.dc.cached(); ok {
-		return d
-	}
-	// "reply" ‖ replica ‖ client ‖ seq ‖ len ‖ result, as in Request.Digest.
+// MACUnder returns the reply's MAC under k, the key its replica shares
+// with its client: one HMAC over "reply" ‖ replica ‖ client ‖ seq ‖ len
+// ‖ result, with the result MACed where it lies and no digest of the
+// reply in front. The replica's reply stage sets MAC to it and the
+// client compares the two; it is the only construction of either side.
+// (A digest-only reply would MAC H(result) under a tag of its own.)
+func (r *Reply) MACUnder(k *crypto.MACKey) crypto.MAC {
 	var hdr [25]byte
 	copy(hdr[:], "reply")
 	binary.BigEndian.PutUint32(hdr[5:], r.Replica)
 	binary.BigEndian.PutUint32(hdr[9:], r.Client)
 	binary.BigEndian.PutUint64(hdr[13:], r.Seq)
 	binary.BigEndian.PutUint32(hdr[21:], uint32(len(r.Result)))
-	return r.dc.fill(crypto.HashParts(hdr[:], r.Result))
+	return k.SumHeader(hdr[:], r.Result)
 }
 
 // BatchDigest folds the digests of a request batch into one digest.

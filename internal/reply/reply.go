@@ -209,7 +209,6 @@ func (s *Stage) run(mb *mailbox) {
 
 func (s *Stage) send(j Job) {
 	rep := &message.Reply{Replica: s.replica, Client: j.Client, Seq: j.Seq, Result: j.Result}
-	d := rep.Digest()
-	rep.MAC = s.ks.KeyFor(j.Client).Sum(d[:])
+	rep.MAC = rep.MACUnder(s.ks.KeyFor(j.Client))
 	_ = s.ep.Send(j.Client, rep)
 }

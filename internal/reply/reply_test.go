@@ -91,12 +91,10 @@ func TestDistinctClientsShardedAndAuthenticated(t *testing.T) {
 		t.Fatalf("replies reached %d clients, want %d", len(sk.got), clients)
 	}
 	for client, reps := range sk.got {
-		// Verify as the client would: same pairwise key, fresh digest.
+		// Verify as the client would: its own store's pairwise key.
 		ks := crypto.NewKeyStore(client, master)
 		rep := reps[0]
-		d := rep.Digest()
-		want := ks.KeyFor(replica).Sum(d[:])
-		if rep.MAC != want {
+		if !rep.MACUnder(ks.KeyFor(replica)).Equal(rep.MAC) {
 			t.Fatalf("client %d reply MAC does not verify", client)
 		}
 		if rep.Replica != replica {
