@@ -34,14 +34,17 @@ wire-golden:
 # a partition window, and a crash-restart, with the race detector on;
 # then the engine's concurrency-sensitive unit tests (sequencer
 # admit/credit, host routing order and teardown), Hybster's
-# skipped-view wedge, driven tick by tick, and the pillar's one-ECALL
-# steps (a forged PREPARE at the cursor, surplus and needed COMMITs),
-# repeated; then the client, whose pending records are recycled across
-# requests while late replies and Close race them.
+# skipped-view wedge and relayed NEW-VIEWs, driven tick by tick, and the
+# pillar's one-ECALL steps (a forged PREPARE at the cursor, surplus
+# and needed COMMITs), repeated; then the durable restarts (cold,
+# graceful, amnesia, stale seal), repeated; then the client, whose
+# pending records are recycled across requests while late replies and
+# Close race them.
 chaos-smoke:
 	$(GO) test -race -short -count=1 -run 'TestChaos' ./internal/chaos/...
 	$(GO) test -race -count=20 -run 'TestSequencerConcurrentAdmitAndCredit|TestHost' ./internal/engine/
-	$(GO) test -race -count=20 -run 'TestSkippedViewEvidenceReachesPendingPeer|TestForgedPrepareAtCursorLeavesNoTrace|TestCommitCostsAnECallOnlyWhenNeeded' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestSkippedViewEvidenceReachesPendingPeer|TestNewViewRelayedByNonLeaderInstalls|TestRestartedLeaderDoesNotReinstallItsView|TestForgedPrepareAtCursorLeavesNoTrace|TestCommitCostsAnECallOnlyWhenNeeded' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestColdRestart|TestGracefulShutdownResumesWarm|TestAmnesiaZombieRefused|TestStaleSealRefused' ./internal/cluster/
 	$(GO) test -race -count=20 ./internal/client/
 
 # Long seed sweep with elevated fault rates, alternating cold-restart

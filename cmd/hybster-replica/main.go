@@ -43,7 +43,7 @@ func main() {
 	rotate := flag.Bool("rotate", false, "rotate the proposer over all replicas")
 	appFlag := flag.String("app", "echo", "application: echo, counter, coordination")
 	keySeed := flag.String("keyseed", "hybster-default", "group key seed (must match on all nodes)")
-	dataDir := flag.String("data", "", "data directory for durable crash-recovery (sealed counters + WAL); empty = in-memory only")
+	dataDir := flag.String("data", "", "data directory for durable crash-recovery (WAL, and sealed counters for hybster; minbft refuses it); empty = in-memory only")
 	opsAddr := flag.String("ops", "", "ops endpoint listen address (/metrics, /vars, /trace, /healthz, /readyz, pprof); empty = disabled")
 	auditScrape := flag.String("audit-scrape", "", "comma-separated ops-endpoint URLs to audit (e.g. http://h0:9100,http://h1:9100); serves findings at /audit and demotes /readyz on violations; empty = disabled")
 	auditEvery := flag.Duration("audit-interval", time.Second, "audit scrape cadence (with -audit-scrape)")
@@ -97,9 +97,6 @@ func main() {
 		}
 		if err := platform.BindStore(filepath.Join(*dataDir, "sealreg")); err != nil {
 			log.Fatal(err)
-		}
-		if proto != config.HybsterS && proto != config.HybsterX {
-			log.Fatalf("-data requires a hybster protocol; %s has no recovery path", proto)
 		}
 	}
 
@@ -191,11 +188,11 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("replica %d shutting down (executed up to order %d)", *id, replica.LastExecuted())
-	// Stop flushes the write-ahead log and force-seals the trusted
-	// counters, so a SIGTERM'd replica restarts from its exact frontier.
+	// Stop force-seals any trusted counters and flushes the write-ahead
+	// log, so a SIGTERM'd replica restarts from its exact frontier.
 	replica.Stop()
 	if *dataDir != "" {
-		log.Printf("replica %d state sealed under %s", *id, *dataDir)
+		log.Printf("replica %d state saved under %s", *id, *dataDir)
 	}
 }
 

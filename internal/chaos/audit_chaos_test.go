@@ -83,8 +83,9 @@ func TestChaosAuditCleanSoak(t *testing.T) {
 
 // runCleanAudited runs one audited schedule expecting a clean bill.
 //
-// Hybster replicas run with durable state (DataRoot), because that is
-// the deployment the protocol's safety argument assumes: trusted
+// Replicas run with durable state (DataRoot), except MinBFT's, which
+// refuse a data dir. For Hybster that is the deployment the protocol's
+// safety argument assumes: trusted
 // counters must be monotonic across restarts (SGX-sealed in the
 // paper, sealed counter state + WAL here). A volatile restart brings
 // a replica back with its counters reset to zero — amnesia the
@@ -107,13 +108,16 @@ func TestChaosAuditCleanSoak(t *testing.T) {
 func runCleanAudited(t *testing.T, p config.Protocol, seed int64) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
-		res, err := Run(Options{
+		o := Options{
 			Protocol: p,
 			Seed:     seed,
 			Horizon:  400 * time.Millisecond,
-			DataRoot: t.TempDir(),
 			Logf:     t.Logf,
-		})
+		}
+		if p != config.MinBFT {
+			o.DataRoot = t.TempDir()
+		}
+		res, err := Run(o)
 		if err != nil {
 			diverged := res != nil && hasDivergence(res.Audit.Findings)
 			if res != nil && res.HistoryPoints == 0 && !diverged && attempt == 0 {

@@ -56,8 +56,8 @@ type Options struct {
 	// amnesia events become meaningful (the wiped replica must be
 	// refused as a zombie). Crashes are hard kills — no exact-value
 	// seal, no WAL flush, a torn log tail — so recovery runs against
-	// genuine kill -9 artifacts, not a graceful shutdown's. Only
-	// Hybster protocols use the disk; others ignore it. Tests pass
+	// genuine kill -9 artifacts, not a graceful shutdown's. MinBFT
+	// refuses a data dir, so a MinBFT run leaves it unset. Tests pass
 	// t.TempDir().
 	DataRoot string
 	// Logf receives progress lines (optional; tests pass t.Logf).

@@ -42,9 +42,10 @@ func (r LinkFault) matches(from, to uint32) bool {
 // before the heal phase). When the harness runs with a data root the
 // restart is a cold restart — recovery from sealed counters and the
 // write-ahead log. Amnesia additionally wipes the replica's data
-// directory before the restart: a durable replica must then be refused
-// (zombie) and stays down for the rest of the run. Without a data root
-// Amnesia degrades to a plain restart.
+// directory before the restart: a replica with sealed counters
+// (Hybster) must then be refused (zombie) and stays down for the rest
+// of the run; PBFT, which seals nothing, restarts volatile. Without a
+// data root Amnesia degrades to a plain restart.
 type CrashEvent struct {
 	Replica  uint32
 	At       time.Duration // offset from schedule start

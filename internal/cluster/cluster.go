@@ -213,14 +213,15 @@ type Engine interface {
 
 // NewEngine builds the engine cfg.Protocol names for replica id on
 // machine env, running app. It is the one place outside benchmark/ that
-// maps a protocol to its engine. Only Hybster has a recovery path, so
-// only it is given the machine's data directory.
+// maps a protocol to its engine. Every engine is given the machine's
+// data directory; MinBFT's refuses a non-empty one.
 func NewEngine(cfg config.Config, id uint32, ep transport.Endpoint, env NodeEnv,
 	app statemachine.Application, cost enclave.CostModel) (Engine, error) {
 
 	o := engine.Options{
 		Config: cfg, ID: id, Endpoint: ep, Application: app,
 		Platform: env.Platform, EnclaveCost: cost, Telemetry: env.Telemetry,
+		DataDir: env.DataDir,
 	}
 	switch cfg.Protocol {
 	case config.MinBFT:
@@ -228,7 +229,6 @@ func NewEngine(cfg config.Config, id uint32, ep transport.Endpoint, env NodeEnv,
 	case config.PBFTcop, config.HybridPBFT:
 		return pbft.New(o)
 	default:
-		o.DataDir = env.DataDir
 		return core.New(o)
 	}
 }
@@ -320,13 +320,14 @@ func (c *Cluster) Restart(id uint32) error {
 
 // RestartAmnesia wipes replica id's data directory before restarting,
 // simulating total disk loss (or an operator restoring the wrong
-// backup). A durable replica MUST refuse to come back: its platform's
-// monotonic seal register proves counter state existed that the disk
-// no longer holds, so resuming fresh could let it re-certify old
-// counter values — the classic restart-equivocation attack. The
-// returned error wraps trinx.ErrAmnesia and the replica is recorded as
-// a zombie: permanently down, exempt from liveness checks. Volatile
-// replicas (no data root) have nothing to lose and restart normally.
+// backup). A replica with sealed counters (Hybster) MUST refuse to come
+// back: its platform's monotonic seal register proves counter state
+// existed that the disk no longer holds, so resuming fresh could let it
+// re-certify old counter values — the classic restart-equivocation
+// attack. The returned error wraps trinx.ErrAmnesia and the replica is
+// recorded as a zombie: permanently down, exempt from liveness checks.
+// A replica that seals nothing (PBFT, or any without a data root) has
+// no counters to lose and restarts volatile.
 func (c *Cluster) RestartAmnesia(id uint32) error {
 	if !c.crashed[id] {
 		return fmt.Errorf("cluster: replica %d is not crashed", id)

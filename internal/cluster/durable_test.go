@@ -14,10 +14,10 @@ import (
 	"hybster/internal/trinx"
 )
 
-func durableConfig() config.Config {
+func durableConfig(p config.Protocol) config.Config {
 	return config.Config{
-		Protocol:           config.HybsterS,
-		N:                  3,
+		Protocol:           p,
+		N:                  config.ReplicasFor(p, 1),
 		Pillars:            1,
 		BatchSize:          8,
 		CheckpointInterval: 8,
@@ -27,10 +27,10 @@ func durableConfig() config.Config {
 	}
 }
 
-func newDurableCluster(t *testing.T) *Cluster {
+func newDurableCluster(t *testing.T, p config.Protocol) *Cluster {
 	t.Helper()
 	c, err := Boot(Options{
-		Config:   durableConfig(),
+		Config:   durableConfig(p),
 		DataRoot: t.TempDir(),
 	}, func() statemachine.Application {
 		return counter.New()
@@ -56,72 +56,99 @@ func commitN(t *testing.T, c *Cluster, n int) {
 	}
 }
 
-// TestColdRestartRecoversFromDisk pins the durable crash-recovery
-// path: a replica with a data directory that crashes past a checkpoint
-// comes back already holding its pre-crash execution state (recovered
-// from the sealed counters and the write-ahead log), then catches the
-// rest up via state transfer. Crash is a hard kill -9: no exact-value
-// seal, no WAL flush, a torn log tail — so what recovery restores here
-// is the genuinely durable state (the fsynced checkpoint plus whatever
-// decisions the sync batch made stable), with counters resuming at the
-// sealed horizon. A volatile restart would come back at order 0 — the
-// assertion right after Restart distinguishes the two.
-func TestColdRestartRecoversFromDisk(t *testing.T) {
-	c := newDurableCluster(t)
+// durableProtocols are the protocols whose replicas take a data dir,
+// with the gauge each publishes its stable checkpoint under.
+var durableProtocols = []struct {
+	proto  config.Protocol
+	stable string
+}{
+	{config.HybsterS, "hybster_core_stable_checkpoint"},
+	{config.PBFTcop, "hybster_pbft_stable_checkpoint"},
+	{config.HybridPBFT, "hybster_pbft_stable_checkpoint"},
+}
 
-	commitN(t, c, 12) // past the first checkpoint (interval 8)
-	// The client returns on f+1 replies, which replicas 0 and 2 can give
-	// while replica 1 still trails; it catches up within milliseconds.
-	// What the crash must not take from it is its stable checkpoint at
-	// 8, which it logs and syncs as it records it.
+// awaitStable waits until replica id recorded a stable checkpoint at
+// order 8 or above. The client returns on f+1 replies, which the other
+// replicas can give while id still trails; it catches up within
+// milliseconds.
+func awaitStable(t *testing.T, c *Cluster, id uint32, gauge string) {
+	t.Helper()
 	caughtUp := time.Now().Add(5 * time.Second)
-	for c.MetricValue(1, "hybster_core_stable_checkpoint") < 8 {
+	for c.MetricValue(id, gauge) < 8 {
 		if time.Now().After(caughtUp) {
-			t.Fatalf("replica 1 executed %d, stable checkpoint %v before crash; want >= 8",
-				c.replicas[1].LastExecuted(), c.MetricValue(1, "hybster_core_stable_checkpoint"))
+			t.Fatalf("replica %d executed %d, stable checkpoint %v before stopping; want >= 8",
+				id, c.replicas[id].LastExecuted(), c.MetricValue(id, gauge))
 		}
 		time.Sleep(time.Millisecond)
 	}
-	c.Crash(1)
-	commitN(t, c, 12) // the group moves on without it
+}
 
-	if err := c.Restart(1); err != nil {
-		t.Fatalf("cold restart: %v", err)
-	}
-	// Before any new traffic reaches it, the replica must already hold
-	// at least the synced checkpoint — disk recovery, not state
-	// transfer, put it there.
-	if got := c.replicas[1].LastExecuted(); got < 8 {
-		t.Fatalf("replica 1 at order %d right after cold restart; want >= 8 (recovered from disk)", got)
-	}
+// TestColdRestartRecoversFromDisk pins the durable crash-recovery
+// path: a replica with a data directory that crashes past a checkpoint
+// comes back already holding its pre-crash execution state (recovered
+// from the write-ahead log, and for Hybster the sealed counters), then
+// catches the rest up via state transfer. Crash is a hard kill -9: no
+// exact-value seal, no WAL flush, a torn log tail — so what recovery
+// restores here is the genuinely durable state (the fsynced checkpoint
+// plus whatever decisions the sync batch made stable), with counters
+// resuming at the sealed horizon. A volatile restart would come back
+// at order 0 — the assertion right after Restart distinguishes the two.
+func TestColdRestartRecoversFromDisk(t *testing.T) {
+	for _, tc := range durableProtocols {
+		t.Run(tc.proto.String(), func(t *testing.T) {
+			c := newDurableCluster(t, tc.proto)
 
-	// And it still rejoins the live frontier.
-	target := c.replicas[0].LastExecuted()
-	deadline := time.Now().Add(15 * time.Second)
-	for c.replicas[1].LastExecuted() < target {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica 1 stuck at %d, cluster at %d",
-				c.replicas[1].LastExecuted(), target)
-		}
-		commitN(t, c, 2)
+			commitN(t, c, 12) // past the first checkpoint (interval 8)
+			// What the crash must not take from replica 1 is its stable
+			// checkpoint at 8, which it logs and syncs as it records it.
+			awaitStable(t, c, 1, tc.stable)
+			c.Crash(1)
+			commitN(t, c, 12) // the group moves on without it
+
+			if err := c.Restart(1); err != nil {
+				t.Fatalf("cold restart: %v", err)
+			}
+			// Before any new traffic reaches it, the replica must already
+			// hold at least the synced checkpoint — disk recovery, not
+			// state transfer, put it there.
+			if got := c.replicas[1].LastExecuted(); got < 8 {
+				t.Fatalf("replica 1 at order %d right after cold restart; want >= 8 (recovered from disk)", got)
+			}
+
+			// And it still rejoins the live frontier.
+			target := c.replicas[0].LastExecuted()
+			deadline := time.Now().Add(15 * time.Second)
+			for c.replicas[1].LastExecuted() < target {
+				if time.Now().After(deadline) {
+					t.Fatalf("replica 1 stuck at %d, cluster at %d",
+						c.replicas[1].LastExecuted(), target)
+				}
+				commitN(t, c, 2)
+			}
+		})
 	}
 }
 
 // TestGracefulShutdownResumesWarm pins the other stop mode: Shutdown
-// (the SIGTERM analogue) flushes the WAL and seals exact counter
-// values, so the restarted replica resumes at its full pre-stop
-// frontier — no tail loss, unlike the hard crash above.
+// (the SIGTERM analogue) flushes the WAL and, for Hybster, seals exact
+// counter values, so the restarted replica resumes at its full
+// pre-stop frontier — no tail loss, unlike the hard crash above.
 func TestGracefulShutdownResumesWarm(t *testing.T) {
-	c := newDurableCluster(t)
+	for _, tc := range durableProtocols {
+		t.Run(tc.proto.String(), func(t *testing.T) {
+			c := newDurableCluster(t, tc.proto)
 
-	commitN(t, c, 12)
-	pre := c.replicas[1].LastExecuted()
-	c.Shutdown(1)
-	if err := c.Restart(1); err != nil {
-		t.Fatalf("warm restart: %v", err)
-	}
-	if got := c.replicas[1].LastExecuted(); got < pre {
-		t.Fatalf("replica 1 at order %d after warm restart; want >= %d (nothing lost on graceful stop)", got, pre)
+			commitN(t, c, 12)
+			awaitStable(t, c, 1, tc.stable)
+			pre := c.replicas[1].LastExecuted()
+			c.Shutdown(1)
+			if err := c.Restart(1); err != nil {
+				t.Fatalf("warm restart: %v", err)
+			}
+			if got := c.replicas[1].LastExecuted(); got < max(pre, 8) {
+				t.Fatalf("replica 1 at order %d after warm restart; want >= %d (nothing lost on graceful stop)", got, max(pre, 8))
+			}
+		})
 	}
 }
 
@@ -131,7 +158,7 @@ func TestGracefulShutdownResumesWarm(t *testing.T) {
 // existed), recorded as a zombie, and the remaining group must keep
 // committing without it.
 func TestAmnesiaZombieRefused(t *testing.T) {
-	c := newDurableCluster(t)
+	c := newDurableCluster(t, config.HybsterS)
 
 	commitN(t, c, 12)
 	c.Crash(1)
@@ -169,7 +196,7 @@ func TestAmnesiaZombieRefused(t *testing.T) {
 // register is ahead of the restored blobs, so boot fails with
 // trinx.ErrStaleSeal, a distinct error from amnesia.
 func TestStaleSealRefused(t *testing.T) {
-	c := newDurableCluster(t)
+	c := newDurableCluster(t, config.HybsterS)
 
 	commitN(t, c, 12)
 	c.Shutdown(1) // clean stop seals exact counters (seq S1)

@@ -130,7 +130,7 @@ func (c *coordinator) handleMessage(from uint32, m message.Message) {
 	case *message.ViewChange:
 		c.handleViewChange(from, v)
 	case *message.NewView:
-		c.handleNewView(from, v)
+		c.handleNewView(v)
 	case *message.NewViewAck:
 		c.handleNewViewAck(from, v)
 	case *message.StateRequest:
@@ -140,11 +140,10 @@ func (c *coordinator) handleMessage(from uint32, m message.Message) {
 	}
 }
 
-// stableAdvanced propagates a newly recorded stable checkpoint to the
-// WAL and the learned set (the pillars' windows slide on their own
-// engine.Advance).
+// stableAdvanced prunes the learned set below a newly recorded stable
+// checkpoint (the host has logged it, and the pillars' windows slide on
+// their own engine.Advance).
 func (c *coordinator) stableAdvanced(st *stableCkpt) {
-	c.e.logCheckpoint(st)
 	for o := range c.learned {
 		if o <= st.Order {
 			delete(c.learned, o)

@@ -30,6 +30,7 @@ import (
 	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/statemachine"
+	"hybster/internal/trinx"
 )
 
 // Trusted counter IDs within each pillar's TrInX instance.
@@ -53,7 +54,9 @@ type Engine struct {
 
 	pillars []*pillar
 	coord   *coordinator
-	dur     *durability // nil without a data dir
+	// durables are the counter instances sealed on a graceful stop; nil
+	// without a data dir.
+	durables []*trinx.DurableTrInX
 }
 
 // New assembles a replica engine. Call Start to begin processing.
@@ -62,21 +65,16 @@ func New(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{}
-	x := statemachine.NewExecutor(opts.Application)
-	if opts.DataDir != "" {
-		dur, err := openDurability(opts.DataDir, opts.Telemetry)
-		if err != nil {
-			return nil, err
-		}
-		e.dur = dur
-		dur.replay(x, opts.Telemetry)
-	}
-	e.Host = engine.NewHost("core", opts, x, engine.Handlers{
+	h, err := engine.NewHost("core", opts, statemachine.NewExecutor(opts.Application), engine.Handlers{
 		Classify: classify,
 		Pillar:   func(u uint32, ev any) { e.pillars[u].handleEvent(ev) },
 		Coord:    func(ev any) { e.coord.handleEvent(ev) },
 		Close:    e.close,
 	})
+	if err != nil {
+		return nil, err
+	}
+	e.Host = h
 	key := crypto.NewKeyFromSeed(opts.Config.KeySeed)
 	coordTx, err := e.newCertifier(opts, coordinatorPillar, key)
 	if err != nil {
@@ -94,9 +92,6 @@ func New(opts Options) (*Engine, error) {
 		e.pillars[u] = newPillar(e, uint32(u), tx)
 	}
 	e.PillarGauges(e.coord.ck.StableOrder)
-	if e.dur != nil {
-		e.restore()
-	}
 	return e, nil
 }
 
@@ -105,15 +100,15 @@ func New(opts Options) (*Engine, error) {
 // or `desired=1` with none pending. Safe from any goroutine.
 func (e *Engine) Standing() string { return *e.coord.standing.Load() }
 
-// close is the Host's shutdown hook. A graceful stop flushes and closes
-// the WAL and seals the exact counter values, so a subsequent boot
-// resumes warm; a kill leaves the durable state exactly as kill -9
-// would. New also runs it (as a kill) when a certifier refuses to boot.
+// close is the Host's shutdown hook. A graceful stop seals the exact
+// counter values, so a subsequent boot resumes warm with no horizon
+// jump; a kill takes no seal, as kill -9 would not. New also runs it
+// (as a kill) when a certifier refuses to boot.
 func (e *Engine) close(graceful bool) {
 	if graceful {
-		e.shutdownDurability()
-	} else {
-		e.abandonDurability()
+		for _, d := range e.durables {
+			_ = d.SealNow()
+		}
 	}
 	for _, p := range e.pillars {
 		if p != nil {

@@ -167,20 +167,23 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 	c.installNewView(w, startCkpt, newPreps, true, vcSet)
 }
 
-// handleNewView ingests one NEW-VIEW part from the leader of its view.
-func (c *coordinator) handleNewView(from uint32, nv *message.NewView) {
-	w := nv.View
-	if w <= c.e.View() {
-		return
-	}
-	if from != c.e.Cfg.LeaderOf(w) {
+// handleNewView ingests one NEW-VIEW part of its view's leader. It is
+// accepted on its certificate, whoever relays it: a replica that
+// installed the view hands the NEW-VIEW it holds to a lagging peer
+// (handleViewChange). The leader itself installs its view as it emits
+// the NEW-VIEW; its own part relayed back reaches only an incarnation
+// that restarted without knowing what it proposed in that view, and
+// must not lead it again.
+func (c *coordinator) handleNewView(nv *message.NewView) {
+	w, leader := nv.View, c.e.Cfg.LeaderOf(nv.View)
+	if w <= c.e.View() || leader == c.e.ID() {
 		return
 	}
 	if int(nv.Pillar) >= len(c.e.pillars) {
 		return
 	}
 	if nv.Cert.Kind != trinx.Continuing || nv.Cert.Value != nv.Cert.Prev ||
-		nv.Cert.Issuer.Replica() != from {
+		nv.Cert.Issuer.Replica() != leader {
 		return
 	}
 	if err := c.tx.Verify(nv.Cert, nv.Digest()); err != nil {

@@ -95,7 +95,9 @@ func newPillar(e *Engine, idx uint32, tx Certifier) *pillar {
 		pendingPreps: make(map[timeline.Order]*message.Prepare),
 		ownMsg:       make(map[timeline.Order]message.Message),
 	}
-	p.cursor = p.firstClassOrder(0)
+	// A replica booted from its log starts past the replayed orders: its
+	// counters resumed beyond them, so it cannot certify them again.
+	p.cursor = p.firstClassOrder(e.LastExecuted())
 	return p
 }
 
@@ -333,12 +335,11 @@ func (p *pillar) maybeDeliver(s *slot) {
 	s.Executed = true
 	p.met.Committed.Inc()
 	p.e.Met.TraceD(telemetry.EvDeliver, uint64(s.Prepare.View), uint64(s.Order), p.idx, s.BatchDigest[:], "")
-	p.e.logDecision(s.Prepare.View, s.Order, s.Prepare.Requests)
 	credit := engine.NoCredit
 	if s.Prepare.Cert.Issuer.Replica() == p.e.ID() {
 		credit = int32(p.idx)
 	}
-	p.e.Exec.Deliver(s.Order, s.Prepare.Requests, credit)
+	p.e.Decide(s.Prepare.View, s.Order, s.Prepare.Requests, credit)
 }
 
 // handleCkptDue runs this pillar's checkpoint protocol instance

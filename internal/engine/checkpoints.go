@@ -10,6 +10,7 @@ import (
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
+	"hybster/internal/wal"
 )
 
 // StableCkpt is a replica's record of the last stable checkpoint;
@@ -98,16 +99,39 @@ type Checkpoints[M message.Message] struct {
 	lastStateReq time.Time
 }
 
-// NewCheckpoints builds the sub-protocol instance of h's replica.
+// NewCheckpoints builds the sub-protocol instance of h's replica,
+// adopting the stable checkpoint its log held at boot.
 func NewCheckpoints[M message.Message](h *Host,
 	verify func(timeline.Order, crypto.Digest, []*message.Checkpoint) error,
 	advanced func(*StableCkpt[M])) *Checkpoints[M] {
 
-	return &Checkpoints[M]{
+	c := &Checkpoints[M]{
 		h: h, verify: verify, advanced: advanced,
 		candidates: make(map[timeline.Order]candidate),
 		pending:    make(map[timeline.Order]map[uint32]Announcement[M]),
 		own:        make(map[timeline.Order]M),
+	}
+	if ck := h.recovered; ck != nil {
+		h.recovered = nil // the adopted copy is the one that stays
+		c.restore(ck)
+	}
+	return c
+}
+
+// restore adopts a stable checkpoint recovered from the log, its proof
+// decoded to M (another protocol's proof is ignored), and queues the
+// Advance that slides every pillar window to it before Start.
+func (c *Checkpoints[M]) restore(ck *wal.CheckpointRec) {
+	proof := make([]M, len(ck.Proof))
+	for i, m := range ck.Proof {
+		var ok bool
+		if proof[i], ok = m.(M); !ok {
+			return
+		}
+	}
+	c.Adopt(StableCkpt[M]{Order: ck.Order, Digest: ck.Digest, Proof: proof, Snapshot: ck.Snapshot, RV: ck.ReplyVector})
+	for _, box := range c.h.PillarBox {
+		box.Put(Advance{Order: ck.Order})
 	}
 }
 
@@ -235,10 +259,19 @@ func (c *Checkpoints[M]) vote(a Announcement[M]) {
 }
 
 // slide propagates a newly recorded stable checkpoint to every
-// pillar's window and to the protocol.
+// pillar's window, to the log and to the protocol.
 func (c *Checkpoints[M]) slide() {
 	for _, box := range c.h.PillarBox {
 		box.Put(Advance{Order: c.stable.Order})
+	}
+	if c.h.log != nil {
+		proof := make([]message.Message, len(c.stable.Proof))
+		for i, m := range c.stable.Proof {
+			proof[i] = m
+		}
+		// Synced at once; an append error is not fatal (Host.Decide).
+		_ = c.h.log.AppendCheckpoint(&wal.CheckpointRec{Order: c.stable.Order, Digest: c.stable.Digest,
+			Snapshot: c.stable.Snapshot, ReplyVector: c.stable.RV, Proof: proof})
 	}
 	if c.advanced != nil {
 		c.advanced(&c.stable)

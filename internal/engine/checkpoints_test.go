@@ -25,13 +25,22 @@ type ckptHarness struct {
 // interval 4 and window 16 (so at most 16/4+1 = 5 announcements are
 // retained per announcing replica).
 func newCkptHarness(t *testing.T, proto config.Protocol) *ckptHarness {
+	return newCkptHarnessIn(t, proto, "")
+}
+
+// newCkptHarnessIn is newCkptHarness on a host with data dir dataDir.
+func newCkptHarnessIn(t *testing.T, proto config.Protocol, dataDir string) *ckptHarness {
 	t.Helper()
 	cfg := config.Default(proto)
 	cfg.Pillars, cfg.CheckpointInterval, cfg.WindowSize = 2, 4, 16
 	c := &ckptHarness{ep: &fakeEndpoint{}, x: statemachine.NewExecutor(&logApp{})}
-	c.h = NewHost("test", Options{Config: cfg, Endpoint: c.ep}, c.x, Handlers{
+	h, err := NewHost("test", Options{Config: cfg, Endpoint: c.ep, DataDir: dataDir}, c.x, Handlers{
 		Pillar: func(uint32, any) {}, Coord: func(any) {}, Close: func(bool) {},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.h = h
 	t.Cleanup(c.h.Stop)
 	c.Checkpoints = NewCheckpoints(c.h, nil, func(st *StableCkpt[*message.Checkpoint]) {
 		c.advanced = append(c.advanced, st.Order)
@@ -248,5 +257,35 @@ func TestCheckpointsAnnouncementsBoundedPerReplica(t *testing.T) {
 	c.Handle(announce(1, 8, "s"))
 	if c.Stable().Order != 8 {
 		t.Fatal("genuine quorum did not stabilize")
+	}
+}
+
+// TestCheckpointsLoggedAndRestored pins the host's half of a cold
+// restart: decisions and a stable checkpoint are logged as they happen,
+// and the next host on the same data dir replays the decisions into its
+// executor, adopts the checkpoint with its proof, and slides every
+// pillar window to it before any loop runs.
+func TestCheckpointsLoggedAndRestored(t *testing.T) {
+	dir := t.TempDir()
+	c := newCkptHarnessIn(t, config.HybsterX, dir)
+	for o := timeline.Order(1); o <= 5; o++ {
+		c.h.Decide(0, o, instance(o), NoCredit)
+	}
+	c.Handle(announce(1, 4, "s"))
+	c.Handle(announce(2, 4, "s"))
+	c.h.Stop()
+
+	r := newCkptHarnessIn(t, config.HybsterX, dir)
+	if got := r.h.LastExecuted(); got != 5 {
+		t.Fatalf("replayed to order %d, want 5", got)
+	}
+	st := r.Stable()
+	if st.Order != 4 || st.Digest != crypto.Hash([]byte("s")) || len(st.Proof) != 2 || st.Proof[0].Order != 4 {
+		t.Fatalf("restored stable checkpoint %+v", st)
+	}
+	for u := range r.h.PillarBox {
+		if got := r.advances(u); len(got) != 1 || got[0] != 4 {
+			t.Fatalf("pillar %d windows advanced %v, want [4]", u, got)
+		}
 	}
 }

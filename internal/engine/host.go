@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
+	"hybster/internal/wal"
 )
 
 // Options bundle the dependencies of one replica engine. core, pbft
@@ -37,16 +39,14 @@ type Options struct {
 	// tracing for this replica (package telemetry). nil runs the
 	// engine fully uninstrumented.
 	Telemetry *telemetry.Telemetry
-	// DataDir, when non-empty, enables durable crash-recovery: trusted
-	// counters are sealed to DataDir/seal with a monotonic horizon and
-	// committed decisions plus stable checkpoints land in a write-ahead
-	// log under DataDir/wal. On boot the engine restores the sealed
-	// counters, installs the last stable checkpoint, and replays the
-	// decision tail before fetching the rest via state transfer. Only
-	// Hybster (core) has that recovery path: core.New fails with
-	// trinx.ErrStaleSeal on a rolled-back seal and trinx.ErrAmnesia
-	// when the seal register proves state the disk no longer holds;
-	// pbft.New and minbft.New refuse a non-empty DataDir.
+	// DataDir, when non-empty, makes the replica durable: the Host logs
+	// decisions and stable checkpoints under DataDir/wal and replays
+	// them at boot, before state transfer fetches the rest, and a
+	// protocol with trusted counters seals them to DataDir/seal
+	// (Host.Seals; core.New fails with trinx.ErrStaleSeal on a
+	// rolled-back seal and trinx.ErrAmnesia when the seal register
+	// proves state the disk no longer holds). PBFT seals nothing, so a
+	// lost disk is a volatile restart; minbft.New refuses a DataDir.
 	DataDir string
 	// Now optionally overrides the time source (tests).
 	Now func() time.Time
@@ -95,8 +95,10 @@ type Handlers struct {
 	// delivery round on the execution goroutine (MinBFT keeps its
 	// suspicion clock on the protocol loop).
 	Progress func(stillPending bool)
-	// Close releases what the protocol owns (certifiers, the WAL) once
-	// every goroutine has exited; graceful is false for Kill.
+	// Close releases what the protocol owns (certifiers, and on a
+	// graceful stop the seal of their exact counter values) once every
+	// goroutine has exited, before the Host closes its log; graceful is
+	// false for Kill.
 	Close func(graceful bool)
 }
 
@@ -119,8 +121,9 @@ type (
 // key store, the Watchdog and its ticker, inbound routing with its
 // client-authenticator check, the reply stage, the execution stage,
 // the Sequencer and the pillar mailboxes of a pillar-structured
-// protocol, the coordinator mailbox, the one mailbox-drain loop and
-// the goroutine lifecycle. Engines embed it.
+// protocol, the coordinator mailbox, the one mailbox-drain loop, the
+// goroutine lifecycle and, with a data dir, the durable log. Engines
+// embed it.
 type Host struct {
 	Cfg  config.Config
 	Ep   transport.Endpoint
@@ -128,8 +131,9 @@ type Host struct {
 	Met  Metrics // records nothing when telemetry is off
 	*Watchdog
 
-	Exec *ExecLoop
-	Seq  *Sequencer // nil without pillars
+	Exec  *ExecLoop
+	Seq   *Sequencer     // nil without pillars
+	Seals *wal.SealStore // nil without a data dir
 	// PillarBox[u] is pillar u's mailbox, CoordBox the coordinator's
 	// (MinBFT's single protocol loop).
 	PillarBox []*cop.Mailbox[any]
@@ -138,6 +142,11 @@ type Host struct {
 	id      uint32
 	hd      Handlers
 	replies *reply.Stage
+
+	// log is nil without a data dir; recovered is the stable checkpoint
+	// it held at boot.
+	log       *wal.Log
+	recovered *wal.CheckpointRec
 
 	// Request authenticators route accepted, and messages it rejected
 	// for a forged one.
@@ -152,16 +161,30 @@ type Host struct {
 	wg       sync.WaitGroup
 }
 
-// NewHost assembles the replica around executor x, which recovery may
-// have advanced already. name is the protocol's metric and error-text
-// prefix ("core", "pbft", "minbft"). Call Start to begin processing.
-func NewHost(name string, opts Options, x *statemachine.Executor, hd Handlers) *Host {
+// NewHost assembles the replica around executor x. With a data dir it
+// first opens the seal store and the log, and replays the log into x.
+// name is the protocol's metric and error-text prefix ("core", "pbft",
+// "minbft"). Call Start to begin processing.
+func NewHost(name string, opts Options, x *statemachine.Executor, hd Handlers) (*Host, error) {
 	h := &Host{
 		Cfg: opts.Config, Ep: opts.Endpoint, id: opts.ID, hd: hd,
 		Keys:     crypto.NewKeyStore(opts.ID, crypto.NewKeyFromSeed(opts.Config.KeySeed)),
 		Met:      newMetrics(opts.Telemetry, name),
 		CoordBox: cop.NewMailbox[any](),
 		Watchdog: newWatchdog(name, opts.Config.ViewChangeTimeout, opts.Now),
+	}
+	if opts.DataDir != "" {
+		// The seal store first: a protocol's sealed counters gate the rest.
+		seals, err := wal.NewSealStore(filepath.Join(opts.DataDir, "seal"))
+		if err != nil {
+			return nil, err
+		}
+		log, recovered, err := wal.Open(filepath.Join(opts.DataDir, "wal"), wal.Options{Telemetry: opts.Telemetry})
+		if err != nil {
+			return nil, err
+		}
+		h.Seals, h.log, h.recovered = seals, log, recovered.Checkpoint
+		replay(x, recovered, opts.Telemetry)
 	}
 	var credit func(pillar uint32, reqs int)
 	if hd.Pillar != nil {
@@ -187,9 +210,9 @@ func NewHost(name string, opts Options, x *statemachine.Executor, hd Handlers) *
 	h.replies = reply.NewStage(h.id, h.Keys, h.Ep, 0, opts.Telemetry)
 	h.Exec = newExecLoop(x, h.Cfg, h.Met, h.replies, credit,
 		func(v *statemachine.CheckpointView) { h.CoordBox.Put(v) }, progress)
-	h.verified = opts.Telemetry.Counter("hybster_verify_verified_total", "request authenticators verified by the parallel stage")
-	h.rejected = opts.Telemetry.Counter("hybster_verify_rejected_total", "request batches rejected by the parallel stage")
-	return h
+	h.verified = opts.Telemetry.Counter("hybster_verify_verified_total", "request authenticators verified on the inbound path")
+	h.rejected = opts.Telemetry.Counter("hybster_verify_rejected_total", "messages rejected on the inbound path for a forged request authenticator")
+	return h, nil
 }
 
 // ID returns the replica ID.
@@ -251,17 +274,18 @@ func drain(box *cop.Mailbox[any], handle func(ev any)) {
 }
 
 // Stop shuts the replica down gracefully and waits for its goroutines;
-// a durable protocol flushes its log and seals exact counter values in
-// its Close hook, so a subsequent boot resumes warm. Stop is
-// idempotent and safe on a replica that was never started.
+// a durable replica seals exact counter values in the protocol's Close
+// hook and then flushes and closes its log, so a subsequent boot
+// resumes warm. Stop is idempotent and safe on a replica that was
+// never started.
 func (h *Host) Stop() { h.stop(true) }
 
 // Kill crash-stops the replica: goroutines are torn down (an
-// in-process harness cannot leak them), but the Close hook leaves
-// durable state exactly as kill -9 would — no exact-value seal, no WAL
-// flush, the WAL's unsynced tail torn mid-frame — so a cold restart
-// exercises the genuine crash-recovery path. For a volatile protocol
-// Kill equals Stop.
+// in-process harness cannot leak them), but durable state is left
+// exactly as kill -9 would leave it — the Close hook takes no
+// exact-value seal, and the log is abandoned with its unsynced tail
+// torn mid-frame — so a cold restart exercises the genuine
+// crash-recovery path. For a volatile replica Kill equals Stop.
 func (h *Host) Kill() { h.stop(false) }
 
 func (h *Host) stop(graceful bool) {
@@ -277,6 +301,14 @@ func (h *Host) stop(graceful bool) {
 		// The exec loop is done submitting; drain outstanding replies.
 		h.replies.Close()
 		h.hd.Close(graceful)
+		// After the hook, so counters are sealed before the log closes.
+		switch {
+		case h.log == nil:
+		case graceful:
+			_ = h.log.Close()
+		default:
+			_ = h.log.Abandon() // the torn tail a real crash leaves
+		}
 	})
 }
 

@@ -49,7 +49,7 @@ func newHostHarness(t testing.TB) *hostHarness {
 	}
 	pillar := record(&h.pillar)
 	opts := Options{Config: cfg, Endpoint: h.ep, Telemetry: telemetry.NewFor("test", 0)}
-	h.Host = NewHost("test", opts, statemachine.NewExecutor(&logApp{}), Handlers{
+	host, err := NewHost("test", opts, statemachine.NewExecutor(&logApp{}), Handlers{
 		Classify: func(m message.Message) Route {
 			switch v := m.(type) {
 			case *message.Request:
@@ -79,6 +79,10 @@ func newHostHarness(t testing.TB) *hostHarness {
 		Coord: record(&h.coord),
 		Close: func(graceful bool) { h.closed = append(h.closed, graceful) },
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Host = host
 	h.Start()
 	t.Cleanup(h.Stop)
 	return h

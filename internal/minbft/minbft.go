@@ -36,8 +36,11 @@ import (
 	"hybster/internal/usig"
 )
 
-// Options bundle the dependencies of an Engine. MinBFT has no durable
-// mode; DataDir must be empty.
+// Options bundle the dependencies of an Engine. DataDir must be empty:
+// the USIG seals nothing, so a replica booted from its log would rejoin
+// under its old identity with its counters reset — the restart zombie
+// its peers convict (ErrCounterRegression). MinBFT is the one protocol
+// that refuses a data dir.
 type Options = engine.Options
 
 // slot tracks one ordered instance (identified by the leader prepare's
@@ -199,7 +202,7 @@ func New(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	if opts.DataDir != "" {
-		return nil, errors.New("minbft: no recovery path; a replica with a data dir would silently run volatile")
+		return nil, errors.New("minbft: no sealed USIG state; a replica with a data dir would rejoin under its old identity with reset counters")
 	}
 	key := crypto.NewKeyFromSeed(opts.Config.KeySeed)
 	e := &Engine{
@@ -223,12 +226,16 @@ func New(opts Options) (*Engine, error) {
 	}
 	// Checkpoints run on the protocol loop, so USIG and window state
 	// stay single-threaded; the suspicion clock lives there too.
-	e.Host = engine.NewHost("minbft", opts, statemachine.NewExecutor(opts.Application), engine.Handlers{
+	h, err := engine.NewHost("minbft", opts, statemachine.NewExecutor(opts.Application), engine.Handlers{
 		Classify: classify,
 		Coord:    e.handleEvent,
 		Progress: func(pending bool) { e.CoordBox.Put(evProgress{pending: pending}) },
 		Close:    func(bool) { e.sig.Destroy(); e.sigCkpt.Destroy() },
 	})
+	if err != nil {
+		return nil, err
+	}
+	e.Host = h
 	e.ord = e.Met.Ordering()
 	e.suspectsC = e.Met.Counter("suspects_total", "leader-timeout suspicion events")
 	e.zombiesC = e.Met.Counter("zombies_total", "replicas convicted of counter regression")

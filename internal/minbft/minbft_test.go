@@ -33,6 +33,19 @@ func newCounterCluster(t *testing.T, cfg config.Config) *cluster.Cluster {
 	return c
 }
 
+// TestMinBFTRefusesDataDir pins the one protocol that may not have a
+// data dir: MinBFT's USIG seals nothing, so a replica booted from its
+// log would rejoin under its old identity with its counters reset. The
+// cluster hands every engine its data dir, and MinBFT's refuses it.
+func TestMinBFTRefusesDataDir(t *testing.T) {
+	c, err := cluster.Boot(cluster.Options{Config: testConfig(), DataRoot: t.TempDir()},
+		func() statemachine.Application { return counter.New() })
+	if err == nil {
+		c.Stop()
+		t.Fatal("a MinBFT group booted with data dirs")
+	}
+}
+
 func TestMinBFTBasicOrdering(t *testing.T) {
 	c := newCounterCluster(t, testConfig())
 	cl, err := c.NewClient(time.Second)

@@ -17,8 +17,6 @@
 package pbft
 
 import (
-	"errors"
-
 	"hybster/internal/config"
 	"hybster/internal/crypto"
 	"hybster/internal/engine"
@@ -32,8 +30,10 @@ import (
 const counterM uint32 = 0
 
 // Options bundle the dependencies of an Engine. Platform hosts TrInX
-// enclaves: required for HybridPBFT, unused by PBFTcop. PBFT has no
-// durable mode; DataDir must be empty.
+// enclaves: required for HybridPBFT, unused by PBFTcop. With a DataDir
+// the host logs decisions and stable checkpoints and a restart resumes
+// from them; PBFT seals no counters, so a replica whose disk is lost
+// restarts volatile, which the protocol tolerates within f.
 type Options = engine.Options
 
 // Engine is one PBFT replica.
@@ -50,16 +50,17 @@ func New(opts Options) (*Engine, error) {
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.DataDir != "" {
-		return nil, errors.New("pbft: no recovery path; a replica with a data dir would silently run volatile")
-	}
 	e := &Engine{hybrid: opts.Config.Protocol == config.HybridPBFT}
-	e.Host = engine.NewHost("pbft", opts, statemachine.NewExecutor(opts.Application), engine.Handlers{
+	h, err := engine.NewHost("pbft", opts, statemachine.NewExecutor(opts.Application), engine.Handlers{
 		Classify: classify,
 		Pillar:   func(u uint32, ev any) { e.pillars[u].handleEvent(ev) },
 		Coord:    func(ev any) { e.coord.handleEvent(ev) },
 		Close:    e.close,
 	})
+	if err != nil {
+		return nil, err
+	}
+	e.Host = h
 	key := crypto.NewKeyFromSeed(opts.Config.KeySeed)
 	// newTx creates the TrInX instance of one component (HybridPBFT only).
 	newTx := func(pillar uint32) *trinx.TrInX {

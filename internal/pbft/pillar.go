@@ -316,7 +316,7 @@ func (p *pillar) progress(s *pslot) {
 		if p.e.Cfg.ProposerOf(s.view, s.order) == p.e.ID() {
 			credit = int32(p.idx)
 		}
-		p.e.Exec.Deliver(s.order, s.prePrepare.Requests, credit)
+		p.e.Decide(s.view, s.order, s.prePrepare.Requests, credit)
 	}
 }
 

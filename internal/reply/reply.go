@@ -45,9 +45,10 @@ type Stage struct {
 	sent *telemetry.Counter
 }
 
-// mailbox is a minimal MPSC queue; package cop's Mailbox is generic
-// over interface events, this one is monomorphic over Job batches to
-// keep the hot path free of per-reply boxing.
+// mailbox is a minimal MPSC queue of Jobs. It is not a
+// cop.Mailbox[Job] because of busy: SubmitInline must see an empty
+// queue and no batch in flight, and claim the shard, under the same
+// lock that put and take hold.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   sync.Cond

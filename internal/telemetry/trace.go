@@ -219,20 +219,26 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
+	events, _, _ := t.snapshot()
+	return events
+}
+
+// snapshot copies the retained events oldest-first and reads the total
+// recorded and the replica tag, all under one lock acquisition, so the
+// totals describe exactly the events copied.
+func (t *Tracer) snapshot() (events []Event, total uint64, replica uint32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := uint64(len(t.ring))
-	start := uint64(0)
-	count := t.next
+	start, count := uint64(0), t.next
 	if t.next > n {
-		start = t.next - n
-		count = n
+		start, count = t.next-n, n
 	}
-	out := make([]Event, 0, count)
+	events = make([]Event, 0, count)
 	for i := uint64(0); i < count; i++ {
-		out = append(out, t.ring[(start+i)%n])
+		events = append(events, t.ring[(start+i)%n])
 	}
-	return out
+	return events, t.next, t.replica
 }
 
 // TraceDump is the JSON envelope of a dumped ring. The header fields
@@ -252,30 +258,20 @@ type TraceDump struct {
 }
 
 // WriteJSON writes the retained events as a JSON document (a TraceDump).
-// Events and header are captured under one lock acquisition, so the
-// header's totals describe exactly the events the dump carries even
-// while recording continues concurrently.
+// Events and header totals come from one snapshot, so the header
+// describes exactly the events the dump carries even while recording
+// continues concurrently.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	if t == nil {
 		return json.NewEncoder(w).Encode(TraceDump{})
 	}
-	t.mu.Lock()
-	n := uint64(len(t.ring))
-	start, count := uint64(0), t.next
-	if t.next > n {
-		start, count = t.next-n, n
-	}
-	events := make([]Event, 0, count)
-	for i := uint64(0); i < count; i++ {
-		events = append(events, t.ring[(start+i)%n])
-	}
+	events, total, replica := t.snapshot()
 	d := TraceDump{
-		Replica: t.replica, Protocol: t.protocol, RingDepth: len(t.ring),
-		Dumped: time.Now().UnixNano(), Total: t.next,
-		Dropped: t.next - uint64(len(events)),
+		Replica: replica, Protocol: t.protocol, RingDepth: len(t.ring),
+		Dumped: time.Now().UnixNano(), Total: total,
+		Dropped: total - uint64(len(events)),
 		Events:  events,
 	}
-	t.mu.Unlock()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(d)

@@ -15,6 +15,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(testDecision(0, 1, 1).encode())
 	f.Add(testDecision(3, 1<<40, 99).encode())
 	f.Add(testCheckpoint(8).encode())
+	f.Add(testPBFTCheckpoint(16).encode())
 	f.Add((&CheckpointRec{Order: 16}).encode()) // nil snapshot/rv/proof
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeRecord(data)

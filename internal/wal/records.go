@@ -24,16 +24,18 @@ type DecisionRec struct {
 }
 
 // CheckpointRec is one stable checkpoint: the digest agreed on by a
-// quorum, the proof (quorum of CHECKPOINT announcements), and the state
+// quorum, the proof (quorum of checkpoint announcements), and the state
 // needed to restart execution from it. Snapshot and ReplyVector may be
 // nil when the local replica never executed to the boundary (it then
-// recovers via state transfer instead).
+// recovers via state transfer instead). The proof's messages are the
+// protocol's announcements: *message.Checkpoint or
+// *message.PBFTCheckpoint.
 type CheckpointRec struct {
 	Order       timeline.Order
 	Digest      crypto.Digest
 	Snapshot    []byte
 	ReplyVector []byte
-	Proof       []*message.Checkpoint
+	Proof       []message.Message
 }
 
 func (d *DecisionRec) encode() []byte {
@@ -103,11 +105,12 @@ func DecodeRecord(payload []byte) (any, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: proof %d: %v", ErrCorrupt, i, err)
 			}
-			ck, ok := m.(*message.Checkpoint)
-			if !ok {
+			switch m.(type) {
+			case *message.Checkpoint, *message.PBFTCheckpoint:
+			default:
 				return nil, fmt.Errorf("%w: proof %d: unexpected %T", ErrCorrupt, i, m)
 			}
-			rec.Proof = append(rec.Proof, ck)
+			rec.Proof = append(rec.Proof, m)
 		}
 		if err := d.Finish(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -32,11 +33,25 @@ func testCheckpoint(order uint64) *CheckpointRec {
 		Digest:      crypto.HashParts([]byte("ckpt"), crypto.U64(order)),
 		Snapshot:    []byte("snapshot"),
 		ReplyVector: []byte("rv"),
-		Proof: []*message.Checkpoint{
-			{Order: timeline.Order(order), Replica: 1, Cert: trinx.Certificate{Value: order}},
-			{Order: timeline.Order(order), Replica: 2, Cert: trinx.Certificate{Value: order}},
+		Proof: []message.Message{
+			&message.Checkpoint{Order: timeline.Order(order), Replica: 1, Cert: trinx.Certificate{Value: order}},
+			&message.Checkpoint{Order: timeline.Order(order), Replica: 2, Cert: trinx.Certificate{Value: order}},
 		},
 	}
+}
+
+// testPBFTCheckpoint is a stable checkpoint whose proof is PBFT's
+// announcements, authenticated by MAC vectors instead of trusted MACs.
+func testPBFTCheckpoint(order uint64) *CheckpointRec {
+	c := testCheckpoint(order)
+	c.Proof = nil
+	for r := uint32(0); r < 3; r++ {
+		c.Proof = append(c.Proof, &message.PBFTCheckpoint{
+			Order: timeline.Order(order), Replica: r, StateDigest: c.Digest,
+			Proof: message.Proof{Auth: crypto.Authenticator{Sender: r}},
+		})
+	}
+	return c
 }
 
 // sameRec compares records by their canonical encoding: decoding turns
@@ -315,6 +330,50 @@ func TestSealStoreRoundtripAndAtomicity(t *testing.T) {
 	}
 	if err := s.Remove("trinx-0"); err != nil {
 		t.Errorf("double Remove: %v", err)
+	}
+}
+
+// TestCheckpointRecordBytesPinned pins a Hybster checkpoint record's
+// encoding. The literal was produced by the encoder of the log format
+// that typed a proof as []*message.Checkpoint, so a log written by that
+// format still replays.
+func TestCheckpointRecordBytesPinned(t *testing.T) {
+	const pinned = "02000000000000000826a5c115eae860571fb84f10acb7880fdc062d0ca32c32febda361fa931b08fc00000008736e617073686f74000000027276000000020000006a050000000000000008000000010000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000008000000000000000000000000000000000000000000000000000000000000000000000000000000000000006a05000000000000000800000002000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000800000000000000000000000000000000000000000000000000000000000000000000000000000000"
+	want := testCheckpoint(8)
+	if got := hex.EncodeToString(want.encode()); got != pinned {
+		t.Fatalf("encoding moved:\n got  %s\n want %s", got, pinned)
+	}
+	raw, _ := hex.DecodeString(pinned)
+	rec, err := DecodeRecord(raw)
+	if err != nil {
+		t.Fatalf("pinned record does not decode: %v", err)
+	}
+	if ck, ok := rec.(*CheckpointRec); !ok || !sameRec(ck, want) {
+		t.Fatalf("pinned record decoded as %+v", rec)
+	}
+}
+
+// TestPBFTCheckpointRoundTrips pins that a log keeps a PBFT stable
+// checkpoint: its proof comes back as the PBFT announcements it was.
+func TestPBFTCheckpointRoundTrips(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{})
+	want := testPBFTCheckpoint(8)
+	if err := l.AppendCheckpoint(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, rec := mustOpen(t, dir, Options{})
+	defer l.Close()
+	if rec.Checkpoint == nil || !sameRec(rec.Checkpoint, want) {
+		t.Fatalf("recovered %+v, want %+v", rec.Checkpoint, want)
+	}
+	for i, m := range rec.Checkpoint.Proof {
+		if ck, ok := m.(*message.PBFTCheckpoint); !ok || ck.Replica != uint32(i) {
+			t.Fatalf("proof %d recovered as %T %+v", i, m, m)
+		}
 	}
 }
 
