@@ -37,14 +37,17 @@ wire-golden:
 # skipped-view wedge and relayed NEW-VIEWs, driven tick by tick, and the
 # pillar's one-ECALL steps (a forged PREPARE at the cursor, surplus
 # and needed COMMITs), repeated; then the durable restarts (cold,
-# graceful, amnesia, stale seal), repeated; then the client, whose
-# pending records are recycled across requests while late replies and
-# Close race them.
+# graceful, amnesia, stale seal), repeated; then a follower of every
+# protocol isolated four windows behind and healed, whose standing is
+# written by its coordinator loop while the test reads it, repeated;
+# then the client, whose pending records are recycled across requests
+# while late replies and Close race them.
 chaos-smoke:
 	$(GO) test -race -short -count=1 -run 'TestChaos' ./internal/chaos/...
 	$(GO) test -race -count=20 -run 'TestSequencerConcurrentAdmitAndCredit|TestHost' ./internal/engine/
 	$(GO) test -race -count=20 -run 'TestSkippedViewEvidenceReachesPendingPeer|TestNewViewRelayedByNonLeaderInstalls|TestRestartedLeaderDoesNotReinstallItsView|TestForgedPrepareAtCursorLeavesNoTrace|TestCommitCostsAnECallOnlyWhenNeeded' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestColdRestart|TestGracefulShutdownResumesWarm|TestAmnesiaZombieRefused|TestStaleSealRefused' ./internal/cluster/
+	$(GO) test -race -count=20 -run 'TestStandingSaysWhyAReplicaIsBehind' ./internal/cluster/
 	$(GO) test -race -count=20 ./internal/client/
 
 # Long seed sweep with elevated fault rates, alternating cold-restart

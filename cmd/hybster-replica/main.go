@@ -138,13 +138,7 @@ func main() {
 			Healthz:      replica.Healthz,
 			Readyz:       replica.Readyz,
 			TraceDumpDir: dumpDir,
-			Vars: func() map[string]any {
-				return map[string]any{
-					"replica":  *id,
-					"protocol": proto.String(),
-					"executed": uint64(replica.LastExecuted()),
-				}
-			},
+			Vars:         func() map[string]any { return map[string]any{"standing": replica.Standing()} },
 		}
 		if monitor != nil {
 			opts.Audit = func() any { return monitor.Report() }

@@ -12,8 +12,8 @@
 //     per-slot spans — propose → prepare → commit → deliver → exec —
 //     with per-stage latency statistics.
 //
-//   - Online auditing. An Auditor consumes rounds of Samples (a
-//     metrics snapshot plus the trace ring, per replica) and raises
+//   - Online auditing. An Auditor consumes rounds of Samples (standing,
+//     metrics snapshot and trace ring, per replica) and raises
 //     typed Findings when a protocol invariant is violated: commit or
 //     delivery digests diverging across replicas at the same
 //     coordinate (a safety violation — the PR 8 bug class), a
@@ -29,8 +29,8 @@
 // check suitable for demoting a replica's /readyz.
 //
 // Everything here is an observer: the package imports telemetry and
-// stats only, never a protocol engine, and a hung or unreachable
-// replica degrades a sample rather than blocking the auditor.
+// engine.Standing only, never a protocol engine, and a hung or
+// unreachable replica degrades a sample rather than blocking the auditor.
 package audit
 
 import (
@@ -40,30 +40,24 @@ import (
 	"strings"
 	"time"
 
+	"hybster/internal/engine"
 	"hybster/internal/telemetry"
 )
 
-// Sample is one replica's observability snapshot at one instant: the
-// flattened metrics registry plus the trace ring's retained events.
+// Sample is one replica's observability snapshot at one instant: its
+// standing, metrics registry and the trace ring's retained events.
 type Sample struct {
 	// Replica is the sampled replica's ID.
 	Replica uint32
-	// Protocol is the engine's protocol name (config.Protocol.String()
-	// form, e.g. "HybsterX"); it selects the metric-name prefix the
-	// auditor reads frontiers from.
-	Protocol string
-	// When is the collection time.
-	When time.Time
+	// Standing is where the replica stands, which the liveness checks
+	// read. nil exempts it from them this round (harnesses leave it out
+	// for replicas deliberately down, zombied or rejoining); safety
+	// checks never depend on it.
+	Standing *engine.Standing
 	// Metrics is the registry snapshot (full metric name → value).
 	Metrics map[string]float64
 	// Events is the trace ring's retained events, oldest first.
 	Events []telemetry.Event
-	// Exempt suppresses liveness findings (frontier stall, storms,
-	// deaf streams, checkpoint lag) for this replica this round —
-	// set by harnesses for replicas that are deliberately down,
-	// zombied, or still rejoining. Safety checks (digest divergence)
-	// are never exempted: a down replica's past events still count.
-	Exempt bool
 }
 
 // Source produces Samples for one replica.
@@ -78,29 +72,26 @@ type SourceFunc func() (Sample, error)
 func (f SourceFunc) Collect() (Sample, error) { return f() }
 
 // TelemetrySource samples a replica's telemetry bundle in-process —
-// the zero-network path tests and the chaos harness use. exempt, when
-// non-nil, is consulted at collection time so the harness can flag
-// replicas it has deliberately taken down.
-func TelemetrySource(replica uint32, protocol string, tel *telemetry.Telemetry, exempt func() bool) Source {
+// the zero-network path tests and the chaos harness use. standing, if
+// non-nil, is consulted at collection time.
+func TelemetrySource(replica uint32, tel *telemetry.Telemetry, standing func() *engine.Standing) Source {
 	return SourceFunc(func() (Sample, error) {
 		s := Sample{
-			Replica:  replica,
-			Protocol: protocol,
-			When:     time.Now(),
-			Metrics:  tel.Metrics().Snapshot(),
-			Events:   tel.Tracer().Events(),
+			Replica: replica,
+			Metrics: tel.Metrics().Snapshot(),
+			Events:  tel.Tracer().Events(),
 		}
-		if exempt != nil {
-			s.Exempt = exempt()
+		if standing != nil {
+			s.Standing = standing()
 		}
 		return s, nil
 	})
 }
 
 // HTTPSource scrapes a replica's ops endpoint: GET /trace for the
-// ring (whose dump header carries the replica ID and protocol) and
-// GET /vars for the metrics snapshot. The zero Client gets a 5s
-// timeout so one hung replica cannot stall a whole audit round.
+// ring (whose dump header carries the replica ID) and GET /vars for the
+// metrics snapshot and the standing. The zero Client gets a 5s timeout
+// so one hung replica cannot stall a whole audit round.
 type HTTPSource struct {
 	// BaseURL is the ops endpoint root, e.g. "http://127.0.0.1:9100".
 	BaseURL string
@@ -131,7 +122,8 @@ func (s *HTTPSource) Collect() (Sample, error) {
 		return Sample{}, fmt.Errorf("audit: scrape %s/vars: %w", base, err)
 	}
 	var vars struct {
-		Metrics map[string]float64 `json:"metrics"`
+		Metrics  map[string]float64 `json:"metrics"`
+		Standing *engine.Standing   `json:"standing"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&vars)
 	resp.Body.Close()
@@ -141,54 +133,8 @@ func (s *HTTPSource) Collect() (Sample, error) {
 
 	return Sample{
 		Replica:  dump.Replica,
-		Protocol: dump.Protocol,
-		When:     time.Now(),
+		Standing: vars.Standing,
 		Metrics:  vars.Metrics,
 		Events:   dump.Events,
 	}, nil
-}
-
-// metricPrefix maps a protocol name (config.Protocol.String() form)
-// to the metric-name prefix that engine registers its gauges under.
-func metricPrefix(protocol string) string {
-	switch protocol {
-	case "HybsterS", "HybsterX":
-		return "hybster_core_"
-	case "PBFTcop", "HybridPBFT":
-		return "hybster_pbft_"
-	case "MinBFT":
-		return "hybster_minbft_"
-	default:
-		return ""
-	}
-}
-
-// frontierMetric names the executed-order gauge for a protocol.
-func frontierMetric(protocol string) string {
-	if p := metricPrefix(protocol); p != "" {
-		return p + "last_executed"
-	}
-	return ""
-}
-
-// viewMetric names the current-view gauge for a protocol.
-func viewMetric(protocol string) string {
-	if p := metricPrefix(protocol); p != "" {
-		return p + "view"
-	}
-	return ""
-}
-
-// stableMetric names the stable-checkpoint gauge for a protocol
-// (MinBFT calls it the low watermark).
-func stableMetric(protocol string) string {
-	switch metricPrefix(protocol) {
-	case "hybster_core_":
-		return "hybster_core_stable_checkpoint"
-	case "hybster_pbft_":
-		return "hybster_pbft_stable_checkpoint"
-	case "hybster_minbft_":
-		return "hybster_minbft_low_watermark"
-	}
-	return ""
 }

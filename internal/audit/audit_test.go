@@ -5,8 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"hybster/internal/engine"
 	"hybster/internal/telemetry"
+	"hybster/internal/timeline"
 )
+
+// at is the standing of a replica that executed up to exec.
+func at(exec timeline.Order) *engine.Standing { return &engine.Standing{Executed: exec} }
 
 // ev builds a synthetic trace event with a shared clock origin: every
 // event's wall clock sits exactly 1s ahead of its monotonic clock.
@@ -112,8 +117,8 @@ func TestAuditorDigestDivergence(t *testing.T) {
 	a := New(Options{})
 	// Same (view, slot, pillar) commit, different digests.
 	commit := []Sample{
-		{Replica: 0, Protocol: "HybsterX", Events: []telemetry.Event{ev(0, 0, telemetry.EvCommit, 0, 5, 1, "aaaa")}},
-		{Replica: 1, Protocol: "HybsterX", Events: []telemetry.Event{ev(1, 0, telemetry.EvCommit, 0, 5, 1, "bbbb")}},
+		{Replica: 0, Events: []telemetry.Event{ev(0, 0, telemetry.EvCommit, 0, 5, 1, "aaaa")}},
+		{Replica: 1, Events: []telemetry.Event{ev(1, 0, telemetry.EvCommit, 0, 5, 1, "bbbb")}},
 	}
 	a.Observe(commit)
 	// Delivery divergence across views: slot 7 delivered as X in view
@@ -153,18 +158,14 @@ func TestAuditorDigestDivergence(t *testing.T) {
 func TestAuditorAgreementIsClean(t *testing.T) {
 	a := New(Options{})
 	a.EnableLiveness(true)
-	exec := 0.0
+	exec := timeline.Order(0)
 	for round := 0; round < 10; round++ {
 		exec += 8
 		var samples []Sample
 		for r := uint32(0); r < 3; r++ {
 			samples = append(samples, Sample{
-				Replica: r, Protocol: "HybsterX",
-				Metrics: map[string]float64{
-					"hybster_core_last_executed":     exec,
-					"hybster_core_view":              0,
-					"hybster_core_stable_checkpoint": exec - 8,
-				},
+				Replica:  r,
+				Standing: &engine.Standing{Executed: exec, Stable: exec - 8},
 				Events: []telemetry.Event{
 					ev(r, uint64(round)*2, telemetry.EvCommit, 0, uint64(exec), 0, "feed"),
 					ev(r, uint64(round)*2+1, telemetry.EvDeliver, 0, uint64(exec), 0, "feed"),
@@ -185,13 +186,17 @@ func TestAuditorFrontierStall(t *testing.T) {
 	a := New(Options{FrontierStallGap: 4, StallRounds: 2})
 	a.EnableLiveness(true)
 	run := func(a *Auditor, exemptLagger bool, rounds int) {
-		exec := 0.0
+		exec := timeline.Order(0)
 		for round := 0; round < rounds; round++ {
 			exec += 10
+			lagger := &engine.Standing{Executed: 5, Committed: 5, View: 1}
+			if exemptLagger {
+				lagger = nil
+			}
 			samples := []Sample{
-				{Replica: 0, Protocol: "HybsterX", Metrics: map[string]float64{"hybster_core_last_executed": exec}},
-				{Replica: 1, Protocol: "HybsterX", Metrics: map[string]float64{"hybster_core_last_executed": exec}},
-				{Replica: 2, Protocol: "HybsterX", Metrics: map[string]float64{"hybster_core_last_executed": 5}, Exempt: exemptLagger},
+				{Replica: 0, Standing: at(exec)},
+				{Replica: 1, Standing: at(exec)},
+				{Replica: 2, Standing: lagger},
 			}
 			a.Observe(samples)
 		}
@@ -203,6 +208,13 @@ func TestAuditorFrontierStall(t *testing.T) {
 	}
 	if len(findings[0].Replicas) != 1 || findings[0].Replicas[0] != 2 {
 		t.Fatalf("stall blamed %v, want [2]", findings[0].Replicas)
+	}
+	// The finding says where the stalled replica stood.
+	if st := findings[0].Standing; st == nil || st.Executed != 5 || st.View != 1 {
+		t.Fatalf("stall finding carries standing %+v, want replica 2's", st)
+	}
+	if !strings.Contains(findings[0].Detail, "standing: view=1 exec=5") {
+		t.Fatalf("stall detail does not end in the standing: %s", findings[0].Detail)
 	}
 
 	// The same outage with the lagger exempted (harness took it down
@@ -220,11 +232,8 @@ func TestAuditorViewChangeStorm(t *testing.T) {
 	a.EnableLiveness(true)
 	for round := 0; round < 6; round++ {
 		a.Observe([]Sample{{
-			Replica: 1, Protocol: "PBFTcop",
-			Metrics: map[string]float64{
-				"hybster_pbft_last_executed": 40,
-				"hybster_pbft_view":          float64(round),
-			},
+			Replica:  1,
+			Standing: &engine.Standing{Executed: 40, View: timeline.View(round)},
 		}})
 	}
 	findings := a.Findings()
@@ -238,11 +247,8 @@ func TestAuditorViewChangeStorm(t *testing.T) {
 	b.EnableLiveness(true)
 	for round := 0; round < 6; round++ {
 		b.Observe([]Sample{{
-			Replica: 1, Protocol: "PBFTcop",
-			Metrics: map[string]float64{
-				"hybster_pbft_last_executed": float64(40 + round),
-				"hybster_pbft_view":          float64(round),
-			},
+			Replica:  1,
+			Standing: &engine.Standing{Executed: timeline.Order(40 + round), View: timeline.View(round)},
 		}})
 	}
 	if f := b.Findings(); len(f) != 0 {
@@ -255,9 +261,9 @@ func TestAuditorDeafStream(t *testing.T) {
 	a.EnableLiveness(true)
 	for round := 0; round < 3; round++ {
 		a.Observe([]Sample{{
-			Replica: 2, Protocol: "MinBFT",
+			Replica:  2,
+			Standing: at(timeline.Order(10 + round)),
 			Metrics: map[string]float64{
-				"hybster_minbft_last_executed":    float64(10 + round),
 				"hybster_minbft_deaf_streams":     1,
 				"hybster_minbft_holdback_horizon": 128,
 			},
@@ -277,11 +283,8 @@ func TestAuditorCheckpointLag(t *testing.T) {
 	a.EnableLiveness(true)
 	for round := 0; round < 3; round++ {
 		a.Observe([]Sample{{
-			Replica: 0, Protocol: "MinBFT",
-			Metrics: map[string]float64{
-				"hybster_minbft_last_executed": float64(500 + round),
-				"hybster_minbft_low_watermark": 8,
-			},
+			Replica:  0,
+			Standing: &engine.Standing{Executed: timeline.Order(500 + round), Stable: 8},
 		}})
 	}
 	findings := a.Findings()
@@ -295,13 +298,13 @@ func TestAuditorCheckpointLag(t *testing.T) {
 // fire right after arming.
 func TestAuditorLivenessGate(t *testing.T) {
 	a := New(Options{FrontierStallGap: 4, StallRounds: 2})
-	exec := 0.0
+	exec := timeline.Order(0)
 	for round := 0; round < 5; round++ {
 		exec += 10
 		a.Observe([]Sample{
-			{Replica: 0, Protocol: "HybsterX", Metrics: map[string]float64{"hybster_core_last_executed": exec}},
-			{Replica: 1, Protocol: "HybsterX", Metrics: map[string]float64{"hybster_core_last_executed": exec}},
-			{Replica: 2, Protocol: "HybsterX", Metrics: map[string]float64{"hybster_core_last_executed": 5}},
+			{Replica: 0, Standing: at(exec)},
+			{Replica: 1, Standing: at(exec)},
+			{Replica: 2, Standing: at(5)},
 		})
 	}
 	if f := a.Findings(); len(f) != 0 {
@@ -312,9 +315,9 @@ func TestAuditorLivenessGate(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		exec += 10
 		a.Observe([]Sample{
-			{Replica: 0, Protocol: "HybsterX", Metrics: map[string]float64{"hybster_core_last_executed": exec}},
-			{Replica: 1, Protocol: "HybsterX", Metrics: map[string]float64{"hybster_core_last_executed": exec}},
-			{Replica: 2, Protocol: "HybsterX", Metrics: map[string]float64{"hybster_core_last_executed": exec}},
+			{Replica: 0, Standing: at(exec)},
+			{Replica: 1, Standing: at(exec)},
+			{Replica: 2, Standing: at(exec)},
 		})
 	}
 	if f := a.Findings(); len(f) != 0 {
@@ -326,7 +329,9 @@ func TestHTTPSourceScrapesOpsServer(t *testing.T) {
 	tel := telemetry.NewFor("HybsterX", 3)
 	tel.Counter("hybster_test_total", "test counter").Add(7)
 	tel.TraceDigest(telemetry.EvCommit, 2, 9, 1, []byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}, "")
-	ops := telemetry.NewOpsServer(telemetry.OpsOptions{Telemetry: tel})
+	standing := engine.Standing{View: 2, Pending: 3, Desired: 3, VCHolders: []uint32{1, 3}, Executed: 9, Committed: 12, Stable: 8}
+	ops := telemetry.NewOpsServer(telemetry.OpsOptions{Telemetry: tel,
+		Vars: func() map[string]any { return map[string]any{"standing": standing} }})
 	if err := ops.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -337,14 +342,17 @@ func TestHTTPSourceScrapesOpsServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Replica != 3 || s.Protocol != "HybsterX" {
-		t.Fatalf("sample identity r%d %q, want r3 HybsterX", s.Replica, s.Protocol)
+	if s.Replica != 3 {
+		t.Fatalf("sample identity r%d, want r3", s.Replica)
 	}
 	if s.Metrics["hybster_test_total"] != 7 {
 		t.Fatalf("metrics snapshot missing counter: %v", s.Metrics)
 	}
 	if len(s.Events) != 1 || s.Events[0].Kind != telemetry.EvCommit || s.Events[0].Digest == "" {
 		t.Fatalf("trace scrape wrong: %+v", s.Events)
+	}
+	if s.Standing == nil || s.Standing.String() != standing.String() {
+		t.Fatalf("standing scraped from /vars as %v, want %v", s.Standing, standing)
 	}
 }
 
@@ -353,8 +361,8 @@ func TestMonitorPollAndHealthDemotion(t *testing.T) {
 	tel1 := telemetry.NewFor("HybsterX", 1)
 	a := New(Options{})
 	m := NewMonitor(a, time.Hour,
-		TelemetrySource(0, "HybsterX", tel0, nil),
-		TelemetrySource(1, "HybsterX", tel1, nil),
+		TelemetrySource(0, tel0, nil),
+		TelemetrySource(1, tel1, nil),
 	)
 	tel0.TraceDigest(telemetry.EvCommit, 0, 4, 0, []byte("same-digest"), "")
 	tel1.TraceDigest(telemetry.EvCommit, 0, 4, 0, []byte("same-digest"), "")

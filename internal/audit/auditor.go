@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"hybster/internal/engine"
 	"hybster/internal/telemetry"
 )
 
@@ -48,6 +49,8 @@ type Finding struct {
 	Pillar   uint32   `json:"pillar,omitempty"`
 	// Digests lists the conflicting digest prefixes of a divergence.
 	Digests []string `json:"digests,omitempty"`
+	// Standing is where a liveness finding's victim stood; Detail ends with it.
+	Standing *engine.Standing `json:"standing,omitempty"`
 	// Detail is the human-readable account.
 	Detail string `json:"detail"`
 	// Round is the audit round (1-based) that raised the finding.
@@ -131,7 +134,6 @@ type viewExec struct {
 
 // track is the auditor's per-replica liveness state.
 type track struct {
-	protocol    string
 	haveLast    bool
 	lastExec    uint64
 	stallRounds int
@@ -222,7 +224,7 @@ func (a *Auditor) ObserveDumps(dumps ...*telemetry.TraceDump) {
 				events[i].Protocol = d.Protocol
 			}
 		}
-		samples = append(samples, Sample{Replica: d.Replica, Protocol: d.Protocol, Events: events})
+		samples = append(samples, Sample{Replica: d.Replica, Events: events})
 	}
 	a.Observe(samples)
 }
@@ -345,18 +347,15 @@ func (a *Auditor) observeLiveness(samples []Sample) {
 			t = &track{}
 			a.tracks[s.Replica] = t
 		}
-		t.protocol = s.Protocol
-		fm := frontierMetric(s.Protocol)
-		if s.Exempt || fm == "" || s.Metrics == nil {
+		if s.Standing == nil {
 			// Down/zombied/unknown replicas restart their streaks when
 			// they come back; counting absence as a stall would turn
 			// every deliberate crash into a finding.
 			t.reset()
 			continue
 		}
-		exec := uint64(s.Metrics[fm])
-		view := uint64(s.Metrics[viewMetric(s.Protocol)])
-		o := obs{s: s, t: t, exec: exec, view: view}
+		exec := uint64(s.Standing.Executed)
+		o := obs{s: s, t: t, exec: exec, view: uint64(s.Standing.View)}
 		if t.haveLast && exec > t.lastExec {
 			o.advanced = true
 			advanced++
@@ -379,8 +378,8 @@ func (a *Auditor) observeLiveness(samples []Sample) {
 			t.stallRounds = 0
 		}
 		if t.stallRounds >= a.opts.StallRounds {
-			a.raise(fmt.Sprintf("stall/r%d", o.s.Replica), Finding{
-				Kind: FrontierStall, Replicas: []uint32{o.s.Replica},
+			a.raiseLiveness(fmt.Sprintf("stall/r%d", o.s.Replica), o.s, Finding{
+				Kind: FrontierStall,
 				Detail: fmt.Sprintf("replica %d frontier stalled at order %d for %d rounds while a quorum advanced to %d (gap %d > %d)",
 					o.s.Replica, o.exec, t.stallRounds, maxExec, maxExec-o.exec, a.opts.FrontierStallGap),
 			})
@@ -394,8 +393,8 @@ func (a *Auditor) observeLiveness(samples []Sample) {
 		if len(t.window) == a.opts.StormRounds {
 			oldest := t.window[0]
 			if o.view >= oldest.view+a.opts.StormViews && o.exec == oldest.exec {
-				a.raise(fmt.Sprintf("storm/r%d/v%d", o.s.Replica, o.view), Finding{
-					Kind: ViewChangeStorm, Replicas: []uint32{o.s.Replica}, View: o.view,
+				a.raiseLiveness(fmt.Sprintf("storm/r%d/v%d", o.s.Replica, o.view), o.s, Finding{
+					Kind: ViewChangeStorm, View: o.view,
 					Detail: fmt.Sprintf("replica %d advanced %d views (to %d) over %d rounds with no execution progress (order %d)",
 						o.s.Replica, o.view-oldest.view, o.view, a.opts.StormRounds, o.exec),
 				})
@@ -409,8 +408,8 @@ func (a *Auditor) observeLiveness(samples []Sample) {
 			t.deafRounds = 0
 		}
 		if t.deafRounds >= a.opts.DeafRounds {
-			a.raise(fmt.Sprintf("deaf/r%d", o.s.Replica), Finding{
-				Kind: DeafStream, Replicas: []uint32{o.s.Replica},
+			a.raiseLiveness(fmt.Sprintf("deaf/r%d", o.s.Replica), o.s, Finding{
+				Kind: DeafStream,
 				Detail: fmt.Sprintf("replica %d has %d deaf sender stream(s): expected-counter gap beyond the holdback horizon (%d) for %d rounds; only a view change can re-anchor them",
 					o.s.Replica, int64(o.s.Metrics["hybster_minbft_deaf_streams"]),
 					int64(o.s.Metrics["hybster_minbft_holdback_horizon"]), t.deafRounds),
@@ -418,15 +417,15 @@ func (a *Auditor) observeLiveness(samples []Sample) {
 		}
 
 		// Checkpoint stability lag.
-		stable := uint64(o.s.Metrics[stableMetric(o.s.Protocol)])
+		stable := uint64(o.s.Standing.Stable)
 		if o.exec > stable && o.exec-stable > a.opts.CheckpointLagMax {
 			t.lagRounds++
 		} else {
 			t.lagRounds = 0
 		}
 		if t.lagRounds >= a.opts.LagRounds {
-			a.raise(fmt.Sprintf("lag/r%d", o.s.Replica), Finding{
-				Kind: CheckpointLag, Replicas: []uint32{o.s.Replica},
+			a.raiseLiveness(fmt.Sprintf("lag/r%d", o.s.Replica), o.s, Finding{
+				Kind: CheckpointLag,
 				Detail: fmt.Sprintf("replica %d stable checkpoint %d trails execution %d by %d orders (> %d) for %d rounds",
 					o.s.Replica, stable, o.exec, o.exec-stable, a.opts.CheckpointLagMax, t.lagRounds),
 			})
@@ -434,6 +433,13 @@ func (a *Auditor) observeLiveness(samples []Sample) {
 
 		t.haveLast, t.lastExec = true, o.exec
 	}
+}
+
+// raiseLiveness raises f against the replica of sample s.
+func (a *Auditor) raiseLiveness(dedup string, s *Sample, f Finding) {
+	f.Replicas, f.Standing = []uint32{s.Replica}, s.Standing
+	f.Detail += "; standing: " + s.Standing.String()
+	a.raise(dedup, f)
 }
 
 // raise appends a finding unless its dedup key already fired or the

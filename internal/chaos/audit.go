@@ -5,6 +5,7 @@ import (
 
 	"hybster/internal/audit"
 	"hybster/internal/config"
+	"hybster/internal/engine"
 	"hybster/internal/statemachine"
 )
 
@@ -63,12 +64,11 @@ func (f *forkApp) Restore(snapshot []byte) error { return f.inner.Restore(snapsh
 // persistence bar is ≥1s of consecutive polls, so a replica in the
 // middle of a legitimate post-heal catch-up never trips a finding.
 func (r *run) startAudit() {
-	proto := r.cfg.Protocol.String()
 	sources := make([]audit.Source, r.cfg.N)
 	for id := uint32(0); int(id) < r.cfg.N; id++ {
 		id := id
-		sources[id] = audit.TelemetrySource(id, proto, r.cl.Telemetry(id), func() bool {
-			return r.auditExempt(id)
+		sources[id] = audit.TelemetrySource(id, r.cl.Telemetry(id), func() *engine.Standing {
+			return r.auditStanding(id)
 		})
 	}
 	auditor := audit.New(audit.Options{
@@ -84,17 +84,15 @@ func (r *run) startAudit() {
 	r.mon.Start()
 }
 
-// auditExempt reports whether a replica's liveness findings should be
-// suppressed right now: it is down, it was refused as a zombie, or
-// (MinBFT) it restarted and its USIG counter regression makes peers
-// ignore it forever — the same exemption the settle phase applies.
-func (r *run) auditExempt(id uint32) bool {
+// auditStanding is where a replica stands for the auditor; nil (down, a
+// zombie, or a restarted MinBFT replica, as in settle) exempts it.
+func (r *run) auditStanding(id uint32) *engine.Standing {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cl == nil || r.cl.Replica(id) == nil || r.cl.Zombie(id) {
-		return true
+	if r.cfg.Protocol == config.MinBFT && r.restarted[id] {
+		return nil
 	}
-	return r.cfg.Protocol == config.MinBFT && r.restarted[id]
+	return r.cl.Standing(id)
 }
 
 // stopAudit halts the poller and takes one final synchronous round so

@@ -5,7 +5,6 @@ import (
 	"os"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,7 +18,6 @@ import (
 	"hybster/internal/enclave"
 	"hybster/internal/message"
 	"hybster/internal/statemachine"
-	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
 )
@@ -92,10 +90,6 @@ type Result struct {
 	// can assert on internal protocol behavior — e.g. that message loss
 	// actually forced retransmissions.
 	Telemetry []map[string]float64
-	// Traces is each replica's protocol-event trace ring at the end of
-	// the run (index = replica ID) — the post-mortem record a failed
-	// settle needs to reconstruct who stalled where.
-	Traces [][]telemetry.Event
 	// Audit is the online protocol auditor's final report: every
 	// chaos run is audited live (digest agreement throughout, liveness
 	// checks armed after the heal), and any finding fails the run.
@@ -553,45 +547,14 @@ func (r *run) settle(target timeline.Order) error {
 			return nil
 		}
 	}
-	if int(r.healCommits.Load()) < r.opts.MinPostHealCommits {
-		return fmt.Errorf("chaos: liveness violated: only %d/%d commits within %v after heal; %s",
-			r.healCommits.Load(), r.opts.MinPostHealCommits, r.opts.SettleTimeout, r.standings())
-	}
-	return fmt.Errorf("chaos: catch-up failed: not every replica executed order %d within %v after heal; %s",
-		target, r.opts.SettleTimeout, r.standings())
-}
-
-// standings says where every replica stands, one clause each — `r1
-// view=0 exec=212 readyz="core: no execution progress for 1m4s"`, for
-// Hybster followed by its view change's `pending→2 desired=3
-// vcs[2]={r1 r2}`, `r1 down` or `r1 zombie` — so a failed settle tells
-// a group stuck in a view change, and where, from one that orders but
-// lost a member.
-func (r *run) standings() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b := make([]string, r.cfg.N)
-	for i := range b {
-		id := uint32(i)
-		switch rep := r.cl.Replica(id); {
-		case r.cl.Zombie(id):
-			b[i] = fmt.Sprintf("r%d zombie", id)
-		case rep == nil:
-			b[i] = fmt.Sprintf("r%d down", id)
-		default:
-			// Every engine has these through its engine.Host.
-			e := rep.(interface {
-				View() timeline.View
-				Readyz() error
-			})
-			b[i] = fmt.Sprintf("r%d view=%d exec=%d readyz=%q", id, e.View(), rep.LastExecuted(), fmt.Sprint(e.Readyz()))
-			// Hybster's coordinator also says where its view change stands.
-			if s, ok := rep.(interface{ Standing() string }); ok {
-				b[i] += " " + s.Standing()
-			}
-		}
+	if int(r.healCommits.Load()) < r.opts.MinPostHealCommits {
+		return fmt.Errorf("chaos: liveness violated: only %d/%d commits within %v after heal; %s",
+			r.healCommits.Load(), r.opts.MinPostHealCommits, r.opts.SettleTimeout, r.cl.Standings())
 	}
-	return strings.Join(b, ", ")
+	return fmt.Errorf("chaos: catch-up failed: not every replica executed order %d within %v after heal; %s",
+		target, r.opts.SettleTimeout, r.cl.Standings())
 }
 
 // caughtUp reports whether every catch-up-eligible replica executed
@@ -643,10 +606,8 @@ func (r *run) result() *Result {
 	sort.Slice(res.Restarted, func(i, j int) bool { return res.Restarted[i] < res.Restarted[j] })
 	res.Zombies = r.cl.Zombies()
 	res.Telemetry = make([]map[string]float64, r.cfg.N)
-	res.Traces = make([][]telemetry.Event, r.cfg.N)
 	for id := uint32(0); int(id) < r.cfg.N; id++ {
 		res.Telemetry[id] = r.cl.Telemetry(id).Metrics().Snapshot()
-		res.Traces[id] = r.cl.Telemetry(id).Tracer().Events()
 	}
 	if r.mon != nil {
 		res.Audit = r.mon.Auditor().Report()

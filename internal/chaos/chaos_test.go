@@ -250,10 +250,10 @@ func TestSettleSaysWhereEachReplicaStands(t *testing.T) {
 	if err == nil {
 		t.Fatal("settle succeeded with a crashed quorum")
 	}
-	// The survivor holds the probe's request for longer than twice the
-	// view-change timeout, so its readiness probe names the stall, and
-	// it aborted into a view for which only its own VIEW-CHANGE is held.
-	want := regexp.MustCompile(`liveness violated: only 0/1 commits .*; r0 view=\d+ exec=0 readyz="core: no execution progress for [^"]+" pending→\d+ desired=\d+ vcs\[\d+\]=\{r0\}, r1 down, r2 down$`)
+	// The survivor holds the probe's request, so its standing names the
+	// stall, and it aborted into a view for which only its own
+	// VIEW-CHANGE is held.
+	want := regexp.MustCompile(`liveness violated: only 0/1 commits .*; r0 view=\d+ exec=0 committed=0 queue=0 stable=0 statereq=never stalled=[1-9][0-9.]*m?s pending→\d+ desired=\d+ vcs\[\d+\]=\{r0\}, r1 down, r2 down$`)
 	if !want.MatchString(err.Error()) {
 		t.Fatalf("settle error %q does not match %s", err, want)
 	}

@@ -203,12 +203,13 @@ func (c *Cluster) MetricSum(prefixes ...string) float64 {
 	return sum
 }
 
-// Engine is what NewEngine builds: a Replica with the health probes of
-// the engine.Host every protocol engine embeds.
+// Engine is what NewEngine builds: a Replica with the health probes and
+// the standing of the engine.Host every protocol engine embeds.
 type Engine interface {
 	Replica
 	Healthz() error
 	Readyz() error
+	Standing() engine.Standing
 }
 
 // NewEngine builds the engine cfg.Protocol names for replica id on
@@ -247,6 +248,33 @@ func (c *Cluster) Replica(id uint32) Replica {
 		return nil
 	}
 	return c.replicas[id]
+}
+
+// Standing returns where replica id stands; nil when it is down or its
+// engine has no engine.Host.
+func (c *Cluster) Standing(id uint32) *engine.Standing {
+	if r, ok := c.Replica(id).(interface{ Standing() engine.Standing }); ok {
+		s := r.Standing()
+		return &s
+	}
+	return nil
+}
+
+// Standings says where every replica stands, one clause each: `r1
+// view=0 exec=212 …`, `r1 down` or `r1 zombie`.
+func (c *Cluster) Standings() string {
+	b := make([]string, c.Cfg.N)
+	for i := range b {
+		switch s := c.Standing(uint32(i)); {
+		case c.zombie[i]:
+			b[i] = fmt.Sprintf("r%d zombie", i)
+		case s == nil:
+			b[i] = fmt.Sprintf("r%d down", i)
+		default:
+			b[i] = fmt.Sprintf("r%d %v", i, s)
+		}
+	}
+	return strings.Join(b, ", ")
 }
 
 // NewClient attaches a fresh client to the cluster.

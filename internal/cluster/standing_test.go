@@ -1,0 +1,142 @@
+package cluster_test
+
+import (
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"hybster/internal/cluster"
+	"hybster/internal/config"
+	"hybster/internal/engine"
+	"hybster/internal/timeline"
+)
+
+// Why a replica trails its group, as its standing alone tells it.
+const (
+	windowRefuses    = "window refuses"
+	stateUnanswered  = "state request unanswered"
+	execBacklog      = "exec backlog"
+	keepingUp        = "keeping up"
+	laggardWindows   = 4 // how far the group runs ahead of the isolated replica
+	standingLoadSize = 4 // concurrent clients
+)
+
+// cause names which of the three reasons a replica falls behind holds
+// for s, from its fields alone, while the group executed up to group:
+// it asked for state that has not arrived, it committed far more than
+// it executed, or the group is past the window its stable checkpoint
+// opens.
+func cause(s engine.Standing, group timeline.Order, cfg config.Config) string {
+	switch {
+	case !s.StateRequested.IsZero() && s.Executed < s.Stable:
+		return stateUnanswered
+	case s.Committed > s.Executed+cfg.CheckpointInterval:
+		return execBacklog
+	case group > s.Stable+cfg.WindowSize:
+		return windowRefuses
+	}
+	return keepingUp
+}
+
+// TestStandingSaysWhyAReplicaIsBehind isolates one follower of each
+// protocol configuration until the group is four windows ahead, heals
+// it, and follows its standing until it caught up: before the heal the
+// standing must say "window refuses"; after it, each sample names the
+// one cause that holds, or none, and the catch-up must show a state
+// request made after the heal (four windows are pruned from every
+// log, so only a transferred snapshot can bridge them). The sequence of
+// causes is logged; a replica that does not catch up fails with every
+// replica's standing.
+func TestStandingSaysWhyAReplicaIsBehind(t *testing.T) {
+	for _, p := range []config.Protocol{config.HybsterS, config.HybsterX, config.PBFTcop, config.HybridPBFT, config.MinBFT} {
+		t.Run(p.String(), func(t *testing.T) {
+			cfg := config.Default(p)
+			cfg.Pillars = min(cfg.Pillars, 2)
+			cfg.BatchSize = 8
+			cfg.CheckpointInterval = 8
+			cfg.WindowSize = 32
+			cfg.ViewChangeTimeout = 300 * time.Millisecond
+			c, err := cluster.Boot(cluster.Options{Config: cfg}, counterApp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Stop()
+
+			stop := make(chan struct{})
+			var load sync.WaitGroup
+			defer func() { close(stop); load.Wait() }()
+			for i := 0; i < standingLoadSize; i++ {
+				cl, err := c.NewClient(200 * time.Millisecond)
+				if err != nil {
+					t.Fatal(err)
+				}
+				load.Add(1)
+				go func() {
+					defer load.Done()
+					defer cl.Close()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+							_, _ = cl.Invoke([]byte{1}, false)
+						}
+					}
+				}()
+			}
+
+			lag := uint32(cfg.N - 1) // a follower in view 0
+			frontier := func() timeline.Order {
+				var low timeline.Order
+				for id := uint32(0); id < lag; id++ {
+					if o := c.Replica(id).LastExecuted(); id == 0 || o < low {
+						low = o
+					}
+				}
+				return low
+			}
+			await := func(what string, cond func() bool) {
+				t.Helper()
+				for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s: %s", what, c.Standings())
+					}
+				}
+			}
+
+			// The follower first holds a stable checkpoint of its own and
+			// keeps up with the group.
+			await("the follower keeps up past two windows", func() bool {
+				s := *c.Standing(lag)
+				return s.Stable >= 2*cfg.WindowSize && cause(s, frontier(), cfg) == keepingUp
+			})
+			c.Isolate(lag)
+			var before engine.Standing
+			await("group runs four windows ahead", func() bool {
+				before = *c.Standing(lag)
+				return frontier() >= before.Executed+laggardWindows*cfg.WindowSize
+			})
+			target := frontier()
+			if got := cause(before, target, cfg); got != windowRefuses {
+				t.Fatalf("isolated replica %d: cause %q, want %q (group at %d): %v", lag, got, windowRefuses, target, before)
+			}
+
+			healed := time.Now()
+			c.HealAll()
+			seen := []string{windowRefuses}
+			var after engine.Standing
+			await("healed replica catches up", func() bool {
+				after = *c.Standing(lag)
+				if got := cause(after, frontier(), cfg); got != seen[len(seen)-1] {
+					seen = append(seen, got)
+				}
+				return after.Executed >= target
+			})
+			if !after.StateRequested.After(healed) {
+				t.Fatalf("r%d caught up four windows without asking for state: %v", lag, after)
+			}
+			t.Logf("r%d isolated at %v; after the heal: %s; caught up at %v", lag, before, strings.Join(seen, " → "), after)
+		})
+	}
+}

@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"slices"
-	"strings"
-	"sync/atomic"
 	"time"
 
 	"hybster/internal/crypto"
@@ -54,10 +50,6 @@ type coordinator struct {
 	// replica learned through view-change certificates, NEW-VIEWs, and
 	// acknowledgments; propagated in future VIEW-CHANGEs (§5.2.3).
 	learned map[timeline.Order]*message.Prepare
-
-	// standing is where the view change stood after the last tick or
-	// message (publish); Engine.Standing reads it off the loop.
-	standing atomic.Pointer[string]
 }
 
 // gapDelay is how long execution may stall on an unproposed order
@@ -80,7 +72,6 @@ func newCoordinator(e *Engine, tx Certifier) *coordinator {
 		func(o timeline.Order, d crypto.Digest, proof []*message.Checkpoint) error {
 			return e.verifyCheckpointProof(tx, o, d, proof)
 		}, c.stableAdvanced)
-	c.publish()
 	return c
 }
 
@@ -88,25 +79,12 @@ func newCoordinator(e *Engine, tx Certifier) *coordinator {
 // installed yet.
 func (c *coordinator) pending() bool { return c.pendingTo > c.e.View() }
 
-// publish records where the view change stands — `pending→3 desired=4
-// vcs[3]={r0 r2}` (the view aborted into, the view wanted, the replicas
-// whose parts for the pending view are held), or `desired=1` with none
-// pending — for readers on other goroutines.
-func (c *coordinator) publish() {
-	s := fmt.Sprintf("desired=%d", c.desired)
+// standing fills the view-change fields of the replica's engine.Standing.
+func (c *coordinator) standing(s *engine.Standing) {
+	s.Desired = c.desired
 	if c.pending() {
-		var ids []uint32
-		for r := range c.vcs[c.pendingTo] {
-			ids = append(ids, r)
-		}
-		slices.Sort(ids)
-		holders := make([]string, len(ids))
-		for i, r := range ids {
-			holders[i] = fmt.Sprintf("r%d", r)
-		}
-		s = fmt.Sprintf("pending→%d %s vcs[%d]={%s}", c.pendingTo, s, c.pendingTo, strings.Join(holders, " "))
+		engine.SetPending(s, c.pendingTo, c.vcs[c.pendingTo])
 	}
-	c.standing.Store(&s)
 }
 
 // handleEvent is the Host's handler for the coordinator mailbox;
@@ -120,9 +98,7 @@ func (c *coordinator) handleEvent(ev any) {
 		c.handleTick()
 	default:
 		c.ck.Handle(ev)
-		return
 	}
-	c.publish()
 }
 
 func (c *coordinator) handleMessage(from uint32, m message.Message) {

@@ -69,6 +69,7 @@ func New(opts Options) (*Engine, error) {
 		Classify: classify,
 		Pillar:   func(u uint32, ev any) { e.pillars[u].handleEvent(ev) },
 		Coord:    func(ev any) { e.coord.handleEvent(ev) },
+		Standing: func(s *engine.Standing) { e.coord.standing(s) },
 		Close:    e.close,
 	})
 	if err != nil {
@@ -91,14 +92,8 @@ func New(opts Options) (*Engine, error) {
 		}
 		e.pillars[u] = newPillar(e, uint32(u), tx)
 	}
-	e.PillarGauges(e.coord.ck.StableOrder)
 	return e, nil
 }
-
-// Standing says where this replica's view change stands, as its
-// coordinator last published it: `pending→3 desired=4 vcs[3]={r0 r2}`,
-// or `desired=1` with none pending. Safe from any goroutine.
-func (e *Engine) Standing() string { return *e.coord.standing.Load() }
 
 // close is the Host's shutdown hook. A graceful stop seals the exact
 // counter values, so a subsequent boot resumes warm with no horizon

@@ -23,7 +23,9 @@ package enclave
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/hmac"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -350,8 +352,8 @@ func (e *Enclave) Unseal(blob []byte) ([]byte, error) {
 	if len(blob) < sealHeaderSize {
 		return nil, ErrSealCorrupt
 	}
-	epoch := beU64(blob[:8])
-	seq := beU64(blob[8:16])
+	epoch := binary.BigEndian.Uint64(blob[:8])
+	seq := binary.BigEndian.Uint64(blob[8:16])
 	if epoch != e.core.platform.Epoch() {
 		return nil, ErrSealReplayed
 	}
@@ -382,11 +384,6 @@ func (e *Enclave) Unseal(blob []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: blob seq %d, register %d", ErrSealAhead, seq, latest)
 	}
 	return data, nil
-}
-
-func beU64(b []byte) uint64 {
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
 }
 
 func (e *Enclave) aead() (cipher.AEAD, error) {
@@ -494,38 +491,27 @@ func (p *Platform) decodeRegisters(data []byte) (map[string]uint64, error) {
 	}
 	body, mac := data[:len(data)-32], data[len(data)-32:]
 	want := p.sealKey.SumParts([]byte("seal-registers"), body)
-	if !hmacEqual(want[:], mac) {
+	if !hmac.Equal(want[:], mac) {
 		return nil, fmt.Errorf("%w: seal register store MAC", ErrSealCorrupt)
 	}
-	n := int(beU64(append([]byte{0, 0, 0, 0}, body[:4]...)))
+	n := int(binary.BigEndian.Uint32(body))
 	body = body[4:]
 	regs := make(map[string]uint64, n)
 	for i := 0; i < n; i++ {
 		if len(body) < 4 {
 			return nil, ErrSealCorrupt
 		}
-		l := int(body[0])<<24 | int(body[1])<<16 | int(body[2])<<8 | int(body[3])
+		l := int(binary.BigEndian.Uint32(body))
 		body = body[4:]
 		if l < 0 || len(body) < l+8 {
 			return nil, ErrSealCorrupt
 		}
 		name := string(body[:l])
-		regs[name] = beU64(body[l : l+8])
+		regs[name] = binary.BigEndian.Uint64(body[l:])
 		body = body[l+8:]
 	}
 	if len(body) != 0 {
 		return nil, ErrSealCorrupt
 	}
 	return regs, nil
-}
-
-func hmacEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	var v byte
-	for i := range a {
-		v |= a[i] ^ b[i]
-	}
-	return v == 0
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sync/atomic"
 	"time"
 
 	"hybster/internal/crypto"
@@ -69,7 +68,7 @@ type candidate struct {
 // the peers' with its trusted subsystem instance, then hands both on.
 //
 // Checkpoints is confined to the loop that drains the coordinator
-// mailbox; only Announce and StableOrder may be called from elsewhere.
+// mailbox; only Announce may be called from elsewhere.
 type Checkpoints[M message.Message] struct {
 	h *Host
 	// verify checks that proof certifies digest as the state of
@@ -85,7 +84,6 @@ type Checkpoints[M message.Message] struct {
 	advanced func(*StableCkpt[M])
 
 	stable     StableCkpt[M]
-	stableOrd  atomic.Uint64 // mirrors stable.Order for gauges
 	candidates map[timeline.Order]candidate
 	// pending[o][r] is replica r's announcement for checkpoint o above
 	// the stable one. Conflicting digests from different replicas
@@ -111,6 +109,7 @@ func NewCheckpoints[M message.Message](h *Host,
 		pending:    make(map[timeline.Order]map[uint32]Announcement[M]),
 		own:        make(map[timeline.Order]M),
 	}
+	h.ck = c
 	if ck := h.recovered; ck != nil {
 		h.recovered = nil // the adopted copy is the one that stays
 		c.restore(ck)
@@ -135,12 +134,13 @@ func (c *Checkpoints[M]) restore(ck *wal.CheckpointRec) {
 	}
 }
 
+// fillStanding sets the checkpoint fields of the replica's Standing.
+func (c *Checkpoints[M]) fillStanding(s *Standing) {
+	s.Stable, s.StateRequested = c.stable.Order, c.lastStateReq
+}
+
 // Stable returns the last stable checkpoint (order 0 = genesis).
 func (c *Checkpoints[M]) Stable() *StableCkpt[M] { return &c.stable }
-
-// StableOrder is the last stable checkpoint order, readable from any
-// goroutine.
-func (c *Checkpoints[M]) StableOrder() uint64 { return c.stableOrd.Load() }
 
 // Handle processes the sub-protocol's coordinator-mailbox events: a
 // checkpoint boundary from the execution stage, a certified
@@ -291,7 +291,6 @@ func (c *Checkpoints[M]) Adopt(st StableCkpt[M]) bool {
 		st.Snapshot, st.RV = cand.snapshot, cand.rv
 	}
 	c.stable = st
-	c.stableOrd.Store(uint64(st.Order))
 	for o := range c.candidates {
 		if o <= st.Order {
 			delete(c.candidates, o)

@@ -35,13 +35,16 @@ func replay(x *statemachine.Executor, rec wal.Recovered, tel *telemetry.Telemetr
 	}
 }
 
-// Decide logs the committed instance (v, o, batch) and then delivers it
-// to the execution stage, on the calling pillar's goroutine; credit is
-// as for ExecLoop.Deliver. An append error is not fatal: the log only
-// spares a restarted replica the state transfer.
+// Decide logs the committed instance (v, o, batch), records o as
+// committed and delivers it to the execution stage; every protocol
+// commits through it. credit is as for ExecLoop.Deliver. An append
+// error is not fatal: the log only spares a restart the state transfer.
 func (h *Host) Decide(v timeline.View, o timeline.Order, batch []*message.Request, credit int32) {
 	if h.log != nil {
 		_ = h.log.AppendDecision(&wal.DecisionRec{View: v, Order: o, Requests: batch})
+	}
+	for c := h.committed.Load(); uint64(o) > c && !h.committed.CompareAndSwap(c, uint64(o)); {
+		c = h.committed.Load()
 	}
 	h.Exec.Deliver(o, batch, credit)
 }

@@ -95,6 +95,9 @@ type Handlers struct {
 	// delivery round on the execution goroutine (MinBFT keeps its
 	// suspicion clock on the protocol loop).
 	Progress func(stillPending bool)
+	// Standing fills the view-change fields of the replica's Standing,
+	// on the coordinator loop after each of its events.
+	Standing func(*Standing)
 	// Close releases what the protocol owns (certifiers, and on a
 	// graceful stop the seal of their exact counter values) once every
 	// goroutine has exited, before the Host closes its log; graceful is
@@ -122,8 +125,8 @@ type (
 // client-authenticator check, the reply stage, the execution stage,
 // the Sequencer and the pillar mailboxes of a pillar-structured
 // protocol, the coordinator mailbox, the one mailbox-drain loop, the
-// goroutine lifecycle and, with a data dir, the durable log. Engines
-// embed it.
+// goroutine lifecycle, the replica's Standing and, with a data dir,
+// the durable log. Engines embed it.
 type Host struct {
 	Cfg  config.Config
 	Ep   transport.Endpoint
@@ -155,7 +158,13 @@ type Host struct {
 
 	// curView mirrors the protocol's stable view for lock-free reads on
 	// hot paths.
-	curView atomic.Uint64
+	curView   atomic.Uint64
+	committed atomic.Uint64 // Standing.Committed
+
+	// standing is the coordinator loop's part of the Standing (publish).
+	standing atomic.Pointer[Standing]
+	ck       interface{ fillStanding(*Standing) }
+	next     Standing
 
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -210,8 +219,11 @@ func NewHost(name string, opts Options, x *statemachine.Executor, hd Handlers) (
 	h.replies = reply.NewStage(h.id, h.Keys, h.Ep, 0, opts.Telemetry)
 	h.Exec = newExecLoop(x, h.Cfg, h.Met, h.replies, credit,
 		func(v *statemachine.CheckpointView) { h.CoordBox.Put(v) }, progress)
+	h.committed.Store(uint64(x.LastExecuted()))
+	h.standing.Store(&Standing{})
 	h.verified = opts.Telemetry.Counter("hybster_verify_verified_total", "request authenticators verified on the inbound path")
 	h.rejected = opts.Telemetry.Counter("hybster_verify_rejected_total", "messages rejected on the inbound path for a forged request authenticator")
+	h.gauges()
 	return h, nil
 }
 
@@ -236,12 +248,13 @@ func (h *Host) Telemetry() *telemetry.Telemetry { return h.Met.tel }
 // execution stage, the coordinator loop and the ticker — and installs
 // the transport handler.
 func (h *Host) Start() {
+	h.publish()
 	h.Ep.Handle(h.route)
 	for u, box := range h.PillarBox {
 		h.spawn(func() { drain(box, func(ev any) { h.hd.Pillar(uint32(u), ev) }) })
 	}
 	h.spawn(h.Exec.run)
-	h.spawn(func() { drain(h.CoordBox, h.hd.Coord) })
+	h.spawn(func() { drain(h.CoordBox, func(ev any) { h.hd.Coord(ev); h.publish() }) })
 	h.spawn(func() {
 		h.runTicker(func() {
 			for _, box := range h.PillarBox {
@@ -373,14 +386,16 @@ func (h *Host) authentic(reqs []*message.Request) bool {
 	return true
 }
 
-// PillarGauges registers the sampled gauges of a pillar-structured
-// engine beyond those its sequencer and execution stage register
-// themselves; stable reads the last stable checkpoint order.
-func (h *Host) PillarGauges(stable func() uint64) {
+// gauges registers the sampled gauges the sequencer and execution stage
+// do not; MinBFT, without pillars, names all but the view its own way.
+func (h *Host) gauges() {
 	m := h.Met
 	m.GaugeFunc("view", "current stable view", func() float64 { return float64(h.curView.Load()) })
+	if h.Seq == nil {
+		return
+	}
 	m.GaugeFunc("stable_checkpoint", "last stable checkpoint order",
-		func() float64 { return float64(stable()) })
+		func() float64 { return float64(h.standing.Load().Stable) })
 	for u, box := range h.PillarBox {
 		m.GaugeFunc("pillar_mailbox_depth", "queued pillar events",
 			func() float64 { return float64(box.Len()) }, PillarLabel(uint32(u)))

@@ -47,6 +47,11 @@ func (m Metrics) Counter(name, help string, labels ...telemetry.Label) *telemetr
 	return m.tel.Counter(m.prefix+name, help, labels...)
 }
 
+// Gauge resolves a protocol-prefixed settable gauge.
+func (m Metrics) Gauge(name, help string, labels ...telemetry.Label) *telemetry.Gauge {
+	return m.tel.Gauge(m.prefix+name, help, labels...)
+}
+
 // GaugeFunc registers a protocol-prefixed sampled gauge. Registration
 // replaces any callback left by a predecessor engine on the same
 // registry (cluster restart), so the scrape never reads a dead

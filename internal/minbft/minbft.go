@@ -83,11 +83,9 @@ type Engine struct {
 	nextOrder timeline.Order
 	// slots maps order numbers to instances in the current window.
 	slots map[timeline.Order]*slot
-	// low is the last stable checkpoint order (ck.Stable().Order): the
-	// window's low watermark.
-	low timeline.Order
 	// ck is the checkpoint sub-protocol (its stable record holds the
-	// quorum certificate VIEW-CHANGEs carry) and state transfer.
+	// quorum certificate VIEW-CHANGEs carry, and its order is the
+	// window's low watermark) and state transfer.
 	ck *engine.Checkpoints[*message.Checkpoint]
 
 	// queue of admitted requests (leader only).
@@ -148,9 +146,8 @@ type Engine struct {
 	// replicas convicted of counter regression.
 	suspectsC *telemetry.Counter
 	zombiesC  *telemetry.Counter
-	// gm mirrors loop-owned fields for lock-free gauge sampling; the
-	// run loop refreshes it after every event (see publishGauges).
-	gm gaugeMirror
+	// nextOrderG publishes nextOrder (setNextOrder).
+	nextOrderG *telemetry.Gauge
 
 	// deaf marks sender streams whose expected-counter gap exceeded the
 	// holdback horizon with an ordering message parked — a stream that
@@ -206,12 +203,11 @@ func New(opts Options) (*Engine, error) {
 	}
 	key := crypto.NewKeyFromSeed(opts.Config.KeySeed)
 	e := &Engine{
-		sig:       usig.New(opts.Platform, opts.ID, key, opts.EnclaveCost).Instrument(opts.Telemetry),
-		sigCkpt:   usig.New(opts.Platform, opts.ID|ckptIssuerFlag, key, opts.EnclaveCost).Instrument(opts.Telemetry),
-		expected:  make(map[uint32]uint64),
-		holdback:  make(map[uint32]map[uint64]heldMsg),
-		nextOrder: 1,
-		slots:     make(map[timeline.Order]*slot),
+		sig:      usig.New(opts.Platform, opts.ID, key, opts.EnclaveCost).Instrument(opts.Telemetry),
+		sigCkpt:  usig.New(opts.Platform, opts.ID|ckptIssuerFlag, key, opts.EnclaveCost).Instrument(opts.Telemetry),
+		expected: make(map[uint32]uint64),
+		holdback: make(map[uint32]map[uint64]heldMsg),
+		slots:    make(map[timeline.Order]*slot),
 
 		reqVCs:         make(map[timeline.View]map[uint32]bool),
 		vcs:            make(map[timeline.View]map[uint32]*message.MinViewChange),
@@ -229,6 +225,7 @@ func New(opts Options) (*Engine, error) {
 	h, err := engine.NewHost("minbft", opts, statemachine.NewExecutor(opts.Application), engine.Handlers{
 		Classify: classify,
 		Coord:    e.handleEvent,
+		Standing: e.standing,
 		Progress: func(pending bool) { e.CoordBox.Put(evProgress{pending: pending}) },
 		Close:    func(bool) { e.sig.Destroy(); e.sigCkpt.Destroy() },
 	})
@@ -246,7 +243,8 @@ func New(opts Options) (*Engine, error) {
 	for r := uint32(0); int(r) < opts.Config.N; r++ {
 		e.expected[r] = 1
 	}
-	e.publishGauges()
+	e.nextOrderG = e.Met.Gauge("next_order", "next order number to assign")
+	e.setNextOrder(1)
 	e.registerGauges()
 	return e, nil
 }
@@ -339,7 +337,6 @@ func (e *Engine) handleEvent(ev any) {
 	case engine.Tick:
 		e.handleTick()
 	}
-	e.publishGauges()
 }
 
 // ingest enforces per-sender counter order: messages are processed
@@ -581,7 +578,7 @@ func (e *Engine) propose() {
 		e.inFlight++
 		e.mu.Unlock()
 
-		if e.nextOrder > e.low+e.Cfg.WindowSize {
+		if e.nextOrder > e.ck.Stable().Order+e.Cfg.WindowSize {
 			// Window full: return the batch and wait for checkpoints.
 			e.mu.Lock()
 			e.queue = append(batch, e.queue...)
@@ -637,11 +634,11 @@ func (e *Engine) handlePrepare(from uint32, p *message.MinPrepare, authVerified 
 		return
 	}
 	o := e.anchorOrder + timeline.Order(p.UI.Counter-e.anchorCounter)
-	if o <= e.low {
+	if o <= e.ck.Stable().Order {
 		return // covered by a stable checkpoint already
 	}
 	if o >= e.nextOrder {
-		e.nextOrder = o + 1
+		e.setNextOrder(o + 1)
 	}
 	e.orderByCounter[p.UI.Counter] = o
 	s := &slot{
@@ -741,7 +738,7 @@ func (e *Engine) refresh(s *slot) {
 			e.pendingSince = time.Now()
 		}
 		e.Relax()
-		e.Exec.Deliver(s.order, s.batch, engine.NoCredit)
+		e.Decide(e.View(), s.order, s.batch, engine.NoCredit)
 		if e.leader() == e.ID() {
 			e.mu.Lock()
 			if e.inFlight > 0 {
@@ -760,7 +757,7 @@ func (e *Engine) refresh(s *slot) {
 // checkpoint USIG instance and are embedded in the shared Checkpoint
 // message's certificate fields (issuer/value/MAC).
 func (e *Engine) checkpointDue(v *statemachine.CheckpointView) {
-	if v.Order < e.low {
+	if v.Order < e.ck.Stable().Order {
 		return
 	}
 	// A boundary that already stabilized (we executed it late) is still
@@ -799,7 +796,6 @@ func (e *Engine) handleCheckpoint(from uint32, ck *message.Checkpoint) {
 // cluster an executing replica (and, with it, checkpoint quorums and
 // client reply quorums) — Checkpoints requests state right after.
 func (e *Engine) advanceLow(o timeline.Order) {
-	e.low = o
 	for k := range e.slots {
 		if k <= o {
 			delete(e.slots, k)

@@ -62,6 +62,13 @@ func TestMinBFTBasicOrdering(t *testing.T) {
 			t.Fatalf("op %d: counter = %d", i, v)
 		}
 	}
+	// Every instance reaches execution through Host.Decide, which
+	// records it as committed.
+	for id := uint32(0); int(id) < c.Cfg.N; id++ {
+		if s := c.Replica(id).(*minbft.Engine).Standing(); s.Committed < s.Executed || s.Committed == 0 {
+			t.Fatalf("r%d executed past what it committed: %v", id, s)
+		}
+	}
 }
 
 func TestMinBFTConcurrentClients(t *testing.T) {

@@ -266,7 +266,7 @@ func (e *Engine) sendViewChange(target timeline.View) {
 	vc := &message.MinViewChange{
 		Replica:       e.ID(),
 		View:          target,
-		CkptOrder:     e.low,
+		CkptOrder:     e.ck.Stable().Order,
 		CkptProof:     e.ck.Stable().Proof,
 		HistBase:      e.histBase,
 		History:       e.historyBytes(),
@@ -580,7 +580,7 @@ func (e *Engine) install(v timeline.View, startCkpt timeline.Order, batches [][]
 	}
 	// Parked early commits answer old-view prepares; drop them.
 	clear(e.earlyCommits)
-	e.nextOrder = startCkpt + 1
+	e.setNextOrder(startCkpt + 1)
 	// Anchor for the new view: the leader's first fresh prepare (the
 	// first re-proposal) carries counter anchorCounter and gets order
 	// startCkpt+1.

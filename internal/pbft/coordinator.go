@@ -60,6 +60,14 @@ func newCoordinator(e *Engine, tx *trinx.TrInX) *coordinator {
 // installed yet.
 func (c *coordinator) pending() bool { return c.pendingTo > c.e.View() }
 
+// standing fills the view-change fields of the replica's engine.Standing.
+func (c *coordinator) standing(s *engine.Standing) {
+	s.Desired = c.e.View()
+	if c.pending() {
+		engine.SetPending(s, c.pendingTo, c.vcs[c.pendingTo])
+	}
+}
+
 // handleEvent is the Host's handler for the coordinator mailbox;
 // checkpoint boundaries, announcements and Behind are the checkpoint
 // sub-protocol's.

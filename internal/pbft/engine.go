@@ -55,6 +55,7 @@ func New(opts Options) (*Engine, error) {
 		Classify: classify,
 		Pillar:   func(u uint32, ev any) { e.pillars[u].handleEvent(ev) },
 		Coord:    func(ev any) { e.coord.handleEvent(ev) },
+		Standing: func(s *engine.Standing) { e.coord.standing(s) },
 		Close:    e.close,
 	})
 	if err != nil {
@@ -74,7 +75,6 @@ func New(opts Options) (*Engine, error) {
 	for u := range e.pillars {
 		e.pillars[u] = newPillar(e, uint32(u), newTx(uint32(u)))
 	}
-	e.PillarGauges(e.coord.ck.StableOrder)
 	return e, nil
 }
 
