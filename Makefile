@@ -40,6 +40,8 @@ wire-golden:
 # graceful, amnesia, stale seal), repeated; then a follower of every
 # protocol isolated four windows behind and healed, whose standing is
 # written by its coordinator loop while the test reads it, repeated;
+# then the install step of every protocol, whose follower missed the
+# VIEW-CHANGEs and must adopt the NEW-VIEW's checkpoint claim, repeated;
 # then the client, whose pending records are recycled across requests
 # while late replies and Close race them.
 chaos-smoke:
@@ -48,6 +50,7 @@ chaos-smoke:
 	$(GO) test -race -count=20 -run 'TestSkippedViewEvidenceReachesPendingPeer|TestNewViewRelayedByNonLeaderInstalls|TestRestartedLeaderDoesNotReinstallItsView|TestForgedPrepareAtCursorLeavesNoTrace|TestCommitCostsAnECallOnlyWhenNeeded' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestColdRestart|TestGracefulShutdownResumesWarm|TestAmnesiaZombieRefused|TestStaleSealRefused' ./internal/cluster/
 	$(GO) test -race -count=20 -run 'TestStandingSaysWhyAReplicaIsBehind' ./internal/cluster/
+	$(GO) test -race -count=20 -run 'TestInstallAdoptsTheNewViewCheckpointClaim' ./internal/cluster/
 	$(GO) test -race -count=20 ./internal/client/
 
 # Long seed sweep with elevated fault rates, alternating cold-restart

@@ -45,7 +45,7 @@ import (
 )
 
 // Sample is one replica's observability snapshot at one instant: its
-// standing, metrics registry and the trace ring's retained events.
+// standing and the trace ring's retained events.
 type Sample struct {
 	// Replica is the sampled replica's ID.
 	Replica uint32
@@ -54,8 +54,6 @@ type Sample struct {
 	// for replicas deliberately down, zombied or rejoining); safety
 	// checks never depend on it.
 	Standing *engine.Standing
-	// Metrics is the registry snapshot (full metric name → value).
-	Metrics map[string]float64
 	// Events is the trace ring's retained events, oldest first.
 	Events []telemetry.Event
 }
@@ -76,11 +74,7 @@ func (f SourceFunc) Collect() (Sample, error) { return f() }
 // non-nil, is consulted at collection time.
 func TelemetrySource(replica uint32, tel *telemetry.Telemetry, standing func() *engine.Standing) Source {
 	return SourceFunc(func() (Sample, error) {
-		s := Sample{
-			Replica: replica,
-			Metrics: tel.Metrics().Snapshot(),
-			Events:  tel.Tracer().Events(),
-		}
+		s := Sample{Replica: replica, Events: tel.Tracer().Events()}
 		if standing != nil {
 			s.Standing = standing()
 		}
@@ -90,8 +84,8 @@ func TelemetrySource(replica uint32, tel *telemetry.Telemetry, standing func() *
 
 // HTTPSource scrapes a replica's ops endpoint: GET /trace for the
 // ring (whose dump header carries the replica ID) and GET /vars for the
-// metrics snapshot and the standing. The zero Client gets a 5s timeout
-// so one hung replica cannot stall a whole audit round.
+// standing. The zero Client gets a 5s timeout so one hung replica
+// cannot stall a whole audit round.
 type HTTPSource struct {
 	// BaseURL is the ops endpoint root, e.g. "http://127.0.0.1:9100".
 	BaseURL string
@@ -122,8 +116,7 @@ func (s *HTTPSource) Collect() (Sample, error) {
 		return Sample{}, fmt.Errorf("audit: scrape %s/vars: %w", base, err)
 	}
 	var vars struct {
-		Metrics  map[string]float64 `json:"metrics"`
-		Standing *engine.Standing   `json:"standing"`
+		Standing *engine.Standing `json:"standing"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&vars)
 	resp.Body.Close()
@@ -134,7 +127,6 @@ func (s *HTTPSource) Collect() (Sample, error) {
 	return Sample{
 		Replica:  dump.Replica,
 		Standing: vars.Standing,
-		Metrics:  vars.Metrics,
 		Events:   dump.Events,
 	}, nil
 }

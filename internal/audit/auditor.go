@@ -402,7 +402,7 @@ func (a *Auditor) observeLiveness(samples []Sample) {
 		}
 
 		// Deaf per-sender UI streams (MinBFT only).
-		if deaf := o.s.Metrics["hybster_minbft_deaf_streams"]; deaf > 0 {
+		if o.s.Standing.Deaf > 0 {
 			t.deafRounds++
 		} else {
 			t.deafRounds = 0
@@ -410,9 +410,8 @@ func (a *Auditor) observeLiveness(samples []Sample) {
 		if t.deafRounds >= a.opts.DeafRounds {
 			a.raiseLiveness(fmt.Sprintf("deaf/r%d", o.s.Replica), o.s, Finding{
 				Kind: DeafStream,
-				Detail: fmt.Sprintf("replica %d has %d deaf sender stream(s): expected-counter gap beyond the holdback horizon (%d) for %d rounds; only a view change can re-anchor them",
-					o.s.Replica, int64(o.s.Metrics["hybster_minbft_deaf_streams"]),
-					int64(o.s.Metrics["hybster_minbft_holdback_horizon"]), t.deafRounds),
+				Detail: fmt.Sprintf("replica %d has %d deaf sender stream(s): expected-counter gap beyond the holdback horizon for %d rounds; only a view change can re-anchor them",
+					o.s.Replica, o.s.Standing.Deaf, t.deafRounds),
 			})
 		}
 

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"hybster/internal/crypto"
 	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/telemetry"
@@ -25,10 +24,8 @@ type coordinator struct {
 	e  *Engine
 	tx Certifier
 
-	// pendingTo is the view this replica aborted into and has not
-	// installed: a view change is pending while pendingTo > e.View(), the
-	// installed view. Every install resets it to 0.
-	pendingTo    timeline.View
+	// pendingSince is when the replica last aborted into, or escalated
+	// from, its pending view (engine.Host.Pending).
 	pendingSince time.Time
 	desired      timeline.View // highest view we have evidence for
 	viewChanges  *telemetry.Counter
@@ -68,22 +65,17 @@ func newCoordinator(e *Engine, tx Certifier) *coordinator {
 		nvParts:     make(map[timeline.View][]*message.NewView),
 		learned:     make(map[timeline.Order]*message.Prepare),
 	}
-	c.ck = engine.NewCheckpoints(e.Host,
-		func(o timeline.Order, d crypto.Digest, proof []*message.Checkpoint) error {
-			return e.verifyCheckpointProof(tx, o, d, proof)
-		}, c.stableAdvanced)
+	c.ck = engine.NewCheckpoints(e.Host, func(m *message.Checkpoint) (announcement, error) {
+		return e.verifyCheckpoint(tx, m)
+	}, c.stableAdvanced)
 	return c
 }
-
-// pending reports whether this replica aborted into a view it has not
-// installed yet.
-func (c *coordinator) pending() bool { return c.pendingTo > c.e.View() }
 
 // standing fills the view-change fields of the replica's engine.Standing.
 func (c *coordinator) standing(s *engine.Standing) {
 	s.Desired = c.desired
-	if c.pending() {
-		engine.SetPending(s, c.pendingTo, c.vcs[c.pendingTo])
+	for r := range c.vcs[c.e.Pending] {
+		s.VCHolders = append(s.VCHolders, r)
 	}
 }
 
@@ -135,7 +127,7 @@ func (c *coordinator) handleTick() {
 	c.e.ObserveExec(c.e.LastExecuted())
 	c.ck.Tick()
 
-	if !c.pending() {
+	if c.e.Pending == 0 {
 		// Watchdog: outstanding work without execution progress for a
 		// full timeout means the current configuration is stuck.
 		if stalled := c.e.Stalled(); stalled > c.e.Cfg.ViewChangeTimeout {
@@ -151,12 +143,12 @@ func (c *coordinator) handleTick() {
 			// exponentially growing patience.
 			c.pendingSince = now
 			c.e.Escalate()
-			c.bumpDesired(c.pendingTo + 1)
+			c.bumpDesired(c.e.Pending + 1)
 		}
 		// Retransmit our VIEW-CHANGE parts for the pending view only;
 		// those for views stepped over go to whoever asks for them
 		// (handleViewChange).
-		for _, vc := range c.vcs[c.pendingTo][c.e.ID()] {
+		for _, vc := range c.vcs[c.e.Pending][c.e.ID()] {
 			transport.Multicast(c.e.Ep, c.e.Cfg.N, vc)
 		}
 	}
@@ -238,17 +230,17 @@ func partsOf[M any](t map[timeline.View]map[uint32][]*M, v timeline.View, r uint
 // timeout, or the f+1 join rule — never here.
 func (c *coordinator) tryAdvanceView() {
 	for {
-		target := c.e.View() + 1
-		if !c.pending() {
+		target, pending := c.e.View()+1, c.e.Pending
+		if pending == 0 {
 			if c.desired < target {
 				return
 			}
 		} else {
-			if c.desired <= c.pendingTo {
+			if c.desired <= pending {
 				return
 			}
-			if !c.haveVCQuorum(c.pendingTo) {
-				return // certificate rule: cannot leave pendingTo yet
+			if !c.haveVCQuorum(pending) {
+				return // certificate rule: cannot leave the pending view yet
 			}
 			// Leader dwell rule: with a quorum aborted into the view we
 			// lead, emit its NEW-VIEW instead of stepping over it. In a
@@ -256,14 +248,14 @@ func (c *coordinator) tryAdvanceView() {
 			// pending timeout has already raised desired, so without
 			// this the whole group chases view numbers in lockstep and
 			// no view ever installs.
-			if c.e.Cfg.LeaderOf(c.pendingTo) == c.e.ID() {
-				c.maybeEmitNewView(c.pendingTo)
-				if !c.pending() {
+			if c.e.Cfg.LeaderOf(pending) == c.e.ID() {
+				c.maybeEmitNewView(pending)
+				if c.e.Pending == 0 {
 					continue // installed; re-evaluate from the new view
 				}
 			}
-			c.mergeLearnedFromVCs(c.pendingTo)
-			target = c.pendingTo + 1
+			c.mergeLearnedFromVCs(pending)
+			target = pending + 1
 		}
 		// Jump further if certificates for later views already exist,
 		// but never past the view we actually have evidence for.
@@ -310,7 +302,7 @@ func (c *coordinator) learnedForPillar(u uint32) []*message.Prepare {
 // VIEW-CHANGE parts for view "to", one per pillar (§5.3.3, split
 // external messages). Returns false if the target is not ahead.
 func (c *coordinator) startViewChange(to timeline.View) bool {
-	if to <= max(c.e.View(), c.pendingTo) {
+	if to <= max(c.e.View(), c.e.Pending) {
 		return false
 	}
 	parts := make([]*message.ViewChange, len(c.e.pillars))
@@ -336,7 +328,7 @@ func (c *coordinator) startViewChange(to timeline.View) bool {
 			return false
 		}
 	}
-	c.pendingTo = to
+	c.e.Pending = to
 	c.pendingSince = c.e.Now()
 	c.viewChanges.Inc()
 	c.e.Met.Trace(telemetry.EvViewChange, uint64(to), 0, 0, "")
@@ -379,7 +371,7 @@ func (c *coordinator) handleViewChange(from uint32, vc *message.ViewChange) {
 	if parts := partsOf(c.vcs, vc.To, from, len(c.e.pillars)); parts[vc.Pillar] == nil {
 		parts[vc.Pillar] = vc
 	}
-	if own := c.vcs[vc.To][c.e.ID()]; vc.To < c.pendingTo && own != nil {
+	if own := c.vcs[vc.To][c.e.ID()]; vc.To < c.e.Pending && own != nil {
 		// The sender is pending at a view this replica stepped over on
 		// that view's certificate (§5.2.3), which our own parts may
 		// complete for it; the tick retransmits only the pending view's,
@@ -414,5 +406,5 @@ func (c *coordinator) handleNewViewAck(from uint32, a *message.NewViewAck) {
 		parts[a.Pillar] = a
 	}
 	c.mergeLearned(a.Prepares)
-	c.maybeEmitNewView(c.pendingTo)
+	c.maybeEmitNewView(c.e.Pending)
 }

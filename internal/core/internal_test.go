@@ -9,6 +9,7 @@ import (
 	"hybster/internal/config"
 	"hybster/internal/crypto"
 	"hybster/internal/enclave"
+	"hybster/internal/engine/enginetest"
 	"hybster/internal/message"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
@@ -196,8 +197,8 @@ func TestComputeTransferPicksHighestViewAndFillsGaps(t *testing.T) {
 		1: {{Replica: 1, Pillar: 0, From: 1, To: 2, Prepares: []*message.Prepare{newP, farP}}},
 	}
 	start, props := computeTransfer(vcSet, nil)
-	if start != 0 {
-		t.Fatalf("startCkpt = %d", start)
+	if start.Order != 0 {
+		t.Fatalf("startCkpt = %d", start.Order)
 	}
 	if len(props) != 4 {
 		t.Fatalf("props = %d, want 4 (orders 1..4)", len(props))
@@ -224,8 +225,8 @@ func TestComputeTransferRespectsCheckpoint(t *testing.T) {
 		1: {{Replica: 1, Pillar: 0, From: 0, To: 1, CkptOrder: 5}},
 	}
 	start, props := computeTransfer(vcSet, nil)
-	if start != 5 {
-		t.Fatalf("startCkpt = %d, want max over quorum (5)", start)
+	if start.Order != 5 {
+		t.Fatalf("startCkpt = %d, want max over quorum (5)", start.Order)
 	}
 	if len(props) != 0 {
 		t.Fatalf("instances below the checkpoint re-proposed: %+v", props)
@@ -298,43 +299,27 @@ func TestMergePrepares(t *testing.T) {
 	}
 }
 
-func TestVerifyCheckpointProof(t *testing.T) {
-	r0 := newTestEngine(t, 0, 1)
-	r1 := newTestEngine(t, 1, 1)
+// TestCheckpointCertificate runs the shared certificate table under
+// Hybster's one-announcement check: a trusted MAC from the announcing
+// replica's TrInX.
+func TestCheckpointCertificate(t *testing.T) {
+	signers := []*Engine{newTestEngine(t, 0, 1), newTestEngine(t, 1, 1)}
 	verifier := newTestEngine(t, 2, 1)
-	vtx := verifier.pillars[0].tx
-
-	digest := crypto.Hash([]byte("state"))
-	mkCk := func(e *Engine, id uint32) *message.Checkpoint {
-		ck := &message.Checkpoint{Order: 50, Replica: id, StateDigest: digest}
-		cert, err := e.pillars[0].tx.CreateTrustedMAC(counterM, ck.Digest())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck.Cert = cert
-		return ck
-	}
-	proof := []*message.Checkpoint{mkCk(r0, 0), mkCk(r1, 1)}
-	if err := verifier.verifyCheckpointProof(vtx, 50, digest, proof); err != nil {
-		t.Fatalf("valid proof rejected: %v", err)
-	}
-	// One announcement is not a quorum.
-	if err := verifier.verifyCheckpointProof(vtx, 50, digest, proof[:1]); err == nil {
-		t.Fatal("single-announcement proof accepted")
-	}
-	// Duplicate replica must not count twice.
-	dup := []*message.Checkpoint{proof[0], proof[0]}
-	if err := verifier.verifyCheckpointProof(vtx, 50, digest, dup); err == nil {
-		t.Fatal("duplicate-replica proof accepted")
-	}
-	// Digest mismatch.
-	if err := verifier.verifyCheckpointProof(vtx, 50, crypto.Hash([]byte("other")), proof); err == nil {
-		t.Fatal("wrong-digest proof accepted")
-	}
-	// Genesis (order 0) needs no proof.
-	if err := verifier.verifyCheckpointProof(vtx, 0, crypto.Digest{}, nil); err != nil {
-		t.Fatalf("genesis rejected: %v", err)
-	}
+	enginetest.CertificateTable(t, verifier.Cfg, verifier.coord.ck.Certified,
+		func(r uint32, o timeline.Order, d crypto.Digest) *message.Checkpoint {
+			ck := &message.Checkpoint{Order: o, Replica: r, StateDigest: d}
+			cert, err := signers[r].pillars[0].tx.CreateTrustedMAC(counterM, ck.Digest())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck.Cert = cert
+			return ck
+		},
+		func(ck *message.Checkpoint) *message.Checkpoint {
+			forged := &message.Checkpoint{Order: ck.Order, Replica: ck.Replica, StateDigest: ck.StateDigest, Cert: ck.Cert}
+			forged.Cert.MAC[0] ^= 1
+			return forged
+		})
 }
 
 // TestViewChangeSizeBoundedAcrossViews validates the §4.4 claim Hybster

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hybster/internal/message"
-	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
 	"hybster/internal/trinx"
@@ -12,15 +11,16 @@ import (
 
 // computeTransfer derives the state transferred into a new view from a
 // set of logical VIEW-CHANGEs (and acknowledgments): the starting
-// checkpoint (the newest among the quorum) and, for every order number
-// from there to the highest disclosed prepare, the batch to re-propose
-// — the highest-view prepare wins, gaps become no-ops (§5.2.3, §5.3.3).
-func computeTransfer(vcSet map[uint32][]*message.ViewChange, ackSet map[uint32][]*message.NewViewAck) (startCkpt timeline.Order, props []reProposal) {
+// checkpoint (the newest among the quorum, with the proof its
+// VIEW-CHANGE carries) and, for every order number from there to the
+// highest disclosed prepare, the batch to re-propose — the highest-view
+// prepare wins, gaps become no-ops (§5.2.3, §5.3.3).
+func computeTransfer(vcSet map[uint32][]*message.ViewChange, ackSet map[uint32][]*message.NewViewAck) (start stableCkpt, props []reProposal) {
 	best := make(map[timeline.Order]*message.Prepare)
 	for _, parts := range vcSet {
 		for _, part := range parts {
-			if part.CkptOrder > startCkpt {
-				startCkpt = part.CkptOrder
+			if part.CkptOrder > start.Order {
+				start = stableCkpt{Order: part.CkptOrder, Digest: part.CkptDigest, Proof: part.CkptProof}
 			}
 			keepHighest(best, part.Prepares, 0)
 		}
@@ -38,14 +38,14 @@ func computeTransfer(vcSet map[uint32][]*message.ViewChange, ackSet map[uint32][
 			maxO = o
 		}
 	}
-	for o := startCkpt + 1; o <= maxO; o++ {
+	for o := start.Order + 1; o <= maxO; o++ {
 		var batch []*message.Request
 		if p, ok := best[o]; ok {
 			batch = p.Requests
 		}
 		props = append(props, reProposal{order: o, batch: batch})
 	}
-	return startCkpt, props
+	return start, props
 }
 
 // keepHighest files every prepare of ps above order floor in best
@@ -99,7 +99,7 @@ func (c *coordinator) checkFromRule(vcSet map[uint32][]*message.ViewChange, acks
 // replica must be w's designated leader and must itself have aborted
 // into w.
 func (c *coordinator) maybeEmitNewView(w timeline.View) {
-	if c.e.Cfg.LeaderOf(w) != c.e.ID() || !c.pending() || c.pendingTo != w {
+	if c.e.Cfg.LeaderOf(w) != c.e.ID() || c.e.Pending != w || w == 0 {
 		return
 	}
 	vcSet := c.completeVCs(w)
@@ -111,8 +111,8 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 		return
 	}
 	ackSet := c.completeAcks(vmax)
-	startCkpt, props := computeTransfer(vcSet, ackSet)
-	if startCkpt > c.ck.Stable().Order {
+	start, props := computeTransfer(vcSet, ackSet)
+	if start.Order > c.ck.Stable().Order {
 		// The quorum is ahead of our state; fetch it first and retry
 		// when the transfer completes.
 		c.ck.RequestState()
@@ -164,7 +164,7 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 		transport.Multicast(c.e.Ep, c.e.Cfg.N, nv)
 	}
 	c.nvParts[w] = parts
-	c.installNewView(w, startCkpt, newPreps, true, vcSet)
+	c.installNewView(w, start, newPreps, true)
 }
 
 // handleNewView ingests one NEW-VIEW part of its view's leader. It is
@@ -220,7 +220,7 @@ func (c *coordinator) processNewView(w timeline.View, parts []*message.NewView) 
 	if _, ok := c.checkFromRule(vcSet, func(timeline.View) map[uint32][]*message.NewViewAck { return ackSet }); !ok {
 		return
 	}
-	startCkpt, props := computeTransfer(vcSet, ackSet)
+	start, props := computeTransfer(vcSet, ackSet)
 
 	// Validate the leader's re-proposals against our own computation.
 	leader := c.e.Cfg.LeaderOf(w)
@@ -233,7 +233,7 @@ func (c *coordinator) processNewView(w timeline.View, parts []*message.NewView) 
 	}
 	for u, nv := range parts {
 		for _, p := range nv.Prepares {
-			if p.View != w || p.Order <= startCkpt {
+			if p.View != w || p.Order <= start.Order {
 				return
 			}
 			if c.e.Cfg.PillarOf(p.Order) != uint32(u) {
@@ -265,13 +265,13 @@ func (c *coordinator) processNewView(w timeline.View, parts []*message.NewView) 
 		c.mergeLearned(ps)
 	}
 
-	if c.pendingTo > w {
+	if c.e.Pending > w {
 		// Already aborted this view: acknowledge instead of installing
 		// so a future leader can count view w as properly established.
 		c.sendAcks(w, newPreps)
 		return
 	}
-	c.installNewView(w, startCkpt, newPreps, false, vcSet)
+	c.installNewView(w, start, newPreps, false)
 }
 
 // reassemble reconstructs logical VIEW-CHANGEs and acknowledgments
@@ -332,13 +332,11 @@ func (c *coordinator) sendAcks(w timeline.View, newPreps [][]*message.Prepare) {
 	copy(partsOf(c.acks, w, c.e.ID(), len(own)), own)
 }
 
-// installNewView makes view w stable: updates coordinator and engine
-// state, slides windows, hands each pillar its re-proposals, and
-// realigns the sequencer past the transferred range.
-func (c *coordinator) installNewView(w timeline.View, startCkpt timeline.Order, newPreps [][]*message.Prepare, leader bool, vcSet map[uint32][]*message.ViewChange) {
-	c.e.SetView(w)
-	c.e.Met.Trace(telemetry.EvNewView, uint64(w), uint64(startCkpt), 0, "")
-	c.pendingTo = 0
+// installNewView makes view w stable: the engine's install step (view,
+// checkpoint claim), then the coordinator's stores, each pillar's
+// re-proposals, and the sequencer realigned past the transferred range.
+func (c *coordinator) installNewView(w timeline.View, start stableCkpt, newPreps [][]*message.Prepare, leader bool) {
+	c.ck.EnterView(w, start)
 	// Reset suspicion to the installed view: any desire for a higher
 	// view was evidence of pre-w stuckness, now obsolete. If w is stuck
 	// too, the watchdog and the join rule re-raise it. Without the
@@ -346,22 +344,10 @@ func (c *coordinator) installNewView(w timeline.View, startCkpt timeline.Order, 
 	// abandons the fresh view before it can order anything.
 	c.desired = w
 
-	// Adopt the new-view checkpoint if it is ahead of ours; the proof
-	// comes from any VC that declared it.
-	if startCkpt > c.ck.Stable().Order {
-		for _, parts := range vcSet {
-			if parts[0].CkptOrder == startCkpt {
-				c.ck.Adopt(stableCkpt{Order: startCkpt, Digest: parts[0].CkptDigest, Proof: parts[0].CkptProof})
-				break
-			}
-		}
-		c.ck.CatchUp()
-	}
-
-	var maxOrder timeline.Order = startCkpt
+	maxOrder := start.Order
 	for u, ps := range newPreps {
 		c.e.PillarBox[u].Put(evInstallView{
-			view: w, startCkpt: startCkpt, prepares: ps, leader: leader,
+			view: w, startCkpt: start.Order, prepares: ps, leader: leader,
 		})
 		for _, p := range ps {
 			if p.Order > maxOrder {
@@ -392,5 +378,4 @@ func (c *coordinator) installNewView(w timeline.View, startCkpt timeline.Order, 
 	}
 
 	c.e.Seq.ResetForView(w, maxOrder)
-	c.e.NoteProgress(false)
 }

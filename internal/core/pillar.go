@@ -360,10 +360,9 @@ func (p *pillar) handleCheckpoint(from uint32, m *message.Checkpoint) {
 	if m.Replica != from {
 		return
 	}
-	if err := p.e.verifyCheckpoint(p.tx, m); err != nil {
-		return
+	if a, err := p.e.verifyCheckpoint(p.tx, m); err == nil {
+		p.e.CoordBox.Put(a)
 	}
-	p.e.CoordBox.Put(announcement{Replica: from, Order: m.Order, Digest: m.StateDigest, Msg: m})
 }
 
 // advance slides the ordering window to a stable checkpoint and

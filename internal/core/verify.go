@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"hybster/internal/crypto"
 	"hybster/internal/message"
 	"hybster/internal/timeline"
 	"hybster/internal/trinx"
@@ -99,44 +98,24 @@ func (e *Engine) verifyCommit(tx Certifier, m *message.Commit) error {
 	return tx.Verify(m.Cert, m.Digest())
 }
 
-// verifyCheckpoint validates a checkpoint announcement: a trusted MAC
+// verifyCheckpoint validates a checkpoint announcement — a trusted MAC
 // (continuing certificate with value == previous value) from the
-// announcing replica (§5.2.2).
-func (e *Engine) verifyCheckpoint(tx Certifier, m *message.Checkpoint) error {
+// announcing replica (§5.2.2) — and reduces it to what the quorum count
+// reads.
+func (e *Engine) verifyCheckpoint(tx Certifier, m *message.Checkpoint) (announcement, error) {
+	a := announcement{Replica: m.Replica, Order: m.Order, Digest: m.StateDigest, Msg: m}
 	if m.Cert.Kind != trinx.Continuing || m.Cert.Value != m.Cert.Prev {
-		return errBadKind
+		return a, errBadKind
 	}
 	if m.Cert.Issuer.Replica() != m.Replica {
-		return errBadIssuer
+		return a, errBadIssuer
 	}
-	return tx.Verify(m.Cert, m.Digest())
-}
-
-// verifyCheckpointProof validates a quorum certificate K for a
-// checkpoint: quorum many valid announcements from distinct replicas,
-// all with the claimed order and digest.
-func (e *Engine) verifyCheckpointProof(tx Certifier, o timeline.Order, d crypto.Digest, proof []*message.Checkpoint) error {
-	if o == 0 {
-		return nil // genesis checkpoint needs no proof
-	}
-	seen := make(map[uint32]bool, len(proof))
-	for _, ck := range proof {
-		if ck.Order != o || ck.StateDigest != d || seen[ck.Replica] {
-			return fmt.Errorf("core: malformed checkpoint proof for order %d", o)
-		}
-		if err := e.verifyCheckpoint(tx, ck); err != nil {
-			return err
-		}
-		seen[ck.Replica] = true
-	}
-	if len(seen) < e.Cfg.Quorum() {
-		return fmt.Errorf("core: checkpoint proof has %d of %d announcements", len(seen), e.Cfg.Quorum())
-	}
-	return nil
+	return a, tx.Verify(m.Cert, m.Digest())
 }
 
 // verifyViewChangePart validates one pillar part of a VIEW-CHANGE: the
-// continuing certificate with value [to|0], the checkpoint proof, all
+// continuing certificate with value [to|0], the checkpoint proof (on
+// the coordinator's loop, which holds the checkpoint rule), all
 // contained prepares, and — the crux of §5.2.3 — completeness: if the
 // certificate's previous value proves participation up to o_act in the
 // aborted view, a prepare must be disclosed for every class order in
@@ -161,7 +140,7 @@ func (e *Engine) verifyViewChangePart(tx Certifier, vc *message.ViewChange) erro
 	if err := tx.Verify(vc.Cert, vc.Digest()); err != nil {
 		return err
 	}
-	if err := e.verifyCheckpointProof(tx, vc.CkptOrder, vc.CkptDigest, vc.CkptProof); err != nil {
+	if err := e.coord.ck.Certified(vc.CkptOrder, vc.CkptDigest, vc.CkptProof); err != nil {
 		return err
 	}
 	disclosed := make(map[timeline.Order]bool, len(vc.Prepares))

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"time"
 
 	"hybster/internal/crypto"
@@ -71,14 +72,10 @@ type candidate struct {
 // mailbox; only Announce may be called from elsewhere.
 type Checkpoints[M message.Message] struct {
 	h *Host
-	// verify checks that proof certifies digest as the state of
-	// checkpoint order — the one thing that depends on what the
-	// protocol's trusted subsystem signs. nil means the STATE-REPLY
-	// wire format carries no proof of type M; only state matching a
-	// digest already known to be stable is then accepted: the own
-	// stable checkpoint or — during a view change — the checkpoint
-	// claimed by a quorum of view-change messages and adopted there.
-	verify func(order timeline.Order, digest crypto.Digest, proof []*message.Checkpoint) error
+	// check verifies one certified announcement and reduces it to the
+	// fields the quorum count reads: what the protocol's trusted
+	// subsystem signs. Certified builds the quorum rule on it.
+	check func(M) (Announcement[M], error)
 	// advanced, when non-nil, learns every newly recorded stable
 	// checkpoint after the pillar windows were told to slide.
 	advanced func(*StableCkpt[M])
@@ -99,12 +96,11 @@ type Checkpoints[M message.Message] struct {
 
 // NewCheckpoints builds the sub-protocol instance of h's replica,
 // adopting the stable checkpoint its log held at boot.
-func NewCheckpoints[M message.Message](h *Host,
-	verify func(timeline.Order, crypto.Digest, []*message.Checkpoint) error,
+func NewCheckpoints[M message.Message](h *Host, check func(M) (Announcement[M], error),
 	advanced func(*StableCkpt[M])) *Checkpoints[M] {
 
 	c := &Checkpoints[M]{
-		h: h, verify: verify, advanced: advanced,
+		h: h, check: check, advanced: advanced,
 		candidates: make(map[timeline.Order]candidate),
 		pending:    make(map[timeline.Order]map[uint32]Announcement[M]),
 		own:        make(map[timeline.Order]M),
@@ -128,7 +124,7 @@ func (c *Checkpoints[M]) restore(ck *wal.CheckpointRec) {
 			return
 		}
 	}
-	c.Adopt(StableCkpt[M]{Order: ck.Order, Digest: ck.Digest, Proof: proof, Snapshot: ck.Snapshot, RV: ck.ReplyVector})
+	c.adopt(StableCkpt[M]{Order: ck.Order, Digest: ck.Digest, Proof: proof, Snapshot: ck.Snapshot, RV: ck.ReplyVector})
 	for _, box := range c.h.PillarBox {
 		box.Put(Advance{Order: ck.Order})
 	}
@@ -141,6 +137,49 @@ func (c *Checkpoints[M]) fillStanding(s *Standing) {
 
 // Stable returns the last stable checkpoint (order 0 = genesis).
 func (c *Checkpoints[M]) Stable() *StableCkpt[M] { return &c.stable }
+
+// Certified checks a stable-checkpoint certificate, the one rule for
+// STATE-REPLY and VIEW-CHANGE proofs alike: order 0 (genesis) needs
+// none; otherwise proof holds a quorum of announcements from distinct
+// replicas, each for order o and digest d and each accepted by the
+// protocol's check.
+func (c *Checkpoints[M]) Certified(o timeline.Order, d crypto.Digest, proof []M) error {
+	if o == 0 {
+		return nil
+	}
+	seen := make(map[uint32]bool, len(proof))
+	for _, m := range proof {
+		a, err := c.check(m)
+		if err != nil {
+			return err
+		}
+		if a.Order != o || a.Digest != d || seen[a.Replica] {
+			return fmt.Errorf("%s: malformed checkpoint certificate for order %d", c.h.name, o)
+		}
+		seen[a.Replica] = true
+	}
+	if len(seen) < c.h.Cfg.Quorum() {
+		return fmt.Errorf("%s: checkpoint certificate has %d of %d announcements", c.h.name, len(seen), c.h.Cfg.Quorum())
+	}
+	return nil
+}
+
+// EnterView is every protocol's install step for a validated NEW-VIEW
+// of view w: install w, clear the pending view, and adopt its claim —
+// the newest stable checkpoint its VIEW-CHANGE set proves — if above
+// the stable one, as a record without state or log record, which
+// CatchUp then fetches. It reports whether the claim was adopted.
+func (c *Checkpoints[M]) EnterView(w timeline.View, claim StableCkpt[M]) bool {
+	c.h.curView.Store(uint64(w))
+	c.h.Pending = 0
+	c.h.Met.Trace(telemetry.EvNewView, uint64(w), uint64(claim.Order), 0, "")
+	adopted := c.adopt(claim)
+	if adopted {
+		c.CatchUp()
+	}
+	c.h.NoteProgress(false)
+	return adopted
+}
 
 // Handle processes the sub-protocol's coordinator-mailbox events: a
 // checkpoint boundary from the execution stage, a certified
@@ -246,7 +285,7 @@ func (c *Checkpoints[M]) vote(a Announcement[M]) {
 			proof = append(proof, other.Msg)
 		}
 	}
-	if len(proof) < c.h.Cfg.Quorum() || !c.Adopt(StableCkpt[M]{Order: a.Order, Digest: a.Digest, Proof: proof}) {
+	if len(proof) < c.h.Cfg.Quorum() || !c.adopt(StableCkpt[M]{Order: a.Order, Digest: a.Digest, Proof: proof}) {
 		return
 	}
 	c.h.Met.CkptsStable.Inc()
@@ -278,12 +317,12 @@ func (c *Checkpoints[M]) slide() {
 	}
 }
 
-// Adopt records st as the stable checkpoint if it is newer than the
+// adopt records st as the stable checkpoint if it is newer than the
 // current one and reports whether it was; announcements and candidates
 // it covers are garbage collected. A record without state takes it
 // from the matching own candidate. The caller slides the windows
 // (view-change installation does so with the new view).
-func (c *Checkpoints[M]) Adopt(st StableCkpt[M]) bool {
+func (c *Checkpoints[M]) adopt(st StableCkpt[M]) bool {
 	if st.Order <= c.stable.Order {
 		return false
 	}
@@ -358,7 +397,7 @@ func (c *Checkpoints[M]) Serve(from uint32, req *message.StateRequest) {
 		return
 	}
 	// The wire format carries Hybster-type checkpoint proofs; a protocol
-	// with another message type sends none (see verify).
+	// with another message type sends none (see Install).
 	proof, _ := any(c.stable.Proof).([]*message.Checkpoint)
 	_ = c.h.Ep.Send(from, &message.StateReply{
 		Replica:     c.h.id,
@@ -377,18 +416,21 @@ func (c *Checkpoints[M]) Install(rep *message.StateReply) {
 		return
 	}
 	digest := crypto.Combine(crypto.Hash(rep.Snapshot), crypto.Hash(rep.ReplyVector))
-	if c.verify == nil {
-		if rep.CkptOrder != c.stable.Order || digest != c.stable.Digest {
+	// The wire proof is Hybster-typed. A protocol whose announcements
+	// are another type (PBFT) accepts only the state of the stable
+	// checkpoint it recorded: its own, or a view change's claim.
+	proof, typed := any(rep.Proof).([]M)
+	if typed {
+		if c.Certified(rep.CkptOrder, digest, proof) != nil {
 			return
 		}
-	} else if c.verify(rep.CkptOrder, digest, rep.Proof) != nil {
+	} else if rep.CkptOrder != c.stable.Order || digest != c.stable.Digest {
 		return
 	}
 	if c.h.Exec.install(rep.CkptOrder, rep.Snapshot, rep.ReplyVector, c.h.stopped) != nil {
 		return
 	}
-	proof, _ := any(rep.Proof).([]M)
-	adopted := c.Adopt(StableCkpt[M]{
+	adopted := c.adopt(StableCkpt[M]{
 		Order: rep.CkptOrder, Digest: digest, Proof: proof,
 		Snapshot: rep.Snapshot, RV: rep.ReplyVector,
 	})

@@ -95,7 +95,8 @@ type Handlers struct {
 	// delivery round on the execution goroutine (MinBFT keeps its
 	// suspicion clock on the protocol loop).
 	Progress func(stillPending bool)
-	// Standing fills the view-change fields of the replica's Standing,
+	// Standing fills Desired and the holders of VIEW-CHANGEs for the
+	// pending view into the replica's Standing (the Host fills Pending),
 	// on the coordinator loop after each of its events.
 	Standing func(*Standing)
 	// Close releases what the protocol owns (certifiers, and on a
@@ -137,6 +138,10 @@ type Host struct {
 	Exec  *ExecLoop
 	Seq   *Sequencer     // nil without pillars
 	Seals *wal.SealStore // nil without a data dir
+	// Pending is the view the replica aborted into and has not
+	// installed (0 = none): the protocol's ladder sets it when it
+	// aborts, Checkpoints.EnterView clears it. Coordinator loop only.
+	Pending timeline.View
 	// PillarBox[u] is pillar u's mailbox, CoordBox the coordinator's
 	// (MinBFT's single protocol loop).
 	PillarBox []*cop.Mailbox[any]
@@ -156,8 +161,8 @@ type Host struct {
 	verified *telemetry.Counter
 	rejected *telemetry.Counter
 
-	// curView mirrors the protocol's stable view for lock-free reads on
-	// hot paths.
+	// curView is the installed view (Checkpoints.EnterView sets it),
+	// for lock-free reads on hot paths.
 	curView   atomic.Uint64
 	committed atomic.Uint64 // Standing.Committed
 
@@ -230,11 +235,8 @@ func NewHost(name string, opts Options, x *statemachine.Executor, hd Handlers) (
 // ID returns the replica ID.
 func (h *Host) ID() uint32 { return h.id }
 
-// View returns the replica's current stable view.
+// View returns the replica's installed view.
 func (h *Host) View() timeline.View { return timeline.View(h.curView.Load()) }
-
-// SetView publishes the view the protocol just installed.
-func (h *Host) SetView(v timeline.View) { h.curView.Store(uint64(v)) }
 
 // LastExecuted returns the highest executed order number (diagnostics
 // and tests).

@@ -34,11 +34,15 @@ type Standing struct {
 	StateRequested time.Time      `json:"state_requested"`
 	// Stalled is how long admitted work has waited (Watchdog.Stalled).
 	Stalled time.Duration `json:"stalled"`
+	// Deaf counts the sender streams MinBFT can no longer drain: an
+	// ordering message waits beyond the holdback horizon, and only a
+	// view change re-anchors the stream.
+	Deaf int `json:"deaf,omitempty"`
 }
 
 // String is the one human form. It ends in where the view change
 // stands: `pending→3 desired=4 vcs[3]={r0 r2}`, or `desired=1` with
-// none pending.
+// none pending; `deaf=N` precedes it when N streams are deaf.
 func (s Standing) String() string {
 	req := "never"
 	if !s.StateRequested.IsZero() {
@@ -52,17 +56,11 @@ func (s Standing) String() string {
 		}
 		vc = fmt.Sprintf("pending→%d %s vcs[%d]={%s}", s.Pending, vc, s.Pending, strings.Join(holders, " "))
 	}
+	if s.Deaf != 0 {
+		vc = fmt.Sprintf("deaf=%d %s", s.Deaf, vc)
+	}
 	return fmt.Sprintf("view=%d exec=%d committed=%d queue=%d stable=%d statereq=%s stalled=%v %s",
 		s.View, s.Executed, s.Committed, s.ExecQueue, s.Stable, req, s.Stalled.Round(time.Millisecond), vc)
-}
-
-// SetPending records in s, for Handlers.Standing, that the replica is
-// pending at (so wants) view to and holds the VIEW-CHANGEs keyed in vcs.
-func SetPending[V any](s *Standing, to timeline.View, vcs map[uint32]V) {
-	s.Pending, s.Desired = to, max(s.Desired, to)
-	for r := range vcs {
-		s.VCHolders = append(s.VCHolders, r)
-	}
 }
 
 // publish refreshes the coordinator loop's part of the standing after
@@ -77,10 +75,13 @@ func (h *Host) publish() {
 	if h.hd.Standing != nil {
 		h.hd.Standing(next)
 	}
+	// A replica wants at least the view it is pending at.
+	next.Pending = h.Pending
+	next.Desired = max(next.Desired, next.Pending)
 	slices.Sort(next.VCHolders)
 	cur := h.standing.Load()
 	if cur.Pending == next.Pending && cur.Desired == next.Desired && cur.Stable == next.Stable &&
-		cur.StateRequested.Equal(next.StateRequested) && slices.Equal(cur.VCHolders, next.VCHolders) {
+		cur.StateRequested.Equal(next.StateRequested) && cur.Deaf == next.Deaf && slices.Equal(cur.VCHolders, next.VCHolders) {
 		return
 	}
 	s := *next

@@ -15,19 +15,19 @@ import (
 // unstarted Host as its loops would: Decide records the highest order
 // whichever order the pillars decide in, so a gap below it reads as
 // Committed far ahead of Executed (the exec-backlog signature); a
-// pending view change reaches readers at the next publish; and a
+// pending view change reaches readers at the next publish, wanted at
+// least as much as the desired view the protocol reports; and a
 // publish that finds the loop's part unchanged allocates nothing.
 func TestStandingRecordsCommitsAndPublishesWithoutAllocating(t *testing.T) {
 	cfg := config.Default(config.HybsterS)
 	cfg.ViewChangeTimeout = time.Hour
-	var pendingTo timeline.View
-	vcs := map[uint32]bool{}
+	vcs := map[timeline.View][]uint32{}
+	var h *Host
 	h, err := NewHost("test", Options{Config: cfg, Endpoint: &fakeEndpoint{}}, statemachine.NewExecutor(&logApp{}), Handlers{
 		Coord: func(any) {},
 		Standing: func(s *Standing) {
-			if pendingTo > 0 {
-				SetPending(s, pendingTo, vcs)
-			}
+			s.Desired = h.View()
+			s.VCHolders = append(s.VCHolders, vcs[h.Pending]...)
 		},
 	})
 	if err != nil {
@@ -40,7 +40,8 @@ func TestStandingRecordsCommitsAndPublishesWithoutAllocating(t *testing.T) {
 		t.Fatalf("after deciding 3, 9, 5 unexecuted: %+v", s)
 	}
 
-	pendingTo, vcs[2], vcs[0] = 2, true, true
+	vcs[2] = []uint32{2, 0}
+	h.Pending = 2
 	h.publish()
 	s := h.Standing()
 	if s.Pending != 2 || s.Desired != 2 || !slices.Equal(s.VCHolders, []uint32{0, 2}) {

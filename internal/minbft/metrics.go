@@ -21,7 +21,7 @@ func (e *Engine) registerGauges() {
 	e.Met.GaugeFunc("history_len", "sent-message history length (§4.4's unbounded state)",
 		func() float64 { return float64(e.HistoryLen()) })
 	e.Met.GaugeFunc("deaf_streams", "sender streams with an undrainable expected-counter gap",
-		func() float64 { return float64(e.deafStreams.Load()) })
+		func() float64 { return float64(e.Standing().Deaf) })
 	e.Met.GaugeFunc("holdback_horizon", "counter gap beyond which a stream cannot drain (4x window)",
 		func() float64 { return float64(4 * e.Cfg.WindowSize) })
 }
@@ -32,10 +32,11 @@ func (e *Engine) setNextOrder(o timeline.Order) {
 	e.nextOrderG.Set(int64(o))
 }
 
-// standing fills the view-change fields of the replica's engine.Standing.
+// standing fills the view-change fields of the replica's engine.Standing
+// and the count of deaf sender streams.
 func (e *Engine) standing(s *engine.Standing) {
-	s.Desired = e.reqSent
-	if e.pending() {
-		engine.SetPending(s, e.pendingTo, e.vcs[e.pendingTo])
+	s.Desired, s.Deaf = e.reqSent, len(e.deaf)
+	for r := range e.vcs[e.Pending] {
+		s.VCHolders = append(s.VCHolders, r)
 	}
 }

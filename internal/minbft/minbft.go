@@ -22,7 +22,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hybster/internal/crypto"
@@ -42,6 +41,13 @@ import (
 // its peers convict (ErrCounterRegression). MinBFT is the one protocol
 // that refuses a data dir.
 type Options = engine.Options
+
+// stableCkpt is the record of the last stable checkpoint, announcement
+// one replica's certified CHECKPOINT on its way to the quorum count.
+type (
+	stableCkpt   = engine.StableCkpt[*message.Checkpoint]
+	announcement = engine.Announcement[*message.Checkpoint]
+)
 
 // slot tracks one ordered instance (identified by the leader prepare's
 // UI counter).
@@ -93,13 +99,13 @@ type Engine struct {
 	queue    []*message.Request
 	inFlight int
 
-	// view-change state (confined to the run goroutine). pendingTo is
-	// the view this replica aborted into and has not installed: a view
-	// change is pending while pendingTo > View(); install resets it to
-	// 0. vcs holds this replica's own VIEW-CHANGE too, which the tick
+	// view-change state (confined to the run goroutine). suspectSince
+	// is the suspicion clock (zero = not running): work arrival starts
+	// it, a commit restarts it, execution progress and an install stop
+	// it; it also times the pending view (engine.Host.Pending). vcs
+	// holds this replica's own VIEW-CHANGE too, which the tick
 	// retransmits.
-	pendingTo    timeline.View
-	pendingSince time.Time
+	suspectSince time.Time
 	reqSent      timeline.View
 	reqVCs       map[timeline.View]map[uint32]bool
 	vcs          map[timeline.View]map[uint32]*message.MinViewChange
@@ -153,11 +159,9 @@ type Engine struct {
 	// holdback horizon with an ordering message parked — a stream that
 	// can never drain on its own (PR 8's "deaf replica" class). Cleared
 	// when the stream advances or a view-change message re-anchors it.
-	// The map is confined to the run goroutine; deafStreams mirrors its
-	// size for lock-free gauge sampling (the auditor's deaf-stream
-	// check scrapes it).
-	deaf        map[uint32]bool
-	deafStreams atomic.Int64
+	// Confined to the run goroutine; the standing counts it (Deaf),
+	// which the auditor's deaf-stream check and the gauge read.
+	deaf map[uint32]bool
 
 	// seenMAC[r] is a bounded ring of the UI MACs accepted from replica
 	// r, keyed by counter value. A replay carries the exact MAC we
@@ -236,7 +240,7 @@ func New(opts Options) (*Engine, error) {
 	e.ord = e.Met.Ordering()
 	e.suspectsC = e.Met.Counter("suspects_total", "leader-timeout suspicion events")
 	e.zombiesC = e.Met.Counter("zombies_total", "replicas convicted of counter regression")
-	e.ck = engine.NewCheckpoints(e.Host, e.verifyCkptProof, func(st *engine.StableCkpt[*message.Checkpoint]) {
+	e.ck = engine.NewCheckpoints(e.Host, e.certifiedCkpt, func(st *stableCkpt) {
 		e.advanceLow(st.Order)
 		e.propose()
 	})
@@ -295,10 +299,6 @@ func classify(m message.Message) engine.Route {
 
 func (e *Engine) leader() uint32 { return e.Cfg.LeaderOf(e.View()) }
 
-// pending reports whether this replica aborted into a view it has not
-// installed yet.
-func (e *Engine) pending() bool { return e.pendingTo > e.View() }
-
 // handleEvent is the Host's handler for the protocol loop's mailbox.
 func (e *Engine) handleEvent(ev any) {
 	switch in := ev.(type) {
@@ -325,13 +325,13 @@ func (e *Engine) handleEvent(ev any) {
 		}
 	case *statemachine.CheckpointView:
 		e.checkpointDue(in)
-	case engine.Announcement[*message.Checkpoint]:
+	case announcement:
 		e.ck.Handle(in)
 	case evProgress:
 		if in.pending {
-			e.pendingSince = time.Now()
+			e.suspectSince = e.Now()
 		} else {
-			e.pendingSince = time.Time{}
+			e.suspectSince = time.Time{}
 			e.Relax() // execution progressed; suspicions start fresh
 		}
 	case engine.Tick:
@@ -408,13 +408,13 @@ func (e *Engine) ingest(from uint32, ui usig.UI, m message.Message, verified boo
 				e.recordSeen(from, ui)
 				e.process(from, m, verified)
 				e.expected[from] = ui.Counter + 1
-				e.clearDeaf(from)
+				delete(e.deaf, from) // re-anchored
 				return
 			}
 			// An ordering message across an undrainable gap: the stream
 			// is deaf until a self-contained view-change message
-			// re-anchors it. Surface the condition for the auditor.
-			e.markDeaf(from)
+			// re-anchors it. The standing surfaces it for the auditor.
+			e.deaf[from] = true
 		}
 		hb := e.holdback[from]
 		if hb == nil {
@@ -430,7 +430,7 @@ func (e *Engine) ingest(from uint32, ui usig.UI, m message.Message, verified boo
 	e.recordSeen(from, ui)
 	e.process(from, m, verified)
 	e.expected[from] = want + 1
-	e.clearDeaf(from)
+	delete(e.deaf, from) // the stream advances
 	// Drain consecutive held-back messages.
 	for {
 		next, ok := e.holdback[from][e.expected[from]]
@@ -444,27 +444,6 @@ func (e *Engine) ingest(from uint32, ui usig.UI, m message.Message, verified boo
 		e.process(from, next.msg, next.verified)
 		e.expected[from]++
 	}
-}
-
-// markDeaf records that from's counter stream has an undrainable gap:
-// an ordering message parked beyond the holdback horizon. The gauge
-// mirror lets the cluster auditor see the condition from outside.
-func (e *Engine) markDeaf(from uint32) {
-	if e.deaf[from] {
-		return
-	}
-	e.deaf[from] = true
-	e.deafStreams.Add(1)
-}
-
-// clearDeaf retires a deaf marking once the stream advances (a drain
-// reached expected) or a view-change message re-anchored it.
-func (e *Engine) clearDeaf(from uint32) {
-	if !e.deaf[from] {
-		return
-	}
-	delete(e.deaf, from)
-	e.deafStreams.Add(-1)
 }
 
 // recordSeen remembers the MAC accepted under a counter value, bounded
@@ -559,7 +538,7 @@ func (e *Engine) handleRequest(r *message.Request, verified bool) {
 
 // propose sends MinPrepares while in-flight credit remains.
 func (e *Engine) propose() {
-	if e.pending() || e.leader() != e.ID() {
+	if e.Pending != 0 || e.leader() != e.ID() {
 		return
 	}
 	for {
@@ -614,7 +593,7 @@ func (e *Engine) propose() {
 // rotated orders, a silent state fork that only surfaces when
 // checkpoint digests stop matching.
 func (e *Engine) handlePrepare(from uint32, p *message.MinPrepare, authVerified bool) {
-	if from != e.leader() || p.View != e.View() || e.pending() {
+	if from != e.leader() || p.View != e.View() || e.Pending != 0 {
 		return
 	}
 	e.noteWorkLocked()
@@ -734,8 +713,8 @@ func (e *Engine) refresh(s *slot) {
 		// accounting it would suspect every healthy leader forever,
 		// feeding the §4.4 view-change history growth this repo exists
 		// to measure.
-		if !e.pendingSince.IsZero() {
-			e.pendingSince = time.Now()
+		if !e.suspectSince.IsZero() {
+			e.suspectSince = e.Now()
 		}
 		e.Relax()
 		e.Decide(e.View(), s.order, s.batch, engine.NoCredit)
@@ -771,7 +750,7 @@ func (e *Engine) checkpointDue(v *statemachine.CheckpointView) {
 	ck.Cert.Issuer = trinxIssuer(ui.Issuer)
 	ck.Cert.Value = ui.Counter
 	ck.Cert.MAC = ui.MAC
-	e.ck.Announce(0, e.View(), engine.Announcement[*message.Checkpoint]{Replica: ck.Replica, Order: ck.Order, Digest: digest, Msg: ck})
+	e.ck.Announce(0, e.View(), announcement{Replica: ck.Replica, Order: ck.Order, Digest: digest, Msg: ck})
 }
 
 // handleCheckpoint verifies a peer's announcement and counts it.
@@ -779,14 +758,21 @@ func (e *Engine) handleCheckpoint(from uint32, ck *message.Checkpoint) {
 	if ck.Replica != from {
 		return
 	}
-	ui := usig.UI{Issuer: from | ckptIssuerFlag, Counter: ck.Cert.Value, MAC: ck.Cert.MAC}
+	if a, err := e.certifiedCkpt(ck); err == nil {
+		e.ck.Handle(a)
+	}
+}
+
+// certifiedCkpt verifies one checkpoint announcement: its UI from the
+// announcing replica's checkpoint USIG, carried in the certificate
+// fields.
+func (e *Engine) certifiedCkpt(ck *message.Checkpoint) (announcement, error) {
+	a := announcement{Replica: ck.Replica, Order: ck.Order, Digest: ck.StateDigest, Msg: ck}
+	ui := usig.UI{Issuer: ck.Replica | ckptIssuerFlag, Counter: ck.Cert.Value, MAC: ck.Cert.MAC}
 	if ck.Cert.Issuer != trinxIssuer(ui.Issuer) {
-		return
+		return a, errors.New("minbft: checkpoint certificate names another issuer")
 	}
-	if err := e.sigCkpt.VerifyUI(ui, ck.Digest()); err != nil {
-		return
-	}
-	e.ck.Handle(engine.Announcement[*message.Checkpoint]{Replica: from, Order: ck.Order, Digest: ck.StateDigest, Msg: ck})
+	return a, e.sigCkpt.VerifyUI(ui, ck.Digest())
 }
 
 // advanceLow slides the window to stable checkpoint o and prunes what

@@ -1,12 +1,14 @@
 package minbft
 
 import (
+	"strings"
 	"testing"
 
 	"hybster/internal/apps/counter"
 	"hybster/internal/config"
 	"hybster/internal/crypto"
 	"hybster/internal/enclave"
+	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
@@ -155,6 +157,16 @@ func TestDeadStreamReanchorsOnViewChangeMessage(t *testing.T) {
 	if got := eng.expected[1]; got != before {
 		t.Fatalf("ordering message re-anchored a dead stream: expected = %d; want %d", got, before)
 	}
+	// The standing counts the deaf stream (the auditor's deaf-stream
+	// check reads it) until a view-change message re-anchors it.
+	deaf := func() engine.Standing {
+		var s engine.Standing
+		eng.standing(&s)
+		return s
+	}
+	if s := deaf(); s.Deaf != 1 || !strings.Contains(s.String(), " deaf=1 desired=") {
+		t.Fatalf("deaf stream not in the standing: %v", s)
+	}
 
 	// A VIEW-CHANGE across the same gap is self-contained: it must
 	// re-anchor the stream right after its own counter.
@@ -167,6 +179,9 @@ func TestDeadStreamReanchorsOnViewChangeMessage(t *testing.T) {
 	eng.ingest(1, vc.UI, vc, false)
 	if got := eng.expected[1]; got != vc.UI.Counter+1 {
 		t.Fatalf("view-change did not re-anchor: expected = %d; want %d", got, vc.UI.Counter+1)
+	}
+	if s := deaf(); s.Deaf != 0 || strings.Contains(s.String(), "deaf=") {
+		t.Fatalf("re-anchored stream still deaf: %v", s)
 	}
 
 	// The stream is live again: the peer's next message in sequence

@@ -147,8 +147,8 @@ func (e *Engine) HistoryLen() int {
 // --- suspicion and REQ-VIEW-CHANGE ---
 
 func (e *Engine) handleTick() {
-	now := time.Now()
-	ps := e.pendingSince
+	now := e.Now()
+	ps := e.suspectSince
 	// Execution fell behind the stable low-watermark: the batches it
 	// is missing are garbage-collected and will never be re-delivered,
 	// so keep asking for transferred state (replies can be lost).
@@ -165,25 +165,25 @@ func (e *Engine) handleTick() {
 			transport.Multicast(e.Ep, e.Cfg.N, m)
 		}
 	}
-	if !e.pending() {
+	if e.Pending == 0 {
 		if !ps.IsZero() && now.Sub(ps) > e.Patience() {
 			e.suspectsC.Inc()
 			e.Met.Trace(telemetry.EvViewChange, uint64(e.View()+1), 0, 0, "suspect")
 			e.Escalate()
 			e.escalateReqViewChange(e.View() + 1)
-			e.pendingSince = now
+			e.suspectSince = now
 		}
 	} else {
 		if now.Sub(ps) > e.Patience() {
-			e.pendingSince = now
+			e.suspectSince = now
 			e.Escalate()
-			e.escalateReqViewChange(e.pendingTo + 1)
+			e.escalateReqViewChange(e.Pending + 1)
 		}
 		// Retransmit our own VIEW-CHANGE while the view is pending —
 		// rate-limited, because a history-bearing VIEW-CHANGE can be
 		// enormous after repeated elections (§4.4) and peers that
 		// already consumed its counter replay-drop every copy anyway.
-		if vc := e.vcs[e.pendingTo][e.ID()]; vc != nil && now.Sub(e.lastVCResend) >= e.Cfg.ViewChangeTimeout/2 {
+		if vc := e.vcs[e.Pending][e.ID()]; vc != nil && now.Sub(e.lastVCResend) >= e.Cfg.ViewChangeTimeout/2 {
 			e.lastVCResend = now
 			transport.Multicast(e.Ep, e.Cfg.N, vc)
 		}
@@ -216,8 +216,8 @@ func (e *Engine) escalateReqViewChange(target timeline.View) {
 // starts the suspicion clock (run loop only).
 func (e *Engine) noteWorkLocked() {
 	e.NoteWork()
-	if e.pendingSince.IsZero() {
-		e.pendingSince = time.Now()
+	if e.suspectSince.IsZero() {
+		e.suspectSince = e.Now()
 	}
 }
 
@@ -255,7 +255,7 @@ func (e *Engine) recordReqVC(from uint32, target timeline.View) {
 		e.reqVCs[target] = byReplica
 	}
 	byReplica[from] = true
-	if len(byReplica) >= e.Cfg.F()+1 && target > max(e.View(), e.pendingTo) {
+	if len(byReplica) >= e.Cfg.F()+1 && target > max(e.View(), e.Pending) {
 		e.sendViewChange(target)
 	}
 }
@@ -284,8 +284,8 @@ func (e *Engine) sendViewChange(target timeline.View) {
 	// VIEW-CHANGE.
 	e.recordSent(ui, e.nextOrder, vc)
 
-	e.pendingTo = target
-	e.pendingSince = time.Now()
+	e.Pending = target
+	e.suspectSince = e.Now()
 	e.storeVC(vc)
 	transport.Multicast(e.Ep, e.Cfg.N, vc)
 	e.maybeNewView(target)
@@ -305,30 +305,14 @@ func (e *Engine) storeVC(vc *message.MinViewChange) {
 	}
 }
 
-// verifyCkptProof checks a quorum certificate for a checkpoint at the
-// given order and state digest: every announcement must match the
-// order and digest, carry a valid checkpoint-USIG UI, and come from a
-// distinct replica; a quorum of them must survive. Shared by
-// VIEW-CHANGE validation and state transfer.
-func (e *Engine) verifyCkptProof(order timeline.Order, digest crypto.Digest, proof []*message.Checkpoint) error {
-	seen := make(map[uint32]bool)
-	for _, ck := range proof {
-		if ck.Order != order || seen[ck.Replica] {
-			return fmt.Errorf("minbft: malformed checkpoint proof")
-		}
-		if ck.StateDigest != digest {
-			return fmt.Errorf("minbft: checkpoint digests differ")
-		}
-		ui := usig.UI{Issuer: ck.Replica | ckptIssuerFlag, Counter: ck.Cert.Value, MAC: ck.Cert.MAC}
-		if err := e.sigCkpt.VerifyUI(ui, ck.Digest()); err != nil {
-			return err
-		}
-		seen[ck.Replica] = true
+// claim is the stable checkpoint vc claims, under the digest its
+// proof's announcements name (a VIEW-CHANGE carries none of its own).
+func claim(vc *message.MinViewChange) stableCkpt {
+	st := stableCkpt{Order: vc.CkptOrder, Proof: vc.CkptProof}
+	if len(vc.CkptProof) > 0 {
+		st.Digest = vc.CkptProof[0].StateDigest
 	}
-	if len(seen) < e.Cfg.Quorum() {
-		return fmt.Errorf("minbft: checkpoint proof below quorum")
-	}
-	return nil
+	return st
 }
 
 // verifyViewChange checks a peer's VIEW-CHANGE: its UI, checkpoint
@@ -339,13 +323,9 @@ func (e *Engine) verifyViewChange(vc *message.MinViewChange) error {
 	if err := e.sig.VerifyUI(vc.UI, vc.Digest()); err != nil {
 		return err
 	}
-	if vc.CkptOrder > 0 {
-		if len(vc.CkptProof) == 0 {
-			return fmt.Errorf("minbft: checkpoint proof below quorum")
-		}
-		if err := e.verifyCkptProof(vc.CkptOrder, vc.CkptProof[0].StateDigest, vc.CkptProof); err != nil {
-			return err
-		}
+	st := claim(vc)
+	if err := e.ck.Certified(st.Order, st.Digest, st.Proof); err != nil {
+		return err
 	}
 	want := vc.HistBase + 1
 	for _, raw := range vc.History {
@@ -437,7 +417,7 @@ func (e *Engine) handleViewChange(from uint32, vc *message.MinViewChange) {
 	}
 	e.storeVC(vc)
 	// f+1 view changes for a higher view: join (one is correct).
-	if len(e.vcs[vc.View]) >= e.Cfg.F()+1 && e.pendingTo < vc.View {
+	if len(e.vcs[vc.View]) >= e.Cfg.F()+1 && e.Pending < vc.View {
 		e.sendViewChange(vc.View)
 	}
 	if e.Cfg.LeaderOf(vc.View) == e.ID() {
@@ -447,12 +427,13 @@ func (e *Engine) handleViewChange(from uint32, vc *message.MinViewChange) {
 
 // --- NEW-VIEW ---
 
-// minTransfer derives the new view's starting checkpoint and the
-// batches to re-propose from a quorum of VIEW-CHANGEs.
-func minTransfer(vcs map[uint32]*message.MinViewChange) (startCkpt timeline.Order, batches [][]*message.Request) {
+// minTransfer derives the new view's starting checkpoint (the newest
+// claimed, with its proof) and the batches to re-propose from a quorum
+// of VIEW-CHANGEs.
+func minTransfer(vcs map[uint32]*message.MinViewChange) (start stableCkpt, batches [][]*message.Request) {
 	for _, vc := range vcs {
-		if vc.CkptOrder > startCkpt {
-			startCkpt = vc.CkptOrder
+		if vc.CkptOrder > start.Order {
+			start = claim(vc)
 		}
 	}
 	// The anchor of the highest view any quorum member participated
@@ -475,7 +456,7 @@ func minTransfer(vcs map[uint32]*message.MinViewChange) (startCkpt timeline.Orde
 			return
 		}
 		o := timeline.Order(anchorOrder + (prep.UI.Counter - anchorCounter))
-		if o <= startCkpt {
+		if o <= start.Order {
 			return
 		}
 		byOrder[o] = prep.Requests
@@ -501,14 +482,14 @@ func minTransfer(vcs map[uint32]*message.MinViewChange) (startCkpt timeline.Orde
 			}
 		}
 	}
-	for o := startCkpt + 1; o <= maxO; o++ {
+	for o := start.Order + 1; o <= maxO; o++ {
 		batches = append(batches, byOrder[o]) // nil = no-op gap filler
 	}
-	return startCkpt, batches
+	return start, batches
 }
 
 func (e *Engine) maybeNewView(target timeline.View) {
-	if e.Cfg.LeaderOf(target) != e.ID() || !e.pending() || e.pendingTo != target {
+	if e.Cfg.LeaderOf(target) != e.ID() || e.Pending != target || target == 0 {
 		return
 	}
 	vcs := e.vcs[target]
@@ -528,10 +509,10 @@ func (e *Engine) maybeNewView(target timeline.View) {
 	e.recordSent(ui, e.nextOrder, nv)
 	transport.Multicast(e.Ep, e.Cfg.N, nv)
 
-	startCkpt, batches := minTransfer(vcs)
+	start, batches := minTransfer(vcs)
 	// Our first fresh prepare consumes the counter after the NEW-VIEW
 	// we just recorded.
-	e.install(target, startCkpt, batches, true, e.lastSent+1)
+	e.install(target, start, batches, true, e.lastSent+1)
 }
 
 func (e *Engine) handleNewView(from uint32, nv *message.MinNewView) {
@@ -554,19 +535,22 @@ func (e *Engine) handleNewView(from uint32, nv *message.MinNewView) {
 	if len(vcs) < e.Cfg.Quorum() {
 		return
 	}
-	startCkpt, batches := minTransfer(vcs)
+	start, batches := minTransfer(vcs)
 	// The leader's first fresh prepare consumes the counter after its
 	// NEW-VIEW.
-	e.install(nv.View, startCkpt, batches, false, nv.UI.Counter+1)
+	e.install(nv.View, start, batches, false, nv.UI.Counter+1)
 }
 
-// install enters the new view: aborted instances above the checkpoint
-// are dropped (their batches return via re-proposal), the order
-// cursor re-anchors, and — as the new leader — the transferred batches
-// are proposed afresh with new UIs.
-func (e *Engine) install(v timeline.View, startCkpt timeline.Order, batches [][]*message.Request, leader bool, anchorCounter uint64) {
-	e.SetView(v)
-	e.pendingTo = 0
+// install enters the new view through the engine's install step (an
+// adopted claim prunes the window as a stable checkpoint does), drops
+// the aborted instances above the checkpoint (their batches return via
+// re-proposal), re-anchors the order cursor, and — as the new leader —
+// proposes the transferred batches afresh with new UIs.
+func (e *Engine) install(v timeline.View, start stableCkpt, batches [][]*message.Request, leader bool, anchorCounter uint64) {
+	if e.ck.EnterView(v, start) {
+		e.advanceLow(start.Order)
+	}
+	startCkpt := start.Order
 	e.reqSent = v // allow future requests for v+1
 	for o := range e.slots {
 		if o > startCkpt {
@@ -603,9 +587,8 @@ func (e *Engine) install(v timeline.View, startCkpt timeline.Order, batches [][]
 			delete(e.vcs, view)
 		}
 	}
-	e.pendingSince = time.Time{}
+	e.suspectSince = time.Time{}
 	e.Relax()
-	e.Met.Trace(telemetry.EvNewView, uint64(v), uint64(startCkpt), 0, "installed")
 
 	if leader {
 		for _, batch := range batches {

@@ -3,7 +3,6 @@ package pbft
 import (
 	"time"
 
-	"hybster/internal/crypto"
 	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/telemetry"
@@ -26,17 +25,14 @@ type coordinator struct {
 	e  *Engine
 	tx *trinx.TrInX // nil for PBFTcop
 
-	// pendingTo is the view this replica aborted into and has not
-	// installed: a view change is pending while pendingTo > e.View(), the
-	// installed view. Every install resets it to 0.
-	pendingTo    timeline.View
+	// pendingSince is when the replica last aborted into its pending
+	// view (engine.Host.Pending).
 	pendingSince time.Time
 	viewChanges  *telemetry.Counter
 
 	// ck is the checkpoint sub-protocol and state transfer. The
-	// STATE-REPLY wire format carries no PBFT checkpoint proof, so it
-	// gets no verify func: only state matching the recorded stable
-	// checkpoint is installed.
+	// STATE-REPLY wire format carries no PBFT checkpoint proof, so only
+	// state matching the recorded stable checkpoint is installed.
 	ck *engine.Checkpoints[*message.PBFTCheckpoint]
 
 	// vcs[v][replica] collects VIEW-CHANGEs for view v, this replica's
@@ -52,20 +48,28 @@ func newCoordinator(e *Engine, tx *trinx.TrInX) *coordinator {
 		viewChanges: e.Met.Counter("view_changes_total", "view changes this replica initiated or joined"),
 		vcs:         make(map[timeline.View]map[uint32]*message.PBFTViewChange),
 	}
-	c.ck = engine.NewCheckpoints[*message.PBFTCheckpoint](e.Host, nil, nil)
+	c.ck = engine.NewCheckpoints(e.Host, func(m *message.PBFTCheckpoint) (announcement, error) {
+		return e.verifyCheckpoint(tx, m)
+	}, nil)
 	return c
 }
-
-// pending reports whether this replica aborted into a view it has not
-// installed yet.
-func (c *coordinator) pending() bool { return c.pendingTo > c.e.View() }
 
 // standing fills the view-change fields of the replica's engine.Standing.
 func (c *coordinator) standing(s *engine.Standing) {
 	s.Desired = c.e.View()
-	if c.pending() {
-		engine.SetPending(s, c.pendingTo, c.vcs[c.pendingTo])
+	for r := range c.vcs[c.e.Pending] {
+		s.VCHolders = append(s.VCHolders, r)
 	}
+}
+
+// claim is the stable checkpoint vc claims, under the digest its
+// proof's announcements name (a VIEW-CHANGE carries none of its own).
+func claim(vc *message.PBFTViewChange) stableCkpt {
+	st := stableCkpt{Order: vc.CkptOrder, Proof: vc.CkptProof}
+	if len(vc.CkptProof) > 0 {
+		st.Digest = vc.CkptProof[0].StateDigest
+	}
+	return st
 }
 
 // handleEvent is the Host's handler for the coordinator mailbox;
@@ -101,7 +105,7 @@ func (c *coordinator) handleTick() {
 	c.e.ObserveExec(c.e.LastExecuted())
 	c.ck.Tick()
 
-	if !c.pending() {
+	if c.e.Pending == 0 {
 		if stalled := c.e.Stalled(); stalled > c.e.Cfg.ViewChangeTimeout {
 			c.startViewChange(c.e.View() + 1)
 		} else if stalled > c.e.Cfg.ViewChangeTimeout/8 {
@@ -113,9 +117,9 @@ func (c *coordinator) handleTick() {
 			// exponentially growing patience.
 			c.pendingSince = now
 			c.e.Escalate()
-			c.startViewChange(c.pendingTo + 1)
+			c.startViewChange(c.e.Pending + 1)
 		}
-		if vc := c.vcs[c.pendingTo][c.e.ID()]; vc != nil {
+		if vc := c.vcs[c.e.Pending][c.e.ID()]; vc != nil {
 			transport.Multicast(c.e.Ep, c.e.Cfg.N, vc)
 		}
 	}
@@ -124,7 +128,7 @@ func (c *coordinator) handleTick() {
 // startViewChange aborts toward view "to": gather prepared proofs from
 // all pillars and multicast the VIEW-CHANGE.
 func (c *coordinator) startViewChange(to timeline.View) {
-	if to <= max(c.e.View(), c.pendingTo) {
+	if to <= max(c.e.View(), c.e.Pending) {
 		return
 	}
 	var prepared []message.PreparedProof
@@ -150,7 +154,7 @@ func (c *coordinator) startViewChange(to timeline.View) {
 		return
 	}
 	vc.Proof = proof
-	c.pendingTo = to
+	c.e.Pending = to
 	c.pendingSince = c.e.Now()
 	c.viewChanges.Inc()
 	c.e.Met.Trace(telemetry.EvViewChange, uint64(to), 0, 0, "")
@@ -178,28 +182,8 @@ func (c *coordinator) verifyViewChange(vc *message.PBFTViewChange) bool {
 	if !c.e.verify(c.tx, &vc.Proof, vc.Digest(), vc.Replica) {
 		return false
 	}
-	// Checkpoint proof: quorum of valid checkpoint messages for the
-	// claimed order with one digest.
-	if vc.CkptOrder > 0 {
-		seen := make(map[uint32]bool)
-		var dig crypto.Digest
-		for i, ck := range vc.CkptProof {
-			if ck.Order != vc.CkptOrder || seen[ck.Replica] {
-				return false
-			}
-			if i == 0 {
-				dig = ck.StateDigest
-			} else if ck.StateDigest != dig {
-				return false
-			}
-			if !c.e.verify(c.tx, &ck.Proof, ck.Digest(), ck.Replica) {
-				return false
-			}
-			seen[ck.Replica] = true
-		}
-		if len(seen) < c.e.Cfg.Quorum() {
-			return false
-		}
+	if st := claim(vc); c.ck.Certified(st.Order, st.Digest, st.Proof) != nil {
+		return false
 	}
 	// Prepared proofs: PRE-PREPARE plus 2f matching PREPAREs each.
 	f := c.e.Cfg.F()
@@ -255,15 +239,16 @@ func (c *coordinator) handleViewChange(from uint32, vc *message.PBFTViewChange) 
 	c.maybeEmitNewView(vc.View)
 }
 
-// computeTransfer derives the new view's starting checkpoint and
-// re-proposals from a quorum of view changes: for each order the
-// prepared proof with the highest view wins; gaps become no-ops.
-func computeTransfer(vcSet map[uint32]*message.PBFTViewChange) (timeline.Order, []*message.PrePrepare) {
-	var startCkpt timeline.Order
+// computeTransfer derives the new view's starting checkpoint (the
+// newest claimed, with its proof) and re-proposals from a quorum of
+// view changes: for each order the prepared proof with the highest view
+// wins; gaps become no-ops.
+func computeTransfer(vcSet map[uint32]*message.PBFTViewChange) (stableCkpt, []*message.PrePrepare) {
+	var start stableCkpt
 	best := make(map[timeline.Order]*message.PrePrepare)
 	for _, vc := range vcSet {
-		if vc.CkptOrder > startCkpt {
-			startCkpt = vc.CkptOrder
+		if vc.CkptOrder > start.Order {
+			start = claim(vc)
 		}
 		for _, pp := range vc.Prepared {
 			cur, ok := best[pp.PrePrepare.Order]
@@ -279,26 +264,26 @@ func computeTransfer(vcSet map[uint32]*message.PBFTViewChange) (timeline.Order, 
 		}
 	}
 	var out []*message.PrePrepare
-	for o := startCkpt + 1; o <= maxO; o++ {
+	for o := start.Order + 1; o <= maxO; o++ {
 		var reqs []*message.Request
 		if pp, ok := best[o]; ok {
 			reqs = pp.Requests
 		}
 		out = append(out, &message.PrePrepare{Order: o, Requests: reqs})
 	}
-	return startCkpt, out
+	return start, out
 }
 
 func (c *coordinator) maybeEmitNewView(w timeline.View) {
-	if c.e.Cfg.LeaderOf(w) != c.e.ID() || !c.pending() || c.pendingTo != w {
+	if c.e.Cfg.LeaderOf(w) != c.e.ID() || c.e.Pending != w || w == 0 {
 		return
 	}
 	vcSet := c.vcs[w]
 	if len(vcSet) < c.e.Cfg.Quorum() {
 		return
 	}
-	startCkpt, templates := computeTransfer(vcSet)
-	if startCkpt > c.ck.Stable().Order {
+	start, templates := computeTransfer(vcSet)
+	if start.Order > c.ck.Stable().Order {
 		c.ck.RequestState()
 		return
 	}
@@ -323,7 +308,7 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 	nv.Proof = proof
 	transport.Multicast(c.e.Ep, c.e.Cfg.N, nv)
 	c.lastNV = nv
-	c.install(w, startCkpt, newPPs, true)
+	c.install(w, start, newPPs, true)
 }
 
 func (c *coordinator) handleNewView(from uint32, nv *message.PBFTNewView) {
@@ -344,7 +329,7 @@ func (c *coordinator) handleNewView(from uint32, nv *message.PBFTNewView) {
 	if len(vcSet) < c.e.Cfg.Quorum() {
 		return
 	}
-	startCkpt, templates := computeTransfer(vcSet)
+	start, templates := computeTransfer(vcSet)
 	if len(templates) != len(nv.PrePrepares) {
 		return
 	}
@@ -359,30 +344,16 @@ func (c *coordinator) handleNewView(from uint32, nv *message.PBFTNewView) {
 		}
 	}
 	c.lastNV = nv
-	c.install(w, startCkpt, nv.PrePrepares, false)
+	c.install(w, start, nv.PrePrepares, false)
 }
 
-func (c *coordinator) install(w timeline.View, startCkpt timeline.Order, pps []*message.PrePrepare, leader bool) {
-	c.e.SetView(w)
-	c.e.Met.Trace(telemetry.EvNewView, uint64(w), uint64(startCkpt), 0, "")
-	c.pendingTo = 0
-
-	if startCkpt > c.ck.Stable().Order {
-		// Adopt the quorum's checkpoint claim; the state itself comes
-		// through state transfer.
-		for _, vcSet := range c.vcs {
-			for _, vc := range vcSet {
-				if vc.CkptOrder == startCkpt && len(vc.CkptProof) > 0 {
-					c.ck.Adopt(stableCkpt{Order: startCkpt, Digest: vc.CkptProof[0].StateDigest, Proof: vc.CkptProof})
-				}
-			}
-		}
-		c.ck.CatchUp()
-	}
-
+// install enters view w through the engine's install step, then hands
+// each pillar its re-issued PRE-PREPAREs and realigns the sequencer.
+func (c *coordinator) install(w timeline.View, start stableCkpt, pps []*message.PrePrepare, leader bool) {
+	c.ck.EnterView(w, start)
 	pillars := uint32(len(c.e.pillars))
 	byPillar := make([][]*message.PrePrepare, pillars)
-	var maxOrder timeline.Order = startCkpt
+	maxOrder := start.Order
 	for _, pp := range pps {
 		u := c.e.Cfg.PillarOf(pp.Order)
 		byPillar[u] = append(byPillar[u], pp)
@@ -391,7 +362,7 @@ func (c *coordinator) install(w timeline.View, startCkpt timeline.Order, pps []*
 		}
 	}
 	for u, box := range c.e.PillarBox {
-		box.Put(evInstallView{view: w, startCkpt: startCkpt, prePrepares: byPillar[u], leader: leader})
+		box.Put(evInstallView{view: w, startCkpt: start.Order, prePrepares: byPillar[u], leader: leader})
 	}
 	for v := range c.vcs {
 		if v <= w {
@@ -399,5 +370,4 @@ func (c *coordinator) install(w timeline.View, startCkpt timeline.Order, pps []*
 		}
 	}
 	c.e.Seq.ResetForView(w, maxOrder)
-	c.e.NoteProgress(false)
 }

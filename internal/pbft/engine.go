@@ -17,6 +17,8 @@
 package pbft
 
 import (
+	"errors"
+
 	"hybster/internal/config"
 	"hybster/internal/crypto"
 	"hybster/internal/engine"
@@ -121,6 +123,19 @@ func (e *Engine) sign(tx *trinx.TrInX, d crypto.Digest) (message.Proof, error) {
 		return message.Proof{}, err
 	}
 	return message.Proof{TCert: cert}, nil
+}
+
+// errBadCheckpoint rejects a checkpoint announcement whose proof fails.
+var errBadCheckpoint = errors.New("pbft: checkpoint announcement not authentic")
+
+// verifyCheckpoint checks a checkpoint announcement's proof from the
+// announcing replica and reduces it to what the quorum count reads.
+func (e *Engine) verifyCheckpoint(tx *trinx.TrInX, m *message.PBFTCheckpoint) (announcement, error) {
+	a := announcement{Replica: m.Replica, Order: m.Order, Digest: m.StateDigest, Msg: m}
+	if !e.verify(tx, &m.Proof, m.Digest(), m.Replica) {
+		return a, errBadCheckpoint
+	}
+	return a, nil
 }
 
 // verify checks a proof over digest d claimed by replica "claimed".

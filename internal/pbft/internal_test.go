@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"hybster/internal/crypto"
 	"hybster/internal/enclave"
 	"hybster/internal/engine"
+	"hybster/internal/engine/enginetest"
 	"hybster/internal/message"
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
@@ -133,6 +135,42 @@ func TestVerifyViewChangePreparedProofs(t *testing.T) {
 	}
 }
 
+// TestCheckpointCertificate runs the shared certificate table under
+// PBFT's one-announcement check, in both configurations: an
+// authenticator (PBFTcop) or a trusted MAC (HybridPBFT) from the
+// announcing replica.
+func TestCheckpointCertificate(t *testing.T) {
+	for _, proto := range []config.Protocol{config.PBFTcop, config.HybridPBFT} {
+		t.Run(proto.String(), func(t *testing.T) {
+			engines := make([]*Engine, 4)
+			for i := range engines {
+				engines[i] = newTestEngine(t, proto, uint32(i))
+			}
+			verifier := engines[3]
+			enginetest.CertificateTable(t, verifier.Cfg, verifier.coord.ck.Certified,
+				func(r uint32, o timeline.Order, d crypto.Digest) *message.PBFTCheckpoint {
+					ck := &message.PBFTCheckpoint{Order: o, Replica: r, StateDigest: d}
+					proof, err := engines[r].sign(engines[r].pillars[0].tx, ck.Digest())
+					if err != nil {
+						t.Fatal(err)
+					}
+					ck.Proof = proof
+					return ck
+				},
+				func(ck *message.PBFTCheckpoint) *message.PBFTCheckpoint {
+					forged := &message.PBFTCheckpoint{Order: ck.Order, Replica: ck.Replica, StateDigest: ck.StateDigest, Proof: ck.Proof}
+					if proto == config.HybridPBFT {
+						forged.Proof.TCert.MAC[0] ^= 1
+					} else {
+						forged.Proof.Auth.MACs = slices.Clone(ck.Proof.Auth.MACs)
+						forged.Proof.Auth.MACs[verifier.ID()][0] ^= 1
+					}
+					return forged
+				})
+		})
+	}
+}
+
 func TestPBFTComputeTransfer(t *testing.T) {
 	engines := make([]*Engine, 4)
 	for i := range engines {
@@ -149,8 +187,8 @@ func TestPBFTComputeTransfer(t *testing.T) {
 		2: {Replica: 2, View: 2, CkptOrder: 0},
 	}
 	start, pps := computeTransfer(vcSet)
-	if start != 0 || len(pps) != 4 {
-		t.Fatalf("start=%d len=%d", start, len(pps))
+	if start.Order != 0 || len(pps) != 4 {
+		t.Fatalf("start=%d len=%d", start.Order, len(pps))
 	}
 	if string(pps[1].Requests[0].Payload) != "new" {
 		t.Fatalf("order 2 payload %q", pps[1].Requests[0].Payload)

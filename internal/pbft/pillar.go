@@ -338,10 +338,9 @@ func (p *pillar) handleCheckpoint(from uint32, m *message.PBFTCheckpoint) {
 	if m.Replica != from {
 		return
 	}
-	if !p.e.verify(p.tx, &m.Proof, m.Digest(), from) {
-		return
+	if a, err := p.e.verifyCheckpoint(p.tx, m); err == nil {
+		p.e.CoordBox.Put(a)
 	}
-	p.e.CoordBox.Put(announcement{Replica: from, Order: m.Order, Digest: m.StateDigest, Msg: m})
 }
 
 func (p *pillar) advance(o timeline.Order) {
