@@ -38,8 +38,11 @@ wire-golden:
 # pillar's one-ECALL steps (a forged PREPARE at the cursor, surplus
 # and needed COMMITs), repeated; then the durable restarts (cold,
 # graceful, amnesia, stale seal), repeated; then a follower of every
-# protocol isolated four windows behind and healed, whose standing is
-# written by its coordinator loop while the test reads it, repeated;
+# protocol isolated four windows behind and healed, once under load and
+# once quietly (load stopped, one request at a non-boundary order, which
+# must bring it to the group's stable checkpoint by state transfer),
+# whose standing is written by its coordinator loop while the test
+# reads it, repeated;
 # then the install step of every protocol, whose follower missed the
 # VIEW-CHANGEs and must adopt the NEW-VIEW's checkpoint claim, repeated;
 # then the client, whose pending records are recycled across requests

@@ -48,95 +48,172 @@ func cause(s engine.Standing, group timeline.Order, cfg config.Config) string {
 // log, so only a transferred snapshot can bridge them). The sequence of
 // causes is logged; a replica that does not catch up fails with every
 // replica's standing.
+//
+// The loaded heal keeps the load running, so new checkpoints stabilize
+// after the heal. The quiet heal stops it first and then sends one
+// request, at an order that is no checkpoint boundary: the follower
+// learns that the group is ahead only from that request's ordering
+// messages, and must still reach the group's stable checkpoint. Nothing
+// tells an idle replica which view the group is in, and a replica
+// pending a view change drops the group's ordering traffic unread, so a
+// quiet heal that would start with the group and the follower not in
+// one view is attempted again (at most three attempts).
 func TestStandingSaysWhyAReplicaIsBehind(t *testing.T) {
 	for _, p := range []config.Protocol{config.HybsterS, config.HybsterX, config.PBFTcop, config.HybridPBFT, config.MinBFT} {
 		t.Run(p.String(), func(t *testing.T) {
-			cfg := config.Default(p)
-			cfg.Pillars = min(cfg.Pillars, 2)
-			cfg.BatchSize = 8
-			cfg.CheckpointInterval = 8
-			cfg.WindowSize = 32
-			cfg.ViewChangeTimeout = 300 * time.Millisecond
-			c, err := cluster.Boot(cluster.Options{Config: cfg}, counterApp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Stop()
-
-			stop := make(chan struct{})
-			var load sync.WaitGroup
-			defer func() { close(stop); load.Wait() }()
-			for i := 0; i < standingLoadSize; i++ {
-				cl, err := c.NewClient(200 * time.Millisecond)
-				if err != nil {
-					t.Fatal(err)
-				}
-				load.Add(1)
-				go func() {
-					defer load.Done()
-					defer cl.Close()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-							_, _ = cl.Invoke([]byte{1}, false)
-						}
+			t.Run("loaded heal", func(t *testing.T) { behindAndHealed(t, p, false) })
+			t.Run("quiet heal", func(t *testing.T) {
+				for attempt := 1; !behindAndHealed(t, p, true); attempt++ {
+					if attempt == 3 {
+						t.Fatal("the group and the follower were not in one view in each of three attempts")
 					}
-				}()
-			}
-
-			lag := uint32(cfg.N - 1) // a follower in view 0
-			frontier := func() timeline.Order {
-				var low timeline.Order
-				for id := uint32(0); id < lag; id++ {
-					if o := c.Replica(id).LastExecuted(); id == 0 || o < low {
-						low = o
-					}
+					t.Logf("attempt %d: the group and the follower were not in one view at the heal", attempt)
 				}
-				return low
-			}
-			await := func(what string, cond func() bool) {
-				t.Helper()
-				for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Fatalf("%s: %s", what, c.Standings())
-					}
-				}
-			}
-
-			// The follower first holds a stable checkpoint of its own and
-			// keeps up with the group.
-			await("the follower keeps up past two windows", func() bool {
-				s := *c.Standing(lag)
-				return s.Stable >= 2*cfg.WindowSize && cause(s, frontier(), cfg) == keepingUp
 			})
-			c.Isolate(lag)
-			var before engine.Standing
-			await("group runs four windows ahead", func() bool {
-				before = *c.Standing(lag)
-				return frontier() >= before.Executed+laggardWindows*cfg.WindowSize
-			})
-			target := frontier()
-			if got := cause(before, target, cfg); got != windowRefuses {
-				t.Fatalf("isolated replica %d: cause %q, want %q (group at %d): %v", lag, got, windowRefuses, target, before)
-			}
-
-			healed := time.Now()
-			c.HealAll()
-			seen := []string{windowRefuses}
-			var after engine.Standing
-			await("healed replica catches up", func() bool {
-				after = *c.Standing(lag)
-				if got := cause(after, frontier(), cfg); got != seen[len(seen)-1] {
-					seen = append(seen, got)
-				}
-				return after.Executed >= target
-			})
-			if !after.StateRequested.After(healed) {
-				t.Fatalf("r%d caught up four windows without asking for state: %v", lag, after)
-			}
-			t.Logf("r%d isolated at %v; after the heal: %s; caught up at %v", lag, before, strings.Join(seen, " → "), after)
 		})
 	}
+}
+
+// behindAndHealed runs one isolation and heal; it reports false, having
+// tested nothing, when a quiet heal would start with the group and the
+// follower not in one view.
+func behindAndHealed(t *testing.T, p config.Protocol, quiet bool) bool {
+	cfg := config.Default(p)
+	cfg.Pillars = min(cfg.Pillars, 2)
+	cfg.BatchSize = 8
+	cfg.CheckpointInterval = 8
+	cfg.WindowSize = 32
+	cfg.ViewChangeTimeout = 300 * time.Millisecond
+	c, err := cluster.Boot(cluster.Options{Config: cfg}, counterApp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+
+	stop := make(chan struct{})
+	var load sync.WaitGroup
+	stopLoad := sync.OnceFunc(func() { close(stop); load.Wait() })
+	defer stopLoad()
+	for i := 0; i < standingLoadSize; i++ {
+		cl, err := c.NewClient(200 * time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		load.Add(1)
+		go func() {
+			defer load.Done()
+			defer cl.Close()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_, _ = cl.Invoke([]byte{1}, false)
+				}
+			}
+		}()
+	}
+
+	lag := uint32(cfg.N - 1) // a follower in view 0
+	frontier := func() timeline.Order {
+		var low timeline.Order
+		for id := uint32(0); id < lag; id++ {
+			if o := c.Replica(id).LastExecuted(); id == 0 || o < low {
+				low = o
+			}
+		}
+		return low
+	}
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %s", what, c.Standings())
+			}
+		}
+	}
+
+	// The follower first holds a stable checkpoint of its own and keeps
+	// up with the group, and so does every other replica: isolating the
+	// follower while another one trails would leave the rest without a
+	// quorum.
+	await("every replica keeps up past two windows", func() bool {
+		s := *c.Standing(lag)
+		return s.Stable >= 2*cfg.WindowSize && cause(s, frontier(), cfg) == keepingUp &&
+			frontier()+cfg.WindowSize >= s.Executed
+	})
+	// The probe's client exists before the isolation, which cuts the
+	// follower off from it too.
+	probeClient, err := c.NewClient(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probeClient.Close()
+	inOneView := func() bool {
+		for id := uint32(0); int(id) < cfg.N; id++ {
+			if s := c.Standing(id); s.View != c.Standing(lag).View || s.Pending != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if quiet && !inOneView() {
+		return false
+	}
+	c.Isolate(lag)
+	var before engine.Standing
+	await("group runs four windows ahead", func() bool {
+		before = *c.Standing(lag)
+		return frontier() >= before.Executed+laggardWindows*cfg.WindowSize
+	})
+	target := frontier()
+	if got := cause(before, target, cfg); got != windowRefuses {
+		t.Fatalf("isolated replica %d: cause %q, want %q (group at %d): %v", lag, got, windowRefuses, target, before)
+	}
+	var probe func()
+	if quiet {
+		stopLoad()
+		probe = func() {
+			if _, err := probeClient.Invoke([]byte{1}, false); err != nil {
+				t.Fatalf("probe request: %v: %s", err, c.Standings())
+			}
+		}
+		// Wait for the group to settle, and step it off the order before
+		// a boundary, so that the probe's order is no boundary.
+		for settled := false; !settled; {
+			o := frontier()
+			time.Sleep(100 * time.Millisecond)
+			if settled = frontier() == o; settled && cfg.IsCheckpoint(o+1) {
+				probe()
+				settled = false
+			}
+		}
+		if !inOneView() {
+			return false
+		}
+		target = 0
+		for id := uint32(0); id < lag; id++ {
+			target = max(target, c.Standing(id).Stable)
+		}
+	}
+
+	healed := time.Now()
+	c.HealAll()
+	if quiet {
+		probe()
+	}
+	seen := []string{windowRefuses}
+	var after engine.Standing
+	await("healed replica catches up", func() bool {
+		after = *c.Standing(lag)
+		if got := cause(after, frontier(), cfg); got != seen[len(seen)-1] {
+			seen = append(seen, got)
+		}
+		return after.Executed >= target
+	})
+	if !after.StateRequested.After(healed) {
+		t.Fatalf("r%d caught up four windows without asking for state: %v", lag, after)
+	}
+	t.Logf("r%d isolated at %v; after the heal: %s; caught up at %v", lag, before, strings.Join(seen, " → "), after)
+	return true
 }

@@ -104,7 +104,7 @@ func (c *coordinator) handleMessage(from uint32, m message.Message) {
 	case *message.StateRequest:
 		c.ck.Serve(from, v)
 	case *message.StateReply:
-		c.ck.Install(v)
+		c.ck.Install(from, v)
 	}
 }
 

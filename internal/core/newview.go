@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
@@ -113,9 +114,9 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 	ackSet := c.completeAcks(vmax)
 	start, props := computeTransfer(vcSet, ackSet)
 	if start.Order > c.ck.Stable().Order {
-		// The quorum is ahead of our state; fetch it first and retry
-		// when the transfer completes.
-		c.ck.RequestState()
+		// The quorum is ahead of our state, which is evidence for the
+		// catch-up rule; retry when the transfer completes.
+		c.ck.Handle(engine.Behind{})
 		return
 	}
 

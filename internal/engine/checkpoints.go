@@ -92,6 +92,9 @@ type Checkpoints[M message.Message] struct {
 	own map[timeline.Order]M
 
 	lastStateReq time.Time
+	// behind is LastExecuted()+1 at the last Behind, 0 once execution
+	// reached it: the evidence CatchUp asks for state on.
+	behind timeline.Order
 }
 
 // NewCheckpoints builds the sub-protocol instance of h's replica,
@@ -117,12 +120,9 @@ func NewCheckpoints[M message.Message](h *Host, check func(M) (Announcement[M], 
 // decoded to M (another protocol's proof is ignored), and queues the
 // Advance that slides every pillar window to it before Start.
 func (c *Checkpoints[M]) restore(ck *wal.CheckpointRec) {
-	proof := make([]M, len(ck.Proof))
-	for i, m := range ck.Proof {
-		var ok bool
-		if proof[i], ok = m.(M); !ok {
-			return
-		}
+	proof, ok := recast[M](ck.Proof)
+	if !ok {
+		return
 	}
 	c.adopt(StableCkpt[M]{Order: ck.Order, Digest: ck.Digest, Proof: proof, Snapshot: ck.Snapshot, RV: ck.ReplyVector})
 	for _, box := range c.h.PillarBox {
@@ -133,6 +133,19 @@ func (c *Checkpoints[M]) restore(ck *wal.CheckpointRec) {
 // fillStanding sets the checkpoint fields of the replica's Standing.
 func (c *Checkpoints[M]) fillStanding(s *Standing) {
 	s.Stable, s.StateRequested = c.stable.Order, c.lastStateReq
+}
+
+// recast converts a proof between the protocol's announcement type and
+// the message list the log record and STATE-REPLY carry; ok is false
+// if an element is not a To.
+func recast[To, From any](proof []From) (_ []To, ok bool) {
+	out := make([]To, len(proof))
+	for i, m := range proof {
+		if out[i], ok = any(m).(To); !ok {
+			return nil, false
+		}
+	}
+	return out, true
 }
 
 // Stable returns the last stable checkpoint (order 0 = genesis).
@@ -183,7 +196,8 @@ func (c *Checkpoints[M]) EnterView(w timeline.View, claim StableCkpt[M]) bool {
 
 // Handle processes the sub-protocol's coordinator-mailbox events: a
 // checkpoint boundary from the execution stage, a certified
-// announcement handed on by its owner pillar, a pillar's Behind.
+// announcement handed on by its owner pillar, a Behind (recorded as
+// evidence for CatchUp).
 func (c *Checkpoints[M]) Handle(ev any) {
 	switch v := ev.(type) {
 	case *statemachine.CheckpointView:
@@ -195,7 +209,8 @@ func (c *Checkpoints[M]) Handle(ev any) {
 	case Announcement[M]:
 		c.vote(v)
 	case Behind:
-		c.RequestState()
+		c.behind = c.h.Exec.LastExecuted() + 1
+		c.CatchUp()
 	}
 }
 
@@ -218,12 +233,15 @@ func (c *Checkpoints[M]) Candidate(v *statemachine.CheckpointView) (digest crypt
 		return digest, false
 	}
 	c.candidates[v.Order] = candidate{digest: digest, snapshot: v.Snapshot(), rv: v.ReplyVector()}
-	// Keep only the two newest candidates; older ones can no longer
-	// become the latest stable checkpoint first.
-	for o := range c.candidates {
-		if o+2*c.h.Cfg.CheckpointInterval <= v.Order {
-			delete(c.candidates, o)
+	// A candidate may stabilize late and must then be servable: adopt
+	// prunes those the stable checkpoint covers. Execution stays within
+	// a window of it, so vote's bound caps the set (the lowest goes).
+	if len(c.candidates) > int(c.h.Cfg.WindowSize/c.h.Cfg.CheckpointInterval)+1 {
+		lowest := v.Order
+		for o := range c.candidates {
+			lowest = min(lowest, o)
 		}
+		delete(c.candidates, lowest)
 	}
 	return digest, true
 }
@@ -304,10 +322,7 @@ func (c *Checkpoints[M]) slide() {
 		box.Put(Advance{Order: c.stable.Order})
 	}
 	if c.h.log != nil {
-		proof := make([]message.Message, len(c.stable.Proof))
-		for i, m := range c.stable.Proof {
-			proof[i] = m
-		}
+		proof, _ := recast[message.Message](c.stable.Proof)
 		// Synced at once; an append error is not fatal (Host.Decide).
 		_ = c.h.log.AppendCheckpoint(&wal.CheckpointRec{Order: c.stable.Order, Digest: c.stable.Digest,
 			Snapshot: c.stable.Snapshot, ReplyVector: c.stable.RV, Proof: proof})
@@ -349,7 +364,7 @@ func (c *Checkpoints[M]) adopt(st StableCkpt[M]) bool {
 }
 
 // Tick drives the sub-protocol's retries: state transfer while
-// execution is behind the stable checkpoint, and re-multicast of the
+// CatchUp's rule holds, and re-multicast of the
 // oldest own announcement that is not yet stable (its first copy, or
 // the peers', may have been lost).
 func (c *Checkpoints[M]) Tick() {
@@ -365,40 +380,33 @@ func (c *Checkpoints[M]) Tick() {
 	}
 }
 
-// RequestState asks the group for the newest stable state,
-// rate-limited to one round per second.
-func (c *Checkpoints[M]) RequestState() {
-	now := c.h.Now()
-	if now.Sub(c.lastStateReq) < time.Second {
+// CatchUp is the one catch-up rule: ask the group for the newest
+// stable state while the stable checkpoint lies beyond what local
+// execution can reach (the decisions below it are gone from the group's
+// logs), or while execution has not moved since the last Behind, at
+// most once a second. Call it when a checkpoint is adopted and on every
+// tick: a one-shot request can be lost or go unanswered, and if the
+// laggards hold the quorum margin the whole cluster stops committing.
+func (c *Checkpoints[M]) CatchUp() {
+	exec, now := c.h.Exec.LastExecuted(), c.h.Now()
+	if c.behind != 0 && exec >= c.behind {
+		c.behind = 0
+	}
+	if (c.stable.Order <= exec && c.behind == 0) || now.Sub(c.lastStateReq) < time.Second {
 		return
 	}
 	c.lastStateReq = now
-	req := &message.StateRequest{Replica: c.h.id, From: c.h.Exec.LastExecuted() + 1}
-	transport.Multicast(c.h.Ep, c.h.Cfg.N, req)
+	transport.Multicast(c.h.Ep, c.h.Cfg.N, &message.StateRequest{Replica: c.h.id, From: exec + 1})
 }
 
-// CatchUp requests state while the stable checkpoint lies beyond what
-// local execution can reach (the decisions below it are gone from the
-// group's logs, so state transfer is the only way forward). Call it
-// when a checkpoint is adopted and on every tick: a one-shot request
-// can be lost, no further event would re-trigger it, and if the
-// laggards hold the quorum margin the whole cluster stops committing.
-// RequestState rate-limits the actual traffic.
-func (c *Checkpoints[M]) CatchUp() {
-	if c.stable.Order > c.h.Exec.LastExecuted() {
-		c.RequestState()
-	}
-}
-
-// Serve answers a STATE-REQUEST with the stable checkpoint if this
-// replica holds its state and it covers the requested frontier.
+// Serve answers from's STATE-REQUEST with the stable checkpoint and its
+// certificate if this replica holds its state and it covers the
+// requested frontier.
 func (c *Checkpoints[M]) Serve(from uint32, req *message.StateRequest) {
-	if c.stable.Snapshot == nil || c.stable.Order < req.From {
+	if req.Replica != from || c.stable.Snapshot == nil || c.stable.Order < req.From {
 		return
 	}
-	// The wire format carries Hybster-type checkpoint proofs; a protocol
-	// with another message type sends none (see Install).
-	proof, _ := any(c.stable.Proof).([]*message.Checkpoint)
+	proof, _ := recast[message.Message](c.stable.Proof)
 	_ = c.h.Ep.Send(from, &message.StateReply{
 		Replica:     c.h.id,
 		CkptOrder:   c.stable.Order,
@@ -408,23 +416,17 @@ func (c *Checkpoints[M]) Serve(from uint32, req *message.StateRequest) {
 	})
 }
 
-// Install verifies a STATE-REPLY and hands its snapshot to the
-// execution stage; a transferred checkpoint newer than the recorded
-// one becomes the stable checkpoint and slides the windows.
-func (c *Checkpoints[M]) Install(rep *message.StateReply) {
-	if rep.CkptOrder <= c.h.Exec.LastExecuted() {
+// Install verifies from's STATE-REPLY against its certificate
+// (Certified) and hands its snapshot to the execution stage; a
+// transferred checkpoint newer than the recorded one becomes the stable
+// checkpoint and slides the windows.
+func (c *Checkpoints[M]) Install(from uint32, rep *message.StateReply) {
+	if rep.Replica != from || rep.CkptOrder <= c.h.Exec.LastExecuted() {
 		return
 	}
 	digest := crypto.Combine(crypto.Hash(rep.Snapshot), crypto.Hash(rep.ReplyVector))
-	// The wire proof is Hybster-typed. A protocol whose announcements
-	// are another type (PBFT) accepts only the state of the stable
-	// checkpoint it recorded: its own, or a view change's claim.
-	proof, typed := any(rep.Proof).([]M)
-	if typed {
-		if c.Certified(rep.CkptOrder, digest, proof) != nil {
-			return
-		}
-	} else if rep.CkptOrder != c.stable.Order || digest != c.stable.Digest {
+	proof, ok := recast[M](rep.Proof)
+	if !ok || c.Certified(rep.CkptOrder, digest, proof) != nil {
 		return
 	}
 	if c.h.Exec.install(rep.CkptOrder, rep.Snapshot, rep.ReplyVector, c.h.stopped) != nil {

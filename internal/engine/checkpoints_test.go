@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hybster/internal/config"
 	"hybster/internal/crypto"
@@ -10,31 +13,42 @@ import (
 	"hybster/internal/timeline"
 )
 
-// ckptHarness is the checkpoint sub-protocol of replica 0 on an
-// unstarted Host with a recording endpoint — no engine. The test
-// goroutine plays the coordinator loop.
-type ckptHarness struct {
-	*Checkpoints[*message.Checkpoint]
+// ckptHarness is the checkpoint sub-protocol of replica 0, its
+// announcements of type M, on an unstarted Host with a recording
+// endpoint and a clock the test sets — no engine. The test goroutine
+// plays the coordinator loop.
+type ckptHarness[M message.Message] struct {
+	*Checkpoints[M]
 	h        *Host
 	ep       *fakeEndpoint
 	x        *statemachine.Executor
+	now      atomic.Int64 // the Host's clock, in Unix nanoseconds
 	advanced []timeline.Order
 }
 
 // newCkptHarness builds a 2-pillar group of n replicas with checkpoint
 // interval 4 and window 16 (so at most 16/4+1 = 5 announcements are
 // retained per announcing replica).
-func newCkptHarness(t *testing.T, proto config.Protocol) *ckptHarness {
+func newCkptHarness(t *testing.T, proto config.Protocol) *ckptHarness[*message.Checkpoint] {
 	return newCkptHarnessIn(t, proto, "")
 }
 
 // newCkptHarnessIn is newCkptHarness on a host with data dir dataDir.
-func newCkptHarnessIn(t *testing.T, proto config.Protocol, dataDir string) *ckptHarness {
+func newCkptHarnessIn(t *testing.T, proto config.Protocol, dataDir string) *ckptHarness[*message.Checkpoint] {
+	return newTypedHarness(t, proto, dataDir, checkCkpt)
+}
+
+// newTypedHarness is newCkptHarness for announcements of type M, which
+// check verifies.
+func newTypedHarness[M message.Message](t *testing.T, proto config.Protocol, dataDir string,
+	check func(M) (Announcement[M], error)) *ckptHarness[M] {
 	t.Helper()
 	cfg := config.Default(proto)
 	cfg.Pillars, cfg.CheckpointInterval, cfg.WindowSize = 2, 4, 16
-	c := &ckptHarness{ep: &fakeEndpoint{}, x: statemachine.NewExecutor(&logApp{})}
-	h, err := NewHost("test", Options{Config: cfg, Endpoint: c.ep, DataDir: dataDir}, c.x, Handlers{
+	c := &ckptHarness[M]{ep: &fakeEndpoint{}, x: statemachine.NewExecutor(&logApp{})}
+	c.now.Store(time.Unix(1e9, 0).UnixNano())
+	now := func() time.Time { return time.Unix(0, c.now.Load()) }
+	h, err := NewHost("test", Options{Config: cfg, Endpoint: c.ep, DataDir: dataDir, Now: now}, c.x, Handlers{
 		Pillar: func(uint32, any) {}, Coord: func(any) {}, Close: func(bool) {},
 	})
 	if err != nil {
@@ -42,20 +56,63 @@ func newCkptHarnessIn(t *testing.T, proto config.Protocol, dataDir string) *ckpt
 	}
 	c.h = h
 	t.Cleanup(c.h.Stop)
-	c.Checkpoints = NewCheckpoints(c.h, nil, func(st *StableCkpt[*message.Checkpoint]) {
+	c.Checkpoints = NewCheckpoints(c.h, check, func(st *StableCkpt[M]) {
 		c.advanced = append(c.advanced, st.Order)
 	})
 	return c
 }
 
+// The harness's stand-in for a trusted subsystem: an announcement is
+// certified when its MAC field is its own digest.
+
+func signedCkpt(r uint32, o timeline.Order, d crypto.Digest) *message.Checkpoint {
+	ck := &message.Checkpoint{Order: o, Replica: r, StateDigest: d}
+	ck.Cert.MAC = crypto.MAC(ck.Digest())
+	return ck
+}
+
+func checkCkpt(ck *message.Checkpoint) (Announcement[*message.Checkpoint], error) {
+	a := Announcement[*message.Checkpoint]{Replica: ck.Replica, Order: ck.Order, Digest: ck.StateDigest, Msg: ck}
+	if ck.Cert.MAC != crypto.MAC(ck.Digest()) {
+		return a, errors.New("forged checkpoint")
+	}
+	return a, nil
+}
+
+func signedPBFTCkpt(r uint32, o timeline.Order, d crypto.Digest) *message.PBFTCheckpoint {
+	ck := &message.PBFTCheckpoint{Order: o, Replica: r, StateDigest: d}
+	ck.Proof.TCert.MAC = crypto.MAC(ck.Digest())
+	return ck
+}
+
+func checkPBFTCkpt(ck *message.PBFTCheckpoint) (Announcement[*message.PBFTCheckpoint], error) {
+	a := Announcement[*message.PBFTCheckpoint]{Replica: ck.Replica, Order: ck.Order, Digest: ck.StateDigest, Msg: ck}
+	if ck.Proof.TCert.MAC != crypto.MAC(ck.Digest()) {
+		return a, errors.New("forged checkpoint")
+	}
+	return a, nil
+}
+
 func announce(r uint32, o timeline.Order, state string) Announcement[*message.Checkpoint] {
-	d := crypto.Hash([]byte(state))
-	return Announcement[*message.Checkpoint]{Replica: r, Order: o, Digest: d,
-		Msg: &message.Checkpoint{Order: o, Replica: r, StateDigest: d}}
+	return announceDigest(r, o, crypto.Hash([]byte(state)))
+}
+
+func announceDigest(r uint32, o timeline.Order, d crypto.Digest) Announcement[*message.Checkpoint] {
+	a, _ := checkCkpt(signedCkpt(r, o, d))
+	return a
+}
+
+// boundary executes this replica's executor up to order o and returns
+// the checkpoint view the execution stage would post there.
+func (c *ckptHarness[M]) boundary(o timeline.Order) *statemachine.CheckpointView {
+	for next := c.x.NextOrder(); next <= o; next++ {
+		c.x.Submit(next, instance(next))
+	}
+	return c.x.CheckpointView()
 }
 
 // advances drains the Advance events queued for pillar u.
-func (c *ckptHarness) advances(u int) (out []timeline.Order) {
+func (c *ckptHarness[M]) advances(u int) (out []timeline.Order) {
 	for {
 		ev, ok := c.h.PillarBox[u].TryGet()
 		if !ok {
@@ -183,12 +240,7 @@ func TestCheckpointsOwnAnnouncementRetransmittedUntilStable(t *testing.T) {
 
 func TestCheckpointsBoundaryDispatchAndLateBoundary(t *testing.T) {
 	c := newCkptHarness(t, config.HybsterX)
-	boundary := func(o timeline.Order) *statemachine.CheckpointView {
-		for next := c.x.NextOrder(); next <= o; next++ {
-			c.x.Submit(next, instance(next))
-		}
-		return c.x.CheckpointView()
-	}
+	boundary := c.boundary
 	// Order 4 is checkpoint #1: round-robin owner is pillar 1.
 	v4 := boundary(4)
 	c.Handle(v4)
@@ -287,5 +339,127 @@ func TestCheckpointsLoggedAndRestored(t *testing.T) {
 		if got := r.advances(u); len(got) != 1 || got[0] != 4 {
 			t.Fatalf("pillar %d windows advanced %v, want [4]", u, got)
 		}
+	}
+}
+
+// sent returns the messages of type T the harness endpoint sent.
+func sent[T message.Message](ep *fakeEndpoint) (out []T) {
+	for _, s := range ep.sends() {
+		if m, ok := s.msg.(T); ok {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// TestCheckpointsServeCheckpointExecutedIntervalsBeforeItStabilized
+// pins that a stable checkpoint this replica executed can be served: it
+// executes boundaries 4, 8 and 12 before 4 stabilizes, and still holds
+// 4's state to answer a STATE-REQUEST with, certificate included. A
+// request whose Replica is not its sender is not answered.
+func TestCheckpointsServeCheckpointExecutedIntervalsBeforeItStabilized(t *testing.T) {
+	c := newCkptHarness(t, config.HybsterX)
+	var d4 crypto.Digest
+	for _, o := range []timeline.Order{4, 8, 12} {
+		d, ahead := c.Candidate(c.boundary(o))
+		if !ahead {
+			t.Fatalf("boundary %d not ahead of the stable checkpoint", o)
+		}
+		if o == 4 {
+			d4 = d
+		}
+	}
+	c.Handle(announceDigest(1, 4, d4))
+	c.Handle(announceDigest(2, 4, d4))
+	if st := c.Stable(); st.Order != 4 || st.Snapshot == nil {
+		t.Fatalf("stable checkpoint %d recorded with snapshot %v", st.Order, st.Snapshot != nil)
+	}
+	c.Serve(2, &message.StateRequest{Replica: 1, From: 1})
+	if reps := sent[*message.StateReply](c.ep); len(reps) != 0 {
+		t.Fatalf("answered a STATE-REQUEST whose Replica is not its sender: %+v", reps)
+	}
+	c.Serve(1, &message.StateRequest{Replica: 1, From: 1})
+	reps := sent[*message.StateReply](c.ep)
+	if len(reps) != 1 || reps[0].CkptOrder != 4 || len(reps[0].Proof) != 2 {
+		t.Fatalf("STATE-REPLYs %+v, want one for checkpoint 4 with its two announcements", reps)
+	}
+}
+
+// TestStateReplyInstallsByItsCertificate pins that a STATE-REPLY
+// carries its protocol's own certificate: a PBFT replica installs a
+// checkpoint it never recorded when a quorum of PBFT announcements
+// certifies it, and refuses the same reply with one forged announcement
+// or from a sender that is not its Replica.
+func TestStateReplyInstallsByItsCertificate(t *testing.T) {
+	c := newTypedHarness(t, config.PBFTcop, "", checkPBFTCkpt) // n = 4, quorum 3
+	c.h.spawn(c.h.Exec.run)
+	donor := statemachine.NewExecutor(&logApp{})
+	for o := timeline.Order(1); o <= 8; o++ {
+		donor.Submit(o, instance(o))
+	}
+	snap, rv := donor.Snapshot(), donor.ReplyVector()
+	d := crypto.Combine(crypto.Hash(snap), crypto.Hash(rv))
+	reply := func(proof ...*message.PBFTCheckpoint) *message.StateReply {
+		rep := &message.StateReply{Replica: 1, CkptOrder: 8, Snapshot: snap, ReplyVector: rv}
+		for _, m := range proof {
+			rep.Proof = append(rep.Proof, m)
+		}
+		return rep
+	}
+	forged := signedPBFTCkpt(3, 8, d)
+	forged.Proof.TCert.MAC[0] ^= 1
+	quorum := []*message.PBFTCheckpoint{signedPBFTCkpt(1, 8, d), signedPBFTCkpt(2, 8, d), signedPBFTCkpt(3, 8, d)}
+
+	c.Install(1, reply(quorum[0], quorum[1], forged))
+	c.Install(2, reply(quorum...))
+	c.Install(1, &message.StateReply{Replica: 1, CkptOrder: 8, Snapshot: snap, ReplyVector: rv,
+		Proof: []message.Message{signedCkpt(1, 8, d), signedCkpt(2, 8, d), signedCkpt(3, 8, d)}})
+	if got, st := c.h.LastExecuted(), c.Stable(); got != 0 || st.Order != 0 {
+		t.Fatalf("installed to %d, stable %d: a forged, misaddressed or foreign-typed certificate was accepted", got, st.Order)
+	}
+	c.Install(1, reply(quorum...))
+	if got := c.h.LastExecuted(); got != 8 {
+		t.Fatalf("executed %d after a certified STATE-REPLY for 8", got)
+	}
+	if st := c.Stable(); st.Order != 8 || st.Digest != d || st.Snapshot == nil || len(st.Proof) != 3 {
+		t.Fatalf("stable checkpoint %d (digest match %v, snapshot %v, %d announcements)",
+			st.Order, st.Digest == d, st.Snapshot != nil, len(st.Proof))
+	}
+	for u := range c.h.PillarBox {
+		if got := c.advances(u); len(got) != 1 || got[0] != 8 {
+			t.Fatalf("pillar %d windows advanced %v, want [8]", u, got)
+		}
+	}
+}
+
+// TestBehindIsRetriedUntilExecutionMoves pins the catch-up rule's
+// second half: after a Behind, every tick past the 1 s rate limit asks
+// for state again for as long as execution has not moved, and none does
+// once it has.
+func TestBehindIsRetriedUntilExecutionMoves(t *testing.T) {
+	c := newCkptHarness(t, config.HybsterX)
+	c.h.spawn(c.h.Exec.run)
+	rounds := func() int { return len(sent[*message.StateRequest](c.ep)) / (c.h.Cfg.N - 1) }
+	tick := func(d time.Duration) int {
+		c.now.Add(int64(d))
+		c.Tick()
+		return rounds()
+	}
+	c.Handle(Behind{})
+	if got := rounds(); got != 1 {
+		t.Fatalf("%d STATE-REQUEST rounds after a Behind, want 1", got)
+	}
+	if got := tick(500 * time.Millisecond); got != 1 {
+		t.Fatalf("%d rounds within the rate limit, want 1", got)
+	}
+	if got := tick(600 * time.Millisecond); got != 2 {
+		t.Fatalf("%d rounds after the rate limit with execution standing still, want 2", got)
+	}
+	c.h.Decide(0, 1, instance(1), NoCredit)
+	for c.h.LastExecuted() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	if got := tick(2 * time.Second); got != 2 {
+		t.Fatalf("%d rounds after execution moved past the Behind, want 2", got)
 	}
 }

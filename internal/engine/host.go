@@ -117,7 +117,7 @@ type (
 	}
 	// Behind reports ordering traffic beyond the window — evidence that
 	// this replica has fallen behind the group. Pillars post it to the
-	// coordinator mailbox, where Checkpoints.Handle requests state.
+	// coordinator mailbox, where Checkpoints.Handle records it (CatchUp).
 	Behind struct{}
 )
 

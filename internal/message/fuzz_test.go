@@ -9,10 +9,11 @@ import (
 	"hybster/internal/timeline"
 )
 
-// viewChangeSeeds are seeds shaped like the view-change and
-// checkpointing protocols actually on the wire: empty and deeply
-// nested certificate sets, zero-length batches, multi-pillar NEW-VIEWs
-// with acknowledgments, and boundary order/view values. Byte-level
+// viewChangeSeeds are seeds shaped like the view-change,
+// checkpointing and state-transfer protocols actually on the wire:
+// empty and deeply nested certificate sets, zero-length batches,
+// multi-pillar NEW-VIEWs with acknowledgments, a STATE-REPLY certified
+// by PBFT announcements, and boundary order/view values. Byte-level
 // mutation reaches these decode paths far faster when the corpus
 // starts inside them.
 func viewChangeSeeds() []Message {
@@ -54,6 +55,10 @@ func viewChangeSeeds() []Message {
 			Replica: math.MaxUint32, Pillar: 2, View: timeline.View(math.MaxUint64),
 			Prepares: []*Prepare{samplePrepare(5)}, Cert: sampleCert(11),
 		},
+		&StateReply{Replica: 3, CkptOrder: 100, Snapshot: []byte("snap"), ReplyVector: []byte("rv"), Proof: []Message{
+			&PBFTCheckpoint{Order: 100, Replica: 0, StateDigest: crypto.Hash([]byte("s")), Proof: Proof{Auth: sampleAuth(0, 4)}},
+			&PBFTCheckpoint{Order: 100, Replica: 1, StateDigest: crypto.Hash([]byte("s")), Proof: Proof{TCert: sampleCert(12)}},
+		}},
 	}
 }
 

@@ -125,6 +125,40 @@ func Unmarshal(buf []byte) (Message, error) {
 	return m, nil
 }
 
+// CheckpointProof appends a stable-checkpoint certificate in its
+// protocol's own announcement type: a length-prefixed list of marshaled
+// *Checkpoint or *PBFTCheckpoint messages, the one encoding the log's
+// checkpoint record and STATE-REPLY share.
+func (e *Encoder) CheckpointProof(proof []Message) {
+	e.Len(len(proof))
+	for _, m := range proof {
+		e.VarBytes(Marshal(m))
+	}
+}
+
+// CheckpointProof reads a proof written by Encoder.CheckpointProof. An
+// element whose type tag is not a checkpoint announcement's is refused
+// before it is decoded.
+func (d *Decoder) CheckpointProof() []Message {
+	var proof []Message
+	for i, n := 0, d.Len(64); i < n; i++ {
+		raw := d.VarBytes()
+		if d.err == nil && (len(raw) == 0 || Type(raw[0]) != TypeCheckpoint && Type(raw[0]) != TypePBFTCheckpoint) {
+			d.err = fmt.Errorf("%w: proof %d is not a checkpoint announcement", ErrMalformed, i)
+		}
+		if d.err != nil {
+			return nil
+		}
+		m, err := Unmarshal(raw)
+		if err != nil {
+			d.err = fmt.Errorf("%w: proof %d: %w", ErrMalformed, i, err)
+			return nil
+		}
+		proof = append(proof, m)
+	}
+	return proof
+}
+
 // --- field primitives ---------------------------------------------------
 
 func (w *wire) u8(v *uint8) {
@@ -244,6 +278,21 @@ func (w *wire) cert(c *trinx.Certificate) {
 		c.MAC = d.Bytes32()
 	default:
 		w.n += 1 + 8 + 4 + 8 + 8 + 32
+	}
+}
+
+// checkpointProof is a checkpoint certificate (Encoder.CheckpointProof).
+func (w *wire) checkpointProof(v *[]Message) {
+	switch w.mode {
+	case wirePut:
+		w.e.CheckpointProof(*v)
+	case wireGet:
+		*v = w.d.CheckpointProof()
+	default:
+		w.n += 4
+		for _, m := range *v {
+			w.n += 4 + 1 + WireSize(m)
+		}
 	}
 }
 

@@ -195,7 +195,7 @@ func allMessages() []Message {
 		},
 		&MinNewView{View: 4, VCs: []*MinViewChange{{Replica: 0, View: 4, UI: sampleUI(5)}}, UI: sampleUI(6)},
 		&StateRequest{Replica: 2, From: 150},
-		&StateReply{Replica: 0, CkptOrder: 200, Snapshot: []byte("snap"), ReplyVector: []byte("rv"), Proof: []*Checkpoint{sampleCheckpoint(9)}},
+		&StateReply{Replica: 0, CkptOrder: 200, Snapshot: []byte("snap"), ReplyVector: []byte("rv"), Proof: []Message{sampleCheckpoint(9)}},
 	}
 }
 

@@ -486,13 +486,14 @@ func (s *StateRequest) wire(w *wire) {
 // StateReply transfers a state snapshot together with the checkpoint
 // quorum proving its correctness and the serialized client reply
 // vector, allowing the fallen-behind replica to answer skipped requests
-// (§5.2.2, "State and Return Value Confirmation").
+// (§5.2.2, "State and Return Value Confirmation"). Proof holds the
+// protocol's own announcements, *Checkpoint or *PBFTCheckpoint.
 type StateReply struct {
 	Replica     uint32
 	CkptOrder   timeline.Order
 	Snapshot    []byte
 	ReplyVector []byte
-	Proof       []*Checkpoint
+	Proof       []Message
 }
 
 // MsgType implements Message.
@@ -503,5 +504,5 @@ func (s *StateReply) wire(w *wire) {
 	w.order(&s.CkptOrder)
 	w.bytes(&s.Snapshot)
 	w.bytes(&s.ReplyVector)
-	list(w, &s.Proof, 44, (*Checkpoint).wire)
+	w.checkpointProof(&s.Proof)
 }

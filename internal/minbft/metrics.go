@@ -16,10 +16,6 @@ func (e *Engine) registerGauges() {
 		func() float64 { return float64(e.Standing().Pending) })
 	e.Met.GaugeFunc("low_watermark", "last stable checkpoint order",
 		func() float64 { return float64(e.Standing().Stable) })
-	e.Met.GaugeFunc("queue_len", "client requests queued for proposal",
-		func() float64 { e.mu.Lock(); defer e.mu.Unlock(); return float64(len(e.queue)) })
-	e.Met.GaugeFunc("history_len", "sent-message history length (§4.4's unbounded state)",
-		func() float64 { return float64(e.HistoryLen()) })
 	e.Met.GaugeFunc("deaf_streams", "sender streams with an undrainable expected-counter gap",
 		func() float64 { return float64(e.Standing().Deaf) })
 	e.Met.GaugeFunc("holdback_horizon", "counter gap beyond which a stream cannot drain (4x window)",

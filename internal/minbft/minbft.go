@@ -22,6 +22,7 @@ import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hybster/internal/crypto"
@@ -95,7 +96,6 @@ type Engine struct {
 	ck *engine.Checkpoints[*message.Checkpoint]
 
 	// queue of admitted requests (leader only).
-	mu       sync.Mutex
 	queue    []*message.Request
 	inFlight int
 
@@ -144,16 +144,17 @@ type Engine struct {
 	// the largest messages in the system; re-sending one per tick
 	// would turn the history growth into a bandwidth and CPU storm.
 	lastVCResend time.Time
-	// histLenSnapshot mirrors len(sentLog) for HistoryLen (tests).
-	histLenSnapshot int
+	// histLen mirrors len(sentLog) for HistoryLen (tests).
+	histLen atomic.Int64
 
 	ord engine.OrderingMetrics
 	// suspectsC and zombiesC count leader-timeout suspicions and
 	// replicas convicted of counter regression.
 	suspectsC *telemetry.Counter
 	zombiesC  *telemetry.Counter
-	// nextOrderG publishes nextOrder (setNextOrder).
-	nextOrderG *telemetry.Gauge
+	// nextOrderG, queueLenG and histLenG publish nextOrder, len(queue)
+	// and len(sentLog); the loop sets them as it changes those.
+	nextOrderG, queueLenG, histLenG *telemetry.Gauge
 
 	// deaf marks sender streams whose expected-counter gap exceeded the
 	// holdback horizon with an ordering message parked — a stream that
@@ -248,6 +249,8 @@ func New(opts Options) (*Engine, error) {
 		e.expected[r] = 1
 	}
 	e.nextOrderG = e.Met.Gauge("next_order", "next order number to assign")
+	e.queueLenG = e.Met.Gauge("queue_len", "client requests queued for proposal")
+	e.histLenG = e.Met.Gauge("history_len", "sent-message history length (§4.4's unbounded state)")
 	e.setNextOrder(1)
 	e.registerGauges()
 	return e, nil
@@ -319,9 +322,14 @@ func (e *Engine) handleEvent(ev any) {
 		case *message.Checkpoint:
 			e.handleCheckpoint(in.From, m)
 		case *message.StateRequest:
-			e.handleStateRequest(in.From, m)
+			// Zombies may fetch state too: the reply is read-only and
+			// quorum-certified, and a revived zombie that executes again
+			// still helps clients reach their f+1 matching replies.
+			e.ck.Serve(in.From, m)
 		case *message.StateReply:
-			e.handleStateReply(in.From, m)
+			if !e.zombies[in.From] {
+				e.ck.Install(in.From, m)
+			}
 		}
 	case *statemachine.CheckpointView:
 		e.checkpointDue(in)
@@ -413,8 +421,10 @@ func (e *Engine) ingest(from uint32, ui usig.UI, m message.Message, verified boo
 			}
 			// An ordering message across an undrainable gap: the stream
 			// is deaf until a self-contained view-change message
-			// re-anchors it. The standing surfaces it for the auditor.
+			// re-anchors it. The standing surfaces it for the auditor,
+			// and it is evidence that the group runs ahead.
 			e.deaf[from] = true
+			e.ck.Handle(engine.Behind{})
 		}
 		hb := e.holdback[from]
 		if hb == nil {
@@ -530,41 +540,23 @@ func (e *Engine) handleRequest(r *message.Request, verified bool) {
 		_ = e.Ep.Send(e.leader(), r)
 		return
 	}
-	e.mu.Lock()
 	e.queue = append(e.queue, r)
-	e.mu.Unlock()
 	e.propose()
 }
 
-// propose sends MinPrepares while in-flight credit remains.
+// propose sends MinPrepares while in-flight credit remains and the
+// window is open.
 func (e *Engine) propose() {
+	defer func() { e.queueLenG.Set(int64(len(e.queue))) }()
 	if e.Pending != 0 || e.leader() != e.ID() {
 		return
 	}
-	for {
-		e.mu.Lock()
-		if len(e.queue) == 0 || e.inFlight >= maxInFlight {
-			e.mu.Unlock()
-			return
-		}
-		n := len(e.queue)
-		if n > e.Cfg.BatchSize {
-			n = e.Cfg.BatchSize
-		}
+	for len(e.queue) > 0 && e.inFlight < maxInFlight && e.nextOrder <= e.ck.Stable().Order+e.Cfg.WindowSize {
+		n := min(len(e.queue), e.Cfg.BatchSize)
 		batch := make([]*message.Request, n)
 		copy(batch, e.queue[:n])
 		e.queue = append(e.queue[:0], e.queue[n:]...)
 		e.inFlight++
-		e.mu.Unlock()
-
-		if e.nextOrder > e.ck.Stable().Order+e.Cfg.WindowSize {
-			// Window full: return the batch and wait for checkpoints.
-			e.mu.Lock()
-			e.queue = append(batch, e.queue...)
-			e.inFlight--
-			e.mu.Unlock()
-			return
-		}
 		prep := &message.MinPrepare{View: e.View(), Requests: batch}
 		ui, err := e.sig.CreateUI(prep.Digest())
 		if err != nil {
@@ -708,9 +700,9 @@ func (e *Engine) refresh(s *slot) {
 		// A commit is ordering progress: the leader is doing its job, so
 		// the suspicion clock restarts. Execution progress alone is the
 		// wrong signal here — a replica that missed an instance later
-		// garbage-collected by a checkpoint can never execute again
-		// (MinBFT has no state transfer), and on execution-progress-only
-		// accounting it would suspect every healthy leader forever,
+		// garbage-collected by a checkpoint executes nothing until a
+		// state transfer lands, and on execution-progress-only
+		// accounting it would suspect every healthy leader meanwhile,
 		// feeding the §4.4 view-change history growth this repo exists
 		// to measure.
 		if !e.suspectSince.IsZero() {
@@ -719,11 +711,9 @@ func (e *Engine) refresh(s *slot) {
 		e.Relax()
 		e.Decide(e.View(), s.order, s.batch, engine.NoCredit)
 		if e.leader() == e.ID() {
-			e.mu.Lock()
 			if e.inFlight > 0 {
 				e.inFlight--
 			}
-			e.mu.Unlock()
 			e.propose()
 		}
 	}
@@ -776,11 +766,8 @@ func (e *Engine) certifiedCkpt(ck *message.Checkpoint) (announcement, error) {
 }
 
 // advanceLow slides the window to stable checkpoint o and prunes what
-// it covers. Without state transfer that would strand a replica that
-// missed instances: MinBFT's counter-ordered streams have no way to
-// re-deliver pruned batches, so one lost commit would silently cost the
-// cluster an executing replica (and, with it, checkpoint quorums and
-// client reply quorums) — Checkpoints requests state right after.
+// it covers. MinBFT's counter-ordered streams cannot re-deliver pruned
+// batches: a replica that missed one catches up by state transfer.
 func (e *Engine) advanceLow(o timeline.Order) {
 	for k := range e.slots {
 		if k <= o {
@@ -793,32 +780,4 @@ func (e *Engine) advanceLow(o timeline.Order) {
 		}
 	}
 	e.pruneHistory(o)
-	e.mu.Lock()
-	e.histLenSnapshot = len(e.sentLog)
-	e.mu.Unlock()
-}
-
-// --- state transfer ---
-
-// handleStateRequest serves the stable snapshot if it covers the
-// requested frontier. Zombies may fetch state too: the reply is
-// read-only and quorum-certified, and a revived zombie that executes
-// again still helps clients reach their f+1 matching replies even
-// though its own ordering messages stay refused.
-func (e *Engine) handleStateRequest(from uint32, req *message.StateRequest) {
-	if req.Replica != from || from == e.ID() {
-		return
-	}
-	e.ck.Serve(from, req)
-}
-
-// handleStateReply verifies a transferred snapshot against its
-// checkpoint quorum certificate and hands it to the execution stage.
-func (e *Engine) handleStateReply(from uint32, rep *message.StateReply) {
-	if rep.Replica != from || e.zombies[from] {
-		return
-	}
-	// The transferred checkpoint is quorum-certified: it becomes our
-	// stable anchor if it is ahead of what we had.
-	e.ck.Install(rep)
 }

@@ -107,9 +107,7 @@ func (e *Engine) recordSent(ui usig.UI, order timeline.Order, m message.Message)
 		raw = message.Marshal(m)
 	}
 	e.sentLog = append(e.sentLog, sentEntry{counter: ui.Counter, order: order, raw: raw})
-	e.mu.Lock()
-	e.histLenSnapshot = len(e.sentLog)
-	e.mu.Unlock()
+	e.historyChanged()
 	if cap := 4 * int(e.Cfg.WindowSize); len(e.resend) >= cap {
 		e.resend = append(e.resend[:0], e.resend[len(e.resend)-cap+1:]...)
 	}
@@ -125,6 +123,13 @@ func (e *Engine) pruneHistory(o timeline.Order) {
 		i++
 	}
 	e.sentLog = append(e.sentLog[:0], e.sentLog[i:]...)
+	e.historyChanged()
+}
+
+// historyChanged publishes len(sentLog) to HistoryLen and its gauge.
+func (e *Engine) historyChanged() {
+	e.histLen.Store(int64(len(e.sentLog)))
+	e.histLenG.Set(e.histLen.Load())
 }
 
 // historyBytes returns the raw history entries for a VIEW-CHANGE.
@@ -138,11 +143,7 @@ func (e *Engine) historyBytes() [][]byte {
 
 // HistoryLen exposes the current history length (tests measure the
 // §4.4 growth behaviour through it).
-func (e *Engine) HistoryLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.histLenSnapshot
-}
+func (e *Engine) HistoryLen() int { return int(e.histLen.Load()) }
 
 // --- suspicion and REQ-VIEW-CHANGE ---
 

@@ -30,9 +30,7 @@ type coordinator struct {
 	pendingSince time.Time
 	viewChanges  *telemetry.Counter
 
-	// ck is the checkpoint sub-protocol and state transfer. The
-	// STATE-REPLY wire format carries no PBFT checkpoint proof, so only
-	// state matching the recorded stable checkpoint is installed.
+	// ck is the checkpoint sub-protocol and state transfer.
 	ck *engine.Checkpoints[*message.PBFTCheckpoint]
 
 	// vcs[v][replica] collects VIEW-CHANGEs for view v, this replica's
@@ -95,7 +93,7 @@ func (c *coordinator) handleMessage(from uint32, m message.Message) {
 	case *message.StateRequest:
 		c.ck.Serve(from, v)
 	case *message.StateReply:
-		c.ck.Install(v)
+		c.ck.Install(from, v)
 	}
 }
 
@@ -284,7 +282,7 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 	}
 	start, templates := computeTransfer(vcSet)
 	if start.Order > c.ck.Stable().Order {
-		c.ck.RequestState()
+		c.ck.Handle(engine.Behind{}) // the quorum is ahead of our state
 		return
 	}
 	newPPs := make([]*message.PrePrepare, 0, len(templates))

@@ -57,10 +57,7 @@ func (c *CheckpointRec) encode() []byte {
 	e.Bytes32(c.Digest)
 	e.VarBytes(c.Snapshot)
 	e.VarBytes(c.ReplyVector)
-	e.Len(len(c.Proof))
-	for _, ck := range c.Proof {
-		e.VarBytes(message.Marshal(ck))
-	}
+	e.CheckpointProof(c.Proof)
 	return e.Bytes()
 }
 
@@ -99,19 +96,7 @@ func DecodeRecord(payload []byte) (any, error) {
 		rec.Digest = d.Bytes32()
 		rec.Snapshot = cloneOrNil(d.VarBytes())
 		rec.ReplyVector = cloneOrNil(d.VarBytes())
-		n := d.Len(64)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			m, err := message.Unmarshal(d.VarBytes())
-			if err != nil {
-				return nil, fmt.Errorf("%w: proof %d: %v", ErrCorrupt, i, err)
-			}
-			switch m.(type) {
-			case *message.Checkpoint, *message.PBFTCheckpoint:
-			default:
-				return nil, fmt.Errorf("%w: proof %d: unexpected %T", ErrCorrupt, i, m)
-			}
-			rec.Proof = append(rec.Proof, m)
-		}
+		rec.Proof = d.CheckpointProof()
 		if err := d.Finish(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
