@@ -32,8 +32,10 @@ wire-golden:
 
 # Short seeded chaos run: all four protocols under link faults,
 # a partition window, and a crash-restart, with the race detector on;
-# then the engine's concurrency-sensitive unit tests (sequencer
-# admit/credit, host routing order and teardown), Hybster's
+# then the engine's concurrency-sensitive unit tests (every sequencer
+# pin: admission against credits, the hold on a busy proposer and its
+# timer flush without a credit, the batch cut, the reset clamp, the
+# demoted relay; host routing order and teardown), Hybster's
 # skipped-view wedge and relayed NEW-VIEWs, driven tick by tick, and the
 # pillar's one-ECALL steps (a forged PREPARE at the cursor, surplus
 # and needed COMMITs), repeated; then the durable restarts (cold,
@@ -49,7 +51,7 @@ wire-golden:
 # while late replies and Close race them.
 chaos-smoke:
 	$(GO) test -race -short -count=1 -run 'TestChaos' ./internal/chaos/...
-	$(GO) test -race -count=20 -run 'TestSequencerConcurrentAdmitAndCredit|TestHost' ./internal/engine/
+	$(GO) test -race -count=20 -run 'TestSequencer|TestHost' ./internal/engine/
 	$(GO) test -race -count=20 -run 'TestSkippedViewEvidenceReachesPendingPeer|TestNewViewRelayedByNonLeaderInstalls|TestRestartedLeaderDoesNotReinstallItsView|TestForgedPrepareAtCursorLeavesNoTrace|TestCommitCostsAnECallOnlyWhenNeeded' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestColdRestart|TestGracefulShutdownResumesWarm|TestAmnesiaZombieRefused|TestStaleSealRefused' ./internal/cluster/
 	$(GO) test -race -count=20 -run 'TestStandingSaysWhyAReplicaIsBehind' ./internal/cluster/

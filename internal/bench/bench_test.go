@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"hybster/internal/apps/echo"
 	"hybster/internal/client"
@@ -52,6 +53,9 @@ func TestRunLoadAllProtocols(t *testing.T) {
 			// Only PBFTcop runs without a trusted subsystem.
 			if n := ecallsPerRequest(cl); (n == 0) != (proto == config.PBFTcop) {
 				t.Fatalf("ecalls/req = %v", n)
+			}
+			if n := reqsPerBatch(cl); n <= 0 {
+				t.Fatalf("reqs/batch = %v", n)
 			}
 		})
 	}
@@ -191,14 +195,14 @@ func TestCASHReference(t *testing.T) {
 
 func TestWriteTableAndCSV(t *testing.T) {
 	points := []Point{
-		{Series: "HybsterX", X: 4, Throughput: 123456, ECallsPerReq: 1.3333},
+		{Series: "HybsterX", X: 4, Throughput: 123456, ECallsPerReq: 1.3333, ReqsPerBatch: 6.754},
 		{Series: "Multi-TrInX (native)", X: 1, Throughput: 1},
 		{Series: "CASH (57µs, published)", X: 1, Throughput: 1},
 	}
 	var buf bytes.Buffer
 	WriteTable(&buf, "Fig test", "cores", points)
 	if !strings.Contains(buf.String(), "HybsterX") || !strings.Contains(buf.String(), "123.5k") ||
-		!strings.Contains(buf.String(), "ecalls/req") || !strings.HasSuffix(strings.Split(buf.String(), "\n")[2], " 1.33") {
+		!strings.Contains(buf.String(), "ecalls/req") || !strings.HasSuffix(strings.Split(buf.String(), "\n")[2], " 1.33        6.75") {
 		t.Fatalf("table output:\n%s", buf.String())
 	}
 	// Every row, header included, puts its x value in the same column,
@@ -210,9 +214,19 @@ func TestWriteTableAndCSV(t *testing.T) {
 			t.Fatalf("x column not at %d in %q:\n%s", col, l, buf.String())
 		}
 	}
+	// reqs/batch is the last column, right-aligned under its header; a
+	// point without a replicated system shows "-".
+	for _, l := range lines[1:] {
+		if n, want := utf8.RuneCountInString(l), utf8.RuneCountInString(lines[0]); n != want {
+			t.Fatalf("row %q is %d runes wide, header %d:\n%s", l, n, want, buf.String())
+		}
+	}
+	if !strings.HasSuffix(lines[0], " reqs/batch") || !strings.HasSuffix(lines[2], " -           -") {
+		t.Fatalf("reqs/batch column:\n%s", buf.String())
+	}
 	buf.Reset()
 	WriteCSV(&buf, points[:1])
-	if !strings.Contains(buf.String(), "HybsterX,4,123456.0,0,0,0,1.333") {
+	if !strings.Contains(buf.String(), "reqs_per_batch\n") || !strings.Contains(buf.String(), "HybsterX,4,123456.0,0,0,0,1.333,6.754") {
 		t.Fatalf("csv output:\n%s", buf.String())
 	}
 }

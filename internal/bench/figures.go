@@ -153,8 +153,8 @@ func (l load) echo(payload int) load {
 }
 
 // measure boots proto under l, drives it through one RunLoad window
-// and stops it; the point's ECALLs per request are read off the stopped
-// cluster.
+// and stops it; the point's ECALLs per request and requests per batch
+// are read off the stopped cluster.
 func measure(proto config.Protocol, duration time.Duration, l load) (Point, error) {
 	c, err := BuildCluster(proto, l.cores, l.batch, l.rotate, enclave.DefaultCostModel, l.profile, l.app)
 	if err != nil {
@@ -162,7 +162,7 @@ func measure(proto config.Protocol, duration time.Duration, l load) (Point, erro
 	}
 	tput, lat, err := RunLoad(ClusterClients(c), l.clients, warmup, duration, l.gen)
 	c.Stop()
-	return Point{Throughput: tput, Latency: lat, ECallsPerReq: ecallsPerRequest(c)}, err
+	return Point{Throughput: tput, Latency: lat, ECallsPerReq: ecallsPerRequest(c), ReqsPerBatch: reqsPerBatch(c)}, err
 }
 
 // ecallsPerRequest divides the replicas' trusted-subsystem ECALLs
@@ -171,11 +171,29 @@ func measure(proto config.Protocol, duration time.Duration, l load) (Point, erro
 // enclave transitions one replica pays per request. 0 for PBFTcop,
 // which has no trusted subsystem.
 func ecallsPerRequest(c *cluster.Cluster) float64 {
-	reqs := c.MetricSum("hybster_core_exec_requests_total", "hybster_pbft_exec_requests_total", "hybster_minbft_exec_requests_total")
+	reqs := engineSum(c, "exec_requests_total")
 	if reqs == 0 {
 		return 0
 	}
 	return c.MetricSum("hybster_trinx_ecalls_total", "hybster_usig_ecalls_total") / reqs
+}
+
+// reqsPerBatch divides the requests the replicas executed by the
+// instances they executed, lifetime counters summed over the group like
+// ecallsPerRequest's: how far the sequencers' batching amortised each
+// instance. 0 before anything executed.
+func reqsPerBatch(c *cluster.Cluster) float64 {
+	batches := engineSum(c, "exec_batches_total")
+	if batches == 0 {
+		return 0
+	}
+	return engineSum(c, "exec_requests_total") / batches
+}
+
+// engineSum sums one counter of the protocol engines' metrics over the
+// group, whichever protocol it runs.
+func engineSum(c *cluster.Cluster, counter string) float64 {
+	return c.MetricSum("hybster_core_"+counter, "hybster_pbft_"+counter, "hybster_minbft_"+counter)
 }
 
 // sweep measures every protocol at every x of a figure's axis.

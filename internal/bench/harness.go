@@ -41,6 +41,9 @@ type Point struct {
 	// executed request; 0 where there is no replicated system (Fig. 5a)
 	// or no trusted subsystem (PBFTcop).
 	ECallsPerReq float64
+	// ReqsPerBatch is the requests per executed instance, the group's
+	// mean; 0 where there is no replicated system.
+	ReqsPerBatch float64
 }
 
 // Options control the length and resolution of a figure's measurement.
@@ -227,27 +230,29 @@ func WriteTable(w io.Writer, title, xLabel string, points []Point) {
 		width = max(width, utf8.RuneCountInString(p.Series)) // what %-*s pads by
 	}
 	fmt.Fprintf(w, "# %s\n", title)
-	fmt.Fprintf(w, "%-*s %10s %14s %12s %12s %12s %11s\n",
-		width, "series", xLabel, "throughput", "avg-lat", "p50", "p99", "ecalls/req")
+	fmt.Fprintf(w, "%-*s %10s %14s %12s %12s %12s %11s %11s\n",
+		width, "series", xLabel, "throughput", "avg-lat", "p50", "p99", "ecalls/req", "reqs/batch")
 	for _, p := range points {
-		fmt.Fprintf(w, "%-*s %10.2f %14s %12s %12s %12s %11s\n",
+		fmt.Fprintf(w, "%-*s %10.2f %14s %12s %12s %12s %11s %11s\n",
 			width, p.Series, p.X, stats.FormatOps(p.Throughput),
-			fmtDur(p.Latency.Avg), fmtDur(p.Latency.P50), fmtDur(p.Latency.P99), fmtECalls(p.ECallsPerReq))
+			fmtDur(p.Latency.Avg), fmtDur(p.Latency.P50), fmtDur(p.Latency.P99),
+			fmtRatio(p.ECallsPerReq), fmtRatio(p.ReqsPerBatch))
 	}
 	fmt.Fprintln(w)
 }
 
 // WriteCSV renders points machine-readably.
 func WriteCSV(w io.Writer, points []Point) {
-	fmt.Fprintln(w, "series,x,throughput_ops,avg_latency_us,p50_us,p99_us,ecalls_per_req")
+	fmt.Fprintln(w, "series,x,throughput_ops,avg_latency_us,p50_us,p99_us,ecalls_per_req,reqs_per_batch")
 	for _, p := range points {
-		fmt.Fprintf(w, "%s,%g,%.1f,%d,%d,%d,%.3f\n",
+		fmt.Fprintf(w, "%s,%g,%.1f,%d,%d,%d,%.3f,%.3f\n",
 			p.Series, p.X, p.Throughput,
-			p.Latency.Avg.Microseconds(), p.Latency.P50.Microseconds(), p.Latency.P99.Microseconds(), p.ECallsPerReq)
+			p.Latency.Avg.Microseconds(), p.Latency.P50.Microseconds(), p.Latency.P99.Microseconds(),
+			p.ECallsPerReq, p.ReqsPerBatch)
 	}
 }
 
-func fmtECalls(n float64) string {
+func fmtRatio(n float64) string {
 	if n == 0 {
 		return "-"
 	}

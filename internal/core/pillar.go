@@ -239,11 +239,11 @@ func (p *pillar) handlePropose(ev engine.Propose) {
 		// Stale proposal from before a view change; requests are
 		// re-proposed by the sequencer after the new view installs,
 		// so return the flow-control credit and drop.
-		p.e.Seq.Credit(p.idx, len(ev.Batch))
+		p.e.Seq.Credit(len(ev.Batch))
 		return
 	}
 	if ev.Order < p.cursor || ev.Order <= p.win.Low() {
-		p.e.Seq.Credit(p.idx, len(ev.Batch))
+		p.e.Seq.Credit(len(ev.Batch))
 		return
 	}
 	p.pendingProps[ev.Order] = ev
@@ -279,7 +279,7 @@ func (p *pillar) sendPrepare(ev engine.Propose) {
 	prep := &message.Prepare{View: ev.View, Order: ev.Order, Requests: ev.Batch}
 	cert, err := p.tx.CreateIndependent(counterO, uint64(timeline.Pack(ev.View, ev.Order)), prep.Digest())
 	if err != nil {
-		p.e.Seq.Credit(p.idx, len(ev.Batch))
+		p.e.Seq.Credit(len(ev.Batch))
 		return // counter already beyond this instance (view changed)
 	}
 	prep.Cert = cert
@@ -335,11 +335,7 @@ func (p *pillar) maybeDeliver(s *slot) {
 	s.Executed = true
 	p.met.Committed.Inc()
 	p.e.Met.TraceD(telemetry.EvDeliver, uint64(s.Prepare.View), uint64(s.Order), p.idx, s.BatchDigest[:], "")
-	credit := engine.NoCredit
-	if s.Prepare.Cert.Issuer.Replica() == p.e.ID() {
-		credit = int32(p.idx)
-	}
-	p.e.Decide(s.Prepare.View, s.Order, s.Prepare.Requests, credit)
+	p.e.Decide(s.Prepare.View, s.Order, s.Prepare.Requests, s.Prepare.Cert.Issuer.Replica() == p.e.ID())
 }
 
 // handleCkptDue runs this pillar's checkpoint protocol instance
@@ -376,7 +372,7 @@ func (p *pillar) advance(o timeline.Order) {
 	}
 	for k, ev := range p.pendingProps {
 		if k <= o {
-			p.e.Seq.Credit(p.idx, len(ev.Batch))
+			p.e.Seq.Credit(len(ev.Batch))
 			delete(p.pendingProps, k)
 		}
 	}

@@ -95,6 +95,11 @@ type Checkpoints[M message.Message] struct {
 	// behind is LastExecuted()+1 at the last Behind, 0 once execution
 	// reached it: the evidence CatchUp asks for state on.
 	behind timeline.Order
+	// execSeen is the executed order CatchUp last saw and execSeenAt
+	// when it first saw it (zero: since boot): how long execution has
+	// stood still.
+	execSeen   timeline.Order
+	execSeenAt time.Time
 }
 
 // NewCheckpoints builds the sub-protocol instance of h's replica,
@@ -107,6 +112,7 @@ func NewCheckpoints[M message.Message](h *Host, check func(M) (Announcement[M], 
 		candidates: make(map[timeline.Order]candidate),
 		pending:    make(map[timeline.Order]map[uint32]Announcement[M]),
 		own:        make(map[timeline.Order]M),
+		execSeen:   h.Exec.LastExecuted(),
 	}
 	h.ck = c
 	if ck := h.recovered; ck != nil {
@@ -381,18 +387,32 @@ func (c *Checkpoints[M]) Tick() {
 }
 
 // CatchUp is the one catch-up rule: ask the group for the newest
-// stable state while the stable checkpoint lies beyond what local
-// execution can reach (the decisions below it are gone from the group's
-// logs), or while execution has not moved since the last Behind, at
-// most once a second. Call it when a checkpoint is adopted and on every
-// tick: a one-shot request can be lost or go unanswered, and if the
-// laggards hold the quorum margin the whole cluster stops committing.
+// stable state, at most once a second, while
+//   - the stable checkpoint lies more than a checkpoint interval beyond
+//     what this replica committed (it missed a whole interval, and the
+//     decisions below the checkpoint are gone from the group's logs),
+//   - it lies beyond what execution reached and execution has stood
+//     still for a tick (a hole that ordering will not fill), or
+//   - execution has not moved since the last Behind.
+//
+// A stable checkpoint that execution is still moving towards is
+// otherwise only a queue: in a fault-free group the peers that announce
+// a boundary first run ahead, often before this replica has committed
+// the boundary instance itself. Call CatchUp when a checkpoint is
+// adopted and on every tick: a one-shot request can be lost or go
+// unanswered, and if the laggards hold the quorum margin the whole
+// cluster stops committing.
 func (c *Checkpoints[M]) CatchUp() {
 	exec, now := c.h.Exec.LastExecuted(), c.h.Now()
 	if c.behind != 0 && exec >= c.behind {
 		c.behind = 0
 	}
-	if (c.stable.Order <= exec && c.behind == 0) || now.Sub(c.lastStateReq) < time.Second {
+	if exec != c.execSeen {
+		c.execSeen, c.execSeenAt = exec, now
+	}
+	missed := c.stable.Order > timeline.Order(c.h.committed.Load())+c.h.Cfg.CheckpointInterval
+	stalled := c.stable.Order > exec && now.Sub(c.execSeenAt) >= c.h.timeout/4
+	if (!missed && !stalled && c.behind == 0) || now.Sub(c.lastStateReq) < time.Second {
 		return
 	}
 	c.lastStateReq = now
@@ -419,7 +439,9 @@ func (c *Checkpoints[M]) Serve(from uint32, req *message.StateRequest) {
 // Install verifies from's STATE-REPLY against its certificate
 // (Certified) and hands its snapshot to the execution stage; a
 // transferred checkpoint newer than the recorded one becomes the stable
-// checkpoint and slides the windows.
+// checkpoint and slides the windows. A checkpoint execution has reached
+// by then, here or on the execution stage, is neither installed nor
+// counted.
 func (c *Checkpoints[M]) Install(from uint32, rep *message.StateReply) {
 	if rep.Replica != from || rep.CkptOrder <= c.h.Exec.LastExecuted() {
 		return

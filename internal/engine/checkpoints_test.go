@@ -10,6 +10,7 @@ import (
 	"hybster/internal/crypto"
 	"hybster/internal/message"
 	"hybster/internal/statemachine"
+	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 )
 
@@ -48,7 +49,8 @@ func newTypedHarness[M message.Message](t *testing.T, proto config.Protocol, dat
 	c := &ckptHarness[M]{ep: &fakeEndpoint{}, x: statemachine.NewExecutor(&logApp{})}
 	c.now.Store(time.Unix(1e9, 0).UnixNano())
 	now := func() time.Time { return time.Unix(0, c.now.Load()) }
-	h, err := NewHost("test", Options{Config: cfg, Endpoint: c.ep, DataDir: dataDir, Now: now}, c.x, Handlers{
+	opts := Options{Config: cfg, Endpoint: c.ep, DataDir: dataDir, Now: now, Telemetry: telemetry.NewFor("test", 0)}
+	h, err := NewHost("test", opts, c.x, Handlers{
 		Pillar: func(uint32, any) {}, Coord: func(any) {}, Close: func(bool) {},
 	})
 	if err != nil {
@@ -321,7 +323,7 @@ func TestCheckpointsLoggedAndRestored(t *testing.T) {
 	dir := t.TempDir()
 	c := newCkptHarnessIn(t, config.HybsterX, dir)
 	for o := timeline.Order(1); o <= 5; o++ {
-		c.h.Decide(0, o, instance(o), NoCredit)
+		c.h.Decide(0, o, instance(o), false)
 	}
 	c.Handle(announce(1, 4, "s"))
 	c.Handle(announce(2, 4, "s"))
@@ -455,11 +457,103 @@ func TestBehindIsRetriedUntilExecutionMoves(t *testing.T) {
 	if got := tick(600 * time.Millisecond); got != 2 {
 		t.Fatalf("%d rounds after the rate limit with execution standing still, want 2", got)
 	}
-	c.h.Decide(0, 1, instance(1), NoCredit)
+	c.h.Decide(0, 1, instance(1), false)
 	for c.h.LastExecuted() < 1 {
 		time.Sleep(time.Millisecond)
 	}
 	if got := tick(2 * time.Second); got != 2 {
 		t.Fatalf("%d rounds after execution moved past the Behind, want 2", got)
+	}
+}
+
+// TestCatchUpWaitsForExecutionToStall pins that a replica whose
+// execution is moving does not fetch the stable checkpoint it is about
+// to reach — in a fault-free group the peers announce a boundary first —
+// and that it asks once execution has stood still below it for a tick,
+// or at once when it has not committed a whole interval below it.
+func TestCatchUpWaitsForExecutionToStall(t *testing.T) {
+	c := newCkptHarness(t, config.HybsterX)
+	c.h.spawn(c.h.Exec.run)
+	asked := func() int { return len(sent[*message.StateRequest](c.ep)) }
+	for o := timeline.Order(1); o <= 4; o++ {
+		c.h.Decide(0, o, instance(o), false)
+	}
+	for c.h.LastExecuted() < 4 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	c.Tick() // execution seen at 4, now
+	// Orders 6 to 8 commit, 5 is missing: execution stays at 4.
+	for o := timeline.Order(6); o <= 8; o++ {
+		c.h.Decide(0, o, instance(o), false)
+	}
+	c.Handle(announce(1, 8, "s"))
+	c.Handle(announce(2, 8, "s"))
+	if c.Stable().Order != 8 {
+		t.Fatalf("stable %d, want 8", c.Stable().Order)
+	}
+	if n := asked(); n != 0 {
+		t.Fatalf("%d STATE-REQUESTs for a checkpoint execution had just been moving towards", n)
+	}
+	tick := c.h.timeout / 4
+	c.now.Add(int64(tick / 2))
+	c.Tick()
+	if n := asked(); n != 0 {
+		t.Fatalf("%d STATE-REQUESTs before execution stood still for a tick", n)
+	}
+	c.now.Add(int64(tick / 2))
+	c.Tick()
+	if n := asked(); n == 0 {
+		t.Fatal("no STATE-REQUEST after execution stood still below the stable checkpoint for a tick")
+	}
+
+	// Order 5 arrives and execution moves to 8; the group's stable
+	// checkpoint moves to 16, more than an interval (4) beyond order 8,
+	// the highest this replica committed.
+	c.h.Decide(0, 5, instance(5), false)
+	for c.h.LastExecuted() < 8 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	c.now.Add(int64(time.Second)) // past the rate limit
+	c.Tick()
+	before := asked()
+	c.Handle(announce(1, 16, "t"))
+	c.Handle(announce(2, 16, "t"))
+	if n := asked(); c.Stable().Order != 16 || n == before {
+		t.Fatalf("stable %d and %d new STATE-REQUESTs: a replica a whole interval behind in commits did not ask at once",
+			c.Stable().Order, n-before)
+	}
+}
+
+// TestInstallOvertakenByExecutionIsNotCounted pins that a verified
+// transfer whose checkpoint execution reached while the transfer queued
+// behind the decisions below it is neither installed nor counted.
+func TestInstallOvertakenByExecutionIsNotCounted(t *testing.T) {
+	c := newCkptHarness(t, config.HybsterX)
+	// Committed and queued; the execution stage has not run yet.
+	for o := timeline.Order(1); o <= 8; o++ {
+		c.h.Decide(0, o, instance(o), false)
+	}
+	donor := statemachine.NewExecutor(&logApp{})
+	for o := timeline.Order(1); o <= 8; o++ {
+		donor.Submit(o, instance(o))
+	}
+	snap, rv := donor.Snapshot(), donor.ReplyVector()
+	d := crypto.Combine(crypto.Hash(snap), crypto.Hash(rv))
+	rep := &message.StateReply{Replica: 1, CkptOrder: 8, Snapshot: snap, ReplyVector: rv,
+		Proof: []message.Message{signedCkpt(1, 8, d), signedCkpt(2, 8, d)}}
+	// Verified while execution is at 0, the transfer reaches the
+	// execution stage behind the eight decisions.
+	done := make(chan struct{})
+	go func() { defer close(done); c.Install(1, rep) }()
+	for c.h.Exec.inbox.Len() < 9 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	c.h.spawn(c.h.Exec.run)
+	<-done
+	if got := c.h.LastExecuted(); got != 8 {
+		t.Fatalf("executed %d, want 8", got)
+	}
+	if n := c.h.Met.StateXfers.Value(); n != 0 {
+		t.Fatalf("%d state transfers counted for a checkpoint execution had reached", n)
 	}
 }

@@ -37,14 +37,14 @@ func replay(x *statemachine.Executor, rec wal.Recovered, tel *telemetry.Telemetr
 
 // Decide logs the committed instance (v, o, batch), records o as
 // committed and delivers it to the execution stage; every protocol
-// commits through it. credit is as for ExecLoop.Deliver. An append
-// error is not fatal: the log only spares a restart the state transfer.
-func (h *Host) Decide(v timeline.View, o timeline.Order, batch []*message.Request, credit int32) {
+// commits through it. own is as for ExecLoop.Deliver. An append error
+// is not fatal: the log only spares a restart the state transfer.
+func (h *Host) Decide(v timeline.View, o timeline.Order, batch []*message.Request, own bool) {
 	if h.log != nil {
 		_ = h.log.AppendDecision(&wal.DecisionRec{View: v, Order: o, Requests: batch})
 	}
 	for c := h.committed.Load(); uint64(o) > c && !h.committed.CompareAndSwap(c, uint64(o)); {
 		c = h.committed.Load()
 	}
-	h.Exec.Deliver(o, batch, credit)
+	h.Exec.Deliver(o, batch, own)
 }

@@ -13,20 +13,23 @@ import (
 	"hybster/internal/timeline"
 )
 
-// NoCredit marks a committed instance that holds no sequencer
-// flow-control slot (a foreign proposal, or any MinBFT instance).
-const NoCredit int32 = -1
-
 // execEvent is the one typed event of the execution mailbox, so the
 // common case pays no interface boxing.
 type execEvent struct {
-	order  timeline.Order
-	batch  []*message.Request
-	credit int32
+	order timeline.Order
+	batch []*message.Request
+	// own marks an instance this replica proposed: it holds one of the
+	// sequencer's in-flight slots. Foreign proposals and every MinBFT
+	// instance hold none.
+	own bool
 	// install, when non-nil, turns this event into a state-transfer
 	// installation instead of a batch delivery.
 	install *installReq
 }
+
+// errExecuted refuses a state transfer whose checkpoint execution had
+// reached by the time the transfer came up on the execution stage.
+var errExecuted = errors.New("engine: checkpoint already executed")
 
 // installReq carries a verified state transfer to the execution stage.
 type installReq struct {
@@ -51,7 +54,7 @@ type ExecLoop struct {
 	// protocol has none); checkpoint and progress post a boundary and
 	// the outcome of a delivery round to whichever loop runs the
 	// protocol's checkpointing and watchdog.
-	credit     func(pillar uint32, reqs int)
+	credit     func(reqs int)
 	checkpoint func(*statemachine.CheckpointView)
 	progress   func(stillPending bool)
 
@@ -63,7 +66,7 @@ type ExecLoop struct {
 // newExecLoop wraps executor x (which recovery may have advanced
 // already). The three funcs are called directly on the loop goroutine.
 func newExecLoop(x *statemachine.Executor, cfg config.Config, met Metrics, replies *reply.Stage,
-	credit func(pillar uint32, reqs int),
+	credit func(reqs int),
 	checkpoint func(*statemachine.CheckpointView),
 	progress func(stillPending bool)) *ExecLoop {
 
@@ -80,10 +83,10 @@ func newExecLoop(x *statemachine.Executor, cfg config.Config, met Metrics, repli
 // LastExecuted returns the highest executed order number.
 func (l *ExecLoop) LastExecuted() timeline.Order { return timeline.Order(l.last.Load()) }
 
-// Deliver queues a committed instance. credit names the pillar whose
-// sequencer slot the instance holds, or NoCredit.
-func (l *ExecLoop) Deliver(o timeline.Order, batch []*message.Request, credit int32) {
-	l.inbox.Put(execEvent{order: o, batch: batch, credit: credit})
+// Deliver queues a committed instance; own reports whether this
+// replica proposed it, and so holds a sequencer slot for it.
+func (l *ExecLoop) Deliver(o timeline.Order, batch []*message.Request, own bool) {
+	l.inbox.Put(execEvent{order: o, batch: batch, own: own})
 }
 
 // install hands a verified snapshot to the loop and waits for the
@@ -110,7 +113,12 @@ func (l *ExecLoop) run() {
 			return
 		}
 		if req := ev.install; req != nil {
-			err := l.x.InstallState(req.ckpt, req.snapshot, req.rv)
+			// The decisions queued ahead of the transfer may have carried
+			// execution to its checkpoint already.
+			err := errExecuted
+			if req.ckpt > l.LastExecuted() {
+				err = l.x.InstallState(req.ckpt, req.snapshot, req.rv)
+			}
 			if err == nil {
 				l.last.Store(uint64(req.ckpt))
 				// Installation is progress, and buffered later instances
@@ -122,8 +130,8 @@ func (l *ExecLoop) run() {
 		}
 		// The slot is returned when execution dequeues the instance, not
 		// when it is delivered: see Sequencer.Credit.
-		if ev.credit >= 0 {
-			l.credit(uint32(ev.credit), len(ev.batch))
+		if ev.own {
+			l.credit(len(ev.batch))
 		}
 		if l.x.Buffer(ev.order, ev.batch) {
 			l.drain(false)

@@ -53,7 +53,7 @@ type execHarness struct {
 	app *logApp
 
 	mu       sync.Mutex
-	credits  []string // "pillar:reqs@lastExecuted"
+	credits  []string // "reqs@lastExecuted"
 	ckpts    []timeline.Order
 	progress []bool
 }
@@ -66,9 +66,9 @@ func newExecHarness(t *testing.T, interval timeline.Order) *execHarness {
 	ks := crypto.NewKeyStore(0, crypto.NewKeyFromSeed("exec-test"))
 	replies := reply.NewStage(0, ks, &fakeEndpoint{}, 1, nil)
 	h.ExecLoop = newExecLoop(statemachine.NewExecutor(h.app), cfg, newMetrics(nil, "test"), replies,
-		func(pillar uint32, reqs int) {
+		func(reqs int) {
 			h.mu.Lock()
-			h.credits = append(h.credits, fmt.Sprintf("%d:%d@%d", pillar, reqs, h.LastExecuted()))
+			h.credits = append(h.credits, fmt.Sprintf("%d@%d", reqs, h.LastExecuted()))
 			h.mu.Unlock()
 		},
 		func(v *statemachine.CheckpointView) {
@@ -109,7 +109,7 @@ func (h *execHarness) waitExecuted(t *testing.T, o timeline.Order) {
 func TestExecLoopDeliversInOrder(t *testing.T) {
 	h := newExecHarness(t, 100)
 	for _, o := range []timeline.Order{3, 2, 4, 1} {
-		h.Deliver(o, instance(o), NoCredit)
+		h.Deliver(o, instance(o), false)
 	}
 	h.waitExecuted(t, 4)
 	got := h.app.executed()
@@ -130,7 +130,7 @@ func TestExecLoopDeliversInOrder(t *testing.T) {
 		t.Fatalf("progress notifications %v, want one with nothing pending", h.progress)
 	}
 	if len(h.credits) != 0 {
-		t.Fatalf("NoCredit instances returned credits: %v", h.credits)
+		t.Fatalf("foreign instances returned credits: %v", h.credits)
 	}
 }
 
@@ -138,13 +138,13 @@ func TestExecLoopDeliversInOrder(t *testing.T) {
 // though it cannot be delivered yet.
 func TestExecLoopCreditsAtDequeue(t *testing.T) {
 	h := newExecHarness(t, 100)
-	h.Deliver(2, instance(2), 3) // order 1 is missing: buffered, not delivered
-	h.Deliver(1, instance(1), NoCredit)
+	h.Deliver(2, instance(2), true) // order 1 is missing: buffered, not delivered
+	h.Deliver(1, instance(1), false)
 	h.waitExecuted(t, 2)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.credits) != 1 || h.credits[0] != "3:1@0" {
-		t.Fatalf("credits %v, want pillar 3's slot back (1 request) while nothing had executed", h.credits)
+	if len(h.credits) != 1 || h.credits[0] != "1@0" {
+		t.Fatalf("credits %v, want the own instance's slot back (1 request) while nothing had executed", h.credits)
 	}
 }
 
@@ -156,9 +156,9 @@ func TestExecLoopInstallResumesBufferedSuccessors(t *testing.T) {
 	}
 
 	h := newExecHarness(t, 100)
-	h.Deliver(6, instance(6), NoCredit)
-	h.Deliver(7, instance(7), NoCredit)
-	h.Deliver(9, instance(9), NoCredit) // stays buffered: 8 is missing
+	h.Deliver(6, instance(6), false)
+	h.Deliver(7, instance(7), false)
+	h.Deliver(9, instance(9), false) // stays buffered: 8 is missing
 	if err := h.install(5, donor.Snapshot(), donor.ReplyVector(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestExecLoopCheckpointsExactlyAtBoundaries(t *testing.T) {
 	// Delivered in one contiguous burst, so a single drain crosses two
 	// boundaries.
 	for o := timeline.Order(7); o >= 1; o-- {
-		h.Deliver(o, instance(o), NoCredit)
+		h.Deliver(o, instance(o), false)
 	}
 	h.waitExecuted(t, 7)
 	h.mu.Lock()

@@ -200,7 +200,7 @@ func NewHost(name string, opts Options, x *statemachine.Executor, hd Handlers) (
 		h.Seals, h.log, h.recovered = seals, log, recovered.Checkpoint
 		replay(x, recovered, opts.Telemetry)
 	}
-	var credit func(pillar uint32, reqs int)
+	var credit func(reqs int)
 	if hd.Pillar != nil {
 		h.PillarBox = make([]*cop.Mailbox[any], h.Cfg.Pillars)
 		for u := range h.PillarBox {

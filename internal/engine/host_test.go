@@ -65,14 +65,14 @@ func newHostHarness(t testing.TB) *hostHarness {
 			}
 			return Route{}
 		},
-		Pillar: func(u uint32, ev any) {
+		Pillar: func(_ uint32, ev any) {
 			if p, ok := ev.(Propose); ok {
 				if !h.discard {
 					h.mu.Lock()
 					h.proposed = append(h.proposed, p.Batch...)
 					h.mu.Unlock()
 				}
-				h.Seq.Credit(u, len(p.Batch))
+				h.Seq.Credit(len(p.Batch))
 			}
 			pillar(ev)
 		},

@@ -26,11 +26,16 @@ type proposeFunc func(pillar uint32, view timeline.View, order timeline.Order, b
 //
 // The admission path is built for many concurrent producers: requests
 // arrive on every client's transport goroutine and commit-credits
-// return from the execution stage and every pillar. Per-pillar in-flight accounting is
-// atomic (credits never take the queue lock), the queue lock scopes
-// only the append and the O(1) batch cut, and the dispatch loop is
-// single-flighted through pumpGate so concurrent callers hand off
-// instead of piling up on the mutex re-running the same scan.
+// return from the execution stage and every pillar. In-flight
+// accounting is atomic (credits never take the queue lock), the queue
+// lock scopes only the append and the O(1) batch cut, and the dispatch
+// loop is single-flighted through pumpGate so concurrent callers hand
+// off instead of piling up on the mutex re-running the same scan.
+//
+// Flow control is one budget per proposer, whatever its pillar count:
+// the pillars certify instances in parallel, but a partial batch waits
+// while any of this replica's instances is in flight, so P pillars cut
+// one closed-loop population into batches as large as one pillar does.
 type Sequencer struct {
 	cfg     config.Config
 	id      uint32
@@ -43,9 +48,9 @@ type Sequencer struct {
 	queue []*message.Request
 	next  timeline.Order // next order number to propose from our slot
 
-	// inFlight counts proposals awaiting commit, per pillar. Credits
-	// are returned without touching mu.
-	inFlight []atomic.Int32
+	// inFlight counts own proposals awaiting their credit, over all
+	// pillars. Credits are returned without touching mu.
+	inFlight atomic.Int32
 
 	// pumpGate single-flights the dispatch loop: 0 = idle, 1 = a pump
 	// is running, 2 = a pump is running and must re-scan before exiting
@@ -53,10 +58,8 @@ type Sequencer struct {
 	pumpGate atomic.Int32
 
 	// outReqs counts requests dispatched but not yet returned by a
-	// credit: the closed-loop population currently inside the pipeline.
-	// Together with the queue length it bounds how many requests cycle
-	// through this proposer, which is what decides whether holding a
-	// partial batch can ever fill it.
+	// credit: the closed-loop population currently inside the pipeline
+	// (the seq_outreqs gauge).
 	outReqs atomic.Int64
 	// holdArmed marks a partial batch parked behind holdTimer (under mu).
 	holdArmed bool
@@ -67,13 +70,15 @@ type Sequencer struct {
 	flushNow atomic.Bool
 }
 
-// maxInFlightPerPillar bounds un-committed own proposals per pillar;
+// maxInFlight bounds un-credited own proposals over all pillars;
 // beyond it requests accumulate in the queue, which is what makes
-// batches grow under load.
-const maxInFlightPerPillar = 4
+// batches grow under load. Only full batches ever reach it: a partial
+// one waits for the instances in flight (DESIGN.md §14 has the
+// measurements that chose the value).
+const maxInFlight = 8
 
-// batchHold is the longest a partial batch may wait for more requests
-// once its pillar is idle. A pillar that commits quickly (partitioned
+// batchHold is the longest a partial batch may wait for the credit of
+// an instance in flight. A proposer that commits quickly (partitioned
 // HybsterX pillars turn an instance around in well under a millisecond)
 // would otherwise flush tiny batches on every credit and burn the
 // saved time on per-instance protocol work.
@@ -86,17 +91,13 @@ func newSequencer(cfg config.Config, id uint32, view func() timeline.View,
 
 	s := &Sequencer{
 		cfg: cfg, id: id, view: view, ep: ep, propose: propose,
-		noops:    met.Counter("noop_proposals_total", "no-op proposals filling execution gaps"),
-		inFlight: make([]atomic.Int32, cfg.Pillars),
+		noops: met.Counter("noop_proposals_total", "no-op proposals filling execution gaps"),
 	}
 	s.next = s.slotAfter(0, 0)
 	s.holdTimer = time.AfterFunc(batchHold, s.flushHeld)
 	s.holdTimer.Stop()
-	for u := range s.inFlight {
-		c := &s.inFlight[u]
-		met.GaugeFunc("seq_inflight", "proposals awaiting commit credit",
-			func() float64 { return float64(c.Load()) }, PillarLabel(uint32(u)))
-	}
+	met.GaugeFunc("seq_inflight", "proposals awaiting commit credit",
+		func() float64 { return float64(s.inFlight.Load()) })
 	met.GaugeFunc("seq_outreqs", "requests dispatched but not yet credited back",
 		func() float64 { return float64(s.outReqs.Load()) })
 	met.GaugeFunc("seq_queue_depth", "admitted requests awaiting a batch cut",
@@ -127,17 +128,6 @@ func (s *Sequencer) slotAfter(v timeline.View, after timeline.Order) timeline.Or
 		o++
 	}
 	return o
-}
-
-// holdWorthwhile gates the partial-batch hold on closed-loop pressure:
-// park a partial batch only when the requests queued plus those still
-// inside the pipeline could fill it — fewer cycling clients than a
-// batch means the hold would pay its latency without ever producing a
-// full batch. Light traffic always dispatches immediately, so an idle
-// system keeps single-request latency at one protocol round and a lone
-// client never waits on the timer.
-func (s *Sequencer) holdWorthwhile(n int) bool {
-	return n+int(s.outReqs.Load()) >= s.cfg.BatchSize
 }
 
 // flushHeld is the hold timer's callback: release the parked partial
@@ -213,24 +203,23 @@ func (s *Sequencer) dispatch() {
 			s.mu.Unlock()
 			return
 		}
-		o := s.next
-		u := s.cfg.PillarOf(o)
-		busy := int(s.inFlight[u].Load())
-		if busy >= maxInFlightPerPillar {
+		busy := s.inFlight.Load()
+		if busy >= maxInFlight {
 			s.mu.Unlock()
 			return
 		}
-		if n < s.cfg.BatchSize && !s.flushNow.Load() &&
-			(busy > 0 || s.holdWorthwhile(n)) {
+		if n < s.cfg.BatchSize && busy > 0 && !s.flushNow.Load() {
 			// Hold the partial batch so it fills instead of fragmenting:
-			// either the target pillar already has an instance in flight
-			// (its credit usually flushes us well before the timer), or
-			// the pillar is idle but enough requests cycle through this
-			// proposer to fill a batch. Liveness never depends on the
-			// credit returning — under faults an in-flight instance can
-			// stall indefinitely (quorum loss, lost prepare), so the
-			// timer's unconditional flush is armed on BOTH branches and
-			// bounds the wait at batchHold.
+			// one of this proposer's instances is in flight, on whichever
+			// pillar, and its credit usually flushes us well before the
+			// timer with the requests that arrived meanwhile. With
+			// nothing in flight no request is inside the pipeline either,
+			// so a lone client dispatches at once and never waits on the
+			// timer. Liveness never depends on the credit returning —
+			// under faults an in-flight instance can stall indefinitely
+			// (quorum loss, lost prepare), so the timer's unconditional
+			// flush is armed on every hold and bounds the wait at
+			// batchHold.
 			if !s.holdArmed {
 				s.holdArmed = true
 				s.holdTimer.Reset(batchHold)
@@ -251,8 +240,9 @@ func (s *Sequencer) dispatch() {
 			batch = s.queue[:n:n]
 			s.queue = s.queue[n:]
 		}
+		o := s.next
 		s.next = s.slotAfter(v, o)
-		s.inFlight[u].Add(1)
+		s.inFlight.Add(1)
 		s.outReqs.Add(int64(len(batch)))
 		if s.holdArmed {
 			s.holdArmed = false
@@ -260,11 +250,11 @@ func (s *Sequencer) dispatch() {
 		}
 		s.mu.Unlock()
 
-		s.propose(u, v, o, batch)
+		s.propose(s.cfg.PillarOf(o), v, o, batch)
 	}
 }
 
-// Credit returns an in-flight slot for pillar u, subtracts the
+// Credit returns one of the proposer's in-flight slots, subtracts the
 // instance's reqs from the outstanding population, and pumps the queue.
 // The execution stage calls it when it dequeues an own instance, not
 // when the instance commits: dispatch is thereby paced by the shared
@@ -275,11 +265,10 @@ func (s *Sequencer) dispatch() {
 // It is lock-free: credits never contend with admission on the queue
 // mutex. Both decrements clamp at zero — after a view reset, credits
 // for dropped proposals may arrive late and must not underflow.
-func (s *Sequencer) Credit(u uint32, reqs int) {
-	c := &s.inFlight[u]
+func (s *Sequencer) Credit(reqs int) {
 	for {
-		v := c.Load()
-		if v <= 0 || c.CompareAndSwap(v, v-1) {
+		v := s.inFlight.Load()
+		if v <= 0 || s.inFlight.CompareAndSwap(v, v-1) {
 			break
 		}
 	}
@@ -324,9 +313,7 @@ func (s *Sequencer) ProposeNoop(v timeline.View, o timeline.Order) {
 func (s *Sequencer) ResetForView(v timeline.View, after timeline.Order) {
 	s.mu.Lock()
 	s.next = s.slotAfter(v, after)
-	for i := range s.inFlight {
-		s.inFlight[i].Store(0)
-	}
+	s.inFlight.Store(0)
 	s.outReqs.Store(0)
 	s.mu.Unlock()
 	s.pump()

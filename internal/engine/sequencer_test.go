@@ -124,8 +124,8 @@ func TestSequencerSlotAssignment(t *testing.T) {
 	}
 }
 
-// A lone request is below the population gate: it must be proposed
-// before Admit returns, never parked behind the hold timer.
+// A lone request finds nothing in flight: it must be proposed before
+// admit returns, never parked behind the hold timer.
 func TestSequencerLoneRequestDispatchesImmediately(t *testing.T) {
 	h := newSeqHarness(0, 1, 16, false)
 	h.admit(request(1))
@@ -137,8 +137,11 @@ func TestSequencerLoneRequestDispatchesImmediately(t *testing.T) {
 
 // The PR 10 liveness wedge: a partial batch parked by the hold must be
 // flushed by the timer even if the credit it would otherwise wait for
-// NEVER returns. One case per hold branch — remove the timer arm from
-// either and its case times out.
+// NEVER returns — whether order 2 lands on the pillar of the instance
+// in flight or on an idle one. The second case also pins the one
+// budget per proposer: a request whose pillar is idle still waits
+// while another pillar of the same proposer has an instance in flight,
+// instead of leaving as an instance of its own.
 func TestSequencerHoldFlushedByTimerWithoutCredit(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -146,9 +149,9 @@ func TestSequencerHoldFlushedByTimerWithoutCredit(t *testing.T) {
 	}{
 		// Order 2 targets the pillar that still holds order 1 in flight.
 		{"busy pillar", 1, 16},
-		// Order 2 targets an idle pillar, but queued + in-pipeline
-		// requests reach the batch size, so the hold is "worthwhile".
-		{"idle pillar, population gate", 2, 2},
+		// Order 2 targets the idle pillar; order 1 is in flight on the
+		// other one.
+		{"idle pillar, busy proposer", 2, 16},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,13 +169,42 @@ func TestSequencerHoldFlushedByTimerWithoutCredit(t *testing.T) {
 			if ps[1].order != 2 || len(ps[1].batch) != 1 || ps[1].batch[0].Seq != 2 {
 				t.Fatalf("flushed proposal: %+v", ps[1])
 			}
+			if want := h.cfg.PillarOf(2); ps[1].pillar != want || (tc.pillars > 1 && ps[0].pillar == want) {
+				t.Fatalf("proposals on pillars %d then %d", ps[0].pillar, ps[1].pillar)
+			}
 		})
 	}
 }
 
-// saturate marks pillar 0 as holding its full quota of uncredited
+// Requests that arrive while one of the proposer's instances is in
+// flight join one batch on its credit, though the order they get lands
+// on another, idle pillar: P pillars batch like one.
+func TestSequencerCreditFlushesHeldRequestsAsOneBatch(t *testing.T) {
+	h := newSeqHarness(0, 2, 16, false)
+	h.admit(request(1))
+	for seq := uint64(2); seq <= 4; seq++ {
+		h.admit(request(seq))
+	}
+	if ps := h.rec.snapshot(); len(ps) != 1 {
+		t.Fatalf("%d proposals while order 1 was in flight, want 1: %+v", len(ps), ps)
+	}
+	h.Credit(1)
+	ps := h.rec.snapshot()
+	if len(ps) != 2 {
+		t.Fatalf("%d proposals after the credit, want 2", len(ps))
+	}
+	if p := ps[1]; p.order != 2 || p.pillar == ps[0].pillar || len(p.batch) != 3 || p.batch[0].Seq != 2 {
+		t.Fatalf("proposal after the credit: order %d on pillar %d (order 1 on %d) with %d requests",
+			p.order, p.pillar, ps[0].pillar, len(p.batch))
+	}
+	if v := h.inFlight.Load(); v != 1 {
+		t.Fatalf("inFlight = %d, want 1", v)
+	}
+}
+
+// saturate marks the proposer as holding its full quota of uncredited
 // proposals, so admitted requests pile up in the queue.
-func saturate(h *seqHarness) { h.inFlight[0].Store(maxInFlightPerPillar) }
+func saturate(h *seqHarness) { h.inFlight.Store(maxInFlight) }
 
 func TestSequencerBatchNotAliasedByLaterAppends(t *testing.T) {
 	h := newSeqHarness(0, 1, 2, false)
@@ -182,9 +214,9 @@ func TestSequencerBatchNotAliasedByLaterAppends(t *testing.T) {
 		h.admit(request(seq + uint64(i)))
 	}
 	if n := len(h.rec.snapshot()); n != 0 {
-		t.Fatalf("saturated pillar accepted a proposal: %d", n)
+		t.Fatalf("saturated proposer accepted a proposal: %d", n)
 	}
-	h.Credit(0, 1) // one slot: the head of the queue is cut off as a batch
+	h.Credit(1) // one slot: the head of the queue is cut off as a batch
 	ps := h.rec.snapshot()
 	if len(ps) != 1 {
 		t.Fatalf("credit dispatched %d batches, want 1", len(ps))
@@ -221,14 +253,11 @@ func TestSequencerCreditsAfterResetClampAtZero(t *testing.T) {
 	h.admit(request(1))
 	h.ResetForView(1, 0)
 	// Stragglers crediting proposals the view change dropped.
-	for i := 0; i < 3; i++ {
-		h.Credit(0, 7)
-		h.Credit(1, 7)
+	for i := 0; i < 6; i++ {
+		h.Credit(7)
 	}
-	for u := range h.inFlight {
-		if v := h.inFlight[u].Load(); v != 0 {
-			t.Fatalf("inFlight[%d] = %d after late credits", u, v)
-		}
+	if v := h.inFlight.Load(); v != 0 {
+		t.Fatalf("inFlight = %d after late credits", v)
 	}
 	if v := h.outReqs.Load(); v != 0 {
 		t.Fatalf("outReqs = %d after late credits", v)
@@ -241,7 +270,7 @@ func TestSequencerCreditsAfterResetClampAtZero(t *testing.T) {
 	if last.view != 1 || h.cfg.ProposerOf(1, last.order) != 0 {
 		t.Fatalf("post-reset proposal %+v not in this replica's view-1 slot", last)
 	}
-	if v := h.inFlight[last.pillar].Load(); v != 1 {
+	if v := h.inFlight.Load(); v != 1 {
 		t.Fatalf("inFlight = %d after one dispatch", v)
 	}
 }
@@ -288,12 +317,9 @@ func TestSequencerConcurrentAdmitAndCredit(t *testing.T) {
 	)
 	cfg := config.Default(config.HybsterX)
 	cfg.BatchSize = 8
-	type credit struct {
-		pillar uint32
-		reqs   int
-	}
-	// Buffered for every possible proposal so propose never blocks.
-	credits := make(chan credit, total)
+	// Each proposal's request count, buffered for every possible
+	// proposal so propose never blocks.
+	credits := make(chan int, total)
 	var (
 		mu     sync.Mutex
 		seen   = make(map[uint64]int)
@@ -301,14 +327,14 @@ func TestSequencerConcurrentAdmitAndCredit(t *testing.T) {
 		count  atomic.Int64
 	)
 	s := newSequencer(cfg, 0, func() timeline.View { return 0 }, &fakeEndpoint{}, newMetrics(nil, "test"),
-		func(pillar uint32, _ timeline.View, o timeline.Order, batch []*message.Request) {
+		func(_ uint32, _ timeline.View, o timeline.Order, batch []*message.Request) {
 			mu.Lock()
 			orders[o]++
 			for _, r := range batch {
 				seen[r.Seq]++
 			}
 			mu.Unlock()
-			credits <- credit{pillar, len(batch)}
+			credits <- len(batch)
 			count.Add(int64(len(batch))) // after the send: count == total lets the test close credits
 		})
 
@@ -317,8 +343,8 @@ func TestSequencerConcurrentAdmitAndCredit(t *testing.T) {
 		cwg.Add(1)
 		go func() {
 			defer cwg.Done()
-			for c := range credits {
-				s.Credit(c.pillar, c.reqs)
+			for reqs := range credits {
+				s.Credit(reqs)
 			}
 		}()
 	}

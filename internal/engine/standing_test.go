@@ -34,7 +34,7 @@ func TestStandingRecordsCommitsAndPublishesWithoutAllocating(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range []timeline.Order{3, 9, 5} {
-		h.Decide(0, o, nil, NoCredit)
+		h.Decide(0, o, nil, false)
 	}
 	if s := h.Standing(); s.Committed != 9 || s.Executed != 0 || s.ExecQueue != 3 || s.Pending != 0 {
 		t.Fatalf("after deciding 3, 9, 5 unexecuted: %+v", s)

@@ -709,7 +709,7 @@ func (e *Engine) refresh(s *slot) {
 			e.suspectSince = e.Now()
 		}
 		e.Relax()
-		e.Decide(e.View(), s.order, s.batch, engine.NoCredit)
+		e.Decide(e.View(), s.order, s.batch, false)
 		if e.leader() == e.ID() {
 			if e.inFlight > 0 {
 				e.inFlight--

@@ -63,9 +63,19 @@ func TestMinBFTBasicOrdering(t *testing.T) {
 		}
 	}
 	// Every instance reaches execution through Host.Decide, which
-	// records it as committed.
+	// records it as committed. The client returned on f+1 replies, so a
+	// replica outside that quorum may still be on its way: judge each
+	// once it executed all 20.
 	for id := uint32(0); int(id) < c.Cfg.N; id++ {
-		if s := c.Replica(id).(*minbft.Engine).Standing(); s.Committed < s.Executed || s.Committed == 0 {
+		e := c.Replica(id).(*minbft.Engine)
+		s := e.Standing()
+		for deadline := time.Now().Add(5 * time.Second); s.Executed < 20; s = e.Standing() {
+			if time.Now().After(deadline) {
+				t.Fatalf("r%d did not execute the 20 operations: %v", id, s)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if s.Committed < s.Executed || s.Committed == 0 {
 			t.Fatalf("r%d executed past what it committed: %v", id, s)
 		}
 	}

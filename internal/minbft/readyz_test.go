@@ -53,7 +53,7 @@ func TestReadyzDetectsWedgedReplica(t *testing.T) {
 	}
 
 	// Execution progress (here: the instance arriving committed) clears it.
-	e.Exec.Deliver(1, []*message.Request{req}, engine.NoCredit)
+	e.Exec.Deliver(1, []*message.Request{req}, false)
 	for deadline := time.Now().Add(5 * time.Second); e.Readyz() != nil; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("not ready again after progress: %v", e.Readyz())

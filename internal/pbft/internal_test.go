@@ -11,7 +11,6 @@ import (
 	"hybster/internal/config"
 	"hybster/internal/crypto"
 	"hybster/internal/enclave"
-	"hybster/internal/engine"
 	"hybster/internal/engine/enginetest"
 	"hybster/internal/message"
 	"hybster/internal/telemetry"
@@ -373,7 +372,7 @@ func TestReadyzDetectsWedgedReplica(t *testing.T) {
 	}
 
 	// Execution progress (here: the instance arriving committed) clears it.
-	e.Exec.Deliver(1, []*message.Request{req}, engine.NoCredit)
+	e.Exec.Deliver(1, []*message.Request{req}, false)
 	if err := waitFor(func() bool { return e.Readyz() == nil }); err != nil {
 		t.Fatalf("not ready again after progress: %v", e.Readyz())
 	}

@@ -168,19 +168,19 @@ func (p *pillar) handleMessage(in engine.InMsg) {
 // PRE-PREPARE.
 func (p *pillar) handlePropose(ev engine.Propose) {
 	if ev.View != p.view || p.aborted || !p.inWindow(ev.Order) {
-		p.e.Seq.Credit(p.idx, len(ev.Batch))
+		p.e.Seq.Credit(len(ev.Batch))
 		return
 	}
 	pp := &message.PrePrepare{View: ev.View, Order: ev.Order, Requests: ev.Batch}
 	proof, err := p.e.sign(p.tx, pp.Digest())
 	if err != nil {
-		p.e.Seq.Credit(p.idx, len(ev.Batch))
+		p.e.Seq.Credit(len(ev.Batch))
 		return
 	}
 	pp.Proof = proof
 	s := p.slot(ev.Order, ev.View)
 	if s == nil || s.prePrepare != nil {
-		p.e.Seq.Credit(p.idx, len(ev.Batch))
+		p.e.Seq.Credit(len(ev.Batch))
 		return
 	}
 	s.setPrePrepare(pp)
@@ -312,11 +312,7 @@ func (p *pillar) progress(s *pslot) {
 		s.executed = true
 		p.met.Committed.Inc()
 		p.e.Met.TraceD(telemetry.EvDeliver, uint64(s.view), uint64(s.order), p.idx, s.batchDigest[:], "")
-		credit := engine.NoCredit
-		if p.e.Cfg.ProposerOf(s.view, s.order) == p.e.ID() {
-			credit = int32(p.idx)
-		}
-		p.e.Decide(s.view, s.order, s.prePrepare.Requests, credit)
+		p.e.Decide(s.view, s.order, s.prePrepare.Requests, p.e.Cfg.ProposerOf(s.view, s.order) == p.e.ID())
 	}
 }
 
