@@ -48,7 +48,9 @@ wire-golden:
 # then the install step of every protocol, whose follower missed the
 # VIEW-CHANGEs and must adopt the NEW-VIEW's checkpoint claim, repeated;
 # then the client, whose pending records are recycled across requests
-# while late replies and Close race them.
+# while late replies and Close race them; then the memnet contract, whose
+# idle links deliver on the sender's goroutine (re-entrant sends
+# between two handlers included), repeated.
 chaos-smoke:
 	$(GO) test -race -short -count=1 -run 'TestChaos' ./internal/chaos/...
 	$(GO) test -race -count=20 -run 'TestSequencer|TestHost' ./internal/engine/
@@ -57,6 +59,7 @@ chaos-smoke:
 	$(GO) test -race -count=20 -run 'TestStandingSaysWhyAReplicaIsBehind' ./internal/cluster/
 	$(GO) test -race -count=20 -run 'TestInstallAdoptsTheNewViewCheckpointClaim' ./internal/cluster/
 	$(GO) test -race -count=20 ./internal/client/
+	$(GO) test -race -count=20 -run 'TestMemnetContract' ./internal/transport/
 
 # Long seed sweep with elevated fault rates, alternating cold-restart
 # and amnesia recovery. Tune with CHAOS_LONG_SEEDS / CHAOS_LONG_HORIZON.
@@ -84,10 +87,11 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead' -benchtime 100x ./internal/trinx/
 
 # Hot-path benchmark suite: alloc/latency profile of pooled MACs, cached
-# digests, marshal-once multicast, mailboxes, the memnet send→handler path, the
-# TCP request/reply stream over loopback sockets (frames per write and
-# read), a replica's inbound route (authenticator check and mailbox
-# hand-off), the client's Invoke wait path and the full
+# digests, marshal-once multicast, mailboxes, the memnet send→handler path
+# (saturated, and a round trip over idle links), the TCP request/reply
+# stream over loopback sockets (frames per write and read), a replica's
+# inbound route (authenticator check and mailbox hand-off), the client's
+# Invoke wait path and the full
 # prepare→commit→exec path (with the group's TrInX ECALLs per request,
 # ecalls/op).
 # Writes BENCH_hotpath.txt (standard go-test bench output); CI uploads

@@ -437,11 +437,12 @@ func (c *Checkpoints[M]) Serve(from uint32, req *message.StateRequest) {
 }
 
 // Install verifies from's STATE-REPLY against its certificate
-// (Certified) and hands its snapshot to the execution stage; a
-// transferred checkpoint newer than the recorded one becomes the stable
-// checkpoint and slides the windows. A checkpoint execution has reached
-// by then, here or on the execution stage, is neither installed nor
-// counted.
+// (Certified), hands its snapshot to the execution stage and counts
+// every order up to it as committed (the certificate says the group
+// committed them); a transferred checkpoint newer than the recorded
+// one becomes the stable checkpoint and slides the windows. A
+// checkpoint execution has reached by then, here or on the execution
+// stage, is neither installed nor counted.
 func (c *Checkpoints[M]) Install(from uint32, rep *message.StateReply) {
 	if rep.Replica != from || rep.CkptOrder <= c.h.Exec.LastExecuted() {
 		return
@@ -454,6 +455,7 @@ func (c *Checkpoints[M]) Install(from uint32, rep *message.StateReply) {
 	if c.h.Exec.install(rep.CkptOrder, rep.Snapshot, rep.ReplyVector, c.h.stopped) != nil {
 		return
 	}
+	c.h.raiseCommitted(rep.CkptOrder)
 	adopted := c.adopt(StableCkpt[M]{
 		Order: rep.CkptOrder, Digest: digest, Proof: proof,
 		Snapshot: rep.Snapshot, RV: rep.ReplyVector,

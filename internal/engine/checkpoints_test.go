@@ -524,6 +524,37 @@ func TestCatchUpWaitsForExecutionToStall(t *testing.T) {
 	}
 }
 
+// TestInstallRaisesCommitted pins that a replica which follows the
+// group by state transfers reads as committed up to what it installed:
+// the certificate says the group committed every order below the
+// checkpoint, so Standing keeps Committed ≥ Executed and CatchUp's
+// "missed a whole interval" branch does not fire on every tick.
+func TestInstallRaisesCommitted(t *testing.T) {
+	c := newCkptHarness(t, config.HybsterX) // n = 3, quorum 2
+	c.h.spawn(c.h.Exec.run)
+	c.h.Decide(0, 1, instance(1), false)
+	for c.h.LastExecuted() < 1 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	donor := statemachine.NewExecutor(&logApp{})
+	for o := timeline.Order(1); o <= 12; o++ {
+		donor.Submit(o, instance(o))
+	}
+	snap, rv := donor.Snapshot(), donor.ReplyVector()
+	d := crypto.Combine(crypto.Hash(snap), crypto.Hash(rv))
+	c.Install(1, &message.StateReply{Replica: 1, CkptOrder: 12, Snapshot: snap, ReplyVector: rv,
+		Proof: []message.Message{signedCkpt(1, 12, d), signedCkpt(2, 12, d)}})
+	if st := c.h.Standing(); st.Executed != 12 || st.Committed != 12 {
+		t.Fatalf("after installing a transfer at 12: %v, want exec=12 committed=12", st)
+	}
+	before := len(sent[*message.StateRequest](c.ep))
+	c.now.Add(int64(2 * time.Second)) // past the rate limit
+	c.Tick()
+	if n := len(sent[*message.StateRequest](c.ep)) - before; n != 0 {
+		t.Fatalf("%d STATE-REQUESTs right after an install reached the stable checkpoint", n)
+	}
+}
+
 // TestInstallOvertakenByExecutionIsNotCounted pins that a verified
 // transfer whose checkpoint execution reached while the transfer queued
 // behind the decisions below it is neither installed nor counted.

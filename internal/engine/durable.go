@@ -43,8 +43,15 @@ func (h *Host) Decide(v timeline.View, o timeline.Order, batch []*message.Reques
 	if h.log != nil {
 		_ = h.log.AppendDecision(&wal.DecisionRec{View: v, Order: o, Requests: batch})
 	}
+	h.raiseCommitted(o)
+	h.Exec.Deliver(o, batch, own)
+}
+
+// raiseCommitted records that every order up to o is committed: by a
+// decision of this replica (Decide) or by an installed checkpoint,
+// whose certificate says the group committed everything below it.
+func (h *Host) raiseCommitted(o timeline.Order) {
 	for c := h.committed.Load(); uint64(o) > c && !h.committed.CompareAndSwap(c, uint64(o)); {
 		c = h.committed.Load()
 	}
-	h.Exec.Deliver(o, batch, own)
 }

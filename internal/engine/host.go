@@ -335,8 +335,9 @@ func (h *Host) ckptBox(o timeline.Order) *cop.Mailbox[any] {
 
 // route is the whole inbound path: classify the message, check the
 // client authenticators it carries, deliver it. All of it runs on the
-// calling transport goroutine, which is the sender's link: a link
-// hands over its sender's messages one at a time in FIFO order, so
+// goroutine that holds the sender's link (a TCP read loop; on memnet
+// the link goroutine, or the sender itself when the link was idle): a
+// link hands over its sender's messages one at a time in FIFO order, so
 // events reach the mailboxes in arrival order, the MACs stay off the
 // pillars, and a slow check delays only its own sender's stream while
 // other senders' links verify in parallel.

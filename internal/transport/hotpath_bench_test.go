@@ -57,16 +57,17 @@ func BenchmarkHotPathMulticastTCP(b *testing.B) {
 	}
 }
 
-// Memnet hot path: one Send to the destination handler over one link,
-// sender and link goroutine running concurrently as in a loaded
-// cluster. Every figure runs on this path ~9 times per request, so its
-// cost is harness, not Hybster; it must stay allocation-free.
+// Memnet hot path: back-to-back Sends to the destination handler over
+// one link, delivered inline while the link is idle and by the link
+// goroutine once messages queue. Every figure runs on this path ~9
+// times per request, so its cost is harness, not Hybster; it must stay
+// allocation-free.
 func BenchmarkHotPathMemnet(b *testing.B) {
 	net := NewNetwork(LinkProfile{}, 1)
 	defer net.Close()
 	src := net.Endpoint(0)
 	done := make(chan struct{})
-	delivered := 0 // touched by the one link goroutine only
+	delivered := 0 // touched under the link's delivery lock only
 	net.Endpoint(1).Handle(func(uint32, message.Message) {
 		if delivered++; delivered == b.N {
 			close(done)
@@ -82,6 +83,31 @@ func BenchmarkHotPathMemnet(b *testing.B) {
 		}
 	}
 	<-done
+}
+
+// Memnet round trip with one message in flight: a request over one
+// link, the reply back over the other, the next request only after the
+// reply. Every link is idle when a message reaches it, as in a closed
+// loop, so this is the per-crossing cost a saturated
+// BenchmarkHotPathMemnet hides: on the zero profile both crossings run
+// on the sending goroutine, with no link goroutine to wake.
+func BenchmarkHotPathMemnetIdle(b *testing.B) {
+	net := NewNetwork(LinkProfile{}, 1)
+	defer net.Close()
+	client, replica := net.Endpoint(crypto.ClientIDBase), net.Endpoint(0)
+	replica.Handle(func(from uint32, m message.Message) { _ = replica.Send(from, m) })
+	back := make(chan struct{}, 1)
+	client.Handle(func(uint32, message.Message) { back <- struct{}{} })
+	m := &message.Request{Client: crypto.ClientIDBase, Seq: 1}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := client.Send(0, m); err != nil {
+			b.Fatal(err)
+		}
+		<-back
+	}
 }
 
 // TCP wire hot path over real loopback sockets: a 1 KiB request from a

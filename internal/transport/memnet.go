@@ -30,15 +30,26 @@ type LinkProfile struct {
 // ID; every (source, destination) pair gets a dedicated FIFO link — a
 // cop.Mailbox drained in batches by the link's own goroutine.
 //
+// On a network with the zero profile a Send over an idle link — nothing
+// queued, no delivery in progress — runs the destination handler on the
+// sender's goroutine instead: the profile has nothing to model, and a
+// message then crosses the fabric without waking the link goroutine.
+// Anything else queues to the link goroutine. The link's delivery lock
+// is held by whichever goroutine delivers, so deliveries of one link
+// never overlap and keep FIFO order; a Send only ever tries that lock
+// (a busy link queues), so handlers that send to each other cannot
+// deadlock.
+//
 // Nothing on the send or delivery path is shared between links: a Send
-// reads the current routing snapshot with one atomic load and puts the
-// message into the link's mailbox; the link goroutine resolves its
-// destination handler through two more atomic loads. Only the rare
-// mutators (Endpoint, Partition/Heal*/Isolate, link creation, Close)
-// take mu, and they publish a fresh snapshot instead of editing one
-// that senders may be reading.
+// reads the current routing snapshot with one atomic load and delivers
+// or puts the message into the link's mailbox; the delivering goroutine
+// resolves the destination handler through two more atomic loads. Only
+// the rare mutators (Endpoint, Partition/Heal*/Isolate, link creation,
+// Close) take mu, and they publish a fresh snapshot instead of editing
+// one that senders may be reading.
 type Network struct {
 	profile LinkProfile
+	inline  bool // the zero profile: an idle link delivers on its sender's goroutine
 	seed    int64
 
 	routes atomic.Pointer[routes]
@@ -58,7 +69,7 @@ type routes struct {
 // NewNetwork creates an in-process network in which every link has the
 // given profile. seed makes loss decisions reproducible.
 func NewNetwork(profile LinkProfile, seed int64) *Network {
-	n := &Network{profile: profile, seed: seed, nodes: make(map[uint32]*memEndpoint)}
+	n := &Network{profile: profile, inline: profile == LinkProfile{}, seed: seed, nodes: make(map[uint32]*memEndpoint)}
 	n.routes.Store(&routes{})
 	return n
 }
@@ -76,6 +87,12 @@ const linkBatch = 64
 type link struct {
 	src, dst uint32
 	q        *cop.Mailbox[message.Message]
+	// deliver is held around every handler call of the link, on the
+	// link goroutine or on an inline sender; pending counts messages
+	// accepted into q and not yet delivered. Together they make a link
+	// idle: pending is 0 and deliver is free.
+	deliver sync.Mutex
+	pending atomic.Int64
 	// to is the endpoint currently registered as dst; Endpoint swaps
 	// it when the node is replaced.
 	to atomic.Pointer[memEndpoint]
@@ -222,7 +239,9 @@ func (n *Network) addLink(src, dst uint32) (*link, error) {
 
 // runLink drives one link: applies loss, bandwidth, and latency, then
 // delivers to the destination handler in FIFO order. Everything queued
-// is taken out under one lock round-trip and one wake-up.
+// is taken out under one lock round-trip and one wake-up, and delivered
+// under the link's delivery lock; the batch stops counting as pending
+// only once the lock is released, so no inline Send overtakes it.
 func (n *Network) runLink(l *link) {
 	rng := rand.New(rand.NewSource(n.seed ^ int64(l.src)<<32 ^ int64(l.dst)))
 	batch := make([]message.Message, 0, linkBatch)
@@ -232,6 +251,7 @@ func (n *Network) runLink(l *link) {
 		if !ok || n.routes.Load().closed {
 			return
 		}
+		l.deliver.Lock()
 		for i, m := range batch {
 			batch[i] = nil // the handler owns m now; do not pin it for the GC
 			if n.profile.LossRate > 0 && rng.Float64() < n.profile.LossRate {
@@ -244,11 +264,39 @@ func (n *Network) runLink(l *link) {
 			if n.profile.Latency > 0 {
 				time.Sleep(n.profile.Latency)
 			}
-			if h := l.to.Load().handler.Load(); h != nil {
-				(*h)(l.src, m)
-			}
+			l.handle(m)
 		}
+		l.deliver.Unlock()
+		l.pending.Add(-int64(len(batch)))
 	}
+}
+
+// handle delivers m to the endpoint currently registered as the link's
+// destination, resolved per message so a replaced or closed endpoint's
+// handler is never entered again. Caller holds l.deliver.
+func (l *link) handle(m message.Message) {
+	if h := l.to.Load().handler.Load(); h != nil {
+		(*h)(l.src, m)
+	}
+}
+
+// tryInline delivers m on the calling goroutine if the link is idle and
+// reports whether it did. It never waits for the delivery lock: the
+// caller may itself be a handler holding another link's lock (or this
+// one's, further up its stack), and two handlers sending to each other
+// would each wait for the lock the other holds.
+func (l *link) tryInline(m message.Message) bool {
+	if l.pending.Load() != 0 || !l.deliver.TryLock() {
+		return false
+	}
+	// Re-checked under the lock: a batch taken out before it was
+	// acquired still counts as pending and must be delivered first.
+	idle := l.pending.Load() == 0
+	if idle {
+		l.handle(m)
+	}
+	l.deliver.Unlock()
+	return idle
 }
 
 // ID implements Endpoint.
@@ -279,7 +327,12 @@ func (ep *memEndpoint) Send(to uint32, m message.Message) error {
 	} else if len(r.cut) > 0 && r.cut[key] {
 		return nil // silently dropped, like a real partition
 	}
+	if ep.net.inline && l.tryInline(m) {
+		return nil
+	}
+	l.pending.Add(1)
 	if !l.q.PutBounded(m, linkQueueDepth) {
+		l.pending.Add(-1)
 		return ErrClosed
 	}
 	return nil

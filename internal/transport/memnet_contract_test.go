@@ -17,10 +17,14 @@ import (
 // test is written to fail on a plausible wrong rewrite: a handler or
 // destination cached too long, a bound that strands its sender, a loss
 // draw that moved. None of them sleeps to let something "settle":
-// handlers park the link goroutine on a gate, which makes "in flight"
-// a state the test holds rather than a window it has to hit.
+// handlers park the delivering goroutine on a gate, which makes "in
+// flight" a state the test holds rather than a window it has to hit.
+// On the zero profile an idle link delivers on its sender's goroutine,
+// so a test that parks the first delivery makes that send from a
+// goroutine of its own: it holds the link's delivery while the test
+// goroutine sends the messages that must queue behind it.
 
-// gatedHandler records every delivery and parks the delivering link
+// gatedHandler records every delivery and parks the delivering
 // goroutine on the first one until the gate is opened.
 type gatedHandler struct {
 	col     *collector
@@ -112,8 +116,8 @@ func TestMemnetContractInFlightSurvivesPartition(t *testing.T) {
 	h := newGatedHandler()
 	b.Handle(h.handler)
 
-	_ = a.Send(1, testMsg(1))
-	<-h.entered // the link goroutine is parked delivering 1
+	go func() { _ = a.Send(1, testMsg(1)) }()
+	<-h.entered // a sender holds the link's delivery, parked delivering 1
 	_ = a.Send(1, testMsg(2))
 	_ = a.Send(1, testMsg(3))
 	net.Partition(0, 1)
@@ -141,7 +145,7 @@ func TestMemnetContractReplacementNeverReachesStaleHandler(t *testing.T) {
 	stale := newGatedHandler()
 	net.Endpoint(1).Handle(stale.handler)
 
-	_ = a.Send(1, testMsg(1))
+	go func() { _ = a.Send(1, testMsg(1)) }()
 	<-stale.entered
 	_ = a.Send(1, testMsg(2)) // queued behind the parked delivery
 	_ = a.Send(1, testMsg(3))
@@ -208,10 +212,12 @@ func TestMemnetContractCloseReleasesBlockedSender(t *testing.T) {
 	net.Endpoint(1).Handle(h.handler)
 	defer close(h.gate)
 
+	go func() { _ = a.Send(1, testMsg(0)) }()
+	<-h.entered // a sender holds the link's delivery, parked delivering 0
 	var sent atomic.Int64
 	result := make(chan error, 1)
 	go func() {
-		for i := uint64(0); ; i++ {
+		for i := uint64(1); ; i++ {
 			if err := a.Send(1, testMsg(i)); err != nil {
 				result <- err
 				return
@@ -219,7 +225,6 @@ func TestMemnetContractCloseReleasesBlockedSender(t *testing.T) {
 			sent.Add(1)
 		}
 	}()
-	<-h.entered
 	// With the handler parked, the link accepts its bound (plus what
 	// its goroutine already took out) and then the sender must block.
 	for deadline := time.Now().Add(10 * time.Second); sent.Load() < linkQueueDepth; time.Sleep(time.Millisecond) {
@@ -279,5 +284,105 @@ func TestMemnetContractSeededLossIndices(t *testing.T) {
 	col.col.waitFor(t, len(want), 10*time.Second)
 	if got := col.seqs(); !slices.Equal(got, want) {
 		t.Fatalf("delivered %d messages, want %d; the surviving indices moved", len(got), len(want))
+	}
+}
+
+// On an idle link of a zero-profile network the handler runs on the
+// sender's goroutine: it has run by the time Send returns, for the
+// send that creates the link and for every later one.
+func TestMemnetContractIdleLinkDeliversInline(t *testing.T) {
+	net := NewNetwork(LinkProfile{}, 1)
+	defer net.Close()
+	a := net.Endpoint(0)
+	var delivered atomic.Int64
+	net.Endpoint(1).Handle(func(uint32, message.Message) { delivered.Add(1) })
+	for i := int64(1); i <= 100; i++ {
+		if err := a.Send(1, testMsg(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if got := delivered.Load(); got != i {
+			t.Fatalf("send %d returned with %d deliveries made; an idle link delivers before Send returns", i, got)
+		}
+	}
+}
+
+// Handlers that send to each other over idle links cannot deadlock:
+// A's handler sends to B, B's handler sends back and A's sends on once
+// more, while several goroutines start such chains at once. A Send only
+// ever tries a link's delivery lock, so a chain that meets a link held
+// up its own stack, or by another chain, queues there. Every message
+// arrives, and each hop keeps per-sender FIFO order.
+func TestMemnetContractReentrantSendsDoNotDeadlock(t *testing.T) {
+	const starters, rounds, hops = 4, 2000, 3
+	net := NewNetwork(LinkProfile{}, 1)
+	defer net.Close()
+	ep := [2]Endpoint{net.Endpoint(0), net.Endpoint(1)}
+
+	// A message's Seq is round*hops + hop, its Client the starter. The
+	// hop-h message of a chain travels from node h%2 to node 1-h%2; next
+	// is touched only by the deliveries of that hop's one link.
+	var next [hops][starters]uint64
+	var misordered, arrived atomic.Int64
+	done := make(chan struct{})
+	for node := range ep {
+		ep[node].Handle(func(_ uint32, m message.Message) {
+			r := m.(*message.Request)
+			round, hop := r.Seq/hops, r.Seq%hops
+			if round != next[hop][r.Client] {
+				misordered.Add(1)
+			}
+			next[hop][r.Client] = round + 1
+			if hop+1 < hops {
+				_ = ep[node].Send(uint32(1-node), &message.Request{Client: r.Client, Seq: r.Seq + 1})
+				return
+			}
+			if arrived.Add(1) == starters*rounds {
+				close(done)
+			}
+		})
+	}
+	for g := uint32(0); g < starters; g++ {
+		go func() {
+			for i := uint64(0); i < rounds; i++ {
+				_ = ep[0].Send(1, &message.Request{Client: g, Seq: i * hops})
+			}
+		}()
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%d of %d chains completed: re-entrant sends deadlocked", arrived.Load(), starters*rounds)
+	}
+	if n := misordered.Load(); n != 0 {
+		t.Fatalf("%d messages overtook an earlier one of their sender", n)
+	}
+}
+
+// A network with a link profile delivers on the link goroutine only:
+// Send returns while the handler is parked, and later sends queue
+// behind it.
+func TestMemnetContractProfiledSendDoesNotWaitForHandler(t *testing.T) {
+	net := NewNetwork(LinkProfile{Latency: time.Microsecond}, 1)
+	defer net.Close()
+	a := net.Endpoint(0)
+	h := newGatedHandler()
+	net.Endpoint(1).Handle(h.handler)
+	defer close(h.gate)
+
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		for i := uint64(1); i <= 3; i++ {
+			_ = a.Send(1, testMsg(i))
+		}
+	}()
+	<-h.entered
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a send on a profiled network waited for its handler")
+	}
+	if got := h.seqs(); !slices.Equal(got, []uint64{1}) {
+		t.Fatalf("delivered %v while the handler was parked, want [1]", got)
 	}
 }

@@ -13,11 +13,15 @@
 //   - TCP, a real network transport with length-prefixed frames for
 //     multi-process deployments (cmd/hybster-replica).
 //
-// Handlers run on transport goroutines, one per sender (a memnet link,
-// a TCP connection's read loop), each delivering its sender's messages
-// one at a time in FIFO order. A handler may authenticate a message
-// inline before handing it to an event loop: that delays only its own
-// sender's stream. It must not block on protocol progress.
+// Each sender's messages reach a handler one at a time in FIFO order,
+// on a goroutine that delivers that sender's stream: a TCP connection's
+// read loop, or on memnet whichever goroutine holds the link's delivery
+// — the link goroutine, or the sending goroutine itself when the link
+// was idle on a network without a link profile. A handler may
+// authenticate a message inline before handing it to an event loop:
+// that delays only its own sender's stream (on memnet possibly the
+// sender itself). It must not block on protocol progress: a memnet
+// handler that blocks may be blocking its sender.
 package transport
 
 import (
@@ -33,8 +37,9 @@ var ErrClosed = errors.New("transport: endpoint closed")
 // ErrUnknownNode is returned when the destination is not registered.
 var ErrUnknownNode = errors.New("transport: unknown node")
 
-// Handler consumes an inbound message on the sender's transport
-// goroutine (see the package comment for what it may do there).
+// Handler consumes an inbound message on the goroutine delivering the
+// sender's stream, which on memnet may be the sender's own (see the
+// package comment for what it may do there).
 // Implementations must not retain the message past mutation; messages
 // are immutable by convention.
 type Handler func(from uint32, m message.Message)
@@ -46,9 +51,12 @@ type Endpoint interface {
 	// Handle installs the inbound message handler. It must be called
 	// before the first message arrives.
 	Handle(h Handler)
-	// Send delivers m to node "to". Delivery is asynchronous and
-	// per-destination FIFO; errors report local conditions only
-	// (closed endpoint, unknown destination).
+	// Send delivers m to node "to", per-destination FIFO. Delivery
+	// is asynchronous, except that memnet without a link profile runs
+	// the handler before Send returns when the link is idle; a caller
+	// must not hold a lock the destination's handler may take. Errors
+	// report local conditions only (closed endpoint, unknown
+	// destination).
 	Send(to uint32, m message.Message) error
 	// Close detaches the endpoint; pending messages may be dropped.
 	Close() error
@@ -61,7 +69,8 @@ type Endpoint interface {
 // capability fall back to per-destination Send.
 type Multicaster interface {
 	// Multicast delivers m to every node in dests. Like Send, delivery
-	// is asynchronous, per-destination FIFO, and best effort.
+	// is per-destination FIFO and best effort, and asynchronous except
+	// over an idle memnet link.
 	Multicast(dests []uint32, m message.Message)
 }
 
