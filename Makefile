@@ -47,6 +47,9 @@ wire-golden:
 # reads it, repeated;
 # then the install step of every protocol, whose follower missed the
 # VIEW-CHANGEs and must adopt the NEW-VIEW's checkpoint claim, repeated;
+# then a follower of every protocol whose application blocks for two
+# view-change timeouts under load: its watchdog fires alone, and it must
+# stay in the group's view and go on committing, repeated;
 # then the client, whose pending records are recycled across requests
 # while late replies and Close race them; then the memnet contract, whose
 # idle links deliver on the sender's goroutine (re-entrant sends
@@ -58,6 +61,7 @@ chaos-smoke:
 	$(GO) test -race -count=10 -run 'TestColdRestart|TestGracefulShutdownResumesWarm|TestAmnesiaZombieRefused|TestStaleSealRefused' ./internal/cluster/
 	$(GO) test -race -count=20 -run 'TestStandingSaysWhyAReplicaIsBehind' ./internal/cluster/
 	$(GO) test -race -count=20 -run 'TestInstallAdoptsTheNewViewCheckpointClaim' ./internal/cluster/
+	$(GO) test -race -count=20 -run 'TestALoneTimeoutKeepsTheReplicaInItsView' ./internal/cluster/
 	$(GO) test -race -count=20 ./internal/client/
 	$(GO) test -race -count=20 -run 'TestMemnetContract' ./internal/transport/
 

@@ -82,7 +82,7 @@ func BuildCluster(proto config.Protocol, cores, batch int, rotate bool,
 	cfg.CheckpointInterval = 256
 	cfg.WindowSize = 1024
 	cfg.ViewChangeTimeout = 10 * time.Second // benches must never view-change
-	return cluster.Boot(cluster.Options{Config: cfg, Profile: profile, Seed: 42, EnclaveCost: cost}, app)
+	return cluster.Boot(cluster.Options{Config: cfg, Profile: profile, EnclaveCost: cost}, app)
 }
 
 // ClusterClients is the client factory of an in-process cluster, for

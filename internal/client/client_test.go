@@ -66,7 +66,7 @@ func newFakeReplicaOn(ep transport.Endpoint, cfg config.Config) *fakeReplica {
 func setup(t testing.TB) (config.Config, *transport.Network, []*fakeReplica) {
 	t.Helper()
 	cfg := config.Default(config.HybsterX) // n=3, f=1
-	net := transport.NewNetwork(transport.LinkProfile{}, 1)
+	net := transport.NewNetwork(transport.LinkProfile{})
 	t.Cleanup(net.Close)
 	replicas := make([]*fakeReplica, cfg.N)
 	for i := range replicas {

@@ -29,7 +29,7 @@ func byzCluster(t *testing.T) (*cluster.Cluster, transport.Endpoint, *client.Cli
 	cfg.CheckpointInterval = 8
 	cfg.WindowSize = 32
 	cfg.ViewChangeTimeout = 600 * time.Millisecond
-	c, err := cluster.Boot(cluster.Options{Config: cfg, Seed: 1},
+	c, err := cluster.Boot(cluster.Options{Config: cfg},
 		func() statemachine.Application { return counter.New() })
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestHijackedReplicaDoesNotBlockViewChange(t *testing.T) {
 	// correct replicas 1,2 elect a new view despite attacker noise.
 	cfg := config.Default(config.HybsterS)
 	cfg.ViewChangeTimeout = 400 * time.Millisecond
-	c, err := cluster.Boot(cluster.Options{Config: cfg, Seed: 2},
+	c, err := cluster.Boot(cluster.Options{Config: cfg},
 		func() statemachine.Application { return counter.New() })
 	if err != nil {
 		t.Fatal(err)

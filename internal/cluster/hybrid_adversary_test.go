@@ -42,7 +42,7 @@ func genuineAttacker(cfg config.Config) *trinx.TrInX {
 func TestByzantineLeaderPartialDisclosure(t *testing.T) {
 	cfg := config.Default(config.HybsterS)
 	cfg.ViewChangeTimeout = 400 * time.Millisecond
-	c, err := cluster.Boot(cluster.Options{Config: cfg, Seed: 3},
+	c, err := cluster.Boot(cluster.Options{Config: cfg},
 		func() statemachine.Application { return counter.New() })
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestByzantineLeaderPartialDisclosure(t *testing.T) {
 func TestByzantineConcealingViewChangeRejected(t *testing.T) {
 	cfg := config.Default(config.HybsterS)
 	cfg.ViewChangeTimeout = 400 * time.Millisecond
-	c, err := cluster.Boot(cluster.Options{Config: cfg, Seed: 4},
+	c, err := cluster.Boot(cluster.Options{Config: cfg},
 		func() statemachine.Application { return counter.New() })
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestByzantineCheckpointLiesCannotStabilize(t *testing.T) {
 	cfg.CheckpointInterval = 4
 	cfg.WindowSize = 16
 	cfg.ViewChangeTimeout = 500 * time.Millisecond
-	c, err := cluster.Boot(cluster.Options{Config: cfg, Seed: 5},
+	c, err := cluster.Boot(cluster.Options{Config: cfg},
 		func() statemachine.Application { return counter.New() })
 	if err != nil {
 		t.Fatal(err)

@@ -99,7 +99,7 @@ func TestCorruptedAuthenticatorsRejectedOffPillar(t *testing.T) {
 func TestCorruptedAuthenticatorsRejectedMinBFT(t *testing.T) {
 	cfg := config.Default(config.MinBFT)
 	cfg.ViewChangeTimeout = 600 * time.Millisecond
-	c, err := cluster.Boot(cluster.Options{Config: cfg, Seed: 3},
+	c, err := cluster.Boot(cluster.Options{Config: cfg},
 		func() statemachine.Application { return counter.New() })
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestCorruptedAuthenticatorsRejectedMinBFT(t *testing.T) {
 // counter rises) and nothing may be rejected in a fault-free cluster.
 func TestVerifyStageCountsLegitTraffic(t *testing.T) {
 	cfg := config.Default(config.HybsterS)
-	c, err := cluster.Boot(cluster.Options{Config: cfg, Seed: 4},
+	c, err := cluster.Boot(cluster.Options{Config: cfg},
 		func() statemachine.Application { return counter.New() })
 	if err != nil {
 		t.Fatal(err)

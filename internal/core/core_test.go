@@ -12,7 +12,6 @@ import (
 	"hybster/internal/config"
 	"hybster/internal/core"
 	"hybster/internal/statemachine"
-	"hybster/internal/transport"
 )
 
 func testConfig(pillars int) config.Config {
@@ -28,9 +27,9 @@ func testConfig(pillars int) config.Config {
 	return cfg
 }
 
-func newCounterCluster(t *testing.T, cfg config.Config, profile transport.LinkProfile) *cluster.Cluster {
+func newCounterCluster(t *testing.T, cfg config.Config) *cluster.Cluster {
 	t.Helper()
-	c, err := cluster.Boot(cluster.Options{Config: cfg, Profile: profile, Seed: 1},
+	c, err := cluster.Boot(cluster.Options{Config: cfg},
 		func() statemachine.Application { return counter.New() })
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +67,7 @@ func invokeN(t *testing.T, c *cluster.Cluster, clients, perClient int) {
 }
 
 func TestSequentialBasicOrdering(t *testing.T) {
-	c := newCounterCluster(t, testConfig(1), transport.LinkProfile{})
+	c := newCounterCluster(t, testConfig(1))
 	cl, err := c.NewClient(time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +89,7 @@ func TestSequentialBasicOrdering(t *testing.T) {
 }
 
 func TestParallelPillarsOrdering(t *testing.T) {
-	c := newCounterCluster(t, testConfig(3), transport.LinkProfile{})
+	c := newCounterCluster(t, testConfig(3))
 	invokeN(t, c, 8, 20)
 	if err := c.WaitExecuted(1, 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -101,7 +100,7 @@ func TestManyRequestsCrossCheckpoints(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.CheckpointInterval = 8
 	cfg.WindowSize = 32
-	c := newCounterCluster(t, cfg, transport.LinkProfile{})
+	c := newCounterCluster(t, cfg)
 	// 4 clients × 50 ops each with batch size 16 crosses several
 	// checkpoint intervals and exercises window advancement.
 	invokeN(t, c, 4, 50)
@@ -110,12 +109,12 @@ func TestManyRequestsCrossCheckpoints(t *testing.T) {
 func TestRotationSpreadsProposals(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.RotateLeader = true
-	c := newCounterCluster(t, cfg, transport.LinkProfile{})
+	c := newCounterCluster(t, cfg)
 	invokeN(t, c, 6, 20)
 }
 
 func TestReplicasConvergeOnSameValue(t *testing.T) {
-	c := newCounterCluster(t, testConfig(2), transport.LinkProfile{})
+	c := newCounterCluster(t, testConfig(2))
 	invokeN(t, c, 4, 25)
 
 	cl, err := c.NewClient(time.Second)
@@ -132,22 +131,8 @@ func TestReplicasConvergeOnSameValue(t *testing.T) {
 	}
 }
 
-func TestDeliveryWithNetworkLatency(t *testing.T) {
-	c := newCounterCluster(t, testConfig(1), transport.LinkProfile{Latency: 2 * time.Millisecond})
-	cl, err := c.NewClient(2 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	for i := 0; i < 5; i++ {
-		if _, err := cl.Invoke([]byte{1}, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestDuplicateRequestNotReExecuted(t *testing.T) {
-	c := newCounterCluster(t, testConfig(1), transport.LinkProfile{})
+	c := newCounterCluster(t, testConfig(1))
 	// Short client timeout forces retransmissions; the reply cache
 	// must keep the counter exact.
 	cl, err := c.NewClient(30 * time.Millisecond)
@@ -168,7 +153,7 @@ func TestDuplicateRequestNotReExecuted(t *testing.T) {
 
 func TestLeaderCrashViewChange(t *testing.T) {
 	cfg := testConfig(1)
-	c := newCounterCluster(t, cfg, transport.LinkProfile{})
+	c := newCounterCluster(t, cfg)
 	cl, err := c.NewClient(300 * time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +181,7 @@ func TestLeaderCrashViewChange(t *testing.T) {
 
 func TestLeaderCrashParallelPillars(t *testing.T) {
 	cfg := testConfig(3)
-	c := newCounterCluster(t, cfg, transport.LinkProfile{})
+	c := newCounterCluster(t, cfg)
 	invokeN(t, c, 4, 10)
 
 	c.Crash(0)
@@ -217,7 +202,7 @@ func TestIsolatedReplicaCatchesUpViaStateTransfer(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.CheckpointInterval = 4
 	cfg.WindowSize = 8
-	c := newCounterCluster(t, cfg, transport.LinkProfile{})
+	c := newCounterCluster(t, cfg)
 
 	cl, err := c.NewClient(time.Second)
 	if err != nil {
@@ -257,7 +242,7 @@ func TestViewChangePreservesExecutedRequests(t *testing.T) {
 	// The scenario of Fig. 3: requests committed in view v must
 	// survive into view v+1 even when a replica missed them.
 	cfg := testConfig(1)
-	c := newCounterCluster(t, cfg, transport.LinkProfile{})
+	c := newCounterCluster(t, cfg)
 
 	cl, err := c.NewClient(time.Second)
 	if err != nil {
@@ -302,7 +287,7 @@ func TestMultiRoundViewChangeEscalation(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.N = 5
 	cfg.ViewChangeTimeout = 300 * time.Millisecond
-	c := newCounterCluster(t, cfg, transport.LinkProfile{})
+	c := newCounterCluster(t, cfg)
 
 	cl, err := c.NewClient(400 * time.Millisecond)
 	if err != nil {
@@ -347,7 +332,7 @@ func TestFiveReplicasTolerateTwoCrashes(t *testing.T) {
 	// leader) and keep ordering with the remaining quorum of 3.
 	cfg := testConfig(2)
 	cfg.N = 5
-	c := newCounterCluster(t, cfg, transport.LinkProfile{})
+	c := newCounterCluster(t, cfg)
 	invokeN(t, c, 3, 5)
 
 	c.Crash(4) // a follower

@@ -29,7 +29,7 @@ import (
 // PREPARE that follows, which commits.
 func TestForgedPrepareAtCursorLeavesNoTrace(t *testing.T) {
 	cfg := config.Default(config.HybsterS)
-	net := transport.NewNetwork(transport.LinkProfile{}, 1)
+	net := transport.NewNetwork(transport.LinkProfile{})
 	t.Cleanup(net.Close)
 	follower := newEngineOn(t, net, cfg, 1, nil)
 	p := follower.pillars[0]
@@ -94,7 +94,7 @@ func TestForgedPrepareAtCursorLeavesNoTrace(t *testing.T) {
 func TestCommitCostsAnECallOnlyWhenNeeded(t *testing.T) {
 	cfg := config.Default(config.HybsterS)
 	cfg.N = 5
-	net := transport.NewNetwork(transport.LinkProfile{}, 1)
+	net := transport.NewNetwork(transport.LinkProfile{})
 	t.Cleanup(net.Close)
 	tel := telemetry.New("test")
 	r3, err := New(Options{
@@ -115,7 +115,7 @@ func TestCommitCostsAnECallOnlyWhenNeeded(t *testing.T) {
 		return n
 	}
 	// The other replicas only certify.
-	peers := transport.NewNetwork(transport.LinkProfile{}, 1)
+	peers := transport.NewNetwork(transport.LinkProfile{})
 	t.Cleanup(peers.Close)
 	r := make([]*Engine, cfg.N)
 	for _, id := range []uint32{0, 1, 2, 4} {
@@ -178,7 +178,7 @@ func TestCommitCostsAnECallOnlyWhenNeeded(t *testing.T) {
 func TestProposalAboveWindowWaitsForAdvance(t *testing.T) {
 	cfg := config.Default(config.HybsterS)
 	cfg.CheckpointInterval, cfg.WindowSize = 2, 4
-	net := transport.NewNetwork(transport.LinkProfile{}, 1)
+	net := transport.NewNetwork(transport.LinkProfile{})
 	t.Cleanup(net.Close)
 	p := newEngineOn(t, net, cfg, 0, nil).pillars[0]
 

@@ -26,7 +26,7 @@ func newTestEngine(t *testing.T, id uint32, pillars int) *Engine {
 	}
 	cfg := config.Default(proto)
 	cfg.Pillars = pillars
-	net := transport.NewNetwork(transport.LinkProfile{}, 1)
+	net := transport.NewNetwork(transport.LinkProfile{})
 	t.Cleanup(net.Close)
 	return newEngineOn(t, net, cfg, id, nil)
 }

@@ -10,6 +10,8 @@ import (
 
 	"hybster/internal/config"
 	"hybster/internal/engine"
+	"hybster/internal/message"
+	"hybster/internal/timeline"
 	"hybster/internal/transport"
 )
 
@@ -34,7 +36,7 @@ func newTickedGroup(t *testing.T, pillars int) *tickedGroup {
 	}
 	cfg.Pillars = pillars
 	cfg.ViewChangeTimeout = time.Hour
-	g := &tickedGroup{t: t, cfg: cfg, net: transport.NewNetwork(transport.LinkProfile{}, 1),
+	g := &tickedGroup{t: t, cfg: cfg, net: transport.NewNetwork(transport.LinkProfile{}),
 		r: make([]*Engine, cfg.N), base: time.Now(), timeout: cfg.ViewChangeTimeout + time.Millisecond}
 	t.Cleanup(g.net.Close)
 	for id := range g.r {
@@ -56,6 +58,13 @@ func (g *tickedGroup) tick(ids ...int) {
 	for _, id := range ids {
 		g.r[id].CoordBox.Put(engine.Tick{})
 	}
+}
+
+// suspicion hands r[to] r[from]'s SUSPECT of view v as if it had just
+// arrived (the inbound path checks its authenticator, before the
+// coordinator loop).
+func (g *tickedGroup) suspicion(from, to int, v timeline.View) {
+	g.r[to].CoordBox.Put(engine.InMsg{From: uint32(from), Msg: &message.Suspect{Replica: uint32(from), View: v}})
 }
 
 func (g *tickedGroup) stall(ids ...int) {
@@ -107,12 +116,14 @@ func TestSkippedViewEvidenceReachesPendingPeer(t *testing.T) {
 			g.tick(0, 1, 2)
 			g.await("view 1 installs", func() bool { return r[0].View() == 1 && r[1].View() == 1 && r[2].View() == 1 })
 
-			// r1 is gone for good. r2 aborts into view 2 first; once its
-			// VIEW-CHANGE is on the wire to r0 the link is cut, so r0's
-			// own VIEW-CHANGE(→2) never reaches r2.
+			// r1 is gone for good. r2 aborts into view 2 first, on r0's
+			// suspicion and its own; once its VIEW-CHANGE is on the wire
+			// to r0 the link is cut, so r0's own VIEW-CHANGE(→2) never
+			// reaches r2.
 			r[1].Stop()
 			g.stall(0, 2)
 			g.advance(g.timeout)
+			g.suspicion(0, 2, 1)
 			g.tick(2)
 			g.await("r2 aborts into view 2", func() bool { return standsAt(r[2], "pending→2 desired=2 vcs[2]={r2}") })
 			g.net.Partition(0, 2)
@@ -152,8 +163,9 @@ func TestSkippedViewEvidenceReachesPendingPeer(t *testing.T) {
 // TestNewViewRelayedByNonLeaderInstalls pins that a NEW-VIEW counts on
 // its certificate, whoever relays it (§5.2.3). The r1↔r2 link is cut,
 // so r2 never hears from r1, the leader of view 1. r0 and r1 install
-// view 1; r2 aborts into it later, and r0 answers r2's VIEW-CHANGE(→1)
-// by relaying the NEW-VIEW it holds. That relay is the only copy r2 can
+// view 1; r2, which holds r0's suspicion of view 0, aborts into it
+// later, and r0 answers r2's VIEW-CHANGE(→1) by relaying the NEW-VIEW it
+// holds. That relay is the only copy r2 can
 // get, so r2 installs view 1 only if it checks the certificate's issuer
 // against the view's leader rather than the sender.
 func TestNewViewRelayedByNonLeaderInstalls(t *testing.T) {
@@ -167,7 +179,7 @@ func TestNewViewRelayedByNonLeaderInstalls(t *testing.T) {
 			g.advance(g.timeout)
 			g.tick(0, 1)
 			g.await("r0 and r1 install view 1", func() bool {
-				return r[0].View() == 1 && r[1].View() == 1 && standsAt(r[2], "desired=0")
+				return r[0].View() == 1 && r[1].View() == 1 && standsAt(r[2], "desired=0 sus[0]={r0}")
 			})
 
 			g.stall(2)
@@ -182,8 +194,9 @@ func TestNewViewRelayedByNonLeaderInstalls(t *testing.T) {
 
 // TestRestartedLeaderDoesNotReinstallItsView pins the one NEW-VIEW a
 // replica refuses on a valid certificate: its own. r1 leads view 1 and
-// restarts without its state; when it aborts into view 1 again, r0 and
-// r2 relay the NEW-VIEW its first life issued. Installing it would make
+// restarts without its state, in view 0; when it suspects view 0, r0
+// and r2, which installed view 1, relay the NEW-VIEW its first life
+// issued. Installing it would make
 // r1 lead a view whose proposals it no longer knows, with counters that
 // may certify them a second time. r2 never aborts (cut off from r0, it
 // sees one VIEW-CHANGE, too few to join) and installs view 1 on r1's
@@ -203,7 +216,7 @@ func TestRestartedLeaderDoesNotReinstallItsView(t *testing.T) {
 	g.stall(1)
 	g.advance(g.timeout)
 	g.tick(1)
-	g.await("restarted r1 aborts into view 1", func() bool { return standsAt(g.r[1], "pending→1 desired=1 vcs[1]={r1}") })
+	g.await("restarted r1 suspects view 0", func() bool { return standsAt(g.r[1], "desired=0 sus[0]={r1}") })
 	if eventually(300*time.Millisecond, func() bool { return g.r[1].View() == 1 }) {
 		t.Fatalf("restarted leader installed its own relayed NEW-VIEW:%s", g.standings())
 	}

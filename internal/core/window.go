@@ -47,9 +47,6 @@ func (s *slot) Acks() int { return len(s.acks) }
 // directly, without a message. Callers follow up with window.Refresh.
 func (s *slot) AddOwnAck(r uint32) { s.acks[r] = true }
 
-// HasAck reports whether replica r acknowledged the instance.
-func (s *slot) HasAck(r uint32) bool { return s.acks[r] }
-
 // reset clears per-view state when the slot transitions to a new view.
 func (s *slot) reset(v timeline.View) {
 	s.View = v
@@ -186,18 +183,6 @@ func (w *window) Prepares() []*message.Prepare {
 	for o := w.low + 1; o <= w.High(); o++ {
 		if s, ok := w.slots[o]; ok && s.Prepare != nil {
 			out = append(out, s.Prepare)
-		}
-	}
-	return out
-}
-
-// CommittedUnexecuted returns the committed but not yet executed slots
-// in ascending order.
-func (w *window) CommittedUnexecuted() []*slot {
-	var out []*slot
-	for o := w.low + 1; o <= w.High(); o++ {
-		if s, ok := w.slots[o]; ok && s.Committed && !s.Executed {
-			out = append(out, s)
 		}
 	}
 	return out

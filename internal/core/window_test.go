@@ -50,7 +50,7 @@ func TestCommitQuorum(t *testing.T) {
 	if s == nil || s.Committed {
 		t.Fatalf("slot after prepare: %+v", s)
 	}
-	if s.Acks() != 1 || !s.HasAck(0) {
+	if s.Acks() != 1 || !s.acks[0] {
 		t.Fatal("prepare did not count as proposer ack")
 	}
 	s = w.AddCommit(commitFor(p, 1))
@@ -213,20 +213,6 @@ func TestPreparesOrderedDisclosure(t *testing.T) {
 	w.Advance(2)
 	if got := len(w.Prepares()); got != 2 {
 		t.Fatalf("after advance: %d prepares, want 2", got)
-	}
-}
-
-func TestCommittedUnexecuted(t *testing.T) {
-	w := newWindow(100, 2)
-	for o := timeline.Order(1); o <= 3; o++ {
-		p := prep(0, o, 0, "x")
-		w.SetPrepare(p)
-		w.AddCommit(commitFor(p, 1))
-	}
-	w.Existing(2).Executed = true
-	got := w.CommittedUnexecuted()
-	if len(got) != 2 || got[0].Order != 1 || got[1].Order != 3 {
-		t.Fatalf("CommittedUnexecuted = %+v", got)
 	}
 }
 

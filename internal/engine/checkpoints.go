@@ -184,13 +184,15 @@ func (c *Checkpoints[M]) Certified(o timeline.Order, d crypto.Digest, proof []M)
 }
 
 // EnterView is every protocol's install step for a validated NEW-VIEW
-// of view w: install w, clear the pending view, and adopt its claim —
+// of view w: install w, clear the pending view and every recorded
+// suspicion, and adopt its claim —
 // the newest stable checkpoint its VIEW-CHANGE set proves — if above
 // the stable one, as a record without state or log record, which
 // CatchUp then fetches. It reports whether the claim was adopted.
 func (c *Checkpoints[M]) EnterView(w timeline.View, claim StableCkpt[M]) bool {
 	c.h.curView.Store(uint64(w))
 	c.h.Pending = 0
+	clear(c.h.suspects) // a replica that still suspects says so again
 	c.h.Met.Trace(telemetry.EvNewView, uint64(w), uint64(claim.Order), 0, "")
 	adopted := c.adopt(claim)
 	if adopted {

@@ -20,6 +20,7 @@ type Metrics struct {
 	CkptsOwn     *telemetry.Counter
 	CkptsStable  *telemetry.Counter
 	StateXfers   *telemetry.Counter
+	Suspects     *telemetry.Counter
 }
 
 // newMetrics resolves the shared handles for protocol proto ("core",
@@ -31,6 +32,7 @@ func newMetrics(tel *telemetry.Telemetry, proto string) Metrics {
 	m.CkptsOwn = m.Counter("checkpoints_total", "own checkpoint announcements")
 	m.CkptsStable = m.Counter("checkpoints_stable_total", "checkpoints that reached quorum stability")
 	m.StateXfers = m.Counter("state_transfers_total", "state snapshots installed via transfer")
+	m.Suspects = m.Counter("suspects_total", "views this replica suspected on a watchdog expiry")
 	// Codec marshal-pool statistics. The counters are process-global
 	// (the encoder pool is shared by every engine in the process), so
 	// in-process multi-replica clusters see the same totals on each

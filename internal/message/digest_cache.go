@@ -88,7 +88,7 @@ func PrecomputeDigest(m Message) {
 		_ = v.Digest()
 	case *MinCommit:
 		_ = v.Digest()
-	case *MinReqViewChange:
+	case *Suspect:
 		_ = v.Digest()
 	case *MinViewChange:
 		_ = v.Digest()

@@ -185,7 +185,7 @@ func allMessages() []Message {
 		},
 		&MinPrepare{View: 2, Requests: []*Request{sampleRequest(5)}, UI: sampleUI(1)},
 		&MinCommit{View: 2, Replica: 1, BatchDigest: crypto.Hash([]byte("m")), PrepareUI: sampleUI(2), UI: sampleUI(3)},
-		&MinReqViewChange{Replica: 2, View: 4, Auth: sampleAuth(2, 3)},
+		&Suspect{Replica: 2, View: 4, Auth: sampleAuth(2, 3)},
 		&MinViewChange{
 			Replica: 1, View: 4, CkptOrder: 20,
 			CkptProof: []*Checkpoint{sampleCheckpoint(2)},
@@ -420,7 +420,7 @@ func TestTypeString(t *testing.T) {
 		"REQUEST", "REPLY", "PREPARE", "COMMIT", "CHECKPOINT", "VIEW-CHANGE",
 		"NEW-VIEW", "NEW-VIEW-ACK", "PRE-PREPARE", "PBFT-PREPARE", "PBFT-COMMIT",
 		"PBFT-CHECKPOINT", "PBFT-VIEW-CHANGE", "PBFT-NEW-VIEW", "MIN-PREPARE",
-		"MIN-COMMIT", "MIN-REQ-VIEW-CHANGE", "MIN-VIEW-CHANGE", "MIN-NEW-VIEW",
+		"MIN-COMMIT", "SUSPECT", "MIN-VIEW-CHANGE", "MIN-NEW-VIEW",
 		"STATE-REQUEST", "STATE-REPLY",
 	}
 	if len(names) != int(TypeStateReply) {

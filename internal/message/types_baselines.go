@@ -323,35 +323,6 @@ func (p *MinPrepare) Digest() crypto.Digest {
 	return p.dc.fill(crypto.HashParts([]byte("minp"), crypto.U64(uint64(p.View)), bd[:]))
 }
 
-// MinReqViewChange asks the group to move to view View (MinBFT's
-// REQ-VIEW-CHANGE). It consumes no UI — replicas act once f+1 distinct
-// requests arrive — and is authenticated like a client request, with a
-// MAC authenticator.
-type MinReqViewChange struct {
-	Replica uint32
-	View    timeline.View
-	Auth    crypto.Authenticator
-
-	dc digestCache
-}
-
-// MsgType implements Message.
-func (*MinReqViewChange) MsgType() Type { return TypeMinReqViewChange }
-
-func (r *MinReqViewChange) wire(w *wire) {
-	w.u32(&r.Replica)
-	w.view(&r.View)
-	w.auth(&r.Auth)
-}
-
-// Digest returns the value the authenticator covers.
-func (r *MinReqViewChange) Digest() crypto.Digest {
-	if d, ok := r.dc.cached(); ok {
-		return d
-	}
-	return r.dc.fill(crypto.HashParts([]byte("minrvc"), crypto.U32(r.Replica), crypto.U64(uint64(r.View))))
-}
-
 // MinViewChange is MinBFT's VIEW-CHANGE: the last stable checkpoint
 // plus the complete history of ordering messages the replica sent
 // since that checkpoint — each history entry is a marshaled message

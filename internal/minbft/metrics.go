@@ -31,7 +31,7 @@ func (e *Engine) setNextOrder(o timeline.Order) {
 // standing fills the view-change fields of the replica's engine.Standing
 // and the count of deaf sender streams.
 func (e *Engine) standing(s *engine.Standing) {
-	s.Desired, s.Deaf = e.reqSent, len(e.deaf)
+	s.Desired, s.Deaf = e.View(), len(e.deaf)
 	for r := range e.vcs[e.Pending] {
 		s.VCHolders = append(s.VCHolders, r)
 	}

@@ -24,7 +24,7 @@ func testConfig() config.Config {
 
 func newCounterCluster(t *testing.T, cfg config.Config) *cluster.Cluster {
 	t.Helper()
-	c, err := cluster.Boot(cluster.Options{Config: cfg, Seed: 1},
+	c, err := cluster.Boot(cluster.Options{Config: cfg},
 		func() statemachine.Application { return counter.New() })
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestMinBFTDuplicateRequestNotReExecuted(t *testing.T) {
 
 func TestMinBFTLeaderCrashViewChange(t *testing.T) {
 	// The §4.4 history-based view change in action: the leader crashes,
-	// followers exchange REQ-VIEW-CHANGE and history-carrying
+	// followers exchange SUSPECTs and history-carrying
 	// VIEW-CHANGEs, and the next leader re-proposes every instance
 	// disclosed by the histories.
 	cfg := testConfig()

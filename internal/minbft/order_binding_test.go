@@ -19,7 +19,7 @@ func newBareEngine(t *testing.T, id uint32, keySeed string) *Engine {
 	t.Helper()
 	cfg := config.Default(config.MinBFT)
 	cfg.KeySeed = keySeed
-	net := transport.NewNetwork(transport.LinkProfile{}, int64(cfg.N))
+	net := transport.NewNetwork(transport.LinkProfile{})
 	eng, err := New(Options{
 		Config:      cfg,
 		ID:          id,

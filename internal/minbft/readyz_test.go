@@ -21,7 +21,7 @@ import (
 func TestReadyzDetectsWedgedReplica(t *testing.T) {
 	cfg := config.Default(config.MinBFT)
 	cfg.ViewChangeTimeout = 25 * time.Millisecond
-	net := transport.NewNetwork(transport.LinkProfile{}, 1)
+	net := transport.NewNetwork(transport.LinkProfile{})
 	t.Cleanup(net.Close)
 	e, err := New(Options{
 		Config: cfg, ID: 0, Endpoint: net.Endpoint(0), Application: counter.New(),

@@ -25,7 +25,7 @@ func TestZombieCounterRegressionRefused(t *testing.T) {
 	cfg.KeySeed = "zombie-test"
 	key := crypto.NewKeyFromSeed(cfg.KeySeed)
 
-	net := transport.NewNetwork(transport.LinkProfile{}, 1)
+	net := transport.NewNetwork(transport.LinkProfile{})
 	eng, err := New(Options{
 		Config:      cfg,
 		ID:          0,
@@ -124,7 +124,7 @@ func TestCorruptedCopyCannotFrameSender(t *testing.T) {
 	cfg.KeySeed = "frame-test"
 	key := crypto.NewKeyFromSeed(cfg.KeySeed)
 
-	net := transport.NewNetwork(transport.LinkProfile{}, 1)
+	net := transport.NewNetwork(transport.LinkProfile{})
 	eng, err := New(Options{
 		Config:      cfg,
 		ID:          0,

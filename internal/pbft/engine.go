@@ -24,6 +24,7 @@ import (
 	"hybster/internal/engine"
 	"hybster/internal/message"
 	"hybster/internal/statemachine"
+	"hybster/internal/timeline"
 	"hybster/internal/trinx"
 )
 
@@ -57,6 +58,8 @@ func New(opts Options) (*Engine, error) {
 		Classify: classify,
 		Pillar:   func(u uint32, ev any) { e.pillars[u].handleEvent(ev) },
 		Coord:    func(ev any) { e.coord.handleEvent(ev) },
+		Abort:    func(to timeline.View) { e.coord.startViewChange(to) },
+		Lags:     func(peer uint32) { e.coord.relayNewView(peer) },
 		Standing: func(s *engine.Standing) { e.coord.standing(s) },
 		Close:    e.close,
 	})

@@ -21,7 +21,7 @@ import (
 func newTestEngine(t *testing.T, proto config.Protocol, id uint32) *Engine {
 	t.Helper()
 	cfg := config.Default(proto)
-	net := transport.NewNetwork(transport.LinkProfile{}, 1)
+	net := transport.NewNetwork(transport.LinkProfile{})
 	t.Cleanup(net.Close)
 	e, err := New(Options{
 		Config:      cfg,
@@ -337,7 +337,7 @@ func TestReadyzDetectsWedgedReplica(t *testing.T) {
 	var offset atomic.Int64
 	base := time.Now()
 	cfg := config.Default(config.PBFTcop)
-	net := transport.NewNetwork(transport.LinkProfile{}, 1)
+	net := transport.NewNetwork(transport.LinkProfile{})
 	t.Cleanup(net.Close)
 	e, err := New(Options{
 		Config: cfg, ID: 0, Endpoint: net.Endpoint(0), Application: counter.New(),

@@ -24,7 +24,7 @@ func testConfig(proto config.Protocol, pillars int) config.Config {
 
 func newCounterCluster(t *testing.T, cfg config.Config) *cluster.Cluster {
 	t.Helper()
-	c, err := cluster.Boot(cluster.Options{Config: cfg, Seed: 1},
+	c, err := cluster.Boot(cluster.Options{Config: cfg},
 		func() statemachine.Application { return counter.New() })
 	if err != nil {
 		t.Fatal(err)

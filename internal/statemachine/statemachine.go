@@ -250,8 +250,7 @@ func (e *Executor) ReplyVector() []byte { return e.marshalReplies() }
 // snapshot taken at checkpoint order ckpt: the application state, the
 // reply vector, and the delivery cursor. Buffered instances at or below
 // ckpt are dropped; later ones are kept and may become deliverable
-// immediately (the caller should follow up with a Drain call via
-// Submit of already-buffered orders — they remain pending here).
+// immediately: the caller delivers them with Step.
 func (e *Executor) InstallState(ckpt timeline.Order, snapshot, replyVector []byte) error {
 	if ckpt < e.next-1 {
 		return fmt.Errorf("statemachine: refusing to move backwards: at %d, snapshot %d", e.next-1, ckpt)
@@ -271,21 +270,6 @@ func (e *Executor) InstallState(ckpt timeline.Order, snapshot, replyVector []byt
 		}
 	}
 	return nil
-}
-
-// Drain delivers any buffered instances that became contiguous after
-// InstallState.
-func (e *Executor) Drain() []Executed {
-	var out []Executed
-	for {
-		b, ok := e.pending[e.next]
-		if !ok {
-			return out
-		}
-		delete(e.pending, e.next)
-		out = append(out, e.execute(e.next, b))
-		e.next++
-	}
 }
 
 // marshalReplies serializes the reply cache deterministically (sorted

@@ -185,9 +185,8 @@ func TestInstallStateAndDrain(t *testing.T) {
 	if b.StateDigest() != a.StateDigest() {
 		t.Fatal("digests differ after state transfer")
 	}
-	out := b.Drain()
-	if len(out) != 1 || out[0].Order != 6 {
-		t.Fatalf("drain = %+v", out)
+	if ex := b.Step(); ex == nil || ex.Order != 6 || b.Step() != nil {
+		t.Fatalf("after the install, Step delivered %+v, want order 6 alone", ex)
 	}
 
 	a.Submit(6, []*message.Request{req(0, 6, "x")})

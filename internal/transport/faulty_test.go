@@ -20,7 +20,7 @@ func (s *scriptInjector) Decide(from, to uint32, seq uint64) Fault {
 // sending side.
 func faultyPair(t *testing.T, script map[uint64]Fault) (*FaultyEndpoint, *collector, func()) {
 	t.Helper()
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	a := WrapFaulty(net.Endpoint(0), &scriptInjector{script: script})
 	b := net.Endpoint(1)
 	col := newCollector()

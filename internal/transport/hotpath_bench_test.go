@@ -63,7 +63,7 @@ func BenchmarkHotPathMulticastTCP(b *testing.B) {
 // times per request, so its cost is harness, not Hybster; it must stay
 // allocation-free.
 func BenchmarkHotPathMemnet(b *testing.B) {
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	src := net.Endpoint(0)
 	done := make(chan struct{})
@@ -92,7 +92,7 @@ func BenchmarkHotPathMemnet(b *testing.B) {
 // BenchmarkHotPathMemnet hides: on the zero profile both crossings run
 // on the sending goroutine, with no link goroutine to wake.
 func BenchmarkHotPathMemnetIdle(b *testing.B) {
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	client, replica := net.Endpoint(crypto.ClientIDBase), net.Endpoint(0)
 	replica.Handle(func(from uint32, m message.Message) { _ = replica.Send(from, m) })

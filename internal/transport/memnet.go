@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,18 +11,15 @@ import (
 )
 
 // LinkProfile describes the simulated characteristics of every link in
-// an in-process Network. The zero profile is an ideal network: no
-// latency, unlimited bandwidth, no loss.
+// an in-process Network. The zero profile is an ideal network with
+// unlimited bandwidth. Per-link drops and delays are fault injection's
+// (FaultyEndpoint), which seeds them.
 type LinkProfile struct {
-	// Latency is the one-way propagation delay.
-	Latency time.Duration
 	// Bandwidth is the link capacity in bytes per second; 0 means
 	// unlimited. A message occupies its link for its exact wire size
 	// (EstimateSize) and transmissions on one link serialize, so large
 	// messages delay subsequent ones (the Fig. 6b effect).
 	Bandwidth int64
-	// LossRate is the probability in [0,1) that a message is dropped.
-	LossRate float64
 }
 
 // Network is the in-process message fabric. Nodes register endpoints by
@@ -50,7 +46,6 @@ type LinkProfile struct {
 type Network struct {
 	profile LinkProfile
 	inline  bool // the zero profile: an idle link delivers on its sender's goroutine
-	seed    int64
 
 	routes atomic.Pointer[routes]
 
@@ -67,9 +62,9 @@ type routes struct {
 }
 
 // NewNetwork creates an in-process network in which every link has the
-// given profile. seed makes loss decisions reproducible.
-func NewNetwork(profile LinkProfile, seed int64) *Network {
-	n := &Network{profile: profile, inline: profile == LinkProfile{}, seed: seed, nodes: make(map[uint32]*memEndpoint)}
+// given profile.
+func NewNetwork(profile LinkProfile) *Network {
+	n := &Network{profile: profile, inline: profile == LinkProfile{}, nodes: make(map[uint32]*memEndpoint)}
 	n.routes.Store(&routes{})
 	return n
 }
@@ -237,13 +232,12 @@ func (n *Network) addLink(src, dst uint32) (*link, error) {
 	return l, nil
 }
 
-// runLink drives one link: applies loss, bandwidth, and latency, then
-// delivers to the destination handler in FIFO order. Everything queued
+// runLink drives one link: applies the bandwidth, then delivers to the
+// destination handler in FIFO order. Everything queued
 // is taken out under one lock round-trip and one wake-up, and delivered
 // under the link's delivery lock; the batch stops counting as pending
 // only once the lock is released, so no inline Send overtakes it.
 func (n *Network) runLink(l *link) {
-	rng := rand.New(rand.NewSource(n.seed ^ int64(l.src)<<32 ^ int64(l.dst)))
 	batch := make([]message.Message, 0, linkBatch)
 	for {
 		var ok bool
@@ -254,15 +248,9 @@ func (n *Network) runLink(l *link) {
 		l.deliver.Lock()
 		for i, m := range batch {
 			batch[i] = nil // the handler owns m now; do not pin it for the GC
-			if n.profile.LossRate > 0 && rng.Float64() < n.profile.LossRate {
-				continue
-			}
 			if n.profile.Bandwidth > 0 {
 				tx := time.Duration(float64(EstimateSize(m)) / float64(n.profile.Bandwidth) * float64(time.Second))
 				time.Sleep(tx)
-			}
-			if n.profile.Latency > 0 {
-				time.Sleep(n.profile.Latency)
 			}
 			l.handle(m)
 		}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"errors"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -57,7 +56,7 @@ func (g *gatedHandler) seqs() []uint64 {
 // and several source nodes share links into one destination.
 func TestMemnetContractFIFOConcurrentSenders(t *testing.T) {
 	const sources, perSource, per = 3, 4, 3000
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	dst := net.Endpoint(100)
 
@@ -109,7 +108,7 @@ func TestMemnetContractFIFOConcurrentSenders(t *testing.T) {
 // A partition stops new sends; what the link already accepted is in
 // flight and is still delivered.
 func TestMemnetContractInFlightSurvivesPartition(t *testing.T) {
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	a := net.Endpoint(0)
 	b := net.Endpoint(1)
@@ -139,7 +138,7 @@ func TestMemnetContractInFlightSurvivesPartition(t *testing.T) {
 // were queued behind the delivery in progress — and later sends reach
 // the new handler.
 func TestMemnetContractReplacementNeverReachesStaleHandler(t *testing.T) {
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	a := net.Endpoint(0)
 	stale := newGatedHandler()
@@ -174,7 +173,7 @@ func TestMemnetContractReplacementNeverReachesStaleHandler(t *testing.T) {
 // Close may race any number of Sends: none panics, all return, and
 // from some point on they report ErrClosed.
 func TestMemnetContractCloseRacingSend(t *testing.T) {
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	var delivered atomic.Int64
 	busy := make(chan struct{})
 	net.Endpoint(9).Handle(func(uint32, message.Message) {
@@ -206,7 +205,7 @@ func TestMemnetContractCloseRacingSend(t *testing.T) {
 // A sender blocked at the link bound is backpressure, not a leak: Close
 // releases it with ErrClosed.
 func TestMemnetContractCloseReleasesBlockedSender(t *testing.T) {
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	a := net.Endpoint(0)
 	h := newGatedHandler()
 	net.Endpoint(1).Handle(h.handler)
@@ -252,46 +251,11 @@ func TestMemnetContractCloseReleasesBlockedSender(t *testing.T) {
 	}
 }
 
-// Loss decisions are one draw per message, in FIFO order, from the
-// link's own generator seeded seed ^ src<<32 ^ dst: a seeded run drops
-// exactly the indices that generator dictates.
-func TestMemnetContractSeededLossIndices(t *testing.T) {
-	const (
-		seed     = 42
-		src, dst = 3, 5
-		n        = 4000
-		lossRate = 0.3
-	)
-	rng := rand.New(rand.NewSource(seed ^ int64(src)<<32 ^ int64(dst)))
-	var want []uint64
-	for i := uint64(0); i < n; i++ {
-		if rng.Float64() >= lossRate {
-			want = append(want, i)
-		}
-	}
-
-	net := NewNetwork(LinkProfile{LossRate: lossRate}, seed)
-	defer net.Close()
-	a := net.Endpoint(src)
-	col := newGatedHandler()
-	close(col.gate)
-	net.Endpoint(dst).Handle(col.handler)
-	for i := uint64(0); i < n; i++ {
-		if err := a.Send(dst, testMsg(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	col.col.waitFor(t, len(want), 10*time.Second)
-	if got := col.seqs(); !slices.Equal(got, want) {
-		t.Fatalf("delivered %d messages, want %d; the surviving indices moved", len(got), len(want))
-	}
-}
-
 // On an idle link of a zero-profile network the handler runs on the
 // sender's goroutine: it has run by the time Send returns, for the
 // send that creates the link and for every later one.
 func TestMemnetContractIdleLinkDeliversInline(t *testing.T) {
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	a := net.Endpoint(0)
 	var delivered atomic.Int64
@@ -314,7 +278,7 @@ func TestMemnetContractIdleLinkDeliversInline(t *testing.T) {
 // arrives, and each hop keeps per-sender FIFO order.
 func TestMemnetContractReentrantSendsDoNotDeadlock(t *testing.T) {
 	const starters, rounds, hops = 4, 2000, 3
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	ep := [2]Endpoint{net.Endpoint(0), net.Endpoint(1)}
 
@@ -362,7 +326,7 @@ func TestMemnetContractReentrantSendsDoNotDeadlock(t *testing.T) {
 // Send returns while the handler is parked, and later sends queue
 // behind it.
 func TestMemnetContractProfiledSendDoesNotWaitForHandler(t *testing.T) {
-	net := NewNetwork(LinkProfile{Latency: time.Microsecond}, 1)
+	net := NewNetwork(LinkProfile{Bandwidth: 1 << 30})
 	defer net.Close()
 	a := net.Endpoint(0)
 	h := newGatedHandler()

@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,7 +60,7 @@ func (c *collector) count() int {
 }
 
 func TestMemnetDelivers(t *testing.T) {
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	a := net.Endpoint(0)
 	b := net.Endpoint(1)
@@ -81,7 +80,7 @@ func TestMemnetDelivers(t *testing.T) {
 }
 
 func TestMemnetFIFOPerLink(t *testing.T) {
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	a := net.Endpoint(0)
 	b := net.Endpoint(1)
@@ -103,7 +102,7 @@ func TestMemnetFIFOPerLink(t *testing.T) {
 }
 
 func TestMemnetUnknownNode(t *testing.T) {
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	a := net.Endpoint(0)
 	if err := a.Send(9, testMsg(1)); !errors.Is(err, ErrUnknownNode) {
@@ -112,7 +111,7 @@ func TestMemnetUnknownNode(t *testing.T) {
 }
 
 func TestMemnetClosedEndpoint(t *testing.T) {
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	a := net.Endpoint(0)
 	net.Endpoint(1)
@@ -123,7 +122,7 @@ func TestMemnetClosedEndpoint(t *testing.T) {
 }
 
 func TestMemnetPartitionAndHeal(t *testing.T) {
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	a := net.Endpoint(0)
 	b := net.Endpoint(1)
@@ -147,7 +146,7 @@ func TestMemnetPartitionAndHeal(t *testing.T) {
 }
 
 func TestMemnetIsolate(t *testing.T) {
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	a := net.Endpoint(0)
 	b := net.Endpoint(1)
@@ -173,25 +172,9 @@ func TestMemnetIsolate(t *testing.T) {
 	colB.waitFor(t, 1, time.Second)
 }
 
-func TestMemnetLatency(t *testing.T) {
-	net := NewNetwork(LinkProfile{Latency: 30 * time.Millisecond}, 1)
-	defer net.Close()
-	a := net.Endpoint(0)
-	b := net.Endpoint(1)
-	col := newCollector()
-	b.Handle(col.handler)
-
-	start := time.Now()
-	_ = a.Send(1, testMsg(1))
-	col.waitFor(t, 1, time.Second)
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Fatalf("delivered after %v, want >= 30ms", elapsed)
-	}
-}
-
 func TestMemnetBandwidthSerializes(t *testing.T) {
 	// 10 KB/s link, two 1 KiB-ish payloads → second arrives ≥ ~0.2s in.
-	net := NewNetwork(LinkProfile{Bandwidth: 10_000}, 1)
+	net := NewNetwork(LinkProfile{Bandwidth: 10_000})
 	defer net.Close()
 	a := net.Endpoint(0)
 	b := net.Endpoint(1)
@@ -208,28 +191,9 @@ func TestMemnetBandwidthSerializes(t *testing.T) {
 	}
 }
 
-func TestMemnetLoss(t *testing.T) {
-	net := NewNetwork(LinkProfile{LossRate: 0.5}, 7)
-	defer net.Close()
-	a := net.Endpoint(0)
-	b := net.Endpoint(1)
-	var received atomic.Int64
-	b.Handle(func(uint32, message.Message) { received.Add(1) })
-
-	const n = 1000
-	for i := uint64(0); i < n; i++ {
-		_ = a.Send(1, testMsg(i))
-	}
-	time.Sleep(200 * time.Millisecond)
-	got := received.Load()
-	if got == 0 || got == n {
-		t.Fatalf("received %d of %d with 50%% loss", got, n)
-	}
-}
-
 func TestMemnetEndpointReplacement(t *testing.T) {
 	// Re-registering an ID models a crash-restart.
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	a := net.Endpoint(0)
 	old := net.Endpoint(1)
@@ -253,7 +217,7 @@ func TestMemnetEndpointReplacement(t *testing.T) {
 }
 
 func TestMulticast(t *testing.T) {
-	net := NewNetwork(LinkProfile{}, 1)
+	net := NewNetwork(LinkProfile{})
 	defer net.Close()
 	eps := make([]Endpoint, 4)
 	cols := make([]*collector, 4)
@@ -299,7 +263,7 @@ func TestEstimateSizeIsExact(t *testing.T) {
 		&message.PBFTPrepare{}, &message.PBFTCommit{}, &message.PBFTCheckpoint{},
 		&message.PBFTViewChange{}, &message.PBFTNewView{},
 		minPrep, &message.MinCommit{}, &message.MinCommit{View: 1, Prepare: minPrep},
-		&message.MinReqViewChange{Replica: 1, View: 2, Auth: auth},
+		&message.Suspect{Replica: 1, View: 2, Auth: auth},
 		minVC, &message.MinNewView{View: 2, VCs: []*message.MinViewChange{minVC, minVC}},
 		&message.StateRequest{}, &message.StateReply{Snapshot: make([]byte, 4096)},
 	}
