@@ -349,7 +349,6 @@ func Run(o Options) (*Result, error) {
 	r.mu.Lock()
 	cl, err := cluster.New(cluster.Options{
 		Config:       cfg,
-		Seed:         plan.Seed,
 		WrapEndpoint: r.wrapEndpoint,
 		DataRoot:     o.DataRoot,
 	}, r.factory)
