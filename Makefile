@@ -80,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzPooledBufferAliasing$$' -fuzztime $(FUZZTIME) ./internal/message/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzFrameStream$$' -fuzztime $(FUZZTIME) ./internal/transport/
+	$(GO) test -run '^$$' -fuzz 'FuzzMACKeyMatchesHMAC$$' -fuzztime $(FUZZTIME) ./internal/crypto/
 
 bench:
 	$(GO) test -bench=. -benchmem

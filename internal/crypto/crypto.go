@@ -3,10 +3,13 @@
 // message authentication, key management for a replica group, and
 // PBFT-style MAC authenticators (a vector of per-receiver MACs).
 //
-// All operations are built on the Go standard library (crypto/sha256,
-// crypto/hmac). The package deliberately exposes small value types so that
-// protocol code can embed digests and MACs in messages without extra
-// allocation.
+// On amd64 CPUs with the SHA extensions every digest and MAC runs one
+// SHA-256 block kernel (sha256block_amd64.s) on the caller's stack, an
+// HMAC starting from precomputed midstates; elsewhere, and with the
+// purego build tag, the package uses crypto/sha256 and crypto/hmac. The
+// bytes are the same either way. The package deliberately exposes small
+// value types so that protocol code can embed digests and MACs in
+// messages without extra allocation.
 package crypto
 
 import (
@@ -35,30 +38,32 @@ var ZeroDigest Digest
 
 // Hash computes the SHA-256 digest of data.
 func Hash(data []byte) Digest {
-	return sha256.Sum256(data)
+	if !useKernel {
+		return sha256.Sum256(data)
+	}
+	var s stream
+	s.h = iv
+	s.write(data)
+	return s.sum()
 }
 
 // HashParts computes the SHA-256 digest over the concatenation of parts
 // without materializing the concatenation.
 func HashParts(parts ...[]byte) Digest {
-	h := sha256.New()
+	h := NewHasher()
 	for _, p := range parts {
 		h.Write(p)
 	}
-	var d Digest
-	h.Sum(d[:0])
-	return d
+	return h.Sum()
 }
 
 // Combine folds two digests into one. It is used to chain state digests
 // with reply-vector digests for checkpoint proofs.
 func Combine(a, b Digest) Digest {
-	h := sha256.New()
-	h.Write(a[:])
-	h.Write(b[:])
-	var d Digest
-	h.Sum(d[:0])
-	return d
+	var ab [2 * DigestSize]byte
+	copy(ab[:], a[:])
+	copy(ab[DigestSize:], b[:])
+	return Hash(ab[:])
 }
 
 // IsZero reports whether d is the zero digest.
@@ -87,69 +92,95 @@ func NewKeyFromSeed(seed string) Key {
 	return Key(d[:])
 }
 
-// Sum computes the HMAC-SHA256 of data under key k with a fresh HMAC
-// state. Code that MACs under one key repeatedly binds a MACKey.
+// Sum computes the HMAC-SHA256 of data under key k. Code that MACs
+// under one key repeatedly binds a MACKey.
 func (k Key) Sum(data []byte) MAC {
 	return k.SumParts(data)
 }
 
 // SumParts computes the HMAC-SHA256 over the concatenation of parts.
 func (k Key) SumParts(parts ...[]byte) MAC {
-	return sumParts(hmac.New(sha256.New, k), parts)
-}
-
-// Verify reports whether mac is a valid HMAC for data under key k,
-// using a constant-time comparison.
-func (k Key) Verify(data []byte, mac MAC) bool {
-	return k.Sum(data).Equal(mac)
-}
-
-func sumParts(h hash.Hash, parts [][]byte) MAC {
-	var m MAC
-	for _, part := range parts {
-		h.Write(part)
-	}
-	h.Sum(m[:0])
-	return m
+	return NewMACKey(k).SumParts(parts...)
 }
 
 // Equal reports whether m and o are the same MAC, in constant time.
 func (m MAC) Equal(o MAC) bool { return hmac.Equal(m[:], o[:]) }
 
-// MACKey is a key bound to its own pool of keyed HMAC states. hmac.New
-// allocates two SHA-256 states plus the HMAC shell on every call, which
-// was the single largest allocator on the agreement hot path (every
-// request authenticator, reply authenticator, and trusted-counter
-// certificate pays one HMAC); Reset restores a pooled state to its
-// keyed initial state, so reuse is exact. Whoever MACs under one key
-// repeatedly — a KeyStore per peer, a TrInX or USIG instance — holds
-// the handle, so a MAC finds its state without any lookup by key.
+// MACKey is a key bound for repeated HMAC-SHA256. On the kernel path it
+// is the two HMAC midstates, the SHA-256 states after absorbing key⊕ipad
+// and key⊕opad: a MAC streams its input through a stack-local block
+// from the inner midstate and then the inner digest from the outer one,
+// so a MAC over at most 55 bytes is exactly two compressions, with no
+// pool, no interface call and no heap state. Without the kernel it is a
+// pool of keyed crypto/hmac states, reset to the key's initial state on
+// reuse. Whoever MACs under one key repeatedly — a KeyStore per peer, a
+// TrInX or USIG instance — holds the handle, so a MAC finds its key
+// without any lookup.
 type MACKey struct {
-	states sync.Pool // of *macState keyed with the handle's key
+	inner, outer [8]uint32
+	std          *sync.Pool // of *macState; nil on the kernel path
 }
 
-// macState is one pooled HMAC state together with the buffers a MAC
-// passes through. Whatever is handed to a hash.Hash escapes, so a
-// result summed into the caller's frame, or a header built there, would
-// be moved to the heap on every call; the state's own out and in live
-// on the heap once, with the state.
+// macState is one pooled crypto/hmac state together with the buffers a
+// MAC passes through: input is copied through in (see absorb) and the
+// result summed into out, both of which live on the heap once, with the
+// state.
 type macState struct {
 	h   hash.Hash
 	out MAC
-	in  [64]byte
+	in  absorbBuf
 }
 
-// NewMACKey binds k. The handle keeps a private copy of the key.
+// NewMACKey binds k. The handle keeps no reference to k.
 func NewMACKey(k Key) *MACKey {
-	kc := append(Key(nil), k...)
-	h := &MACKey{}
-	h.states.New = func() any { return &macState{h: hmac.New(sha256.New, kc)} }
-	return h
+	if !useKernel {
+		kc := append(Key(nil), k...)
+		pool := &sync.Pool{New: func() any { return &macState{h: hmac.New(sha256.New, kc)} }}
+		return &MACKey{std: pool}
+	}
+	if len(k) > sha256.BlockSize {
+		d := Hash(k)
+		k = d[:]
+	}
+	var ipad, opad [sha256.BlockSize]byte
+	copy(ipad[:], k)
+	copy(opad[:], k)
+	for i := range ipad {
+		ipad[i] ^= 0x36
+		opad[i] ^= 0x5c
+	}
+	mk := &MACKey{inner: iv, outer: iv}
+	block(&mk.inner, ipad[:])
+	block(&mk.outer, opad[:])
+	return mk
 }
 
-// state takes a pooled state, reset to the key's initial state.
+// begin starts s as a MAC's inner stream, after the key block.
+func (k *MACKey) begin(s *stream) {
+	s.h = k.inner
+	s.len = sha256.BlockSize
+}
+
+// finish ends the inner stream and MACs its digest from the outer
+// midstate: the outer message is the 32-byte inner digest, which with
+// its padding is one block, built in s's own buffer.
+func (k *MACKey) finish(s *stream) MAC {
+	s.pad()
+	s.putWords(s.buf[:DigestSize])
+	s.buf[DigestSize] = 0x80
+	clear(s.buf[DigestSize+1 : 56])
+	binary.BigEndian.PutUint64(s.buf[56:], (sha256.BlockSize+DigestSize)<<3)
+	s.h = k.outer
+	block(&s.h, s.buf[:])
+	var m MAC
+	s.putWords(m[:])
+	return m
+}
+
+// state takes a pooled crypto/hmac state, reset to the key's initial
+// state.
 func (k *MACKey) state() *macState {
-	st := k.states.Get().(*macState)
+	st := k.std.Get().(*macState)
 	st.h.Reset()
 	return st
 }
@@ -158,52 +189,60 @@ func (k *MACKey) state() *macState {
 func (k *MACKey) sum(st *macState) MAC {
 	st.h.Sum(st.out[:0])
 	m := st.out
-	k.states.Put(st)
+	k.std.Put(st)
 	return m
 }
 
 // Sum computes the HMAC-SHA256 of data; byte-identical to Key.Sum.
 func (k *MACKey) Sum(data []byte) MAC {
-	st := k.state()
-	st.h.Write(data)
-	return k.sum(st)
+	return k.SumHeader(nil, data)
 }
 
 // SumParts computes the HMAC-SHA256 over the concatenation of parts.
 func (k *MACKey) SumParts(parts ...[]byte) MAC {
-	st := k.state()
-	for _, part := range parts {
-		st.h.Write(part)
+	if k.std != nil {
+		st := k.state()
+		for _, p := range parts {
+			absorb(st.h, &st.in, p)
+		}
+		return k.sum(st)
 	}
-	return k.sum(st)
+	var s stream
+	k.begin(&s)
+	for _, p := range parts {
+		s.write(p)
+	}
+	return k.finish(&s)
 }
 
-// SumHeader computes the HMAC-SHA256 of hdr ‖ body. hdr is copied
-// through the pooled state on its way into the hash, so a header the
-// caller builds in its own frame stays there; body is hashed where it
-// lies.
+// SumHeader computes the HMAC-SHA256 of hdr ‖ body: a header the
+// caller builds in its own frame stays there.
 func (k *MACKey) SumHeader(hdr, body []byte) MAC {
-	st := k.state()
-	for len(hdr) > 0 {
-		n := copy(st.in[:], hdr)
-		st.h.Write(st.in[:n])
-		hdr = hdr[n:]
+	if k.std != nil {
+		st := k.state()
+		absorb(st.h, &st.in, hdr)
+		absorb(st.h, &st.in, body)
+		return k.sum(st)
 	}
-	st.h.Write(body)
-	return k.sum(st)
+	var s stream
+	k.begin(&s)
+	s.write(hdr)
+	s.write(body)
+	return k.finish(&s)
 }
 
-// SumDigest computes the HMAC-SHA256 of d, byte-identical to Sum(d[:]),
-// without moving the caller's digest to the heap: the authenticator
-// entry point.
+// SumDigest computes the HMAC-SHA256 of d, byte-identical to Sum(d[:]):
+// the authenticator entry point. On the kernel path d goes straight
+// into the stream's block.
 func (k *MACKey) SumDigest(d Digest) MAC {
-	return k.SumHeader(d[:], nil)
-}
-
-// Verify reports whether mac is a valid HMAC for data, using a
-// constant-time comparison.
-func (k *MACKey) Verify(data []byte, mac MAC) bool {
-	return k.Sum(data).Equal(mac)
+	if k.std != nil {
+		return k.SumHeader(d[:], nil)
+	}
+	var s stream
+	k.begin(&s)
+	s.n = copy(s.buf[:], d[:])
+	s.len += DigestSize
+	return k.finish(&s)
 }
 
 // U64 encodes v in big-endian order; a helper for building MAC inputs.

@@ -1,7 +1,6 @@
 package message
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 
 	"hybster/internal/crypto"
@@ -173,15 +172,13 @@ func (r *Reply) MACUnder(k *crypto.MACKey) crypto.MAC {
 // stable digest. The preimage is the plain concatenation of the
 // request digests, streamed into the hash without per-request copies.
 func BatchDigest(reqs []*Request) crypto.Digest {
-	h := sha256.New()
+	h := crypto.NewHasher()
 	h.Write([]byte("batch"))
 	for _, r := range reqs {
 		d := r.Digest()
 		h.Write(d[:])
 	}
-	var d crypto.Digest
-	h.Sum(d[:0])
-	return d
+	return h.Sum()
 }
 
 // --- Hybster ordering (§5.2.1) ------------------------------------------

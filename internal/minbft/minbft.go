@@ -22,7 +22,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hybster/internal/crypto"
@@ -144,8 +143,6 @@ type Engine struct {
 	// the largest messages in the system; re-sending one per tick
 	// would turn the history growth into a bandwidth and CPU storm.
 	lastVCResend time.Time
-	// histLen mirrors len(sentLog) for HistoryLen (tests).
-	histLen atomic.Int64
 
 	ord engine.OrderingMetrics
 	// zombiesC counts replicas convicted of counter regression.

@@ -227,17 +227,19 @@ func TestMinBFTHistoryGrowsUntilCheckpoint(t *testing.T) {
 	defer cl.Close()
 
 	leader := c.Replica(0).(*minbft.Engine)
+	// The history length is read off the leader's history_len gauge.
+	hist := leader.Met.Gauge("history_len", "")
 	// Below the first checkpoint the history grows monotonically.
 	var grew bool
-	prev := leader.HistoryLen()
+	prev := int(hist.Value())
 	for i := 0; i < 6; i++ {
 		if _, err := cl.Invoke([]byte{1}, false); err != nil {
 			t.Fatal(err)
 		}
-		if l := leader.HistoryLen(); l > prev {
+		if l := int(hist.Value()); l > prev {
 			grew = true
 		}
-		prev = leader.HistoryLen()
+		prev = int(hist.Value())
 	}
 	if !grew {
 		t.Fatal("history never grew — sent messages are not being logged")
@@ -250,13 +252,13 @@ func TestMinBFTHistoryGrowsUntilCheckpoint(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if leader.HistoryLen() <= 2*8 { // within two checkpoint intervals
+		if int(hist.Value()) <= 2*8 { // within two checkpoint intervals
 			return
 		}
 		_, _ = cl.Invoke([]byte{1}, false)
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("history length %d not truncated by checkpoints", leader.HistoryLen())
+	t.Fatalf("history length %d not truncated by checkpoints", int(hist.Value()))
 }
 
 func TestMinBFTSecondViewChange(t *testing.T) {

@@ -126,10 +126,9 @@ func (e *Engine) pruneHistory(o timeline.Order) {
 	e.historyChanged()
 }
 
-// historyChanged publishes len(sentLog) to HistoryLen and its gauge.
+// historyChanged publishes len(sentLog) to its gauge.
 func (e *Engine) historyChanged() {
-	e.histLen.Store(int64(len(e.sentLog)))
-	e.histLenG.Set(e.histLen.Load())
+	e.histLenG.Set(int64(len(e.sentLog)))
 }
 
 // historyBytes returns the raw history entries for a VIEW-CHANGE.
@@ -140,10 +139,6 @@ func (e *Engine) historyBytes() [][]byte {
 	}
 	return out
 }
-
-// HistoryLen exposes the current history length (tests measure the
-// §4.4 growth behaviour through it).
-func (e *Engine) HistoryLen() int { return int(e.histLen.Load()) }
 
 // --- suspicion ---
 

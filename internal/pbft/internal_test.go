@@ -3,6 +3,7 @@ package pbft
 import (
 	"errors"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"hybster/internal/config"
 	"hybster/internal/crypto"
 	"hybster/internal/enclave"
+	"hybster/internal/engine"
 	"hybster/internal/engine/enginetest"
 	"hybster/internal/message"
 	"hybster/internal/telemetry"
@@ -380,5 +382,98 @@ func TestReadyzDetectsWedgedReplica(t *testing.T) {
 	e.Stop()
 	if e.Healthz() == nil || e.Readyz() == nil {
 		t.Fatal("stopped engine reports live or ready")
+	}
+}
+
+// TestSettledSlotVerifiesNoVote: a HybridPBFT backup verifies a PREPARE
+// only until its slot is prepared and a COMMIT only until it is
+// committed; a vote for a settled slot is dropped before it costs an
+// enclave transition. A forged vote the slot still needs is verified
+// and does not count. PBFTcop runs the same handlers, without ECALLs.
+func TestSettledSlotVerifiesNoVote(t *testing.T) {
+	engines := make([]*Engine, 4)
+	for i := range engines {
+		engines[i] = newTestEngine(t, config.HybridPBFT, uint32(i))
+	}
+	cfg := config.Default(config.HybridPBFT)
+	net := transport.NewNetwork(transport.LinkProfile{})
+	t.Cleanup(net.Close)
+	tel := telemetry.New("hybridpbft")
+	backup, err := New(Options{
+		Config: cfg, ID: 3, Endpoint: net.Endpoint(3), Application: counter.New(),
+		Platform: enclave.NewPlatform("backup"), Telemetry: tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(backup.Stop)
+	p := backup.pillars[0]
+	ecalls := func() (n float64) {
+		for name, v := range tel.Metrics().Snapshot() {
+			if strings.HasPrefix(name, "hybster_trinx_ecalls_total") {
+				n += v
+			}
+		}
+		return n
+	}
+	deliver := func(from uint32, m message.Message) float64 {
+		before := ecalls()
+		p.handleEvent(engine.InMsg{From: from, Msg: m})
+		return ecalls() - before
+	}
+	signed := func(from uint32, d crypto.Digest) message.Proof {
+		proof, err := engines[from].sign(engines[from].pillars[0].tx, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return proof
+	}
+	proposer := cfg.ProposerOf(0, 1)
+	var voters []uint32
+	for r := uint32(0); r < 3; r++ {
+		if r != proposer {
+			voters = append(voters, r)
+		}
+	}
+	pp := &message.PrePrepare{View: 0, Order: 1,
+		Requests: []*message.Request{{Client: crypto.ClientIDBase, Seq: 1, Payload: []byte("op")}}}
+	pp.Proof = signed(proposer, pp.Digest())
+	bd := pp.BatchDigest()
+	prepare := func(r uint32) *message.PBFTPrepare {
+		m := &message.PBFTPrepare{View: 0, Order: 1, Replica: r, BatchDigest: bd}
+		m.Proof = signed(r, m.Digest())
+		return m
+	}
+	commit := func(r uint32) *message.PBFTCommit {
+		m := &message.PBFTCommit{View: 0, Order: 1, Replica: r, BatchDigest: bd}
+		m.Proof = signed(r, m.Digest())
+		return m
+	}
+
+	if n := deliver(proposer, pp); n != 2 {
+		t.Fatalf("PRE-PREPARE: %v ECALLs, want 2 (verify, own PREPARE)", n)
+	}
+	s := p.slots[1]
+	forged := prepare(voters[0])
+	forged.Proof.TCert.MAC[0] ^= 1
+	if n := deliver(voters[0], forged); n != 1 || s.prepared {
+		t.Fatalf("forged PREPARE the slot needs: %v ECALLs, prepared=%v; want 1, false", n, s.prepared)
+	}
+	if n := deliver(voters[0], prepare(voters[0])); n != 2 || !s.prepared {
+		t.Fatalf("PREPARE the slot needs: %v ECALLs, prepared=%v; want 2 (verify, own COMMIT), true", n, s.prepared)
+	}
+	if n := deliver(voters[1], prepare(voters[1])); n != 0 {
+		t.Fatalf("PREPARE for a prepared slot: %v ECALLs, want 0", n)
+	}
+	for _, r := range voters {
+		if n := deliver(r, commit(r)); n != 1 {
+			t.Fatalf("COMMIT %d the slot needs: %v ECALLs, want 1", r, n)
+		}
+	}
+	if !s.committed {
+		t.Fatal("2f+1 COMMITs did not commit the slot")
+	}
+	if n := deliver(proposer, commit(proposer)); n != 0 {
+		t.Fatalf("COMMIT for a committed slot: %v ECALLs, want 0", n)
 	}
 }

@@ -244,6 +244,9 @@ func (p *pillar) handlePrepare(from uint32, m *message.PBFTPrepare) {
 	if m.Replica != from || from == p.e.Cfg.ProposerOf(m.View, m.Order) {
 		return // the proposer's PRE-PREPARE stands in for its PREPARE
 	}
+	if s := p.slots[m.Order]; s != nil && s.view == m.View && s.prepared {
+		return // settled: no PREPARE can change it, so none is verified
+	}
 	if !p.e.verify(p.tx, &m.Proof, m.Digest(), from) {
 		return
 	}
@@ -267,6 +270,9 @@ func (p *pillar) handleCommit(from uint32, m *message.PBFTCommit) {
 	}
 	if m.Replica != from {
 		return
+	}
+	if s := p.slots[m.Order]; s != nil && s.view == m.View && s.committed {
+		return // settled: no COMMIT can change it, so none is verified
 	}
 	if !p.e.verify(p.tx, &m.Proof, m.Digest(), from) {
 		return

@@ -146,8 +146,37 @@ type Tracer struct {
 
 	mu      sync.Mutex
 	replica uint32
-	ring    []Event
+	ring    []entry
 	next    uint64 // total events ever recorded
+}
+
+// entry is one ring slot: an Event's fields packed tighter than Event's
+// JSON order allows (the protocol is the tracer's own), with the digest
+// key still raw, so recording copies eight bytes instead of
+// hex-encoding a fresh string per event. Events and the dump rebuild
+// each Event (DigestPrefix) when the ring is read.
+type entry struct {
+	seq, view, slot uint64
+	ts, mono        int64
+	note            string
+	replica, pillar uint32
+	kind            EventKind
+	key             digestKey
+}
+
+// digestKey is an event's digest correlation key, raw: the first
+// DigestPrefixLen bytes of the digest and how many there are.
+type digestKey struct {
+	b [DigestPrefixLen]byte
+	n uint8
+}
+
+func (e *entry) event(protocol string) Event {
+	return Event{
+		Seq: e.seq, TS: e.ts, Mono: e.mono, Replica: e.replica, Protocol: protocol,
+		Kind: e.kind, View: e.view, Slot: e.slot, Pillar: e.pillar,
+		Digest: DigestPrefix(e.key.b[:e.key.n]), Note: e.note,
+	}
 }
 
 // DefaultTraceDepth is the ring size NewTracer uses for 0.
@@ -159,7 +188,7 @@ func NewTracer(protocol string, depth int) *Tracer {
 	if depth <= 0 {
 		depth = DefaultTraceDepth
 	}
-	return &Tracer{protocol: protocol, ring: make([]Event, depth)}
+	return &Tracer{protocol: protocol, ring: make([]entry, depth)}
 }
 
 // SetReplica tags every subsequently recorded event (and the dump
@@ -177,26 +206,27 @@ func (t *Tracer) SetReplica(id uint32) {
 // Record appends one event, overwriting the oldest once the ring is
 // full. Nil-safe.
 func (t *Tracer) Record(kind EventKind, view, slot uint64, pillar uint32, note string) {
-	t.record(kind, view, slot, pillar, "", note)
+	t.record(kind, view, slot, pillar, nil, note)
 }
 
 // RecordDigest appends one event carrying a digest correlation key
-// (the first DigestPrefixLen bytes, hex). Nil-safe.
+// (the first DigestPrefixLen bytes, hex in Event.Digest). Nil-safe.
 func (t *Tracer) RecordDigest(kind EventKind, view, slot uint64, pillar uint32, digest []byte, note string) {
-	t.record(kind, view, slot, pillar, DigestPrefix(digest), note)
+	t.record(kind, view, slot, pillar, digest, note)
 }
 
-func (t *Tracer) record(kind EventKind, view, slot uint64, pillar uint32, digest, note string) {
+func (t *Tracer) record(kind EventKind, view, slot uint64, pillar uint32, digest []byte, note string) {
 	if t == nil {
 		return
 	}
 	now := time.Now()
 	t.mu.Lock()
-	t.ring[t.next%uint64(len(t.ring))] = Event{
-		Seq: t.next, TS: now.UnixNano(), Mono: now.Sub(monoBase).Nanoseconds(),
-		Replica: t.replica, Protocol: t.protocol,
-		Kind: kind, View: view, Slot: slot, Pillar: pillar, Digest: digest, Note: note,
+	e := &t.ring[t.next%uint64(len(t.ring))]
+	*e = entry{
+		seq: t.next, ts: now.UnixNano(), mono: now.Sub(monoBase).Nanoseconds(),
+		replica: t.replica, kind: kind, view: view, slot: slot, pillar: pillar, note: note,
 	}
+	e.key.n = uint8(copy(e.key.b[:], digest))
 	t.next++
 	t.mu.Unlock()
 }
@@ -225,20 +255,26 @@ func (t *Tracer) Events() []Event {
 
 // snapshot copies the retained events oldest-first and reads the total
 // recorded and the replica tag, all under one lock acquisition, so the
-// totals describe exactly the events copied.
+// totals describe exactly the events copied. The Events are built
+// after the lock is released.
 func (t *Tracer) snapshot() (events []Event, total uint64, replica uint32) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := uint64(len(t.ring))
 	start, count := uint64(0), t.next
 	if t.next > n {
 		start, count = t.next-n, n
 	}
-	events = make([]Event, 0, count)
-	for i := uint64(0); i < count; i++ {
-		events = append(events, t.ring[(start+i)%n])
+	entries := make([]entry, count)
+	for i := range entries {
+		entries[i] = t.ring[(start+uint64(i))%n]
 	}
-	return events, t.next, t.replica
+	total, replica = t.next, t.replica
+	t.mu.Unlock()
+	events = make([]Event, count)
+	for i := range entries {
+		events[i] = entries[i].event(t.protocol)
+	}
+	return events, total, replica
 }
 
 // TraceDump is the JSON envelope of a dumped ring. The header fields

@@ -180,3 +180,30 @@ func TestDumpHeaderRoundTrip(t *testing.T) {
 		t.Fatalf("timestamps missing: ts=%d mono=%d", ev.TS, ev.Mono)
 	}
 }
+
+// TestRecordAllocs pins what recording costs the heap: nothing, with a
+// digest key or without. The key is kept raw in the ring and
+// hex-encoded only when the ring is read.
+func TestRecordAllocs(t *testing.T) {
+	tr := NewTracer("pbft", 16)
+	var dig [32]byte
+	dig[0] = 0xab
+	if n := testing.AllocsPerRun(200, func() { tr.RecordDigest(EvCommit, 1, 2, 0, dig[:], "") }); n != 0 {
+		t.Errorf("RecordDigest allocates %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { tr.Record(EvExec, 1, 2, 0, "noop") }); n != 0 {
+		t.Errorf("Record allocates %.1f/op, want 0", n)
+	}
+	tr.RecordDigest(EvCommit, 1, 3, 0, dig[:], "")
+	tr.RecordDigest(EvCommit, 1, 4, 0, dig[:3], "")
+	ev := tr.Events()
+	if got, want := ev[len(ev)-2].Digest, DigestPrefix(dig[:]); got != want {
+		t.Errorf("digest key %q, want %q", got, want)
+	}
+	if got, want := ev[len(ev)-1].Digest, DigestPrefix(dig[:3]); got != want {
+		t.Errorf("short digest key %q, want %q", got, want)
+	}
+	if ev[0].Digest != "" {
+		t.Errorf("event without a digest carries key %q", ev[0].Digest)
+	}
+}
